@@ -1,11 +1,15 @@
 """Generic smooth NLP interface, a primal-dual interior-point solver, and a
 damped Newton solver for square nonlinear systems.
 
-The interior-point method uses a monotone barrier schedule, a symmetric
-indefinite KKT factorization with inertia correction via Levenberg
-regularization, a fraction-to-boundary rule, and Armijo backtracking on an
-l1 merit function.  Bounds are relaxed slightly on the inside; reported
-objectives are always the true (unrelaxed) ones.
+The interior-point method uses a monotone barrier schedule, a sparse LU
+factorization of the KKT matrix with iterative refinement, inertia
+correction via Levenberg regularization, a fraction-to-boundary rule, and
+Armijo backtracking on an l1 merit function.  The inertia is tested without
+an indefinite factorization: condensing the (regularized, negative
+definite) dual block leaves the primal Schur complement, and the KKT matrix
+has the wanted inertia iff that complement is positive definite, which a
+no-pivot sparse LU decides.  Bounds are relaxed slightly on the inside;
+reported objectives are always the true (unrelaxed) ones.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import splu
 
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
@@ -64,61 +68,37 @@ class NlpSolution:
     constraint_violation: float = 0.0
 
 
-def _inertia_from_sytrf(ldu, ipiv):
-    """(n_pos, n_neg, n_zero) of the Bunch-Kaufman block-diagonal factor."""
-    n = ldu.shape[0]
-    pos = neg = zero = 0
-    k = 0
-    while k < n:
-        if ipiv[k] > 0:
-            d = ldu[k, k]
-            if d > 0:
-                pos += 1
-            elif d < 0:
-                neg += 1
-            else:
-                zero += 1
-            k += 1
-        else:
-            d11 = ldu[k, k]
-            d22 = ldu[k + 1, k + 1]
-            d21 = ldu[k + 1, k]
-            det = d11 * d22 - d21 * d21
-            if det < 0:
-                pos += 1
-                neg += 1
-            elif det > 0:
-                if d11 + d22 > 0:
-                    pos += 2
-                else:
-                    neg += 2
-            else:
-                zero += 2
-            k += 2
-    return pos, neg, zero
+def _correct_inertia(W, J, d):
+    """True iff [[W, J'], [J, -diag(d)]] has inertia (n, m, 0), for d > 0.
+
+    By Haynsworth's law the inertia is (0, m, 0) plus the inertia of the
+    Schur complement P = W + J' diag(1/d) J, so the answer is whether P is
+    positive definite.  That is decided by an LU of P with symmetric
+    ordering and no pivoting (an LDL' in disguise): P is positive definite
+    iff no off-diagonal pivot was needed and every pivot is positive.
+    """
+    P = (W + J.T @ sparse.diags(1.0 / d) @ J).tocsc()
+    try:
+        lu = splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0.0))
 
 
-class _KktSolver:
-    """Dense symmetric-indefinite factor/solve with inertia reporting."""
-
-    def __init__(self):
-        self._funcs = None
-
-    def factor(self, M):
-        if self._funcs is None:
-            self._funcs = get_lapack_funcs(("sytrf", "sytrs"), (M,))
-        sytrf, _ = self._funcs
-        ldu, ipiv, info = sytrf(M, lower=1)
-        if info != 0:
-            return None, None, (0, 0, M.shape[0])
-        return ldu, ipiv, _inertia_from_sytrf(ldu, ipiv)
-
-    def solve(self, ldu, ipiv, rhs):
-        _, sytrs = self._funcs
-        x, info = sytrs(ldu, ipiv, rhs, lower=1)
-        if info != 0:
-            return None
-        return x
+def _refined_solve(K, lu, rhs, steps=2):
+    """Solve K sol = rhs with an LU of K and up to `steps` refinement steps."""
+    sol = lu.solve(rhs)
+    res = rhs - K @ sol
+    for _ in range(steps):
+        cand = sol + lu.solve(res)
+        cand_res = rhs - K @ cand
+        if not np.max(np.abs(cand_res), initial=0.0) \
+                < np.max(np.abs(res), initial=0.0):
+            break
+        sol, res = cand, cand_res
+    return sol
 
 
 def _relax_bounds(lb, ub, rel=1e-8):
@@ -161,6 +141,11 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
     Returns an NlpSolution; status `optimal` means the max-norm KKT residual
     is at or below `tol`.  The best iterate found is always returned.
+
+    `log`, if given, is called once per iteration with a dict: `iteration`,
+    `objective`, `kkt_error` and `mu` at the current iterate, and
+    `delta_w`, `delta_c`, `factor_attempts`, `alpha_primal` and
+    `alpha_dual` of the step that led to it (all 0 at the first iterate).
     """
     t_start = time.monotonic()
     n = prob.n
@@ -187,7 +172,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     tau_ftb = 0.995
     delta_c = 1e-8
     delta_w_last = 0.0
-    kkt = _KktSolver()
+    last_step = dict(delta_w=0.0, delta_c=0.0, factor_attempts=0,
+                     alpha_primal=0.0, alpha_dual=0.0)
 
     best = None
 
@@ -241,7 +227,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
         e0 = resid(0.0)
         if log is not None:
-            log(it, f, e0, mu)
+            log(dict(iteration=it, objective=f, kkt_error=e0, mu=mu,
+                     **last_step))
         if e0 <= tol:
             status = OPTIMAL
             break
@@ -252,7 +239,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         while resid(mu) <= 10.0 * mu and mu > tol / 10.0:
             mu = max(tol / 10.0, mu / 5.0)
 
-        H = prob.hess(x, 1.0, y, w).tocoo()
+        Hl = prob.hess(x, 1.0, y, w).tocsc()
+        Hs = Hl + Hl.T - sparse.diags(Hl.diagonal())
         sigma_x = np.where(fin_l, zl / np.maximum(gap_l, 1e-16), 0.0) \
             + np.where(fin_u, zu / np.maximum(gap_u, 1e-16), 0.0)
 
@@ -261,21 +249,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         gbar -= np.where(fin_l, mu / np.maximum(gap_l, 1e-16), 0.0)
         gbar += np.where(fin_u, mu / np.maximum(gap_u, 1e-16), 0.0)
 
-        N = n + me + mi
-        M = np.zeros((N, N))
-        M[H.row, H.col] += H.data
-        tri = np.tril_indices(n)
-        Mt = M[:n, :n]
-        low = Mt + Mt.T - np.diag(np.diag(Mt))
-        M[:n, :n] = low
-        if me:
-            M[n:n + me, :n] = JE.toarray()
-            M[:n, n:n + me] = JE.toarray().T
-        if mi:
-            M[n + me:, :n] = JI.toarray()
-            M[:n, n + me:] = JI.toarray().T
-            M[n + me:, n + me:] = -np.diag(t / w)
-
+        J = sparse.vstack([JE, JI], format="csc")
         rhs = np.concatenate([
             -gbar,
             -cE,
@@ -284,38 +258,36 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
         # inertia-corrected factorization; dual regularization only kicks in
         # on singularity (e.g. duplicated equality rows) so well-posed
-        # problems are solved without the delta_c bias
+        # problems are solved without the delta_c bias.  The inertia test
+        # puts delta_c on the equality block even while dc is 0, so that its
+        # Schur complement exists.
         delta_w = 0.0
         dc = 0.0
-        ldu = ipiv = None
-        for attempt in range(40):
-            Mreg = M.copy()
-            idx = np.arange(n)
-            Mreg[idx, idx] += sigma_x + delta_w
-            if dc and me + mi:
-                idx2 = np.arange(n, N)
-                Mreg[idx2, idx2] -= dc
-            ldu, ipiv, inertia = kkt.factor(Mreg)
-            if ldu is not None and inertia[0] == n and inertia[2] == 0:
-                break
-            singular = ldu is None or inertia[2] > 0
-            wrong_inertia = ldu is None or inertia[0] != n
-            ldu = None
-            if singular:
-                dc = delta_c if dc == 0.0 else dc * 100.0
-            if wrong_inertia or not singular:
-                if delta_w == 0.0:
-                    delta_w = 1e-4 if delta_w_last == 0.0 else max(1e-6, delta_w_last / 3.0)
-                else:
-                    delta_w *= 10.0
+        lu = None
+        for attempt in range(1, 41):
+            W = (Hs + sparse.diags(sigma_x + delta_w)).tocsc()
+            d_dual = np.concatenate([np.full(me, dc), t / w + dc])
+            d_test = np.concatenate([np.full(me, dc or delta_c), t / w + dc])
+            if _correct_inertia(W, J, d_test):
+                K = sparse.bmat([[W, J.T], [J, -sparse.diags(d_dual)]],
+                                format="csc")
+                try:
+                    lu = splu(K)
+                    break
+                except RuntimeError:  # exactly singular
+                    dc = delta_c if dc == 0.0 else dc * 100.0
+            if delta_w == 0.0:
+                delta_w = 1e-4 if delta_w_last == 0.0 else max(1e-6, delta_w_last / 3.0)
+            else:
+                delta_w *= 10.0
             if delta_w > 1e12:
                 break
-        if ldu is None:
+        if lu is None:
             status = NUMERICAL_FAILURE
             break
         delta_w_last = delta_w
-        sol = kkt.solve(ldu, ipiv, rhs)
-        if sol is None or not np.all(np.isfinite(sol)):
+        sol = _refined_solve(K, lu, rhs)
+        if not np.all(np.isfinite(sol)):
             status = NUMERICAL_FAILURE
             break
         dx = sol[:n]
@@ -419,6 +391,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         w = np.maximum(w + a_dual * dw, 1e-300) if mi else w
         zl = np.where(fin_l, np.maximum(zl + a_dual * dzl, 1e-300), 0.0)
         zu = np.where(fin_u, np.maximum(zu + a_dual * dzu, 1e-300), 0.0)
+        last_step = dict(delta_w=delta_w, delta_c=dc, factor_attempts=attempt,
+                         alpha_primal=alpha, alpha_dual=a_dual)
 
     cE = prob.eq(x) if me else np.zeros(0)
     cI = prob.ineq(x) if mi else np.zeros(0)

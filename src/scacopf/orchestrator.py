@@ -512,9 +512,10 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
               base_tag=1, initial_order=None, model=None) -> Code2Result:
     """Evaluate every contingency and write one solution file each.
 
-    Contingencies are processed in reverse initial-ranking order; before each
-    evaluation the per-contingency budget is the remaining total thread-time
-    divided by the number of unevaluated contingencies.
+    Contingencies are processed one at a time in reverse initial-ranking
+    order; before each evaluation the per-contingency budget is the remaining
+    total time (``factor * |K|``) divided by the number of unevaluated
+    contingencies.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.monotonic()
@@ -531,8 +532,7 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
         initial_order = [e.contingency_id for e in plist.entries]
     order = list(reversed(initial_order))
 
-    total_thread_time = cfg.per_contingency_code2_factor * n \
-        * cfg.worker_threads
+    total_time = cfg.per_contingency_code2_factor * n
     cutoff = cfg.cutoff if cfg.cutoff is not None \
         else eval_mod.default_cutoff(net)
     tag_str = f"base-{base_tag}"
@@ -543,10 +543,9 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
     for idx, cid in enumerate(order):
         k = net.contingency(cid)
         if cfg.deterministic:
-            remaining = total_thread_time - spent_det
+            remaining = total_time - spent_det
         else:
-            remaining = total_thread_time \
-                - (time.monotonic() - t0) * cfg.worker_threads
+            remaining = total_time - (time.monotonic() - t0)
         unevaluated = n - idx
         budget = max(0.05, remaining / unevaluated)
         try:

@@ -126,8 +126,8 @@ def test_multiplier_signs_nonnegative():
     assert np.all(sol.z_upper >= 0)
 
 
-def test_nonconvex_objective_converges():
-    # Rosenbrock with a bound; checks inertia correction kicks in
+def rosenbrock_problem(x0):
+    """Rosenbrock's function in the box [-2, 2]^2."""
     def f(x):
         return 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
 
@@ -139,10 +139,29 @@ def test_nonconvex_objective_converges():
         return np.array([[1200 * x[0] ** 2 - 400 * x[1] + 2, -400 * x[0]],
                          [-400 * x[0], 200.0]])
 
-    prob = dense_problem(2, f, g, H, [-1.2, 1.0], lb=[-2, -2], ub=[2, 2])
+    return dense_problem(2, f, g, H, x0, lb=[-2, -2], ub=[2, 2])
+
+
+def test_nonconvex_objective_converges():
+    prob = rosenbrock_problem([-1.2, 1.0])
     sol = solve_nlp(prob, max_iter=200)
     assert sol.status == nlp.OPTIMAL
     np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-5)
+
+
+def test_log_records_inertia_correction():
+    # the Hessian is indefinite at (0, 1)
+    prob = rosenbrock_problem([0.0, 1.0])
+    records = []
+    sol = solve_nlp(prob, max_iter=200, log=records.append)
+    assert sol.status == nlp.OPTIMAL
+    assert [r["iteration"] for r in records] == \
+        list(range(1, sol.iterations + 1))
+    assert set(records[0]) == {
+        "iteration", "objective", "kkt_error", "mu", "delta_w", "delta_c",
+        "factor_attempts", "alpha_primal", "alpha_dual"}
+    assert any(r["delta_w"] > 0 and r["factor_attempts"] > 1
+               for r in records)
 
 
 def test_determinism():
@@ -160,18 +179,7 @@ def test_determinism():
 
 
 def test_max_iter_status_returns_best():
-    def f(x):
-        return 100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2
-
-    def g(x):
-        return np.array([-400 * x[0] * (x[1] - x[0] ** 2) - 2 * (1 - x[0]),
-                         200 * (x[1] - x[0] ** 2)])
-
-    def H(x):
-        return np.array([[1200 * x[0] ** 2 - 400 * x[1] + 2, -400 * x[0]],
-                         [-400 * x[0], 200.0]])
-
-    prob = dense_problem(2, f, g, H, [-1.2, 1.0], lb=[-2, -2], ub=[2, 2])
+    prob = rosenbrock_problem([-1.2, 1.0])
     sol = solve_nlp(prob, max_iter=2)
     assert sol.status == nlp.MAX_ITER
     assert np.all(np.isfinite(sol.x))
@@ -331,15 +339,64 @@ def test_singular_jacobian_regularization():
     assert np.max(np.abs(fun(res.x))) <= 1e-8
 
 
+def saddle_inertia_ok(W, J, d):
+    """Oracle: does [[W, J'], [J, -diag(d)]] have n positive and m negative
+    eigenvalues?"""
+    n, m = W.shape[0], J.shape[0]
+    K = np.block([[W, J.T], [J, -np.diag(d)]])
+    ev = np.linalg.eigvalsh(K)
+    return int(np.sum(ev > 0)) == n and int(np.sum(ev < 0)) == m
+
+
 def test_inertia_counting_matches_eigvals():
+    # the positive-definiteness test of the condensed matrix must agree with
+    # the eigenvalues of the saddle-point matrix, on both sides of the
+    # boundary where the condensed matrix becomes singular
     rng = np.random.default_rng(11)
-    from scacopf.nlp import _KktSolver
-    kkt = _KktSolver()
-    for _ in range(20):
-        n = rng.integers(2, 12)
+    seen = set()
+    for trial in range(60):
+        n = int(rng.integers(2, 12))
+        m = int(rng.integers(0, n + 3))
         A = rng.normal(size=(n, n))
-        M = (A + A.T) / 2
-        ldu, ipiv, inertia = kkt.factor(np.asfortranarray(M))
-        ev = np.linalg.eigvalsh(M)
-        assert inertia[0] == int(np.sum(ev > 1e-10))
-        assert inertia[1] == int(np.sum(ev < -1e-10))
+        W = (A + A.T) / 2  # indefinite
+        J = rng.normal(size=(m, n))
+        if trial % 2 and m >= 2:
+            J[1:] = rng.normal(size=(m - 1, 1)) * J[0]  # rank one
+        d = rng.uniform(1e-3, 1.0, m)
+        P = W + J.T @ (J / d[:, None])
+        lam = np.linalg.eigvalsh(P)
+        margin = 1e-3 * max(1.0, float(np.max(np.abs(lam))))
+        for shift in (-lam[0] - margin, -lam[0] + margin, 0.0):
+            Ws = W + shift * np.eye(n)
+            expected = saddle_inertia_ok(Ws, J, d)
+            got = nlp._correct_inertia(sparse.csc_matrix(Ws),
+                                       sparse.csc_matrix(J), d)
+            assert got == expected, (trial, shift)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("W", [[[0.0, 1.0], [1.0, 0.0]],   # zero diagonal
+                               [[0.0, 0.0], [0.0, 0.0]],   # singular
+                               [[1.0, 2.0], [2.0, 1.0]]])  # indefinite
+def test_inertia_test_rejects_indefinite_condensed_matrix(W):
+    W = np.array(W)
+    J = np.zeros((0, 2))
+    assert not saddle_inertia_ok(W, J, np.zeros(0))
+    assert not nlp._correct_inertia(sparse.csc_matrix(W),
+                                    sparse.csc_matrix(J), np.zeros(0))
+
+
+def test_rank_deficient_equalities_use_dual_regularization():
+    # a duplicated equality row makes the KKT matrix exactly singular, so the
+    # solver must regularize the dual block (delta_c) to make progress
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    z = np.array([1.0, 2.0, 0.0])
+    prob = dense_problem(
+        3, lambda x: np.sum((x - z) ** 2), lambda x: 2 * (x - z),
+        lambda x: 2 * np.eye(3), np.zeros(3), A_eq=A, b_eq=[1.0, 1.0])
+    records = []
+    sol = solve_nlp(prob, log=records.append)
+    assert sol.status == nlp.OPTIMAL
+    np.testing.assert_allclose(sol.x, z - (z.sum() - 1.0) / 3, atol=1e-6)
+    assert any(r["delta_c"] > 0 for r in records)

@@ -180,6 +180,32 @@ def test_code2_reverse_order(tmp_path, net5):
     assert calls == list(reversed(order))
 
 
+def test_code2_budget_independent_of_threads(tmp_path, net5, monkeypatch):
+    # code2 evaluates one contingency at a time, so worker threads must not
+    # enlarge its factor * |K| budget
+    base = flat_start(net5)
+    real = orch.eval_mod.prescreen_then_evaluate
+
+    def budgets(threads):
+        seen = []
+
+        def spy(*a, budgets, **kw):
+            seen.append(sum(budgets))
+            return real(*a, budgets=budgets, **kw)
+
+        monkeypatch.setattr(orch.eval_mod, "prescreen_then_evaluate", spy)
+        cfg = RunConfig(output_dir=str(tmp_path / str(threads)),
+                        deterministic=True, worker_threads=threads,
+                        per_contingency_code2_factor=0.5)
+        run_code2(net5, cfg, base, base_tag=1)
+        return seen
+
+    one, two = budgets(1), budgets(2)
+    assert one == two
+    assert len(one) == len(net5.contingencies)
+    assert sum(one) <= 0.5 * len(net5.contingencies) + 1e-12
+
+
 def test_deterministic_runs_byte_identical(tmp_path, net5):
     def one(d):
         cfg = quick_cfg(d, deterministic=True, seed=7)
