@@ -5,31 +5,30 @@ Every branch-side flow expression has the common form
     F = K v_x^2 + (P cos d + Q sin d) v_o v_d,      d = th_o - th_d - phi,
 
 where (K, P, Q), the squared-voltage side x, and the phase offset phi depend
-on the branch type and side.  All first and second derivatives below are
-analytic evaluations of this form.
+on the branch type and side.  `CaseLayout` compiles one case (network,
+outage, rating set) into branch end-index and coefficient arrays once; every
+value and first or second derivative is then a few numpy expressions over
+all branches at once, on a sparsity pattern that is fixed per case (the
+vectorized ``dSbus/dV`` of MATPOWER, Zimmerman et al. 2011).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .case_model import Line, Network, Transformer
+from .case_model import Line, Network
 
 __all__ = [
     "FlowState",
     "BalanceResiduals",
     "CaseLayout",
-    "line_flows",
-    "transformer_flows",
     "branch_flows",
-    "flow_jacobian",
-    "flow_hessians",
     "balance_residuals",
     "rating_values",
+    "expression_values",
     "jacobians",
     "hessians",
 ]
@@ -58,106 +57,61 @@ class BalanceResiduals:
     q_resid: np.ndarray
 
 
-def _side_coeffs(br):
-    """Per-side (K, P, Q, x_is_origin) tuples for (p_o, q_o, p_d, q_d), plus phi."""
-    if isinstance(br, Line):
-        g, b = br.g, br.b
-        bs = b + br.b_ch / 2.0
-        return [
-            (g, -g, -b, True),
-            (-bs, b, -g, True),
-            (g, -g, b, False),
-            (-bs, b, g, False),
-        ], 0.0
-    g, b = br.g, br.b
-    t = br.tau
-    return [
-        (g / t**2 + br.g_mag, -g / t, -b / t, True),
-        (-(b / t**2 + br.b_mag), b / t, -g / t, True),
-        (g, -g / t, b / t, False),
-        (-b, b / t, g / t, False),
-    ], br.theta_shift
+def _coeffs(lines, xfs):
+    """Per-side (K, P, Q) arrays of shape (branches, 4) for (p_o, q_o, p_d,
+    q_d), and phi, for `lines` followed by `xfs`.  Components 0 and 1 take
+    the squared voltage at the origin, 2 and 3 at the destination."""
+    g, b, b_ch = np.array([(e.g, e.b, e.b_ch) for e in lines], dtype=float).reshape(-1, 3).T
+    bs = b + b_ch / 2.0
+    kpq = [np.array((g, -bs, g, -bs, -g, b, -g, b, -b, -g, b, g)).T]
+    g, b, t, g_mag, b_mag, shift = np.array(
+        [(f.g, f.b, f.tau, f.g_mag, f.b_mag, f.theta_shift) for f in xfs],
+        dtype=float).reshape(-1, 6).T
+    gt, bt = g / t, b / t
+    kpq.append(np.array((g / t**2 + g_mag, -(b / t**2 + b_mag), g, -b,
+                         -gt, bt, -gt, bt, -bt, -gt, bt, gt)).T)
+    kpq = np.vstack(kpq).reshape(-1, 3, 4)
+    return kpq[:, 0], kpq[:, 1], kpq[:, 2], np.concatenate((np.zeros(len(lines)), shift))
+
+
+def _trig_terms(P, Q, phi, th_o, th_d):
+    """T = P cos d + Q sin d and its d-derivative Tp, per branch side."""
+    d = th_o - th_d - phi
+    c, s = np.cos(d)[:, None], np.sin(d)[:, None]
+    return P * c + Q * s, -P * s + Q * c
+
+
+def _side_voltages(v_o, v_d):
+    return np.column_stack((v_o, v_o, v_d, v_d))
 
 
 def branch_flows(br, v_o, v_d, th_o, th_d):
     """Flows (p_o, q_o, p_d, q_d) into a line or transformer from both ends."""
-    coeffs, phi = _side_coeffs(br)
-    d = th_o - th_d - phi
-    c, s = math.cos(d), math.sin(d)
-    vv = v_o * v_d
-    out = np.empty(4)
-    for i, (K, P, Q, at_origin) in enumerate(coeffs):
-        vx = v_o if at_origin else v_d
-        out[i] = K * vx * vx + (P * c + Q * s) * vv
-    return out
-
-
-def line_flows(line, v_o, v_d, th_o, th_d):
-    p_o, q_o, p_d, q_d = branch_flows(line, v_o, v_d, th_o, th_d)
-    return p_o, q_o, p_d, q_d
-
-
-def transformer_flows(xf, v_o, v_d, th_o, th_d):
-    p_o, q_o, p_d, q_d = branch_flows(xf, v_o, v_d, th_o, th_d)
-    return p_o, q_o, p_d, q_d
-
-
-def flow_jacobian(br, v_o, v_d, th_o, th_d):
-    """4x4 Jacobian of (p_o, q_o, p_d, q_d) w.r.t. (v_o, v_d, th_o, th_d)."""
-    coeffs, phi = _side_coeffs(br)
-    d = th_o - th_d - phi
-    c, s = math.cos(d), math.sin(d)
-    vv = v_o * v_d
-    J = np.zeros((4, 4))
-    for i, (K, P, Q, at_origin) in enumerate(coeffs):
-        T = P * c + Q * s
-        Tp = -P * s + Q * c
-        J[i, 0] = (2.0 * K * v_o if at_origin else 0.0) + T * v_d
-        J[i, 1] = (0.0 if at_origin else 2.0 * K * v_d) + T * v_o
-        J[i, 2] = Tp * vv
-        J[i, 3] = -Tp * vv
-    return J
-
-
-def flow_hessians(br, v_o, v_d, th_o, th_d):
-    """Stack of four symmetric 4x4 Hessians, one per flow component."""
-    coeffs, phi = _side_coeffs(br)
-    d = th_o - th_d - phi
-    c, s = math.cos(d), math.sin(d)
-    vv = v_o * v_d
-    H = np.zeros((4, 4, 4))
-    for i, (K, P, Q, at_origin) in enumerate(coeffs):
-        T = P * c + Q * s
-        Tp = -P * s + Q * c
-        h = H[i]
-        if at_origin:
-            h[0, 0] = 2.0 * K
-        else:
-            h[1, 1] = 2.0 * K
-        h[0, 1] = h[1, 0] = T
-        h[0, 2] = h[2, 0] = Tp * v_d
-        h[0, 3] = h[3, 0] = -Tp * v_d
-        h[1, 2] = h[2, 1] = Tp * v_o
-        h[1, 3] = h[3, 1] = -Tp * v_o
-        h[2, 2] = h[3, 3] = -T * vv
-        h[2, 3] = h[3, 2] = T * vv
-    return H
+    K, P, Q, phi = _coeffs((br,), ()) if isinstance(br, Line) else _coeffs((), (br,))
+    v_o, v_d = np.atleast_1d(float(v_o)), np.atleast_1d(float(v_d))
+    T, _ = _trig_terms(P, Q, phi, np.atleast_1d(float(th_o)), np.atleast_1d(float(th_d)))
+    vx = _side_voltages(v_o, v_d)
+    return (K * vx * vx + T * (v_o * v_d)[:, None])[0]
 
 
 class CaseLayout:
-    """Flat variable layout and expression-row bookkeeping for one case.
+    """Compiled model of one case: flat variable layout, expression rows,
+    and the branch, bus and generator arrays that every evaluation uses.
 
     Variable order: v, theta, bcs (per bus), p_gen, q_gen (per generator),
     then (p_o, q_o, p_d, q_d) per branch with lines before transformers.
     Rows: flow expressions for in-service branches, then per-bus P and Q
     balance, then origin/destination rating expressions for in-service
     branches.  The outaged component (if any) contributes no rows and its
-    generator/flow columns are never referenced.
+    generator/flow columns are never referenced.  Ratings use the
+    contingency set when `ctg_ratings` is true.  Built once per case and
+    never changed afterwards.
     """
 
-    def __init__(self, net: Network, outaged=None):
+    def __init__(self, net: Network, outaged=None, ctg_ratings=False):
         self.net = net
         self.outaged = outaged
+        self.ctg_ratings = ctg_ratings
         nb = len(net.buses)
         ng = len(net.generators)
         nbr = len(net.branches)
@@ -176,14 +130,42 @@ class CaseLayout:
         self.avail_gens = [
             (gi, g) for gi, g in enumerate(net.generators) if g.id != outaged
         ]
-        self.flow_rows = [("flow", bi, comp) for bi, _ in self.in_service for comp in range(4)]
-        self.bal_rows = ([("balP", i) for i in range(nb)] + [("balQ", i) for i in range(nb)])
-        self.rating_rows = [(side, bi) for bi, _ in self.in_service for side in ("ratO", "ratD")]
-        self.rows = self.flow_rows + self.bal_rows + self.rating_rows
-        self.nrows = len(self.rows)
+        m = len(self.in_service)
+        self.m = m
+        self.flow_rows = range(4 * m)
+        self.nrows = 6 * m + 2 * nb
 
-    def flow_col(self, bi, comp):
-        return self.fl0 + 4 * bi + comp
+        # branch arrays over in-service branches (lines first)
+        brs = [br for _, br in self.in_service]
+        is_line = np.array([isinstance(br, Line) for br in brs], dtype=bool)
+        self.K, self.P, self.Q, self.phi = _coeffs(
+            [br for br, line in zip(brs, is_line) if line],
+            [br for br, line in zip(brs, is_line) if not line])
+        attr = ("r_max_ctg", "s_max_ctg") if ctg_ratings else ("r_max", "s_max")
+        svc, o, d, rate = np.array(
+            [(bi, net.bus_index(br.origin), net.bus_index(br.destination),
+              getattr(br, attr[not line])) for (bi, br), line in zip(self.in_service, is_line)],
+            dtype=float).reshape(-1, 4).T
+        self.svc, self.o, self.d = svc.astype(int), o.astype(int), d.astype(int)
+        self.fcols = self.fl0 + 4 * self.svc[:, None] + np.arange(4)
+        # rating base: rate * v at the end for a line, rate for a transformer
+        self.rate = rate
+        self.is_line = is_line
+        self.line_pos = np.flatnonzero(is_line)
+        self.ends = np.column_stack((self.o, self.d))
+
+        # bus and generator arrays
+        self.p_load, self.q_load, self.g_fs, self.b_fs = np.array(
+            [(bus.p_load, bus.q_load, bus.g_fs, bus.b_fs) for bus in net.buses],
+            dtype=float).reshape(-1, 4).T
+        self.gens, self.gen_bus = np.array(
+            [(gi, net.bus_index(g.bus)) for gi, g in self.avail_gens],
+            dtype=int).reshape(-1, 2).T
+        self.live = np.ones(self.nvar, dtype=bool)
+        self.live[self.p0:] = False
+        self.live[self.p0 + self.gens] = True
+        self.live[self.q0 + self.gens] = True
+        self.live[self.fcols.ravel()] = True
 
     def pack(self, state: FlowState):
         x = np.empty(self.nvar)
@@ -207,35 +189,152 @@ class CaseLayout:
             flows=x[self.fl0:].reshape(self.nbr, 4).copy(),
         )
 
-    def branch_ends(self, br):
-        return self.net.bus_index(br.origin), self.net.bus_index(br.destination)
+    # --- values on a flat layout vector x ---------------------------------
+
+    def _branch_terms(self, x):
+        v = x[self.v0:self.v0 + self.nb]
+        th = x[self.th0:self.th0 + self.nb]
+        v_o, v_d = v[self.o], v[self.d]
+        T, Tp = _trig_terms(self.P, self.Q, self.phi, th[self.o], th[self.d])
+        return v_o, v_d, T, Tp
+
+    def flow_values(self, x):
+        """Flow expressions, shape (in-service branches, 4)."""
+        v_o, v_d, T, _ = self._branch_terms(x)
+        vx = _side_voltages(v_o, v_d)
+        return self.K * vx * vx + T * (v_o * v_d)[:, None]
+
+    def balance(self, x):
+        """Per-bus (P, Q) mismatch before slacks, from the flow variables."""
+        nb = self.nb
+        v = x[self.v0:self.v0 + nb]
+        p = -self.p_load - self.g_fs * v * v
+        q = -self.q_load + (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v * v
+        np.add.at(p, self.gen_bus, x[self.p0 + self.gens])
+        np.add.at(q, self.gen_bus, x[self.q0 + self.gens])
+        fl = x[self.fcols]
+        np.subtract.at(p, self.ends.ravel(), fl[:, 0::2].ravel())
+        np.subtract.at(q, self.ends.ravel(), fl[:, 1::2].ravel())
+        return p, q
+
+    def ratings(self, x):
+        """(lhs, rhs): squared flow magnitudes and rating bases, shape
+        (in-service branches, 2) for (origin, destination)."""
+        fl = x[self.fcols]
+        lhs = np.column_stack((fl[:, 0] * fl[:, 0] + fl[:, 1] * fl[:, 1],
+                               fl[:, 2] * fl[:, 2] + fl[:, 3] * fl[:, 3]))
+        v_ends = x[self.v0 + self.ends]
+        rhs = np.where(self.is_line[:, None], self.rate[:, None] * v_ends,
+                       self.rate[:, None])
+        return lhs, rhs
+
+    def expr_values(self, x):
+        """All expression rows: flows, P/Q balance, ``lhs - rhs**2``."""
+        p, q = self.balance(x)
+        lhs, rhs = self.ratings(x)
+        return np.concatenate((self.flow_values(x).ravel(), p, q,
+                               (lhs - rhs ** 2).ravel()))
+
+    # --- first derivatives ----------------------------------------------
+
+    def jac_pattern(self):
+        """(rows, cols) of the expression Jacobian, in `jac_values` order;
+        no (row, col) pair repeats."""
+        m, nb = self.m, self.nb
+        o, d = self.v0 + self.o, self.v0 + self.d
+        rP, rQ, r0 = 4 * m, 4 * m + nb, 4 * m + 2 * nb
+        bus = np.arange(nb)
+        fc = self.fcols
+        ln = self.line_pos
+        rows = [np.repeat(np.arange(4 * m), 4),
+                rP + bus, rQ + bus, rQ + bus,
+                rP + self.gen_bus, rQ + self.gen_bus,
+                (np.array([rP, rQ, rP, rQ]) + self.ends[:, [0, 0, 1, 1]]).ravel(),
+                np.repeat(r0 + 2 * np.arange(m)[:, None] + [0, 1], 2, axis=1).ravel(),
+                (r0 + 2 * ln[:, None] + [0, 1]).ravel()]
+        cols = [np.column_stack((o, d, self.th0 + self.o, self.th0 + self.d))
+                .repeat(4, axis=0).ravel(),
+                self.v0 + bus, self.v0 + bus, self.bcs0 + bus,
+                self.p0 + self.gens, self.q0 + self.gens,
+                fc.ravel(), fc.ravel(),
+                (self.v0 + self.ends[ln]).ravel()]
+        return np.concatenate(rows), np.concatenate(cols)
+
+    def jac_values(self, x):
+        """Expression-Jacobian values on the `jac_pattern` entries."""
+        nb = self.nb
+        v = x[self.v0:self.v0 + nb]
+        v_o, v_d, T, Tp = self._branch_terms(x)
+        vv = (v_o * v_d)[:, None]
+        d_vo = T * v_d[:, None]
+        d_vo[:, :2] += 2.0 * self.K[:, :2] * v_o[:, None]
+        d_vd = T * v_o[:, None]
+        d_vd[:, 2:] += 2.0 * self.K[:, 2:] * v_d[:, None]
+        ng, m = len(self.gens), self.m
+        ln = self.line_pos
+        r = self.rate[ln, None]
+        return np.concatenate((
+            np.stack((d_vo, d_vd, Tp * vv, -Tp * vv), axis=2).ravel(),
+            -2.0 * self.g_fs * v,
+            2.0 * (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v,
+            v * v,
+            np.ones(2 * ng), np.full(4 * m, -1.0),
+            2.0 * x[self.fcols].ravel(),
+            (-2.0 * r * r * v[self.ends[ln]]).ravel()))
+
+    # --- second derivatives ---------------------------------------------
+
+    # per-branch Hessian entries over (v_o, v_d, th_o, th_d)
+    _HESS_PAIRS = np.array([(0, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 2),
+                            (1, 3), (2, 2), (3, 3), (2, 3)])
+
+    def hess_pattern(self):
+        """(rows, cols) with rows >= cols of the weighted expression
+        Hessian, in `hess_values` order; pairs may repeat (they add up)."""
+        nb = self.nb
+        bus = np.arange(nb)
+        cv = np.column_stack((self.v0 + self.o, self.v0 + self.d,
+                              self.th0 + self.o, self.th0 + self.d))
+        a, b = cv[:, self._HESS_PAIRS[:, 0]], cv[:, self._HESS_PAIRS[:, 1]]
+        fc = self.fcols.ravel()
+        vl = (self.v0 + self.ends[self.line_pos]).ravel()
+        rows = [np.maximum(a, b).ravel(), self.v0 + bus, self.bcs0 + bus, fc, vl]
+        cols = [np.minimum(a, b).ravel(), self.v0 + bus, self.v0 + bus, fc, vl]
+        return np.concatenate(rows), np.concatenate(cols)
+
+    def hess_values(self, x, weights):
+        """Values on the `hess_pattern` entries of
+        ``sum_r weights[r] * hess(expr_r)``."""
+        m, nb = self.m, self.nb
+        v = x[self.v0:self.v0 + nb]
+        v_o, v_d, T, Tp = self._branch_terms(x)
+        w = weights[:4 * m].reshape(m, 4)
+        wK = 2.0 * w * self.K
+        wT = (w * T).sum(axis=1)
+        wTp = (w * Tp).sum(axis=1)
+        vv = v_o * v_d
+        wP, wQ = weights[4 * m:4 * m + nb], weights[4 * m + nb:4 * m + 2 * nb]
+        w_rat = weights[4 * m + 2 * nb:].reshape(m, 2)
+        r = self.rate[self.line_pos, None]
+        return np.concatenate((
+            np.column_stack((wK[:, 0] + wK[:, 1], wK[:, 2] + wK[:, 3], wT,
+                             wTp * v_d, -wTp * v_d, wTp * v_o, -wTp * v_o,
+                             -wT * vv, -wT * vv, wT * vv)).ravel(),
+            -2.0 * self.g_fs * wP + 2.0 * (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * wQ,
+            2.0 * v * wQ,
+            np.repeat(2.0 * w_rat, 2, axis=1).ravel(),
+            (-2.0 * r * r * w_rat[self.line_pos]).ravel()))
+
+
+def _state_model(net, state, outaged=None, ctg_ratings=False):
+    lay = CaseLayout(net, outaged, ctg_ratings)
+    return lay, lay.pack(state)
 
 
 def balance_residuals(net, state, outaged=None):
     """Per-bus active/reactive mismatch before slacks, excluding the outage."""
-    nb = len(net.buses)
-    p = np.zeros(nb)
-    q = np.zeros(nb)
-    for i, bus in enumerate(net.buses):
-        vi = state.v[i]
-        p[i] = -bus.p_load - bus.g_fs * vi * vi
-        q[i] = -bus.q_load + (bus.b_fs + state.bcs[i]) * vi * vi
-    for gi, g in enumerate(net.generators):
-        if g.id == outaged:
-            continue
-        i = net.bus_index(g.bus)
-        p[i] += state.p_gen[gi]
-        q[i] += state.q_gen[gi]
-    for bi, br in enumerate(net.branches):
-        if br.id == outaged:
-            continue
-        o, d = net.bus_index(br.origin), net.bus_index(br.destination)
-        p_o, q_o, p_d, q_d = state.flows[bi]
-        p[o] -= p_o
-        q[o] -= q_o
-        p[d] -= p_d
-        q[d] -= q_d
-    return BalanceResiduals(p, q)
+    lay, x = _state_model(net, state, outaged)
+    return BalanceResiduals(*lay.balance(x))
 
 
 def rating_values(net, state, use_ctg_ratings=False):
@@ -245,25 +344,15 @@ def rating_values(net, state, use_ctg_ratings=False):
     a line the rating base is ``r_max * v`` at the corresponding end; for a
     transformer it is ``s_max`` at both ends.  Slacks are not applied here.
     """
-    nbr = len(net.branches)
-    lhs_o = np.empty(nbr)
-    lhs_d = np.empty(nbr)
-    rhs_o = np.empty(nbr)
-    rhs_d = np.empty(nbr)
-    for bi, br in enumerate(net.branches):
-        o, d = net.bus_index(br.origin), net.bus_index(br.destination)
-        p_o, q_o, p_d, q_d = state.flows[bi]
-        lhs_o[bi] = p_o * p_o + q_o * q_o
-        lhs_d[bi] = p_d * p_d + q_d * q_d
-        if isinstance(br, Line):
-            r = br.r_max_ctg if use_ctg_ratings else br.r_max
-            rhs_o[bi] = r * state.v[o]
-            rhs_d[bi] = r * state.v[d]
-        else:
-            smax = br.s_max_ctg if use_ctg_ratings else br.s_max
-            rhs_o[bi] = smax
-            rhs_d[bi] = smax
-    return lhs_o, lhs_d, rhs_o, rhs_d
+    lay, x = _state_model(net, state, None, use_ctg_ratings)
+    lhs, rhs = lay.ratings(x)
+    return lhs[:, 0], lhs[:, 1], rhs[:, 0], rhs[:, 1]
+
+
+def _with_ratings(layout, use_ctg_ratings):
+    if layout.ctg_ratings == use_ctg_ratings:
+        return layout
+    return CaseLayout(layout.net, layout.outaged, use_ctg_ratings)
 
 
 def expression_values(layout: CaseLayout, state: FlowState, use_ctg_ratings=False):
@@ -273,25 +362,7 @@ def expression_values(layout: CaseLayout, state: FlowState, use_ctg_ratings=Fals
     balance rows follow `balance_residuals`; rating rows are
     ``lhs - rhs_base**2`` with no slack applied.
     """
-    net = layout.net
-    vals = np.empty(layout.nrows)
-    r = 0
-    for bi, br in layout.in_service:
-        o, d = layout.branch_ends(br)
-        vals[r:r + 4] = branch_flows(br, state.v[o], state.v[d],
-                                     state.theta[o], state.theta[d])
-        r += 4
-    bal = balance_residuals(net, state, layout.outaged)
-    nb = layout.nb
-    vals[r:r + nb] = bal.p_resid
-    vals[r + nb:r + 2 * nb] = bal.q_resid
-    r += 2 * nb
-    lhs_o, lhs_d, rhs_o, rhs_d = rating_values(net, state, use_ctg_ratings)
-    for bi, _ in layout.in_service:
-        vals[r] = lhs_o[bi] - rhs_o[bi] ** 2
-        vals[r + 1] = lhs_d[bi] - rhs_d[bi] ** 2
-        r += 2
-    return vals
+    return _with_ratings(layout, use_ctg_ratings).expr_values(layout.pack(state))
 
 
 def jacobians(net, state, outaged=None, use_ctg_ratings=False, layout=None):
@@ -301,57 +372,10 @@ def jacobians(net, state, outaged=None, use_ctg_ratings=False, layout=None):
     ``(layout.nrows, layout.nvar)`` and deterministic entry ordering.
     """
     if layout is None:
-        layout = CaseLayout(net, outaged)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    r = 0
-    for bi, br in layout.in_service:
-        o, d = layout.branch_ends(br)
-        J = flow_jacobian(br, state.v[o], state.v[d], state.theta[o], state.theta[d])
-        cvars = (layout.v0 + o, layout.v0 + d, layout.th0 + o, layout.th0 + d)
-        for comp in range(4):
-            for j, col in enumerate(cvars):
-                add(r + comp, col, J[comp, j])
-        r += 4
-
-    nb = layout.nb
-    rP, rQ = r, r + nb
-    for i, bus in enumerate(net.buses):
-        vi = state.v[i]
-        add(rP + i, layout.v0 + i, -2.0 * bus.g_fs * vi)
-        add(rQ + i, layout.v0 + i, 2.0 * (bus.b_fs + state.bcs[i]) * vi)
-        add(rQ + i, layout.bcs0 + i, vi * vi)
-    for gi, g in layout.avail_gens:
-        i = net.bus_index(g.bus)
-        add(rP + i, layout.p0 + gi, 1.0)
-        add(rQ + i, layout.q0 + gi, 1.0)
-    for bi, br in layout.in_service:
-        o, d = layout.branch_ends(br)
-        add(rP + o, layout.flow_col(bi, 0), -1.0)
-        add(rQ + o, layout.flow_col(bi, 1), -1.0)
-        add(rP + d, layout.flow_col(bi, 2), -1.0)
-        add(rQ + d, layout.flow_col(bi, 3), -1.0)
-    r += 2 * nb
-
-    for bi, br in layout.in_service:
-        o, d = layout.branch_ends(br)
-        p_o, q_o, p_d, q_d = state.flows[bi]
-        add(r, layout.flow_col(bi, 0), 2.0 * p_o)
-        add(r, layout.flow_col(bi, 1), 2.0 * q_o)
-        add(r + 1, layout.flow_col(bi, 2), 2.0 * p_d)
-        add(r + 1, layout.flow_col(bi, 3), 2.0 * q_d)
-        if isinstance(br, Line):
-            rr = br.r_max_ctg if use_ctg_ratings else br.r_max
-            add(r, layout.v0 + o, -2.0 * rr * rr * state.v[o])
-            add(r + 1, layout.v0 + d, -2.0 * rr * rr * state.v[d])
-        r += 2
-
-    J = sparse.coo_matrix((vals, (rows, cols)), shape=(layout.nrows, layout.nvar))
+        layout = CaseLayout(net, outaged, use_ctg_ratings)
+    model = _with_ratings(layout, use_ctg_ratings)
+    J = sparse.coo_matrix((model.jac_values(model.pack(state)), model.jac_pattern()),
+                          shape=(layout.nrows, layout.nvar))
     return J.tocsr(), layout
 
 
@@ -362,59 +386,11 @@ def hessians(net, state, outaged=None, weights=None, use_ctg_ratings=False, layo
     result is the lower triangle of ``sum_r weights[r] * hess(expr_r)``.
     """
     if layout is None:
-        layout = CaseLayout(net, outaged)
+        layout = CaseLayout(net, outaged, use_ctg_ratings)
+    model = _with_ratings(layout, use_ctg_ratings)
     if weights is None:
         weights = np.ones(layout.nrows)
-    rows, cols, vals = [], [], []
-
-    def add(a, b, v):
-        if v == 0.0:
-            return
-        if a < b:
-            a, b = b, a
-        rows.append(a)
-        cols.append(b)
-        vals.append(v)
-
-    r = 0
-    for bi, br in layout.in_service:
-        o, d = layout.branch_ends(br)
-        w = weights[r:r + 4]
-        if np.any(w):
-            H = flow_hessians(br, state.v[o], state.v[d], state.theta[o], state.theta[d])
-            Hw = np.tensordot(w, H, axes=1)
-            cvars = (layout.v0 + o, layout.v0 + d, layout.th0 + o, layout.th0 + d)
-            for a in range(4):
-                for b in range(a + 1):
-                    add(cvars[a], cvars[b], Hw[a, b])
-        r += 4
-
-    nb = layout.nb
-    for i, bus in enumerate(net.buses):
-        wP = weights[r + i]
-        wQ = weights[r + nb + i]
-        vi = state.v[i]
-        add(layout.v0 + i, layout.v0 + i,
-            -2.0 * bus.g_fs * wP + 2.0 * (bus.b_fs + state.bcs[i]) * wQ)
-        add(layout.v0 + i, layout.bcs0 + i, 2.0 * vi * wQ)
-    r += 2 * nb
-
-    for bi, br in layout.in_service:
-        for side in range(2):
-            w = weights[r + side]
-            if w == 0.0:
-                continue
-            cp = layout.flow_col(bi, 2 * side)
-            cq = layout.flow_col(bi, 2 * side + 1)
-            add(cp, cp, 2.0 * w)
-            add(cq, cq, 2.0 * w)
-            if isinstance(br, Line):
-                rr = br.r_max_ctg if use_ctg_ratings else br.r_max
-                end = br.origin if side == 0 else br.destination
-                i = net.bus_index(end)
-                add(layout.v0 + i, layout.v0 + i, -2.0 * rr * rr * w)
-        r += 2
-
-    H = sparse.coo_matrix((vals, (rows, cols)), shape=(layout.nvar, layout.nvar))
+    H = sparse.coo_matrix((model.hess_values(model.pack(state), weights),
+                           model.hess_pattern()), shape=(layout.nvar, layout.nvar))
     H.sum_duplicates()
     return H

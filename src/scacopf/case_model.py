@@ -127,8 +127,6 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "_bus_index", {b.id: i for i, b in enumerate(self.buses)})
         object.__setattr__(self, "_gen_index", {g.id: i for i, g in enumerate(self.generators)})
-        object.__setattr__(self, "_line_index", {e.id: i for i, e in enumerate(self.lines)})
-        object.__setattr__(self, "_xf_index", {f.id: i for i, f in enumerate(self.transformers)})
         object.__setattr__(self, "_ctg_index", {k.id: i for i, k in enumerate(self.contingencies)})
 
     def bus_index(self, bus_id):
@@ -137,17 +135,8 @@ class Network:
     def gen_index(self, gen_id):
         return self._gen_index[gen_id]
 
-    def line_index(self, line_id):
-        return self._line_index[line_id]
-
-    def xf_index(self, xf_id):
-        return self._xf_index[xf_id]
-
     def contingency(self, ctg_id):
         return self.contingencies[self._ctg_index[ctg_id]]
-
-    def gens_at_bus(self, bus_id):
-        return tuple(g for g in self.generators if g.bus == bus_id)
 
     @property
     def branches(self):

@@ -20,10 +20,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import compl as compl_mod
-from .acpf import CaseLayout, expression_values, jacobians
+from .acpf import CaseLayout
 from .case_model import Network
 from .nlp import solve_nlp, solve_square
 from .scopf import (
@@ -131,6 +130,9 @@ class _SquareSystem:
     generator reactive powers, in-service branch flows, and the response
     scalar.  Shunt susceptances stay at the base values and non-responding
     generators keep their base active power.
+    Rows: flow definitions, slack-free P/Q balance, the reference angle, one
+    response row per responder, one per available generator.  The Jacobian
+    pattern is fixed at construction.
     """
 
     def __init__(self, net, k, base, state):
@@ -139,38 +141,63 @@ class _SquareSystem:
         self.state = state
         lay = CaseLayout(net, k.outaged)
         self.lay = lay
-        nb = lay.nb
+        nb, nfr = lay.nb, 4 * lay.m
 
         self.responders = [(gi, g) for gi, g in enumerate(net.generators)
                            if g.id in state.active]
         self.avail = lay.avail_gens
-
-        cols = list(range(lay.v0, lay.v0 + nb))
-        cols += list(range(lay.th0, lay.th0 + nb))
-        cols += [lay.p0 + gi for gi, _ in self.responders]
-        cols += [lay.q0 + gi for gi, _ in self.avail]
-        for bi, _ in lay.in_service:
-            cols += [lay.flow_col(bi, c) for c in range(4)]
-        self.cols = np.array(cols, dtype=int)
-        self.col_pos = {c: i for i, c in enumerate(cols)}
-        self.delta_col = len(cols)
-        self.n = len(cols) + 1
+        resp = np.array([gi for gi, _ in self.responders], dtype=int)
+        self.p_cols = lay.p0 + resp
+        self.q_cols = lay.q0 + lay.gens
+        self.flow_cols = lay.fcols.ravel()
+        self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), self.p_cols,
+                                    self.q_cols, self.flow_cols))
+        col_pos = np.full(lay.nvar, -1, dtype=int)
+        col_pos[self.cols] = np.arange(len(self.cols))
+        self.delta_col = len(self.cols)
+        self.n = len(self.cols) + 1
 
         # fixed full-layout template: base shunts, base non-responder output,
         # outaged component zeroed
-        template = base.state.copy()
-        for gi, g in enumerate(net.generators):
-            if g.id == k.outaged:
-                template.p_gen[gi] = 0.0
-                template.q_gen[gi] = 0.0
-        for bi, br in enumerate(net.branches):
-            if br.id == k.outaged:
-                template.flows[bi] = 0.0
-        self.template = lay.pack(template)
-        self.base_p = base.state.p_gen.copy()
-        self.base_v = base.state.v.copy()
+        self.template = lay.pack(base.state)
+        self.template[~lay.live] = 0.0
         self.ref = net.bus_index(net.reference_bus)
-        self.n_flow_rows = 4 * len(lay.in_service)
+
+        # response rows: a middle segment follows the response rule (active)
+        # or holds the base voltage (reactive); lower/upper pin the output
+        seg_p = [state.active[g.id] for _, g in self.responders]
+        seg_q = [state.reactive.get(g.id, MIDDLE) for _, g in self.avail]
+        self.p_mid = np.array([s == MIDDLE for s in seg_p], dtype=bool)
+        self.q_mid = np.array([s == MIDDLE for s in seg_q], dtype=bool)
+        self.p_pin = np.array([g.p_min if s == LOWER else g.p_max
+                               for s, (_, g) in zip(seg_p, self.responders)], dtype=float)
+        self.q_pin = np.array([g.q_min if s == LOWER else g.q_max
+                               for s, (_, g) in zip(seg_q, self.avail)], dtype=float)
+        self.alpha = np.array([g.alpha for _, g in self.responders], dtype=float)
+        self.v_at_gen = lay.v0 + lay.gen_bus
+        self.base_p = base.state.p_gen[resp]
+        self.base_v = base.state.v[lay.gen_bus]
+
+        # Jacobian: acpf flow rows negated, balance rows as they are, on the
+        # columns that are unknowns; then the constant entries.  No
+        # (row, col) pair repeats.
+        jr, jc = lay.jac_pattern()
+        self._sel = np.flatnonzero((jr < nfr + 2 * nb) & (col_pos[jc] >= 0))
+        self._sign = np.where(jr[self._sel] < nfr, -1.0, 1.0)
+        r_ref = nfr + 2 * nb
+        r_p = r_ref + 1 + np.arange(len(resp))
+        r_q = r_ref + 1 + len(resp) + np.arange(len(lay.gens))
+        pc, qc = col_pos[self.p_cols], col_pos[self.q_cols]
+        mid_p, mid_q = self.p_mid, self.q_mid
+        rows = [jr[self._sel], np.arange(nfr), [r_ref],
+                r_p[mid_p], r_p, r_q]
+        cols = [col_pos[jc[self._sel]], col_pos[self.flow_cols],
+                [col_pos[lay.th0 + self.ref]], np.full(mid_p.sum(), self.delta_col),
+                pc, np.where(mid_q, col_pos[self.v_at_gen], qc)]
+        self._const = np.concatenate((
+            np.ones(nfr + 1), self.alpha[mid_p], np.where(mid_p, -1.0, 1.0),
+            np.where(mid_q, -1.0, 1.0)))
+        self._flat = np.concatenate(rows).astype(int) * self.n + np.concatenate(cols).astype(int)
 
     def full_x(self, z):
         x = self.template.copy()
@@ -186,92 +213,20 @@ class _SquareSystem:
     def residual(self, z):
         lay = self.lay
         x = self.full_x(z)
-        st = lay.unpack(x)
-        vals = expression_values(lay, st)
-        nfr = self.n_flow_rows
-        flow_defs = x[self.cols[-nfr:]] - vals[:nfr] if nfr else np.zeros(0)
-        bal = vals[nfr:nfr + 2 * lay.nb]
-        rows = [flow_defs, bal, [st.theta[self.ref]]]
-        delta = z[-1]
-        seg_rows = []
-        for gi, g in self.responders:
-            seg = self.state.active[g.id]
-            if seg == MIDDLE:
-                seg_rows.append(self.base_p[gi] + g.alpha * delta
-                                - st.p_gen[gi])
-            elif seg == LOWER:
-                seg_rows.append(st.p_gen[gi] - g.p_min)
-            else:
-                seg_rows.append(st.p_gen[gi] - g.p_max)
-        for gi, g in self.avail:
-            seg = self.state.reactive.get(g.id, MIDDLE)
-            bus = self.net.bus_index(g.bus)
-            if seg == MIDDLE:
-                seg_rows.append(self.base_v[bus] - st.v[bus])
-            elif seg == LOWER:
-                seg_rows.append(st.q_gen[gi] - g.q_min)
-            else:
-                seg_rows.append(st.q_gen[gi] - g.q_max)
-        rows.append(seg_rows)
-        return np.concatenate([np.asarray(r, dtype=float) for r in rows])
+        p, q = lay.balance(x)
+        p_gen, q_gen = x[self.p_cols], x[self.q_cols]
+        return np.concatenate((
+            x[self.flow_cols] - lay.flow_values(x).ravel(), p, q,
+            [x[lay.th0 + self.ref]],
+            np.where(self.p_mid, self.base_p + self.alpha * z[-1] - p_gen,
+                     p_gen - self.p_pin),
+            np.where(self.q_mid, self.base_v - x[self.v_at_gen], q_gen - self.q_pin)))
 
     def jacobian(self, z):
-        lay = self.lay
-        x = self.full_x(z)
-        st = lay.unpack(x)
-        J, _ = jacobians(self.net, st, self.k.outaged, layout=lay)
-        J = J.tocoo()
-        nfr = self.n_flow_rows
-        rows, cols, vals = [], [], []
-        for r, c, v in zip(J.row, J.col, J.data):
-            if r >= nfr + 2 * lay.nb:
-                continue  # rating rows are not part of the system
-            if c not in self.col_pos:
-                continue
-            if r < nfr:
-                rows.append(r)
-                cols.append(self.col_pos[c])
-                vals.append(-v)
-            else:
-                rows.append(r)
-                cols.append(self.col_pos[c])
-                vals.append(v)
-        # unit entries of the flow-definition rows
-        for i in range(nfr):
-            rows.append(i)
-            cols.append(len(self.cols) - nfr + i)
-            vals.append(1.0)
-        r = nfr + 2 * lay.nb
-        rows.append(r)
-        cols.append(self.col_pos[lay.th0 + self.ref])
-        vals.append(1.0)
-        r += 1
-        for gi, g in self.responders:
-            seg = self.state.active[g.id]
-            pc = self.col_pos[lay.p0 + gi]
-            if seg == MIDDLE:
-                rows += [r, r]
-                cols += [self.delta_col, pc]
-                vals += [g.alpha, -1.0]
-            else:
-                rows.append(r)
-                cols.append(pc)
-                vals.append(1.0)
-            r += 1
-        for gi, g in self.avail:
-            seg = self.state.reactive.get(g.id, MIDDLE)
-            if seg == MIDDLE:
-                bus = self.net.bus_index(g.bus)
-                rows.append(r)
-                cols.append(self.col_pos[lay.v0 + bus])
-                vals.append(-1.0)
-            else:
-                rows.append(r)
-                cols.append(self.col_pos[lay.q0 + gi])
-                vals.append(1.0)
-            r += 1
-        M = sparse.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n))
-        return M.toarray()
+        jv = self.lay.jac_values(self.full_x(z))
+        M = np.zeros((self.n, self.n))
+        M.flat[self._flat] = np.concatenate((jv[self._sel] * self._sign, self._const))
+        return M
 
     def raw_point(self, z):
         st = self.lay.unpack(self.full_x(z))

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .acpf import CaseLayout, FlowState, branch_flows, expression_values, \
-    balance_residuals, rating_values, jacobians, hessians
-from .case_model import Line, Network, PenaltyConfig
+from .acpf import CaseLayout, FlowState
+from .case_model import Network, PenaltyConfig
 from .nlp import NlpProblem
 
 __all__ = [
@@ -88,14 +87,11 @@ def _pwl_segments(breaks_and_slopes):
 
 
 def _pwl_value(segs, last_start, last_val, last_slope, x):
-    if x >= last_start:
-        return last_val + last_slope * (x - last_start)
-    for start, slope, val in reversed(segs):
-        if x >= start:
-            return val + slope * (x - start)
-    # below the first knot: extrapolate the first slope
-    start, slope, val = segs[0]
-    return val + slope * (x - start)
+    """Curve value at x (a scalar or an array); both end slopes extrapolate."""
+    starts, slopes, vals = (np.array([s[i] for s in segs] + [end])
+                            for i, end in enumerate((last_start, last_slope, last_val)))
+    i = np.maximum(np.searchsorted(starts, x, side="right") - 1, 0)
+    return vals[i] + slopes[i] * (x - starts[i])
 
 
 def _cost_pieces(curve):
@@ -127,32 +123,27 @@ def generation_cost(net: Network, p_gen):
     for gi, g in enumerate(net.generators):
         if not g.cost_curve:
             continue
-        total += _pwl_value(*_cost_pieces(g.cost_curve), float(p_gen[gi]))
+        total += float(_pwl_value(*_cost_pieces(g.cost_curve), float(p_gen[gi])))
     return total
+
+
+def _penalties(cfg: PenaltyConfig, slacks):
+    """Convex piecewise-linear penalty of each nonnegative slack value."""
+    slacks = np.asarray(slacks, dtype=float)
+    return np.where(slacks <= 0.0, 0.0, _pwl_value(*_penalty_pieces(cfg), slacks))
 
 
 def penalty_cost(cfg: PenaltyConfig, slack_total):
     """Convex piecewise-linear penalty of one nonnegative slack value."""
-    s = float(slack_total)
-    if s <= 0.0:
-        return 0.0
-    return _pwl_value(*_penalty_pieces(cfg), s)
+    return float(_penalties(cfg, slack_total))
 
 
 def point_penalty(net: Network, point: OperatingPoint, outaged=None):
     """Explicit penalty of an operating point: sum over all its slacks."""
-    cfg = net.penalty_config
-    total = 0.0
-    for i in range(len(net.buses)):
-        total += penalty_cost(cfg, point.sig_p_plus[i])
-        total += penalty_cost(cfg, point.sig_p_minus[i])
-        total += penalty_cost(cfg, point.sig_q_plus[i])
-        total += penalty_cost(cfg, point.sig_q_minus[i])
-    for bi, br in enumerate(net.branches):
-        if br.id == outaged:
-            continue
-        total += penalty_cost(cfg, point.sig_s[bi])
-    return total
+    live = np.array([br.id != outaged for br in net.branches], dtype=bool)
+    slacks = np.concatenate((point.sig_p_plus, point.sig_p_minus, point.sig_q_plus,
+                             point.sig_q_minus, point.sig_s[live]))
+    return float(np.sum(_penalties(net.penalty_config, slacks)))
 
 
 def slacks_from_state(net: Network, state: FlowState, outaged=None,
@@ -162,22 +153,18 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None,
     This is the unique minimal-slack assignment making the point feasible;
     flows in `state` are trusted as given.
     """
-    bal = balance_residuals(net, state, outaged)
-    lhs_o, lhs_d, rhs_o, rhs_d = rating_values(net, state, ctg_ratings)
-    nbr = len(net.branches)
-    sig_s = np.zeros(nbr)
-    for bi, br in enumerate(net.branches):
-        if br.id == outaged:
-            continue
-        need_o = np.sqrt(lhs_o[bi]) - rhs_o[bi]
-        need_d = np.sqrt(lhs_d[bi]) - rhs_d[bi]
-        sig_s[bi] = max(0.0, need_o, need_d)
+    lay = CaseLayout(net, outaged, ctg_ratings)
+    x = lay.pack(state)
+    p, q = lay.balance(x)
+    lhs, rhs = lay.ratings(x)
+    sig_s = np.zeros(lay.nbr)
+    sig_s[lay.svc] = np.maximum(0.0, np.max(np.sqrt(lhs) - rhs, axis=1))
     return OperatingPoint(
         state=state.copy(),
-        sig_p_plus=np.maximum(0.0, -bal.p_resid),
-        sig_p_minus=np.maximum(0.0, bal.p_resid),
-        sig_q_plus=np.maximum(0.0, -bal.q_resid),
-        sig_q_minus=np.maximum(0.0, bal.q_resid),
+        sig_p_plus=np.maximum(0.0, -p),
+        sig_p_minus=np.maximum(0.0, p),
+        sig_q_plus=np.maximum(0.0, -q),
+        sig_q_minus=np.maximum(0.0, q),
         sig_s=sig_s,
         delta=delta,
     )
@@ -185,14 +172,10 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None,
 
 def flows_from_state(net: Network, state: FlowState, outaged=None):
     """Recompute branch flow variables from voltages via the flow equations."""
+    lay = CaseLayout(net, outaged)
     out = state.copy()
-    for bi, br in enumerate(net.branches):
-        if br.id == outaged:
-            out.flows[bi] = 0.0
-            continue
-        o, d = net.bus_index(br.origin), net.bus_index(br.destination)
-        out.flows[bi] = branch_flows(br, state.v[o], state.v[d],
-                                     state.theta[o], state.theta[d])
+    out.flows[:] = 0.0
+    out.flows[lay.svc] = lay.flow_values(lay.pack(state))
     return out
 
 
@@ -223,35 +206,35 @@ class _Block:
     slack), then cost epigraph auxiliaries (base block only).
     Equality rows: flow definitions, P/Q balance, reference angle.
     Inequality rows: rating pairs, penalty epigraph, cost epigraph.
+
+    The Jacobian and Hessian patterns are fixed at construction, in
+    block-local rows and columns: ``jac_eq_var``/``jac_ineq_var`` and
+    ``hess_var`` hold the (rows, cols) of the entries that `jac_values` and
+    `hess_values` fill, ``jac_eq_const``/``jac_ineq_const`` the (rows, cols,
+    values) of the constant entries.
     """
 
     def __init__(self, net: Network, outaged=None, ctg_ratings=False,
                  skip_rating=(), with_cost=False, pen_weight=1.0):
         self.net = net
-        self.outaged = outaged
-        self.ctg_ratings = ctg_ratings
         self.pen_weight = pen_weight
-        lay = CaseLayout(net, outaged)
+        lay = CaseLayout(net, outaged, ctg_ratings)
         self.layout = lay
-        nb, ng = lay.nb, lay.ng
+        nb, m = lay.nb, lay.m
 
-        dead = set()
-        if outaged is not None:
-            for gi, g in enumerate(net.generators):
-                if g.id == outaged:
-                    dead.update((lay.p0 + gi, lay.q0 + gi))
-            for bi, br in enumerate(net.branches):
-                if br.id == outaged:
-                    dead.update(lay.flow_col(bi, c) for c in range(4))
-        self.keep = np.array([c for c in range(lay.nvar) if c not in dead],
-                             dtype=int)
+        self.keep = np.flatnonzero(lay.live)
         self.pos = np.full(lay.nvar, -1, dtype=int)
         self.pos[self.keep] = np.arange(len(self.keep))
         self.n_state = len(self.keep)
+        pos = self.pos
 
         skip = set(skip_rating)
-        self.rated = [(bi, br) for bi, br in lay.in_service if br.id not in skip]
-        nr = len(self.rated)
+        # in-service positions of the rated branches, and which are lines
+        self.rated_j = np.array([j for j, (_, br) in enumerate(lay.in_service)
+                                 if br.id not in skip], dtype=int)
+        self.rated_lines = np.flatnonzero(lay.is_line[self.rated_j])
+        self._line_rate = np.repeat(lay.rate[self.rated_j[self.rated_lines]], 2)
+        nr = len(self.rated_j)
         o = self.n_state
         self.sPp0, self.sPm0 = o, o + nb
         self.sQp0, self.sQm0 = o + 2 * nb, o + 3 * nb
@@ -269,22 +252,73 @@ class _Block:
             for gi, g in self.cost_gens
         ]
 
-        m = len(lay.in_service)
-        self.eq_flow0 = 0
         self.eq_bal0 = 4 * m
         self.eq_ref = 4 * m + 2 * nb
         self.n_eq = self.eq_ref + 1
-        self.ineq_rat0 = 0
         self.ineq_pen0 = 2 * nr
         self.ineq_cost0 = self.ineq_pen0 + self.n_slacks * len(self.pen_lines)
         self.n_ineq = self.ineq_cost0 + sum(len(lines) for _, lines in self.cost_lines)
         self.ref_idx = net.bus_index(net.reference_bus)
 
-        # acpf expression-row dispositions: (kind, target row) per layout row
-        self.rat_row = {}
-        for j, (bi, _) in enumerate(self.rated):
-            self.rat_row[bi] = self.ineq_rat0 + 2 * j
-        self._svc_pos = {bi: j for j, (bi, _) in enumerate(lay.in_service)}
+        # epigraph rows: slope * x + intercept - aux <= 0
+        pen = np.array(self.pen_lines, dtype=float)
+        self._pen_slope, self._pen_icpt = pen[:, 0], pen[:, 1]
+        cost = np.array([(pos[lay.p0 + gi], self.cost0 + j, slope, icpt)
+                         for j, (gi, lines) in enumerate(self.cost_lines)
+                         for slope, icpt in lines], dtype=float).reshape(-1, 4)
+        self._cost_p, self._cost_t = cost[:, 0].astype(int), cost[:, 1].astype(int)
+        self._cost_slope, self._cost_icpt = cost[:, 2], cost[:, 3]
+        self._flow_pos = pos[lay.fcols.ravel()]
+
+        # Jacobian: acpf flow rows enter negated as flow definitions, balance
+        # rows as they are (same row numbers), rated rating rows as the
+        # rating inequalities; each rating row also gets its slack term
+        # d/ds -(rhs + s)^2 = -2 (rhs + s), plus -2 r s on v for a line
+        jr, jc = lay.jac_pattern()
+        nfb = 4 * m + 2 * nb
+        self._w_rat = nfb + (2 * self.rated_j[:, None] + [0, 1]).ravel()
+        iq_row = np.full(lay.nrows, -1)
+        iq_row[self._w_rat] = np.arange(2 * nr)
+        self._jeq = np.flatnonzero(jr < nfb)
+        self._jeq_sign = np.where(jr[self._jeq] < 4 * m, -1.0, 1.0)
+        self._jiq = np.flatnonzero(iq_row[jr] >= 0)
+        s_cols = self.sS0 + np.arange(nr)
+        line_rows = (2 * self.rated_lines[:, None] + [0, 1]).ravel()
+        line_v = pos[lay.v0 + lay.ends[self.rated_j[self.rated_lines]]].ravel()
+        self.jac_eq_var = (jr[self._jeq], pos[jc[self._jeq]])
+        self.jac_ineq_var = (
+            np.concatenate((iq_row[jr[self._jiq]], np.arange(2 * nr), line_rows)),
+            np.concatenate((pos[jc[self._jiq]], np.repeat(s_cols, 2), line_v)))
+
+        bus = np.arange(nb)
+        self.jac_eq_const = (
+            np.concatenate((np.arange(4 * m), np.tile(self.eq_bal0 + bus, 2),
+                            np.tile(self.eq_bal0 + nb + bus, 2), [self.eq_ref])),
+            np.concatenate((self._flow_pos, self.sPp0 + bus, self.sPm0 + bus,
+                            self.sQp0 + bus, self.sQm0 + bus,
+                            [pos[lay.th0 + self.ref_idx]])),
+            np.concatenate((np.ones(4 * m), np.repeat([1.0, -1.0, 1.0, -1.0], nb),
+                            [1.0])))
+        n_pen = self.n_slacks * len(self.pen_lines)
+        n_cost = len(self._cost_p)
+        pen_rows = self.ineq_pen0 + np.arange(n_pen)
+        cost_rows = self.ineq_cost0 + np.arange(n_cost)
+        slack_j = np.repeat(np.arange(self.n_slacks), len(self.pen_lines))
+        self.jac_ineq_const = (
+            np.concatenate((pen_rows, pen_rows, cost_rows, cost_rows)),
+            np.concatenate((self.n_state + slack_j, self.pen0 + slack_j,
+                            self._cost_p, self._cost_t)),
+            np.concatenate((np.tile(self._pen_slope, self.n_slacks), -np.ones(n_pen),
+                            self._cost_slope, -np.ones(n_cost))))
+
+        # Hessian: acpf curvature mapped onto the kept columns (order
+        # preserving, so it stays lower-triangular), plus the rating slack
+        # curvature -2 on s and -2 r on (s, v) for a line
+        hr, hc = lay.hess_pattern()
+        self.hess_var = (
+            np.concatenate((pos[hr], np.repeat(s_cols, 2),
+                            np.repeat(s_cols[self.rated_lines], 2))),
+            np.concatenate((pos[hc], np.repeat(s_cols, 2), line_v)))
 
     def bounds(self):
         lay, net = self.layout, self.net
@@ -310,17 +344,19 @@ class _Block:
         c[self.cost0:] = 1.0
         return c
 
-    def state_of(self, xb):
+    def _full(self, xb):
         full = np.zeros(self.layout.nvar)
         full[self.keep] = xb[:self.n_state]
-        return self.layout.unpack(full)
+        return full
+
+    def state_of(self, xb):
+        return self.layout.unpack(self._full(xb))
 
     def point_of(self, xb):
         state = self.state_of(xb)
         nb = self.layout.nb
         sig_s = np.zeros(self.layout.nbr)
-        for j, (bi, _) in enumerate(self.rated):
-            sig_s[bi] = xb[self.sS0 + j]
+        sig_s[self.layout.svc[self.rated_j]] = xb[self.sS0:self.pen0]
         return OperatingPoint(
             state=state,
             sig_p_plus=xb[self.sPp0:self.sPp0 + nb].copy(),
@@ -338,201 +374,61 @@ class _Block:
         xb[self.sPm0:self.sPm0 + nb] = point.sig_p_minus
         xb[self.sQp0:self.sQp0 + nb] = point.sig_q_plus
         xb[self.sQm0:self.sQm0 + nb] = point.sig_q_minus
-        cfg = self.net.penalty_config
-        for j, (bi, _) in enumerate(self.rated):
-            xb[self.sS0 + j] = point.sig_s[bi]
-        for j in range(self.n_slacks):
-            s = xb[self.n_state + j] if j < 4 * nb else xb[self.sS0 + (j - 4 * nb)]
-            xb[self.pen0 + j] = penalty_cost(cfg, s)
+        xb[self.sS0:self.pen0] = point.sig_s[self.layout.svc[self.rated_j]]
+        xb[self.pen0:self.cost0] = _penalties(self.net.penalty_config,
+                                              xb[self.n_state:self.pen0])
         for j, (gi, g) in enumerate(self.cost_gens):
             xb[self.cost0 + j] = _pwl_value(*_cost_pieces(g.cost_curve),
                                             point.state.p_gen[gi])
         return xb
 
-    def _slack_col(self, j):
-        return self.n_state + j if j < 4 * self.layout.nb \
-            else self.sS0 + (j - 4 * self.layout.nb)
-
     def eq_values(self, xb):
         lay = self.layout
-        state = self.state_of(xb)
-        expr = expression_values(lay, state, self.ctg_ratings)
-        m = len(lay.in_service)
-        nb = lay.nb
+        full = self._full(xb)
+        p, q = lay.balance(full)
+        nb, r = lay.nb, self.eq_bal0
         out = np.empty(self.n_eq)
-        r = 0
-        for j, (bi, _) in enumerate(lay.in_service):
-            for comp in range(4):
-                out[r] = xb[self.pos[lay.flow_col(bi, comp)]] - expr[4 * j + comp]
-                r += 1
-        balP = expr[4 * m:4 * m + nb]
-        balQ = expr[4 * m + nb:4 * m + 2 * nb]
-        out[r:r + nb] = balP + xb[self.sPp0:self.sPp0 + nb] - xb[self.sPm0:self.sPm0 + nb]
-        out[r + nb:r + 2 * nb] = balQ + xb[self.sQp0:self.sQp0 + nb] - xb[self.sQm0:self.sQm0 + nb]
-        out[self.eq_ref] = state.theta[self.ref_idx]
+        out[:r] = xb[self._flow_pos] - lay.flow_values(full).ravel()
+        out[r:r + nb] = p + xb[self.sPp0:self.sPp0 + nb] - xb[self.sPm0:self.sPm0 + nb]
+        out[r + nb:r + 2 * nb] = q + xb[self.sQp0:self.sQp0 + nb] - xb[self.sQm0:self.sQm0 + nb]
+        out[self.eq_ref] = full[lay.th0 + self.ref_idx]
         return out
 
     def ineq_values(self, xb):
+        lhs, rhs = self.layout.ratings(self._full(xb))
+        s = xb[self.sS0:self.pen0, None]
+        slacks = xb[self.n_state:self.pen0, None]
+        aux = xb[self.pen0:self.cost0, None]
+        return np.concatenate((
+            (lhs[self.rated_j] - (rhs[self.rated_j] + s) ** 2).ravel(),
+            (self._pen_slope * slacks + self._pen_icpt - aux).ravel(),
+            self._cost_slope * xb[self._cost_p] + self._cost_icpt - xb[self._cost_t]))
+
+    def jac_values(self, xb):
+        """(eq, ineq) values on the ``jac_eq_var``/``jac_ineq_var`` entries."""
         lay = self.layout
-        state = self.state_of(xb)
-        out = np.empty(self.n_ineq)
-        lhs_o, lhs_d, rhs_o, rhs_d = rating_values(self.net, state, self.ctg_ratings)
-        for j, (bi, _) in enumerate(self.rated):
-            s = xb[self.sS0 + j]
-            out[self.ineq_rat0 + 2 * j] = lhs_o[bi] - (rhs_o[bi] + s) ** 2
-            out[self.ineq_rat0 + 2 * j + 1] = lhs_d[bi] - (rhs_d[bi] + s) ** 2
-        r = self.ineq_pen0
-        nlines = len(self.pen_lines)
-        for j in range(self.n_slacks):
-            s = xb[self._slack_col(j)]
-            u = xb[self.pen0 + j]
-            for slope, intercept in self.pen_lines:
-                out[r] = slope * s + intercept - u
-                r += 1
-        for j, ((gi, _), lines) in enumerate(zip(self.cost_gens, self.cost_lines)):
-            p = xb[self.pos[lay.p0 + gi]]
-            t = xb[self.cost0 + j]
-            for slope, intercept in lines[1]:
-                out[r] = slope * p + intercept - t
-                r += 1
-        return out
+        full = self._full(xb)
+        jv = lay.jac_values(full)
+        s = xb[self.sS0:self.pen0]
+        _, rhs = lay.ratings(full)
+        return jv[self._jeq] * self._jeq_sign, np.concatenate((
+            jv[self._jiq], (-2.0 * (rhs[self.rated_j] + s[:, None])).ravel(),
+            -2.0 * self._line_rate * np.repeat(s[self.rated_lines], 2)))
 
-    def jac_entries(self, xb, eq_off, ineq_off, col_off):
-        """COO triples for both Jacobians; rows offset into the global system."""
+    def hess_values(self, xb, lam_eq, lam_ineq):
+        """Values on the ``hess_var`` entries of this block's Lagrangian
+        Hessian; lam_eq / lam_ineq are this block's multiplier slices.  The
+        objective is linear, so only constraint curvature contributes."""
         lay = self.layout
-        state = self.state_of(xb)
-        J, _ = jacobians(self.net, state, self.outaged, self.ctg_ratings, lay)
-        Jc = J.tocoo()
-        m = len(lay.in_service)
-        nb = lay.nb
-        eq_r, eq_c, eq_v = [], [], []
-        iq_r, iq_c, iq_v = [], [], []
-
-        for r, c, v in zip(Jc.row, Jc.col, Jc.data):
-            cc = self.pos[c]
-            if cc < 0:
-                continue
-            cc += col_off
-            if r < 4 * m:  # flow expression row -> eq: x_flow - expr
-                eq_r.append(eq_off + self.eq_flow0 + r)
-                eq_c.append(cc)
-                eq_v.append(-v)
-            elif r < 4 * m + 2 * nb:  # balance row
-                eq_r.append(eq_off + self.eq_bal0 + (r - 4 * m))
-                eq_c.append(cc)
-                eq_v.append(v)
-            else:  # rating row: (layout order) pairs per in-service branch
-                rr = r - (4 * m + 2 * nb)
-                bi = lay.in_service[rr // 2][0]
-                if bi not in self.rat_row:
-                    continue
-                iq_r.append(ineq_off + self.rat_row[bi] + (rr % 2))
-                iq_c.append(cc)
-                iq_v.append(v)
-
-        # flow-definition unit entries
-        r = 0
-        for j, (bi, _) in enumerate(lay.in_service):
-            for comp in range(4):
-                eq_r.append(eq_off + self.eq_flow0 + r)
-                eq_c.append(col_off + self.pos[lay.flow_col(bi, comp)])
-                eq_v.append(1.0)
-                r += 1
-        # balance slack entries
-        for i in range(nb):
-            for col, sgn, row in (
-                (self.sPp0 + i, 1.0, i), (self.sPm0 + i, -1.0, i),
-                (self.sQp0 + i, 1.0, nb + i), (self.sQm0 + i, -1.0, nb + i),
-            ):
-                eq_r.append(eq_off + self.eq_bal0 + row)
-                eq_c.append(col_off + col)
-                eq_v.append(sgn)
-        # reference angle
-        eq_r.append(eq_off + self.eq_ref)
-        eq_c.append(col_off + self.pos[lay.th0 + self.ref_idx])
-        eq_v.append(1.0)
-
-        # rating slack terms: d/ds [-(rhs + s)^2] = -2 (rhs + s); for lines the
-        # acpf rhs derivative wrt v misses the -2 r s cross term
-        _, _, rhs_o, rhs_d = rating_values(self.net, state, self.ctg_ratings)
-        for j, (bi, br) in enumerate(self.rated):
-            s = xb[self.sS0 + j]
-            for side, rhs in ((0, rhs_o[bi]), (1, rhs_d[bi])):
-                row = ineq_off + self.rat_row[bi] + side
-                iq_r.append(row)
-                iq_c.append(col_off + self.sS0 + j)
-                iq_v.append(-2.0 * (rhs + s))
-                if isinstance(br, Line):
-                    rr_ = br.r_max_ctg if self.ctg_ratings else br.r_max
-                    end = br.origin if side == 0 else br.destination
-                    i = self.net.bus_index(end)
-                    iq_r.append(row)
-                    iq_c.append(col_off + self.pos[lay.v0 + i])
-                    iq_v.append(-2.0 * rr_ * s)
-
-        # penalty epigraph
-        r = self.ineq_pen0
-        for j in range(self.n_slacks):
-            for slope, _ in self.pen_lines:
-                iq_r.extend((ineq_off + r, ineq_off + r))
-                iq_c.extend((col_off + self._slack_col(j), col_off + self.pen0 + j))
-                iq_v.extend((slope, -1.0))
-                r += 1
-        # cost epigraph
-        for j, ((gi, _), lines) in enumerate(zip(self.cost_gens, self.cost_lines)):
-            for slope, _ in lines[1]:
-                iq_r.extend((ineq_off + r, ineq_off + r))
-                iq_c.extend((col_off + self.pos[lay.p0 + gi], col_off + self.cost0 + j))
-                iq_v.extend((slope, -1.0))
-                r += 1
-
-        return (eq_r, eq_c, eq_v), (iq_r, iq_c, iq_v)
-
-    def hess_entries(self, xb, lam_eq, lam_ineq, col_off):
-        """Lower-triangle COO triples of this block's Lagrangian Hessian.
-
-        lam_eq / lam_ineq are this block's slices of the global multipliers.
-        The objective is linear, so only constraint curvature contributes.
-        """
-        lay = self.layout
-        state = self.state_of(xb)
-        m = len(lay.in_service)
-        nb = lay.nb
+        nfl, nfb = 4 * lay.m, 4 * lay.m + 2 * lay.nb
+        lam_rat = lam_ineq[:self.ineq_pen0]
         weights = np.zeros(lay.nrows)
-        weights[:4 * m] = -lam_eq[self.eq_flow0:self.eq_flow0 + 4 * m]
-        weights[4 * m:4 * m + 2 * nb] = lam_eq[self.eq_bal0:self.eq_bal0 + 2 * nb]
-        rr = 4 * m + 2 * nb
-        for j, (bi, _) in enumerate(self.rated):
-            pos_in = self._svc_pos[bi]
-            weights[rr + 2 * pos_in] = lam_ineq[self.rat_row[bi]]
-            weights[rr + 2 * pos_in + 1] = lam_ineq[self.rat_row[bi] + 1]
-        H = hessians(self.net, state, self.outaged, weights, self.ctg_ratings, lay)
-        rows, cols, vals = [], [], []
-        for a, b, v in zip(H.row, H.col, H.data):
-            aa, bb = self.pos[a], self.pos[b]
-            rows.append(col_off + aa)
-            cols.append(col_off + bb)
-            vals.append(v)
-        # rating slack curvature: -(rhs+s)^2 gives d2/ds2 = -2 and, for lines,
-        # d2/(dv ds) = -2 r
-        for j, (bi, br) in enumerate(self.rated):
-            scol = col_off + self.sS0 + j
-            for side in range(2):
-                w = lam_ineq[self.rat_row[bi] + side]
-                if w == 0.0:
-                    continue
-                rows.append(scol)
-                cols.append(scol)
-                vals.append(-2.0 * w)
-                if isinstance(br, Line):
-                    rr_ = br.r_max_ctg if self.ctg_ratings else br.r_max
-                    end = br.origin if side == 0 else br.destination
-                    vcol = col_off + self.pos[lay.v0 + self.net.bus_index(end)]
-                    a, b = max(scol, vcol), min(scol, vcol)
-                    rows.append(a)
-                    cols.append(b)
-                    vals.append(-2.0 * rr_ * w)
-        return rows, cols, vals
+        weights[:nfl] = -lam_eq[:nfl]
+        weights[nfl:nfb] = lam_eq[nfl:nfb]
+        weights[self._w_rat] = lam_rat
+        line_lam = lam_rat.reshape(-1, 2)[self.rated_lines].ravel()
+        return np.concatenate((lay.hess_values(self._full(xb), weights),
+                               -2.0 * lam_rat, -2.0 * self._line_rate * line_lam))
 
 
 LOWER, MIDDLE, UPPER = "lower", "middle", "upper"
@@ -604,6 +500,27 @@ class CaseStructure:
         return out
 
 
+class _Pattern:
+    """Fixed sparsity pattern: raw (row, col) entries, repeats allowed,
+    compiled once to canonical CSR (or CSC) index arrays; `matrix` sums the
+    raw values onto them."""
+
+    def __init__(self, rows, cols, shape, csc=False):
+        major, minor = (cols, rows) if csc else (rows, cols)
+        n_major, n_minor = shape[::-1] if csc else shape
+        keys, self.slot = np.unique(np.asarray(major, dtype=np.int64) * n_minor + minor,
+                                    return_inverse=True)
+        self.indices = (keys % n_minor).astype(np.int32)
+        self.indptr = np.searchsorted(keys // n_minor,
+                                      np.arange(n_major + 1)).astype(np.int32)
+        self.shape = shape
+        self.fmt = sparse.csc_matrix if csc else sparse.csr_matrix
+
+    def matrix(self, vals):
+        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
+        return self.fmt((data, self.indices, self.indptr), shape=self.shape)
+
+
 class _Assembler:
     def __init__(self, net):
         self.net = net
@@ -672,8 +589,6 @@ class _Assembler:
         if x0 is not None:
             x0v = x0
 
-        extra_eq = [(row, [(col_id(c), v) for c, v in entries], const)
-                    for row, entries, const in self.extra_eq]
         blocks = self.blocks
         n_eq, n_ineq = self.n_eq, self.n_ineq
 
@@ -685,12 +600,41 @@ class _Assembler:
         st.delta_cols = {k: col_id(c) for k, c in st.delta_cols.items()}
         st.nvar, st.n_eq, st.n_ineq = nvar, n_eq, n_ineq
 
+        # extra affine equality rows: out[x_rows] = x_const + A @ x
+        x_rows = np.array([row for row, _, _ in self.extra_eq], dtype=int)
+        x_const = np.array([const for _, _, const in self.extra_eq], dtype=float)
+        ents = [(i, col_id(c), v) for i, (_, row_ents, _) in enumerate(self.extra_eq)
+                for c, v in row_ents]
+        e_i, e_c, e_v = (np.array([e[k] for e in ents], dtype=t)
+                         for k, t in enumerate((int, int, float)))
+        A = sparse.csr_matrix((e_v, (e_i, e_c)), shape=(len(x_rows), nvar))
+
+        # fixed Jacobian and Hessian patterns over all blocks: the entries
+        # each block fills per call, then the constant ones with their values
+        def moved(entries, row_off, col_off):
+            return (entries[0] + row_off, entries[1] + col_off) + tuple(entries[2:])
+
+        def stack(parts):
+            return [np.concatenate(p) for p in zip(*parts)]
+
+        eq_r, eq_c = stack([moved(b.jac_eq_var, e, c) for b, c, e, _ in blocks])
+        iq_r, iq_c = stack([moved(b.jac_ineq_var, i, c) for b, c, _, i in blocks])
+        eq_fr, eq_fc, eq_fixed = stack([moved(b.jac_eq_const, e, c) for b, c, e, _ in blocks]
+                                       + [(x_rows[e_i], e_c, e_v)])
+        iq_fr, iq_fc, iq_fixed = stack([moved(b.jac_ineq_const, i, c)
+                                        for b, c, _, i in blocks])
+        jac_eq_pattern = _Pattern(np.concatenate((eq_r, eq_fr)),
+                                  np.concatenate((eq_c, eq_fc)), (n_eq, nvar))
+        jac_ineq_pattern = _Pattern(np.concatenate((iq_r, iq_fr)),
+                                    np.concatenate((iq_c, iq_fc)), (n_ineq, nvar))
+        hess_pattern = _Pattern(*stack([moved(b.hess_var, c, c) for b, c, _, _ in blocks]),
+                                (nvar, nvar), csc=True)
+
         def eq(x):
             out = np.empty(n_eq)
             for block, off, eq_off, _ in blocks:
                 out[eq_off:eq_off + block.n_eq] = block.eq_values(x[off:off + block.nvar])
-            for row, entries, const in extra_eq:
-                out[row] = const + sum(v * x[c] for c, v in entries)
+            out[x_rows] = x_const + A @ x
             return out
 
         def ineq(x):
@@ -699,50 +643,32 @@ class _Assembler:
                 out[iq_off:iq_off + block.n_ineq] = block.ineq_values(x[off:off + block.nvar])
             return out
 
-        def jac_eq(x):
-            rows, cols, vals = [], [], []
-            for block, off, eq_off, iq_off in blocks:
-                (er, ec, ev), _ = block.jac_entries(x[off:off + block.nvar],
-                                                    eq_off, iq_off, off)
-                rows.extend(er)
-                cols.extend(ec)
-                vals.extend(ev)
-            for row, entries, _ in extra_eq:
-                for c, v in entries:
-                    rows.append(row)
-                    cols.append(c)
-                    vals.append(v)
-            return sparse.coo_matrix((vals, (rows, cols)), shape=(n_eq, nvar))
+        # one evaluation of both Jacobians per distinct x
+        memo = {}
 
-        def jac_ineq(x):
-            rows, cols, vals = [], [], []
-            for block, off, eq_off, iq_off in blocks:
-                _, (ir, ic, iv) = block.jac_entries(x[off:off + block.nvar],
-                                                    eq_off, iq_off, off)
-                rows.extend(ir)
-                cols.extend(ic)
-                vals.extend(iv)
-            return sparse.coo_matrix((vals, (rows, cols)), shape=(n_ineq, nvar))
+        def jacobians(x):
+            if "x" not in memo or not np.array_equal(memo["x"], x):
+                parts = [block.jac_values(x[off:off + block.nvar])
+                         for block, off, _, _ in blocks]
+                memo["x"] = np.array(x, dtype=float)
+                memo["J"] = (
+                    jac_eq_pattern.matrix(np.concatenate([e for e, _ in parts] + [eq_fixed])),
+                    jac_ineq_pattern.matrix(np.concatenate([i for _, i in parts] + [iq_fixed])))
+            return memo["J"]
 
         def hess(x, sigma_f, lam_eq, lam_ineq):
-            rows, cols, vals = [], [], []
-            for block, off, eq_off, iq_off in blocks:
-                br, bc, bv = block.hess_entries(
-                    x[off:off + block.nvar],
-                    lam_eq[eq_off:eq_off + block.n_eq],
-                    lam_ineq[iq_off:iq_off + block.n_ineq], off)
-                rows.extend(br)
-                cols.extend(bc)
-                vals.extend(bv)
-            H = sparse.coo_matrix((vals, (rows, cols)), shape=(nvar, nvar))
-            H.sum_duplicates()
-            return H
+            return hess_pattern.matrix(np.concatenate([
+                block.hess_values(x[off:off + block.nvar],
+                                  lam_eq[eq_off:eq_off + block.n_eq],
+                                  lam_ineq[iq_off:iq_off + block.n_ineq])
+                for block, off, eq_off, iq_off in blocks]))
 
         prob = NlpProblem(
             n=nvar, x0=x0v, lb=lb, ub=ub,
             objective=lambda x: float(obj @ x),
             gradient=lambda x: obj.copy(),
-            eq=eq, ineq=ineq, jac_eq=jac_eq, jac_ineq=jac_ineq, hess=hess,
+            eq=eq, ineq=ineq, jac_eq=lambda x: jacobians(x)[0],
+            jac_ineq=lambda x: jacobians(x)[1], hess=hess,
             n_eq=n_eq, n_ineq=n_ineq, meta=st,
         )
         return prob

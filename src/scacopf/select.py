@@ -25,6 +25,10 @@ __all__ = [
     "resort",
 ]
 
+# a penalty this small is rounding noise of a feasible point (the default
+# escalation cutoff, eval.default_cutoff, is 20 on the default penalty curve)
+PENALTY_NOISE = 1e-9
+
 
 @dataclass
 class PriorityEntry:
@@ -50,9 +54,6 @@ class PriorityList:
         ids = [e.contingency_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate contingency ids in priority list")
-
-    def ids(self):
-        return [e.contingency_id for e in self.entries if not e.in_master]
 
     def entry(self, ctg_id):
         for e in self.entries:
@@ -163,7 +164,9 @@ def resort(plist: PriorityList, results):
 
     Evaluated entries come first, in descending penalty order; never-evaluated
     entries follow in their existing relative order.  Entries already in the
-    master are dropped.  Ties break by ascending contingency id.
+    master are dropped.  Ties break by ascending contingency id.  Penalties
+    at or below `PENALTY_NOISE` sort as 0, so rounding noise on a feasible
+    point never decides the order.
     """
     by_id = {e.contingency_id: e for e in plist.entries}
     for res in results:
@@ -176,5 +179,6 @@ def resort(plist: PriorityList, results):
     live = [e for e in plist.entries if not e.in_master]
     evaluated = [e for e in live if e.evaluated]
     pending = [e for e in live if not e.evaluated]
-    evaluated.sort(key=lambda e: (-e.penalty, e.contingency_id))
+    evaluated.sort(key=lambda e: (-(e.penalty if e.penalty > PENALTY_NOISE else 0.0),
+                                  e.contingency_id))
     return PriorityList(entries=evaluated + pending)

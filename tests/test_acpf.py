@@ -24,14 +24,14 @@ def random_state(net, rng, layout=None):
 
 def test_equal_voltage_zero_flow():
     line = make_line("L", "A", "B", g=0.5, b=-5.0, b_ch=0.0)
-    p_o, q_o, p_d, q_d = acpf.line_flows(line, 1.0, 1.0, 0.3, 0.3)
+    p_o, q_o, p_d, q_d = acpf.branch_flows(line, 1.0, 1.0, 0.3, 0.3)
     assert abs(p_o) < 1e-15
     assert abs(q_o) < 1e-15
 
 
 def test_line_reactive_hand_value():
     line = make_line("L", "A", "B", g=0.0, b=-1.0, b_ch=0.2)
-    _, q_o, _, _ = acpf.line_flows(line, 1.0, 1.0, 0.0, 0.0)
+    _, q_o, _, _ = acpf.branch_flows(line, 1.0, 1.0, 0.0, 0.0)
     assert q_o == pytest.approx(-(-1.0 + 0.1) * 1.0 + (-1.0) * 1.0)
     assert q_o == pytest.approx(-0.1)
 
@@ -42,10 +42,10 @@ def test_line_role_reversal_symmetry(rng):
         v_o, v_d = rng.uniform(0.9, 1.1, 2)
         th_o, th_d = rng.uniform(-0.5, 0.5, 2)
         line = make_line("L", "A", "B", g=g, b=b, b_ch=bch)
-        _, _, p_d, q_d = acpf.line_flows(line, v_o, v_d, th_o, th_d)
+        _, _, p_d, q_d = acpf.branch_flows(line, v_o, v_d, th_o, th_d)
         # destination formula equals origin formula with roles swapped
         rev = make_line("L", "B", "A", g=g, b=b, b_ch=bch)
-        p_o2, q_o2, _, _ = acpf.line_flows(rev, v_d, v_o, th_d, th_o)
+        p_o2, q_o2, _, _ = acpf.branch_flows(rev, v_d, v_o, th_d, th_o)
         assert p_d == pytest.approx(p_o2, rel=1e-12, abs=1e-14)
         assert q_d == pytest.approx(q_o2, rel=1e-12, abs=1e-14)
 
@@ -59,14 +59,14 @@ def test_transformer_degenerates_to_line(rng):
                      g_mag=0.0, b_mag=0.0)
         line = make_line("L", "A", "B", g=g, b=b, b_ch=0.0)
         np.testing.assert_allclose(
-            acpf.transformer_flows(xf, v_o, v_d, th_o, th_d),
-            acpf.line_flows(line, v_o, v_d, th_o, th_d), rtol=1e-12, atol=1e-14)
+            acpf.branch_flows(xf, v_o, v_d, th_o, th_d),
+            acpf.branch_flows(line, v_o, v_d, th_o, th_d), rtol=1e-12, atol=1e-14)
 
 
 def test_transformer_hand_value():
     xf = make_xf("T", "A", "B", g=0.0, b=-1.0, tau=2.0, theta_shift=0.0,
                  g_mag=0.0, b_mag=0.0)
-    p_o, q_o, _, _ = acpf.transformer_flows(xf, 1.0, 1.0, 0.1, 0.1)
+    p_o, q_o, _, _ = acpf.branch_flows(xf, 1.0, 1.0, 0.1, 0.1)
     assert p_o == pytest.approx(0.0, abs=1e-15)
     assert q_o == pytest.approx(-(-0.25) * 1.0 + (-0.5) * 1.0)
     assert q_o == pytest.approx(-0.25)
@@ -74,7 +74,7 @@ def test_transformer_hand_value():
 
 def test_transformer_zero_origin_voltage():
     xf = make_xf("T", "A", "B")
-    p_o, q_o, _, _ = acpf.transformer_flows(xf, 0.0, 1.0, 0.2, -0.1)
+    p_o, q_o, _, _ = acpf.branch_flows(xf, 0.0, 1.0, 0.2, -0.1)
     assert p_o == 0.0
     assert q_o == 0.0
 
@@ -165,7 +165,7 @@ def test_resistive_dissipation(rng):
         line = make_line("L", "A", "B", g=g, b=b, b_ch=0.0)
         v_o, v_d = rng.uniform(0.9, 1.1, 2)
         th_o, th_d = rng.uniform(-0.6, 0.6, 2)
-        p_o, _, p_d, _ = acpf.line_flows(line, v_o, v_d, th_o, th_d)
+        p_o, _, p_d, _ = acpf.branch_flows(line, v_o, v_d, th_o, th_d)
         assert p_o + p_d >= -1e-12
 
 

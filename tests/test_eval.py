@@ -179,3 +179,30 @@ def test_evaluation_result_fields(solved5):
     assert res.contingency_id == "CL2"
     assert res.base_tag == "base-1"
     assert res.elapsed >= 0.0
+
+
+@pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
+def test_square_system_jacobian_matches_finite_differences(ctg_id):
+    # every mix of active segments over the responders and of reactive
+    # segments over the available generators
+    from itertools import product
+    from conftest import five_bus_net
+    from test_acpf import fd_jacobian
+    net = five_bus_net()
+    k = net.contingency(ctg_id)
+    base = scopf.default_start(net)
+    rng = np.random.default_rng(11)
+    segs = (scopf.MIDDLE, scopf.LOWER, scopf.UPPER)
+    state = compl.init_default(net, k)
+    active, reactive = sorted(state.active), sorted(state.reactive)
+    assert active and reactive
+    for mix in product(segs, repeat=len(active) + len(reactive)):
+        state.active.update(zip(active, mix))
+        state.reactive.update(zip(reactive, mix[len(active):]))
+        sys_ = ev._SquareSystem(net, k, base, state)
+        z = sys_.start(base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
+        J = sys_.jacobian(z)
+        J_fd = fd_jacobian(sys_.residual, z)
+        assert J.shape == (sys_.n, sys_.n)
+        scale = np.maximum(np.abs(J_fd), 1.0)
+        assert np.max(np.abs(J - J_fd) / scale) < 1e-6, mix

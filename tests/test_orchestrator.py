@@ -224,6 +224,30 @@ def test_deterministic_runs_byte_identical(tmp_path, net5):
     assert a == b
 
 
+def test_code1_worker_threads_byte_identical(tmp_path, net5, monkeypatch):
+    # the threaded evaluation path writes the same files as the serial one
+    pools = []
+
+    class CountingPool(orch.ThreadPoolExecutor):
+        def __init__(self, *a, **kw):
+            pools.append(kw.get("max_workers"))
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(orch, "ThreadPoolExecutor", CountingPool)
+
+    def outputs(threads):
+        d = tmp_path / str(threads)
+        run_code1(net5, quick_cfg(d, deterministic=True, seed=7,
+                                  worker_threads=threads))
+        return {f: (d / f).read_bytes() for f in sorted(os.listdir(d))}
+
+    serial = outputs(1)
+    assert pools == []
+    threaded = outputs(2)
+    assert pools and set(pools) == {2}
+    assert threaded == serial
+
+
 def test_run_log_deterministic_stamps(tmp_path):
     log = orch._RunLog(str(tmp_path / "log.jsonl"), deterministic=True)
     log.emit("one")

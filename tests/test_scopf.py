@@ -162,6 +162,44 @@ def test_master_problem_derivatives(net5, rng):
     _check_derivatives(scopf.build_master_problem(spec), rng)
 
 
+def _spy_fills(prob):
+    """Count calls of each block's compiled-model Jacobian fill."""
+    calls = []
+    blocks = [prob.meta.base_block] + [b for b, _ in prob.meta.ctg_blocks.values()]
+    for block in blocks:
+        fill = block.layout.jac_values
+        block.layout.jac_values = lambda x, fill=fill: calls.append(1) or fill(x)
+    return calls, len(blocks)
+
+
+def test_one_jacobian_evaluation_per_point(net5, rng):
+    states = {kid: compl.init_default(net5, net5.contingency(kid))
+              for kid in ("CG2", "CL2")}
+    for prob in (scopf.build_base_problem(net5),
+                 scopf.build_master_problem(scopf.MasterSpec(
+                     net=net5, included=("CG2", "CL2"), compl=states))):
+        calls, n_blocks = _spy_fills(prob)
+        x = _random_x(prob, rng)
+        JE, JI = prob.jac_eq(x), prob.jac_ineq(x)
+        assert len(calls) == n_blocks
+        # a new point is evaluated again, a copy of the same point is not
+        x2 = x + 1e-3
+        prob.jac_ineq(x2)
+        prob.jac_eq(x2)
+        assert len(calls) == 2 * n_blocks
+        prob.jac_eq(x2.copy())
+        prob.jac_ineq(x2.copy())
+        assert len(calls) == 2 * n_blocks
+        # going back to the first point gives its matrices again
+        np.testing.assert_array_equal(prob.jac_eq(x).toarray(), JE.toarray())
+        np.testing.assert_array_equal(prob.jac_ineq(x).toarray(), JI.toarray())
+        assert len(calls) == 3 * n_blocks
+        # the memo keeps its own copy: changing x in place is a new point
+        x[0] += 1e-3
+        prob.jac_eq(x)
+        assert len(calls) == 4 * n_blocks
+
+
 # --- solving ------------------------------------------------------------------
 
 def solve_base(net, **kw):

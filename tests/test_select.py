@@ -213,6 +213,17 @@ def test_resort_equal_penalty_ascending_id():
     assert [e.contingency_id for e in new.entries] == ["A", "Z"]
 
 
+def test_resort_noise_level_penalties_order_by_id():
+    # penalties at or below the noise floor tie at 0 and order by id; a
+    # penalty above it still sorts first
+    plist = PriorityList([entry(c, 1) for c in ("KL7", "KG4", "KG3", "KG9")])
+    new = resort(plist, [FakeResult("KL7", 3e-11), FakeResult("KG4", 1e-11),
+                         FakeResult("KG3", 1e-9), FakeResult("KG9", 2e-9)])
+    assert [e.contingency_id for e in new.entries] == ["KG9", "KG3", "KG4", "KL7"]
+    # the reported penalties are kept as they are
+    assert new.entry("KL7").penalty == 3e-11
+
+
 def test_resort_unknown_id_raises():
     plist = PriorityList([entry("A", 3)])
     with pytest.raises(KeyError):
