@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "Bus",
@@ -21,7 +21,6 @@ __all__ = [
     "write_case",
     "dumps_case",
     "preprocess",
-    "disaggregate_reactive",
 ]
 
 GENERATOR_OUTAGE = "generator-outage"
@@ -168,17 +167,9 @@ class PreprocessReport:
     # outaged, every surviving member must keep its rating constraint.
     line_rating_groups: tuple = ()
     xf_rating_groups: tuple = ()
-    # Buses with multiple generators, marked for reactive aggregation:
-    # (bus_id, gen_ids, q_min_sum, q_max_sum).
-    reactive_groups: tuple = ()
     # Contingency ids removed as trivially redundant, with the kept id:
     # (removed_id, kept_id).
     removed_contingencies: tuple = ()
-
-    @property
-    def empty(self):
-        return not (self.line_rating_groups or self.xf_rating_groups
-                    or self.reactive_groups or self.removed_contingencies)
 
     def skip_rating_ids(self, outaged=None):
         """Branch ids whose rating rows may be dropped when `outaged` is out.
@@ -513,7 +504,7 @@ def _gen_elec_key(g):
 
 
 def preprocess(net):
-    """Mark redundant rating rows and co-located generators; drop redundant contingencies.
+    """Mark redundant rating rows; drop redundant contingencies.
 
     Returns ``(new_network, report)``.  Pure and idempotent: the network is
     only changed by removing trivially redundant contingencies.
@@ -532,15 +523,6 @@ def preprocess(net):
         xf_groups.setdefault((pair, f.g, f.b, f.tau, f.theta_shift, f.s_max), []).append(f.id)
     xf_rating_groups = tuple(
         tuple(sorted(ids)) for key, ids in sorted(xf_groups.items()) if len(ids) > 1
-    )
-
-    by_bus = {}
-    for g in net.generators:
-        by_bus.setdefault(g.bus, []).append(g)
-    reactive_groups = tuple(
-        (bus, tuple(g.id for g in gens),
-         sum(g.q_min for g in gens), sum(g.q_max for g in gens))
-        for bus, gens in sorted(by_bus.items()) if len(gens) > 1
     )
 
     # Trivially redundant contingencies: outages of components with identical
@@ -577,40 +559,6 @@ def preprocess(net):
     report = PreprocessReport(
         line_rating_groups=line_rating_groups,
         xf_rating_groups=xf_rating_groups,
-        reactive_groups=reactive_groups,
         removed_contingencies=tuple(sorted(removed)),
     )
     return new_net, report
-
-
-def disaggregate_reactive(aggregate_q, members, tol=1e-9):
-    """Split an aggregate reactive output across co-located generators.
-
-    The allocation is proportional to each member's bound range, clamped to
-    individual bounds with the residual redistributed; the outputs sum to the
-    input exactly.
-    """
-    lo = sum(g.q_min for g in members)
-    hi = sum(g.q_max for g in members)
-    if aggregate_q < lo - tol or aggregate_q > hi + tol:
-        raise ValueError(
-            f"aggregate reactive power {aggregate_q} outside summed bounds [{lo}, {hi}]")
-    aggregate_q = min(max(aggregate_q, lo), hi)
-
-    ranges = [g.q_max - g.q_min for g in members]
-    total_range = sum(ranges)
-    if total_range <= 0.0:
-        return [g.q_min for g in members]
-    frac = (aggregate_q - lo) / total_range
-    out = [g.q_min + frac * r for g, r in zip(members, ranges)]
-    # Proportional split is feasible by construction (0 <= frac <= 1), but
-    # guard against roundoff at the extremes.
-    residual = aggregate_q - sum(out)
-    for i, g in enumerate(members):
-        room = g.q_max - out[i] if residual > 0 else out[i] - g.q_min
-        step = min(abs(residual), max(room, 0.0))
-        out[i] += step if residual > 0 else -step
-        residual -= step if residual > 0 else -step
-        if abs(residual) <= tol:
-            break
-    return out

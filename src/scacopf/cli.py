@@ -85,8 +85,6 @@ def _config_from_args(args):
     kw = {}
     if getattr(args, "time_limit", None) is not None:
         kw["code1_time_limit"] = args.time_limit
-    if getattr(args, "threads", None) is not None:
-        kw["worker_threads"] = args.threads
     if getattr(args, "n_select", None) is not None:
         kw["n_select"] = args.n_select
     if getattr(args, "cutoff", None) is not None:
@@ -173,7 +171,11 @@ def cmd_score(args):
             print(f"error: missing contingency solution file: {path}",
                   file=sys.stderr)
             return EXIT_INPUT
-        point, _, data = orch.load_contingency_solution(path, net)
+        try:
+            point, _, data = orch.load_contingency_solution(path, net)
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         pen = point_penalty(net, point, k.outaged)
         if abs(data.get("penalty", pen) - pen) > 1e-6 * (1.0 + abs(pen)):
             log.warning("contingency %s: stored penalty %s differs from "
@@ -523,18 +525,25 @@ def cmd_train(args):
 
 # --- entry point --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_INPUT``; argparse's own code, 2, would
+    read as a solve failure.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="scacopf",
         description="Security-constrained AC optimal power flow toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, base_flags=True):
+    def common(sp):
         sp.add_argument("--deterministic", action="store_true")
         sp.add_argument("--seed", type=int, default=0)
-        if base_flags:
-            sp.add_argument("--threads", type=int, default=None)
-            sp.add_argument("--output-dir", default=".")
+        sp.add_argument("--output-dir", default=".")
 
     c1 = sub.add_parser("code1", help="produce base-case solutions")
     c1.add_argument("--case", required=True)

@@ -9,13 +9,10 @@ matching equation exactly and keeps the variable bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import scopf as _scopf
-from .scopf import LOWER, MIDDLE, UPPER, OperatingPoint, flows_from_state, \
-    slacks_from_state
+from .scopf import DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint, \
+    flows_from_state, slacks_from_state
 
 __all__ = [
     "ComplementarityState",
@@ -27,7 +24,6 @@ __all__ = [
 
 # uplift on replaced power approximating a 1% loss increase under redispatch
 LOSS_UPLIFT = 1.01
-DELTA_MAX = _scopf.DELTA_MAX
 BISECT_TOL = 1e-9
 # a constraint counts as active when multiplier > 0 and gap/multiplier < this
 ACTIVITY_RATIO = 1e-6

@@ -14,10 +14,9 @@ reported objectives are always the true (unrelaxed) ones.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -62,7 +61,6 @@ class NlpSolution:
     z_lower: np.ndarray
     z_upper: np.ndarray
     objective: float
-    kkt_residual: float
     status: str
     iterations: int = 0
     constraint_violation: float = 0.0
@@ -402,26 +400,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         x_best = best[1]
         if not np.array_equal(x_best, x):
             x = x_best
-    # residual is reported at the solver's iterate; the returned x is then
-    # clipped into the caller's true (unrelaxed) bounds, a move of at most the
-    # bound relaxation
-    g = prob.gradient(x)
-    JE = prob.jac_eq(x).tocsr() if me else sparse.csr_matrix((0, n))
-    JI = prob.jac_ineq(x).tocsr() if mi else sparse.csr_matrix((0, n))
-    cE = prob.eq(x) if me else np.zeros(0)
-    cI = prob.ineq(x) if mi else np.zeros(0)
-    r_d = g + JE.T @ y + JI.T @ w - zl + zu
-    kkt_res = float(np.max(np.abs(r_d), initial=0.0))
-    if me:
-        kkt_res = max(kkt_res, float(np.max(np.abs(cE))))
-    if mi:
-        kkt_res = max(kkt_res, float(np.max(np.maximum(cI, 0.0))))
-        kkt_res = max(kkt_res, float(np.max(np.abs(cI + t) * w)))
-    if np.any(fin_l):
-        kkt_res = max(kkt_res, float(np.max(np.abs((x - lb)[fin_l] * zl[fin_l]))))
-    if np.any(fin_u):
-        kkt_res = max(kkt_res, float(np.max(np.abs((ub - x)[fin_u] * zu[fin_u]))))
-
+    # the returned x is clipped into the caller's true (unrelaxed) bounds, a
+    # move of at most the bound relaxation
     x = np.clip(x, lb_true, ub_true)
     cE = prob.eq(x) if me else np.zeros(0)
     cI = prob.ineq(x) if mi else np.zeros(0)
@@ -429,7 +409,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
     return NlpSolution(
         x=x, lambda_eq=y, lambda_ineq=w, z_lower=zl, z_upper=zu,
-        objective=f, kkt_residual=kkt_res, status=status, iterations=it,
+        objective=f, status=status, iterations=it,
         constraint_violation=viol(x, cE, cI),
     )
 

@@ -21,7 +21,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,6 @@ class RunConfig:
     per_contingency_code2_factor: float = 2.0
     n_select: int = 3
     cutoff: float = None  # None -> penalty of a 2e-2 per-unit violation
-    worker_threads: int = 1
     deterministic: bool = False
     seed: int = 0
     output_dir: str = "."
@@ -82,8 +80,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.n_select < 1:
             raise ValueError("n_select must be >= 1")
-        if self.worker_threads < 1:
-            raise ValueError("worker_threads must be >= 1")
 
 
 @dataclass
@@ -306,16 +302,6 @@ def _reprice_base(net, point):
     return cost + pen, pen
 
 
-def _evaluate_batch(net, tasks, threads):
-    """Run evaluation closures, optionally on a worker pool; results are
-    collected in task order regardless of completion order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 def run_code1(net: Network, cfg: RunConfig,
               model: RidgeModel = None) -> Code1Result:
     """Base-case production loop (ranking, evaluation, selection, master)."""
@@ -385,13 +371,13 @@ def run_code1(net: Network, cfg: RunConfig,
     # Step 5: fast evaluation sweep under its own budget
     sweep_budget = min(cfg.init_fast_eval_budget, max(0.0, clock.remaining()))
     per_fast = sweep_budget / max(1, len(plist.entries))
-    tasks = []
-    for e in plist.entries:
-        k = net_p.contingency(e.contingency_id)
-        tasks.append(lambda k=k: eval_mod.fast_evaluate(
-            net_p, k, base_point, time_limit=per_fast, cutoff=cutoff,
-            base_tag=base_tag_str(), deterministic=cfg.deterministic))
-    results = _evaluate_batch(net_p, tasks, cfg.worker_threads)
+    results = [
+        eval_mod.fast_evaluate(
+            net_p, net_p.contingency(e.contingency_id), base_point,
+            time_limit=per_fast, cutoff=cutoff, base_tag=base_tag_str(),
+            deterministic=cfg.deterministic)
+        for e in plist.entries
+    ]
     clock.charge(sweep_budget)
     record(results)
     plist = resort(plist, results)
@@ -405,14 +391,13 @@ def run_code1(net: Network, cfg: RunConfig,
         top = [e for e in plist.entries if not e.in_master][:cfg.n_select]
         if top and budget > 0:
             per_full = budget / len(top)
-            tasks = [
-                (lambda e=e: eval_mod.full_evaluate(
+            results = [
+                eval_mod.full_evaluate(
                     net_p, net_p.contingency(e.contingency_id), base_point,
                     time_limit=per_full, base_tag=base_tag_str(),
-                    deterministic=cfg.deterministic))
+                    deterministic=cfg.deterministic)
                 for e in top
             ]
-            results = _evaluate_batch(net_p, tasks, cfg.worker_threads)
             clock.charge(budget)
             record(results)
             plist = resort(plist, results)
@@ -439,8 +424,7 @@ def run_code1(net: Network, cfg: RunConfig,
                                 if c in summaries)
         log.emit("selected", contingencies=chosen)
 
-        # Step 8: solve the master with fixed segments; meanwhile workers
-        # evaluate further down the list, unevaluated entries first
+        # Step 8: solve the master with fixed segments
         master_t0 = time.monotonic()
         spec = MasterSpec(
             net=net_p, included=tuple(included),
@@ -473,22 +457,22 @@ def run_code1(net: Network, cfg: RunConfig,
         tag += 1
         write_tagged(base_point, objective, penalty)
 
-        # background evaluations against the new base: unevaluated first
+        # then, after the master solve, re-evaluate entries further down the
+        # list against the new base, unevaluated entries first
         pending = [e for e in plist.entries if not e.in_master]
         pending.sort(key=lambda e: e.evaluated)  # unevaluated tier first
         refresh = pending[:cfg.n_select]
         if refresh and clock.remaining() > 0:
             budget = min(cfg.full_eval_budget, clock.remaining())
             per = budget / len(refresh)
-            tasks = [
-                (lambda e=e: eval_mod.prescreen_then_evaluate(
+            results = [
+                eval_mod.prescreen_then_evaluate(
                     net_p, net_p.contingency(e.contingency_id), base_point,
                     budgets=(per / 2, per / 2), cutoff=cutoff,
                     base_tag=base_tag_str(),
-                    deterministic=cfg.deterministic))
+                    deterministic=cfg.deterministic)
                 for e in refresh
             ]
-            results = _evaluate_batch(net_p, tasks, cfg.worker_threads)
             clock.charge(budget)
             record(results)
             plist = resort(plist, results)

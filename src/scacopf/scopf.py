@@ -456,7 +456,6 @@ class CaseStructure:
     net: Network
     base_block: _Block = None
     base_off: int = 0
-    base_fixed: OperatingPoint = None  # set when base values are data
     ctg_blocks: dict = field(default_factory=dict)  # id -> (_Block, off)
     delta_cols: dict = field(default_factory=dict)  # id -> column
     couplings: list = field(default_factory=list)
@@ -785,7 +784,6 @@ def build_contingency_problem(net: Network, k, base_point: OperatingPoint,
     asm = _Assembler(net)
     off = asm.add_block(block, block.inject(start))
     asm.structure.ctg_blocks[k.id] = (block, off)
-    asm.structure.base_fixed = base_point
     _add_coupling(asm, net, k, block, off, compl_state,
                   ("fixed", base_point))
     return asm.finish()

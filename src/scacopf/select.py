@@ -9,7 +9,6 @@ contingency evaluated against the same base solution.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ __all__ = [
     "PriorityList",
     "ViolationSummary",
     "summarize_point",
-    "individually_dominated",
     "max_violation_dominated",
     "select_top",
     "resort",
@@ -65,16 +63,6 @@ class PriorityList:
         for cid in ctg_ids:
             self.entry(cid).in_master = True
 
-    def to_csv(self):
-        out = io.StringIO()
-        out.write("id,priority,penalty,method,base_tag\n")
-        for e in self.entries:
-            if e.in_master:
-                continue
-            out.write(f"{e.contingency_id},{e.priority!r},{e.penalty!r},"
-                      f"{e.method},{e.base_tag}\n")
-        return out.getvalue()
-
 
 @dataclass
 class ViolationSummary:
@@ -105,13 +93,6 @@ def _check_comparable(j: ViolationSummary, k: ViolationSummary):
     if j.slacks.shape != k.slacks.shape:
         raise ValueError("violation summaries have misaligned constraint "
                          f"spaces: {j.slacks.shape} vs {k.slacks.shape}")
-
-
-def individually_dominated(j: ViolationSummary, k: ViolationSummary):
-    """k is individually dominated by j: j's slacks are component-wise at
-    least k's (non-strict, so identical vectors dominate each other)."""
-    _check_comparable(j, k)
-    return bool(np.all(j.slacks >= k.slacks))
 
 
 def max_violation_dominated(j: ViolationSummary, k: ViolationSummary):

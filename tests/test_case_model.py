@@ -1,11 +1,9 @@
 import json
 
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from scacopf import case_model as cm
-from conftest import make_bus, make_gen, make_line, two_bus_net, five_bus_net
+from conftest import make_bus, make_line, two_bus_net, five_bus_net
 
 
 MINIMAL_CASE = {
@@ -124,21 +122,11 @@ def test_rating_skip_retained_under_member_outage():
     assert report.skip_rating_ids(outaged="LB") == set()
 
 
-def test_colocated_generator_aggregate_bounds():
-    net = two_bus_net(generators=(
-        make_gen("G1", "B1", q_min=-1.0, q_max=1.0),
-        make_gen("G2", "B1", q_min=-2.0, q_max=3.0),
-    ))
-    _, report = cm.preprocess(net)
-    assert report.reactive_groups == (("B1", ("G1", "G2"), -3.0, 4.0),)
-
-
 def test_preprocess_identity_on_clean_net(net5):
     new, report = cm.preprocess(net5)
     assert new == net5
     assert report.removed_contingencies == ()
     assert report.line_rating_groups == ()
-    assert report.reactive_groups == ()
 
 
 def test_preprocess_idempotent():
@@ -161,44 +149,3 @@ def test_no_removal_without_identical_counterpart(net5):
                     {a.origin, a.destination} != {b.origin, b.destination}
     assert report.removed_contingencies == ()
     assert len(new.contingencies) == len(net5.contingencies)
-
-
-# --- reactive disaggregation -------------------------------------------------
-
-def test_disaggregate_symmetric_zero():
-    gens = [make_gen("G1", "B1", q_min=-1, q_max=1),
-            make_gen("G2", "B1", q_min=-1, q_max=1)]
-    assert cm.disaggregate_reactive(0.0, gens) == [0.0, 0.0]
-
-
-def test_disaggregate_forced_upper():
-    gens = [make_gen("G1", "B1", q_min=0, q_max=1),
-            make_gen("G2", "B1", q_min=0, q_max=3)]
-    assert cm.disaggregate_reactive(4.0, gens) == [1.0, 3.0]
-
-
-def test_disaggregate_proportional():
-    gens = [make_gen("G1", "B1", q_min=0, q_max=2),
-            make_gen("G2", "B1", q_min=0, q_max=2)]
-    out = cm.disaggregate_reactive(2.0, gens)
-    assert out == [1.0, 1.0]
-
-
-def test_disaggregate_infeasible_raises():
-    gens = [make_gen("G1", "B1", q_min=0, q_max=1)]
-    with pytest.raises(ValueError):
-        cm.disaggregate_reactive(2.0, gens)
-
-
-@given(st.lists(st.tuples(st.floats(-5, 0), st.floats(0, 5)), min_size=1, max_size=6),
-       st.floats(0, 1))
-def test_disaggregate_sums_and_bounds(ranges, frac):
-    gens = [make_gen(f"G{i}", "B1", q_min=lo, q_max=hi)
-            for i, (lo, hi) in enumerate(ranges)]
-    lo = sum(g.q_min for g in gens)
-    hi = sum(g.q_max for g in gens)
-    target = lo + frac * (hi - lo)
-    out = cm.disaggregate_reactive(target, gens)
-    assert abs(sum(out) - target) <= 1e-12 * max(1.0, abs(target))
-    for g, q in zip(gens, out):
-        assert g.q_min - 1e-12 <= q <= g.q_max + 1e-12

@@ -81,6 +81,31 @@ def test_code2_corrupted_base(tmp_path, capsys):
     assert rc == 1
 
 
+def exit_code(argv):
+    """Exit code of one CLI call, whether returned or raised by argparse."""
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flags", [
+    [],
+    ["--case", "CASE", "--time-limit", "abc"],
+    ["--case", "CASE", "--deterministic", "--time-limit", "1",
+     "--threads", "2"],
+], ids=["no-case", "bad-time-limit", "threads"])
+def test_usage_errors_exit_1(tmp_path, capsys, flags):
+    # exit code 2 is reserved for solve failure, so usage errors are input
+    # errors; any case file given is valid, only the command line is wrong
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(5, seed=2), case)
+    argv = ["code1", "--output-dir", str(tmp_path)] + [
+        case if f == "CASE" else f for f in flags]
+    assert exit_code(argv) == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_code1_code2_score_pipeline(tmp_path, capsys):
     case = str(tmp_path / "c.json")
     write_case(generate_case(5, seed=11), case)
@@ -120,6 +145,26 @@ def test_score_missing_contingency_file(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "contingency_" in err  # names the missing file
+
+
+def test_score_corrupt_contingency_file(tmp_path, capsys):
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(5, seed=11), case)
+    net = load_case(case)
+    base_path = str(tmp_path / "base.json")
+    write_base_solution(base_path, net, flat_start(net), 1, 0.0, 0.0)
+    out = str(tmp_path / "o")
+    rc = run_cli(["code2", "--case", case, "--base", base_path,
+                  "--deterministic", "--factor", "0.1", "--output-dir", out])
+    assert rc == 0
+    bad = os.path.join(out, f"contingency_{net.contingencies[-1].id}.json")
+    with open(bad, "w") as fh:
+        fh.write("{not json")
+    capsys.readouterr()
+    rc = run_cli(["score", "--case", case, "--base", base_path,
+                  "--solutions", out])
+    assert rc == 1
+    assert f"error: {bad}: " in capsys.readouterr().err
 
 
 def test_score_recomputes_not_trusts(tmp_path, capsys, caplog):

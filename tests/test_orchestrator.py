@@ -39,8 +39,6 @@ def test_run_config_validation():
         RunConfig(code1_time_limit=0)
     with pytest.raises(ValueError):
         RunConfig(n_select=0)
-    with pytest.raises(ValueError):
-        RunConfig(worker_threads=0)
 
 
 def test_flat_start_values(net5):
@@ -180,30 +178,22 @@ def test_code2_reverse_order(tmp_path, net5):
     assert calls == list(reversed(order))
 
 
-def test_code2_budget_independent_of_threads(tmp_path, net5, monkeypatch):
-    # code2 evaluates one contingency at a time, so worker threads must not
-    # enlarge its factor * |K| budget
+def test_code2_budgets_within_factor(tmp_path, net5, monkeypatch):
+    # code2 evaluates one contingency at a time within factor * |K| seconds
     base = flat_start(net5)
     real = orch.eval_mod.prescreen_then_evaluate
+    seen = []
 
-    def budgets(threads):
-        seen = []
+    def spy(*a, budgets, **kw):
+        seen.append(sum(budgets))
+        return real(*a, budgets=budgets, **kw)
 
-        def spy(*a, budgets, **kw):
-            seen.append(sum(budgets))
-            return real(*a, budgets=budgets, **kw)
-
-        monkeypatch.setattr(orch.eval_mod, "prescreen_then_evaluate", spy)
-        cfg = RunConfig(output_dir=str(tmp_path / str(threads)),
-                        deterministic=True, worker_threads=threads,
-                        per_contingency_code2_factor=0.5)
-        run_code2(net5, cfg, base, base_tag=1)
-        return seen
-
-    one, two = budgets(1), budgets(2)
-    assert one == two
-    assert len(one) == len(net5.contingencies)
-    assert sum(one) <= 0.5 * len(net5.contingencies) + 1e-12
+    monkeypatch.setattr(orch.eval_mod, "prescreen_then_evaluate", spy)
+    cfg = RunConfig(output_dir=str(tmp_path), deterministic=True,
+                    per_contingency_code2_factor=0.5)
+    run_code2(net5, cfg, base, base_tag=1)
+    assert len(seen) == len(net5.contingencies)
+    assert sum(seen) <= 0.5 * len(net5.contingencies) + 1e-12
 
 
 def test_deterministic_runs_byte_identical(tmp_path, net5):
@@ -222,30 +212,6 @@ def test_deterministic_runs_byte_identical(tmp_path, net5):
     a = one(tmp_path / "a")
     b = one(tmp_path / "b")
     assert a == b
-
-
-def test_code1_worker_threads_byte_identical(tmp_path, net5, monkeypatch):
-    # the threaded evaluation path writes the same files as the serial one
-    pools = []
-
-    class CountingPool(orch.ThreadPoolExecutor):
-        def __init__(self, *a, **kw):
-            pools.append(kw.get("max_workers"))
-            super().__init__(*a, **kw)
-
-    monkeypatch.setattr(orch, "ThreadPoolExecutor", CountingPool)
-
-    def outputs(threads):
-        d = tmp_path / str(threads)
-        run_code1(net5, quick_cfg(d, deterministic=True, seed=7,
-                                  worker_threads=threads))
-        return {f: (d / f).read_bytes() for f in sorted(os.listdir(d))}
-
-    serial = outputs(1)
-    assert pools == []
-    threaded = outputs(2)
-    assert pools and set(pools) == {2}
-    assert threaded == serial
 
 
 def test_run_log_deterministic_stamps(tmp_path):

@@ -7,7 +7,6 @@ from scacopf.select import (
     PriorityEntry,
     PriorityList,
     ViolationSummary,
-    individually_dominated,
     max_violation_dominated,
     resort,
     select_top,
@@ -27,33 +26,12 @@ def entry(cid, prio, pen=-1.0, tag="b1"):
     return e
 
 
-# --- individual dominance -----------------------------------------------------
-
-def test_idc_identical_mutual():
-    a, b = vs("A", [1, 2, 3]), vs("B", [1, 2, 3])
-    assert individually_dominated(a, b)
-    assert individually_dominated(b, a)
-
-
-def test_idc_strictly_larger():
-    a = vs("A", [1.5, 2.5, 3.5])
-    b = vs("B", [1, 2, 3])
-    assert individually_dominated(a, b)
-    assert not individually_dominated(b, a)
-
-
-def test_idc_one_component_smaller():
-    a = vs("A", [2, 1, 9])
-    b = vs("B", [1, 2, 3])
-    assert not individually_dominated(a, b)
-
-
-def test_idc_misaligned_raises():
-    with pytest.raises(ValueError):
-        individually_dominated(vs("A", [1, 2]), vs("B", [1, 2, 3]))
-
-
 # --- max-violation dominance --------------------------------------------------
+
+def test_cdc_misaligned_raises():
+    with pytest.raises(ValueError):
+        max_violation_dominated(vs("A", [1, 2]), vs("B", [1, 2, 3]))
+
 
 def test_cdc_same_index_strict():
     j = vs("J", [0, 0, 0, 0, 0, 0.3])
@@ -233,13 +211,6 @@ def test_resort_unknown_id_raises():
 def test_priority_list_rejects_duplicates():
     with pytest.raises(ValueError):
         PriorityList([entry("A", 1), entry("A", 2)])
-
-
-def test_csv_dump_schema():
-    plist = PriorityList([entry("A", 3, pen=5)])
-    csv = plist.to_csv()
-    assert csv.splitlines()[0] == "id,priority,penalty,method,base_tag"
-    assert csv.splitlines()[1].startswith("A,")
 
 
 def test_summarize_point_uses_canonical_slack_order(net5):
