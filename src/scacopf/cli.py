@@ -176,6 +176,10 @@ def cmd_score(args):
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
+        if data["contingency"] != k.id:
+            print(f"error: {path}: holds contingency {data['contingency']}, "
+                  f"expected {k.id}", file=sys.stderr)
+            return EXIT_INPUT
         pen = point_penalty(net, point, k.outaged)
         if abs(data.get("penalty", pen) - pen) > 1e-6 * (1.0 + abs(pen)):
             log.warning("contingency %s: stored penalty %s differs from "

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .scopf import DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint, \
     flows_from_state, slacks_from_state
 
@@ -150,42 +152,33 @@ def update_segments(state: ComplementarityState, signals):
 
 
 def project_response(state: ComplementarityState, net, k,
-                     base: OperatingPoint, raw_point: OperatingPoint):
+                     base: OperatingPoint, raw_point: OperatingPoint, layout=None):
     """Clamp a raw square-system point into segment-consistent bounds.
 
     Voltages and generator outputs are projected onto their boxes; pinned
     segments land exactly on their bound; middle active-power segments follow
     the response rule at the state's delta.  Flows and slacks are then
-    recomputed so the result is feasible with minimal slacks.
+    recomputed so the result is feasible with minimal slacks, on `layout`
+    (the model of `k.outaged` with contingency ratings) when given.
     """
-    flow_state = raw_point.state.copy()
-    for i, bus in enumerate(net.buses):
-        flow_state.v[i] = min(max(flow_state.v[i], bus.v_min), bus.v_max)
-        flow_state.bcs[i] = min(max(flow_state.bcs[i], bus.bcs_min), bus.bcs_max)
-    responding = set(state.active)
-    for gi, g in enumerate(net.generators):
-        if g.id == k.outaged:
-            flow_state.p_gen[gi] = 0.0
-            flow_state.q_gen[gi] = 0.0
-            continue
-        if g.id in responding:
-            seg = state.active[g.id]
-            if seg == LOWER:
-                flow_state.p_gen[gi] = g.p_min
-            elif seg == UPPER:
-                flow_state.p_gen[gi] = g.p_max
-            else:
-                desired = base.state.p_gen[gi] + g.alpha * state.delta
-                flow_state.p_gen[gi] = min(max(desired, g.p_min), g.p_max)
-        else:
-            flow_state.p_gen[gi] = base.state.p_gen[gi]
-        seg = state.reactive.get(g.id, MIDDLE)
-        if seg == LOWER:
-            flow_state.q_gen[gi] = g.q_min
-        elif seg == UPPER:
-            flow_state.q_gen[gi] = g.q_max
-        else:
-            flow_state.q_gen[gi] = min(max(flow_state.q_gen[gi], g.q_min), g.q_max)
-    flow_state = flows_from_state(net, flow_state, k.outaged)
-    return slacks_from_state(net, flow_state, k.outaged, ctg_ratings=True,
-                             delta=state.delta)
+    fs = raw_point.state.copy()
+    v_min, v_max, b_min, b_max = np.array(
+        [(b.v_min, b.v_max, b.bcs_min, b.bcs_max) for b in net.buses]).T
+    fs.v = np.clip(fs.v, v_min, v_max)
+    fs.bcs = np.clip(fs.bcs, b_min, b_max)
+    gens = net.generators
+    p_min, p_max, q_min, q_max, alpha = np.array(
+        [(g.p_min, g.p_max, g.q_min, g.q_max, g.alpha) for g in gens]).T
+    seg_p = np.array([state.active.get(g.id, "") for g in gens])
+    seg_q = np.array([state.reactive.get(g.id, MIDDLE) for g in gens])
+    base_p = base.state.p_gen
+    mid_p = np.clip(base_p + alpha * state.delta, p_min, p_max)
+    fs.p_gen = np.where(seg_p == LOWER, p_min, np.where(
+        seg_p == UPPER, p_max, np.where(seg_p == MIDDLE, mid_p, base_p)))
+    fs.q_gen = np.where(seg_q == LOWER, q_min, np.where(
+        seg_q == UPPER, q_max, np.clip(fs.q_gen, q_min, q_max)))
+    out = np.array([g.id == k.outaged for g in gens], dtype=bool)
+    fs.p_gen[out] = fs.q_gen[out] = 0.0
+    fs = flows_from_state(net, fs, k.outaged, layout=layout)
+    return slacks_from_state(net, fs, k.outaged, ctg_ratings=True,
+                             delta=state.delta, layout=layout)

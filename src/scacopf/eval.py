@@ -3,10 +3,11 @@
 Two engines estimate the post-contingency penalty of a base operating point:
 
 * ``fast_evaluate`` repeatedly solves a square system of nonlinear equations
-  (flow definitions, slack-free bus balance, response rows for the current
-  complementarity segments, and the angle reference), projects the result into
-  bounds, and prices the residual slacks.  It is cheap and yields an upper
-  bound on the optimal penalty.
+  (slack-free bus balance with the flows as functions of the voltages,
+  response rows for the current complementarity segments, and the angle
+  reference) with a sparse LU, projects the result into bounds, and prices
+  the residual slacks.  It is cheap and yields an upper bound on the optimal
+  penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
   all-at-once complementarity segment updates.
 
@@ -30,6 +31,7 @@ from .scopf import (
     MIDDLE,
     UPPER,
     OperatingPoint,
+    _Pattern,
     build_contingency_problem,
     flows_from_state,
     penalty_cost,
@@ -127,19 +129,18 @@ class _SquareSystem:
     """Square response system for one contingency and one segment assignment.
 
     Unknowns: all bus voltages and angles, responder active powers, available
-    generator reactive powers, in-service branch flows, and the response
-    scalar.  Shunt susceptances stay at the base values and non-responding
-    generators keep their base active power.
-    Rows: flow definitions, slack-free P/Q balance, the reference angle, one
-    response row per responder, one per available generator.  The Jacobian
-    pattern is fixed at construction.
+    generator reactive powers, and the response scalar.  Branch flows are
+    functions of the voltages, not unknowns (the polar Newton power flow of
+    MATPOWER's ``newtonpf``).  Shunt susceptances stay at the base values and
+    non-responding generators keep their base active power.
+    Rows: slack-free P/Q balance, the reference angle, one response row per
+    responder, one per available generator.  The Jacobian is sparse (CSC) on
+    a pattern that is fixed at construction.
     """
 
-    def __init__(self, net, k, base, state):
+    def __init__(self, net, k, base, state, layout=None):
         self.net = net
-        self.k = k
-        self.state = state
-        lay = CaseLayout(net, k.outaged)
+        lay = layout if layout is not None else CaseLayout(net, k.outaged)
         self.lay = lay
         nb, nfr = lay.nb, 4 * lay.m
 
@@ -149,9 +150,8 @@ class _SquareSystem:
         resp = np.array([gi for gi, _ in self.responders], dtype=int)
         self.p_cols = lay.p0 + resp
         self.q_cols = lay.q0 + lay.gens
-        self.flow_cols = lay.fcols.ravel()
         self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), self.p_cols,
-                                    self.q_cols, self.flow_cols))
+                                    self.q_cols))
         col_pos = np.full(lay.nvar, -1, dtype=int)
         col_pos[self.cols] = np.arange(len(self.cols))
         self.delta_col = len(self.cols)
@@ -178,30 +178,35 @@ class _SquareSystem:
         self.base_p = base.state.p_gen[resp]
         self.base_v = base.state.v[lay.gen_bus]
 
-        # Jacobian: acpf flow rows negated, balance rows as they are, on the
-        # columns that are unknowns; then the constant entries.  No
-        # (row, col) pair repeats.
+        # Jacobian: each acpf flow-row entry, negated, goes into the P or Q
+        # balance row of its flow's end bus; the balance-row entries on
+        # unknown columns stay as they are; then the constant entries.
+        # Repeated (row, col) pairs add up.
         jr, jc = lay.jac_pattern()
+        row_of = np.concatenate((
+            (np.array([0, nb, 0, nb]) + lay.ends[:, [0, 0, 1, 1]]).ravel(),
+            np.arange(2 * nb)))
         self._sel = np.flatnonzero((jr < nfr + 2 * nb) & (col_pos[jc] >= 0))
         self._sign = np.where(jr[self._sel] < nfr, -1.0, 1.0)
-        r_ref = nfr + 2 * nb
+        r_ref = 2 * nb
         r_p = r_ref + 1 + np.arange(len(resp))
         r_q = r_ref + 1 + len(resp) + np.arange(len(lay.gens))
         pc, qc = col_pos[self.p_cols], col_pos[self.q_cols]
         mid_p, mid_q = self.p_mid, self.q_mid
-        rows = [jr[self._sel], np.arange(nfr), [r_ref],
-                r_p[mid_p], r_p, r_q]
-        cols = [col_pos[jc[self._sel]], col_pos[self.flow_cols],
-                [col_pos[lay.th0 + self.ref]], np.full(mid_p.sum(), self.delta_col),
+        rows = [row_of[jr[self._sel]], [r_ref], r_p[mid_p], r_p, r_q]
+        cols = [col_pos[jc[self._sel]], [col_pos[lay.th0 + self.ref]],
+                np.full(mid_p.sum(), self.delta_col),
                 pc, np.where(mid_q, col_pos[self.v_at_gen], qc)]
         self._const = np.concatenate((
-            np.ones(nfr + 1), self.alpha[mid_p], np.where(mid_p, -1.0, 1.0),
+            [1.0], self.alpha[mid_p], np.where(mid_p, -1.0, 1.0),
             np.where(mid_q, -1.0, 1.0)))
-        self._flat = np.concatenate(rows).astype(int) * self.n + np.concatenate(cols).astype(int)
+        self._pattern = _Pattern(np.concatenate(rows), np.concatenate(cols),
+                                 (self.n, self.n), csc=True)
 
     def full_x(self, z):
         x = self.template.copy()
         x[self.cols] = z[:-1]
+        x[self.lay.fcols] = self.lay.flow_values(x)
         return x
 
     def start(self, point, delta):
@@ -216,22 +221,18 @@ class _SquareSystem:
         p, q = lay.balance(x)
         p_gen, q_gen = x[self.p_cols], x[self.q_cols]
         return np.concatenate((
-            x[self.flow_cols] - lay.flow_values(x).ravel(), p, q,
-            [x[lay.th0 + self.ref]],
+            p, q, [x[lay.th0 + self.ref]],
             np.where(self.p_mid, self.base_p + self.alpha * z[-1] - p_gen,
                      p_gen - self.p_pin),
             np.where(self.q_mid, self.base_v - x[self.v_at_gen], q_gen - self.q_pin)))
 
     def jacobian(self, z):
         jv = self.lay.jac_values(self.full_x(z))
-        M = np.zeros((self.n, self.n))
-        M.flat[self._flat] = np.concatenate((jv[self._sel] * self._sign, self._const))
-        return M
+        return self._pattern.matrix(np.concatenate((jv[self._sel] * self._sign, self._const)))
 
     def raw_point(self, z):
         st = self.lay.unpack(self.full_x(z))
-        nb = self.lay.nb
-        zero = np.zeros(nb)
+        zero = np.zeros(self.lay.nb)
         return OperatingPoint(
             state=st, sig_p_plus=zero.copy(), sig_p_minus=zero.copy(),
             sig_q_plus=zero.copy(), sig_q_minus=zero.copy(),
@@ -295,10 +296,12 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     budget = _Budget(time_limit, deterministic)
     state = _init_state(net, k, init_compl, base)
     state_fb = state.copy()
+    # one compiled model serves every round: ratings only affect the slacks
+    lay = CaseLayout(net, k.outaged, ctg_ratings=True)
 
     # guaranteed fallback: base state projected into the response rules with
     # slacks absorbing all residuals
-    fallback = compl_mod.project_response(state_fb, net, k, base, base)
+    fallback = compl_mod.project_response(state_fb, net, k, base, base, layout=lay)
     best_pen = point_penalty(net, fallback, k.outaged)
     best = (fallback, state_fb)
     status = "ok"
@@ -312,7 +315,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     for round_no in range(FAST_MAX_ROUNDS):
         if budget.exhausted() or below_cutoff(best_pen):
             break
-        sys_ = _SquareSystem(net, k, base, state)
+        sys_ = _SquareSystem(net, k, base, state, layout=lay)
         z0 = sys_.start(point, state.delta)
         res = solve_square(sys_.residual, sys_.jacobian, z0, tol=1e-10,
                            **budget.solver_kwargs(60))
@@ -324,7 +327,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         new_state, _ = _update_from_violations(net, k, state, base, raw,
                                                raw.delta)
         new_state.delta = raw.delta
-        proj = compl_mod.project_response(new_state, net, k, base, raw)
+        proj = compl_mod.project_response(new_state, net, k, base, raw, layout=lay)
         pen = point_penalty(net, proj, k.outaged)
         if pen < best_pen - 1e-15:
             best_pen = pen

@@ -1,5 +1,6 @@
 """Generic smooth NLP interface, a primal-dual interior-point solver, and a
-damped Newton solver for square nonlinear systems.
+damped Newton solver for square nonlinear systems whose steps are solved
+with a sparse LU.
 
 The interior-point method uses a monotone barrier schedule, a sparse LU
 factorization of the KKT matrix with iterative refinement, inertia
@@ -422,9 +423,26 @@ class SquareResult:
     residual: float = 0.0
 
 
+def _sparse_solve(A, rhs):
+    """Solution of A x = rhs by a sparse LU, or None if A is exactly
+    singular or the solution is not finite.  A power-flow Jacobian is
+    nearly structurally symmetric, so the columns are ordered on A' + A."""
+    try:
+        sol = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    except RuntimeError:  # exactly singular
+        return None
+    return sol if np.all(np.isfinite(sol)) else None
+
+
+def _levenberg(J, F, delta):
+    """Regularized least-squares step: (J'J + delta I) d = -J'F."""
+    return _sparse_solve(J.T @ J + delta * sparse.identity(J.shape[1]), -(J.T @ F))
+
+
 def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     """Damped Newton for a square system fun(x) = 0 with Jacobian jac(x).
 
+    Each step is solved with a sparse LU (a dense Jacobian is converted).
     Backtracks on the residual norm, with Levenberg-regularized least-squares
     steps as a fallback for singular Jacobians.  Returns the best iterate.
     """
@@ -442,53 +460,35 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
         if time_limit is not None and time.monotonic() - t_start > time_limit:
             return SquareResult(best_x, FAILED, it - 1, best_norm)
 
-        J = jac(x)
-        if sparse.issparse(J):
-            J = J.toarray()
-        d = None
-        try:
-            d = np.linalg.solve(J, -F)
-            if not np.all(np.isfinite(d)):
-                d = None
-        except np.linalg.LinAlgError:
-            d = None
+        J = sparse.csc_matrix(jac(x))
+        d = _sparse_solve(J, -F)
+        delta = 1e-8
+        for _ in range(20):
+            if d is not None:
+                break
+            d = _levenberg(J, F, delta)
+            delta *= 10.0
         if d is None:
-            delta = 1e-8
-            JtJ = J.T @ J
-            JtF = J.T @ F
-            for _ in range(20):
-                try:
-                    d = np.linalg.solve(JtJ + delta * np.eye(J.shape[1]), -JtF)
-                    if np.all(np.isfinite(d)):
-                        break
-                except np.linalg.LinAlgError:
-                    pass
-                d = None
-                delta *= 10.0
-            if d is None:
-                return SquareResult(best_x, FAILED, it, best_norm)
+            return SquareResult(best_x, FAILED, it, best_norm)
 
-        f0 = float(np.linalg.norm(F))
+        f0 = float(np.sqrt(F @ F))
         alpha = 1.0
         improved = False
         for _ in range(40):
             xn = x + alpha * d
             Fn = np.asarray(fun(xn), float)
-            if np.all(np.isfinite(Fn)) and np.linalg.norm(Fn) <= (1 - 1e-4 * alpha) * f0:
+            if np.all(np.isfinite(Fn)) and np.sqrt(Fn @ Fn) <= (1 - 1e-4 * alpha) * f0:
                 improved = True
                 break
             alpha *= 0.5
         if not improved:
             # no progress along the Newton direction: try a regularized step
-            delta = max(1e-8, 1e-4 * f0)
-            JtJ = J.T @ J
-            try:
-                d2 = np.linalg.solve(JtJ + delta * np.eye(J.shape[1]), -(J.T @ F))
-            except np.linalg.LinAlgError:
+            d2 = _levenberg(J, F, max(1e-8, 1e-4 * f0))
+            if d2 is None:
                 return SquareResult(best_x, FAILED, it, best_norm)
             xn = x + d2
             Fn = np.asarray(fun(xn), float)
-            if not (np.all(np.isfinite(Fn)) and np.linalg.norm(Fn) < f0):
+            if not (np.all(np.isfinite(Fn)) and np.sqrt(Fn @ Fn) < f0):
                 return SquareResult(best_x, FAILED, it, best_norm)
         x, F = xn, Fn
 

@@ -147,13 +147,13 @@ def point_penalty(net: Network, point: OperatingPoint, outaged=None):
 
 
 def slacks_from_state(net: Network, state: FlowState, outaged=None,
-                      ctg_ratings=False, delta=0.0):
+                      ctg_ratings=False, delta=0.0, layout=None):
     """Operating point whose slacks exactly absorb the state's residuals.
 
     This is the unique minimal-slack assignment making the point feasible;
-    flows in `state` are trusted as given.
+    flows in `state` are trusted as given.  `layout` models (outaged, ratings).
     """
-    lay = CaseLayout(net, outaged, ctg_ratings)
+    lay = layout if layout is not None else CaseLayout(net, outaged, ctg_ratings)
     x = lay.pack(state)
     p, q = lay.balance(x)
     lhs, rhs = lay.ratings(x)
@@ -170,9 +170,9 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None,
     )
 
 
-def flows_from_state(net: Network, state: FlowState, outaged=None):
-    """Recompute branch flow variables from voltages via the flow equations."""
-    lay = CaseLayout(net, outaged)
+def flows_from_state(net: Network, state: FlowState, outaged=None, layout=None):
+    """Recompute branch flows from the voltages (on `layout`, if given)."""
+    lay = layout if layout is not None else CaseLayout(net, outaged)
     out = state.copy()
     out.flows[:] = 0.0
     out.flows[lay.svc] = lay.flow_values(lay.pack(state))

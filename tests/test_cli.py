@@ -167,6 +167,31 @@ def test_score_corrupt_contingency_file(tmp_path, capsys):
     assert f"error: {bad}: " in capsys.readouterr().err
 
 
+def test_score_contingency_file_under_another_name(tmp_path, capsys):
+    # a file copied over another's name is priced under neither outage
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(5, seed=11), case)
+    net = load_case(case)
+    base_path = str(tmp_path / "base.json")
+    write_base_solution(base_path, net, flat_start(net), 1, 0.0, 0.0)
+    out = str(tmp_path / "o")
+    rc = run_cli(["code2", "--case", case, "--base", base_path,
+                  "--deterministic", "--factor", "0.1", "--output-dir", out])
+    assert rc == 0
+    first, last = net.contingencies[0].id, net.contingencies[-1].id
+    assert first != last
+    bad = os.path.join(out, f"contingency_{last}.json")
+    with open(os.path.join(out, f"contingency_{first}.json")) as src, \
+            open(bad, "w") as dst:
+        dst.write(src.read())
+    capsys.readouterr()
+    rc = run_cli(["score", "--case", case, "--base", base_path,
+                  "--solutions", out])
+    assert rc == 1
+    assert (f"error: {bad}: holds contingency {first}, expected {last}"
+            in capsys.readouterr().err)
+
+
 def test_score_recomputes_not_trusts(tmp_path, capsys, caplog):
     # tamper with the stored base penalty: the recomputed value must win
     case = str(tmp_path / "c.json")

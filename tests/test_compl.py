@@ -270,3 +270,56 @@ def test_project_response_identity_when_feasible(net5):
                                atol=1e-15)
     np.testing.assert_allclose(again.state.q_gen, point.state.q_gen,
                                atol=1e-15)
+
+
+def _project_response_loop(state, net, k, base, raw_point):
+    """Per-bus, per-generator reference for `project_response`."""
+    fs = raw_point.state.copy()
+    for i, bus in enumerate(net.buses):
+        fs.v[i] = min(max(fs.v[i], bus.v_min), bus.v_max)
+        fs.bcs[i] = min(max(fs.bcs[i], bus.bcs_min), bus.bcs_max)
+    for gi, g in enumerate(net.generators):
+        if g.id == k.outaged:
+            fs.p_gen[gi] = fs.q_gen[gi] = 0.0
+            continue
+        seg = state.active.get(g.id)
+        if seg == LOWER or seg == UPPER:
+            fs.p_gen[gi] = g.p_min if seg == LOWER else g.p_max
+        elif seg == MIDDLE:
+            desired = base.state.p_gen[gi] + g.alpha * state.delta
+            fs.p_gen[gi] = min(max(desired, g.p_min), g.p_max)
+        else:
+            fs.p_gen[gi] = base.state.p_gen[gi]
+        seg = state.reactive.get(g.id, MIDDLE)
+        if seg == LOWER or seg == UPPER:
+            fs.q_gen[gi] = g.q_min if seg == LOWER else g.q_max
+        else:
+            fs.q_gen[gi] = min(max(fs.q_gen[gi], g.q_min), g.q_max)
+    fs = scopf.flows_from_state(net, fs, k.outaged)
+    return scopf.slacks_from_state(net, fs, k.outaged, ctg_ratings=True,
+                                   delta=state.delta)
+
+
+def test_project_response_equals_loop_reference(net5, rng):
+    # the array expressions do the loop's arithmetic: results are equal
+    base = scopf.default_start(net5)
+    segs = (LOWER, MIDDLE, UPPER)
+    for k in net5.contingencies:
+        for _ in range(10):
+            st = init_default(net5, k)
+            for table in (st.active, st.reactive):
+                table.update({g: segs[rng.integers(3)] for g in table})
+            st.delta = rng.uniform(-0.5, 0.5)
+            raw = base.copy()
+            for name in ("v", "bcs", "p_gen", "q_gen"):
+                arr = getattr(raw.state, name)
+                arr += rng.uniform(-1.0, 1.0, size=arr.shape)
+            got = project_response(st, net5, k, base, raw)
+            want = _project_response_loop(st, net5, k, base, raw)
+            for name in ("v", "bcs", "p_gen", "q_gen", "flows"):
+                np.testing.assert_array_equal(getattr(got.state, name),
+                                              getattr(want.state, name))
+            for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus",
+                         "sig_q_minus", "sig_s"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))

@@ -206,3 +206,43 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
         assert J.shape == (sys_.n, sys_.n)
         scale = np.maximum(np.abs(J_fd), 1.0)
         assert np.max(np.abs(J - J_fd) / scale) < 1e-6, mix
+
+
+def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
+    # one compiled model serves every square-system round and projection
+    net, base = solved5
+    assert ev.CaseLayout is scopf.CaseLayout
+    built, rounds = [], []
+    init = ev.CaseLayout.__init__
+    real_solve = ev.solve_square
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        rounds.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ev.CaseLayout, "__init__", counting_init)
+    monkeypatch.setattr(ev, "solve_square", counting_solve)
+    ev.fast_evaluate(net, net.contingency("CG2"), base)
+    assert rounds
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
+def test_square_system_raw_point_flows_are_defined(ctg_id):
+    # branch flows are functions of the voltages, never Newton unknowns
+    from conftest import five_bus_net
+    net = five_bus_net()
+    k = net.contingency(ctg_id)
+    base = scopf.default_start(net)
+    state = compl.init_default(net, k)
+    sys_ = ev._SquareSystem(net, k, base, state)
+    # unknowns: v and theta per bus, responder p, available q, and delta
+    assert sys_.n == 2 * len(net.buses) + len(state.active) + len(state.reactive) + 1
+    z = sys_.start(base, 0.05) + np.random.default_rng(5).uniform(-0.05, 0.05, sys_.n)
+    raw = sys_.raw_point(z)
+    defined = scopf.flows_from_state(net, raw.state, k.outaged)
+    np.testing.assert_array_equal(raw.state.flows, defined.flows)

@@ -204,6 +204,33 @@ def test_linear_system_one_step():
     np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-10)
 
 
+def test_square_sparse_jacobian_never_densified(monkeypatch):
+    # a sparse Jacobian is factored as it is, in the Newton step and in
+    # the Levenberg fallback (the second system is singular); densifying
+    # any CSC or CSR matrix inside the solve fails the test
+    rng = np.random.default_rng(3)
+    A = (sparse.random(30, 30, density=0.1, random_state=4) + 4 * sparse.eye(30)).tocsc()
+    b = rng.normal(size=30)
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("solve_square densified a sparse matrix")
+
+    for cls in (sparse.csc_matrix, sparse.csr_matrix):
+        monkeypatch.setattr(cls, "toarray", forbidden)
+        monkeypatch.setattr(cls, "todense", forbidden)
+    res = solve_square(lambda x: A @ x - b, lambda x: A, np.zeros(30))
+    assert res.status == nlp.SOLVED
+    np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
+
+    def fun(x):
+        r = x[0] ** 2 + x[1] - 3.0
+        return np.array([r, r])
+
+    res = solve_square(fun, lambda x: sparse.csc_matrix(
+        [[2 * x[0], 1.0], [2 * x[0], 1.0]]), [1.0, 1.0])
+    assert np.max(np.abs(fun(res.x))) <= 1e-8
+
+
 def build_ybus(net):
     nb = len(net.buses)
     Y = np.zeros((nb, nb), complex)
