@@ -25,13 +25,12 @@ import numpy as np
 from . import compl as compl_mod
 from .acpf import CaseLayout
 from .case_model import Network
-from .nlp import solve_nlp, solve_square
+from .nlp import _Pattern, solve_nlp, solve_square
 from .scopf import (
     LOWER,
     MIDDLE,
     UPPER,
     OperatingPoint,
-    _Pattern,
     build_contingency_problem,
     flows_from_state,
     penalty_cost,

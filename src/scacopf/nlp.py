@@ -11,6 +11,14 @@ definite) dual block leaves the primal Schur complement, and the KKT matrix
 has the wanted inertia iff that complement is positive definite, which a
 no-pivot sparse LU decides.  Bounds are relaxed slightly on the inside;
 reported objectives are always the true (unrelaxed) ones.
+
+The KKT matrix and its Schur complement have one sparsity pattern for as
+long as the Hessian and Jacobian patterns stay the same, which for the
+problems of `scopf` is the whole solve.  `_Kkt` compiles both patterns
+once, fills each attempt's values with one `np.bincount`, and bakes the
+column ordering of the first factorization of each matrix into its pattern,
+so that later factorizations reuse it in natural order.  `_Pattern` is the
+compiled sparsity pattern that every layer above fills its matrices with.
 """
 
 from __future__ import annotations
@@ -67,23 +75,151 @@ class NlpSolution:
     constraint_violation: float = 0.0
 
 
-def _correct_inertia(W, J, d):
-    """True iff [[W, J'], [J, -diag(d)]] has inertia (n, m, 0), for d > 0.
+class _Pattern:
+    """Fixed sparsity pattern: raw (row, col) entries, repeats allowed,
+    compiled once to canonical CSR (or CSC) index arrays; `matrix` sums the
+    raw values onto them, and `permuted` moves the raw entries."""
 
-    By Haynsworth's law the inertia is (0, m, 0) plus the inertia of the
-    Schur complement P = W + J' diag(1/d) J, so the answer is whether P is
-    positive definite.  That is decided by an LU of P with symmetric
-    ordering and no pivoting (an LDL' in disguise): P is positive definite
-    iff no off-diagonal pivot was needed and every pivot is positive.
+    def __init__(self, rows, cols, shape, csc=False):
+        major, minor = (cols, rows) if csc else (rows, cols)
+        n_major, n_minor = shape[::-1] if csc else shape
+        keys = np.asarray(major, dtype=np.int64) * n_minor
+        keys += minor
+        uniq, self.slot = np.unique(keys, return_inverse=True)
+        self.indices = (uniq % n_minor).astype(np.int32)
+        self.indptr = np.searchsorted(uniq // n_minor,
+                                      np.arange(n_major + 1)).astype(np.int32)
+        self.shape = shape
+        self.csc = csc
+        self.fmt = sparse.csc_matrix if csc else sparse.csr_matrix
+
+    def matrix(self, vals):
+        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
+        return self.fmt((data, self.indices, self.indptr), shape=self.shape)
+
+    def permuted(self, row_pos, col_pos):
+        """The pattern with raw row i moved to row_pos[i] and raw column j to
+        col_pos[j]; raw values keep their order."""
+        major = np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32),
+                          np.diff(self.indptr))[self.slot]
+        minor = self.indices[self.slot]
+        rows, cols = (minor, major) if self.csc else (major, minor)
+        return _Pattern(row_pos[rows], col_pos[cols], self.shape, self.csc)
+
+
+def _row_stack(A, B):
+    """[A; B] for CSR matrices A and B, from their index arrays."""
+    return sparse.csr_matrix(
+        (np.concatenate((A.data, B.data)), np.concatenate((A.indices, B.indices)),
+         np.concatenate((A.indptr, B.indptr[1:] + A.nnz))),
+        shape=(A.shape[0] + B.shape[0], A.shape[1]))
+
+
+class _Kkt:
+    """KKT matrix K = [[W, J'], [J, -diag(d)]] with W = Hs + diag(w_diag),
+    where Hs is the symmetric matrix whose lower triangle is Hl, and the
+    Schur complement P = W + J' diag(1/d) J of its inertia test, compiled for
+    one pattern of Hl (CSC) and J (CSR).
+
+    Each matrix is filled from the values of Hl, w_diag, J and d with one
+    `np.bincount`: the raw entries of W are Hl's, the mirror of its
+    off-diagonal ones and the diagonal; those of P add S[k,a] S[k,b] for
+    every pair (a, b) of entries in one row k of S = diag(1/sqrt(d)) J.
+    The column ordering of the first factorization of P (symmetric) and of
+    K (columns only) is baked into their patterns, so that later ones factor
+    the pre-permuted matrix in natural order.  Column i of P is at
+    `p_pos[i]`, row and column; column i of K is at `k_pos[i]`.
     """
-    P = (W + J.T @ sparse.diags(1.0 / d) @ J).tocsc()
-    try:
-        lu = splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError:  # exactly singular
-        return False
-    return bool(np.array_equal(lu.perm_r, lu.perm_c)
-                and np.all(lu.U.diagonal() > 0.0))
+
+    def __init__(self, Hl, J):
+        n, m = Hl.shape[0], J.shape[0]
+        self.structure = tuple(np.array(a) for a in self._structure(Hl, J))
+        h_col = np.repeat(np.arange(n), np.diff(Hl.indptr))
+        self._mirror = np.flatnonzero(Hl.indices != h_col)
+        diag = np.arange(n)
+        w_rows = np.concatenate((Hl.indices, h_col[self._mirror], diag))
+        w_cols = np.concatenate((h_col, Hl.indices[self._mirror], diag))
+        self._j_row = np.repeat(np.arange(m), np.diff(J.indptr))
+        # entry pairs (a, b) within a row: entry a once per entry b of its row
+        per_row = np.diff(J.indptr)[self._j_row]
+        self._pa = np.repeat(np.arange(len(self._j_row)), per_row)
+        first_pair = np.repeat(np.cumsum(per_row) - per_row, per_row)
+        self._pb = (np.repeat(J.indptr[self._j_row], per_row)
+                    + np.arange(len(self._pa)) - first_pair)
+        self.P = _Pattern(np.concatenate((w_rows, J.indices[self._pa])),
+                          np.concatenate((w_cols, J.indices[self._pb])),
+                          (n, n), csc=True)
+        j_row, dual = n + self._j_row, n + np.arange(m)
+        self.K = _Pattern(np.concatenate((w_rows, j_row, J.indices, dual)),
+                          np.concatenate((w_cols, J.indices, j_row, dual)),
+                          (n + m, n + m), csc=True)
+        self.k_pos = self.p_pos = None
+
+    @staticmethod
+    def _structure(Hl, J):
+        return Hl.indptr, Hl.indices, J.indptr, J.indices
+
+    def fits(self, Hl, J):
+        """True iff Hl and J have the pattern this was compiled for."""
+        return all(np.array_equal(a, b)
+                   for a, b in zip(self.structure, self._structure(Hl, J)))
+
+    def _w_values(self, h, w_diag):
+        return np.concatenate((h, h[self._mirror], w_diag))
+
+    def schur(self, h, w_diag, j, d):
+        """P, in the current ordering, for values h of Hl and j of J."""
+        scaled = j / np.sqrt(d[self._j_row])
+        return self.P.matrix(np.concatenate((
+            self._w_values(h, w_diag), scaled[self._pa] * scaled[self._pb])))
+
+    def matrix(self, h, w_diag, j, d):
+        """K, in the current column ordering."""
+        return self.K.matrix(np.concatenate((self._w_values(h, w_diag), j, j, -d)))
+
+    def inertia_ok(self, h, w_diag, j, d):
+        """True iff K has inertia (n, m, 0), for d > 0.
+
+        By Haynsworth's law the inertia is (0, m, 0) plus the inertia of P,
+        so the answer is whether P is positive definite.  That is decided by
+        an LU of P with symmetric ordering and no pivoting (an LDL' in
+        disguise): P is positive definite iff no off-diagonal pivot was
+        needed and every pivot is positive.
+        """
+        P = self.schur(h, w_diag, j, d)
+        try:
+            lu = splu(P, permc_spec="MMD_AT_PLUS_A" if self.p_pos is None
+                      else "NATURAL", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        except RuntimeError:  # exactly singular
+            return False
+        if self.p_pos is None:
+            self.p_pos = lu.perm_c
+            self.P = self.P.permuted(lu.perm_c, lu.perm_c)
+        return bool(np.array_equal(lu.perm_r, lu.perm_c)
+                    and np.all(lu.U.diagonal() > 0.0))
+
+    def factor(self, h, w_diag, j, d):
+        """Solver of the KKT system: a function of the right-hand side, by a
+        refined LU of K.  Raises RuntimeError if K is exactly singular."""
+        K = self.matrix(h, w_diag, j, d)
+        if self.k_pos is None:
+            lu = splu(K)
+            pos = np.arange(K.shape[0])
+            self.k_pos = lu.perm_c
+            self.K = self.K.permuted(pos, lu.perm_c)
+        else:
+            lu = splu(K, permc_spec="NATURAL")
+            pos = self.k_pos
+        return lambda rhs: _refined_solve(K, lu, rhs)[pos]
+
+
+def _correct_inertia(W, J, d):
+    """True iff [[W, J'], [J, -diag(d)]] has inertia (n, m, 0), for d > 0,
+    decided by `_Kkt.inertia_ok` on W's lower triangle."""
+    Hl = sparse.tril(W, format="csc")
+    J = sparse.csr_matrix(J)
+    return _Kkt(Hl, J).inertia_ok(Hl.data, np.zeros(W.shape[0]), J.data, d)
 
 
 def _refined_solve(K, lu, rhs, steps=2):
@@ -175,6 +311,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                      alpha_primal=0.0, alpha_dual=0.0)
 
     best = None
+    kkt = None
 
     def viol(xv, cEv, cIv):
         v = 0.0
@@ -206,7 +343,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         gap_l = np.where(fin_l, x - lb, np.inf)
         gap_u = np.where(fin_u, ub - x, np.inf)
 
-        r_d = g + JE.T @ y + JI.T @ w - zl + zu
+        grad_lag = g + JE.T @ y + JI.T @ w
+        r_d = grad_lag - zl + zu
         comp_t = t * w if mi else np.zeros(0)
         comp_l = np.zeros(n)
         comp_l[fin_l] = gap_l[fin_l] * zl[fin_l]
@@ -239,16 +377,16 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             mu = max(tol / 10.0, mu / 5.0)
 
         Hl = prob.hess(x, 1.0, y, w).tocsc()
-        Hs = Hl + Hl.T - sparse.diags(Hl.diagonal())
+        J = _row_stack(JE, JI)
+        if kkt is None or not kkt.fits(Hl, J):
+            kkt = _Kkt(Hl, J)
         sigma_x = np.where(fin_l, zl / np.maximum(gap_l, 1e-16), 0.0) \
             + np.where(fin_u, zu / np.maximum(gap_u, 1e-16), 0.0)
 
         # barrier gradient used on the KKT right-hand side
-        gbar = g + JE.T @ y + JI.T @ w
-        gbar -= np.where(fin_l, mu / np.maximum(gap_l, 1e-16), 0.0)
+        gbar = grad_lag - np.where(fin_l, mu / np.maximum(gap_l, 1e-16), 0.0)
         gbar += np.where(fin_u, mu / np.maximum(gap_u, 1e-16), 0.0)
 
-        J = sparse.vstack([JE, JI], format="csc")
         rhs = np.concatenate([
             -gbar,
             -cE,
@@ -262,16 +400,14 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         # Schur complement exists.
         delta_w = 0.0
         dc = 0.0
-        lu = None
+        solve = None
         for attempt in range(1, 41):
-            W = (Hs + sparse.diags(sigma_x + delta_w)).tocsc()
+            w_diag = sigma_x + delta_w
             d_dual = np.concatenate([np.full(me, dc), t / w + dc])
             d_test = np.concatenate([np.full(me, dc or delta_c), t / w + dc])
-            if _correct_inertia(W, J, d_test):
-                K = sparse.bmat([[W, J.T], [J, -sparse.diags(d_dual)]],
-                                format="csc")
+            if kkt.inertia_ok(Hl.data, w_diag, J.data, d_test):
                 try:
-                    lu = splu(K)
+                    solve = kkt.factor(Hl.data, w_diag, J.data, d_dual)
                     break
                 except RuntimeError:  # exactly singular
                     dc = delta_c if dc == 0.0 else dc * 100.0
@@ -281,11 +417,11 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                 delta_w *= 10.0
             if delta_w > 1e12:
                 break
-        if lu is None:
+        if solve is None:
             status = NUMERICAL_FAILURE
             break
         delta_w_last = delta_w
-        sol = _refined_solve(K, lu, rhs)
+        sol = solve(rhs)
         if not np.all(np.isfinite(sol)):
             status = NUMERICAL_FAILURE
             break
@@ -317,21 +453,22 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         )
         nu = max(nu, 1.1 * dual_mag + 1.0)
 
-        def barrier_merit(xv, tv):
-            fv = prob.objective(xv)
+        def barrier_merit(xv, tv, values=None):
+            """l1 merit at (xv, tv); `values` = (f, cE, cI) at xv, if known."""
             gl = xv[fin_l] - lb[fin_l]
             gu = ub[fin_u] - xv[fin_u]
             if np.any(gl <= 0) or np.any(gu <= 0) or (mi and np.any(tv <= 0)):
-                return np.inf, None, None
+                return np.inf
+            fv, cEv, cIv = values or (prob.objective(xv),
+                                      prob.eq(xv) if me else np.zeros(0),
+                                      prob.ineq(xv) if mi else np.zeros(0))
             bar = fv - mu * (np.sum(np.log(gl)) + np.sum(np.log(gu)))
             if mi:
                 bar -= mu * np.sum(np.log(tv))
-            cEv = prob.eq(xv) if me else np.zeros(0)
-            cIv = prob.ineq(xv) if mi else np.zeros(0)
             pen = np.sum(np.abs(cEv)) + (np.sum(np.abs(cIv + tv)) if mi else 0.0)
-            return bar + nu * pen, cEv, cIv
+            return bar + nu * pen
 
-        phi0, _, _ = barrier_merit(x, t)
+        phi0 = barrier_merit(x, t, (f, cE, cI))
         con_norm = np.sum(np.abs(cE)) + (np.sum(np.abs(cI + t)) if mi else 0.0)
         dphi = float(gbar @ dx) - float(np.sum((mu / t) * dt)) if mi else float(gbar @ dx)
         dphi -= nu * con_norm
@@ -343,7 +480,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         for _ in range(30):
             xn = x + alpha * dx
             tn = t + alpha * dt if mi else t
-            phi, cEn, cIn = barrier_merit(xn, tn)
+            phi = barrier_merit(xn, tn)
             # the epsilon slack keeps the test passable when the predicted
             # decrease is below rounding noise in the merit value
             if phi <= phi0 + 1e-4 * alpha * dphi + 1e-12 * (1.0 + abs(phi0)):

@@ -17,7 +17,7 @@ from scipy import sparse
 
 from .acpf import CaseLayout, FlowState
 from .case_model import Network, PenaltyConfig
-from .nlp import NlpProblem
+from .nlp import NlpProblem, _Pattern
 
 __all__ = [
     "OperatingPoint",
@@ -497,27 +497,6 @@ class CaseStructure:
                 out[key] = {"segment": UPPER,
                             "to_middle": (s, solution.z_lower[rec.s_col])}
         return out
-
-
-class _Pattern:
-    """Fixed sparsity pattern: raw (row, col) entries, repeats allowed,
-    compiled once to canonical CSR (or CSC) index arrays; `matrix` sums the
-    raw values onto them."""
-
-    def __init__(self, rows, cols, shape, csc=False):
-        major, minor = (cols, rows) if csc else (rows, cols)
-        n_major, n_minor = shape[::-1] if csc else shape
-        keys, self.slot = np.unique(np.asarray(major, dtype=np.int64) * n_minor + minor,
-                                    return_inverse=True)
-        self.indices = (keys % n_minor).astype(np.int32)
-        self.indptr = np.searchsorted(keys // n_minor,
-                                      np.arange(n_major + 1)).astype(np.int32)
-        self.shape = shape
-        self.fmt = sparse.csc_matrix if csc else sparse.csr_matrix
-
-    def matrix(self, vals):
-        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
-        return self.fmt((data, self.indices, self.indptr), shape=self.shape)
 
 
 class _Assembler:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from scacopf import nlp
 from scacopf.nlp import NlpProblem, solve_nlp, solve_square
@@ -427,3 +428,106 @@ def test_rank_deficient_equalities_use_dual_regularization():
     assert sol.status == nlp.OPTIMAL
     np.testing.assert_allclose(sol.x, z - (z.sum() - 1.0) / 3, atol=1e-6)
     assert any(r["delta_c"] > 0 for r in records)
+
+
+def scopf_problems(net):
+    """Base, contingency (CL2) and master problems of `net` at their start
+    points."""
+    from scacopf import scopf
+    from scacopf.compl import init_default
+
+    base = scopf.build_base_problem(net)
+    point = base.meta.extract_base(base.x0)
+    k = net.contingency("CL2")
+    state = init_default(net, k)
+    spec = scopf.MasterSpec(net=net, included=("CL2",), compl={"CL2": state},
+                            base_point=point)
+    return {"base": base,
+            "ctg": scopf.build_contingency_problem(net, k, point, state),
+            "master": scopf.build_master_problem(spec)}
+
+
+def max_rel_diff(A, B):
+    diff = (sparse.csc_matrix(A) - B).tocoo()
+    return np.max(np.abs(diff.data), initial=0.0) / np.max(np.abs(B.data))
+
+
+@pytest.mark.parametrize("kind", ["base", "ctg", "master"])
+def test_kkt_matches_reference_assembly(net5, kind):
+    # the compiled K and Schur complement P equal the sparse-algebra
+    # assembly, before and after the first factorizations bake their column
+    # orderings in, and the step of the pre-permuted natural-order LU equals
+    # the step of an LU of the reference K
+    prob = scopf_problems(net5)[kind]
+    rng = np.random.default_rng(5)
+    lo = np.where(np.isfinite(prob.lb), prob.lb, prob.x0 - 1.0)
+    hi = np.where(np.isfinite(prob.ub), prob.ub, prob.x0 + 1.0)
+    me = prob.n_eq
+    for x in (prob.x0, lo + rng.uniform(0.05, 0.95, prob.n) * (hi - lo)):
+        y = rng.normal(size=me)
+        w = rng.uniform(0.1, 2.0, prob.n_ineq)
+        Hl = prob.hess(x, 1.0, y, w).tocsc()
+        J = nlp._row_stack(prob.jac_eq(x).tocsr(), prob.jac_ineq(x).tocsr())
+        kkt = nlp._Kkt(Hl, J)
+        for _ in range(2):
+            for dc in (0.0, 1e-8):
+                w_diag = rng.uniform(0.0, 10.0, prob.n) + 1e-4
+                t = rng.uniform(0.01, 1.0, prob.n_ineq)
+                d = np.concatenate([np.full(me, dc), t / w + dc])
+                d_test = np.concatenate([np.full(me, dc or 1e-8), t / w + dc])
+                W = Hl + Hl.T - sparse.diags(Hl.diagonal()) + sparse.diags(w_diag)
+                K_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d)]], format="csc")
+                P_ref = (W + J.T @ sparse.diags(1.0 / d_test) @ J).tocsc()
+
+                p_pos = kkt.p_pos if kkt.p_pos is not None else np.arange(prob.n)
+                P = kkt.schur(Hl.data, w_diag, J.data, d_test)
+                assert max_rel_diff(P[p_pos][:, p_pos], P_ref) <= 1e-14
+                kkt.inertia_ok(Hl.data, w_diag, J.data, d_test)
+
+                k_pos = kkt.k_pos if kkt.k_pos is not None else np.arange(K_ref.shape[0])
+                K = kkt.matrix(Hl.data, w_diag, J.data, d)
+                assert max_rel_diff(K[:, k_pos], K_ref) <= 1e-14
+                rhs = rng.normal(size=K_ref.shape[0])
+                step = kkt.factor(Hl.data, w_diag, J.data, d)(rhs)
+                ref = splu(K_ref).solve(rhs)
+                assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # the orderings are baked in, and not the identity
+        for pos in (kkt.p_pos, kkt.k_pos):
+            assert pos is not None and np.any(pos != np.arange(len(pos)))
+
+
+def test_kkt_pattern_compiled_once(net5, monkeypatch):
+    compiled = []
+    init = nlp._Kkt.__init__
+
+    def spy(self, Hl, J):
+        compiled.append(Hl.nnz)
+        init(self, Hl, J)
+
+    monkeypatch.setattr(nlp._Kkt, "__init__", spy)
+    for kind, prob in scopf_problems(net5).items():
+        compiled.clear()
+        sol = solve_nlp(prob, tol=1e-8)
+        assert sol.iterations > 1, kind
+        assert len(compiled) == 1, kind
+
+    # f = (x0 - 1)^2 + (x1 + 1)^2 + x0 max(x1, 0)^2 / 2: the mixed Hessian
+    # entry max(x1, 0) is exactly 0 once x1 < 0, where a COO matrix from a
+    # dense array drops it, so the pattern changes between iterates
+    def f(x):
+        return (x[0] - 1) ** 2 + (x[1] + 1) ** 2 + x[0] * max(x[1], 0.0) ** 2 / 2
+
+    def g(x):
+        s = max(x[1], 0.0)
+        return np.array([2 * (x[0] - 1) + s ** 2 / 2, 2 * (x[1] + 1) + x[0] * s])
+
+    def H(x):
+        s = max(x[1], 0.0)
+        return np.array([[2.0, s], [s, 2.0 + (x[0] if x[1] > 0 else 0.0)]])
+
+    prob = dense_problem(2, f, g, H, [0.5, 1.0], lb=[-2.0, -2.0], ub=[2.0, 2.0])
+    compiled.clear()
+    sol = solve_nlp(prob)
+    assert sol.status == nlp.OPTIMAL
+    np.testing.assert_allclose(sol.x, [1.0, -1.0], atol=1e-6)
+    assert compiled[:2] == [3, 2]
