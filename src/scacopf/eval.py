@@ -18,7 +18,7 @@ full engine only when the fast penalty exceeds a cutoff.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class EvaluationResult:
     base_tag: str = ""
     elapsed: float = 0.0
     status: str = "ok"
+    # [status, iterations] of the NLP of each full-evaluation segment round
+    nlp: list = field(default_factory=list)
 
 
 def default_cutoff(net: Network, violation=VIOLATION_CUTOFF):
@@ -364,6 +366,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     best = None  # (penalty, point, state)
     prev_pen = None
     start_point = start
+    rounds = []
     if start is not None:
         # the warm-start point is itself a feasible candidate; registering it
         # makes the returned penalty never worse than the seed's
@@ -378,6 +381,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
                                          start=start_point)
         sol = solve_nlp(prob, tol=1e-8, **budget.solver_kwargs(300))
         budget.charge(sol.iterations)
+        rounds.append([sol.status, sol.iterations])
         failed = sol.status in ("numerical_failure",) or not np.all(
             np.isfinite(sol.x))
         if failed and best is None:
@@ -390,6 +394,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
                 deterministic=deterministic)
             result.elapsed = budget.elapsed()
             result.status = "degraded"
+            result.nlp = rounds
             return result
         if failed:
             break
@@ -429,12 +434,13 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
                                deterministic=deterministic)
         result.elapsed = budget.elapsed()
         result.status = "degraded"
+        result.nlp = rounds
         return result
 
     return EvaluationResult(
         contingency_id=k.id, penalty=best[0], point=best[1], compl=best[2],
         method="full", base_tag=base_tag, elapsed=budget.elapsed(),
-        status="ok",
+        status="ok", nlp=rounds,
     )
 
 

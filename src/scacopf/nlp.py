@@ -5,7 +5,11 @@ with a sparse LU.
 The interior-point method uses a monotone barrier schedule, a sparse LU
 factorization of the KKT matrix with iterative refinement, inertia
 correction via Levenberg regularization, a fraction-to-boundary rule, and
-Armijo backtracking on an l1 merit function.  The inertia is tested without
+the filter line search with second-order corrections of Waechter & Biegler
+(Math. Program. 106, 2006, Sec. 2.3-2.4), without its feasibility
+restoration phase: a step is accepted if it reduces the constraint
+violation or the barrier objective enough and is not barred by the filter of
+earlier iterates.  The inertia is tested without
 an indefinite factorization: condensing the (regularized, negative
 definite) dual block leaves the primal Schur complement, and the KKT matrix
 has the wanted inertia iff that complement is positive definite, which a
@@ -270,6 +274,14 @@ def _ftb_alpha(val, dval, tau):
     return float(min(1.0, np.min(-tau * val[mask] / dval[mask])))
 
 
+# filter line search parameters (Waechter & Biegler 2006, Sec. 2.3-2.4)
+GAMMA_THETA, GAMMA_PHI = 1e-5, 1e-8
+S_THETA, S_PHI, DELTA = 1.1, 2.3, 1.0
+ETA = 1e-4
+KAPPA_SOC, MAX_SOC = 0.99, 4
+MAX_TRIALS = 30
+
+
 def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
               log=None, mu0=1e-1):
     """Solve an NlpProblem with a primal-dual interior-point method.
@@ -303,7 +315,6 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     zl[fin_l] = mu / (x[fin_l] - lb[fin_l])
     zu[fin_u] = mu / (ub[fin_u] - x[fin_u])
 
-    nu = 10.0
     tau_ftb = 0.995
     delta_c = 1e-8
     delta_w_last = 0.0
@@ -328,6 +339,33 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         score = (viol(xv, cEv, cIv), fv)
         if best is None or score < best[0]:
             best = (score, xv.copy())
+
+    def theta_of(cEv, cIv, tv):
+        """l1 norm of the constraint residual (the filter's theta)."""
+        return float(np.sum(np.abs(cEv)) + np.sum(np.abs(cIv + tv)))
+
+    def barrier(xv, tv, fv):
+        """Barrier objective phi at (xv, tv), whose objective value is fv."""
+        return fv - mu * (np.sum(np.log(xv[fin_l] - lb[fin_l]))
+                          + np.sum(np.log(ub[fin_u] - xv[fin_u]))
+                          + np.sum(np.log(tv)))
+
+    def measures(xv, tv):
+        """(theta, phi, cE, cI) at a trial point; theta and phi are inf and
+        nothing is evaluated outside the bounds."""
+        if np.any(xv[fin_l] <= lb[fin_l]) or np.any(xv[fin_u] >= ub[fin_u]) \
+                or np.any(tv <= 0.0):
+            return np.inf, np.inf, None, None
+        cEv = prob.eq(xv) if me else np.zeros(0)
+        cIv = prob.ineq(xv) if mi else np.zeros(0)
+        return theta_of(cEv, cIv, tv), barrier(xv, tv, prob.objective(xv)), cEv, cIv
+
+    # the filter: (theta, phi) pairs that bar every trial point with a larger
+    # theta and a larger phi; it starts empty at each barrier parameter
+    filt = []
+    theta_start = theta_of(prob.eq(x) if me else np.zeros(0), cI, t)
+    theta_max = 1e4 * max(1.0, theta_start)
+    theta_min = 1e-4 * min(1.0, theta_start)
 
     status = MAX_ITER
     it = 0
@@ -375,6 +413,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
         while resid(mu) <= 10.0 * mu and mu > tol / 10.0:
             mu = max(tol / 10.0, mu / 5.0)
+            filt.clear()
 
         Hl = prob.hess(x, 1.0, y, w).tocsc()
         J = _row_stack(JE, JI)
@@ -383,9 +422,11 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         sigma_x = np.where(fin_l, zl / np.maximum(gap_l, 1e-16), 0.0) \
             + np.where(fin_u, zu / np.maximum(gap_u, 1e-16), 0.0)
 
-        # barrier gradient used on the KKT right-hand side
-        gbar = grad_lag - np.where(fin_l, mu / np.maximum(gap_l, 1e-16), 0.0)
-        gbar += np.where(fin_u, mu / np.maximum(gap_u, 1e-16), 0.0)
+        # gradient of the barrier terms in x; with the Lagrangian's gradient
+        # it is the KKT right-hand side, with the objective's the filter's
+        bar_grad = np.where(fin_u, mu / np.maximum(gap_u, 1e-16), 0.0) \
+            - np.where(fin_l, mu / np.maximum(gap_l, 1e-16), 0.0)
+        gbar = grad_lag + bar_grad
 
         rhs = np.concatenate([
             -gbar,
@@ -425,102 +466,109 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         if not np.all(np.isfinite(sol)):
             status = NUMERICAL_FAILURE
             break
-        dx = sol[:n]
-        dy = sol[n:n + me]
-        dw = sol[n + me:]
-        dt = -(cI + t) - (JI @ dx) if mi else np.zeros(0)
-        dzl = np.where(fin_l, mu / np.maximum(gap_l, 1e-16) - zl
-                       - zl / np.maximum(gap_l, 1e-16) * dx, 0.0)
-        dzu = np.where(fin_u, mu / np.maximum(gap_u, 1e-16) - zu
-                       + zu / np.maximum(gap_u, 1e-16) * dx, 0.0)
 
-        # fraction-to-boundary step sizes
-        a_pri = 1.0
-        if mi:
-            a_pri = min(a_pri, _ftb_alpha(t, dt, tau_ftb))
-        a_pri = min(a_pri, _ftb_alpha(gap_l[fin_l], dx[fin_l], tau_ftb))
-        a_pri = min(a_pri, _ftb_alpha(gap_u[fin_u], -dx[fin_u], tau_ftb))
-        a_dual = 1.0
-        if mi:
-            a_dual = min(a_dual, _ftb_alpha(w, dw, tau_ftb))
-        a_dual = min(a_dual, _ftb_alpha(zl[fin_l], dzl[fin_l], tau_ftb))
-        a_dual = min(a_dual, _ftb_alpha(zu[fin_u], dzu[fin_u], tau_ftb))
+        def split(sol):
+            """(dx, dy, dw, dzl, dzu) of a KKT solution."""
+            dx = sol[:n]
+            dzl = np.where(fin_l, mu / np.maximum(gap_l, 1e-16) - zl
+                           - zl / np.maximum(gap_l, 1e-16) * dx, 0.0)
+            dzu = np.where(fin_u, mu / np.maximum(gap_u, 1e-16) - zu
+                           + zu / np.maximum(gap_u, 1e-16) * dx, 0.0)
+            return dx, sol[n:n + me], sol[n + me:], dzl, dzu
 
-        # l1 merit line search
-        dual_mag = max(
-            float(np.max(np.abs(y), initial=0.0)) if me else 0.0,
-            float(np.max(np.abs(w), initial=0.0)) if mi else 0.0,
-        )
-        nu = max(nu, 1.1 * dual_mag + 1.0)
+        def ftb_primal(dx, dt):
+            a = _ftb_alpha(t, dt, tau_ftb)
+            a = min(a, _ftb_alpha(gap_l[fin_l], dx[fin_l], tau_ftb))
+            return min(a, _ftb_alpha(gap_u[fin_u], -dx[fin_u], tau_ftb))
 
-        def barrier_merit(xv, tv, values=None):
-            """l1 merit at (xv, tv); `values` = (f, cE, cI) at xv, if known."""
-            gl = xv[fin_l] - lb[fin_l]
-            gu = ub[fin_u] - xv[fin_u]
-            if np.any(gl <= 0) or np.any(gu <= 0) or (mi and np.any(tv <= 0)):
-                return np.inf
-            fv, cEv, cIv = values or (prob.objective(xv),
-                                      prob.eq(xv) if me else np.zeros(0),
-                                      prob.ineq(xv) if mi else np.zeros(0))
-            bar = fv - mu * (np.sum(np.log(gl)) + np.sum(np.log(gu)))
-            if mi:
-                bar -= mu * np.sum(np.log(tv))
-            pen = np.sum(np.abs(cEv)) + (np.sum(np.abs(cIv + tv)) if mi else 0.0)
-            return bar + nu * pen
+        def ftb_dual(dw, dzl, dzu):
+            a = _ftb_alpha(w, dw, tau_ftb)
+            a = min(a, _ftb_alpha(zl[fin_l], dzl[fin_l], tau_ftb))
+            return min(a, _ftb_alpha(zu[fin_u], dzu[fin_u], tau_ftb))
 
-        phi0 = barrier_merit(x, t, (f, cE, cI))
-        con_norm = np.sum(np.abs(cE)) + (np.sum(np.abs(cI + t)) if mi else 0.0)
-        dphi = float(gbar @ dx) - float(np.sum((mu / t) * dt)) if mi else float(gbar @ dx)
-        dphi -= nu * con_norm
-        if dphi > -1e-14:
-            dphi = -max(1e-14, float(dx @ dx))
+        dx, dy, dw, dzl, dzu = split(sol)
+        dt = -(cI + t) - JI @ dx
+        a_pri = ftb_primal(dx, dt)
+        a_dual = ftb_dual(dw, dzl, dzu)
+
+        # filter line search (Waechter & Biegler 2006, Sec. 2.3-2.4); dphi is
+        # the barrier objective's directional derivative along (dx, dt)
+        theta0 = theta_of(cE, cI, t)
+        phi0 = barrier(x, t, f)
+        dphi = float((g + bar_grad) @ dx) - float(np.sum(mu / t * dt))
+
+        def accepts(theta_n, phi_n, alpha_test):
+            """'f' (Armijo step), 'h' (filter step) or None for a trial point
+            with measures (theta_n, phi_n); alpha_test is the step size of
+            the switching condition and the Armijo test."""
+            if not (theta_n <= theta_max and np.isfinite(phi_n)):
+                return None
+            if any(theta_n >= th and phi_n >= ph for th, ph in filt):
+                return None
+            # the epsilon slack keeps the tests passable when the predicted
+            # decrease is below rounding noise in the barrier objective
+            noise = 1e-12 * (1.0 + abs(phi0))
+            if theta0 <= theta_min and dphi < 0.0 and \
+                    alpha_test * (-dphi) ** S_PHI > DELTA * theta0 ** S_THETA:
+                return "f" if phi_n <= phi0 + ETA * alpha_test * dphi + noise else None
+            if theta_n <= (1.0 - GAMMA_THETA) * theta0 or \
+                    phi_n <= phi0 - GAMMA_PHI * theta0 + noise:
+                return "h"
+            return None
+
+        def soc_step(theta_n, cEn, cIn, tn):
+            """Second-order correction of the rejected full step: the accepted
+            (kind, alpha, solution, dt) or None."""
+            c_soc_e = a_pri * cE + cEn
+            c_soc_i = a_pri * (cI + t) + (cIn + tn)
+            theta_old = theta_n
+            for _ in range(MAX_SOC):
+                sol_s = solve(np.concatenate([-gbar, -c_soc_e, -(c_soc_i - t + mu / w)]))
+                if not np.all(np.isfinite(sol_s)):
+                    return None
+                dx_s = sol_s[:n]
+                dt_s = -c_soc_i - JI @ dx_s
+                a_soc = ftb_primal(dx_s, dt_s)
+                xs, ts = x + a_soc * dx_s, t + a_soc * dt_s
+                theta_s, phi_s, cEs, cIs = measures(xs, ts)
+                kind = accepts(theta_s, phi_s, a_pri)
+                if kind:
+                    return kind, a_soc, sol_s, dt_s
+                if not theta_s <= KAPPA_SOC * theta_old:
+                    return None
+                c_soc_e = a_soc * c_soc_e + cEs
+                c_soc_i = a_soc * c_soc_i + (cIs + ts)
+                theta_old = theta_s
+            return None
 
         alpha = a_pri
-        accepted = False
-        for _ in range(30):
-            xn = x + alpha * dx
-            tn = t + alpha * dt if mi else t
-            phi = barrier_merit(xn, tn)
-            # the epsilon slack keeps the test passable when the predicted
-            # decrease is below rounding noise in the merit value
-            if phi <= phi0 + 1e-4 * alpha * dphi + 1e-12 * (1.0 + abs(phi0)):
-                accepted = True
+        kind = None
+        for trial in range(MAX_TRIALS):
+            tn = t + alpha * dt
+            theta_n, phi_n, cEn, cIn = measures(x + alpha * dx, tn)
+            kind = accepts(theta_n, phi_n, alpha)
+            if kind:
                 break
+            # a correction of a zero residual would repeat the same step
+            if trial == 0 and theta_n >= theta0 and theta_n > 0.0 \
+                    and cEn is not None:
+                soc = soc_step(theta_n, cEn, cIn, tn)
+                if soc:
+                    kind, alpha, sol, dt = soc
+                    dx, dy, dw, dzl, dzu = split(sol)
+                    a_dual = ftb_dual(dw, dzl, dzu)
+                    break
             alpha *= 0.5
-        if not accepted:
-            # merit rejection near a solution can be pure rounding noise; fall
-            # back to the full step whenever it reduces the barrier KKT error
-            xf = x + a_pri * dx
-            tf = t + a_pri * dt if mi else t
-            yf = y + a_pri * dy
-            wf = np.maximum(w + a_dual * dw, 1e-300) if mi else w
-            zlf = np.where(fin_l, np.maximum(zl + a_dual * dzl, 1e-300), 0.0)
-            zuf = np.where(fin_u, np.maximum(zu + a_dual * dzu, 1e-300), 0.0)
-            gf = prob.gradient(xf)
-            cEf = prob.eq(xf) if me else np.zeros(0)
-            cIf = prob.ineq(xf) if mi else np.zeros(0)
-            JEf = prob.jac_eq(xf).tocsr() if me else sparse.csr_matrix((0, n))
-            JIf = prob.jac_ineq(xf).tocsr() if mi else sparse.csr_matrix((0, n))
-            rdf = gf + JEf.T @ yf + JIf.T @ wf - zlf + zuf
-            gap_lf = np.where(fin_l, xf - lb, np.inf)
-            gap_uf = np.where(fin_u, ub - xf, np.inf)
-            ef = float(np.max(np.abs(rdf), initial=0.0))
-            if me:
-                ef = max(ef, float(np.max(np.abs(cEf))))
-            if mi:
-                ef = max(ef, float(np.max(np.abs(cIf + tf))))
-                ef = max(ef, float(np.max(np.abs(tf * wf - mu))))
-            ef = max(ef, float(np.max(np.abs(gap_lf[fin_l] * zlf[fin_l] - mu),
-                                      initial=0.0)))
-            ef = max(ef, float(np.max(np.abs(gap_uf[fin_u] * zuf[fin_u] - mu),
-                                      initial=0.0)))
-            if np.isfinite(ef) and ef <= (1.0 - 1e-4) * resid(mu):
-                alpha = a_pri
-            xn = x + alpha * dx
-            tn = t + alpha * dt if mi else t
+        if kind is None:
+            # out of trials: take the fraction-to-boundary step and start
+            # a new filter from it
+            alpha = a_pri
+            filt.clear()
+        elif kind == "h":
+            filt.append(((1.0 - GAMMA_THETA) * theta0, phi0 - GAMMA_PHI * theta0))
 
-        x = xn
-        t = tn
+        x = x + alpha * dx
+        t = t + alpha * dt
         y = y + alpha * dy
         # fraction-to-boundary keeps duals positive; the floor only guards
         # against underflow to exactly zero

@@ -273,7 +273,7 @@ def _solve_base(net, report, start, clock, log, seed):
     if sol.status in ("optimal", "max_iter", "time_limit") and np.all(
             np.isfinite(sol.x)) and sol.constraint_violation < 1e-6:
         return prob, sol
-    log.emit("base-solve-retry", status=sol.status)
+    log.emit("base-solve-retry", status=sol.status, iterations=sol.iterations)
     rng = np.random.default_rng(seed)
     perturbed = start.copy()
     perturbed.state.v *= 1.0 + rng.uniform(-0.01, 0.01,
@@ -322,7 +322,8 @@ def run_code1(net: Network, cfg: RunConfig,
     prob, sol = _solve_base(net_p, report, start, clock, log, cfg.seed)
     base_point = prob.meta.extract_base(sol.x)
     objective, penalty = _reprice_base(net_p, base_point)
-    log.emit("base-solved", objective=objective, penalty=penalty)
+    log.emit("base-solved", objective=objective, penalty=penalty,
+             status=sol.status, iterations=sol.iterations)
 
     # Step 3: write the first base solution
     tag = 1
@@ -366,7 +367,7 @@ def run_code1(net: Network, cfg: RunConfig,
             compl_states[res.contingency_id] = res.compl
             master_points[res.contingency_id] = res.point
             log.emit("evaluated", contingency=res.contingency_id,
-                     penalty=res.penalty, method=res.method)
+                     penalty=res.penalty, method=res.method, nlp=res.nlp)
 
     # Step 5: fast evaluation sweep under its own budget
     sweep_budget = min(cfg.init_fast_eval_budget, max(0.0, clock.remaining()))
@@ -442,7 +443,8 @@ def run_code1(net: Network, cfg: RunConfig,
         clock.charge(1.0)  # nominal deterministic charge per master solve
         if not np.all(np.isfinite(msol.x)) or \
                 msol.constraint_violation > 1e-4:
-            log.emit("master-failed", status=msol.status)
+            log.emit("master-failed", status=msol.status,
+                     iterations=msol.iterations)
             break
         base_point = mprob.meta.extract_base(msol.x)
         for c in included:
@@ -451,7 +453,7 @@ def run_code1(net: Network, cfg: RunConfig,
             compl_states[c].delta = master_points[c].delta
         objective, penalty = _reprice_base(net_p, base_point)
         log.emit("master-solved", objective=objective, penalty=penalty,
-                 status=msol.status)
+                 status=msol.status, iterations=msol.iterations)
 
         # Step 9: write the new base solution
         tag += 1

@@ -246,3 +246,35 @@ def test_square_system_raw_point_flows_are_defined(ctg_id):
     raw = sys_.raw_point(z)
     defined = scopf.flows_from_state(net, raw.state, k.outaged)
     np.testing.assert_array_equal(raw.state.flows, defined.flows)
+
+
+def generated_base(n_bus):
+    """`gen-case n_bus --seed 3` after preprocessing, with its base solved
+    from a flat start as code1 does."""
+    from scacopf.case_model import preprocess
+    from scacopf.cli import generate_case
+    from scacopf.orchestrator import flat_start
+    net, report = preprocess(generate_case(n_bus, 3))
+    prob = scopf.build_base_problem(net, report, start=flat_start(net))
+    sol = nlp.solve_nlp(prob, tol=1e-8)
+    assert sol.status == nlp.OPTIMAL
+    return net, prob.meta.extract_base(sol.x)
+
+
+def test_full_evaluations_on_14_buses_are_optimal():
+    net, base = generated_base(14)
+    rounds = []
+    for k in net.contingencies:
+        res = ev.full_evaluate(net, k, base, time_limit=10, deterministic=True)
+        assert res.method == "full"
+        rounds += res.nlp
+    assert [status for status, _ in rounds] == [nlp.OPTIMAL] * len(rounds)
+    assert sum(iterations for _, iterations in rounds) <= 400
+
+
+def test_full_evaluation_on_60_buses_is_optimal():
+    net, base = generated_base(60)
+    res = ev.full_evaluate(net, net.contingency("KG4"), base, time_limit=10,
+                           deterministic=True)
+    assert res.nlp and all(status == nlp.OPTIMAL for status, _ in res.nlp)
+    assert res.penalty < 1e-6

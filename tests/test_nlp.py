@@ -186,6 +186,77 @@ def test_max_iter_status_returns_best():
     assert np.all(np.isfinite(sol.x))
 
 
+def maratos_problem():
+    """min 2(x1^2 + x2^2 - 1) - x1 s.t. x1^2 + x2^2 = 1, optimum (1, 0): a
+    full step from near the circle raises the constraint violation at second
+    order (the Maratos effect)."""
+    def hess(x, sf, le, li):
+        return sparse.coo_matrix((4.0 * sf + 2.0 * le[0]) * np.eye(2))
+
+    return NlpProblem(
+        n=2, x0=np.array([math.cos(0.2), math.sin(0.2)]),
+        lb=np.full(2, -np.inf), ub=np.full(2, np.inf),
+        objective=lambda x: 2.0 * (x @ x - 1.0) - x[0],
+        gradient=lambda x: 4.0 * x - np.array([1.0, 0.0]),
+        eq=lambda x: np.array([x @ x - 1.0]),
+        ineq=lambda x: np.zeros(0),
+        jac_eq=lambda x: sparse.coo_matrix(2.0 * x[None, :]),
+        jac_ineq=lambda x: sparse.coo_matrix((0, 2)),
+        hess=hess, n_eq=1, n_ineq=0)
+
+
+def test_maratos_full_steps():
+    # the second-order correction lets every step after the first be full
+    records = []
+    sol = solve_nlp(maratos_problem(), tol=1e-10, log=records.append)
+    assert sol.status == nlp.OPTIMAL
+    assert sol.iterations <= 8
+    assert [r["alpha_primal"] for r in records[1:]] == [1.0] * (len(records) - 1)
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-8)
+
+
+def test_filter_restarts_at_each_barrier_parameter():
+    # min 0.004 (x + y) s.t. x^2 + y^2 = 1, x >= -0.5, y >= 0, and a third
+    # variable in [-10, 10] that the objective ignores: its barrier terms
+    # raise the barrier objective of every point whenever mu falls, so a
+    # filter kept from an earlier mu would bar the steps along the circle
+    def hess(x, sf, le, li):
+        return sparse.coo_matrix(np.diag([2.0 * le[0], 2.0 * le[0], 0.0]))
+
+    c = np.array([0.004, 0.004, 0.0])
+    prob = NlpProblem(
+        n=3, x0=np.array([-1.5, 0.0, 0.0]),
+        lb=np.array([-0.5, 0.0, -10.0]), ub=np.array([np.inf, np.inf, 10.0]),
+        objective=lambda x: float(c @ x), gradient=lambda x: c.copy(),
+        eq=lambda x: np.array([x[:2] @ x[:2] - 1.0]),
+        ineq=lambda x: np.zeros(0),
+        jac_eq=lambda x: sparse.coo_matrix([[2.0 * x[0], 2.0 * x[1], 0.0]]),
+        jac_ineq=lambda x: sparse.coo_matrix((0, 3)),
+        hess=hess, n_eq=1, n_ineq=0)
+    sol = solve_nlp(prob, tol=1e-8, max_iter=100)
+    assert sol.status == nlp.OPTIMAL
+    np.testing.assert_allclose(sol.x[:2], [-0.5, math.sqrt(0.75)], atol=1e-6)
+
+
+def test_line_search_out_of_trials_returns_best():
+    # objective and gradient are nan everywhere but x0: every trial point is
+    # rejected, the fraction-to-boundary step is taken, and the next
+    # iterate's nan step ends the solve at the best point, x0
+    x0 = np.array([0.5])
+
+    def only_at_x0(value):
+        return lambda x: value(x) if np.array_equal(x, x0) else np.nan * value(x)
+
+    prob = dense_problem(1, only_at_x0(lambda x: (x[0] - 3.0) ** 2),
+                         only_at_x0(lambda x: 2.0 * (x - 3.0)),
+                         lambda x: [[2.0]], x0)
+    records = []
+    sol = solve_nlp(prob, log=records.append)
+    assert sol.status != nlp.OPTIMAL
+    assert records[1]["alpha_primal"] == 1.0
+    np.testing.assert_array_equal(sol.x, x0)
+
+
 # --- square systems ----------------------------------------------------------
 
 def test_scalar_newton():

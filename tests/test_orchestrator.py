@@ -221,3 +221,29 @@ def test_run_log_deterministic_stamps(tmp_path):
     lines = [json.loads(line) for line in open(log.path)]
     assert [rec["t"] for rec in lines] == [1, 2]
     assert lines[1]["extra"] == 3
+
+
+def test_run_log_records_every_nlp(tmp_path, monkeypatch):
+    from scacopf.cli import generate_case
+    solved = []
+    real = orch.solve_nlp
+
+    def spy(*a, **kw):
+        sol = real(*a, **kw)
+        solved.append([sol.status, sol.iterations])
+        return sol
+
+    monkeypatch.setattr(orch, "solve_nlp", spy)
+    monkeypatch.setattr(orch.eval_mod, "solve_nlp", spy)
+    res = run_code1(generate_case(14, 3), quick_cfg(tmp_path, deterministic=True))
+    logged, sources = [], set()
+    for rec in map(json.loads, open(res.log_path)):
+        if rec["event"] in ("base-solve-retry", "base-solved", "master-solved",
+                            "master-failed"):
+            logged.append([rec["status"], rec["iterations"]])
+            sources.add(rec["event"])
+        elif rec["event"] == "evaluated" and rec["nlp"]:
+            logged += rec["nlp"]
+            sources.add(rec["event"])
+    assert sources >= {"base-solved", "evaluated", "master-solved"}
+    assert logged == solved
