@@ -5,11 +5,12 @@ Every branch-side flow expression has the common form
     F = K v_x^2 + (P cos d + Q sin d) v_o v_d,      d = th_o - th_d - phi,
 
 where (K, P, Q), the squared-voltage side x, and the phase offset phi depend
-on the branch type and side.  `CaseLayout` compiles one case (network,
-outage, rating set) into branch end-index and coefficient arrays once; every
-value and first or second derivative is then a few numpy expressions over
-all branches at once, on a sparsity pattern that is fixed per case (the
-vectorized ``dSbus/dV`` of MATPOWER, Zimmerman et al. 2011).
+on the branch type and side.  `CaseLayout` compiles one case (network and
+outage, which also picks the rating set) into branch end-index and
+coefficient arrays once; every value and first or second derivative is then
+a few numpy expressions over all branches at once, on a sparsity pattern
+that is fixed per case (the vectorized ``dSbus/dV`` of MATPOWER, Zimmerman
+et al. 2011).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .case_model import Line, Network
 
@@ -27,10 +27,6 @@ __all__ = [
     "CaseLayout",
     "branch_flows",
     "balance_residuals",
-    "rating_values",
-    "expression_values",
-    "jacobians",
-    "hessians",
 ]
 
 
@@ -98,41 +94,36 @@ class CaseLayout:
     """Compiled model of one case: flat variable layout, expression rows,
     and the branch, bus and generator arrays that every evaluation uses.
 
-    Variable order: v, theta, bcs (per bus), p_gen, q_gen (per generator),
-    then (p_o, q_o, p_d, q_d) per branch with lines before transformers.
+    Variable order, live columns only: v, theta, bcs (per bus), p_gen, then
+    q_gen (per available generator), then (p_o, q_o, p_d, q_d) per
+    in-service branch with lines before transformers.  `pack` drops the
+    outaged generator's or branch's entries and `unpack` sets them to zero.
     Rows: flow expressions for in-service branches, then per-bus P and Q
     balance, then origin/destination rating expressions for in-service
-    branches.  The outaged component (if any) contributes no rows and its
-    generator/flow columns are never referenced.  Ratings use the
-    contingency set when `ctg_ratings` is true.  Built once per case and
+    branches.  The base case (``outaged is None``) is rated by ``r_max``/
+    ``s_max``, every contingency by ``r_max_ctg``/``s_max_ctg``.  Methods
+    read a vector's first `nvar` entries only, so a longer vector whose
+    head is the layout can be passed as it is.  Built once per case and
     never changed afterwards.
     """
 
-    def __init__(self, net: Network, outaged=None, ctg_ratings=False):
-        self.net = net
-        self.outaged = outaged
-        self.ctg_ratings = ctg_ratings
-        nb = len(net.buses)
-        ng = len(net.generators)
-        nbr = len(net.branches)
-        self.nb, self.ng, self.nbr = nb, ng, nbr
-        self.v0 = 0
-        self.th0 = nb
-        self.bcs0 = 2 * nb
-        self.p0 = 3 * nb
-        self.q0 = 3 * nb + ng
-        self.fl0 = 3 * nb + 2 * ng
-        self.nvar = 3 * nb + 2 * ng + 4 * nbr
-
+    def __init__(self, net: Network, outaged=None):
         self.in_service = [
             (bi, br) for bi, br in enumerate(net.branches) if br.id != outaged
         ]
         self.avail_gens = [
             (gi, g) for gi, g in enumerate(net.generators) if g.id != outaged
         ]
-        m = len(self.in_service)
-        self.m = m
-        self.flow_rows = range(4 * m)
+        nb, na, m = len(net.buses), len(self.avail_gens), len(self.in_service)
+        self.nb, self.m = nb, m
+        self.ng, self.nbr = len(net.generators), len(net.branches)
+        self.v0 = 0
+        self.th0 = nb
+        self.bcs0 = 2 * nb
+        self.p0 = 3 * nb
+        self.q0 = 3 * nb + na
+        self.fl0 = 3 * nb + 2 * na
+        self.nvar = self.fl0 + 4 * m
         self.nrows = 6 * m + 2 * nb
 
         # branch arrays over in-service branches (lines first)
@@ -141,53 +132,57 @@ class CaseLayout:
         self.K, self.P, self.Q, self.phi = _coeffs(
             [br for br, line in zip(brs, is_line) if line],
             [br for br, line in zip(brs, is_line) if not line])
-        attr = ("r_max_ctg", "s_max_ctg") if ctg_ratings else ("r_max", "s_max")
+        attr = ("r_max", "s_max") if outaged is None else ("r_max_ctg", "s_max_ctg")
         svc, o, d, rate = np.array(
             [(bi, net.bus_index(br.origin), net.bus_index(br.destination),
               getattr(br, attr[not line])) for (bi, br), line in zip(self.in_service, is_line)],
             dtype=float).reshape(-1, 4).T
         self.svc, self.o, self.d = svc.astype(int), o.astype(int), d.astype(int)
-        self.fcols = self.fl0 + 4 * self.svc[:, None] + np.arange(4)
         # rating base: rate * v at the end for a line, rate for a transformer
         self.rate = rate
         self.is_line = is_line
         self.line_pos = np.flatnonzero(is_line)
         self.ends = np.column_stack((self.o, self.d))
 
-        # bus and generator arrays
+        # bus and generator arrays; gen_col[gi] is generator gi's column
+        # offset from p0 (and from q0), -1 for the outaged one
         self.p_load, self.q_load, self.g_fs, self.b_fs = np.array(
             [(bus.p_load, bus.q_load, bus.g_fs, bus.b_fs) for bus in net.buses],
             dtype=float).reshape(-1, 4).T
         self.gens, self.gen_bus = np.array(
             [(gi, net.bus_index(g.bus)) for gi, g in self.avail_gens],
             dtype=int).reshape(-1, 2).T
-        self.live = np.ones(self.nvar, dtype=bool)
-        self.live[self.p0:] = False
-        self.live[self.p0 + self.gens] = True
-        self.live[self.q0 + self.gens] = True
-        self.live[self.fcols.ravel()] = True
+        self.gen_col = np.full(self.ng, -1)
+        self.gen_col[self.gens] = np.arange(na)
 
     def pack(self, state: FlowState):
         x = np.empty(self.nvar)
-        nb, ng = self.nb, self.ng
+        nb = self.nb
         x[self.v0:self.v0 + nb] = state.v
         x[self.th0:self.th0 + nb] = state.theta
         x[self.bcs0:self.bcs0 + nb] = state.bcs
-        x[self.p0:self.p0 + ng] = state.p_gen
-        x[self.q0:self.q0 + ng] = state.q_gen
-        x[self.fl0:] = state.flows.reshape(-1)
+        x[self.p0:self.q0] = state.p_gen[self.gens]
+        x[self.q0:self.fl0] = state.q_gen[self.gens]
+        x[self.fl0:] = state.flows[self.svc].reshape(-1)
         return x
 
     def unpack(self, x):
-        nb, ng = self.nb, self.ng
+        nb = self.nb
+        p_gen, q_gen = np.zeros(self.ng), np.zeros(self.ng)
+        p_gen[self.gens] = x[self.p0:self.q0]
+        q_gen[self.gens] = x[self.q0:self.fl0]
+        flows = np.zeros((self.nbr, 4))
+        flows[self.svc] = self.flow_vars(x)
         return FlowState(
             v=x[self.v0:self.v0 + nb].copy(),
             theta=x[self.th0:self.th0 + nb].copy(),
             bcs=x[self.bcs0:self.bcs0 + nb].copy(),
-            p_gen=x[self.p0:self.p0 + ng].copy(),
-            q_gen=x[self.q0:self.q0 + ng].copy(),
-            flows=x[self.fl0:].reshape(self.nbr, 4).copy(),
+            p_gen=p_gen, q_gen=q_gen, flows=flows,
         )
+
+    def flow_vars(self, x):
+        """The flow variables, shape (in-service branches, 4)."""
+        return x[self.fl0:self.nvar].reshape(-1, 4)
 
     # --- values on a flat layout vector x ---------------------------------
 
@@ -210,9 +205,9 @@ class CaseLayout:
         v = x[self.v0:self.v0 + nb]
         p = -self.p_load - self.g_fs * v * v
         q = -self.q_load + (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v * v
-        np.add.at(p, self.gen_bus, x[self.p0 + self.gens])
-        np.add.at(q, self.gen_bus, x[self.q0 + self.gens])
-        fl = x[self.fcols]
+        np.add.at(p, self.gen_bus, x[self.p0:self.q0])
+        np.add.at(q, self.gen_bus, x[self.q0:self.fl0])
+        fl = self.flow_vars(x)
         np.subtract.at(p, self.ends.ravel(), fl[:, 0::2].ravel())
         np.subtract.at(q, self.ends.ravel(), fl[:, 1::2].ravel())
         return p, q
@@ -220,7 +215,7 @@ class CaseLayout:
     def ratings(self, x):
         """(lhs, rhs): squared flow magnitudes and rating bases, shape
         (in-service branches, 2) for (origin, destination)."""
-        fl = x[self.fcols]
+        fl = self.flow_vars(x)
         lhs = np.column_stack((fl[:, 0] * fl[:, 0] + fl[:, 1] * fl[:, 1],
                                fl[:, 2] * fl[:, 2] + fl[:, 3] * fl[:, 3]))
         v_ends = x[self.v0 + self.ends]
@@ -244,7 +239,7 @@ class CaseLayout:
         o, d = self.v0 + self.o, self.v0 + self.d
         rP, rQ, r0 = 4 * m, 4 * m + nb, 4 * m + 2 * nb
         bus = np.arange(nb)
-        fc = self.fcols
+        fc = np.arange(self.fl0, self.nvar)
         ln = self.line_pos
         rows = [np.repeat(np.arange(4 * m), 4),
                 rP + bus, rQ + bus, rQ + bus,
@@ -255,8 +250,7 @@ class CaseLayout:
         cols = [np.column_stack((o, d, self.th0 + self.o, self.th0 + self.d))
                 .repeat(4, axis=0).ravel(),
                 self.v0 + bus, self.v0 + bus, self.bcs0 + bus,
-                self.p0 + self.gens, self.q0 + self.gens,
-                fc.ravel(), fc.ravel(),
+                np.arange(self.p0, self.q0), np.arange(self.q0, self.fl0), fc, fc,
                 (self.v0 + self.ends[ln]).ravel()]
         return np.concatenate(rows), np.concatenate(cols)
 
@@ -279,7 +273,7 @@ class CaseLayout:
             2.0 * (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v,
             v * v,
             np.ones(2 * ng), np.full(4 * m, -1.0),
-            2.0 * x[self.fcols].ravel(),
+            2.0 * self.flow_vars(x).ravel(),
             (-2.0 * r * r * v[self.ends[ln]]).ravel()))
 
     # --- second derivatives ---------------------------------------------
@@ -296,7 +290,7 @@ class CaseLayout:
         cv = np.column_stack((self.v0 + self.o, self.v0 + self.d,
                               self.th0 + self.o, self.th0 + self.d))
         a, b = cv[:, self._HESS_PAIRS[:, 0]], cv[:, self._HESS_PAIRS[:, 1]]
-        fc = self.fcols.ravel()
+        fc = np.arange(self.fl0, self.nvar)
         vl = (self.v0 + self.ends[self.line_pos]).ravel()
         rows = [np.maximum(a, b).ravel(), self.v0 + bus, self.bcs0 + bus, fc, vl]
         cols = [np.minimum(a, b).ravel(), self.v0 + bus, self.v0 + bus, fc, vl]
@@ -326,71 +320,7 @@ class CaseLayout:
             (-2.0 * r * r * w_rat[self.line_pos]).ravel()))
 
 
-def _state_model(net, state, outaged=None, ctg_ratings=False):
-    lay = CaseLayout(net, outaged, ctg_ratings)
-    return lay, lay.pack(state)
-
-
 def balance_residuals(net, state, outaged=None):
     """Per-bus active/reactive mismatch before slacks, excluding the outage."""
-    lay, x = _state_model(net, state, outaged)
-    return BalanceResiduals(*lay.balance(x))
-
-
-def rating_values(net, state, use_ctg_ratings=False):
-    """Squared-flow magnitudes and un-squared rating bases for every branch.
-
-    Returns (lhs_o, lhs_d, rhs_base_o, rhs_base_d) arrays over branches.  For
-    a line the rating base is ``r_max * v`` at the corresponding end; for a
-    transformer it is ``s_max`` at both ends.  Slacks are not applied here.
-    """
-    lay, x = _state_model(net, state, None, use_ctg_ratings)
-    lhs, rhs = lay.ratings(x)
-    return lhs[:, 0], lhs[:, 1], rhs[:, 0], rhs[:, 1]
-
-
-def _with_ratings(layout, use_ctg_ratings):
-    if layout.ctg_ratings == use_ctg_ratings:
-        return layout
-    return CaseLayout(layout.net, layout.outaged, use_ctg_ratings)
-
-
-def expression_values(layout: CaseLayout, state: FlowState, use_ctg_ratings=False):
-    """Values of all flow/balance/rating expressions in row order.
-
-    Flow rows are the flow expressions themselves (functions of v, theta);
-    balance rows follow `balance_residuals`; rating rows are
-    ``lhs - rhs_base**2`` with no slack applied.
-    """
-    return _with_ratings(layout, use_ctg_ratings).expr_values(layout.pack(state))
-
-
-def jacobians(net, state, outaged=None, use_ctg_ratings=False, layout=None):
-    """Sparse first derivatives of all flow/balance/rating expressions.
-
-    Returns ``(J, layout)`` with J a CSR matrix of shape
-    ``(layout.nrows, layout.nvar)`` and deterministic entry ordering.
-    """
-    if layout is None:
-        layout = CaseLayout(net, outaged, use_ctg_ratings)
-    model = _with_ratings(layout, use_ctg_ratings)
-    J = sparse.coo_matrix((model.jac_values(model.pack(state)), model.jac_pattern()),
-                          shape=(layout.nrows, layout.nvar))
-    return J.tocsr(), layout
-
-
-def hessians(net, state, outaged=None, weights=None, use_ctg_ratings=False, layout=None):
-    """Weighted sum of expression Hessians as a lower-triangle COO matrix.
-
-    ``weights`` is a vector over expression rows (defaults to all ones); the
-    result is the lower triangle of ``sum_r weights[r] * hess(expr_r)``.
-    """
-    if layout is None:
-        layout = CaseLayout(net, outaged, use_ctg_ratings)
-    model = _with_ratings(layout, use_ctg_ratings)
-    if weights is None:
-        weights = np.ones(layout.nrows)
-    H = sparse.coo_matrix((model.hess_values(model.pack(state), weights),
-                           model.hess_pattern()), shape=(layout.nvar, layout.nvar))
-    H.sum_duplicates()
-    return H
+    lay = CaseLayout(net, outaged)
+    return BalanceResiduals(*lay.balance(lay.pack(state)))

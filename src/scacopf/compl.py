@@ -159,7 +159,7 @@ def project_response(state: ComplementarityState, net, k,
     segments land exactly on their bound; middle active-power segments follow
     the response rule at the state's delta.  Flows and slacks are then
     recomputed so the result is feasible with minimal slacks, on `layout`
-    (the model of `k.outaged` with contingency ratings) when given.
+    (the model of `k.outaged`) when given.
     """
     fs = raw_point.state.copy()
     v_min, v_max, b_min, b_max = np.array(
@@ -180,5 +180,5 @@ def project_response(state: ComplementarityState, net, k,
     out = np.array([g.id == k.outaged for g in gens], dtype=bool)
     fs.p_gen[out] = fs.q_gen[out] = 0.0
     fs = flows_from_state(net, fs, k.outaged, layout=layout)
-    return slacks_from_state(net, fs, k.outaged, ctg_ratings=True,
-                             delta=state.delta, layout=layout)
+    return slacks_from_state(net, fs, k.outaged, delta=state.delta,
+                             layout=layout)

@@ -115,7 +115,7 @@ class _Budget:
             return {"max_iter": max_iter}
         kw = {"max_iter": max_iter}
         if self.limit is not None:
-            kw["time_limit"] = max(0.0, self.limit - (time.monotonic() - self.t0))
+            kw["time_limit"] = self.remaining()
         return kw
 
     def charge(self, iterations):
@@ -124,6 +124,19 @@ class _Budget:
 
     def elapsed(self):
         return time.monotonic() - self.t0
+
+    def remaining(self):
+        """The unspent budget as the time limit of a nested evaluation.  In
+        deterministic mode it buys the operations left (plus half of one, so
+        that the nested budget's truncation to whole operations gives back
+        exactly ``ops_left``), and the wall clock plays no part."""
+        if self.deterministic:
+            if self.ops_left is None:
+                return None
+            return max(0.0, (self.ops_left + 0.5) / self.OPS_PER_SECOND)
+        if self.limit is None:
+            return None
+        return max(0.0, self.limit - self.elapsed())
 
 
 class _SquareSystem:
@@ -149,8 +162,8 @@ class _SquareSystem:
                            if g.id in state.active]
         self.avail = lay.avail_gens
         resp = np.array([gi for gi, _ in self.responders], dtype=int)
-        self.p_cols = lay.p0 + resp
-        self.q_cols = lay.q0 + lay.gens
+        self.p_cols = lay.p0 + lay.gen_col[resp]
+        self.q_cols = np.arange(lay.q0, lay.fl0)
         self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), self.p_cols,
                                     self.q_cols))
         col_pos = np.full(lay.nvar, -1, dtype=int)
@@ -158,10 +171,8 @@ class _SquareSystem:
         self.delta_col = len(self.cols)
         self.n = len(self.cols) + 1
 
-        # fixed full-layout template: base shunts, base non-responder output,
-        # outaged component zeroed
+        # fixed layout template: base shunts, base non-responder output
         self.template = lay.pack(base.state)
-        self.template[~lay.live] = 0.0
         self.ref = net.bus_index(net.reference_bus)
 
         # response rows: a middle segment follows the response rule (active)
@@ -207,7 +218,7 @@ class _SquareSystem:
     def full_x(self, z):
         x = self.template.copy()
         x[self.cols] = z[:-1]
-        x[self.lay.fcols] = self.lay.flow_values(x)
+        x[self.lay.fl0:] = self.lay.flow_values(x).ravel()
         return x
 
     def start(self, point, delta):
@@ -298,7 +309,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     state = _init_state(net, k, init_compl, base)
     state_fb = state.copy()
     # one compiled model serves every round: ratings only affect the slacks
-    lay = CaseLayout(net, k.outaged, ctg_ratings=True)
+    lay = CaseLayout(net, k.outaged)
 
     # guaranteed fallback: base state projected into the response rules with
     # slacks absorbing all residuals
@@ -372,7 +383,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         # makes the returned penalty never worse than the seed's
         seeded = slacks_from_state(
             net, flows_from_state(net, start.state, k.outaged), k.outaged,
-            ctg_ratings=True, delta=start.delta)
+            delta=start.delta)
         best = (point_penalty(net, seeded, k.outaged), seeded, state.copy())
     for round_no in range(FULL_MAX_ROUNDS):
         if budget.exhausted():
@@ -382,21 +393,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         sol = solve_nlp(prob, tol=1e-8, **budget.solver_kwargs(300))
         budget.charge(sol.iterations)
         rounds.append([sol.status, sol.iterations])
-        failed = sol.status in ("numerical_failure",) or not np.all(
-            np.isfinite(sol.x))
-        if failed and best is None:
-            # degrade to the fast engine rather than report nothing
-            result = fast_evaluate(
-                net, k, base,
-                time_limit=None if time_limit is None else
-                max(0.0, time_limit - budget.elapsed()),
-                init_compl=state, base_tag=base_tag,
-                deterministic=deterministic)
-            result.elapsed = budget.elapsed()
-            result.status = "degraded"
-            result.nlp = rounds
-            return result
-        if failed:
+        if sol.status == "numerical_failure" or not np.all(np.isfinite(sol.x)):
             break
 
         point = prob.meta.extract_ctg(sol.x, k.id)
@@ -404,7 +401,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         # the solver-reported objective
         repriced = slacks_from_state(
             net, flows_from_state(net, point.state, k.outaged), k.outaged,
-            ctg_ratings=True, delta=point.delta)
+            delta=point.delta)
         pen = point_penalty(net, repriced, k.outaged)
 
         state_now = state.copy()
@@ -429,7 +426,8 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         start_point = repriced
 
     if best is None:
-        result = fast_evaluate(net, k, base, time_limit=0.0,
+        # degrade to the fast engine rather than report nothing
+        result = fast_evaluate(net, k, base, time_limit=budget.remaining(),
                                init_compl=state, base_tag=base_tag,
                                deterministic=deterministic)
         result.elapsed = budget.elapsed()

@@ -226,11 +226,16 @@ def _correct_inertia(W, J, d):
     return _Kkt(Hl, J).inertia_ok(Hl.data, np.zeros(W.shape[0]), J.data, d)
 
 
-def _refined_solve(K, lu, rhs, steps=2):
-    """Solve K sol = rhs with an LU of K and up to `steps` refinement steps."""
+# iterative refinement steps after each KKT back-solve
+REFINE_STEPS = 2
+
+
+def _refined_solve(K, lu, rhs):
+    """Solve K sol = rhs with an LU of K and up to REFINE_STEPS refinement
+    steps."""
     sol = lu.solve(rhs)
     res = rhs - K @ sol
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         cand = sol + lu.solve(res)
         cand_res = rhs - K @ cand
         if not np.max(np.abs(cand_res), initial=0.0) \
@@ -280,10 +285,12 @@ S_THETA, S_PHI, DELTA = 1.1, 2.3, 1.0
 ETA = 1e-4
 KAPPA_SOC, MAX_SOC = 0.99, 4
 MAX_TRIALS = 30
+# initial barrier parameter
+MU0 = 1e-1
 
 
 def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
-              log=None, mu0=1e-1):
+              log=None):
     """Solve an NlpProblem with a primal-dual interior-point method.
 
     Returns an NlpSolution; status `optimal` means the max-norm KKT residual
@@ -306,7 +313,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     x = _interior_start(np.asarray(prob.x0, float), lb, ub)
     cI = prob.ineq(x) if mi else np.zeros(0)
     t = np.maximum(1e-2, -cI)
-    mu = mu0
+    mu = MU0
     y = np.zeros(me)
     w = np.full(mi, mu / np.maximum(t, 1e-8)) if mi else np.zeros(0)
     w = np.maximum(w, 1e-8)

@@ -147,8 +147,7 @@ def _point_payload(net, point):
     }
 
 
-def _point_from_payload(net, data, outaged=None, ctg_ratings=False,
-                        delta=0.0):
+def _point_from_payload(net, data, outaged=None, delta=0.0):
     nb = len(net.buses)
     state = FlowState(
         v=np.array([data["bus"][b.id]["v"] for b in net.buses]),
@@ -159,8 +158,7 @@ def _point_from_payload(net, data, outaged=None, ctg_ratings=False,
         flows=np.zeros((len(net.branches), 4)),
     )
     state = flows_from_state(net, state, outaged)
-    return slacks_from_state(net, state, outaged, ctg_ratings=ctg_ratings,
-                             delta=delta)
+    return slacks_from_state(net, state, outaged, delta=delta)
 
 
 def write_base_solution(path, net, point, tag, objective, penalty):
@@ -204,7 +202,6 @@ def load_contingency_solution(path, net):
         data = json.load(fh)
     k = net.contingency(data["contingency"])
     point = _point_from_payload(net, data, outaged=k.outaged,
-                                ctg_ratings=True,
                                 delta=float(data["delta_k"]))
     st = compl_mod.ComplementarityState(
         active={g: _SEG_FROM_LETTER[s]

@@ -5,7 +5,9 @@ Piecewise-linear generation costs and constraint-violation penalties are
 realized with epigraph auxiliary variables and affine inequalities.  Flow
 definitions stay as explicit equations over flow variables (no elimination).
 Every branch rating pair shares one nonnegative slack entering inside the
-square of the rating bound; bus balance carries split +/- slack pairs.
+square of the rating bound; bus balance carries split +/- slack pairs.  The
+base case is held to the normal ratings and every contingency to the
+emergency ratings: the outage picks the set (see `acpf.CaseLayout`).
 """
 
 from __future__ import annotations
@@ -147,13 +149,15 @@ def point_penalty(net: Network, point: OperatingPoint, outaged=None):
 
 
 def slacks_from_state(net: Network, state: FlowState, outaged=None,
-                      ctg_ratings=False, delta=0.0, layout=None):
+                      delta=0.0, layout=None):
     """Operating point whose slacks exactly absorb the state's residuals.
 
     This is the unique minimal-slack assignment making the point feasible;
-    flows in `state` are trusted as given.  `layout` models (outaged, ratings).
+    flows in `state` are trusted as given.  `layout`, if given, is the model
+    of `outaged`; its ratings are the base set for ``outaged is None`` and the
+    contingency set otherwise.
     """
-    lay = layout if layout is not None else CaseLayout(net, outaged, ctg_ratings)
+    lay = layout if layout is not None else CaseLayout(net, outaged)
     x = lay.pack(state)
     p, q = lay.balance(x)
     lhs, rhs = lay.ratings(x)
@@ -179,8 +183,9 @@ def flows_from_state(net: Network, state: FlowState, outaged=None, layout=None):
     return out
 
 
-def default_start(net: Network, outaged=None, ctg_ratings=False):
-    """Neutral interior starting point: midpoints, zero angles, defined flows."""
+def default_start(net: Network):
+    """Neutral interior base-case starting point: midpoints, zero angles,
+    defined flows."""
     nb = len(net.buses)
     ng = len(net.generators)
     state = FlowState(
@@ -191,8 +196,7 @@ def default_start(net: Network, outaged=None, ctg_ratings=False):
         q_gen=np.array([(g.q_min + g.q_max) / 2 for g in net.generators]),
         flows=np.zeros((len(net.branches), 4)),
     )
-    state = flows_from_state(net, state, outaged)
-    return slacks_from_state(net, state, outaged, ctg_ratings)
+    return slacks_from_state(net, flows_from_state(net, state))
 
 
 # --- problem assembly --------------------------------------------------------
@@ -200,10 +204,11 @@ def default_start(net: Network, outaged=None, ctg_ratings=False):
 class _Block:
     """Variables and rows of one case (base or one contingency).
 
-    Block-local variable order: live state columns (per `CaseLayout` with the
-    outaged generator/branch columns removed), bus slack quadruple, shared
-    rating slacks for rated branches, penalty epigraph auxiliaries (one per
-    slack), then cost epigraph auxiliaries (base block only).
+    Block-local variable order: the `CaseLayout` columns of the case (live
+    columns only), bus slack quadruple, shared rating slacks for rated
+    branches, penalty epigraph auxiliaries (one per slack), then cost
+    epigraph auxiliaries (base block only).  The case's ratings follow
+    `CaseLayout`: base set for the base case, contingency set otherwise.
     Equality rows: flow definitions, P/Q balance, reference angle.
     Inequality rows: rating pairs, penalty epigraph, cost epigraph.
 
@@ -214,19 +219,13 @@ class _Block:
     values) of the constant entries.
     """
 
-    def __init__(self, net: Network, outaged=None, ctg_ratings=False,
-                 skip_rating=(), with_cost=False, pen_weight=1.0):
+    def __init__(self, net: Network, outaged=None, skip_rating=(),
+                 with_cost=False, pen_weight=1.0):
         self.net = net
         self.pen_weight = pen_weight
-        lay = CaseLayout(net, outaged, ctg_ratings)
+        lay = CaseLayout(net, outaged)
         self.layout = lay
         nb, m = lay.nb, lay.m
-
-        self.keep = np.flatnonzero(lay.live)
-        self.pos = np.full(lay.nvar, -1, dtype=int)
-        self.pos[self.keep] = np.arange(len(self.keep))
-        self.n_state = len(self.keep)
-        pos = self.pos
 
         skip = set(skip_rating)
         # in-service positions of the rated branches, and which are lines
@@ -235,7 +234,7 @@ class _Block:
         self.rated_lines = np.flatnonzero(lay.is_line[self.rated_j])
         self._line_rate = np.repeat(lay.rate[self.rated_j[self.rated_lines]], 2)
         nr = len(self.rated_j)
-        o = self.n_state
+        o = lay.nvar
         self.sPp0, self.sPm0 = o, o + nb
         self.sQp0, self.sQm0 = o + 2 * nb, o + 3 * nb
         self.sS0 = o + 4 * nb
@@ -263,12 +262,11 @@ class _Block:
         # epigraph rows: slope * x + intercept - aux <= 0
         pen = np.array(self.pen_lines, dtype=float)
         self._pen_slope, self._pen_icpt = pen[:, 0], pen[:, 1]
-        cost = np.array([(pos[lay.p0 + gi], self.cost0 + j, slope, icpt)
+        cost = np.array([(lay.p0 + lay.gen_col[gi], self.cost0 + j, slope, icpt)
                          for j, (gi, lines) in enumerate(self.cost_lines)
                          for slope, icpt in lines], dtype=float).reshape(-1, 4)
         self._cost_p, self._cost_t = cost[:, 0].astype(int), cost[:, 1].astype(int)
         self._cost_slope, self._cost_icpt = cost[:, 2], cost[:, 3]
-        self._flow_pos = pos[lay.fcols.ravel()]
 
         # Jacobian: acpf flow rows enter negated as flow definitions, balance
         # rows as they are (same row numbers), rated rating rows as the
@@ -284,19 +282,19 @@ class _Block:
         self._jiq = np.flatnonzero(iq_row[jr] >= 0)
         s_cols = self.sS0 + np.arange(nr)
         line_rows = (2 * self.rated_lines[:, None] + [0, 1]).ravel()
-        line_v = pos[lay.v0 + lay.ends[self.rated_j[self.rated_lines]]].ravel()
-        self.jac_eq_var = (jr[self._jeq], pos[jc[self._jeq]])
+        line_v = (lay.v0 + lay.ends[self.rated_j[self.rated_lines]]).ravel()
+        self.jac_eq_var = (jr[self._jeq], jc[self._jeq])
         self.jac_ineq_var = (
             np.concatenate((iq_row[jr[self._jiq]], np.arange(2 * nr), line_rows)),
-            np.concatenate((pos[jc[self._jiq]], np.repeat(s_cols, 2), line_v)))
+            np.concatenate((jc[self._jiq], np.repeat(s_cols, 2), line_v)))
 
         bus = np.arange(nb)
         self.jac_eq_const = (
             np.concatenate((np.arange(4 * m), np.tile(self.eq_bal0 + bus, 2),
                             np.tile(self.eq_bal0 + nb + bus, 2), [self.eq_ref])),
-            np.concatenate((self._flow_pos, self.sPp0 + bus, self.sPm0 + bus,
-                            self.sQp0 + bus, self.sQm0 + bus,
-                            [pos[lay.th0 + self.ref_idx]])),
+            np.concatenate((np.arange(lay.fl0, lay.nvar), self.sPp0 + bus,
+                            self.sPm0 + bus, self.sQp0 + bus, self.sQm0 + bus,
+                            [lay.th0 + self.ref_idx])),
             np.concatenate((np.ones(4 * m), np.repeat([1.0, -1.0, 1.0, -1.0], nb),
                             [1.0])))
         n_pen = self.n_slacks * len(self.pen_lines)
@@ -306,36 +304,34 @@ class _Block:
         slack_j = np.repeat(np.arange(self.n_slacks), len(self.pen_lines))
         self.jac_ineq_const = (
             np.concatenate((pen_rows, pen_rows, cost_rows, cost_rows)),
-            np.concatenate((self.n_state + slack_j, self.pen0 + slack_j,
+            np.concatenate((self.sPp0 + slack_j, self.pen0 + slack_j,
                             self._cost_p, self._cost_t)),
             np.concatenate((np.tile(self._pen_slope, self.n_slacks), -np.ones(n_pen),
                             self._cost_slope, -np.ones(n_cost))))
 
-        # Hessian: acpf curvature mapped onto the kept columns (order
-        # preserving, so it stays lower-triangular), plus the rating slack
-        # curvature -2 on s and -2 r on (s, v) for a line
+        # Hessian: acpf curvature, plus the rating slack curvature -2 on s
+        # and -2 r on (s, v) for a line
         hr, hc = lay.hess_pattern()
         self.hess_var = (
-            np.concatenate((pos[hr], np.repeat(s_cols, 2),
+            np.concatenate((hr, np.repeat(s_cols, 2),
                             np.repeat(s_cols[self.rated_lines], 2))),
-            np.concatenate((pos[hc], np.repeat(s_cols, 2), line_v)))
+            np.concatenate((hc, np.repeat(s_cols, 2), line_v)))
 
     def bounds(self):
         lay, net = self.layout, self.net
-        lb_full = np.full(lay.nvar, -INF)
-        ub_full = np.full(lay.nvar, INF)
-        for i, bus in enumerate(net.buses):
-            lb_full[lay.v0 + i], ub_full[lay.v0 + i] = bus.v_min, bus.v_max
-            lb_full[lay.bcs0 + i], ub_full[lay.bcs0 + i] = bus.bcs_min, bus.bcs_max
-        for gi, g in enumerate(net.generators):
-            lb_full[lay.p0 + gi], ub_full[lay.p0 + gi] = g.p_min, g.p_max
-            lb_full[lay.q0 + gi], ub_full[lay.q0 + gi] = g.q_min, g.q_max
         lb = np.full(self.nvar, -INF)
         ub = np.full(self.nvar, INF)
-        lb[:self.n_state] = lb_full[self.keep]
-        ub[:self.n_state] = ub_full[self.keep]
+        gens = [g for _, g in lay.avail_gens]
+        lb[lay.v0:lay.th0] = [bus.v_min for bus in net.buses]
+        ub[lay.v0:lay.th0] = [bus.v_max for bus in net.buses]
+        lb[lay.bcs0:lay.p0] = [bus.bcs_min for bus in net.buses]
+        ub[lay.bcs0:lay.p0] = [bus.bcs_max for bus in net.buses]
+        lb[lay.p0:lay.q0] = [g.p_min for g in gens]
+        ub[lay.p0:lay.q0] = [g.p_max for g in gens]
+        lb[lay.q0:lay.fl0] = [g.q_min for g in gens]
+        ub[lay.q0:lay.fl0] = [g.q_max for g in gens]
         # balance/rating slacks and penalty auxiliaries are nonnegative
-        lb[self.n_state:self.pen0 + self.n_slacks] = 0.0
+        lb[self.sPp0:self.pen0 + self.n_slacks] = 0.0
         return lb, ub
 
     def objective_coefs(self):
@@ -344,21 +340,12 @@ class _Block:
         c[self.cost0:] = 1.0
         return c
 
-    def _full(self, xb):
-        full = np.zeros(self.layout.nvar)
-        full[self.keep] = xb[:self.n_state]
-        return full
-
-    def state_of(self, xb):
-        return self.layout.unpack(self._full(xb))
-
     def point_of(self, xb):
-        state = self.state_of(xb)
         nb = self.layout.nb
         sig_s = np.zeros(self.layout.nbr)
         sig_s[self.layout.svc[self.rated_j]] = xb[self.sS0:self.pen0]
         return OperatingPoint(
-            state=state,
+            state=self.layout.unpack(xb),
             sig_p_plus=xb[self.sPp0:self.sPp0 + nb].copy(),
             sig_p_minus=xb[self.sPm0:self.sPm0 + nb].copy(),
             sig_q_plus=xb[self.sQp0:self.sQp0 + nb].copy(),
@@ -368,7 +355,7 @@ class _Block:
 
     def inject(self, point: OperatingPoint):
         xb = np.zeros(self.nvar)
-        xb[:self.n_state] = self.layout.pack(point.state)[self.keep]
+        xb[:self.sPp0] = self.layout.pack(point.state)
         nb = self.layout.nb
         xb[self.sPp0:self.sPp0 + nb] = point.sig_p_plus
         xb[self.sPm0:self.sPm0 + nb] = point.sig_p_minus
@@ -376,7 +363,7 @@ class _Block:
         xb[self.sQm0:self.sQm0 + nb] = point.sig_q_minus
         xb[self.sS0:self.pen0] = point.sig_s[self.layout.svc[self.rated_j]]
         xb[self.pen0:self.cost0] = _penalties(self.net.penalty_config,
-                                              xb[self.n_state:self.pen0])
+                                              xb[self.sPp0:self.pen0])
         for j, (gi, g) in enumerate(self.cost_gens):
             xb[self.cost0 + j] = _pwl_value(*_cost_pieces(g.cost_curve),
                                             point.state.p_gen[gi])
@@ -384,20 +371,19 @@ class _Block:
 
     def eq_values(self, xb):
         lay = self.layout
-        full = self._full(xb)
-        p, q = lay.balance(full)
+        p, q = lay.balance(xb)
         nb, r = lay.nb, self.eq_bal0
         out = np.empty(self.n_eq)
-        out[:r] = xb[self._flow_pos] - lay.flow_values(full).ravel()
+        out[:r] = (lay.flow_vars(xb) - lay.flow_values(xb)).ravel()
         out[r:r + nb] = p + xb[self.sPp0:self.sPp0 + nb] - xb[self.sPm0:self.sPm0 + nb]
         out[r + nb:r + 2 * nb] = q + xb[self.sQp0:self.sQp0 + nb] - xb[self.sQm0:self.sQm0 + nb]
-        out[self.eq_ref] = full[lay.th0 + self.ref_idx]
+        out[self.eq_ref] = xb[lay.th0 + self.ref_idx]
         return out
 
     def ineq_values(self, xb):
-        lhs, rhs = self.layout.ratings(self._full(xb))
+        lhs, rhs = self.layout.ratings(xb)
         s = xb[self.sS0:self.pen0, None]
-        slacks = xb[self.n_state:self.pen0, None]
+        slacks = xb[self.sPp0:self.pen0, None]
         aux = xb[self.pen0:self.cost0, None]
         return np.concatenate((
             (lhs[self.rated_j] - (rhs[self.rated_j] + s) ** 2).ravel(),
@@ -407,10 +393,9 @@ class _Block:
     def jac_values(self, xb):
         """(eq, ineq) values on the ``jac_eq_var``/``jac_ineq_var`` entries."""
         lay = self.layout
-        full = self._full(xb)
-        jv = lay.jac_values(full)
+        jv = lay.jac_values(xb)
         s = xb[self.sS0:self.pen0]
-        _, rhs = lay.ratings(full)
+        _, rhs = lay.ratings(xb)
         return jv[self._jeq] * self._jeq_sign, np.concatenate((
             jv[self._jiq], (-2.0 * (rhs[self.rated_j] + s[:, None])).ravel(),
             -2.0 * self._line_rate * np.repeat(s[self.rated_lines], 2)))
@@ -427,7 +412,7 @@ class _Block:
         weights[nfl:nfb] = lam_eq[nfl:nfb]
         weights[self._w_rat] = lam_rat
         line_lam = lam_rat.reshape(-1, 2)[self.rated_lines].ravel()
-        return np.concatenate((lay.hess_values(self._full(xb), weights),
+        return np.concatenate((lay.hess_values(xb, weights),
                                -2.0 * lam_rat, -2.0 * self._line_rate * line_lam))
 
 
@@ -453,15 +438,11 @@ class _CouplingRecord:
 @dataclass
 class CaseStructure:
     """Layout metadata of a built problem: block offsets, coupling records."""
-    net: Network
     base_block: _Block = None
     base_off: int = 0
     ctg_blocks: dict = field(default_factory=dict)  # id -> (_Block, off)
     delta_cols: dict = field(default_factory=dict)  # id -> column
     couplings: list = field(default_factory=list)
-    nvar: int = 0
-    n_eq: int = 0
-    n_ineq: int = 0
 
     def extract_base(self, x):
         return self.base_block.point_of(x[self.base_off:self.base_off + self.base_block.nvar])
@@ -500,43 +481,41 @@ class CaseStructure:
 
 
 class _Assembler:
-    def __init__(self, net):
-        self.net = net
-        self.structure = CaseStructure(net=net)
-        self.nvar = 0
+    """One NLP over the given blocks.  Columns are laid out up front: every
+    block's columns in the given order, then the variables of `add_var`, so
+    a column number is final when it is handed out.  Rows are laid out in
+    the order of the `add_block` and `add_eq` calls; blocks are added in
+    the given order."""
+
+    def __init__(self, blocks):
+        self.structure = CaseStructure()
+        self.col_offs = np.cumsum([0] + [b.nvar for b in blocks]).tolist()
+        self.nvar = self.col_offs[-1]
+        lb, ub = zip(*(b.bounds() for b in blocks))
+        self.lb, self.ub = np.concatenate(lb), np.concatenate(ub)
+        self.obj = np.concatenate([b.objective_coefs() for b in blocks])
         self.n_eq = 0
         self.n_ineq = 0
         self.blocks = []  # (block, col_off, eq_off, ineq_off)
-        self.lb_parts = []
-        self.ub_parts = []
-        self.obj_parts = []
         self.x0_parts = []
         # extra affine equality rows beyond block cores:
-        # (row, entries [(col, coef)], constant); rows interleave with block
-        # cores in insertion order
+        # (row, entries [(col, coef)], constant)
         self.extra_eq = []
-        self.extra_cols = 0
         self.extra_lb = []
         self.extra_ub = []
         self.extra_x0 = []
 
     def add_block(self, block, x0_block):
-        off = self.nvar
+        off = self.col_offs[len(self.blocks)]
         self.blocks.append((block, off, self.n_eq, self.n_ineq))
-        lb, ub = block.bounds()
-        self.lb_parts.append(lb)
-        self.ub_parts.append(ub)
-        self.obj_parts.append(block.objective_coefs())
         self.x0_parts.append(x0_block)
-        self.nvar += block.nvar
         self.n_eq += block.n_eq
         self.n_ineq += block.n_ineq
         return off
 
-    def add_var(self, lb, ub, x0, obj=0.0):
-        # appended after all block variables in a trailing region
-        col = ("extra", self.extra_cols)
-        self.extra_cols += 1
+    def add_var(self, lb, ub, x0):
+        col = self.nvar
+        self.nvar += 1
         self.extra_lb.append(lb)
         self.extra_ub.append(ub)
         self.extra_x0.append(x0)
@@ -548,40 +527,19 @@ class _Assembler:
         self.n_eq += 1
         return row
 
-    def finish(self, x0=None):
-        st = self.structure
-        base = self.nvar
-        nvar = base + self.extra_cols
-
-        def col_id(c):
-            return base + c[1] if isinstance(c, tuple) else c
-
-        lb = np.concatenate(self.lb_parts + [np.array(self.extra_lb)]) \
-            if self.extra_cols else np.concatenate(self.lb_parts)
-        ub = np.concatenate(self.ub_parts + [np.array(self.extra_ub)]) \
-            if self.extra_cols else np.concatenate(self.ub_parts)
-        obj = np.concatenate(self.obj_parts + [np.zeros(self.extra_cols)]) \
-            if self.extra_cols else np.concatenate(self.obj_parts)
-        x0v = np.concatenate(self.x0_parts + [np.array(self.extra_x0)]) \
-            if self.extra_cols else np.concatenate(self.x0_parts)
-        if x0 is not None:
-            x0v = x0
-
+    def finish(self):
+        nvar = self.nvar
+        lb = np.concatenate((self.lb, self.extra_lb))
+        ub = np.concatenate((self.ub, self.extra_ub))
+        obj = np.concatenate((self.obj, np.zeros(len(self.extra_x0))))
+        x0v = np.concatenate(self.x0_parts + [self.extra_x0])
         blocks = self.blocks
         n_eq, n_ineq = self.n_eq, self.n_ineq
-
-        # resolve deferred column ids in structure records
-        for rec in st.couplings:
-            rec.chi_col = col_id(rec.chi_col)
-            if rec.s_col != -1:
-                rec.s_col = col_id(rec.s_col)
-        st.delta_cols = {k: col_id(c) for k, c in st.delta_cols.items()}
-        st.nvar, st.n_eq, st.n_ineq = nvar, n_eq, n_ineq
 
         # extra affine equality rows: out[x_rows] = x_const + A @ x
         x_rows = np.array([row for row, _, _ in self.extra_eq], dtype=int)
         x_const = np.array([const for _, _, const in self.extra_eq], dtype=float)
-        ents = [(i, col_id(c), v) for i, (_, row_ents, _) in enumerate(self.extra_eq)
+        ents = [(i, c, v) for i, (_, row_ents, _) in enumerate(self.extra_eq)
                 for c, v in row_ents]
         e_i, e_c, e_v = (np.array([e[k] for e in ents], dtype=t)
                          for k, t in enumerate((int, int, float)))
@@ -647,7 +605,7 @@ class _Assembler:
             gradient=lambda x: obj.copy(),
             eq=eq, ineq=ineq, jac_eq=lambda x: jacobians(x)[0],
             jac_ineq=lambda x: jacobians(x)[1], hess=hess,
-            n_eq=n_eq, n_ineq=n_ineq, meta=st,
+            n_eq=n_eq, n_ineq=n_ineq, meta=self.structure,
         )
         return prob
 
@@ -660,8 +618,6 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
     """
     st = asm.structure
     lay = block.layout
-    lbs = asm.lb_parts[[b for b, *_ in asm.blocks].index(block)]
-    ubs = asm.ub_parts[[b for b, *_ in asm.blocks].index(block)]
 
     delta0 = compl_state.delta if compl_state is not None else 0.0
     # bounding the response scalar keeps the KKT system nonsingular when every
@@ -678,18 +634,19 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
                 return [], point.state.p_gen[idx]
             return [], point.state.v[idx]
         base_block, base_off = base_ref[1], base_ref[2]
+        base_lay = base_block.layout
         if kind == "p":
-            col = base_off + base_block.pos[base_block.layout.p0 + idx]
+            col = base_off + base_lay.p0 + base_lay.gen_col[idx]
         else:
-            col = base_off + base_block.pos[base_block.layout.v0 + idx]
+            col = base_off + base_lay.v0 + idx
         return [(col, 1.0)], 0.0
 
     responding = set(k.responding_gens)
     for gi, g in lay.avail_gens:
-        p_col = off + block.pos[lay.p0 + gi]
-        q_col = off + block.pos[lay.q0 + gi]
+        p_col = off + lay.p0 + lay.gen_col[gi]
+        q_col = off + lay.q0 + lay.gen_col[gi]
         bus_i = net.bus_index(g.bus)
-        v_col = off + block.pos[lay.v0 + bus_i]
+        v_col = off + lay.v0 + bus_i
         b_entries_p, b_const_p = base_term("p", gi)
         b_entries_v, b_const_v = base_term("v", bus_i)
 
@@ -708,8 +665,7 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
             else:
                 pin = g.p_min if seg == LOWER else g.p_max
                 asm.add_eq([(p_col, 1.0)], -pin)
-                lbs[block.pos[lay.p0 + gi]] = -INF
-                ubs[block.pos[lay.p0 + gi]] = INF
+                asm.lb[p_col], asm.ub[p_col] = -INF, INF
                 s_lb, s_ub = (-INF, 0.0) if seg == LOWER else (0.0, INF)
                 scol = asm.add_var(s_lb, s_ub, 0.0)
                 asm.add_eq(rho + [(scol, -1.0)], b_const_p)
@@ -727,8 +683,7 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
         else:
             pin = g.q_min if seg == LOWER else g.q_max
             asm.add_eq([(q_col, 1.0)], -pin)
-            lbs[block.pos[lay.q0 + gi]] = -INF
-            ubs[block.pos[lay.q0 + gi]] = INF
+            asm.lb[q_col], asm.ub[q_col] = -INF, INF
             s_lb, s_ub = (-INF, 0.0) if seg == LOWER else (0.0, INF)
             scol = asm.add_var(s_lb, s_ub, 0.0)
             asm.add_eq(rho_q + [(scol, -1.0)], b_const_v)
@@ -743,10 +698,9 @@ def build_base_problem(net: Network, report=None, start: OperatingPoint = None):
     block = _Block(net, with_cost=True, skip_rating=skip)
     if start is None:
         start = default_start(net)
-    asm = _Assembler(net)
-    off = asm.add_block(block, block.inject(start))
+    asm = _Assembler([block])
     asm.structure.base_block = block
-    asm.structure.base_off = off
+    asm.structure.base_off = asm.add_block(block, block.inject(start))
     return asm.finish()
 
 
@@ -757,10 +711,10 @@ def build_contingency_problem(net: Network, k, base_point: OperatingPoint,
     if isinstance(k, str):
         k = net.contingency(k)
     skip = report.skip_rating_ids(k.outaged) if report is not None else ()
-    block = _Block(net, outaged=k.outaged, ctg_ratings=True, skip_rating=skip)
+    block = _Block(net, outaged=k.outaged, skip_rating=skip)
     if start is None:
         start = _seed_ctg_point(net, k, base_point, compl_state)
-    asm = _Assembler(net)
+    asm = _Assembler([block])
     off = asm.add_block(block, block.inject(start))
     asm.structure.ctg_blocks[k.id] = (block, off)
     _add_coupling(asm, net, k, block, off, compl_state,
@@ -781,9 +735,7 @@ def _seed_ctg_point(net, k, base_point, compl_state):
             state.p_gen[gi] = min(max(state.p_gen[gi] + g.alpha * delta,
                                       g.p_min), g.p_max)
     state = flows_from_state(net, state, k.outaged)
-    point = slacks_from_state(net, state, k.outaged, ctg_ratings=True,
-                              delta=delta)
-    return point
+    return slacks_from_state(net, state, k.outaged, delta=delta)
 
 
 def build_master_problem(spec: "MasterSpec"):
@@ -797,25 +749,26 @@ def build_master_problem(spec: "MasterSpec"):
     weight = 1.0 / n_total if n_total else 1.0
     skip_base = spec.report.skip_rating_ids(None) if spec.report is not None else ()
 
-    asm = _Assembler(net)
     base_block = _Block(net, with_cost=True, skip_rating=skip_base)
     base_start = spec.base_point if spec.base_point is not None else default_start(net)
+    cases = []  # (contingency, block, start)
+    for kid in spec.included:
+        k = net.contingency(kid)
+        skip = spec.report.skip_rating_ids(k.outaged) if spec.report is not None else ()
+        block = _Block(net, outaged=k.outaged, skip_rating=skip, pen_weight=weight)
+        start = spec.ctg_points.get(kid) if spec.ctg_points else None
+        if start is None:
+            start = _seed_ctg_point(net, k, base_start, spec.compl[kid])
+        cases.append((k, block, start))
+
+    asm = _Assembler([base_block] + [block for _, block, _ in cases])
     base_off = asm.add_block(base_block, base_block.inject(base_start))
     asm.structure.base_block = base_block
     asm.structure.base_off = base_off
-
-    for kid in spec.included:
-        k = net.contingency(kid)
-        compl_state = spec.compl[kid]
-        skip = spec.report.skip_rating_ids(k.outaged) if spec.report is not None else ()
-        block = _Block(net, outaged=k.outaged, ctg_ratings=True,
-                       skip_rating=skip, pen_weight=weight)
-        start = spec.ctg_points.get(kid) if spec.ctg_points else None
-        if start is None:
-            start = _seed_ctg_point(net, k, base_start, compl_state)
+    for k, block, start in cases:
         off = asm.add_block(block, block.inject(start))
-        asm.structure.ctg_blocks[kid] = (block, off)
-        _add_coupling(asm, net, k, block, off, compl_state,
+        asm.structure.ctg_blocks[k.id] = (block, off)
+        _add_coupling(asm, net, k, block, off, spec.compl[k.id],
                       ("block", base_block, base_off))
     return asm.finish()
 

@@ -5,6 +5,7 @@ import pytest
 
 from scacopf import acpf
 from scacopf.acpf import CaseLayout, FlowState
+from scacopf.case_model import Line
 from conftest import make_line, make_xf, two_bus_net
 
 
@@ -140,21 +141,57 @@ def test_rating_three_four_five(net2):
                       np.zeros(1), np.zeros(1),
                       np.array([[3.0, 4.0, 0.0, 0.0]]))
     net = two_bus_net(lines=(make_line("L1", "B1", "B2", r_max=5.0, r_max_ctg=5.0),))
-    lhs_o, lhs_d, rhs_o, rhs_d = acpf.rating_values(net, state)
-    assert lhs_o[0] == pytest.approx(25.0)
-    assert rhs_o[0] == pytest.approx(5.0)
-    assert lhs_d[0] == pytest.approx(0.0)
+    layout = CaseLayout(net)
+    lhs, rhs = layout.ratings(layout.pack(state))
+    assert lhs[0, 0] == pytest.approx(25.0)
+    assert rhs[0, 0] == pytest.approx(5.0)
+    assert lhs[0, 1] == pytest.approx(0.0)
 
 
 def test_squared_form_equivalent_to_norm_form(net5, rng):
+    layout = CaseLayout(net5)
     for _ in range(200):
         state = random_state(net5, rng)
         sigma = rng.uniform(0, 0.5)
-        lhs_o, _, rhs_o, _ = acpf.rating_values(net5, state)
+        lhs, rhs = layout.ratings(layout.pack(state))
         for bi in range(len(net5.branches)):
-            squared_ok = lhs_o[bi] <= (rhs_o[bi] + sigma) ** 2
-            norm_ok = math.sqrt(lhs_o[bi]) <= rhs_o[bi] + sigma
+            squared_ok = lhs[bi, 0] <= (rhs[bi, 0] + sigma) ** 2
+            norm_ok = math.sqrt(lhs[bi, 0]) <= rhs[bi, 0] + sigma
             assert squared_ok == norm_ok
+
+
+def test_ratings_follow_the_outage(net5):
+    # the base case is rated by the normal set, every contingency by the
+    # emergency set
+    normal = [br.r_max if isinstance(br, Line) else br.s_max for br in net5.branches]
+    emergency = [br.r_max_ctg if isinstance(br, Line) else br.s_max_ctg
+                 for br in net5.branches]
+    assert normal != emergency
+    np.testing.assert_array_equal(CaseLayout(net5).rate, normal)
+    for outaged in ("G2", "L2", "T1"):
+        live = [bi for bi, br in enumerate(net5.branches) if br.id != outaged]
+        np.testing.assert_array_equal(CaseLayout(net5, outaged).rate,
+                                      np.array(emergency)[live])
+
+
+@pytest.mark.parametrize("outaged", ["G2", "L2", "T1"])
+def test_layout_holds_only_live_columns(net5, rng, outaged):
+    layout = CaseLayout(net5, outaged)
+    nb = len(net5.buses)
+    available = sum(g.id != outaged for g in net5.generators)
+    in_service = sum(br.id != outaged for br in net5.branches)
+    assert layout.nvar == 3 * nb + 2 * available + 4 * in_service
+    state = random_state(net5, rng)
+    back = layout.unpack(layout.pack(state))
+    expected = state.copy()
+    for gi, g in enumerate(net5.generators):
+        if g.id == outaged:
+            expected.p_gen[gi] = expected.q_gen[gi] = 0.0
+    for bi, br in enumerate(net5.branches):
+        if br.id == outaged:
+            expected.flows[bi] = 0.0
+    for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(expected, name))
 
 
 def test_resistive_dissipation(rng):
@@ -170,6 +207,14 @@ def test_resistive_dissipation(rng):
 
 
 # --- derivative checks -------------------------------------------------------
+
+def coo_dense(values, pattern, shape):
+    """Dense matrix with `values` on the (rows, cols) `pattern`; repeated
+    entries add up."""
+    M = np.zeros(shape)
+    np.add.at(M, pattern, values)
+    return M
+
 
 def fd_jacobian(fun, x, h=1e-6):
     x = np.asarray(x, dtype=float)
@@ -189,22 +234,19 @@ def test_jacobian_matches_finite_differences(net5, rng, outaged):
     for _ in range(5):
         state = random_state(net5, rng)
         x0 = layout.pack(state)
-
-        def expr(x):
-            return acpf.expression_values(layout, layout.unpack(x))
-
-        J, _ = acpf.jacobians(net5, state, outaged, layout=layout)
-        J_fd = fd_jacobian(expr, x0)
+        J = coo_dense(layout.jac_values(x0), layout.jac_pattern(),
+                      (layout.nrows, layout.nvar))
+        J_fd = fd_jacobian(layout.expr_values, x0)
         scale = np.maximum(np.abs(J_fd), 1.0)
-        assert np.max(np.abs(J.toarray() - J_fd) / scale) < 1e-5
+        assert np.max(np.abs(J - J_fd) / scale) < 1e-5
 
 
 def test_flow_rows_have_no_bcs_columns(net5, rng):
     layout = CaseLayout(net5)
-    state = random_state(net5, rng)
-    J, _ = acpf.jacobians(net5, state, layout=layout)
-    n_flow_rows = len(layout.flow_rows)
-    bcs_cols = J.toarray()[:n_flow_rows, layout.bcs0:layout.bcs0 + layout.nb]
+    x = layout.pack(random_state(net5, rng))
+    J = coo_dense(layout.jac_values(x), layout.jac_pattern(), (layout.nrows, layout.nvar))
+    n_flow_rows = 4 * layout.m
+    bcs_cols = J[:n_flow_rows, layout.bcs0:layout.bcs0 + layout.nb]
     assert np.all(bcs_cols == 0.0)
 
 
@@ -215,9 +257,10 @@ def test_hessian_matches_finite_differences(net5, rng):
     weights = rng.uniform(-1, 1, layout.nrows)
 
     def weighted(x):
-        return float(weights @ acpf.expression_values(layout, layout.unpack(x)))
+        return float(weights @ layout.expr_values(x))
 
-    H = acpf.hessians(net5, state, weights=weights, layout=layout).toarray()
+    H = coo_dense(layout.hess_values(x0, weights), layout.hess_pattern(),
+                  (layout.nvar, layout.nvar))
     H_full = H + H.T - np.diag(np.diag(H))
     H_fd = fd_jacobian(lambda x: fd_jacobian(weighted, x, 1e-4).ravel(), x0, 1e-4)
     scale = np.maximum(np.abs(H_fd), 1.0)
@@ -226,9 +269,10 @@ def test_hessian_matches_finite_differences(net5, rng):
 
 def test_hessian_lower_triangle_symmetric(net5, rng):
     layout = CaseLayout(net5)
-    state = random_state(net5, rng)
-    H = acpf.hessians(net5, state, layout=layout)
-    assert np.all(H.row >= H.col)
-    Hd = H.toarray()
+    x = layout.pack(random_state(net5, rng))
+    rows, cols = layout.hess_pattern()
+    assert np.all(rows >= cols)
+    Hd = coo_dense(layout.hess_values(x, np.ones(layout.nrows)), (rows, cols),
+                   (layout.nvar, layout.nvar))
     full = Hd + Hd.T - np.diag(np.diag(Hd))
     np.testing.assert_allclose(full, full.T)

@@ -296,8 +296,7 @@ def _project_response_loop(state, net, k, base, raw_point):
         else:
             fs.q_gen[gi] = min(max(fs.q_gen[gi], g.q_min), g.q_max)
     fs = scopf.flows_from_state(net, fs, k.outaged)
-    return scopf.slacks_from_state(net, fs, k.outaged, ctg_ratings=True,
-                                   delta=state.delta)
+    return scopf.slacks_from_state(net, fs, k.outaged, delta=state.delta)
 
 
 def test_project_response_equals_loop_reference(net5, rng):

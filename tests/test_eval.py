@@ -71,7 +71,7 @@ def test_full_not_worse_than_initial_segment_nlp(solved5):
         point = prob.meta.extract_ctg(sol.x, k.id)
         repriced = scopf.slacks_from_state(
             net, scopf.flows_from_state(net, point.state, k.outaged),
-            k.outaged, ctg_ratings=True, delta=point.delta)
+            k.outaged, delta=point.delta)
         init_pen = scopf.point_penalty(net, repriced, k.outaged)
         full = ev.full_evaluate(net, k, base)
         assert full.penalty <= init_pen + 1e-9
@@ -140,6 +140,32 @@ def test_full_degrades_to_fast_on_nlp_failure(solved5, monkeypatch):
     assert res.method == "fast"
     assert res.status == "degraded"
     assert np.isfinite(res.penalty)
+
+
+def test_deterministic_degraded_evaluation_ignores_the_clock(solved5, monkeypatch):
+    # the fast engine that a failed NLP degrades to gets the operations that
+    # are left, however much wall time the clock says has passed
+    net, base = solved5
+    k = net.contingency("CG2")
+    real = nlp.solve_nlp
+
+    def broken(prob, **kw):
+        sol = real(prob, **{**kw, "max_iter": 1})
+        sol.status = nlp.NUMERICAL_FAILURE
+        return sol
+
+    monkeypatch.setattr(ev, "solve_nlp", broken)
+    results = [ev.full_evaluate(net, k, base, time_limit=10, deterministic=True)]
+    clock = iter(np.arange(1, 10_000) * 1e3)
+    monkeypatch.setattr(ev.time, "monotonic", lambda: float(next(clock)))
+    results.append(ev.full_evaluate(net, k, base, time_limit=10, deterministic=True))
+    timed, jumped = results
+    assert jumped.status == timed.status == "degraded"
+    assert jumped.penalty == timed.penalty
+    for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
+        np.testing.assert_array_equal(getattr(jumped.point.state, name),
+                                      getattr(timed.point.state, name))
+    np.testing.assert_array_equal(jumped.point.slack_vector(), timed.point.slack_vector())
 
 
 def test_prescreen_low_fast_penalty_skips_full(solved5):
