@@ -5,12 +5,12 @@ Every branch-side flow expression has the common form
     F = K v_x^2 + (P cos d + Q sin d) v_o v_d,      d = th_o - th_d - phi,
 
 where (K, P, Q), the squared-voltage side x, and the phase offset phi depend
-on the branch type and side.  `CaseLayout` compiles one case (network and
-outage, which also picks the rating set) into branch end-index and
-coefficient arrays once; every value and first or second derivative is then
-a few numpy expressions over all branches at once, on a sparsity pattern
-that is fixed per case (the vectorized ``dSbus/dV`` of MATPOWER, Zimmerman
-et al. 2011).
+on the branch type and side.  `CaseLayout.of` compiles one case (network
+and outage, which also picks the rating set) into branch end-index and
+coefficient arrays once per `Network` instance; every value and first or
+second derivative is then a few numpy expressions over all branches at
+once, on a sparsity pattern that is fixed per case (the vectorized
+``dSbus/dV`` of MATPOWER, Zimmerman et al. 2011).
 """
 
 from __future__ import annotations
@@ -103,9 +103,22 @@ class CaseLayout:
     branches.  The base case (``outaged is None``) is rated by ``r_max``/
     ``s_max``, every contingency by ``r_max_ctg``/``s_max_ctg``.  Methods
     read a vector's first `nvar` entries only, so a longer vector whose
-    head is the layout can be passed as it is.  Built once per case and
-    never changed afterwards.
+    head is the layout can be passed as it is.
+
+    Build it with `CaseLayout.of`, which compiles each (network, outage)
+    once and keeps the layout on the `Network` instance.  Its arrays never
+    change afterwards; `compiled` holds what other layers compile from the
+    layout, under keys of their own.
     """
+
+    @classmethod
+    def of(cls, net: Network, outaged=None):
+        """The layout of (net, outaged), compiled at the first call for this
+        `Network` instance and outage."""
+        lay = net._layouts.get(outaged)
+        if lay is None:
+            lay = net._layouts[outaged] = cls(net, outaged)
+        return lay
 
     def __init__(self, net: Network, outaged=None):
         self.in_service = [
@@ -154,6 +167,14 @@ class CaseLayout:
             dtype=int).reshape(-1, 2).T
         self.gen_col = np.full(self.ng, -1)
         self.gen_col[self.gens] = np.arange(na)
+        # bounds in network order, all buses and generators
+        self.v_min, self.v_max, self.bcs_min, self.bcs_max = np.array(
+            [(bus.v_min, bus.v_max, bus.bcs_min, bus.bcs_max) for bus in net.buses],
+            dtype=float).reshape(-1, 4).T
+        self.p_min, self.p_max, self.q_min, self.q_max, self.alpha = np.array(
+            [(g.p_min, g.p_max, g.q_min, g.q_max, g.alpha) for g in net.generators],
+            dtype=float).reshape(-1, 5).T
+        self.compiled = {}
 
     def pack(self, state: FlowState):
         x = np.empty(self.nvar)
@@ -322,5 +343,5 @@ class CaseLayout:
 
 def balance_residuals(net, state, outaged=None):
     """Per-bus active/reactive mismatch before slacks, excluding the outage."""
-    lay = CaseLayout(net, outaged)
+    lay = CaseLayout.of(net, outaged)
     return BalanceResiduals(*lay.balance(lay.pack(state)))

@@ -127,6 +127,8 @@ class Network:
         object.__setattr__(self, "_bus_index", {b.id: i for i, b in enumerate(self.buses)})
         object.__setattr__(self, "_gen_index", {g.id: i for i, g in enumerate(self.generators)})
         object.__setattr__(self, "_ctg_index", {k.id: i for i, k in enumerate(self.contingencies)})
+        # outage -> compiled `acpf.CaseLayout`, filled by `CaseLayout.of`
+        object.__setattr__(self, "_layouts", {})
 
     def bus_index(self, bus_id):
         return self._bus_index[bus_id]

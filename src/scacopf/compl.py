@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .acpf import CaseLayout
 from .scopf import DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint, \
     flows_from_state, slacks_from_state
 
@@ -26,7 +27,6 @@ __all__ = [
 
 # uplift on replaced power approximating a 1% loss increase under redispatch
 LOSS_UPLIFT = 1.01
-BISECT_TOL = 1e-9
 # a constraint counts as active when multiplier > 0 and gap/multiplier < this
 ACTIVITY_RATIO = 1e-6
 
@@ -60,50 +60,49 @@ def init_default(net, k):
     )
 
 
-def _replaced_power(responders, base_p, delta):
-    total = 0.0
-    for g, p in zip(responders, base_p):
-        total += min(max(p + g.alpha * delta, g.p_min), g.p_max) - p
-    return total
-
-
 def init_generator_outage(net, k, base: OperatingPoint):
-    """Bisection over the response perturbation to replace the lost power.
+    """The response perturbation that replaces the lost power, and the
+    segments it puts the responders in.
 
-    Targets LOSS_UPLIFT times the outaged generator's base output; segments
-    are read off from where each responder's clamp binds.  If even DELTA_MAX
-    cannot replace the target, the state is flagged as a shortfall.
+    Targets LOSS_UPLIFT times the outaged generator's base output.  The
+    replaced power is piecewise linear and nondecreasing in delta, with a
+    breakpoint wherever a responder's clamp starts or stops binding, so
+    delta is found exactly: between the two breakpoints that bracket the
+    target, by linear interpolation, and on a breakpoint that meets the
+    target exactly.  Segments are read off from where each responder's clamp
+    binds.  If even DELTA_MAX cannot replace the target, the state is
+    flagged as a shortfall.
     """
     state = init_default(net, k)
-    gi_out = net.gen_index(k.outaged)
-    target = LOSS_UPLIFT * base.state.p_gen[gi_out]
+    target = LOSS_UPLIFT * base.state.p_gen[net.gen_index(k.outaged)]
     responding, _ = _families(net, k)
-    base_p = [base.state.p_gen[net.gen_index(g.id)] for g in responding]
     if target <= 0.0 or not responding:
         return state
 
-    if _replaced_power(responding, base_p, DELTA_MAX) < target - BISECT_TOL:
+    lay = CaseLayout.of(net, k.outaged)
+    resp = np.array([net.gen_index(g.id) for g in responding])
+    p, alpha = base.state.p_gen[resp], lay.alpha[resp]
+    p_min, p_max = lay.p_min[resp], lay.p_max[resp]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        brk = np.concatenate(((p_min - p) / alpha, (p_max - p) / alpha))
+    grid = np.unique(np.concatenate(
+        ([0.0, DELTA_MAX], brk[(brk > 0.0) & (brk < DELTA_MAX)])))
+    got = (np.clip(p + alpha * grid[:, None], p_min, p_max) - p).sum(axis=1)
+    j = int(np.searchsorted(got, target))  # the first breakpoint reaching it
+    if j == len(grid):
         state.delta = DELTA_MAX
         state.shortfall = True
+    elif j == 0:
+        state.delta = 0.0
     else:
-        lo, hi = 0.0, DELTA_MAX
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            got = _replaced_power(responding, base_p, mid)
-            if abs(got - target) <= BISECT_TOL:
-                lo = hi = mid
-                break
-            if got < target:
-                lo = mid
-            else:
-                hi = mid
-        state.delta = (lo + hi) / 2
+        share = (got[j] - target) / (got[j] - got[j - 1])
+        state.delta = float(max(grid[j - 1], grid[j] - share * (grid[j] - grid[j - 1])))
 
-    for g, p in zip(responding, base_p):
-        desired = p + g.alpha * state.delta
-        if desired > g.p_max:
+    desired = p + alpha * state.delta
+    for g, above, below in zip(responding, desired > p_max, desired < p_min):
+        if above:
             state.active[g.id] = UPPER
-        elif desired < g.p_min:
+        elif below:
             state.active[g.id] = LOWER
     return state
 
@@ -152,33 +151,29 @@ def update_segments(state: ComplementarityState, signals):
 
 
 def project_response(state: ComplementarityState, net, k,
-                     base: OperatingPoint, raw_point: OperatingPoint, layout=None):
+                     base: OperatingPoint, raw_point: OperatingPoint):
     """Clamp a raw square-system point into segment-consistent bounds.
 
     Voltages and generator outputs are projected onto their boxes; pinned
     segments land exactly on their bound; middle active-power segments follow
     the response rule at the state's delta.  Flows and slacks are then
-    recomputed so the result is feasible with minimal slacks, on `layout`
-    (the model of `k.outaged`) when given.
+    recomputed so the result is feasible with minimal slacks.
     """
+    lay = CaseLayout.of(net, k.outaged)
     fs = raw_point.state.copy()
-    v_min, v_max, b_min, b_max = np.array(
-        [(b.v_min, b.v_max, b.bcs_min, b.bcs_max) for b in net.buses]).T
-    fs.v = np.clip(fs.v, v_min, v_max)
-    fs.bcs = np.clip(fs.bcs, b_min, b_max)
+    fs.v = np.clip(fs.v, lay.v_min, lay.v_max)
+    fs.bcs = np.clip(fs.bcs, lay.bcs_min, lay.bcs_max)
     gens = net.generators
-    p_min, p_max, q_min, q_max, alpha = np.array(
-        [(g.p_min, g.p_max, g.q_min, g.q_max, g.alpha) for g in gens]).T
     seg_p = np.array([state.active.get(g.id, "") for g in gens])
     seg_q = np.array([state.reactive.get(g.id, MIDDLE) for g in gens])
+    p_min, p_max, q_min, q_max = lay.p_min, lay.p_max, lay.q_min, lay.q_max
     base_p = base.state.p_gen
-    mid_p = np.clip(base_p + alpha * state.delta, p_min, p_max)
+    mid_p = np.clip(base_p + lay.alpha * state.delta, p_min, p_max)
     fs.p_gen = np.where(seg_p == LOWER, p_min, np.where(
         seg_p == UPPER, p_max, np.where(seg_p == MIDDLE, mid_p, base_p)))
     fs.q_gen = np.where(seg_q == LOWER, q_min, np.where(
         seg_q == UPPER, q_max, np.clip(fs.q_gen, q_min, q_max)))
-    out = np.array([g.id == k.outaged for g in gens], dtype=bool)
+    out = lay.gen_col < 0
     fs.p_gen[out] = fs.q_gen[out] = 0.0
-    fs = flows_from_state(net, fs, k.outaged, layout=layout)
-    return slacks_from_state(net, fs, k.outaged, delta=state.delta,
-                             layout=layout)
+    fs = flows_from_state(net, fs, k.outaged)
+    return slacks_from_state(net, fs, k.outaged, delta=state.delta)

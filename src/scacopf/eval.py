@@ -25,7 +25,7 @@ import numpy as np
 from . import compl as compl_mod
 from .acpf import CaseLayout
 from .case_model import Network
-from .nlp import _Pattern, solve_nlp, solve_square
+from .nlp import _LuPattern, solve_nlp, solve_square
 from .scopf import (
     LOWER,
     MIDDLE,
@@ -98,7 +98,7 @@ class _Budget:
         self.t0 = time.monotonic()
         if deterministic:
             self.ops_left = (None if time_limit is None
-                             else int(time_limit * self.OPS_PER_SECOND))
+                             else round(time_limit * self.OPS_PER_SECOND))
         else:
             self.limit = time_limit
 
@@ -127,16 +127,68 @@ class _Budget:
 
     def remaining(self):
         """The unspent budget as the time limit of a nested evaluation.  In
-        deterministic mode it buys the operations left (plus half of one, so
-        that the nested budget's truncation to whole operations gives back
-        exactly ``ops_left``), and the wall clock plays no part."""
+        deterministic mode it buys exactly the operations left, and the wall
+        clock plays no part."""
         if self.deterministic:
             if self.ops_left is None:
                 return None
-            return max(0.0, (self.ops_left + 0.5) / self.OPS_PER_SECOND)
+            return max(0.0, self.ops_left / self.OPS_PER_SECOND)
         if self.limit is None:
             return None
         return max(0.0, self.limit - self.elapsed())
+
+
+class _SquareStructure:
+    """What a `_SquareSystem` compiles from its case alone: the unknown
+    columns, the Jacobian pattern with the LU ordering it keeps, and the
+    Jacobian's signs and constant entries.  It depends on the layout, the
+    responders and which of their segments are middle, and is kept in the
+    layout's `compiled` cache under those (see `of`).
+
+    Jacobian: each acpf flow-row entry, negated, goes into the P or Q
+    balance row of its flow's end bus; the balance-row entries on unknown
+    columns stay as they are; then the constant entries.  Repeated
+    (row, col) pairs add up.
+    """
+
+    @classmethod
+    def of(cls, lay, ref, resp, p_mid, q_mid):
+        key = ("square", resp.tobytes(), p_mid.tobytes(), q_mid.tobytes())
+        st = lay.compiled.get(key)
+        if st is None:
+            st = lay.compiled[key] = cls(lay, ref, resp, p_mid, q_mid)
+        return st
+
+    def __init__(self, lay, ref, resp, p_mid, q_mid):
+        nb, nfr = lay.nb, 4 * lay.m
+        self.p_cols = lay.p0 + lay.gen_col[resp]
+        self.q_cols = np.arange(lay.q0, lay.fl0)
+        self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), self.p_cols,
+                                    self.q_cols))
+        col_pos = np.full(lay.nvar, -1, dtype=int)
+        col_pos[self.cols] = np.arange(len(self.cols))
+        delta_col = len(self.cols)
+        self.n = delta_col + 1
+        self.v_at_gen = lay.v0 + lay.gen_bus
+
+        jr, jc = lay.jac_pattern()
+        row_of = np.concatenate((
+            (np.array([0, nb, 0, nb]) + lay.ends[:, [0, 0, 1, 1]]).ravel(),
+            np.arange(2 * nb)))
+        self.sel = np.flatnonzero((jr < nfr + 2 * nb) & (col_pos[jc] >= 0))
+        self.sign = np.where(jr[self.sel] < nfr, -1.0, 1.0)
+        r_ref = 2 * nb
+        r_p = r_ref + 1 + np.arange(len(resp))
+        r_q = r_ref + 1 + len(resp) + np.arange(len(lay.gens))
+        pc, qc = col_pos[self.p_cols], col_pos[self.q_cols]
+        rows = [row_of[jr[self.sel]], [r_ref], r_p[p_mid], r_p, r_q]
+        cols = [col_pos[jc[self.sel]], [col_pos[lay.th0 + ref]],
+                np.full(p_mid.sum(), delta_col),
+                pc, np.where(q_mid, col_pos[self.v_at_gen], qc)]
+        self.const = np.concatenate((
+            [1.0], lay.alpha[resp][p_mid], np.where(p_mid, -1.0, 1.0),
+            np.where(q_mid, -1.0, 1.0)))
+        self.pattern = _LuPattern(np.concatenate(rows), np.concatenate(cols), self.n)
 
 
 class _SquareSystem:
@@ -149,98 +201,70 @@ class _SquareSystem:
     non-responding generators keep their base active power.
     Rows: slack-free P/Q balance, the reference angle, one response row per
     responder, one per available generator.  The Jacobian is sparse (CSC) on
-    a pattern that is fixed at construction.
+    a pattern of the case's `_SquareStructure`; the base point's data (the
+    fixed template, base outputs and voltages, and the pinned bounds) is the
+    system's own.
     """
 
-    def __init__(self, net, k, base, state, layout=None):
-        self.net = net
-        lay = layout if layout is not None else CaseLayout(net, k.outaged)
+    def __init__(self, net, k, base, state):
+        lay = CaseLayout.of(net, k.outaged)
         self.lay = lay
-        nb, nfr = lay.nb, 4 * lay.m
-
-        self.responders = [(gi, g) for gi, g in enumerate(net.generators)
-                           if g.id in state.active]
-        self.avail = lay.avail_gens
-        resp = np.array([gi for gi, _ in self.responders], dtype=int)
-        self.p_cols = lay.p0 + lay.gen_col[resp]
-        self.q_cols = np.arange(lay.q0, lay.fl0)
-        self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), self.p_cols,
-                                    self.q_cols))
-        col_pos = np.full(lay.nvar, -1, dtype=int)
-        col_pos[self.cols] = np.arange(len(self.cols))
-        self.delta_col = len(self.cols)
-        self.n = len(self.cols) + 1
-
-        # fixed layout template: base shunts, base non-responder output
-        self.template = lay.pack(base.state)
         self.ref = net.bus_index(net.reference_bus)
 
         # response rows: a middle segment follows the response rule (active)
         # or holds the base voltage (reactive); lower/upper pin the output
-        seg_p = [state.active[g.id] for _, g in self.responders]
-        seg_q = [state.reactive.get(g.id, MIDDLE) for _, g in self.avail]
-        self.p_mid = np.array([s == MIDDLE for s in seg_p], dtype=bool)
-        self.q_mid = np.array([s == MIDDLE for s in seg_q], dtype=bool)
-        self.p_pin = np.array([g.p_min if s == LOWER else g.p_max
-                               for s, (_, g) in zip(seg_p, self.responders)], dtype=float)
-        self.q_pin = np.array([g.q_min if s == LOWER else g.q_max
-                               for s, (_, g) in zip(seg_q, self.avail)], dtype=float)
-        self.alpha = np.array([g.alpha for _, g in self.responders], dtype=float)
-        self.v_at_gen = lay.v0 + lay.gen_bus
+        resp = np.array([gi for gi, g in enumerate(net.generators)
+                         if g.id in state.active], dtype=int)
+        seg_p = np.array([state.active[net.generators[gi].id] for gi in resp],
+                         dtype=object)
+        seg_q = np.array([state.reactive.get(g.id, MIDDLE) for _, g in lay.avail_gens],
+                         dtype=object)
+        self.p_mid, self.q_mid = seg_p == MIDDLE, seg_q == MIDDLE
+        self.st = _SquareStructure.of(lay, self.ref, resp, self.p_mid, self.q_mid)
+        self.n = self.st.n
+        self.p_pin = np.where(seg_p == LOWER, lay.p_min[resp], lay.p_max[resp])
+        self.q_pin = np.where(seg_q == LOWER, lay.q_min[lay.gens], lay.q_max[lay.gens])
+        self.alpha = lay.alpha[resp]
+        # fixed layout template: base shunts, base non-responder output
+        self.template = lay.pack(base.state)
         self.base_p = base.state.p_gen[resp]
         self.base_v = base.state.v[lay.gen_bus]
 
-        # Jacobian: each acpf flow-row entry, negated, goes into the P or Q
-        # balance row of its flow's end bus; the balance-row entries on
-        # unknown columns stay as they are; then the constant entries.
-        # Repeated (row, col) pairs add up.
-        jr, jc = lay.jac_pattern()
-        row_of = np.concatenate((
-            (np.array([0, nb, 0, nb]) + lay.ends[:, [0, 0, 1, 1]]).ravel(),
-            np.arange(2 * nb)))
-        self._sel = np.flatnonzero((jr < nfr + 2 * nb) & (col_pos[jc] >= 0))
-        self._sign = np.where(jr[self._sel] < nfr, -1.0, 1.0)
-        r_ref = 2 * nb
-        r_p = r_ref + 1 + np.arange(len(resp))
-        r_q = r_ref + 1 + len(resp) + np.arange(len(lay.gens))
-        pc, qc = col_pos[self.p_cols], col_pos[self.q_cols]
-        mid_p, mid_q = self.p_mid, self.q_mid
-        rows = [row_of[jr[self._sel]], [r_ref], r_p[mid_p], r_p, r_q]
-        cols = [col_pos[jc[self._sel]], [col_pos[lay.th0 + self.ref]],
-                np.full(mid_p.sum(), self.delta_col),
-                pc, np.where(mid_q, col_pos[self.v_at_gen], qc)]
-        self._const = np.concatenate((
-            [1.0], self.alpha[mid_p], np.where(mid_p, -1.0, 1.0),
-            np.where(mid_q, -1.0, 1.0)))
-        self._pattern = _Pattern(np.concatenate(rows), np.concatenate(cols),
-                                 (self.n, self.n), csc=True)
+    def voltage_x(self, z):
+        """The layout vector of z, flows still the template's."""
+        x = self.template.copy()
+        x[self.st.cols] = z[:-1]
+        return x
 
     def full_x(self, z):
-        x = self.template.copy()
-        x[self.cols] = z[:-1]
+        x = self.voltage_x(z)
         x[self.lay.fl0:] = self.lay.flow_values(x).ravel()
         return x
 
     def start(self, point, delta):
         z = np.empty(self.n)
-        z[:-1] = self.lay.pack(point.state)[self.cols]
+        z[:-1] = self.lay.pack(point.state)[self.st.cols]
         z[-1] = delta
         return z
 
     def residual(self, z):
-        lay = self.lay
+        lay, st = self.lay, self.st
         x = self.full_x(z)
         p, q = lay.balance(x)
-        p_gen, q_gen = x[self.p_cols], x[self.q_cols]
+        p_gen, q_gen = x[st.p_cols], x[st.q_cols]
         return np.concatenate((
             p, q, [x[lay.th0 + self.ref]],
             np.where(self.p_mid, self.base_p + self.alpha * z[-1] - p_gen,
                      p_gen - self.p_pin),
-            np.where(self.q_mid, self.base_v - x[self.v_at_gen], q_gen - self.q_pin)))
+            np.where(self.q_mid, self.base_v - x[st.v_at_gen], q_gen - self.q_pin)))
 
     def jacobian(self, z):
-        jv = self.lay.jac_values(self.full_x(z))
-        return self._pattern.matrix(np.concatenate((jv[self._sel] * self._sign, self._const)))
+        """The Jacobian as `solve_square` takes it: the pattern and its raw
+        values."""
+        # the selected entries do not depend on the flow columns
+        st = self.st
+        jv = self.lay.jac_values(self.voltage_x(z))
+        return st.pattern, np.concatenate((jv[st.sel] * st.sign, st.const))
 
     def raw_point(self, z):
         st = self.lay.unpack(self.full_x(z))
@@ -248,7 +272,7 @@ class _SquareSystem:
         return OperatingPoint(
             state=st, sig_p_plus=zero.copy(), sig_p_minus=zero.copy(),
             sig_q_plus=zero.copy(), sig_q_minus=zero.copy(),
-            sig_s=np.zeros(len(self.net.branches)), delta=float(z[-1]),
+            sig_s=np.zeros(self.lay.nbr), delta=float(z[-1]),
         )
 
 
@@ -308,12 +332,9 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     budget = _Budget(time_limit, deterministic)
     state = _init_state(net, k, init_compl, base)
     state_fb = state.copy()
-    # one compiled model serves every round: ratings only affect the slacks
-    lay = CaseLayout(net, k.outaged)
-
     # guaranteed fallback: base state projected into the response rules with
     # slacks absorbing all residuals
-    fallback = compl_mod.project_response(state_fb, net, k, base, base, layout=lay)
+    fallback = compl_mod.project_response(state_fb, net, k, base, base)
     best_pen = point_penalty(net, fallback, k.outaged)
     best = (fallback, state_fb)
     status = "ok"
@@ -327,7 +348,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     for round_no in range(FAST_MAX_ROUNDS):
         if budget.exhausted() or below_cutoff(best_pen):
             break
-        sys_ = _SquareSystem(net, k, base, state, layout=lay)
+        sys_ = _SquareSystem(net, k, base, state)
         z0 = sys_.start(point, state.delta)
         res = solve_square(sys_.residual, sys_.jacobian, z0, tol=1e-10,
                            **budget.solver_kwargs(60))
@@ -339,7 +360,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         new_state, _ = _update_from_violations(net, k, state, base, raw,
                                                raw.delta)
         new_state.delta = raw.delta
-        proj = compl_mod.project_response(new_state, net, k, base, raw, layout=lay)
+        proj = compl_mod.project_response(new_state, net, k, base, raw)
         pen = point_penalty(net, proj, k.outaged)
         if pen < best_pen - 1e-15:
             best_pen = pen

@@ -21,12 +21,14 @@ long as the Hessian and Jacobian patterns stay the same, which for the
 problems of `scopf` is the whole solve.  `_Kkt` compiles both patterns
 once, fills each attempt's values with one `np.bincount`, and bakes the
 column ordering of the first factorization of each matrix into its pattern,
-so that later factorizations reuse it in natural order.  `_Pattern` is the
-compiled sparsity pattern that every layer above fills its matrices with.
+so that later factorizations reuse it in natural order; `_LuPattern` does
+the same for the Jacobians of `solve_square`.  `_Pattern` is the compiled
+sparsity pattern that every layer above fills its matrices with.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -82,7 +84,11 @@ class NlpSolution:
 class _Pattern:
     """Fixed sparsity pattern: raw (row, col) entries, repeats allowed,
     compiled once to canonical CSR (or CSC) index arrays; `matrix` sums the
-    raw values onto them, and `permuted` moves the raw entries."""
+    raw values onto them, and `permuted` moves the raw entries.
+
+    The index arrays are validated once, by the matrix built at compile
+    time; every `matrix` is a shallow copy of it with data of its own, so it
+    shares them read-only."""
 
     def __init__(self, rows, cols, shape, csc=False):
         major, minor = (cols, rows) if csc else (rows, cols)
@@ -95,11 +101,15 @@ class _Pattern:
                                       np.arange(n_major + 1)).astype(np.int32)
         self.shape = shape
         self.csc = csc
-        self.fmt = sparse.csc_matrix if csc else sparse.csr_matrix
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        fmt = sparse.csc_matrix if csc else sparse.csr_matrix
+        self._empty = fmt((np.zeros(len(self.indices)), self.indices, self.indptr),
+                          shape=shape)
 
     def matrix(self, vals):
-        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
-        return self.fmt((data, self.indices, self.indptr), shape=self.shape)
+        out = copy.copy(self._empty)
+        out.data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
+        return out
 
     def permuted(self, row_pos, col_pos):
         """The pattern with raw row i moved to row_pos[i] and raw column j to
@@ -109,6 +119,47 @@ class _Pattern:
         minor = self.indices[self.slot]
         rows, cols = (minor, major) if self.csc else (major, minor)
         return _Pattern(row_pos[rows], col_pos[cols], self.shape, self.csc)
+
+
+# column ordering of square-system LUs
+SQUARE_ORDERING = "MMD_AT_PLUS_A"
+
+
+class _LuPattern:
+    """`_Pattern` of a square CSC matrix that is factored by a sparse LU
+    again and again, with columns ordered on A' + A (a power-flow Jacobian
+    is nearly structurally symmetric).  The first LU finds that ordering; it
+    is baked into the pattern, as `_Kkt` does for K, and every LU, the first
+    one included, then factors the pre-permuted matrix in natural order.  So
+    an LU depends on the pattern and the values alone, not on the values it
+    was first ordered for."""
+
+    def __init__(self, rows, cols, n):
+        self.pattern = _Pattern(rows, cols, (n, n), csc=True)
+        self.ordered = self.pos = None
+
+    def lu(self, vals):
+        """(A, lu, pos) for raw values vals: `lu` factors the matrix A, whose
+        column pos[j] is column j of the matrix, or is None if the matrix is
+        exactly singular."""
+        if self.ordered is None:
+            A = self.pattern.matrix(vals)
+            first = _splu(A, SQUARE_ORDERING)
+            if first is None:
+                return A, None, np.arange(A.shape[0])
+            # a copy: `perm_c` is a view that would keep the LU alive
+            self.pos = first.perm_c.copy()
+            self.ordered = self.pattern.permuted(np.arange(A.shape[0]), self.pos)
+        A = self.ordered.matrix(vals)
+        return A, _splu(A, "NATURAL"), self.pos
+
+
+def _splu(A, permc_spec):
+    """A sparse LU of the CSC matrix A, or None if A is exactly singular."""
+    try:
+        return splu(A, permc_spec=permc_spec)
+    except RuntimeError:
+        return None
 
 
 def _row_stack(A, B):
@@ -198,8 +249,8 @@ class _Kkt:
         except RuntimeError:  # exactly singular
             return False
         if self.p_pos is None:
-            self.p_pos = lu.perm_c
-            self.P = self.P.permuted(lu.perm_c, lu.perm_c)
+            self.p_pos = lu.perm_c.copy()  # not a view that keeps the LU alive
+            self.P = self.P.permuted(self.p_pos, self.p_pos)
         return bool(np.array_equal(lu.perm_r, lu.perm_c)
                     and np.all(lu.U.diagonal() > 0.0))
 
@@ -210,8 +261,8 @@ class _Kkt:
         if self.k_pos is None:
             lu = splu(K)
             pos = np.arange(K.shape[0])
-            self.k_pos = lu.perm_c
-            self.K = self.K.permuted(pos, lu.perm_c)
+            self.k_pos = lu.perm_c.copy()  # not a view that keeps the LU alive
+            self.K = self.K.permuted(pos, self.k_pos)
         else:
             lu = splu(K, permc_spec="NATURAL")
             pos = self.k_pos
@@ -287,6 +338,16 @@ KAPPA_SOC, MAX_SOC = 0.99, 4
 MAX_TRIALS = 30
 # initial barrier parameter
 MU0 = 1e-1
+EPS_MACH = np.finfo(float).eps
+
+
+def _move_out(bound, gap, mu, sign):
+    """Move `bound` by sign * eps^(3/4) * max(1, |bound|) wherever `gap`, the
+    iterate's distance to it, is below eps * mu: a gap that rounds to
+    nothing would keep the iterate on its bound for good (Waechter & Biegler
+    2006, Sec. 3.5).  sign is -1 for lower bounds, +1 for upper ones."""
+    stuck = gap < EPS_MACH * mu
+    bound[stuck] += sign * EPS_MACH ** 0.75 * np.maximum(1.0, np.abs(bound[stuck]))
 
 
 def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
@@ -313,6 +374,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     x = _interior_start(np.asarray(prob.x0, float), lb, ub)
     cI = prob.ineq(x) if mi else np.zeros(0)
     t = np.maximum(1e-2, -cI)
+    t_lo = np.zeros(mi)  # the slacks' lower bounds, moved by `_move_out`
     mu = MU0
     y = np.zeros(me)
     w = np.full(mi, mu / np.maximum(t, 1e-8)) if mi else np.zeros(0)
@@ -355,13 +417,13 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         """Barrier objective phi at (xv, tv), whose objective value is fv."""
         return fv - mu * (np.sum(np.log(xv[fin_l] - lb[fin_l]))
                           + np.sum(np.log(ub[fin_u] - xv[fin_u]))
-                          + np.sum(np.log(tv)))
+                          + np.sum(np.log(tv - t_lo)))
 
     def measures(xv, tv):
         """(theta, phi, cE, cI) at a trial point; theta and phi are inf and
         nothing is evaluated outside the bounds."""
         if np.any(xv[fin_l] <= lb[fin_l]) or np.any(xv[fin_u] >= ub[fin_u]) \
-                or np.any(tv <= 0.0):
+                or np.any(tv <= t_lo):
             return np.inf, np.inf, None, None
         cEv = prob.eq(xv) if me else np.zeros(0)
         cIv = prob.ineq(xv) if mi else np.zeros(0)
@@ -377,6 +439,9 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     status = MAX_ITER
     it = 0
     for it in range(1, max_iter + 1):
+        _move_out(lb, x - lb, mu, -1.0)
+        _move_out(ub, ub - x, mu, 1.0)
+        _move_out(t_lo, t - t_lo, mu, -1.0)
         f = prob.objective(x)
         g = prob.gradient(x)
         cE = prob.eq(x) if me else np.zeros(0)
@@ -387,10 +452,11 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
         gap_l = np.where(fin_l, x - lb, np.inf)
         gap_u = np.where(fin_u, ub - x, np.inf)
+        gap_t = t - t_lo
 
         grad_lag = g + JE.T @ y + JI.T @ w
         r_d = grad_lag - zl + zu
-        comp_t = t * w if mi else np.zeros(0)
+        comp_t = gap_t * w if mi else np.zeros(0)
         comp_l = np.zeros(n)
         comp_l[fin_l] = gap_l[fin_l] * zl[fin_l]
         comp_u = np.zeros(n)
@@ -438,7 +504,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         rhs = np.concatenate([
             -gbar,
             -cE,
-            -(cI + mu / w) if mi else np.zeros(0),
+            -(cI + t_lo + mu / w) if mi else np.zeros(0),
         ])
 
         # inertia-corrected factorization; dual regularization only kicks in
@@ -451,8 +517,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         solve = None
         for attempt in range(1, 41):
             w_diag = sigma_x + delta_w
-            d_dual = np.concatenate([np.full(me, dc), t / w + dc])
-            d_test = np.concatenate([np.full(me, dc or delta_c), t / w + dc])
+            d_dual = np.concatenate([np.full(me, dc), gap_t / w + dc])
+            d_test = np.concatenate([np.full(me, dc or delta_c), gap_t / w + dc])
             if kkt.inertia_ok(Hl.data, w_diag, J.data, d_test):
                 try:
                     solve = kkt.factor(Hl.data, w_diag, J.data, d_dual)
@@ -484,7 +550,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             return dx, sol[n:n + me], sol[n + me:], dzl, dzu
 
         def ftb_primal(dx, dt):
-            a = _ftb_alpha(t, dt, tau_ftb)
+            a = _ftb_alpha(gap_t, dt, tau_ftb)
             a = min(a, _ftb_alpha(gap_l[fin_l], dx[fin_l], tau_ftb))
             return min(a, _ftb_alpha(gap_u[fin_u], -dx[fin_u], tau_ftb))
 
@@ -502,7 +568,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         # the barrier objective's directional derivative along (dx, dt)
         theta0 = theta_of(cE, cI, t)
         phi0 = barrier(x, t, f)
-        dphi = float((g + bar_grad) @ dx) - float(np.sum(mu / t * dt))
+        dphi = float((g + bar_grad) @ dx) - float(np.sum(mu / gap_t * dt))
 
         def accepts(theta_n, phi_n, alpha_test):
             """'f' (Armijo step), 'h' (filter step) or None for a trial point
@@ -530,7 +596,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             c_soc_i = a_pri * (cI + t) + (cIn + tn)
             theta_old = theta_n
             for _ in range(MAX_SOC):
-                sol_s = solve(np.concatenate([-gbar, -c_soc_e, -(c_soc_i - t + mu / w)]))
+                sol_s = solve(np.concatenate([-gbar, -c_soc_e, -(c_soc_i - gap_t + mu / w)]))
                 if not np.all(np.isfinite(sol_s)):
                     return None
                 dx_s = sol_s[:n]
@@ -615,28 +681,38 @@ class SquareResult:
     residual: float = 0.0
 
 
-def _sparse_solve(A, rhs):
-    """Solution of A x = rhs by a sparse LU, or None if A is exactly
-    singular or the solution is not finite.  A power-flow Jacobian is
-    nearly structurally symmetric, so the columns are ordered on A' + A."""
-    try:
-        sol = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
-    except RuntimeError:  # exactly singular
-        return None
+def _lu(J):
+    """(A, lu, pos) of a Jacobian as `solve_square`'s `jac` returns it: `lu`
+    factors the CSC matrix A, whose column pos[j] is column j of J, or is
+    None if J is exactly singular."""
+    if isinstance(J, tuple):
+        return J[0].lu(J[1])
+    A = J.tocsc() if sparse.issparse(J) else sparse.csc_matrix(J)
+    return A, _splu(A, SQUARE_ORDERING), np.arange(A.shape[0])
+
+
+def _solution(lu, rhs, pos):
+    """The solution in the Jacobian's column order, or None if not finite."""
+    sol = lu.solve(rhs)[pos]
     return sol if np.all(np.isfinite(sol)) else None
 
 
-def _levenberg(J, F, delta):
-    """Regularized least-squares step: (J'J + delta I) d = -J'F."""
-    return _sparse_solve(J.T @ J + delta * sparse.identity(J.shape[1]), -(J.T @ F))
+def _levenberg(A, F, delta, pos):
+    """Regularized least-squares step (J'J + delta I) d = -J'F, for J whose
+    column j is column pos[j] of A."""
+    _, lu, _ = _lu(A.T @ A + delta * sparse.identity(A.shape[1]))
+    return None if lu is None else _solution(lu, -(A.T @ F), pos)
 
 
 def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     """Damped Newton for a square system fun(x) = 0 with Jacobian jac(x).
 
-    Each step is solved with a sparse LU (a dense Jacobian is converted).
-    Backtracks on the residual norm, with Levenberg-regularized least-squares
-    steps as a fallback for singular Jacobians.  Returns the best iterate.
+    jac(x) returns the Jacobian as a matrix, dense or sparse, or as a pair
+    (pattern, vals) of an `_LuPattern` and its raw values, which is factored
+    in the column ordering the pattern keeps from its first LU.  Each step
+    is solved with a sparse LU.  Backtracks on the residual norm, with
+    Levenberg-regularized least-squares steps as a fallback for singular
+    Jacobians.  Returns the best iterate.
     """
     t_start = time.monotonic()
     x = np.asarray(x0, float).copy()
@@ -652,13 +728,13 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
         if time_limit is not None and time.monotonic() - t_start > time_limit:
             return SquareResult(best_x, FAILED, it - 1, best_norm)
 
-        J = sparse.csc_matrix(jac(x))
-        d = _sparse_solve(J, -F)
+        A, lu, pos = _lu(jac(x))
+        d = None if lu is None else _solution(lu, -F, pos)
         delta = 1e-8
         for _ in range(20):
             if d is not None:
                 break
-            d = _levenberg(J, F, delta)
+            d = _levenberg(A, F, delta, pos)
             delta *= 10.0
         if d is None:
             return SquareResult(best_x, FAILED, it, best_norm)
@@ -675,7 +751,7 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
             alpha *= 0.5
         if not improved:
             # no progress along the Newton direction: try a regularized step
-            d2 = _levenberg(J, F, max(1e-8, 1e-4 * f0))
+            d2 = _levenberg(A, F, max(1e-8, 1e-4 * f0), pos)
             if d2 is None:
                 return SquareResult(best_x, FAILED, it, best_norm)
             xn = x + d2

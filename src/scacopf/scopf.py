@@ -142,22 +142,20 @@ def penalty_cost(cfg: PenaltyConfig, slack_total):
 
 def point_penalty(net: Network, point: OperatingPoint, outaged=None):
     """Explicit penalty of an operating point: sum over all its slacks."""
-    live = np.array([br.id != outaged for br in net.branches], dtype=bool)
+    svc = CaseLayout.of(net, outaged).svc
     slacks = np.concatenate((point.sig_p_plus, point.sig_p_minus, point.sig_q_plus,
-                             point.sig_q_minus, point.sig_s[live]))
+                             point.sig_q_minus, point.sig_s[svc]))
     return float(np.sum(_penalties(net.penalty_config, slacks)))
 
 
-def slacks_from_state(net: Network, state: FlowState, outaged=None,
-                      delta=0.0, layout=None):
+def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
     """Operating point whose slacks exactly absorb the state's residuals.
 
     This is the unique minimal-slack assignment making the point feasible;
-    flows in `state` are trusted as given.  `layout`, if given, is the model
-    of `outaged`; its ratings are the base set for ``outaged is None`` and the
-    contingency set otherwise.
+    flows in `state` are trusted as given.  Ratings are the base set for
+    ``outaged is None`` and the contingency set otherwise.
     """
-    lay = layout if layout is not None else CaseLayout(net, outaged)
+    lay = CaseLayout.of(net, outaged)
     x = lay.pack(state)
     p, q = lay.balance(x)
     lhs, rhs = lay.ratings(x)
@@ -174,9 +172,9 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None,
     )
 
 
-def flows_from_state(net: Network, state: FlowState, outaged=None, layout=None):
-    """Recompute branch flows from the voltages (on `layout`, if given)."""
-    lay = layout if layout is not None else CaseLayout(net, outaged)
+def flows_from_state(net: Network, state: FlowState, outaged=None):
+    """Recompute branch flows from the voltages."""
+    lay = CaseLayout.of(net, outaged)
     out = state.copy()
     out.flows[:] = 0.0
     out.flows[lay.svc] = lay.flow_values(lay.pack(state))
@@ -223,7 +221,7 @@ class _Block:
                  with_cost=False, pen_weight=1.0):
         self.net = net
         self.pen_weight = pen_weight
-        lay = CaseLayout(net, outaged)
+        lay = CaseLayout.of(net, outaged)
         self.layout = lay
         nb, m = lay.nb, lay.m
 
@@ -318,18 +316,13 @@ class _Block:
             np.concatenate((hc, np.repeat(s_cols, 2), line_v)))
 
     def bounds(self):
-        lay, net = self.layout, self.net
+        lay = self.layout
         lb = np.full(self.nvar, -INF)
         ub = np.full(self.nvar, INF)
-        gens = [g for _, g in lay.avail_gens]
-        lb[lay.v0:lay.th0] = [bus.v_min for bus in net.buses]
-        ub[lay.v0:lay.th0] = [bus.v_max for bus in net.buses]
-        lb[lay.bcs0:lay.p0] = [bus.bcs_min for bus in net.buses]
-        ub[lay.bcs0:lay.p0] = [bus.bcs_max for bus in net.buses]
-        lb[lay.p0:lay.q0] = [g.p_min for g in gens]
-        ub[lay.p0:lay.q0] = [g.p_max for g in gens]
-        lb[lay.q0:lay.fl0] = [g.q_min for g in gens]
-        ub[lay.q0:lay.fl0] = [g.q_max for g in gens]
+        lb[lay.v0:lay.th0], ub[lay.v0:lay.th0] = lay.v_min, lay.v_max
+        lb[lay.bcs0:lay.p0], ub[lay.bcs0:lay.p0] = lay.bcs_min, lay.bcs_max
+        lb[lay.p0:lay.q0], ub[lay.p0:lay.q0] = lay.p_min[lay.gens], lay.p_max[lay.gens]
+        lb[lay.q0:lay.fl0], ub[lay.q0:lay.fl0] = lay.q_min[lay.gens], lay.q_max[lay.gens]
         # balance/rating slacks and penalty auxiliaries are nonnegative
         lb[self.sPp0:self.pen0 + self.n_slacks] = 0.0
         return lb, ub

@@ -74,6 +74,39 @@ def test_bisection_shortfall_flags_upper():
     assert st.active["G1"] == UPPER
 
 
+def two_responder_net(g1_p_max):
+    """Responders G1, capped at g1_p_max, and G3; G2 is the outage."""
+    net = response_net(responder_kw=dict(p_max=g1_p_max))
+    return Network(
+        buses=net.buses, generators=net.generators + (make_gen("G3", "B2"),),
+        lines=net.lines, transformers=(),
+        contingencies=(Contingency("K", "generator-outage", "G2", ("G1", "G3")),),
+        penalty_config=PenaltyConfig(), reference_bus="B1")
+
+
+def test_delta_is_the_exact_root():
+    # replaced power is 2 delta until G1 reaches its cap at delta = 0.1,
+    # then 0.1 + delta
+    net = two_responder_net(1.1)
+    st = init_generator_outage(net, net.contingency("K"),
+                               base_with_p(net, [1.0, 0.5, 0.0]))
+    assert st.delta == pytest.approx(compl.LOSS_UPLIFT * 0.5 - 0.1, rel=1e-14)
+    assert (st.active["G1"], st.active["G3"]) == (UPPER, MIDDLE)
+    assert not st.shortfall
+
+
+def test_delta_on_a_clamp_breakpoint():
+    # the target is met exactly where G1 reaches its cap: delta is that
+    # breakpoint, where G1 sits on its bound and so stays middle
+    half = compl.LOSS_UPLIFT * 0.5 / 2
+    net = two_responder_net(half)
+    st = init_generator_outage(net, net.contingency("K"),
+                               base_with_p(net, [0.0, 0.5, 0.0]))
+    assert st.delta == half
+    assert (st.active["G1"], st.active["G3"]) == (MIDDLE, MIDDLE)
+    assert not st.shortfall
+
+
 def test_init_default_all_middle(net5):
     for cid in ("CL2", "CT1"):
         k = net5.contingency(cid)

@@ -6,8 +6,9 @@ import pytest
 from conftest import make_bus, make_gen, make_line
 
 from scacopf import compl, eval as ev, nlp, scopf
-from scacopf.acpf import balance_residuals
-from scacopf.case_model import Contingency, Network, PenaltyConfig
+from scacopf.acpf import CaseLayout, balance_residuals
+from scacopf.case_model import (Contingency, Network, PenaltyConfig, load_case,
+                                preprocess, write_case)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +228,8 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
         state.reactive.update(zip(reactive, mix[len(active):]))
         sys_ = ev._SquareSystem(net, k, base, state)
         z = sys_.start(base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
-        J = sys_.jacobian(z)
+        lu_pattern, vals = sys_.jacobian(z)
+        J = lu_pattern.pattern.matrix(vals)
         J_fd = fd_jacobian(sys_.residual, z)
         assert J.shape == (sys_.n, sys_.n)
         scale = np.maximum(np.abs(J_fd), 1.0)
@@ -235,16 +237,17 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
 
 
 def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
-    # one compiled model serves every square-system round and projection
+    # one compiled model per outage serves every square-system round,
+    # projection and penalty, and every later evaluation of that outage
     net, base = solved5
     assert ev.CaseLayout is scopf.CaseLayout
     built, rounds = [], []
     init = ev.CaseLayout.__init__
     real_solve = ev.solve_square
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting_init(self, net, outaged=None):
+        built.append(outaged)
+        init(self, net, outaged)
 
     def counting_solve(*args, **kwargs):
         rounds.append(1)
@@ -252,9 +255,11 @@ def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
 
     monkeypatch.setattr(ev.CaseLayout, "__init__", counting_init)
     monkeypatch.setattr(ev, "solve_square", counting_solve)
-    ev.fast_evaluate(net, net.contingency("CG2"), base)
+    for _ in range(3):
+        for k in net.contingencies:
+            ev.fast_evaluate(net, k, base)
     assert rounds
-    assert len(built) == 1
+    assert len(built) == len(set(built)) <= len(net.contingencies)
 
 
 @pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
@@ -304,3 +309,81 @@ def test_full_evaluation_on_60_buses_is_optimal():
                            deterministic=True)
     assert res.nlp and all(status == nlp.OPTIMAL for status, _ in res.nlp)
     assert res.penalty < 1e-6
+
+
+@pytest.fixture(scope="module")
+def case14(tmp_path_factory):
+    """A 14-bus case file and two base points of it: the solved base and a
+    point near it."""
+    from scacopf.cli import generate_case
+    path = tmp_path_factory.mktemp("case") / "case14.json"
+    write_case(generate_case(14, 3), path)
+    net = load_case(path)
+    prob = scopf.build_base_problem(net)
+    base = prob.meta.extract_base(nlp.solve_nlp(prob, tol=1e-8).x)
+    state = base.state.copy()
+    lay = CaseLayout.of(net)
+    state.p_gen = np.clip(state.p_gen * 1.02, lay.p_min, lay.p_max)
+    state.v = np.clip(state.v + 0.002, lay.v_min, lay.v_max)
+    state.bcs = (lay.bcs_min + lay.bcs_max) / 2
+    assert not np.array_equal(state.bcs, base.state.bcs)
+    near = scopf.slacks_from_state(net, scopf.flows_from_state(net, state))
+    return path, (base, near)
+
+
+def assert_same_result(a, b):
+    assert (a.penalty, a.status, a.compl) == (b.penalty, b.status, b.compl)
+    for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
+        np.testing.assert_array_equal(getattr(a.point.state, name),
+                                      getattr(b.point.state, name))
+    np.testing.assert_array_equal(a.point.slack_vector(), b.point.slack_vector())
+    assert a.point.delta == b.point.delta
+
+
+@pytest.mark.parametrize("kind", ["generator-outage", "line-outage"])
+def test_cached_models_hold_no_base_point_data(case14, kind):
+    # one contingency at two base points, in both orders: every result on a
+    # network whose layout and square systems are cached is bit-equal to the
+    # same evaluation on a fresh copy of the case
+    path, points = case14
+    k = next(k for k in load_case(path).contingencies if k.kind == kind)
+    for order in (points, points[::-1]):
+        warm = load_case(path)
+        for point in order:
+            got = ev.fast_evaluate(warm, k, point, deterministic=True)
+            ref = ev.fast_evaluate(load_case(path), k, point, deterministic=True)
+            assert_same_result(got, ref)
+        assert warm._layouts[k.outaged].compiled
+
+
+def test_layout_memo_is_per_network_and_outage(net5):
+    from dataclasses import replace
+    base = scopf.default_start(net5)
+    for k in net5.contingencies:
+        ev.fast_evaluate(net5, k, base)
+    lays = [CaseLayout.of(net5, k.outaged) for k in net5.contingencies]
+    assert all(CaseLayout.of(net5, k.outaged) is lay
+               for k, lay in zip(net5.contingencies, lays))
+    # outages share neither a layout nor a compiled square system
+    assert len({id(lay) for lay in lays}) == len(lays)
+    compiled = [id(st) for lay in lays for st in lay.compiled.values()]
+    assert all(lay.compiled for lay in lays)
+    assert len(set(compiled)) == len(compiled)
+    # preprocess's new network compiles its own layouts
+    dup = replace(net5, contingencies=net5.contingencies + (
+        Contingency("CG2b", "generator-outage", "G2", ("G1",)),))
+    old = CaseLayout.of(dup, "G2")
+    new, report = preprocess(dup)
+    assert report.removed_contingencies and new is not dup
+    assert CaseLayout.of(new, "G2") is not old
+    assert CaseLayout.of(dup, "G2") is old
+
+
+def test_deterministic_budget_buys_whole_operations():
+    # a budget of n operations' worth of seconds buys exactly n, and so does
+    # the remainder it hands a nested evaluation
+    per_op = ev._Budget.OPS_PER_SECOND
+    for n in range(200_000):
+        budget = ev._Budget(n / per_op, True)
+        assert budget.ops_left == n
+        assert ev._Budget(budget.remaining(), True).ops_left == n

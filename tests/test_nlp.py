@@ -238,6 +238,30 @@ def test_filter_restarts_at_each_barrier_parameter():
     np.testing.assert_allclose(sol.x[:2], [-0.5, math.sqrt(0.75)], atol=1e-6)
 
 
+def test_iterate_on_a_bound_is_released():
+    # min -0.08 x + 0.06 y s.t. x^2 + y^2 = 1, x, y >= -0.5, from
+    # (-1.2, -0.6): every step pushes the iterate into the corner
+    # (-0.5, -0.5) until its gaps to the bounds round to nothing.  Moving
+    # such a bound out by eps^(3/4) (Waechter & Biegler 2006, Sec. 3.5)
+    # keeps the barrier finite and every step nonzero.  The corner is a
+    # local minimizer of the constraint violation within the bounds, so
+    # without a restoration phase the solve still ends there.
+    c = np.array([-0.08, 0.06])
+    prob = NlpProblem(
+        n=2, x0=np.array([-1.2, -0.6]), lb=np.full(2, -0.5), ub=np.full(2, np.inf),
+        objective=lambda x: float(c @ x), gradient=lambda x: c.copy(),
+        eq=lambda x: np.array([x @ x - 1.0]), ineq=lambda x: np.zeros(0),
+        jac_eq=lambda x: sparse.coo_matrix(2.0 * x[None, :]),
+        jac_ineq=lambda x: sparse.coo_matrix((0, 2)),
+        hess=lambda x, sf, le, li: sparse.coo_matrix(2.0 * le[0] * np.eye(2)),
+        n_eq=1, n_ineq=0)
+    records = []
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):
+        solve_nlp(prob, tol=1e-8, log=records.append)
+    assert len(records) > 10
+    assert all(r["alpha_primal"] > 0.0 for r in records[1:])
+
+
 def test_line_search_out_of_trials_returns_best():
     # objective and gradient are nan everywhere but x0: every trial point is
     # rejected, the fraction-to-boundary step is taken, and the next
