@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acpf import CaseLayout
-from .scopf import DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint, \
-    flows_from_state, slacks_from_state
+from .scopf import DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint, _priced
 
 __all__ = [
     "ComplementarityState",
     "init_generator_outage",
     "init_default",
+    "initial_state",
     "update_segments",
     "project_response",
 ]
@@ -44,10 +44,9 @@ class ComplementarityState:
 
 
 def _families(net, k):
-    responding = [g for g in net.generators
-                  if g.id in set(k.responding_gens) and g.id != k.outaged]
+    responding = set(k.responding_gens)
     available = [g for g in net.generators if g.id != k.outaged]
-    return responding, available
+    return [g for g in available if g.id in responding], available
 
 
 def init_default(net, k):
@@ -107,6 +106,17 @@ def init_generator_outage(net, k, base: OperatingPoint):
     return state
 
 
+def initial_state(net, k, base: OperatingPoint, given=None):
+    """The segment state an evaluation of k at `base` starts from: a copy of
+    `given` if there is one, else the generator-outage response for a
+    generator outage and the all-middle default otherwise."""
+    if given is not None:
+        return given.copy()
+    if k.kind == "generator-outage":
+        return init_generator_outage(net, k, base)
+    return init_default(net, k)
+
+
 def _is_active(evidence):
     gap, lam = evidence
     return lam > 0.0 and gap / lam < ACTIVITY_RATIO
@@ -160,20 +170,19 @@ def project_response(state: ComplementarityState, net, k,
     recomputed so the result is feasible with minimal slacks.
     """
     lay = CaseLayout.of(net, k.outaged)
-    fs = raw_point.state.copy()
-    fs.v = np.clip(fs.v, lay.v_min, lay.v_max)
-    fs.bcs = np.clip(fs.bcs, lay.bcs_min, lay.bcs_max)
-    gens = net.generators
-    seg_p = np.array([state.active.get(g.id, "") for g in gens])
-    seg_q = np.array([state.reactive.get(g.id, MIDDLE) for g in gens])
-    p_min, p_max, q_min, q_max = lay.p_min, lay.p_max, lay.q_min, lay.q_max
-    base_p = base.state.p_gen
-    mid_p = np.clip(base_p + lay.alpha * state.delta, p_min, p_max)
-    fs.p_gen = np.where(seg_p == LOWER, p_min, np.where(
+    x = lay.pack(raw_point.state)
+    x[lay.v0:lay.th0] = np.clip(x[lay.v0:lay.th0], lay.v_min, lay.v_max)
+    x[lay.bcs0:lay.p0] = np.clip(x[lay.bcs0:lay.p0], lay.bcs_min, lay.bcs_max)
+    gens = lay.gens
+    seg_p = np.array([state.active.get(g.id, "") for _, g in lay.avail_gens])
+    seg_q = np.array([state.reactive.get(g.id, MIDDLE) for _, g in lay.avail_gens])
+    p_min, p_max = lay.p_min[gens], lay.p_max[gens]
+    q_min, q_max = lay.q_min[gens], lay.q_max[gens]
+    base_p = base.state.p_gen[gens]
+    mid_p = np.clip(base_p + lay.alpha[gens] * state.delta, p_min, p_max)
+    x[lay.p0:lay.q0] = np.where(seg_p == LOWER, p_min, np.where(
         seg_p == UPPER, p_max, np.where(seg_p == MIDDLE, mid_p, base_p)))
-    fs.q_gen = np.where(seg_q == LOWER, q_min, np.where(
-        seg_q == UPPER, q_max, np.clip(fs.q_gen, q_min, q_max)))
-    out = lay.gen_col < 0
-    fs.p_gen[out] = fs.q_gen[out] = 0.0
-    fs = flows_from_state(net, fs, k.outaged)
-    return slacks_from_state(net, fs, k.outaged, delta=state.delta)
+    x[lay.q0:lay.fl0] = np.where(seg_q == LOWER, q_min, np.where(
+        seg_q == UPPER, q_max, np.clip(x[lay.q0:lay.fl0], q_min, q_max)))
+    x[lay.fl0:] = lay.flow_values(x).ravel()
+    return _priced(lay, x, lay.unpack(x), state.delta)

@@ -76,14 +76,6 @@ def default_cutoff(net: Network, violation=VIOLATION_CUTOFF):
     return penalty_cost(net.penalty_config, violation)
 
 
-def _init_state(net, k, init_compl, base):
-    if init_compl is not None:
-        return init_compl.copy()
-    if k.kind == "generator-outage":
-        return compl_mod.init_generator_outage(net, k, base)
-    return compl_mod.init_default(net, k)
-
-
 class _Budget:
     """Wall-clock or deterministic operation-count budget for one evaluation.
 
@@ -215,15 +207,19 @@ class _SquareSystem:
         # or holds the base voltage (reactive); lower/upper pin the output
         resp = np.array([gi for gi, g in enumerate(net.generators)
                          if g.id in state.active], dtype=int)
-        seg_p = np.array([state.active[net.generators[gi].id] for gi in resp],
-                         dtype=object)
-        seg_q = np.array([state.reactive.get(g.id, MIDDLE) for _, g in lay.avail_gens],
+        self.p_ids = [net.generators[gi].id for gi in resp]
+        self.q_ids = [g.id for _, g in lay.avail_gens]
+        seg_p = np.array([state.active[g] for g in self.p_ids], dtype=object)
+        seg_q = np.array([state.reactive.get(g, MIDDLE) for g in self.q_ids],
                          dtype=object)
         self.p_mid, self.q_mid = seg_p == MIDDLE, seg_q == MIDDLE
+        self.p_low, self.q_low = seg_p == LOWER, seg_q == LOWER
         self.st = _SquareStructure.of(lay, self.ref, resp, self.p_mid, self.q_mid)
         self.n = self.st.n
-        self.p_pin = np.where(seg_p == LOWER, lay.p_min[resp], lay.p_max[resp])
-        self.q_pin = np.where(seg_q == LOWER, lay.q_min[lay.gens], lay.q_max[lay.gens])
+        self.p_box = lay.p_min[resp], lay.p_max[resp]
+        self.q_box = lay.q_min[lay.gens], lay.q_max[lay.gens]
+        self.p_pin = np.where(self.p_low, *self.p_box)
+        self.q_pin = np.where(self.q_low, *self.q_box)
         self.alpha = lay.alpha[resp]
         # fixed layout template: base shunts, base non-responder output
         self.template = lay.pack(base.state)
@@ -275,54 +271,31 @@ class _SquareSystem:
             sig_s=np.zeros(self.lay.nbr), delta=float(z[-1]),
         )
 
+    def updated_segments(self, state, z):
+        """`state` after the pre-projection segment update at the solution z.
 
-def _update_from_violations(net, k, state, base, raw, delta):
-    """Pre-projection segment update.
-
-    A violated bound on a middle-segment variable pins it (upper bound
-    violated -> upper segment, lower -> lower); a pinned segment whose
-    one-sided response residual has the wrong sign releases back to middle so
-    the loop can revisit it.
-    """
-    new = state.copy()
-    changed = False
-    for gi, g in enumerate(net.generators):
-        if g.id == k.outaged:
-            continue
-        if g.id in new.active:
-            seg = new.active[g.id]
-            p = raw.state.p_gen[gi]
-            if seg == MIDDLE:
-                if p > g.p_max + _BOUND_TOL:
-                    new.active[g.id] = UPPER
-                    changed = True
-                elif p < g.p_min - _BOUND_TOL:
-                    new.active[g.id] = LOWER
-                    changed = True
-            else:
-                pin = g.p_min if seg == LOWER else g.p_max
-                rho = base.state.p_gen[gi] + g.alpha * delta - pin
-                if (seg == LOWER and rho > _BOUND_TOL) or \
-                        (seg == UPPER and rho < -_BOUND_TOL):
-                    new.active[g.id] = MIDDLE
-                    changed = True
-        if g.id in new.reactive:
-            seg = new.reactive[g.id]
-            q = raw.state.q_gen[gi]
-            bus = net.bus_index(g.bus)
-            rho_q = base.state.v[bus] - raw.state.v[bus]
-            if seg == MIDDLE:
-                if q > g.q_max + _BOUND_TOL:
-                    new.reactive[g.id] = UPPER
-                    changed = True
-                elif q < g.q_min - _BOUND_TOL:
-                    new.reactive[g.id] = LOWER
-                    changed = True
-            elif (seg == LOWER and rho_q > _BOUND_TOL) or \
-                    (seg == UPPER and rho_q < -_BOUND_TOL):
-                new.reactive[g.id] = MIDDLE
-                changed = True
-    return new, changed
+        A violated bound on a middle-segment variable pins it (upper bound
+        violated -> upper segment, lower -> lower); a pinned segment whose
+        one-sided response residual has the wrong sign releases back to
+        middle so the loop can revisit it.
+        """
+        nb, n_p = self.lay.nb, len(self.p_ids)
+        rho_p = self.base_p + self.alpha * z[-1] - self.p_pin
+        rho_q = self.base_v - z[self.lay.gen_bus]
+        new = state.copy()
+        for table, ids, mid, low, val, (lo, hi), rho in (
+                (new.active, self.p_ids, self.p_mid, self.p_low,
+                 z[2 * nb:2 * nb + n_p], self.p_box, rho_p),
+                (new.reactive, self.q_ids, self.q_mid, self.q_low,
+                 z[2 * nb + n_p:-1], self.q_box, rho_q)):
+            above = val > hi + _BOUND_TOL
+            release = np.where(low, rho > _BOUND_TOL, ~mid & (rho < -_BOUND_TOL))
+            for seg, hit in ((UPPER, mid & above),
+                             (LOWER, mid & ~above & (val < lo - _BOUND_TOL)),
+                             (MIDDLE, release)):
+                for i in np.flatnonzero(hit):
+                    table[ids[i]] = seg
+        return new
 
 
 def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
@@ -330,7 +303,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
                   deterministic=False):
     """Upper-bound penalty estimate via the square-system response loop."""
     budget = _Budget(time_limit, deterministic)
-    state = _init_state(net, k, init_compl, base)
+    state = compl_mod.initial_state(net, k, base, init_compl)
     state_fb = state.copy()
     # guaranteed fallback: base state projected into the response rules with
     # slacks absorbing all residuals
@@ -357,8 +330,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
             status = "fallback"
             break
         raw = sys_.raw_point(res.x)
-        new_state, _ = _update_from_violations(net, k, state, base, raw,
-                                               raw.delta)
+        new_state = sys_.updated_segments(state, res.x)
         new_state.delta = raw.delta
         proj = compl_mod.project_response(new_state, net, k, base, raw)
         pen = point_penalty(net, proj, k.outaged)
@@ -393,7 +365,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     a single solve is performed (used by the ablation harness).
     """
     budget = _Budget(time_limit, deterministic)
-    state = _init_state(net, k, init_compl, base)
+    state = compl_mod.initial_state(net, k, base, init_compl)
 
     best = None  # (penalty, point, state)
     prev_pen = None

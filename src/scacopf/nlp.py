@@ -269,14 +269,6 @@ class _Kkt:
         return lambda rhs: _refined_solve(K, lu, rhs)[pos]
 
 
-def _correct_inertia(W, J, d):
-    """True iff [[W, J'], [J, -diag(d)]] has inertia (n, m, 0), for d > 0,
-    decided by `_Kkt.inertia_ok` on W's lower triangle."""
-    Hl = sparse.tril(W, format="csc")
-    J = sparse.csr_matrix(J)
-    return _Kkt(Hl, J).inertia_ok(Hl.data, np.zeros(W.shape[0]), J.data, d)
-
-
 # iterative refinement steps after each KKT back-solve
 REFINE_STEPS = 2
 

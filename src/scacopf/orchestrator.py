@@ -409,7 +409,7 @@ def run_code1(net: Network, cfg: RunConfig,
             if c not in compl_states:
                 # never evaluated: include with the initial response state
                 k = net_p.contingency(c)
-                st = eval_mod._init_state(net_p, k, None, base_point)
+                st = compl_mod.initial_state(net_p, k, base_point)
                 compl_states[c] = st
                 master_points[c] = compl_mod.project_response(
                     st, net_p, k, base_point, base_point)
@@ -538,7 +538,7 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
                 deterministic=cfg.deterministic)
         except Exception:
             # guaranteed product: all-slack fallback point
-            st = eval_mod._init_state(net, k, None, base)
+            st = compl_mod.initial_state(net, k, base)
             point = compl_mod.project_response(st, net, k, base, base)
             res = eval_mod.EvaluationResult(
                 contingency_id=cid,

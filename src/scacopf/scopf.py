@@ -76,68 +76,59 @@ class OperatingPoint:
 
 # --- piecewise-linear functions ----------------------------------------------
 
-def _pwl_segments(breaks_and_slopes):
-    """[(start, slope, value_at_start)] for a curve given as (break, slope)."""
-    segs = []
-    start = 0.0
-    val = 0.0
-    for brk, slope in breaks_and_slopes:
-        segs.append((start, slope, val))
-        val += slope * (brk - start)
-        start = brk
-    return segs, start, val
+class _Curve:
+    """Convex piecewise-linear curve through (0, 0): slopes[i] holds up to
+    breaks[i], the last slope beyond the last break, and the first below 0.
+    `line_slopes`/`line_icpts` are its supporting lines, whose max is the
+    curve (a repeat of the line before it is dropped)."""
+
+    def __init__(self, breaks, slopes):
+        starts, vals = [0.0], [0.0]
+        for brk, slope in zip(breaks, slopes):
+            vals.append(vals[-1] + slope * (brk - starts[-1]))
+            starts.append(brk)
+        self.starts, self.vals = np.array(starts), np.array(vals)
+        self.slopes = np.array(list(slopes[:len(breaks)]) + [slopes[-1]], dtype=float)
+        icpts = self.vals - self.slopes * self.starts
+        new = np.ones(len(icpts), dtype=bool)
+        new[1:] = (self.slopes[1:] != self.slopes[:-1]) | (icpts[1:] != icpts[:-1])
+        self.line_slopes, self.line_icpts = self.slopes[new], icpts[new]
+
+    def value(self, x):
+        """Curve value at x (a scalar or an array)."""
+        i = np.maximum(np.searchsorted(self.starts, x, side="right") - 1, 0)
+        return self.vals[i] + self.slopes[i] * (x - self.starts[i])
+
+    def of_slacks(self, slacks):
+        """Value at each nonnegative slack; 0 at and below 0."""
+        return np.where(slacks <= 0.0, 0.0, self.value(slacks))
 
 
-def _pwl_value(segs, last_start, last_val, last_slope, x):
-    """Curve value at x (a scalar or an array); both end slopes extrapolate."""
-    starts, slopes, vals = (np.array([s[i] for s in segs] + [end])
-                            for i, end in enumerate((last_start, last_slope, last_val)))
-    i = np.maximum(np.searchsorted(starts, x, side="right") - 1, 0)
-    return vals[i] + slopes[i] * (x - starts[i])
-
-
-def _cost_pieces(curve):
-    segs, last_start, last_val = _pwl_segments(curve)
-    last_slope = curve[-1][1] if curve else 0.0
-    return segs, last_start, last_val, last_slope
-
-
-def _penalty_pieces(cfg: PenaltyConfig):
-    segs, last_start, last_val = _pwl_segments(zip(cfg.breakpoints, cfg.slopes))
-    return segs, last_start, last_val, cfg.slopes[-1]
-
-
-def _affine_lines(segs, last_start, last_val, last_slope):
-    """Supporting lines (slope, intercept) whose max equals the convex PWL."""
-    lines = [(slope, val - slope * start) for start, slope, val in segs]
-    lines.append((last_slope, last_val - last_slope * last_start))
-    # the last segment of `segs` and the tail line coincide when segs is empty
-    dedup = []
-    for ln in lines:
-        if not dedup or ln != dedup[-1]:
-            dedup.append(ln)
-    return dedup
+def _curves(net: Network):
+    """(penalty curve, cost curve per generator or None without one),
+    compiled once per network into its base layout's `compiled`."""
+    compiled = CaseLayout.of(net).compiled
+    if "curves" not in compiled:
+        compiled["curves"] = (
+            _Curve(net.penalty_config.breakpoints, net.penalty_config.slopes),
+            [_Curve(*zip(*g.cost_curve)) if g.cost_curve else None
+             for g in net.generators])
+    return compiled["curves"]
 
 
 def generation_cost(net: Network, p_gen):
     """Total convex piecewise-linear generation cost at active outputs p_gen."""
     total = 0.0
-    for gi, g in enumerate(net.generators):
-        if not g.cost_curve:
-            continue
-        total += float(_pwl_value(*_cost_pieces(g.cost_curve), float(p_gen[gi])))
+    for curve, p in zip(_curves(net)[1], p_gen):
+        if curve is not None:
+            total += float(curve.value(float(p)))
     return total
-
-
-def _penalties(cfg: PenaltyConfig, slacks):
-    """Convex piecewise-linear penalty of each nonnegative slack value."""
-    slacks = np.asarray(slacks, dtype=float)
-    return np.where(slacks <= 0.0, 0.0, _pwl_value(*_penalty_pieces(cfg), slacks))
 
 
 def penalty_cost(cfg: PenaltyConfig, slack_total):
     """Convex piecewise-linear penalty of one nonnegative slack value."""
-    return float(_penalties(cfg, slack_total))
+    curve = _Curve(cfg.breakpoints, cfg.slopes)
+    return float(curve.of_slacks(np.asarray(slack_total, dtype=float)))
 
 
 def point_penalty(net: Network, point: OperatingPoint, outaged=None):
@@ -145,7 +136,26 @@ def point_penalty(net: Network, point: OperatingPoint, outaged=None):
     svc = CaseLayout.of(net, outaged).svc
     slacks = np.concatenate((point.sig_p_plus, point.sig_p_minus, point.sig_q_plus,
                              point.sig_q_minus, point.sig_s[svc]))
-    return float(np.sum(_penalties(net.penalty_config, slacks)))
+    return float(np.sum(_curves(net)[0].of_slacks(slacks)))
+
+
+def _priced(lay: CaseLayout, x, state: FlowState, delta):
+    """Operating point of `state`, whose layout vector is x, with slacks that
+    exactly absorb x's residuals: the unique minimal-slack assignment making
+    the point feasible.  x's flow columns are trusted as given."""
+    p, q = lay.balance(x)
+    lhs, rhs = lay.ratings(x)
+    sig_s = np.zeros(lay.nbr)
+    sig_s[lay.svc] = np.maximum(0.0, np.max(np.sqrt(lhs) - rhs, axis=1))
+    return OperatingPoint(
+        state=state,
+        sig_p_plus=np.maximum(0.0, -p),
+        sig_p_minus=np.maximum(0.0, p),
+        sig_q_plus=np.maximum(0.0, -q),
+        sig_q_minus=np.maximum(0.0, q),
+        sig_s=sig_s,
+        delta=delta,
+    )
 
 
 def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
@@ -156,20 +166,7 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
     ``outaged is None`` and the contingency set otherwise.
     """
     lay = CaseLayout.of(net, outaged)
-    x = lay.pack(state)
-    p, q = lay.balance(x)
-    lhs, rhs = lay.ratings(x)
-    sig_s = np.zeros(lay.nbr)
-    sig_s[lay.svc] = np.maximum(0.0, np.max(np.sqrt(lhs) - rhs, axis=1))
-    return OperatingPoint(
-        state=state.copy(),
-        sig_p_plus=np.maximum(0.0, -p),
-        sig_p_minus=np.maximum(0.0, p),
-        sig_q_plus=np.maximum(0.0, -q),
-        sig_q_minus=np.maximum(0.0, q),
-        sig_s=sig_s,
-        delta=delta,
-    )
+    return _priced(lay, lay.pack(state), state.copy(), delta)
 
 
 def flows_from_state(net: Network, state: FlowState, outaged=None):
@@ -219,7 +216,6 @@ class _Block:
 
     def __init__(self, net: Network, outaged=None, skip_rating=(),
                  with_cost=False, pen_weight=1.0):
-        self.net = net
         self.pen_weight = pen_weight
         lay = CaseLayout.of(net, outaged)
         self.layout = lay
@@ -238,33 +234,28 @@ class _Block:
         self.sS0 = o + 4 * nb
         self.n_slacks = 4 * nb + nr
         self.pen0 = self.sS0 + nr
-        self.cost_gens = ([(gi, g) for gi, g in lay.avail_gens if g.cost_curve]
-                          if with_cost else [])
+        pen, costs = _curves(net)
+        self.cost_gens = np.array([gi for gi in lay.gens if costs[gi] is not None]
+                                  if with_cost else [], dtype=int)
         self.cost0 = self.pen0 + self.n_slacks
         self.nvar = self.cost0 + len(self.cost_gens)
 
-        self.pen_lines = _affine_lines(*_penalty_pieces(net.penalty_config))
-        self.cost_lines = [
-            (gi, _affine_lines(*_cost_pieces(g.cost_curve)))
-            for gi, g in self.cost_gens
-        ]
+        # epigraph rows: slope * x + intercept - aux <= 0
+        self._pen = pen
+        self._costs = [costs[gi] for gi in self.cost_gens]
+        n_lines = [len(c.line_slopes) for c in self._costs]
+        self._cost_p = np.repeat(lay.p0 + lay.gen_col[self.cost_gens], n_lines)
+        self._cost_t = np.repeat(self.cost0 + np.arange(len(n_lines)), n_lines)
+        self._cost_slope = np.concatenate([c.line_slopes for c in self._costs] + [[]])
+        self._cost_icpt = np.concatenate([c.line_icpts for c in self._costs] + [[]])
 
         self.eq_bal0 = 4 * m
         self.eq_ref = 4 * m + 2 * nb
         self.n_eq = self.eq_ref + 1
         self.ineq_pen0 = 2 * nr
-        self.ineq_cost0 = self.ineq_pen0 + self.n_slacks * len(self.pen_lines)
-        self.n_ineq = self.ineq_cost0 + sum(len(lines) for _, lines in self.cost_lines)
+        self.ineq_cost0 = self.ineq_pen0 + self.n_slacks * len(pen.line_slopes)
+        self.n_ineq = self.ineq_cost0 + len(self._cost_p)
         self.ref_idx = net.bus_index(net.reference_bus)
-
-        # epigraph rows: slope * x + intercept - aux <= 0
-        pen = np.array(self.pen_lines, dtype=float)
-        self._pen_slope, self._pen_icpt = pen[:, 0], pen[:, 1]
-        cost = np.array([(lay.p0 + lay.gen_col[gi], self.cost0 + j, slope, icpt)
-                         for j, (gi, lines) in enumerate(self.cost_lines)
-                         for slope, icpt in lines], dtype=float).reshape(-1, 4)
-        self._cost_p, self._cost_t = cost[:, 0].astype(int), cost[:, 1].astype(int)
-        self._cost_slope, self._cost_icpt = cost[:, 2], cost[:, 3]
 
         # Jacobian: acpf flow rows enter negated as flow definitions, balance
         # rows as they are (same row numbers), rated rating rows as the
@@ -295,16 +286,16 @@ class _Block:
                             [lay.th0 + self.ref_idx])),
             np.concatenate((np.ones(4 * m), np.repeat([1.0, -1.0, 1.0, -1.0], nb),
                             [1.0])))
-        n_pen = self.n_slacks * len(self.pen_lines)
+        n_pen = self.n_slacks * len(pen.line_slopes)
         n_cost = len(self._cost_p)
         pen_rows = self.ineq_pen0 + np.arange(n_pen)
         cost_rows = self.ineq_cost0 + np.arange(n_cost)
-        slack_j = np.repeat(np.arange(self.n_slacks), len(self.pen_lines))
+        slack_j = np.repeat(np.arange(self.n_slacks), len(pen.line_slopes))
         self.jac_ineq_const = (
             np.concatenate((pen_rows, pen_rows, cost_rows, cost_rows)),
             np.concatenate((self.sPp0 + slack_j, self.pen0 + slack_j,
                             self._cost_p, self._cost_t)),
-            np.concatenate((np.tile(self._pen_slope, self.n_slacks), -np.ones(n_pen),
+            np.concatenate((np.tile(pen.line_slopes, self.n_slacks), -np.ones(n_pen),
                             self._cost_slope, -np.ones(n_cost))))
 
         # Hessian: acpf curvature, plus the rating slack curvature -2 on s
@@ -355,11 +346,9 @@ class _Block:
         xb[self.sQp0:self.sQp0 + nb] = point.sig_q_plus
         xb[self.sQm0:self.sQm0 + nb] = point.sig_q_minus
         xb[self.sS0:self.pen0] = point.sig_s[self.layout.svc[self.rated_j]]
-        xb[self.pen0:self.cost0] = _penalties(self.net.penalty_config,
-                                              xb[self.sPp0:self.pen0])
-        for j, (gi, g) in enumerate(self.cost_gens):
-            xb[self.cost0 + j] = _pwl_value(*_cost_pieces(g.cost_curve),
-                                            point.state.p_gen[gi])
+        xb[self.pen0:self.cost0] = self._pen.of_slacks(xb[self.sPp0:self.pen0])
+        for j, (gi, curve) in enumerate(zip(self.cost_gens, self._costs)):
+            xb[self.cost0 + j] = curve.value(point.state.p_gen[gi])
         return xb
 
     def eq_values(self, xb):
@@ -380,7 +369,7 @@ class _Block:
         aux = xb[self.pen0:self.cost0, None]
         return np.concatenate((
             (lhs[self.rated_j] - (rhs[self.rated_j] + s) ** 2).ravel(),
-            (self._pen_slope * slacks + self._pen_icpt - aux).ravel(),
+            (self._pen.line_slopes * slacks + self._pen.line_icpts - aux).ravel(),
             self._cost_slope * xb[self._cost_p] + self._cost_icpt - xb[self._cost_t]))
 
     def jac_values(self, xb):
@@ -718,17 +707,16 @@ def build_contingency_problem(net: Network, k, base_point: OperatingPoint,
 def _seed_ctg_point(net, k, base_point, compl_state):
     """Starting point for a contingency case: base state with the response
     rule applied and flows/slacks recomputed."""
-    state = base_point.state.copy()
+    lay = CaseLayout.of(net, k.outaged)
     delta = compl_state.delta if compl_state is not None else 0.0
-    for gi, g in enumerate(net.generators):
-        if g.id == k.outaged:
-            state.p_gen[gi] = 0.0
-            state.q_gen[gi] = 0.0
-        elif g.id in set(k.responding_gens):
-            state.p_gen[gi] = min(max(state.p_gen[gi] + g.alpha * delta,
-                                      g.p_min), g.p_max)
-    state = flows_from_state(net, state, k.outaged)
-    return slacks_from_state(net, state, k.outaged, delta=delta)
+    responding = set(k.responding_gens)
+    resp = np.array([gi for gi, g in lay.avail_gens if g.id in responding], dtype=int)
+    x = lay.pack(base_point.state)
+    x[lay.p0 + lay.gen_col[resp]] = np.clip(
+        base_point.state.p_gen[resp] + lay.alpha[resp] * delta,
+        lay.p_min[resp], lay.p_max[resp])
+    x[lay.fl0:] = lay.flow_values(x).ravel()
+    return _priced(lay, x, lay.unpack(x), delta)
 
 
 def build_master_problem(spec: "MasterSpec"):

@@ -387,3 +387,77 @@ def test_deterministic_budget_buys_whole_operations():
         budget = ev._Budget(n / per_op, True)
         assert budget.ops_left == n
         assert ev._Budget(budget.remaining(), True).ops_left == n
+
+
+def _update_from_violations_loop(net, k, state, base, raw, delta):
+    """Per-generator reference for `_SquareSystem.updated_segments`."""
+    tol = ev._BOUND_TOL
+    new = state.copy()
+    for gi, g in enumerate(net.generators):
+        if g.id == k.outaged:
+            continue
+        if g.id in new.active:
+            seg = new.active[g.id]
+            p = raw.state.p_gen[gi]
+            if seg == ev.MIDDLE:
+                if p > g.p_max + tol:
+                    new.active[g.id] = ev.UPPER
+                elif p < g.p_min - tol:
+                    new.active[g.id] = ev.LOWER
+            else:
+                pin = g.p_min if seg == ev.LOWER else g.p_max
+                rho = base.state.p_gen[gi] + g.alpha * delta - pin
+                if (seg == ev.LOWER and rho > tol) or \
+                        (seg == ev.UPPER and rho < -tol):
+                    new.active[g.id] = ev.MIDDLE
+        if g.id in new.reactive:
+            seg = new.reactive[g.id]
+            q = raw.state.q_gen[gi]
+            bus = net.bus_index(g.bus)
+            rho_q = base.state.v[bus] - raw.state.v[bus]
+            if seg == ev.MIDDLE:
+                if q > g.q_max + tol:
+                    new.reactive[g.id] = ev.UPPER
+                elif q < g.q_min - tol:
+                    new.reactive[g.id] = ev.LOWER
+            elif (seg == ev.LOWER and rho_q > tol) or \
+                    (seg == ev.UPPER and rho_q < -tol):
+                new.reactive[g.id] = ev.MIDDLE
+    return new
+
+
+def test_updated_segments_equals_loop_reference(net5, rng):
+    # the array masks apply the loop's four rules with its arithmetic:
+    # outputs exactly at a bound +- tolerance, and response residuals of
+    # either sign (for a lower pin at p_min = 0 with delta = 0, exactly +-
+    # tolerance too), give the same segments
+    tol, segs = ev._BOUND_TOL, (ev.LOWER, ev.MIDDLE, ev.UPPER)
+    assert all(g.p_min == 0.0 and g.alpha == 1.0 for g in net5.generators)
+    seen = set()
+    for k in net5.contingencies:
+        for _ in range(40):
+            st = compl.init_default(net5, k)
+            for table in (st.active, st.reactive):
+                table.update({g: segs[rng.integers(3)] for g in table})
+            st.delta = rng.uniform(-0.5, 0.5)
+            base = scopf.default_start(net5)
+            base.state.p_gen[:] = rng.choice([-tol, tol, 0.5], size=2)
+            sys_ = ev._SquareSystem(net5, k, base, st)
+            point = base.copy()
+            for gi, g in enumerate(net5.generators):
+                for name, lo, hi in (("p_gen", g.p_min, g.p_max),
+                                     ("q_gen", g.q_min, g.q_max)):
+                    getattr(point.state, name)[gi] = rng.choice(
+                        [lo - tol, hi + tol, lo - 2 * tol, hi + 2 * tol,
+                         rng.uniform(lo - 0.1, hi + 0.1)])
+                bus = net5.bus_index(g.bus)
+                point.state.v[bus] = base.state.v[bus] + rng.choice(
+                    [-1e-3, -tol / 2, 0.0, tol / 2, 1e-3])
+            z = sys_.start(point, rng.choice([0.0, rng.uniform(-0.5, 0.5)]))
+            got = sys_.updated_segments(st, z)
+            raw = sys_.raw_point(z)
+            want = _update_from_violations_loop(net5, k, st, base, raw, raw.delta)
+            assert (got.active, got.reactive) == (want.active, want.reactive)
+            assert (got.delta, got.shortfall) == (st.delta, st.shortfall)
+            seen.add(got != st)
+    assert seen == {True, False}

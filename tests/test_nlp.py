@@ -471,6 +471,14 @@ def saddle_inertia_ok(W, J, d):
     return int(np.sum(ev > 0)) == n and int(np.sum(ev < 0)) == m
 
 
+def kkt_inertia_ok(W, J, d):
+    """`_Kkt.inertia_ok` on the saddle-point matrix of dense W, J and d,
+    built from W's lower triangle as `solve_nlp` builds it."""
+    Hl = sparse.tril(sparse.csc_matrix(W), format="csc")
+    J = sparse.csr_matrix(sparse.csc_matrix(J))
+    return nlp._Kkt(Hl, J).inertia_ok(Hl.data, np.zeros(W.shape[0]), J.data, d)
+
+
 def test_inertia_counting_matches_eigvals():
     # the positive-definiteness test of the condensed matrix must agree with
     # the eigenvalues of the saddle-point matrix, on both sides of the
@@ -492,8 +500,7 @@ def test_inertia_counting_matches_eigvals():
         for shift in (-lam[0] - margin, -lam[0] + margin, 0.0):
             Ws = W + shift * np.eye(n)
             expected = saddle_inertia_ok(Ws, J, d)
-            got = nlp._correct_inertia(sparse.csc_matrix(Ws),
-                                       sparse.csc_matrix(J), d)
+            got = kkt_inertia_ok(Ws, J, d)
             assert got == expected, (trial, shift)
             seen.add(expected)
     assert seen == {True, False}
@@ -506,8 +513,7 @@ def test_inertia_test_rejects_indefinite_condensed_matrix(W):
     W = np.array(W)
     J = np.zeros((0, 2))
     assert not saddle_inertia_ok(W, J, np.zeros(0))
-    assert not nlp._correct_inertia(sparse.csc_matrix(W),
-                                    sparse.csc_matrix(J), np.zeros(0))
+    assert not kkt_inertia_ok(W, J, np.zeros(0))
 
 
 def test_rank_deficient_equalities_use_dual_regularization():
