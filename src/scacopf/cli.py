@@ -50,12 +50,13 @@ from .ranking import (
     train_ridge,
 )
 from .scopf import (
-    build_base_problem,
+    MasterSpec,
+    build_master_problem,
     generation_cost,
     point_penalty,
     total_score,
 )
-from .select import select_top, summarize_point
+from .select import resort, select_top, summarize_point
 
 log = logging.getLogger("scacopf")
 
@@ -205,17 +206,9 @@ def cmd_score(args):
 
 # --- harness ------------------------------------------------------------------
 
-def _solved_base(net):
-    prob = build_base_problem(net, start=orch.flat_start(net))
-    sol = solve_nlp(prob, tol=1e-8)
-    if not np.all(np.isfinite(sol.x)):
-        raise RuntimeError("base solve failed for harness case")
-    return prob.meta.extract_base(sol.x)
-
-
-def _true_penalties(net, base, time_limit=10.0):
-    return {k.id: eval_mod.full_evaluate(net, k, base,
-                                         time_limit=time_limit).penalty
+def _evaluate_all(net, base, time_limit):
+    return {k.id: eval_mod.full_evaluate(net, k, base, time_limit=time_limit,
+                                         deterministic=True)
             for k in net.contingencies}
 
 
@@ -226,8 +219,9 @@ def harness_ranking_compare(nets, model=None, time_limit=10.0):
     heuristics = ["l_p", "l_s", "l_c"] + (["ridge"] if model else [])
     acc = {}
     for net in nets:
-        base = _solved_base(net)
-        truth = _true_penalties(net, base, time_limit)
+        net, _, base, _, _ = orch.solve_base(net)
+        truth = {c: r.penalty
+                 for c, r in _evaluate_all(net, base, time_limit).items()}
         total = sum(truth.values())
         for h in heuristics:
             if h == "ridge":
@@ -248,12 +242,14 @@ def harness_compl_ablation(nets, time_limit=10.0):
     """Per contingency: penalty without segment updates over penalty with."""
     rows = []
     for ci, net in enumerate(nets):
-        base = _solved_base(net)
+        net, _, base, _, _ = orch.solve_base(net)
         for k in net.contingencies:
             with_upd = eval_mod.full_evaluate(net, k, base,
-                                              time_limit=time_limit)
+                                              time_limit=time_limit,
+                                              deterministic=True)
             without = eval_mod.full_evaluate(net, k, base,
                                              time_limit=time_limit,
+                                             deterministic=True,
                                              segment_updates=False)
             denom = max(with_upd.penalty, 1e-12)
             ratio = max(without.penalty, with_upd.penalty) / denom \
@@ -268,7 +264,7 @@ def harness_fasteval_ablation(nets, time_limit=5.0):
     the cutoff, and the fast/full wall time."""
     rows = []
     for ci, net in enumerate(nets):
-        base = _solved_base(net)
+        net, _, base, _, _ = orch.solve_base(net)
         cutoff = eval_mod.default_cutoff(net)
         n = len(net.contingencies)
         screened = 0
@@ -277,12 +273,13 @@ def harness_fasteval_ablation(nets, time_limit=5.0):
             t0 = time.monotonic()
             fast = eval_mod.fast_evaluate(net, k, base,
                                           time_limit=time_limit,
-                                          cutoff=cutoff)
+                                          cutoff=cutoff, deterministic=True)
             t_fast += time.monotonic() - t0
             if fast.penalty <= cutoff:
                 screened += 1
             t0 = time.monotonic()
-            eval_mod.full_evaluate(net, k, base, time_limit=time_limit)
+            eval_mod.full_evaluate(net, k, base, time_limit=time_limit,
+                                   deterministic=True)
             t_full += time.monotonic() - t0
         pct = 100.0 * screened / n if n else 100.0
         rows.append((ci, n, pct, round(t_fast, 4), round(t_full, 4)))
@@ -292,18 +289,13 @@ def harness_fasteval_ablation(nets, time_limit=5.0):
 def harness_selection_ablation(nets, n_select=3, time_limit=10.0):
     """Scores of one master pass under dominance-aware versus penalty-only
     contingency selection."""
-    from .scopf import MasterSpec, build_master_problem
     rows = []
     for ci, net in enumerate(nets):
-        base = _solved_base(net)
-        results = {k.id: eval_mod.full_evaluate(net, k, base,
-                                                time_limit=time_limit)
-                   for k in net.contingencies}
+        net, report, base, _, _ = orch.solve_base(net)
+        results = _evaluate_all(net, base, time_limit)
         summaries = {cid: summarize_point(r.point, cid, "base-1")
                      for cid, r in results.items()}
-        plist = rank_baseline(net, base, "l_c")
-        from .select import resort
-        plist = resort(plist, list(results.values()))
+        plist = resort(rank_baseline(net, base, "l_c"), list(results.values()))
 
         penalty_order = [e.contingency_id for e in plist.entries]
         schemes = {
@@ -319,15 +311,13 @@ def harness_selection_ablation(nets, n_select=3, time_limit=10.0):
                 net=net, included=tuple(chosen),
                 compl={c: results[c].compl for c in chosen},
                 base_point=base,
-                ctg_points={c: results[c].point for c in chosen})
+                ctg_points={c: results[c].point for c in chosen},
+                report=report)
             mprob = build_master_problem(spec)
             sol = solve_nlp(mprob, tol=1e-6)
             new_base = mprob.meta.extract_base(sol.x)
-            pens = {}
-            for k in net.contingencies:
-                res = eval_mod.full_evaluate(net, k, new_base,
-                                             time_limit=time_limit)
-                pens[k.id] = res.penalty
+            pens = {c: r.penalty for c, r in
+                    _evaluate_all(net, new_base, time_limit).items()}
             rows.append((ci, name, total_score(net, new_base, pens)))
     return rows
 
@@ -343,8 +333,8 @@ HARNESS_HEADERS = {
 
 
 def cmd_harness(args):
-    if args.mode not in HARNESS_MODES:
-        print(f"error: unknown harness mode {args.mode!r}", file=sys.stderr)
+    if args.n_select < 1:
+        print("error: --n-select must be >= 1", file=sys.stderr)
         return EXIT_INPUT
     try:
         nets = [_load_case_or_die(p) for p in args.cases]
@@ -352,18 +342,19 @@ def cmd_harness(args):
     except (CaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not nets:
-        print("error: at least one case is required", file=sys.stderr)
-        return EXIT_INPUT
 
-    if args.mode == "ranking-compare":
-        rows = harness_ranking_compare(nets, model)
-    elif args.mode == "compl-ablation":
-        rows = harness_compl_ablation(nets)
-    elif args.mode == "fasteval-ablation":
-        rows = harness_fasteval_ablation(nets)
-    else:
-        rows = harness_selection_ablation(nets, n_select=args.n_select or 3)
+    try:
+        if args.mode == "ranking-compare":
+            rows = harness_ranking_compare(nets, model)
+        elif args.mode == "compl-ablation":
+            rows = harness_compl_ablation(nets)
+        elif args.mode == "fasteval-ablation":
+            rows = harness_fasteval_ablation(nets)
+        else:
+            rows = harness_selection_ablation(nets, n_select=args.n_select)
+    except RuntimeError as exc:  # a base solve failed twice
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE
 
     out = args.output or f"{args.mode}.csv"
     with open(out, "w", newline="") as fh:
@@ -499,6 +490,9 @@ def cmd_gen_case(args):
 # --- train --------------------------------------------------------------------
 
 def cmd_train(args):
+    if args.eval_time_limit <= 0:
+        print("error: --eval-time-limit must be positive", file=sys.stderr)
+        return EXIT_INPUT
     paths = sorted(p for pat in args.cases for p in globmod.glob(pat))
     if not paths:
         print("error: no case files matched", file=sys.stderr)
@@ -511,7 +505,7 @@ def cmd_train(args):
     samples = []
     for net in nets:
         try:
-            base = _solved_base(net)
+            net, _, base, _, _ = orch.solve_base(net)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVE
@@ -583,7 +577,7 @@ def build_parser():
     ha.add_argument("mode", choices=HARNESS_MODES)
     ha.add_argument("cases", nargs="+")
     ha.add_argument("--model", default=None)
-    ha.add_argument("--n-select", type=int, default=None)
+    ha.add_argument("--n-select", type=int, default=3)
     ha.add_argument("--output", default=None)
     ha.set_defaults(func=cmd_harness)
 

@@ -77,10 +77,14 @@ def default_cutoff(net: Network, violation=VIOLATION_CUTOFF):
 
 
 class _Budget:
-    """Wall-clock or deterministic operation-count budget for one evaluation.
+    """Wall-clock or deterministic operation-count budget: of one evaluation,
+    of a code1 run, or of code2's ``factor * |K|`` total.
 
-    In deterministic mode one "second" buys ``ops_per_second`` Newton
-    iterations and wall time is ignored.
+    In deterministic mode one "second" buys ``OPS_PER_SECOND`` solver
+    iterations, the limit is rounded to whole operations, and wall time is
+    ignored.  A solver call is charged its iterations (`charge`); a phase of a
+    run that hands its seconds on to nested evaluations is charged those
+    seconds as whole operations (`spend`).
     """
 
     OPS_PER_SECOND = 50
@@ -113,6 +117,10 @@ class _Budget:
     def charge(self, iterations):
         if self.deterministic and self.ops_left is not None:
             self.ops_left -= max(1, iterations)
+
+    def spend(self, seconds):
+        if self.deterministic and self.ops_left is not None:
+            self.ops_left -= round(seconds * self.OPS_PER_SECOND)
 
     def elapsed(self):
         return time.monotonic() - self.t0

@@ -1,18 +1,23 @@
 """Two-phase run orchestration.
 
-Code 1 produces base-case solutions under a hard time limit: solve the base
-case from a flat start, rank contingencies, evaluate them (fast sweep, then
-full evaluations from the top of the priority list), select an undominated
-subset into a master problem, re-solve, and repeat while time remains.  The
-product is always the most recently *written* base solution file.
+Code 1 produces base-case solutions under a hard time limit: preprocess the
+case and solve its base case from a flat start (`solve_base`, the one path to a
+base point, which ``harness`` and ``train`` take too), rank contingencies,
+evaluate them (fast sweep, then full evaluations from the top of the priority
+list), select an undominated subset into a master problem, re-solve, and
+repeat while time remains.  The product is always the most recently *written*
+base solution file.
 
 Code 2 evaluates every contingency against a given base solution under a
 per-contingency time budget and writes one solution file per contingency, no
 matter what fails.
 
-Budgets are wall-clock by default; in deterministic mode one second of budget
-buys a fixed number of solver iterations and no clock is consulted, so runs
-are reproducible byte-for-byte.
+Both runs account for their time with one `eval._Budget`: code1's
+``--time-limit`` and code2's ``factor * |K|`` total.  Budgets are wall-clock
+by default; in deterministic mode one second of budget buys a fixed number of
+solver iterations, each phase is charged its nominal seconds as whole
+operations, and no clock is consulted, so runs are reproducible
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ __all__ = [
     "Code1Result",
     "Code2Result",
     "flat_start",
+    "solve_base",
     "run_code1",
     "run_code2",
     "write_base_solution",
@@ -238,56 +244,14 @@ class _RunLog:
                 fh.write(json.dumps(record) + "\n")
 
 
-class _Clock:
-    """Total-run budget; frozen in deterministic mode."""
-
-    def __init__(self, limit, deterministic):
-        self.limit = limit
-        self.deterministic = deterministic
-        self.t0 = time.monotonic()
-        self.det_used = 0.0  # deterministic "seconds" charged by phases
-
-    def charge(self, seconds):
-        if self.deterministic:
-            self.det_used += seconds
-
-    def elapsed(self):
-        if self.deterministic:
-            return self.det_used
-        return time.monotonic() - self.t0
-
-    def remaining(self):
-        return self.limit - self.elapsed()
-
-
 # --- Code 1 -------------------------------------------------------------------
 
-def _solve_base(net, report, start, clock, log, seed):
-    prob = build_base_problem(net, report, start=start)
-    kwargs = {} if clock.deterministic else {
-        "time_limit": max(1.0, clock.remaining())}
-    sol = solve_nlp(prob, tol=1e-8, **kwargs)
-    if sol.status in ("optimal", "max_iter", "time_limit") and np.all(
-            np.isfinite(sol.x)) and sol.constraint_violation < 1e-6:
-        return prob, sol
-    log.emit("base-solve-retry", status=sol.status, iterations=sol.iterations)
-    rng = np.random.default_rng(seed)
-    perturbed = start.copy()
-    perturbed.state.v *= 1.0 + rng.uniform(-0.01, 0.01,
-                                           size=perturbed.state.v.shape)
-    for i, b in enumerate(net.buses):
-        perturbed.state.v[i] = min(max(perturbed.state.v[i], b.v_min),
-                                   b.v_max)
-    prob = build_base_problem(net, report, start=perturbed)
-    sol = solve_nlp(prob, tol=1e-8, **kwargs)
-    if sol.status in ("optimal", "max_iter", "time_limit") and np.all(
-            np.isfinite(sol.x)) and sol.constraint_violation < 1e-6:
-        return prob, sol
-    if sol.status == "time_limit":
-        raise TimeoutError("time limit reached before a base solution "
-                           "could be written")
-    raise RuntimeError(
-        f"base case solve failed twice (last status: {sol.status})")
+def _wall_limit(budget):
+    """A base or master NLP's limit: the run's remaining wall time, at least
+    1 s.  Deterministic runs bound them by iterations alone."""
+    if budget is None or budget.deterministic:
+        return {}
+    return {"time_limit": max(1.0, budget.remaining())}
 
 
 def _reprice_base(net, point):
@@ -299,28 +263,59 @@ def _reprice_base(net, point):
     return cost + pen, pen
 
 
+def solve_base(net: Network, budget=None, log=None, seed=0):
+    """Code 1's steps 1-2: preprocess the case and solve its base problem
+    from a flat start, and once more from a randomly perturbed start if that
+    fails.  With no budget the solves have no time limit.
+
+    Returns the preprocessed network, its preprocessing report, the base
+    point, and that point's objective and penalty.
+    """
+    log = log or _RunLog(None)
+    net, report = preprocess(net)
+    log.emit("preprocessed", contingencies=len(net.contingencies))
+    start = flat_start(net)
+    for retry in (False, True):
+        if retry:
+            log.emit("base-solve-retry", status=sol.status,
+                     iterations=sol.iterations)
+            rng = np.random.default_rng(seed)
+            start = start.copy()
+            start.state.v = np.clip(
+                start.state.v * (1.0 + rng.uniform(-0.01, 0.01,
+                                                   size=start.state.v.shape)),
+                [b.v_min for b in net.buses], [b.v_max for b in net.buses])
+        prob = build_base_problem(net, report, start=start)
+        sol = solve_nlp(prob, tol=1e-8, **_wall_limit(budget))
+        if sol.status in ("optimal", "max_iter", "time_limit") and np.all(
+                np.isfinite(sol.x)) and sol.constraint_violation < 1e-6:
+            break
+    else:
+        if sol.status == "time_limit":
+            raise TimeoutError("time limit reached before a base solution "
+                               "could be written")
+        raise RuntimeError(
+            f"base case solve failed twice (last status: {sol.status})")
+    point = prob.meta.extract_base(sol.x)
+    objective, penalty = _reprice_base(net, point)
+    log.emit("base-solved", objective=objective, penalty=penalty,
+             status=sol.status, iterations=sol.iterations)
+    return net, report, point, objective, penalty
+
+
 def run_code1(net: Network, cfg: RunConfig,
               model: RidgeModel = None) -> Code1Result:
     """Base-case production loop (ranking, evaluation, selection, master)."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     log = _RunLog(os.path.join(cfg.output_dir, "run_log.jsonl"),
                   cfg.deterministic)
-    clock = _Clock(cfg.code1_time_limit, cfg.deterministic)
+    budget = eval_mod._Budget(cfg.code1_time_limit, cfg.deterministic)
     cutoff = cfg.cutoff if cfg.cutoff is not None \
         else eval_mod.default_cutoff(net)
 
-    # Step 1: preprocessing
-    net_p, report = preprocess(net)
-    log.emit("preprocessed",
-             contingencies=len(net_p.contingencies))
-
-    # Step 2: base solve from a flat start
-    start = flat_start(net_p)
-    prob, sol = _solve_base(net_p, report, start, clock, log, cfg.seed)
-    base_point = prob.meta.extract_base(sol.x)
-    objective, penalty = _reprice_base(net_p, base_point)
-    log.emit("base-solved", objective=objective, penalty=penalty,
-             status=sol.status, iterations=sol.iterations)
+    # Steps 1-2: preprocessing, base solve from a flat start
+    net_p, report, base_point, objective, penalty = solve_base(
+        net, budget, log, cfg.seed)
 
     # Step 3: write the first base solution
     tag = 1
@@ -367,8 +362,8 @@ def run_code1(net: Network, cfg: RunConfig,
                      penalty=res.penalty, method=res.method, nlp=res.nlp)
 
     # Step 5: fast evaluation sweep under its own budget
-    sweep_budget = min(cfg.init_fast_eval_budget, max(0.0, clock.remaining()))
-    per_fast = sweep_budget / max(1, len(plist.entries))
+    sweep = min(cfg.init_fast_eval_budget, budget.remaining())
+    per_fast = sweep / max(1, len(plist.entries))
     results = [
         eval_mod.fast_evaluate(
             net_p, net_p.contingency(e.contingency_id), base_point,
@@ -376,7 +371,7 @@ def run_code1(net: Network, cfg: RunConfig,
             deterministic=cfg.deterministic)
         for e in plist.entries
     ]
-    clock.charge(sweep_budget)
+    budget.spend(sweep)
     record(results)
     plist = resort(plist, results)
     log.emit("resorted", order=[e.contingency_id for e in plist.entries])
@@ -385,10 +380,10 @@ def run_code1(net: Network, cfg: RunConfig,
     while True:
         iteration += 1
         # Step 6: full evaluations from the top of the list
-        budget = min(cfg.full_eval_budget, max(0.0, clock.remaining()))
+        batch = min(cfg.full_eval_budget, budget.remaining())
         top = [e for e in plist.entries if not e.in_master][:cfg.n_select]
-        if top and budget > 0:
-            per_full = budget / len(top)
+        if top and batch > 0:
+            per_full = batch / len(top)
             results = [
                 eval_mod.full_evaluate(
                     net_p, net_p.contingency(e.contingency_id), base_point,
@@ -396,7 +391,7 @@ def run_code1(net: Network, cfg: RunConfig,
                     deterministic=cfg.deterministic)
                 for e in top
             ]
-            clock.charge(budget)
+            budget.spend(batch)
             record(results)
             plist = resort(plist, results)
             log.emit("resorted",
@@ -433,11 +428,9 @@ def run_code1(net: Network, cfg: RunConfig,
             report=report,
         )
         mprob = build_master_problem(spec)
-        kwargs = {} if cfg.deterministic else {
-            "time_limit": max(1.0, clock.remaining())}
-        msol = solve_nlp(mprob, tol=1e-6, **kwargs)
+        msol = solve_nlp(mprob, tol=1e-6, **_wall_limit(budget))
         master_duration = time.monotonic() - master_t0
-        clock.charge(1.0)  # nominal deterministic charge per master solve
+        budget.spend(1.0)  # nominal deterministic charge per master solve
         if not np.all(np.isfinite(msol.x)) or \
                 msol.constraint_violation > 1e-4:
             log.emit("master-failed", status=msol.status,
@@ -461,9 +454,9 @@ def run_code1(net: Network, cfg: RunConfig,
         pending = [e for e in plist.entries if not e.in_master]
         pending.sort(key=lambda e: e.evaluated)  # unevaluated tier first
         refresh = pending[:cfg.n_select]
-        if refresh and clock.remaining() > 0:
-            budget = min(cfg.full_eval_budget, clock.remaining())
-            per = budget / len(refresh)
+        if refresh and budget.remaining() > 0:
+            batch = min(cfg.full_eval_budget, budget.remaining())
+            per = batch / len(refresh)
             results = [
                 eval_mod.prescreen_then_evaluate(
                     net_p, net_p.contingency(e.contingency_id), base_point,
@@ -472,7 +465,7 @@ def run_code1(net: Network, cfg: RunConfig,
                     deterministic=cfg.deterministic)
                 for e in refresh
             ]
-            clock.charge(budget)
+            budget.spend(batch)
             record(results)
             plist = resort(plist, results)
 
@@ -481,7 +474,7 @@ def run_code1(net: Network, cfg: RunConfig,
             log.emit("done", reason="list-exhausted")
             break
         needed = 2.0 * master_duration if not cfg.deterministic else 2.0
-        if clock.remaining() < needed:
+        if budget.remaining() < needed:
             log.emit("done", reason="time-exhausted")
             break
 
@@ -498,13 +491,15 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
     Contingencies are processed one at a time in reverse initial-ranking
     order; before each evaluation the per-contingency budget is the remaining
     total time (``factor * |K|``) divided by the number of unevaluated
-    contingencies.
+    contingencies, and at least 0.05 s.  A deterministic run charges each
+    share as whole operations.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
-    t0 = time.monotonic()
     n = len(net.contingencies)
     if n == 0:
         return Code2Result(results={}, files=[], elapsed=0.0)
+    budget = eval_mod._Budget(cfg.per_contingency_code2_factor * n,
+                              cfg.deterministic)
 
     if initial_order is None:
         if model is not None:
@@ -515,25 +510,18 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
         initial_order = [e.contingency_id for e in plist.entries]
     order = list(reversed(initial_order))
 
-    total_time = cfg.per_contingency_code2_factor * n
     cutoff = cfg.cutoff if cfg.cutoff is not None \
         else eval_mod.default_cutoff(net)
     tag_str = f"base-{base_tag}"
 
     results = {}
     files = []
-    spent_det = 0.0
     for idx, cid in enumerate(order):
         k = net.contingency(cid)
-        if cfg.deterministic:
-            remaining = total_time - spent_det
-        else:
-            remaining = total_time - (time.monotonic() - t0)
-        unevaluated = n - idx
-        budget = max(0.05, remaining / unevaluated)
+        share = max(0.05, budget.remaining() / (n - idx))
         try:
             res = eval_mod.prescreen_then_evaluate(
-                net, k, base, budgets=(budget / 2, budget / 2),
+                net, k, base, budgets=(share / 2, share / 2),
                 cutoff=cutoff, base_tag=tag_str,
                 deterministic=cfg.deterministic)
         except Exception:
@@ -545,11 +533,11 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
                 penalty=point_penalty(net, point, k.outaged),
                 point=point, compl=st, method="fast", base_tag=tag_str,
                 elapsed=0.0, status="fallback")
-        spent_det += budget
+        budget.spend(share)
         results[cid] = res
         path = os.path.join(cfg.output_dir, f"contingency_{cid}.json")
         write_contingency_solution(path, net, res)
         files.append(path)
 
     return Code2Result(results=results, files=files,
-                       elapsed=time.monotonic() - t0)
+                       elapsed=budget.elapsed())

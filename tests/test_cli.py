@@ -1,14 +1,17 @@
 import csv
+import itertools
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from scacopf import cli
+from scacopf import orchestrator as orch
 from scacopf.case_model import load_case, validate, write_case
 from scacopf.cli import generate_case, main
-from scacopf.orchestrator import flat_start, write_base_solution
+from scacopf.orchestrator import flat_start, solve_base, write_base_solution
 
 
 def run_cli(argv):
@@ -255,6 +258,54 @@ def test_harness_unknown_mode(tmp_path):
         run_cli(["harness", "bogus", "x.json"])
 
 
+@pytest.mark.parametrize("n_select", ["0", "-1"])
+def test_harness_n_select_below_one_exits_1(tmp_path, capsys, n_select):
+    # 0 used to run as 3, and a negative count made the two selection
+    # schemes compare different things
+    out = str(tmp_path / "out.csv")
+    rc = run_cli(["harness", "selection-ablation", small_case(tmp_path),
+                  "--n-select", n_select, "--output", out])
+    assert rc == 1
+    assert "--n-select" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["harness", "train"])
+def test_failed_base_solve_exits_2(tmp_path, capsys, monkeypatch, command):
+    # harness and train take code1's base-solve path, retry included
+    real = orch.solve_nlp
+
+    def failing(prob, **kw):
+        sol = real(prob, **{**kw, "max_iter": 1})
+        sol.status = "numerical_failure"
+        return sol
+
+    monkeypatch.setattr(orch, "solve_nlp", failing)
+    out = str(tmp_path / "out")
+    argv = (["harness", "compl-ablation"] if command == "harness"
+            else ["train"]) + [small_case(tmp_path), "--output", out]
+    assert run_cli(argv) == 2
+    assert "failed twice" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("mode", ["compl-ablation", "selection-ablation"])
+def test_harness_output_ignores_the_clock(tmp_path, monkeypatch, capsys, mode):
+    # harness budgets are deterministic operation counts: a clock that jumps
+    # 1e3 s per reading changes nothing in the table
+    case = small_case(tmp_path)
+    tables = []
+    for name in ("timed", "jumped"):
+        if name == "jumped":
+            clock = itertools.count(1e3, 1e3)
+            monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+        out = str(tmp_path / f"{name}.csv")
+        assert run_cli(["harness", mode, case, "--output", out]) == 0
+        with open(out, "rb") as fh:
+            tables.append(fh.read())
+    assert tables[0] == tables[1]
+
+
 # --- train --------------------------------------------------------------------
 
 def test_train_round_trip(tmp_path, capsys):
@@ -265,10 +316,20 @@ def test_train_round_trip(tmp_path, capsys):
     assert rc == 0
     from scacopf.ranking import load_model, rank_initial
     model = load_model(model_path)
-    net = load_case(case)
-    base = cli._solved_base(net)
+    net, _, base, _, _ = solve_base(load_case(case))
     plist = rank_initial(net, base, model)
     assert len(plist.entries) == len(net.contingencies)
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_train_eval_time_limit_not_positive_exits_1(tmp_path, capsys, limit):
+    # a limit of 0 or less would label every sample with the fast fallback
+    model_path = str(tmp_path / "model.json")
+    rc = run_cli(["train", small_case(tmp_path), "--output", model_path,
+                  "--eval-time-limit", limit])
+    assert rc == 1
+    assert "--eval-time-limit" in capsys.readouterr().err
+    assert not os.path.exists(model_path)
 
 
 def test_train_no_matches(tmp_path, capsys):

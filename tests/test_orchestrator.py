@@ -1,5 +1,8 @@
+import itertools
 import json
 import os
+import re
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +215,95 @@ def test_deterministic_runs_byte_identical(tmp_path, net5):
     a = one(tmp_path / "a")
     b = one(tmp_path / "b")
     assert a == b
+
+
+def test_deterministic_run_ignores_the_clock(tmp_path, monkeypatch):
+    # every phase of code1 and code2 is charged in operations, so a clock
+    # that jumps 1e3 s per reading changes no written byte
+    from scacopf.case_model import write_case
+    from scacopf.cli import generate_case, main
+    case = str(tmp_path / "case14.json")
+    write_case(generate_case(14, 3), case)
+
+    def one(d):
+        c1, c2 = str(d / "c1"), str(d / "c2")
+        assert main(["code1", "--case", case, "--deterministic",
+                     "--time-limit", "100", "--output-dir", c1]) == 0
+        assert main(["code2", "--case", case, "--deterministic",
+                     "--base", os.path.join(c1, "base_solution.json"),
+                     "--output-dir", c2]) == 0
+        return {os.path.relpath(os.path.join(root, f), d):
+                open(os.path.join(root, f), "rb").read()
+                for root, _, files in os.walk(d) for f in files}
+
+    timed = one(tmp_path / "timed")
+    clock = itertools.count(1e3, 1e3)
+    monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+    assert one(tmp_path / "jumped") == timed
+    assert "c2/contingency_KG1.json" in timed
+
+
+def test_deterministic_code1_charges_every_phase(tmp_path, net5):
+    # 17 s: sweep 5, full batch 5, master 1, refresh 5; then less than the
+    # 2 s a master needs is left, with two contingencies to go
+    cfg = quick_cfg(tmp_path, deterministic=True, code1_time_limit=17.0,
+                    n_select=1)
+    res = run_code1(net5, cfg)
+    events = [json.loads(line) for line in open(res.log_path)]
+    assert res.iterations == 1 and len(res.included) == 1
+    assert events[-1] == {"event": "done", "t": len(events),
+                          "reason": "time-exhausted"}
+
+
+def _failing_base_solves(monkeypatch, fail, **forced):
+    """Let `solve_base`'s first ``fail`` NLPs end with the ``forced`` fields;
+    return the list of starting voltages of every base solve."""
+    starts, real_build, real_solve = [], orch.build_base_problem, orch.solve_nlp
+
+    def build(net, report, start):
+        starts.append(start.state.v.copy())
+        return real_build(net, report, start=start)
+
+    def solve(prob, **kw):
+        sol = real_solve(prob, **kw)
+        if len(starts) <= fail:
+            for name, value in forced.items():
+                setattr(sol, name, value)
+        return sol
+
+    monkeypatch.setattr(orch, "build_base_problem", build)
+    monkeypatch.setattr(orch, "solve_nlp", solve)
+    return starts
+
+
+def test_solve_base_retries_from_a_perturbed_start(net5, monkeypatch):
+    starts = _failing_base_solves(monkeypatch, 1, status="numerical_failure")
+    log = orch._RunLog(None)
+    net, _, point, objective, penalty = orch.solve_base(net5, log=log, seed=3)
+    assert [e["event"] for e in log.events] == [
+        "preprocessed", "base-solve-retry", "base-solved"]
+    assert log.events[1]["status"] == "numerical_failure"
+    flat, perturbed = starts
+    np.testing.assert_array_equal(flat, flat_start(net).state.v)
+    assert not np.array_equal(perturbed, flat)
+    assert np.all(np.abs(perturbed / flat - 1.0) <= 0.01 + 1e-12)
+    assert all(b.v_min <= v <= b.v_max for b, v in zip(net.buses, perturbed))
+    assert np.isfinite(objective) and penalty >= 0.0
+    assert np.all(np.isfinite(point.state.v))
+
+
+@pytest.mark.parametrize("forced, error, message", [
+    ({"status": "numerical_failure"}, RuntimeError,
+     "failed twice (last status: numerical_failure)"),
+    ({"status": "time_limit", "constraint_violation": 1.0}, TimeoutError,
+     "time limit reached"),
+], ids=["failure", "time-limit"])
+def test_solve_base_gives_up_after_two_attempts(net5, monkeypatch, forced,
+                                                error, message):
+    starts = _failing_base_solves(monkeypatch, 2, **forced)
+    with pytest.raises(error, match=re.escape(message)):
+        orch.solve_base(net5)
+    assert len(starts) == 2
 
 
 def test_run_log_deterministic_stamps(tmp_path):
