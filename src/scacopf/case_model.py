@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 __all__ = [
     "Bus",
@@ -144,22 +144,6 @@ class Network:
         """Lines followed by transformers, the canonical branch ordering."""
         return self.lines + self.transformers
 
-    def bus_degree(self, bus_id):
-        deg = 0
-        for br in self.branches:
-            if br.origin == bus_id or br.destination == bus_id:
-                deg += 1
-        return deg
-
-    def neighbors(self, bus_id):
-        out = set()
-        for br in self.branches:
-            if br.origin == bus_id:
-                out.add(br.destination)
-            elif br.destination == bus_id:
-                out.add(br.origin)
-        return out
-
 
 @dataclass(frozen=True)
 class PreprocessReport:
@@ -188,6 +172,26 @@ class PreprocessReport:
         return skip
 
 
+# A case document holds one list per record type, under the name of the
+# `Network` field that holds those records.  A record's keys are its field
+# names, except for the renames below.
+_RECORDS = {"buses": Bus, "generators": Generator, "lines": Line,
+            "transformers": Transformer, "contingencies": Contingency}
+_RENAMED = {"cost_curve": "cost"}
+
+# Numbers that a record may omit, with their defaults; every other number
+# is required.
+_OPTIONAL = {
+    Bus: {"p_load": 0.0, "q_load": 0.0, "g_fs": 0.0, "b_fs": 0.0,
+          "bcs_min": 0.0, "bcs_max": 0.0},
+    Generator: {"alpha": 1.0},
+    Line: {"b_ch": 0.0},
+    Transformer: {"tau": 1.0, "theta_shift": 0.0, "g_mag": 0.0, "b_mag": 0.0},
+}
+# An omitted emergency rating is the normal rating, when that is set.
+_EMERGENCY = {"r_max_ctg": "r_max", "s_max_ctg": "s_max"}
+
+
 def _num(obj, key, where, errors, default=None):
     if key not in obj:
         if default is not None:
@@ -201,6 +205,38 @@ def _num(obj, key, where, errors, default=None):
     return float(val)
 
 
+def _cost_curve(cost, where, errors):
+    curve = []
+    for seg in cost:
+        if (not isinstance(seg, (list, tuple))) or len(seg) != 2:
+            errors.append(f"{where}: cost segments must be [quantity, price] pairs")
+            continue
+        curve.append((float(seg[0]), float(seg[1])))
+    return tuple(curve)
+
+
+def _load_record(cls, raw, errors):
+    """One record of type `cls` from its JSON object, field by field in
+    declaration order; problems are appended to `errors`."""
+    rid = str(raw.get("id", "?"))
+    where = f"{cls.__name__.lower()} {rid}"
+    vals = {"id": rid}
+    for f in fields(cls)[1:]:
+        key = _RENAMED.get(f.name, f.name)
+        if f.type == "str":
+            vals[f.name] = str(raw.get(key, ""))
+        elif f.type == "float":
+            default = _OPTIONAL.get(cls, {}).get(f.name)
+            if f.name in _EMERGENCY:
+                default = vals[_EMERGENCY[f.name]] or None
+            vals[f.name] = _num(raw, key, where, errors, default)
+        elif f.name == "cost_curve":
+            vals[f.name] = _cost_curve(raw.get(key, []), where, errors)
+        else:
+            vals[f.name] = tuple(str(x) for x in raw.get(key, []))
+    return cls(**vals)
+
+
 def loads_case(text):
     """Parse a JSON case document into a validated Network."""
     try:
@@ -211,106 +247,14 @@ def loads_case(text):
         raise CaseError("malformed case file: top level must be an object")
 
     errors = []
-
-    buses = []
-    for raw in doc.get("buses", []):
-        bid = str(raw.get("id", "?"))
-        where = f"bus {bid}"
-        buses.append(Bus(
-            id=bid,
-            v_min=_num(raw, "v_min", where, errors),
-            v_max=_num(raw, "v_max", where, errors),
-            base_kv=_num(raw, "base_kv", where, errors),
-            p_load=_num(raw, "p_load", where, errors, 0.0),
-            q_load=_num(raw, "q_load", where, errors, 0.0),
-            g_fs=_num(raw, "g_fs", where, errors, 0.0),
-            b_fs=_num(raw, "b_fs", where, errors, 0.0),
-            bcs_min=_num(raw, "bcs_min", where, errors, 0.0),
-            bcs_max=_num(raw, "bcs_max", where, errors, 0.0),
-        ))
-
-    generators = []
-    for raw in doc.get("generators", []):
-        gid = str(raw.get("id", "?"))
-        where = f"generator {gid}"
-        cost = raw.get("cost", [])
-        curve = []
-        for seg in cost:
-            if (not isinstance(seg, (list, tuple))) or len(seg) != 2:
-                errors.append(f"{where}: cost segments must be [quantity, price] pairs")
-                continue
-            curve.append((float(seg[0]), float(seg[1])))
-        generators.append(Generator(
-            id=gid,
-            bus=str(raw.get("bus", "")),
-            p_min=_num(raw, "p_min", where, errors),
-            p_max=_num(raw, "p_max", where, errors),
-            q_min=_num(raw, "q_min", where, errors),
-            q_max=_num(raw, "q_max", where, errors),
-            alpha=_num(raw, "alpha", where, errors, 1.0),
-            cost_curve=tuple(curve),
-        ))
-
-    lines = []
-    for raw in doc.get("lines", []):
-        eid = str(raw.get("id", "?"))
-        where = f"line {eid}"
-        r_max = _num(raw, "r_max", where, errors)
-        lines.append(Line(
-            id=eid,
-            origin=str(raw.get("origin", "")),
-            destination=str(raw.get("destination", "")),
-            g=_num(raw, "g", where, errors),
-            b=_num(raw, "b", where, errors),
-            b_ch=_num(raw, "b_ch", where, errors, 0.0),
-            r_max=r_max,
-            r_max_ctg=_num(raw, "r_max_ctg", where, errors, r_max if r_max else None),
-        ))
-
-    transformers = []
-    for raw in doc.get("transformers", []):
-        fid = str(raw.get("id", "?"))
-        where = f"transformer {fid}"
-        s_max = _num(raw, "s_max", where, errors)
-        transformers.append(Transformer(
-            id=fid,
-            origin=str(raw.get("origin", "")),
-            destination=str(raw.get("destination", "")),
-            g=_num(raw, "g", where, errors),
-            b=_num(raw, "b", where, errors),
-            tau=_num(raw, "tau", where, errors, 1.0),
-            theta_shift=_num(raw, "theta_shift", where, errors, 0.0),
-            g_mag=_num(raw, "g_mag", where, errors, 0.0),
-            b_mag=_num(raw, "b_mag", where, errors, 0.0),
-            s_max=s_max,
-            s_max_ctg=_num(raw, "s_max_ctg", where, errors, s_max if s_max else None),
-        ))
-
-    contingencies = []
-    for raw in doc.get("contingencies", []):
-        kid = str(raw.get("id", "?"))
-        contingencies.append(Contingency(
-            id=kid,
-            kind=str(raw.get("kind", "")),
-            outaged=str(raw.get("outaged", "")),
-            responding_gens=tuple(str(g) for g in raw.get("responding_gens", [])),
-        ))
-
+    records = {key: tuple(_load_record(cls, raw, errors) for raw in doc.get(key, []))
+               for key, cls in _RECORDS.items()}
     pen = doc.get("penalty", {})
-    penalty = PenaltyConfig(
-        breakpoints=tuple(float(x) for x in pen.get("breakpoints", PenaltyConfig.breakpoints)),
-        slopes=tuple(float(x) for x in pen.get("slopes", PenaltyConfig.slopes)),
-    )
-
-    net = Network(
-        buses=tuple(buses),
-        generators=tuple(generators),
-        lines=tuple(lines),
-        transformers=tuple(transformers),
-        contingencies=tuple(contingencies),
-        penalty_config=penalty,
-        reference_bus=str(doc.get("reference_bus", "")),
-    )
+    penalty = PenaltyConfig(**{
+        f.name: tuple(float(x) for x in pen.get(f.name, f.default))
+        for f in fields(PenaltyConfig)})
+    net = Network(**records, penalty_config=penalty,
+                  reference_bus=str(doc.get("reference_bus", "")))
     errors.extend(validate(net))
     if errors:
         raise CaseValidationError(errors)
@@ -324,38 +268,11 @@ def load_case(path):
 
 
 def dumps_case(net):
-    doc = {
-        "buses": [{
-            "id": b.id, "v_min": b.v_min, "v_max": b.v_max, "base_kv": b.base_kv,
-            "p_load": b.p_load, "q_load": b.q_load, "g_fs": b.g_fs, "b_fs": b.b_fs,
-            "bcs_min": b.bcs_min, "bcs_max": b.bcs_max,
-        } for b in net.buses],
-        "generators": [{
-            "id": g.id, "bus": g.bus, "p_min": g.p_min, "p_max": g.p_max,
-            "q_min": g.q_min, "q_max": g.q_max, "alpha": g.alpha,
-            "cost": [[q, c] for q, c in g.cost_curve],
-        } for g in net.generators],
-        "lines": [{
-            "id": e.id, "origin": e.origin, "destination": e.destination,
-            "g": e.g, "b": e.b, "b_ch": e.b_ch,
-            "r_max": e.r_max, "r_max_ctg": e.r_max_ctg,
-        } for e in net.lines],
-        "transformers": [{
-            "id": f.id, "origin": f.origin, "destination": f.destination,
-            "g": f.g, "b": f.b, "tau": f.tau, "theta_shift": f.theta_shift,
-            "g_mag": f.g_mag, "b_mag": f.b_mag,
-            "s_max": f.s_max, "s_max_ctg": f.s_max_ctg,
-        } for f in net.transformers],
-        "contingencies": [{
-            "id": k.id, "kind": k.kind, "outaged": k.outaged,
-            "responding_gens": list(k.responding_gens),
-        } for k in net.contingencies],
-        "penalty": {
-            "breakpoints": list(net.penalty_config.breakpoints),
-            "slopes": list(net.penalty_config.slopes),
-        },
-        "reference_bus": net.reference_bus,
-    }
+    doc = {key: [{_RENAMED.get(k, k): v for k, v in asdict(rec).items()}
+                 for rec in getattr(net, key)]
+           for key in _RECORDS}
+    doc["penalty"] = asdict(net.penalty_config)
+    doc["reference_bus"] = net.reference_bus
     return json.dumps(doc, indent=1, sort_keys=True)
 
 

@@ -107,6 +107,10 @@ def cmd_code1(args):
     try:
         net = _load_case_or_die(args.case)
         cfg = _config_from_args(args)
+        unknown = set(cfg.candidate_boost) - {k.id for k in net.contingencies}
+        if unknown:
+            raise ValueError("--candidates names no contingency of the case: "
+                             + ", ".join(sorted(unknown)))
         model = load_model(args.model) if args.model else None
     except (CaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -512,10 +516,10 @@ def cmd_train(args):
         for k in net.contingencies:
             feats = extract_features(net, k, base)
             label = eval_mod.full_evaluate(
-                net, k, base, time_limit=args.eval_time_limit).penalty
+                net, k, base, time_limit=args.eval_time_limit,
+                deterministic=True).penalty
             samples.append((feats, label))
-    model = train_ridge(samples, reg_lambda=args.reg_lambda,
-                        seed=args.seed or 0)
+    model = train_ridge(samples, reg_lambda=args.reg_lambda)
     save_model(model, args.output)
     print(args.output)
     return EXIT_OK
@@ -592,7 +596,6 @@ def build_parser():
     tr.add_argument("cases", nargs="+", help="case files or globs")
     tr.add_argument("--reg-lambda", type=float, default=1.0)
     tr.add_argument("--eval-time-limit", type=float, default=10.0)
-    tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--output", required=True)
     tr.set_defaults(func=cmd_train)
 

@@ -444,13 +444,20 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
 
 
 def prescreen_then_evaluate(net: Network, k, base: OperatingPoint,
-                            budgets=(None, None), cutoff=None, base_tag="",
+                            time_limit=None, cutoff=None, base_tag="",
                             deterministic=False):
     """Fast evaluation first; escalate to full when the penalty exceeds the
-    cutoff, seeding the full engine with the fast result's segments."""
+    cutoff, seeding the full engine with the fast result's segments.
+
+    Each engine gets half of `time_limit`; in deterministic mode the halves
+    are whole operations and the fast engine gets the odd one."""
     if cutoff is None:
         cutoff = default_cutoff(net)
-    fast_limit, full_limit = budgets
+    fast_limit = full_limit = None if time_limit is None else time_limit / 2
+    if deterministic and time_limit is not None:
+        ops = round(time_limit * _Budget.OPS_PER_SECOND)
+        fast_limit = (ops - ops // 2) / _Budget.OPS_PER_SECOND
+        full_limit = (ops // 2) / _Budget.OPS_PER_SECOND
     fast = fast_evaluate(net, k, base, time_limit=fast_limit, cutoff=cutoff,
                          base_tag=base_tag, deterministic=deterministic)
     if fast.penalty <= cutoff:

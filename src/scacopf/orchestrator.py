@@ -34,7 +34,7 @@ from . import compl as compl_mod
 from . import eval as eval_mod
 from .case_model import Network, preprocess
 from .nlp import solve_nlp
-from .ranking import RidgeModel, rank_baseline, rank_initial
+from .ranking import RidgeModel, rank_initial
 from .scopf import (
     LOWER,
     MIDDLE,
@@ -340,11 +340,8 @@ def run_code1(net: Network, cfg: RunConfig,
                            final_path, log.path)
 
     # Step 4: initial ranking (loading-ratio heuristic when no model given)
-    if model is not None:
-        plist = rank_initial(net_p, base_point, model,
-                             candidate_boost=cfg.candidate_boost)
-    else:
-        plist = rank_baseline(net_p, base_point, "l_c")
+    plist = rank_initial(net_p, base_point, model,
+                         candidate_boost=cfg.candidate_boost)
     log.emit("ranked", order=[e.contingency_id for e in plist.entries])
 
     def base_tag_str():
@@ -460,7 +457,7 @@ def run_code1(net: Network, cfg: RunConfig,
             results = [
                 eval_mod.prescreen_then_evaluate(
                     net_p, net_p.contingency(e.contingency_id), base_point,
-                    budgets=(per / 2, per / 2), cutoff=cutoff,
+                    time_limit=per, cutoff=cutoff,
                     base_tag=base_tag_str(),
                     deterministic=cfg.deterministic)
                 for e in refresh
@@ -502,11 +499,8 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
                               cfg.deterministic)
 
     if initial_order is None:
-        if model is not None:
-            plist = rank_initial(net, base, model,
-                                 candidate_boost=cfg.candidate_boost)
-        else:
-            plist = rank_baseline(net, base, "l_c")
+        plist = rank_initial(net, base, model,
+                             candidate_boost=cfg.candidate_boost)
         initial_order = [e.contingency_id for e in plist.entries]
     order = list(reversed(initial_order))
 
@@ -521,7 +515,7 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
         share = max(0.05, budget.remaining() / (n - idx))
         try:
             res = eval_mod.prescreen_then_evaluate(
-                net, k, base, budgets=(share / 2, share / 2),
+                net, k, base, time_limit=share,
                 cutoff=cutoff, base_tag=tag_str,
                 deterministic=cfg.deterministic)
         except Exception:

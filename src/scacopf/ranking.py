@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .case_model import Line, Network
+from .acpf import CaseLayout
+from .case_model import Network
 from .select import PriorityEntry, PriorityList
 
 __all__ = [
@@ -63,62 +65,58 @@ class RidgeModel:
         return float(self.weights @ features.as_array() + self.intercept)
 
 
-def _branch_feature_parts(net, br, base):
-    bi = net.branches.index(br)
-    p_o, q_o, p_d, q_d = np.abs(base.state.flows[bi])
-    s_o = math.hypot(p_o, q_o)
-    s_d = math.hypot(p_d, q_d)
-    o = net.bus_index(br.origin)
-    d = net.bus_index(br.destination)
-    if isinstance(br, Line):
-        den_o = br.r_max * base.state.v[o]
-        den_d = br.r_max * base.state.v[d]
-    else:
-        den_o = den_d = br.s_max
-    l_c = max(
-        math.sqrt(s_o * s_o / den_o) if den_o > 0 else 0.0,
-        math.sqrt(s_d * s_d / den_d) if den_d > 0 else 0.0,
-    )
-    return max(p_o, p_d), max(s_o, s_d), l_c, o, d
-
-
-def _has_parallel(net, br):
-    pair = frozenset((br.origin, br.destination))
-    for other in net.branches:
-        if other is br:
-            continue
-        if frozenset((other.origin, other.destination)) == pair:
-            return True
-    return False
+def _topology(net):
+    """(branch position by id, bus degrees, highest base kV over each bus and
+    its neighbours, parallel-branch flags), compiled once per network into
+    its base layout's `compiled`."""
+    lay = CaseLayout.of(net)
+    if "topology" not in lay.compiled:
+        kv = np.array([b.base_kv for b in net.buses])
+        kv_near = kv.copy()
+        np.maximum.at(kv_near, lay.o, kv[lay.d])
+        np.maximum.at(kv_near, lay.d, kv[lay.o])
+        _, pair, count = np.unique(np.sort(lay.ends, axis=1), axis=0,
+                                   return_inverse=True, return_counts=True)
+        lay.compiled["topology"] = (
+            {br.id: bi for bi, br in lay.in_service},
+            np.bincount(lay.ends.ravel(), minlength=lay.nb),
+            kv_near,
+            count[pair.ravel()] > 1)
+    return lay.compiled["topology"]
 
 
 def extract_features(net: Network, k, base) -> FeatureVector:
+    position, degree, kv_near, parallel = _topology(net)
     if k.kind == "generator-outage":
-        g = net.generators[net.gen_index(k.outaged)]
         gi = net.gen_index(k.outaged)
+        g = net.generators[gi]
         p = abs(float(base.state.p_gen[gi]))
         q = abs(float(base.state.q_gen[gi]))
         l_s = math.hypot(p, q)
         cap = math.hypot(g.p_max, g.q_max)
         l_c = l_s / cap if cap > 0 else 0.0
-        bus = g.bus
-        # highest voltage rating among the generator's bus and its neighbors
-        kvs = [net.buses[net.bus_index(b)].base_kv
-               for b in [bus] + list(net.neighbors(bus))]
+        bus = net.bus_index(g.bus)
         return FeatureVector(
             t_g=1.0, t_l=0.0, t_t=0.0, l_p=p, l_s=l_s, l_c=l_c,
-            v_d=max(kvs), d_o=float(net.bus_degree(bus)), d_d=0.0, pi=0.0,
+            v_d=float(kv_near[bus]), d_o=float(degree[bus]), d_d=0.0, pi=0.0,
         )
-    br = next(b for b in net.branches if b.id == k.outaged)
-    l_p, l_s, l_c, o, d = _branch_feature_parts(net, br, base)
-    is_line = isinstance(br, Line)
+    lay = CaseLayout.of(net)
+    bi = position[k.outaged]
+    o, d, is_line = lay.o[bi], lay.d[bi], lay.is_line[bi]
+    p_o, q_o, p_d, q_d = np.abs(base.state.flows[bi])
+    s_o = math.hypot(p_o, q_o)
+    s_d = math.hypot(p_d, q_d)
+    # the rating base of `CaseLayout.ratings`: rate * v at the end for a line
+    den_o, den_d = lay.rate[bi] * (base.state.v[[o, d]] if is_line else np.ones(2))
+    l_c = max(
+        math.sqrt(s_o * s_o / den_o) if den_o > 0 else 0.0,
+        math.sqrt(s_d * s_d / den_d) if den_d > 0 else 0.0,
+    )
     return FeatureVector(
         t_g=0.0, t_l=1.0 if is_line else 0.0, t_t=0.0 if is_line else 1.0,
-        l_p=l_p, l_s=l_s, l_c=l_c,
-        v_d=net.buses[d].base_kv,
-        d_o=float(net.bus_degree(br.origin)),
-        d_d=float(net.bus_degree(br.destination)),
-        pi=PARALLEL_WEIGHT if _has_parallel(net, br) else 0.0,
+        l_p=max(p_o, p_d), l_s=max(s_o, s_d), l_c=l_c,
+        v_d=net.buses[d].base_kv, d_o=float(degree[o]), d_d=float(degree[d]),
+        pi=PARALLEL_WEIGHT if parallel[bi] else 0.0,
     )
 
 
@@ -199,9 +197,12 @@ def _build_list(scored, boosted=frozenset()):
     ])
 
 
-def rank_initial(net: Network, base, model: RidgeModel,
+def rank_initial(net: Network, base, model: RidgeModel = None,
                  candidate_boost=frozenset()) -> PriorityList:
-    scored = [(k.id, model.predict(extract_features(net, k, base)))
+    """Initial priority list: by the model's predicted penalty, or by the
+    loading ratio ``l_c`` without a model; `candidate_boost` ids first."""
+    score = model.predict if model is not None else attrgetter("l_c")
+    scored = [(k.id, score(extract_features(net, k, base)))
               for k in net.contingencies]
     return _build_list(scored, frozenset(candidate_boost))
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from scacopf import case_model as cm
+from scacopf.cli import generate_case
 from conftest import make_bus, make_line, two_bus_net, five_bus_net
 
 
@@ -83,6 +84,62 @@ def test_round_trip_equality(net5, tmp_path):
 
 def test_round_trip_text(net2):
     assert cm.loads_case(cm.dumps_case(net2)) == net2
+
+
+def test_omitted_optional_fields_take_their_defaults():
+    doc = {
+        "buses": [{"id": "B1", "v_min": 0.9, "v_max": 1.1, "base_kv": 230.0},
+                  {"id": "B2", "v_min": 0.9, "v_max": 1.1, "base_kv": 115.0}],
+        "generators": [{"id": "G1", "bus": "B1", "p_min": 0.0, "p_max": 2.0,
+                        "q_min": -1.0, "q_max": 1.0}],
+        "lines": [{"id": "L1", "origin": "B1", "destination": "B2",
+                   "g": 0.5, "b": -5.0, "r_max": 2.0}],
+        "transformers": [{"id": "T1", "origin": "B1", "destination": "B2",
+                          "g": 0.3, "b": -4.0, "s_max": 1.5}],
+        "reference_bus": "B1",
+    }
+    net = cm.loads_case(json.dumps(doc))
+    for bus in net.buses:
+        assert (bus.p_load, bus.q_load, bus.g_fs, bus.b_fs,
+                bus.bcs_min, bus.bcs_max) == (0.0,) * 6
+    g = net.generators[0]
+    assert g.alpha == 1.0 and g.cost_curve == ()
+    line = net.lines[0]
+    assert line.b_ch == 0.0
+    assert line.r_max_ctg == line.r_max == 2.0
+    xf = net.transformers[0]
+    assert (xf.tau, xf.theta_shift, xf.g_mag, xf.b_mag) == (1.0, 0.0, 0.0, 0.0)
+    assert xf.s_max_ctg == xf.s_max == 1.5
+    assert net.contingencies == ()
+    assert net.penalty_config == cm.PenaltyConfig()
+
+
+@pytest.mark.parametrize("record, key, value, message", [
+    ("buses", "v_min", None, "bus B1: missing field 'v_min'"),
+    ("generators", "p_max", "2.0", "generator G1: field 'p_max' is not a number"),
+    ("lines", "g", True, "line L1: field 'g' is not a number"),
+    ("lines", "r_max", None, "line L1: missing field 'r_max'"),
+    ("generators", "cost", [[1.0, 10.0], [2.5]],
+     "generator G1: cost segments must be [quantity, price] pairs"),
+])
+def test_field_errors_give_their_messages(record, key, value, message):
+    doc = json.loads(json.dumps(MINIMAL_CASE))
+    if value is None:
+        del doc[record][0][key]
+    else:
+        doc[record][0][key] = value
+    with pytest.raises(cm.CaseValidationError) as exc:
+        cm.loads_case(json.dumps(doc))
+    assert message in exc.value.violations
+
+
+@pytest.mark.parametrize("n_bus", [5, 14, 30])
+def test_generated_cases_round_trip(n_bus):
+    net = generate_case(n_bus, seed=n_bus)
+    text = cm.dumps_case(net)
+    again = cm.loads_case(text)
+    assert again == net
+    assert cm.dumps_case(again) == text
 
 
 # --- preprocessing -----------------------------------------------------------

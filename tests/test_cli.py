@@ -137,6 +137,64 @@ def test_code1_code2_score_pipeline(tmp_path, capsys):
     assert np.isfinite(report["total"])
 
 
+def ranked_order(out_dir):
+    with open(os.path.join(out_dir, "run_log.jsonl")) as fh:
+        events = [json.loads(line) for line in fh]
+    return next(e["order"] for e in events if e["event"] == "ranked")
+
+
+def test_code1_candidates_ranked_first_without_model(tmp_path, capsys):
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(5, seed=11), case)
+    out = str(tmp_path / "o")
+    rc = run_cli(["code1", "--case", case, "--candidates", "KL2",
+                  "--deterministic", "--time-limit", "5", "--output-dir", out])
+    assert rc == 0
+    assert ranked_order(out)[0] == "KL2"
+
+
+def test_code1_unknown_candidates_exit_1(tmp_path, capsys):
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(5, seed=11), case)
+    out = str(tmp_path / "o")
+    rc = run_cli(["code1", "--case", case, "--candidates", "KL2,NOPE",
+                  "--deterministic", "--time-limit", "5", "--output-dir", out])
+    assert rc == 1
+    assert "NOPE" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_code2_prescreen_spends_the_whole_share(tmp_path, capsys, monkeypatch):
+    # 0.1 s per contingency is 5 deterministic operations: the fast engine
+    # gets 3 and, when it escalates, the full engine 2; rounding each half
+    # on its own gave 2 + 2
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(5, seed=11), case)
+    net = load_case(case)
+    base_path = str(tmp_path / "base.json")
+    write_base_solution(base_path, net, flat_start(net), 1, 0.0, 0.0)
+    limits = {}
+
+    def spy(name, real):
+        def engine(net, k, *a, time_limit, **kw):
+            limits.setdefault(k.id, []).append((name, round(time_limit * 50)))
+            return real(net, k, *a, time_limit=time_limit, **kw)
+        return engine
+
+    for name in ("fast_evaluate", "full_evaluate"):
+        monkeypatch.setattr(cli.eval_mod, name,
+                            spy(name, getattr(cli.eval_mod, name)))
+    rc = run_cli(["code2", "--case", case, "--base", base_path,
+                  "--deterministic", "--factor", "0.1",
+                  "--output-dir", str(tmp_path / "o")])
+    assert rc == 0
+    assert sorted(limits) == sorted(k.id for k in net.contingencies)
+    for got in limits.values():
+        assert got[:2] in ([("fast_evaluate", 3)],
+                           [("fast_evaluate", 3), ("full_evaluate", 2)])
+    assert any(len(got) > 1 for got in limits.values())
+
+
 def test_score_missing_contingency_file(tmp_path, capsys):
     case = str(tmp_path / "c.json")
     net = generate_case(5, seed=11)
@@ -319,6 +377,27 @@ def test_train_round_trip(tmp_path, capsys):
     net, _, base, _, _ = solve_base(load_case(case))
     plist = rank_initial(net, base, model)
     assert len(plist.entries) == len(net.contingencies)
+
+
+def test_train_model_ignores_the_clock(tmp_path, monkeypatch, capsys):
+    # labels come from deterministic operation counts, so a clock that jumps
+    # 1e3 s per reading writes the same model
+    case = small_case(tmp_path)
+    models = []
+    for name in ("timed", "jumped"):
+        if name == "jumped":
+            clock = itertools.count(1e3, 1e3)
+            monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+        out = str(tmp_path / f"{name}.json")
+        assert run_cli(["train", case, "--output", out]) == 0
+        with open(out, "rb") as fh:
+            models.append(fh.read())
+    assert models[0] == models[1]
+
+
+def test_train_has_no_seed_flag(tmp_path, capsys):
+    assert exit_code(["train", small_case(tmp_path), "--seed", "1",
+                      "--output", str(tmp_path / "m.json")]) == 1
 
 
 @pytest.mark.parametrize("limit", ["0", "-1"])

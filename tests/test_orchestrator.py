@@ -187,9 +187,9 @@ def test_code2_budgets_within_factor(tmp_path, net5, monkeypatch):
     real = orch.eval_mod.prescreen_then_evaluate
     seen = []
 
-    def spy(*a, budgets, **kw):
-        seen.append(sum(budgets))
-        return real(*a, budgets=budgets, **kw)
+    def spy(*a, time_limit, **kw):
+        seen.append(time_limit)
+        return real(*a, time_limit=time_limit, **kw)
 
     monkeypatch.setattr(orch.eval_mod, "prescreen_then_evaluate", spy)
     cfg = RunConfig(output_dir=str(tmp_path), deterministic=True,

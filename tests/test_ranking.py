@@ -8,7 +8,8 @@ import pytest
 from conftest import make_bus, make_gen, make_line, make_xf
 
 from scacopf import nlp, ranking, scopf
-from scacopf.case_model import Contingency, Network, PenaltyConfig
+from scacopf.case_model import Contingency, Line, Network, PenaltyConfig
+from scacopf.cli import generate_case
 from scacopf.ranking import (
     FEATURE_NAMES,
     FeatureVector,
@@ -82,7 +83,7 @@ def test_generator_v_d_max_over_bus_and_neighbors(rnet):
     # G1 at B1 (115 kV); neighbors B2 (230) and B3 (34.5)
     f = extract_features(net, net.contingency("KG1"), base)
     assert f.v_d == pytest.approx(230.0)
-    assert f.d_o == float(net.bus_degree("B1"))
+    assert f.d_o == 3.0  # L1, L2 and T1 end at B1
 
 
 def test_line_features_parallel_and_flows(rnet):
@@ -125,6 +126,108 @@ def test_feature_extraction_is_pure(rnet):
     b = extract_features(net, net.contingency("KL1"), base)
     assert a == b
     np.testing.assert_array_equal(a.as_array(), b.as_array())
+
+
+# Reference: feature extraction written with per-contingency scans of the
+# `Network` objects, the form that `extract_features` replaced.
+
+def _ref_bus_degree(net, bus_id):
+    return sum(1 for br in net.branches
+               if br.origin == bus_id or br.destination == bus_id)
+
+
+def _ref_neighbors(net, bus_id):
+    out = set()
+    for br in net.branches:
+        if br.origin == bus_id:
+            out.add(br.destination)
+        elif br.destination == bus_id:
+            out.add(br.origin)
+    return out
+
+
+def _ref_branch_feature_parts(net, br, base):
+    bi = net.branches.index(br)
+    p_o, q_o, p_d, q_d = np.abs(base.state.flows[bi])
+    s_o = math.hypot(p_o, q_o)
+    s_d = math.hypot(p_d, q_d)
+    o = net.bus_index(br.origin)
+    d = net.bus_index(br.destination)
+    if isinstance(br, Line):
+        den_o = br.r_max * base.state.v[o]
+        den_d = br.r_max * base.state.v[d]
+    else:
+        den_o = den_d = br.s_max
+    l_c = max(
+        math.sqrt(s_o * s_o / den_o) if den_o > 0 else 0.0,
+        math.sqrt(s_d * s_d / den_d) if den_d > 0 else 0.0,
+    )
+    return max(p_o, p_d), max(s_o, s_d), l_c, o, d
+
+
+def _ref_has_parallel(net, br):
+    pair = frozenset((br.origin, br.destination))
+    return any(other is not br
+               and frozenset((other.origin, other.destination)) == pair
+               for other in net.branches)
+
+
+def _ref_extract_features(net, k, base):
+    if k.kind == "generator-outage":
+        g = net.generators[net.gen_index(k.outaged)]
+        gi = net.gen_index(k.outaged)
+        p = abs(float(base.state.p_gen[gi]))
+        q = abs(float(base.state.q_gen[gi]))
+        l_s = math.hypot(p, q)
+        cap = math.hypot(g.p_max, g.q_max)
+        l_c = l_s / cap if cap > 0 else 0.0
+        bus = g.bus
+        kvs = [net.buses[net.bus_index(b)].base_kv
+               for b in [bus] + list(_ref_neighbors(net, bus))]
+        return FeatureVector(
+            t_g=1.0, t_l=0.0, t_t=0.0, l_p=p, l_s=l_s, l_c=l_c,
+            v_d=max(kvs), d_o=float(_ref_bus_degree(net, bus)), d_d=0.0,
+            pi=0.0,
+        )
+    br = next(b for b in net.branches if b.id == k.outaged)
+    l_p, l_s, l_c, o, d = _ref_branch_feature_parts(net, br, base)
+    is_line = isinstance(br, Line)
+    return FeatureVector(
+        t_g=0.0, t_l=1.0 if is_line else 0.0, t_t=0.0 if is_line else 1.0,
+        l_p=l_p, l_s=l_s, l_c=l_c,
+        v_d=net.buses[d].base_kv,
+        d_o=float(_ref_bus_degree(net, br.origin)),
+        d_d=float(_ref_bus_degree(net, br.destination)),
+        pi=ranking.PARALLEL_WEIGHT if _ref_has_parallel(net, br) else 0.0,
+    )
+
+
+def _assert_features_equal_reference(net, base):
+    every_branch = [
+        Contingency(f"K{br.id}", "line-outage" if isinstance(br, Line)
+                    else "transformer-outage", br.id)
+        for br in net.branches]
+    for k in net.contingencies + tuple(every_branch):
+        new = extract_features(net, k, base).as_array()
+        ref = _ref_extract_features(net, k, base).as_array()
+        assert new.tobytes() == ref.tobytes(), k.id
+
+
+@pytest.mark.parametrize("n_bus", [5, 14, 30, 118])
+def test_features_equal_the_network_scan_reference(n_bus):
+    net = generate_case(n_bus, seed=n_bus)
+    rng = np.random.default_rng(n_bus)
+    base = scopf.default_start(net)
+    st = base.state
+    st.v[:] = rng.uniform(0.9, 1.1, len(st.v))
+    st.p_gen[:] = rng.normal(0.0, 1.0, len(st.p_gen))
+    st.q_gen[:] = rng.normal(0.0, 1.0, len(st.q_gen))
+    st.flows[:] = rng.normal(0.0, 1.0, st.flows.shape)
+    _assert_features_equal_reference(net, base)
+
+
+def test_features_equal_the_reference_with_parallel_branches(rnet):
+    _assert_features_equal_reference(*rnet)
 
 
 # --- ridge training -----------------------------------------------------------
