@@ -192,6 +192,10 @@ _OPTIONAL = {
 _EMERGENCY = {"r_max_ctg": "r_max", "s_max_ctg": "s_max"}
 
 
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _num(obj, key, where, errors, default=None):
     if key not in obj:
         if default is not None:
@@ -199,16 +203,33 @@ def _num(obj, key, where, errors, default=None):
         errors.append(f"{where}: missing field '{key}'")
         return 0.0
     val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    if not _is_number(val):
         errors.append(f"{where}: field '{key}' is not a number")
         return 0.0
     return float(val)
 
 
+def _list(obj, key, where, errors):
+    val = obj.get(key, [])
+    if not isinstance(val, list):
+        errors.append(f"{where}: field '{key}' is not a list")
+        return []
+    return val
+
+
+def _numbers(obj, key, where, errors, default):
+    vals = obj.get(key, default)
+    if not (isinstance(vals, (list, tuple)) and all(map(_is_number, vals))):
+        errors.append(f"{where}: field '{key}' is not a list of numbers")
+        return default
+    return tuple(float(x) for x in vals)
+
+
 def _cost_curve(cost, where, errors):
     curve = []
     for seg in cost:
-        if (not isinstance(seg, (list, tuple))) or len(seg) != 2:
+        if not (isinstance(seg, list) and len(seg) == 2
+                and all(map(_is_number, seg))):
             errors.append(f"{where}: cost segments must be [quantity, price] pairs")
             continue
         curve.append((float(seg[0]), float(seg[1])))
@@ -231,9 +252,9 @@ def _load_record(cls, raw, errors):
                 default = vals[_EMERGENCY[f.name]] or None
             vals[f.name] = _num(raw, key, where, errors, default)
         elif f.name == "cost_curve":
-            vals[f.name] = _cost_curve(raw.get(key, []), where, errors)
+            vals[f.name] = _cost_curve(_list(raw, key, where, errors), where, errors)
         else:
-            vals[f.name] = tuple(str(x) for x in raw.get(key, []))
+            vals[f.name] = tuple(str(x) for x in _list(raw, key, where, errors))
     return cls(**vals)
 
 
@@ -247,11 +268,19 @@ def loads_case(text):
         raise CaseError("malformed case file: top level must be an object")
 
     errors = []
-    records = {key: tuple(_load_record(cls, raw, errors) for raw in doc.get(key, []))
-               for key, cls in _RECORDS.items()}
+    records = {}
+    for key, cls in _RECORDS.items():
+        raws = _list(doc, key, "case", errors)
+        if not all(isinstance(raw, dict) for raw in raws):
+            errors.append(f"case: field '{key}' holds a record that is not an object")
+            raws = [raw for raw in raws if isinstance(raw, dict)]
+        records[key] = tuple(_load_record(cls, raw, errors) for raw in raws)
     pen = doc.get("penalty", {})
+    if not isinstance(pen, dict):
+        errors.append("case: field 'penalty' is not an object")
+        pen = {}
     penalty = PenaltyConfig(**{
-        f.name: tuple(float(x) for x in pen.get(f.name, f.default))
+        f.name: _numbers(pen, f.name, "penalty", errors, f.default)
         for f in fields(PenaltyConfig)})
     net = Network(**records, penalty_config=penalty,
                   reference_bus=str(doc.get("reference_bus", "")))

@@ -318,7 +318,7 @@ def harness_selection_ablation(nets, n_select=3, time_limit=10.0):
                 ctg_points={c: results[c].point for c in chosen},
                 report=report)
             mprob = build_master_problem(spec)
-            sol = solve_nlp(mprob, tol=1e-6)
+            sol = solve_nlp(mprob, tol=1e-6, warm_start=True)
             new_base = mprob.meta.extract_base(sol.x)
             pens = {c: r.penalty for c, r in
                     _evaluate_all(net, new_base, time_limit).items()}

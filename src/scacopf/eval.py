@@ -67,7 +67,8 @@ class EvaluationResult:
     base_tag: str = ""
     elapsed: float = 0.0
     status: str = "ok"
-    # [status, iterations] of the NLP of each full-evaluation segment round
+    # [status, iterations, kkt_error] of the NLP of each full-evaluation
+    # segment round
     nlp: list = field(default_factory=list)
 
 
@@ -291,18 +292,23 @@ class _SquareSystem:
         rho_p = self.base_p + self.alpha * z[-1] - self.p_pin
         rho_q = self.base_v - z[self.lay.gen_bus]
         new = state.copy()
+        # a loop over plain floats: on arrays of about ten generators, each
+        # numpy call would cost more than the scalar work it replaces
         for table, ids, mid, low, val, (lo, hi), rho in (
                 (new.active, self.p_ids, self.p_mid, self.p_low,
                  z[2 * nb:2 * nb + n_p], self.p_box, rho_p),
                 (new.reactive, self.q_ids, self.q_mid, self.q_low,
                  z[2 * nb + n_p:-1], self.q_box, rho_q)):
-            above = val > hi + _BOUND_TOL
-            release = np.where(low, rho > _BOUND_TOL, ~mid & (rho < -_BOUND_TOL))
-            for seg, hit in ((UPPER, mid & above),
-                             (LOWER, mid & ~above & (val < lo - _BOUND_TOL)),
-                             (MIDDLE, release)):
-                for i in np.flatnonzero(hit):
-                    table[ids[i]] = seg
+            for g, m, lw, v, vlo, vhi, r in zip(
+                    ids, mid.tolist(), low.tolist(), val.tolist(), lo.tolist(),
+                    hi.tolist(), rho.tolist()):
+                if m:
+                    if v > vhi + _BOUND_TOL:
+                        table[g] = UPPER
+                    elif v < vlo - _BOUND_TOL:
+                        table[g] = LOWER
+                elif r > _BOUND_TOL if lw else r < -_BOUND_TOL:
+                    table[g] = MIDDLE
         return new
 
 
@@ -393,7 +399,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
                                          start=start_point)
         sol = solve_nlp(prob, tol=1e-8, **budget.solver_kwargs(300))
         budget.charge(sol.iterations)
-        rounds.append([sol.status, sol.iterations])
+        rounds.append([sol.status, sol.iterations, sol.kkt_error])
         if sol.status == "numerical_failure" or not np.all(np.isfinite(sol.x)):
             break
 

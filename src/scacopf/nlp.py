@@ -16,6 +16,16 @@ has the wanted inertia iff that complement is positive definite, which a
 no-pivot sparse LU decides.  Bounds are relaxed slightly on the inside;
 reported objectives are always the true (unrelaxed) ones.
 
+A solve starts cold by default, for an x0 far from the optimum such as a
+flat start: the barrier parameter at mu0 = 1 and every bound and
+inequality-slack multiplier at 1 (Waechter & Biegler 2006, Sec. 3.6).
+`warm_start=True` starts at mu0 = 0.1 with those multipliers at mu0 over
+their gaps, for an x0 that is already a solved point.  Equality multipliers
+start at 0 either way.  A solve is `optimal` only when its KKT error is at
+or below `tol` and the barrier parameter has reached its floor tol/10, so a
+cold start that meets `tol` early still ends on the same barrier problem as
+a warm one.
+
 The KKT matrix and its Schur complement have one sparsity pattern for as
 long as the Hessian and Jacobian patterns stay the same, which for the
 problems of `scopf` is the whole solve.  `_Kkt` compiles both patterns
@@ -79,6 +89,9 @@ class NlpSolution:
     status: str
     iterations: int = 0
     constraint_violation: float = 0.0
+    # the KKT error E0 and barrier parameter of the last iterate examined
+    kkt_error: float = np.inf
+    mu: float = 0.0
 
 
 class _Pattern:
@@ -328,8 +341,8 @@ S_THETA, S_PHI, DELTA = 1.1, 2.3, 1.0
 ETA = 1e-4
 KAPPA_SOC, MAX_SOC = 0.99, 4
 MAX_TRIALS = 30
-# initial barrier parameter
-MU0 = 1e-1
+# initial barrier parameter of a cold start, and of a warm one
+MU0, MU0_WARM = 1.0, 1e-1
 EPS_MACH = np.finfo(float).eps
 
 
@@ -343,11 +356,19 @@ def _move_out(bound, gap, mu, sign):
 
 
 def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
-              log=None):
+              log=None, warm_start=False):
     """Solve an NlpProblem with a primal-dual interior-point method.
 
-    Returns an NlpSolution; status `optimal` means the max-norm KKT residual
-    is at or below `tol`.  The best iterate found is always returned.
+    Returns an NlpSolution; status `optimal` means that the max-norm KKT
+    residual E0 is at or below `tol` and that the barrier parameter has
+    reached its floor tol/10.  The best iterate found is always returned.
+
+    The start is cold by default: mu0 = 1, and every bound and
+    inequality-slack multiplier is 1 (Waechter & Biegler 2006, Sec. 3.6).
+    `warm_start=True` is meant for an x0 that is already a solved point:
+    it starts at mu0 = 0.1 with each of those multipliers at mu0 over its
+    gap, on the central path of that x0.  Equality multipliers start at 0
+    either way.
 
     `log`, if given, is called once per iteration with a dict: `iteration`,
     `objective`, `kkt_error` and `mu` at the current iterate, and
@@ -367,14 +388,14 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     cI = prob.ineq(x) if mi else np.zeros(0)
     t = np.maximum(1e-2, -cI)
     t_lo = np.zeros(mi)  # the slacks' lower bounds, moved by `_move_out`
-    mu = MU0
     y = np.zeros(me)
-    w = np.full(mi, mu / np.maximum(t, 1e-8)) if mi else np.zeros(0)
-    w = np.maximum(w, 1e-8)
-    zl = np.zeros(n)
-    zu = np.zeros(n)
-    zl[fin_l] = mu / (x[fin_l] - lb[fin_l])
-    zu[fin_u] = mu / (ub[fin_u] - x[fin_u])
+    mu, w = MU0, np.ones(mi)
+    zl, zu = fin_l.astype(float), fin_u.astype(float)
+    if warm_start:
+        mu = MU0_WARM
+        w = np.maximum(mu / np.maximum(t, 1e-8), 1e-8)
+        zl[fin_l] = mu / (x[fin_l] - lb[fin_l])
+        zu[fin_u] = mu / (ub[fin_u] - x[fin_u])
 
     tau_ftb = 0.995
     delta_c = 1e-8
@@ -430,6 +451,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
     status = MAX_ITER
     it = 0
+    e0 = np.inf
     for it in range(1, max_iter + 1):
         _move_out(lb, x - lb, mu, -1.0)
         _move_out(ub, ub - x, mu, 1.0)
@@ -469,7 +491,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         if log is not None:
             log(dict(iteration=it, objective=f, kkt_error=e0, mu=mu,
                      **last_step))
-        if e0 <= tol:
+        if e0 <= tol and mu <= tol / 10.0:
             status = OPTIMAL
             break
         if time_limit is not None and time.monotonic() - t_start > time_limit:
@@ -661,7 +683,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     return NlpSolution(
         x=x, lambda_eq=y, lambda_ineq=w, z_lower=zl, z_upper=zu,
         objective=f, status=status, iterations=it,
-        constraint_violation=viol(x, cE, cI),
+        constraint_violation=viol(x, cE, cI), kkt_error=e0, mu=mu,
     )
 
 

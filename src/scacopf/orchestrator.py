@@ -254,6 +254,12 @@ def _wall_limit(budget):
     return {"time_limit": max(1.0, budget.remaining())}
 
 
+def _solve_fields(sol):
+    """Run-log fields of a base or master NLP solve."""
+    return dict(status=sol.status, iterations=sol.iterations,
+                kkt_error=sol.kkt_error, mu=sol.mu)
+
+
 def _reprice_base(net, point):
     """Explicit base objective and penalty, with flows and slacks recomputed
     from the stored state so readers recover identical numbers."""
@@ -277,8 +283,7 @@ def solve_base(net: Network, budget=None, log=None, seed=0):
     start = flat_start(net)
     for retry in (False, True):
         if retry:
-            log.emit("base-solve-retry", status=sol.status,
-                     iterations=sol.iterations)
+            log.emit("base-solve-retry", **_solve_fields(sol))
             rng = np.random.default_rng(seed)
             start = start.copy()
             start.state.v = np.clip(
@@ -299,7 +304,7 @@ def solve_base(net: Network, budget=None, log=None, seed=0):
     point = prob.meta.extract_base(sol.x)
     objective, penalty = _reprice_base(net, point)
     log.emit("base-solved", objective=objective, penalty=penalty,
-             status=sol.status, iterations=sol.iterations)
+             **_solve_fields(sol))
     return net, report, point, objective, penalty
 
 
@@ -425,13 +430,13 @@ def run_code1(net: Network, cfg: RunConfig,
             report=report,
         )
         mprob = build_master_problem(spec)
-        msol = solve_nlp(mprob, tol=1e-6, **_wall_limit(budget))
+        msol = solve_nlp(mprob, tol=1e-6, warm_start=True,
+                         **_wall_limit(budget))
         master_duration = time.monotonic() - master_t0
         budget.spend(1.0)  # nominal deterministic charge per master solve
         if not np.all(np.isfinite(msol.x)) or \
                 msol.constraint_violation > 1e-4:
-            log.emit("master-failed", status=msol.status,
-                     iterations=msol.iterations)
+            log.emit("master-failed", **_solve_fields(msol))
             break
         base_point = mprob.meta.extract_base(msol.x)
         for c in included:
@@ -440,7 +445,7 @@ def run_code1(net: Network, cfg: RunConfig,
             compl_states[c].delta = master_points[c].delta
         objective, penalty = _reprice_base(net_p, base_point)
         log.emit("master-solved", objective=objective, penalty=penalty,
-                 status=msol.status, iterations=msol.iterations)
+                 **_solve_fields(msol))
 
         # Step 9: write the new base solution
         tag += 1

@@ -133,6 +133,47 @@ def test_field_errors_give_their_messages(record, key, value, message):
     assert message in exc.value.violations
 
 
+@pytest.mark.parametrize("record, key, value, message", [
+    ("contingencies", "responding_gens", 7,
+     "contingency K1: field 'responding_gens' is not a list"),
+    ("contingencies", "responding_gens", None,
+     "contingency K1: field 'responding_gens' is not a list"),
+    ("contingencies", "responding_gens", "G1",
+     "contingency K1: field 'responding_gens' is not a list"),
+    ("generators", "cost", True, "generator G1: field 'cost' is not a list"),
+    ("generators", "cost", [[1.0, "ten"], [2.5, 20.0]],
+     "generator G1: cost segments must be [quantity, price] pairs"),
+    ("generators", "cost", [[1.0, 10.0], [False, 20.0]],
+     "generator G1: cost segments must be [quantity, price] pairs"),
+])
+def test_list_field_errors_give_their_messages(record, key, value, message):
+    # a list field that holds a scalar, null or a string, and a cost pair
+    # that holds a non-number, are violations, not exceptions
+    doc = json.loads(json.dumps(MINIMAL_CASE))
+    doc["contingencies"] = [{"id": "K1", "kind": cm.GENERATOR_OUTAGE,
+                             "outaged": "G1", "responding_gens": []}]
+    doc[record][0][key] = value
+    with pytest.raises(cm.CaseValidationError) as exc:
+        cm.loads_case(json.dumps(doc))
+    assert message in exc.value.violations
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("buses", 7, "case: field 'buses' is not a list"),
+    ("lines", [1], "case: field 'lines' holds a record that is not an object"),
+    ("penalty", 7, "case: field 'penalty' is not an object"),
+    ("penalty", {"slopes": ["a", 1.0, 2.0]},
+     "penalty: field 'slopes' is not a list of numbers"),
+    ("penalty", {"breakpoints": 0.1}, "penalty: field 'breakpoints' is not a list of numbers"),
+])
+def test_case_level_field_errors_give_their_messages(key, value, message):
+    doc = json.loads(json.dumps(MINIMAL_CASE))
+    doc[key] = value
+    with pytest.raises(cm.CaseValidationError) as exc:
+        cm.loads_case(json.dumps(doc))
+    assert message in exc.value.violations
+
+
 @pytest.mark.parametrize("n_bus", [5, 14, 30])
 def test_generated_cases_round_trip(n_bus):
     net = generate_case(n_bus, seed=n_bus)

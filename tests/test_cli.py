@@ -9,7 +9,7 @@ import pytest
 
 from scacopf import cli
 from scacopf import orchestrator as orch
-from scacopf.case_model import load_case, validate, write_case
+from scacopf.case_model import dumps_case, load_case, validate, write_case
 from scacopf.cli import generate_case, main
 from scacopf.orchestrator import flat_start, solve_base, write_base_solution
 
@@ -71,6 +71,27 @@ def test_code1_missing_case(tmp_path, capsys):
                   "--output-dir", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, key, value, kind", [
+    ("contingencies", "responding_gens", 7, "contingency"),
+    ("generators", "cost", True, "generator"),
+    ("generators", "cost", [[1.0, "ten"]], "generator"),
+])
+def test_code1_bad_list_field_exits_1_naming_it(tmp_path, capsys, record, key,
+                                                value, kind):
+    doc = json.loads(dumps_case(generate_case(5, seed=11)))
+    rec = doc[record][0]
+    rec[key] = value
+    case = str(tmp_path / "c.json")
+    with open(case, "w") as fh:
+        json.dump(doc, fh)
+    rc = run_cli(["code1", "--case", case, "--deterministic",
+                  "--output-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{kind} {rec['id']}: " in err
+    assert key in err
 
 
 def test_code2_corrupted_base(tmp_path, capsys):

@@ -632,3 +632,79 @@ def test_kkt_pattern_compiled_once(net5, monkeypatch):
     assert sol.status == nlp.OPTIMAL
     np.testing.assert_allclose(sol.x, [1.0, -1.0], atol=1e-6)
     assert compiled[:2] == [3, 2]
+
+
+# --- the start and the end of a solve ----------------------------------------
+
+def dense_qp(seed=5, n=6):
+    """A strictly convex QP with one equality, two inequalities and finite
+    bounds on every variable, some of them active at the optimum."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n))
+    Q = M @ M.T + np.eye(n)
+    c = rng.normal(size=n) * 3.0
+    G = rng.normal(size=(2, n))
+    return dense_problem(
+        n, lambda x: 0.5 * x @ Q @ x + c @ x, lambda x: Q @ x + c,
+        lambda x: Q, np.zeros(n), lb=np.full(n, -0.3), ub=np.full(n, 0.5),
+        A_eq=np.ones((1, n)), b_eq=[0.2],
+        c_ineq=lambda x: G @ x - 0.1, J_ineq=lambda x: G)
+
+
+def test_flat_start_base_solve_on_30_buses_is_cold_and_short():
+    # as `orchestrator.solve_base` builds it; a start at mu0 = 0.1 with
+    # multipliers mu0/gap took 69 iterations here
+    from scacopf.case_model import preprocess
+    from scacopf.cli import generate_case
+    from scacopf.orchestrator import flat_start
+    from scacopf.scopf import build_base_problem
+
+    net, report = preprocess(generate_case(30, 3))
+    prob = build_base_problem(net, report, start=flat_start(net))
+    sol = solve_nlp(prob, tol=1e-8)
+    assert sol.status == nlp.OPTIMAL
+    assert sol.iterations <= 55
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("warm_start", [False, True])
+@pytest.mark.parametrize("problem", ["net5-base", "dense-qp"])
+def test_optimal_only_at_the_barrier_floor(net5, problem, warm_start, tol):
+    from scacopf.scopf import build_base_problem
+
+    prob = build_base_problem(net5) if problem == "net5-base" else dense_qp()
+    records = []
+    sol = solve_nlp(prob, tol=tol, warm_start=warm_start, log=records.append)
+    assert sol.status == nlp.OPTIMAL
+    assert records[-1]["mu"] == sol.mu == tol / 10.0
+    assert records[-1]["kkt_error"] == sol.kkt_error <= tol
+    # no earlier iterate met both conditions
+    assert not any(r["kkt_error"] <= tol and r["mu"] <= tol / 10.0
+                   for r in records[:-1])
+
+
+@pytest.mark.parametrize("warm_start, mu0", [(False, 1.0), (True, 0.1)])
+def test_first_record_reads_the_start_barrier_parameter(net5, warm_start, mu0):
+    from scacopf.scopf import build_base_problem
+
+    for prob in (build_base_problem(net5), dense_qp()):
+        records = []
+        solve_nlp(prob, tol=1e-8, warm_start=warm_start, log=records.append)
+        assert records[0]["mu"] == mu0
+
+
+def test_start_multipliers():
+    # with max_iter=0 a solve returns the multipliers it starts from
+    prob = dense_qp()
+    cold = solve_nlp(prob, max_iter=0)
+    assert (cold.iterations, cold.mu) == (0, 1.0)
+    for z in (cold.z_lower, cold.z_upper, cold.lambda_ineq):
+        assert np.array_equal(z, np.ones(len(z)))
+    assert np.array_equal(cold.lambda_eq, np.zeros(1))
+    warm = solve_nlp(prob, max_iter=0, warm_start=True)
+    assert warm.mu == 0.1
+    lb, ub = nlp._relax_bounds(prob.lb, prob.ub, rel=1e-8)
+    x = nlp._interior_start(prob.x0, lb, ub)
+    np.testing.assert_allclose(warm.z_lower, 0.1 / (x - lb))
+    np.testing.assert_allclose(warm.z_upper, 0.1 / (ub - x))
+    assert np.array_equal(warm.lambda_eq, np.zeros(1))

@@ -322,7 +322,7 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
 
     def spy(*a, **kw):
         sol = real(*a, **kw)
-        solved.append([sol.status, sol.iterations])
+        solved.append([sol.status, sol.iterations, sol.kkt_error])
         return sol
 
     monkeypatch.setattr(orch, "solve_nlp", spy)
@@ -332,7 +332,8 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
     for rec in map(json.loads, open(res.log_path)):
         if rec["event"] in ("base-solve-retry", "base-solved", "master-solved",
                             "master-failed"):
-            logged.append([rec["status"], rec["iterations"]])
+            logged.append([rec["status"], rec["iterations"], rec["kkt_error"]])
+            assert rec["mu"] > 0.0
             sources.add(rec["event"])
         elif rec["event"] == "evaluated" and rec["nlp"]:
             logged += rec["nlp"]
