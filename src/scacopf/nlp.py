@@ -29,11 +29,18 @@ a warm one.
 The KKT matrix and its Schur complement have one sparsity pattern for as
 long as the Hessian and Jacobian patterns stay the same, which for the
 problems of `scopf` is the whole solve.  `_Kkt` compiles both patterns
-once, fills each attempt's values with one `np.bincount`, and bakes the
-column ordering of the first factorization of each matrix into its pattern,
-so that later factorizations reuse it in natural order; `_LuPattern` does
-the same for the Jacobians of `solve_square`.  `_Pattern` is the compiled
-sparsity pattern that every layer above fills its matrices with.
+once and fills each attempt's values with one `np.bincount`.  K, the
+Schur complement and the Jacobians of `solve_square` are each factored by
+an `_LuPattern`: its first LU finds a fill-reducing ordering and bakes it
+into the pattern, and every LU then factors the pre-permuted matrix in
+natural order.  Every LU goes through `_splu`, which calls SuperLU (Li
+2005, ACM TOMS 31(3)) with relax=1 and panel_size=1.  These matrices
+have a few nonzeros per column, and against SuperLU's default supernode
+relaxation and panel size the two settings take 20-40 % off each LU, on a
+2-core x86 host: 48 against 62 us for an 80-row screening Jacobian, 24-27
+against 29-35 ms for a 300-bus base KKT matrix and 5.3-6.4 against 7.8-8.6
+ms for its Schur complement.  `_Pattern` is the compiled sparsity pattern
+that every layer above fills its matrices with.
 """
 
 from __future__ import annotations
@@ -134,43 +141,51 @@ class _Pattern:
         return _Pattern(row_pos[rows], col_pos[cols], self.shape, self.csc)
 
 
-# column ordering of square-system LUs
+# ordering of square-system LUs: on A' + A, for a power-flow Jacobian is
+# nearly structurally symmetric
 SQUARE_ORDERING = "MMD_AT_PLUS_A"
 
 
 class _LuPattern:
     """`_Pattern` of a square CSC matrix that is factored by a sparse LU
-    again and again, with columns ordered on A' + A (a power-flow Jacobian
-    is nearly structurally symmetric).  The first LU finds that ordering; it
-    is baked into the pattern, as `_Kkt` does for K, and every LU, the first
-    one included, then factors the pre-permuted matrix in natural order.  So
-    an LU depends on the pattern and the values alone, not on the values it
-    was first ordered for."""
+    again and again.  The first LU finds a fill-reducing ordering (a SuperLU
+    `permc_spec`) and bakes it into the pattern: into the columns, or with
+    `symmetric` into the rows and columns, for a no-pivot LU in
+    SymmetricMode (an LDL' in disguise).  Every LU, the first one included,
+    then factors the pre-permuted matrix in natural order.  So an LU depends
+    on the pattern and the values alone, not on the values it was first
+    ordered for."""
 
-    def __init__(self, rows, cols, n):
+    def __init__(self, rows, cols, n, ordering=SQUARE_ORDERING, symmetric=False):
         self.pattern = _Pattern(rows, cols, (n, n), csc=True)
-        self.ordered = self.pos = None
+        self.ordering, self.symmetric = ordering, symmetric
+        self.pos = None
 
     def lu(self, vals):
         """(A, lu, pos) for raw values vals: `lu` factors the matrix A, whose
-        column pos[j] is column j of the matrix, or is None if the matrix is
-        exactly singular."""
-        if self.ordered is None:
+        column pos[j] (and, if symmetric, row pos[i]) is column j (row i) of
+        the matrix, or is None if the matrix is exactly singular."""
+        if self.pos is None:
             A = self.pattern.matrix(vals)
-            first = _splu(A, SQUARE_ORDERING)
+            first = _splu(A, self.ordering, self.symmetric)
             if first is None:
                 return A, None, np.arange(A.shape[0])
             # a copy: `perm_c` is a view that would keep the LU alive
             self.pos = first.perm_c.copy()
-            self.ordered = self.pattern.permuted(np.arange(A.shape[0]), self.pos)
-        A = self.ordered.matrix(vals)
-        return A, _splu(A, "NATURAL"), self.pos
+            rows = self.pos if self.symmetric else np.arange(A.shape[0])
+            self.pattern = self.pattern.permuted(rows, self.pos)
+        A = self.pattern.matrix(vals)
+        return A, _splu(A, "NATURAL", self.symmetric), self.pos
 
 
-def _splu(A, permc_spec):
-    """A sparse LU of the CSC matrix A, or None if A is exactly singular."""
+def _splu(A, permc_spec, symmetric=False):
+    """A sparse LU of the CSC matrix A, or None if A is exactly singular;
+    `symmetric` takes diagonal pivots only.  Supernodes are not relaxed and
+    panels are one column wide (see the module docstring)."""
+    opts = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True}) \
+        if symmetric else {}
     try:
-        return splu(A, permc_spec=permc_spec)
+        return splu(A, permc_spec=permc_spec, relax=1, panel_size=1, **opts)
     except RuntimeError:
         return None
 
@@ -193,10 +208,9 @@ class _Kkt:
     `np.bincount`: the raw entries of W are Hl's, the mirror of its
     off-diagonal ones and the diagonal; those of P add S[k,a] S[k,b] for
     every pair (a, b) of entries in one row k of S = diag(1/sqrt(d)) J.
-    The column ordering of the first factorization of P (symmetric) and of
-    K (columns only) is baked into their patterns, so that later ones factor
-    the pre-permuted matrix in natural order.  Column i of P is at
-    `p_pos[i]`, row and column; column i of K is at `k_pos[i]`.
+    P and K are `_LuPattern`s: P is ordered by MMD on rows and columns and
+    factored without pivoting, K is ordered by COLAMD on columns and factored
+    with partial pivoting.
     """
 
     def __init__(self, Hl, J):
@@ -214,14 +228,13 @@ class _Kkt:
         first_pair = np.repeat(np.cumsum(per_row) - per_row, per_row)
         self._pb = (np.repeat(J.indptr[self._j_row], per_row)
                     + np.arange(len(self._pa)) - first_pair)
-        self.P = _Pattern(np.concatenate((w_rows, J.indices[self._pa])),
-                          np.concatenate((w_cols, J.indices[self._pb])),
-                          (n, n), csc=True)
+        self.P = _LuPattern(np.concatenate((w_rows, J.indices[self._pa])),
+                            np.concatenate((w_cols, J.indices[self._pb])),
+                            n, "MMD_AT_PLUS_A", symmetric=True)
         j_row, dual = n + self._j_row, n + np.arange(m)
-        self.K = _Pattern(np.concatenate((w_rows, j_row, J.indices, dual)),
-                          np.concatenate((w_cols, J.indices, j_row, dual)),
-                          (n + m, n + m), csc=True)
-        self.k_pos = self.p_pos = None
+        self.K = _LuPattern(np.concatenate((w_rows, j_row, J.indices, dual)),
+                            np.concatenate((w_cols, J.indices, j_row, dual)),
+                            n + m, "COLAMD")
 
     @staticmethod
     def _structure(Hl, J):
@@ -236,50 +249,33 @@ class _Kkt:
         return np.concatenate((h, h[self._mirror], w_diag))
 
     def schur(self, h, w_diag, j, d):
-        """P, in the current ordering, for values h of Hl and j of J."""
+        """P's raw values, for values h of Hl and j of J."""
         scaled = j / np.sqrt(d[self._j_row])
-        return self.P.matrix(np.concatenate((
-            self._w_values(h, w_diag), scaled[self._pa] * scaled[self._pb])))
+        return np.concatenate((self._w_values(h, w_diag),
+                               scaled[self._pa] * scaled[self._pb]))
 
-    def matrix(self, h, w_diag, j, d):
-        """K, in the current column ordering."""
-        return self.K.matrix(np.concatenate((self._w_values(h, w_diag), j, j, -d)))
+    def values(self, h, w_diag, j, d):
+        """K's raw values."""
+        return np.concatenate((self._w_values(h, w_diag), j, j, -d))
 
     def inertia_ok(self, h, w_diag, j, d):
         """True iff K has inertia (n, m, 0), for d > 0.
 
         By Haynsworth's law the inertia is (0, m, 0) plus the inertia of P,
         so the answer is whether P is positive definite.  That is decided by
-        an LU of P with symmetric ordering and no pivoting (an LDL' in
-        disguise): P is positive definite iff no off-diagonal pivot was
-        needed and every pivot is positive.
+        an LU of P with symmetric ordering and no pivoting: P is positive
+        definite iff no off-diagonal pivot was needed and every pivot is
+        positive.
         """
-        P = self.schur(h, w_diag, j, d)
-        try:
-            lu = splu(P, permc_spec="MMD_AT_PLUS_A" if self.p_pos is None
-                      else "NATURAL", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-        except RuntimeError:  # exactly singular
-            return False
-        if self.p_pos is None:
-            self.p_pos = lu.perm_c.copy()  # not a view that keeps the LU alive
-            self.P = self.P.permuted(self.p_pos, self.p_pos)
-        return bool(np.array_equal(lu.perm_r, lu.perm_c)
-                    and np.all(lu.U.diagonal() > 0.0))
+        _, lu, _ = self.P.lu(self.schur(h, w_diag, j, d))
+        return lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)
+                                       and np.all(lu.U.diagonal() > 0.0))
 
     def factor(self, h, w_diag, j, d):
         """Solver of the KKT system: a function of the right-hand side, by a
-        refined LU of K.  Raises RuntimeError if K is exactly singular."""
-        K = self.matrix(h, w_diag, j, d)
-        if self.k_pos is None:
-            lu = splu(K)
-            pos = np.arange(K.shape[0])
-            self.k_pos = lu.perm_c.copy()  # not a view that keeps the LU alive
-            self.K = self.K.permuted(pos, self.k_pos)
-        else:
-            lu = splu(K, permc_spec="NATURAL")
-            pos = self.k_pos
-        return lambda rhs: _refined_solve(K, lu, rhs)[pos]
+        refined LU of K; None if K is exactly singular."""
+        K, lu, pos = self.K.lu(self.values(h, w_diag, j, d))
+        return None if lu is None else lambda rhs: _refined_solve(K, lu, rhs)[pos]
 
 
 # iterative refinement steps after each KKT back-solve
@@ -534,11 +530,10 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             d_dual = np.concatenate([np.full(me, dc), gap_t / w + dc])
             d_test = np.concatenate([np.full(me, dc or delta_c), gap_t / w + dc])
             if kkt.inertia_ok(Hl.data, w_diag, J.data, d_test):
-                try:
-                    solve = kkt.factor(Hl.data, w_diag, J.data, d_dual)
+                solve = kkt.factor(Hl.data, w_diag, J.data, d_dual)
+                if solve is not None:
                     break
-                except RuntimeError:  # exactly singular
-                    dc = delta_c if dc == 0.0 else dc * 100.0
+                dc = delta_c if dc == 0.0 else dc * 100.0  # K exactly singular
             if delta_w == 0.0:
                 delta_w = 1e-4 if delta_w_last == 0.0 else max(1e-6, delta_w_last / 3.0)
             else:

@@ -580,20 +580,20 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 K_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d)]], format="csc")
                 P_ref = (W + J.T @ sparse.diags(1.0 / d_test) @ J).tocsc()
 
-                p_pos = kkt.p_pos if kkt.p_pos is not None else np.arange(prob.n)
-                P = kkt.schur(Hl.data, w_diag, J.data, d_test)
+                p_pos = kkt.P.pos if kkt.P.pos is not None else np.arange(prob.n)
+                P = kkt.P.pattern.matrix(kkt.schur(Hl.data, w_diag, J.data, d_test))
                 assert max_rel_diff(P[p_pos][:, p_pos], P_ref) <= 1e-14
                 kkt.inertia_ok(Hl.data, w_diag, J.data, d_test)
 
-                k_pos = kkt.k_pos if kkt.k_pos is not None else np.arange(K_ref.shape[0])
-                K = kkt.matrix(Hl.data, w_diag, J.data, d)
+                k_pos = kkt.K.pos if kkt.K.pos is not None else np.arange(K_ref.shape[0])
+                K = kkt.K.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d))
                 assert max_rel_diff(K[:, k_pos], K_ref) <= 1e-14
                 rhs = rng.normal(size=K_ref.shape[0])
                 step = kkt.factor(Hl.data, w_diag, J.data, d)(rhs)
                 ref = splu(K_ref).solve(rhs)
                 assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
         # the orderings are baked in, and not the identity
-        for pos in (kkt.p_pos, kkt.k_pos):
+        for pos in (kkt.P.pos, kkt.K.pos):
             assert pos is not None and np.any(pos != np.arange(len(pos)))
 
 
@@ -632,6 +632,74 @@ def test_kkt_pattern_compiled_once(net5, monkeypatch):
     assert sol.status == nlp.OPTIMAL
     np.testing.assert_allclose(sol.x, [1.0, -1.0], atol=1e-6)
     assert compiled[:2] == [3, 2]
+
+
+def test_every_superlu_call_is_tuned(net5, monkeypatch):
+    # base, contingency and master solves and a fast evaluation factor with
+    # unrelaxed supernodes and one-column panels
+    from scacopf import eval as ev
+    from scacopf.scopf import default_start
+
+    calls = []
+
+    def spy(A, **kw):
+        calls.append(kw)
+        return splu(A, **kw)
+
+    monkeypatch.setattr(nlp, "splu", spy)
+    for kind, prob in scopf_problems(net5).items():
+        solve_nlp(prob, tol=1e-8)
+        assert calls, kind
+    n_nlp = len(calls)
+    ev.fast_evaluate(net5, net5.contingencies[0], default_start(net5))
+    assert len(calls) > n_nlp
+    assert all((kw["relax"], kw["panel_size"]) == (1, 1) for kw in calls)
+
+
+def random_pattern(symmetric, n=40, seed=7):
+    """(rows, cols, value sets) of a raw n x n pattern with repeated entries:
+    a random sparse C plus a diagonal, or C + C' plus a dominant positive
+    diagonal, which is SPD."""
+    rng = np.random.default_rng(seed)
+    r, c = rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)
+    if symmetric:
+        r, c = np.concatenate((r, c)), np.concatenate((c, r))
+    vals = []
+    for _ in range(3):
+        v = rng.uniform(-1.0, 1.0, 3 * n)
+        d = rng.uniform(1.0, 2.0, n)
+        if symmetric:
+            v = np.concatenate((v, v))
+            d += np.bincount(r, np.abs(v), n)
+        vals.append(np.concatenate((v, d)))
+    diag = np.arange(n)
+    return np.concatenate((r, diag)), np.concatenate((c, diag)), vals
+
+
+@pytest.mark.parametrize("ordering, symmetric", [("COLAMD", False),
+                                                 ("MMD_AT_PLUS_A", False),
+                                                 ("MMD_AT_PLUS_A", True)])
+def test_lu_pattern_solves_like_splu_of_the_matrix(ordering, symmetric):
+    # the first LU bakes the ordering in; it and every later natural-order LU
+    # of the pre-permuted matrix solve like an LU of the matrix itself
+    rows, cols, vals = random_pattern(symmetric)
+    n = 40
+    pattern = nlp._LuPattern(rows, cols, n, ordering, symmetric=symmetric)
+    rng = np.random.default_rng(1)
+    for v in vals:
+        M = sparse.csc_matrix((v, (rows, cols)), shape=(n, n))
+        A, lu, pos = pattern.lu(v)
+        assert max_rel_diff(A[pos][:, pos] if symmetric else A[:, pos], M) <= 1e-15
+        b = rng.normal(size=n)
+        rhs = b
+        if symmetric:
+            rhs = np.empty(n)
+            rhs[pos] = b
+            assert np.array_equal(lu.perm_r, lu.perm_c)
+        ref = splu(M).solve(b)
+        x = lu.solve(rhs)[pos]
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.any(pattern.pos != np.arange(n))
 
 
 # --- the start and the end of a solve ----------------------------------------
