@@ -443,12 +443,21 @@ def _line_elec_key(e):
 
 
 def _xf_elec_key(f):
-    pair = tuple(sorted((f.origin, f.destination)))
-    return (pair, f.g, f.b, f.tau, f.theta_shift, f.g_mag, f.b_mag, f.s_max, f.s_max_ctg)
+    # the tap sits on the origin side, so a reversed transformer differs
+    return ((f.origin, f.destination), f.g, f.b, f.tau, f.theta_shift, f.g_mag,
+            f.b_mag, f.s_max, f.s_max_ctg)
 
 
 def _gen_elec_key(g):
     return (g.bus, g.p_min, g.p_max, g.q_min, g.q_max, g.alpha, g.cost_curve)
+
+
+def _groups(records, key):
+    """Sorted id groups of the records that share a key, two or more each."""
+    groups = {}
+    for r in records:
+        groups.setdefault(key(r), []).append(r.id)
+    return tuple(sorted(tuple(sorted(ids)) for ids in groups.values() if len(ids) > 1))
 
 
 def preprocess(net):
@@ -457,21 +466,8 @@ def preprocess(net):
     Returns ``(new_network, report)``.  Pure and idempotent: the network is
     only changed by removing trivially redundant contingencies.
     """
-    line_groups = {}
-    for e in net.lines:
-        pair = tuple(sorted((e.origin, e.destination)))
-        line_groups.setdefault((pair, e.g, e.b, e.r_max), []).append(e.id)
-    line_rating_groups = tuple(
-        tuple(sorted(ids)) for key, ids in sorted(line_groups.items()) if len(ids) > 1
-    )
-
-    xf_groups = {}
-    for f in net.transformers:
-        pair = tuple(sorted((f.origin, f.destination)))
-        xf_groups.setdefault((pair, f.g, f.b, f.tau, f.theta_shift, f.s_max), []).append(f.id)
-    xf_rating_groups = tuple(
-        tuple(sorted(ids)) for key, ids in sorted(xf_groups.items()) if len(ids) > 1
-    )
+    line_rating_groups = _groups(net.lines, _line_elec_key)
+    xf_rating_groups = _groups(net.transformers, _xf_elec_key)
 
     # Trivially redundant contingencies: outages of components with identical
     # electrical parameters (and identical responding sets).  Keep the
@@ -483,19 +479,10 @@ def preprocess(net):
         elec_key[(TRANSFORMER_OUTAGE, f.id)] = _xf_elec_key(f)
     for g in net.generators:
         elec_key[(GENERATOR_OUTAGE, g.id)] = _gen_elec_key(g)
-
-    classes = {}
-    for k in net.contingencies:
-        key = (k.kind, elec_key.get((k.kind, k.outaged)), tuple(sorted(k.responding_gens)))
-        classes.setdefault(key, []).append(k.id)
-
-    removed = []
-    removed_ids = set()
-    for key, ids in sorted(classes.items(), key=lambda kv: kv[1]):
-        ids = sorted(ids)
-        for rid in ids[1:]:
-            removed.append((rid, ids[0]))
-            removed_ids.add(rid)
+    classes = _groups(net.contingencies, lambda k: (
+        k.kind, elec_key.get((k.kind, k.outaged)), tuple(sorted(k.responding_gens))))
+    removed = [(rid, ids[0]) for ids in classes for rid in ids[1:]]
+    removed_ids = {rid for rid, _ in removed}
 
     new_net = net
     if removed_ids:

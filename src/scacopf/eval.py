@@ -40,6 +40,7 @@ from .scopf import (
 
 __all__ = [
     "EvaluationResult",
+    "fallback_result",
     "fast_evaluate",
     "full_evaluate",
     "prescreen_then_evaluate",
@@ -312,25 +313,34 @@ class _SquareSystem:
         return new
 
 
+def fallback_result(net: Network, k, base: OperatingPoint, init_compl=None,
+                    base_tag=""):
+    """The guaranteed product of an evaluation: the base state projected into
+    the response rules of the starting segments, with slacks absorbing every
+    residual, priced."""
+    state = compl_mod.initial_state(net, k, base, init_compl)
+    point = compl_mod.project_response(state, net, k, base, base)
+    return EvaluationResult(
+        contingency_id=k.id, penalty=point_penalty(net, point, k.outaged),
+        point=point, compl=state, method="fast", base_tag=base_tag,
+        status="fallback")
+
+
 def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
                   cutoff=0.0, init_compl=None, base_tag="",
                   deterministic=False):
-    """Upper-bound penalty estimate via the square-system response loop."""
+    """Upper-bound penalty estimate via the square-system response loop,
+    starting from (and never worse than) `fallback_result`."""
     budget = _Budget(time_limit, deterministic)
-    state = compl_mod.initial_state(net, k, base, init_compl)
-    state_fb = state.copy()
-    # guaranteed fallback: base state projected into the response rules with
-    # slacks absorbing all residuals
-    fallback = compl_mod.project_response(state_fb, net, k, base, base)
-    best_pen = point_penalty(net, fallback, k.outaged)
-    best = (fallback, state_fb)
+    fallback = fallback_result(net, k, base, init_compl)
+    state, point, best_pen = fallback.compl, fallback.point, fallback.penalty
+    best = (point, state)
     status = "ok"
 
     # an infinite cutoff disables the cutoff exit entirely
     def below_cutoff(pen):
         return np.isfinite(cutoff) and pen <= cutoff
 
-    point = fallback
     prev_pen = None
     for round_no in range(FAST_MAX_ROUNDS):
         if budget.exhausted() or below_cutoff(best_pen):

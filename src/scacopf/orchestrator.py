@@ -17,12 +17,14 @@ Both runs account for their time with one `eval._Budget`: code1's
 by default; in deterministic mode one second of budget buys a fixed number of
 solver iterations, each phase is charged its nominal seconds as whole
 operations, and no clock is consulted, so runs are reproducible
-byte-for-byte.
+byte-for-byte.  Both evaluate contingencies only through `_evaluate`, where
+an evaluation that raises is replaced by its priced fallback.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import tempfile
 import time
@@ -64,6 +66,8 @@ __all__ = [
     "write_contingency_solution",
     "load_contingency_solution",
 ]
+
+_log = logging.getLogger("scacopf")
 
 
 @dataclass
@@ -308,6 +312,27 @@ def solve_base(net: Network, budget=None, log=None, seed=0):
     return net, report, point, objective, penalty
 
 
+def _evaluate(engine, net, ids, base, seconds, budget, base_tag, **kw):
+    """Evaluate the contingencies `ids` at `base` one after another with
+    `engine`, each with an equal share of `seconds`, and charge `seconds` to
+    the run's budget.  An evaluation that raises is replaced by the priced
+    `eval.fallback_result`, so every id gets a result."""
+    results = []
+    for cid in ids:
+        k = net.contingency(cid)
+        try:
+            res = engine(net, k, base, time_limit=seconds / len(ids),
+                         base_tag=base_tag,
+                         deterministic=budget.deterministic, **kw)
+        except Exception:
+            _log.exception("contingency %s: evaluation failed, using the "
+                           "fallback point", cid)
+            res = eval_mod.fallback_result(net, k, base, base_tag=base_tag)
+        results.append(res)
+    budget.spend(seconds)
+    return results
+
+
 def run_code1(net: Network, cfg: RunConfig,
               model: RidgeModel = None) -> Code1Result:
     """Base-case production loop (ranking, evaluation, selection, master)."""
@@ -349,34 +374,29 @@ def run_code1(net: Network, cfg: RunConfig,
                          candidate_boost=cfg.candidate_boost)
     log.emit("ranked", order=[e.contingency_id for e in plist.entries])
 
-    def base_tag_str():
-        return f"base-{tag}"
-
     summaries = {}
 
-    def record(results):
+    def evaluate(engine, entries, seconds, **kw):
+        """Evaluate `entries` at the current base point, record the results
+        and re-sort the priority list."""
+        nonlocal plist
+        results = _evaluate(engine, net_p,
+                            [e.contingency_id for e in entries], base_point,
+                            seconds, budget, f"base-{tag}", **kw)
         for res in results:
-            summaries[res.contingency_id] = summarize_point(
-                res.point, res.contingency_id, res.base_tag)
-            compl_states[res.contingency_id] = res.compl
-            master_points[res.contingency_id] = res.point
-            log.emit("evaluated", contingency=res.contingency_id,
-                     penalty=res.penalty, method=res.method, nlp=res.nlp)
+            cid = res.contingency_id
+            summaries[cid] = summarize_point(res.point, cid, res.base_tag)
+            compl_states[cid] = res.compl
+            master_points[cid] = res.point
+            log.emit("evaluated", contingency=cid, penalty=res.penalty,
+                     method=res.method, status=res.status, nlp=res.nlp)
+        plist = resort(plist, results)
+        log.emit("resorted", order=[e.contingency_id for e in plist.entries])
 
     # Step 5: fast evaluation sweep under its own budget
-    sweep = min(cfg.init_fast_eval_budget, budget.remaining())
-    per_fast = sweep / max(1, len(plist.entries))
-    results = [
-        eval_mod.fast_evaluate(
-            net_p, net_p.contingency(e.contingency_id), base_point,
-            time_limit=per_fast, cutoff=cutoff, base_tag=base_tag_str(),
-            deterministic=cfg.deterministic)
-        for e in plist.entries
-    ]
-    budget.spend(sweep)
-    record(results)
-    plist = resort(plist, results)
-    log.emit("resorted", order=[e.contingency_id for e in plist.entries])
+    evaluate(eval_mod.fast_evaluate, plist.entries,
+             min(cfg.init_fast_eval_budget, budget.remaining()),
+             cutoff=cutoff)
 
     iteration = 0
     while True:
@@ -385,31 +405,17 @@ def run_code1(net: Network, cfg: RunConfig,
         batch = min(cfg.full_eval_budget, budget.remaining())
         top = [e for e in plist.entries if not e.in_master][:cfg.n_select]
         if top and batch > 0:
-            per_full = batch / len(top)
-            results = [
-                eval_mod.full_evaluate(
-                    net_p, net_p.contingency(e.contingency_id), base_point,
-                    time_limit=per_full, base_tag=base_tag_str(),
-                    deterministic=cfg.deterministic)
-                for e in top
-            ]
-            budget.spend(batch)
-            record(results)
-            plist = resort(plist, results)
-            log.emit("resorted",
-                     order=[e.contingency_id for e in plist.entries])
+            evaluate(eval_mod.full_evaluate, top, batch)
 
         # Step 7: dominance-aware selection into the master
         chosen = select_top(plist, summaries, cfg.n_select,
                             in_master_summaries=master_summaries)
         for c in chosen:
             if c not in compl_states:
-                # never evaluated: include with the initial response state
-                k = net_p.contingency(c)
-                st = compl_mod.initial_state(net_p, k, base_point)
-                compl_states[c] = st
-                master_points[c] = compl_mod.project_response(
-                    st, net_p, k, base_point, base_point)
+                # never evaluated: include with the fallback's response state
+                res = eval_mod.fallback_result(
+                    net_p, net_p.contingency(c), base_point)
+                compl_states[c], master_points[c] = res.compl, res.point
         if not chosen:
             log.emit("done", reason="nothing-to-select")
             break
@@ -457,19 +463,9 @@ def run_code1(net: Network, cfg: RunConfig,
         pending.sort(key=lambda e: e.evaluated)  # unevaluated tier first
         refresh = pending[:cfg.n_select]
         if refresh and budget.remaining() > 0:
-            batch = min(cfg.full_eval_budget, budget.remaining())
-            per = batch / len(refresh)
-            results = [
-                eval_mod.prescreen_then_evaluate(
-                    net_p, net_p.contingency(e.contingency_id), base_point,
-                    time_limit=per, cutoff=cutoff,
-                    base_tag=base_tag_str(),
-                    deterministic=cfg.deterministic)
-                for e in refresh
-            ]
-            budget.spend(batch)
-            record(results)
-            plist = resort(plist, results)
+            evaluate(eval_mod.prescreen_then_evaluate, refresh,
+                     min(cfg.full_eval_budget, budget.remaining()),
+                     cutoff=cutoff)
 
         # Step 10: loop while a master solve plausibly fits in what remains
         if not any(not e.in_master for e in plist.entries):
@@ -487,7 +483,7 @@ def run_code1(net: Network, cfg: RunConfig,
 # --- Code 2 -------------------------------------------------------------------
 
 def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
-              base_tag=1, initial_order=None, model=None) -> Code2Result:
+              base_tag=1, model=None) -> Code2Result:
     """Evaluate every contingency and write one solution file each.
 
     Contingencies are processed one at a time in reverse initial-ranking
@@ -503,11 +499,8 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
     budget = eval_mod._Budget(cfg.per_contingency_code2_factor * n,
                               cfg.deterministic)
 
-    if initial_order is None:
-        plist = rank_initial(net, base, model,
-                             candidate_boost=cfg.candidate_boost)
-        initial_order = [e.contingency_id for e in plist.entries]
-    order = list(reversed(initial_order))
+    plist = rank_initial(net, base, model, candidate_boost=cfg.candidate_boost)
+    order = [e.contingency_id for e in reversed(plist.entries)]
 
     cutoff = cfg.cutoff if cfg.cutoff is not None \
         else eval_mod.default_cutoff(net)
@@ -516,23 +509,9 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
     results = {}
     files = []
     for idx, cid in enumerate(order):
-        k = net.contingency(cid)
         share = max(0.05, budget.remaining() / (n - idx))
-        try:
-            res = eval_mod.prescreen_then_evaluate(
-                net, k, base, time_limit=share,
-                cutoff=cutoff, base_tag=tag_str,
-                deterministic=cfg.deterministic)
-        except Exception:
-            # guaranteed product: all-slack fallback point
-            st = compl_mod.initial_state(net, k, base)
-            point = compl_mod.project_response(st, net, k, base, base)
-            res = eval_mod.EvaluationResult(
-                contingency_id=cid,
-                penalty=point_penalty(net, point, k.outaged),
-                point=point, compl=st, method="fast", base_tag=tag_str,
-                elapsed=0.0, status="fallback")
-        budget.spend(share)
+        res, = _evaluate(eval_mod.prescreen_then_evaluate, net, [cid], base,
+                         share, budget, tag_str, cutoff=cutoff)
         results[cid] = res
         path = os.path.join(cfg.output_dir, f"contingency_{cid}.json")
         write_contingency_solution(path, net, res)

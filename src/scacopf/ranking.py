@@ -141,46 +141,16 @@ def _ridge_closed_form(X, y, reg_lambda):
     return weights, intercept
 
 
-def train_ridge(samples, reg_lambda=1.0, folds=1, repetitions=10,
-                seed=0) -> RidgeModel:
-    """Closed-form ridge fit averaged over shuffled-fold repetitions.
-
-    With ``folds=1`` every repetition trains on the full sample and the
-    average equals a single closed-form fit.  With more folds, each repetition
-    shuffles the samples, trains one model per held-out fold on the remaining
-    data, and all per-fold parameters are averaged.
-    """
+def train_ridge(samples, reg_lambda=1.0) -> RidgeModel:
+    """Closed-form ridge fit of the penalties on the feature vectors."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
     if reg_lambda < 0:
         raise ValueError("reg_lambda must be nonnegative")
     X = np.array([fv.as_array() for fv, _ in samples])
     y = np.array([float(pen) for _, pen in samples])
-
-    rng = np.random.default_rng(seed)
-    w_acc = np.zeros(X.shape[1])
-    b_acc = 0.0
-    count = 0
-    for _ in range(repetitions):
-        if folds <= 1:
-            w, b = _ridge_closed_form(X, y, reg_lambda)
-            w_acc += w
-            b_acc += b
-            count += 1
-            continue
-        perm = rng.permutation(len(y))
-        parts = np.array_split(perm, folds)
-        for held_out in parts:
-            train = np.setdiff1d(perm, held_out)
-            if len(train) < 2:
-                continue
-            w, b = _ridge_closed_form(X[train], y[train], reg_lambda)
-            w_acc += w
-            b_acc += b
-            count += 1
-    if count == 0:
-        raise ValueError("no trainable folds; reduce folds or add samples")
-    return RidgeModel(weights=w_acc / count, intercept=b_acc / count,
+    weights, intercept = _ridge_closed_form(X, y, reg_lambda)
+    return RidgeModel(weights=weights, intercept=intercept,
                       reg_lambda=reg_lambda)
 
 

@@ -33,8 +33,6 @@ class PriorityEntry:
     contingency_id: str
     priority: float
     penalty: float = -1.0  # -1 marks "never evaluated"
-    method: str = ""
-    base_tag: str = ""
     in_master: bool = False
 
     @property
@@ -153,10 +151,7 @@ def resort(plist: PriorityList, results):
     for res in results:
         if res.contingency_id not in by_id:
             raise KeyError(res.contingency_id)
-        e = by_id[res.contingency_id]
-        e.penalty = res.penalty
-        e.method = res.method
-        e.base_tag = res.base_tag
+        by_id[res.contingency_id].penalty = res.penalty
     live = [e for e in plist.entries if not e.in_master]
     evaluated = [e for e in live if e.evaluated]
     pending = [e for e in live if not e.evaluated]

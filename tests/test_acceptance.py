@@ -472,7 +472,7 @@ def test_criterion_6_ranking():
         lab = true_penalties(snet, sbase)
         samples.extend((extract_features(snet, k, sbase), lab[k.id])
                        for k in snet.contingencies)
-    model_c = train_ridge(samples, reg_lambda=1.0, seed=0)
+    model_c = train_ridge(samples, reg_lambda=1.0)
     firsts["ridge"] = rank_initial(net, base, model_c).entries[0] \
         .contingency_id
     all_first = all(v == "KH" for v in firsts.values())
@@ -488,7 +488,7 @@ def test_criterion_6_ranking():
         lab = true_penalties(snet, sbase)
         samples.extend((extract_features(snet, k, sbase), lab[k.id])
                        for k in snet.contingencies)
-    model = train_ridge(samples, reg_lambda=1.0, seed=0)
+    model = train_ridge(samples, reg_lambda=1.0)
     covs = {h: [] for h in ("l_p", "l_s", "l_c", "ridge")}
     for _seed in range(5):
         snet = load_scenario(net0, rng)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -218,6 +219,35 @@ def test_rating_skip_retained_under_member_outage():
     assert report.skip_rating_ids() == {"LB"}
     assert report.skip_rating_ids(outaged="LA") == set()
     assert report.skip_rating_ids(outaged="LB") == set()
+
+
+@pytest.mark.parametrize("kind, twin", [
+    ("line-outage", lambda e: replace(e, b_ch=e.b_ch + 0.05)),
+    ("line-outage", lambda e: replace(e, r_max_ctg=e.r_max)),
+    ("transformer-outage", lambda f: replace(f, g_mag=0.01)),
+    ("transformer-outage", lambda f: replace(f, b_mag=f.b_mag - 0.01)),
+    ("transformer-outage", lambda f: replace(f, s_max_ctg=f.s_max)),
+    ("transformer-outage",
+     lambda f: replace(f, origin=f.destination, destination=f.origin)),
+], ids=["line-b_ch", "line-r_max_ctg", "xf-g_mag", "xf-b_mag", "xf-s_max_ctg",
+        "xf-reversed"])
+def test_parallel_branches_that_differ_keep_rows_and_outages(kind, twin):
+    # a parallel copy of a branch that differs in one parameter (or, for a
+    # transformer, whose tap is on the other end) carries different flows:
+    # neither its rating rows nor its outage are redundant
+    net = generate_case(5, 11)
+    field = "lines" if kind == "line-outage" else "transformers"
+    first = getattr(net, field)[0]
+    branches = (first, replace(twin(first), id=first.id + "X"))
+    net = replace(net, **{field: getattr(net, field) + branches[1:]},
+                  contingencies=net.contingencies + tuple(
+                      cm.Contingency("K" + br.id, kind, br.id, ("G1", "G2"))
+                      for br in branches))
+    new, report = cm.preprocess(net)
+    assert report.line_rating_groups == report.xf_rating_groups == ()
+    assert report.skip_rating_ids() == report.skip_rating_ids("G1") == set()
+    assert report.removed_contingencies == ()
+    assert new == net
 
 
 def test_preprocess_identity_on_clean_net(net5):

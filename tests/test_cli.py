@@ -158,6 +158,31 @@ def test_code1_code2_score_pipeline(tmp_path, capsys):
     assert np.isfinite(report["total"])
 
 
+def test_code1_writes_on_after_failing_evaluations(tmp_path, capsys,
+                                                  monkeypatch):
+    # an evaluation that raises is replaced by the priced fallback, and the
+    # run goes on to the master and its next base solution
+    failed = []
+
+    def fail(net, k, *a, **kw):
+        failed.append(k.id)
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(orch.eval_mod, "full_evaluate", fail)
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(14, seed=3), case)
+    out = str(tmp_path / "o")
+    assert run_cli(["code1", "--case", case, "--deterministic",
+                    "--time-limit", "100", "--output-dir", out]) == 0
+    assert os.path.exists(os.path.join(out, "base_solution_2.json"))
+    with open(os.path.join(out, "run_log.jsonl")) as fh:
+        evaluated = [e for e in map(json.loads, fh) if e["event"] == "evaluated"]
+    assert failed
+    assert [e["contingency"] for e in evaluated
+            if e["status"] == "fallback"] == failed
+    assert all(np.isfinite(e["penalty"]) for e in evaluated)
+
+
 def ranked_order(out_dir):
     with open(os.path.join(out_dir, "run_log.jsonl")) as fh:
         events = [json.loads(line) for line in fh]

@@ -125,6 +125,23 @@ def test_fast_newton_failure_falls_back(solved5, monkeypatch):
         scopf.point_penalty(net, fb, k.outaged), abs=1e-12)
 
 
+def test_fallback_result_is_the_fast_engine_with_no_budget(solved5):
+    # with no operation to spend, the fast engine returns its starting
+    # candidate, the fallback
+    net, base = solved5
+    for k in net.contingencies:
+        fb = ev.fallback_result(net, k, base, base_tag="base-1")
+        fast = ev.fast_evaluate(net, k, base, time_limit=0, deterministic=True)
+        assert (fb.method, fb.status, fb.base_tag) == ("fast", "fallback", "base-1")
+        assert fb.penalty == fast.penalty
+        assert fb.compl == fast.compl
+        np.testing.assert_array_equal(fb.point.slack_vector(),
+                                      fast.point.slack_vector())
+        for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
+            np.testing.assert_array_equal(getattr(fb.point.state, name),
+                                          getattr(fast.point.state, name))
+
+
 def test_full_degrades_to_fast_on_nlp_failure(solved5, monkeypatch):
     net, base = solved5
     k = net.contingency("CL2")

@@ -17,6 +17,7 @@ from scacopf.orchestrator import (
     run_code2,
     write_base_solution,
 )
+from scacopf.ranking import rank_initial
 from scacopf.scopf import point_penalty, slacks_from_state, total_score
 
 
@@ -162,7 +163,7 @@ def test_code2_fallback_on_failure(tmp_path, net5, monkeypatch):
 
 def test_code2_reverse_order(tmp_path, net5):
     base = flat_start(net5)
-    order = ["CG2", "CL2", "CT1"]
+    order = [e.contingency_id for e in rank_initial(net5, base).entries]
     calls = []
     import scacopf.eval as ev
     real = ev.prescreen_then_evaluate
@@ -174,8 +175,7 @@ def test_code2_reverse_order(tmp_path, net5):
     orig = orch.eval_mod.prescreen_then_evaluate
     orch.eval_mod.prescreen_then_evaluate = spy
     try:
-        run_code2(net5, quick_cfg(tmp_path), base, base_tag=1,
-                  initial_order=order)
+        run_code2(net5, quick_cfg(tmp_path), base, base_tag=1)
     finally:
         orch.eval_mod.prescreen_then_evaluate = orig
     assert calls == list(reversed(order))
@@ -197,6 +197,34 @@ def test_code2_budgets_within_factor(tmp_path, net5, monkeypatch):
     run_code2(net5, cfg, base, base_tag=1)
     assert len(seen) == len(net5.contingencies)
     assert sum(seen) <= 0.5 * len(net5.contingencies) + 1e-12
+
+
+def test_deterministic_evaluation_schedule(tmp_path, net5, monkeypatch):
+    # every engine call of a deterministic code1 and code2 run, with the time
+    # limit the budget gave it: the sweep's, full batch's and refresh's
+    # shares in code1, then one share per contingency in code2
+    calls = []
+    for name in ("fast_evaluate", "full_evaluate", "prescreen_then_evaluate"):
+        def spy(net, k, base, *a, _real=getattr(orch.eval_mod, name),
+                _name=name, **kw):
+            calls.append((_name, k.id, kw.get("time_limit")))
+            return _real(net, k, base, *a, **kw)
+        monkeypatch.setattr(orch.eval_mod, name, spy)
+    res = run_code1(net5, quick_cfg(tmp_path, deterministic=True))
+    base, tag, _ = load_base_solution(res.solution_path, net5)
+    run_code2(net5, RunConfig(output_dir=str(tmp_path / "c2"),
+                              deterministic=True), base, base_tag=tag)
+    fast, full, pre = ("fast_evaluate", "full_evaluate",
+                       "prescreen_then_evaluate")
+    assert calls == [
+        (fast, "CG2", 5.0 / 3), (fast, "CT1", 5.0 / 3), (fast, "CL2", 5.0 / 3),
+        (full, "CG2", 2.5), (full, "CL2", 2.5),
+        (pre, "CL2", 5.0), (fast, "CL2", 2.5),
+        (full, "CL2", 5.0),
+        (pre, "CL2", 2.0), (fast, "CL2", 1.0),
+        (pre, "CT1", 2.0), (fast, "CT1", 1.0),
+        (pre, "CG2", 2.0), (fast, "CG2", 1.0), (full, "CG2", 1.0),
+    ]
 
 
 def test_deterministic_runs_byte_identical(tmp_path, net5):

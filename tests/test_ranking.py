@@ -276,17 +276,6 @@ def test_ridge_degenerate_design_errors():
         train_ridge(samples, reg_lambda=0.0)
 
 
-def test_ridge_folds_average_deterministic():
-    rng = np.random.default_rng(42)
-    X = rng.normal(size=(12, len(FEATURE_NAMES)))
-    y = rng.normal(size=12)
-    samples = [(FeatureVector(*row), yi) for row, yi in zip(X, y)]
-    a = train_ridge(samples, reg_lambda=1.0, folds=3, seed=11)
-    b = train_ridge(samples, reg_lambda=1.0, folds=3, seed=11)
-    np.testing.assert_array_equal(a.weights, b.weights)
-    assert a.intercept == b.intercept
-
-
 def test_ridge_too_few_samples():
     with pytest.raises(ValueError):
         train_ridge([(fv(l_p=1.0), 1.0)])

@@ -18,12 +18,8 @@ def vs(cid, slacks, tag="b1"):
     return ViolationSummary(cid, np.asarray(slacks, dtype=float), tag)
 
 
-def entry(cid, prio, pen=-1.0, tag="b1"):
-    e = PriorityEntry(cid, prio)
-    if pen >= 0:
-        e.penalty = pen
-        e.base_tag = tag
-    return e
+def entry(cid, prio, pen=-1.0):
+    return PriorityEntry(cid, prio, penalty=pen)
 
 
 # --- max-violation dominance --------------------------------------------------
@@ -97,8 +93,7 @@ def test_select_top_fills_with_unevaluated():
 
 
 def test_select_top_dominance_requires_same_base_tag():
-    plist = PriorityList([entry("A", 5, pen=9, tag="b1"),
-                          entry("B", 4, pen=8, tag="b2")])
+    plist = PriorityList([entry("A", 5, pen=9), entry("B", 4, pen=8)])
     summaries = {"A": vs("A", [0.5, 0], "b1"), "B": vs("B", [0.3, 0], "b2")}
     # same argmax, but different base tags -> no dominance applies
     assert select_top(plist, summaries, 2) == ["A", "B"]
@@ -159,11 +154,9 @@ def test_select_top_excludes_in_master_and_is_duplicate_free(rng):
 # --- resort ------------------------------------------------------------------
 
 class FakeResult:
-    def __init__(self, cid, pen, method="fast", tag="b1"):
+    def __init__(self, cid, pen):
         self.contingency_id = cid
         self.penalty = pen
-        self.method = method
-        self.base_tag = tag
 
 
 def test_resort_orders_by_penalty_with_pending_suffix():
