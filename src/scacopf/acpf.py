@@ -6,10 +6,13 @@ Every branch-side flow expression has the common form
 
 where (K, P, Q), the squared-voltage side x, and the phase offset phi depend
 on the branch type and side.  `CaseLayout.of` compiles one case (network
-and outage, which also picks the rating set) into branch end-index and
-coefficient arrays once per `Network` instance; every value and first or
-second derivative is then a few numpy expressions over all branches at
-once, on a sparsity pattern that is fixed per case (the vectorized
+and outage, which also picks the rating set) once per `Network` instance
+into coefficient arrays and gather/scatter index maps: the voltage and
+angle columns of every branch side, the balance row and sign of every
+generator-output and flow column, and the constant Jacobian entries.  Every
+value and first or second derivative is then a few whole-array numpy
+operations on those maps (one gather per flow evaluation, one `bincount`
+per balance), on a sparsity pattern that is fixed per case (the vectorized
 ``dSbus/dV`` of MATPOWER, Zimmerman et al. 2011).
 """
 
@@ -70,24 +73,13 @@ def _coeffs(lines, xfs):
     return kpq[:, 0], kpq[:, 1], kpq[:, 2], np.concatenate((np.zeros(len(lines)), shift))
 
 
-def _trig_terms(P, Q, phi, th_o, th_d):
-    """T = P cos d + Q sin d and its d-derivative Tp, per branch side."""
-    d = th_o - th_d - phi
-    c, s = np.cos(d)[:, None], np.sin(d)[:, None]
-    return P * c + Q * s, -P * s + Q * c
-
-
-def _side_voltages(v_o, v_d):
-    return np.column_stack((v_o, v_o, v_d, v_d))
-
-
 def branch_flows(br, v_o, v_d, th_o, th_d):
     """Flows (p_o, q_o, p_d, q_d) into a line or transformer from both ends."""
     K, P, Q, phi = _coeffs((br,), ()) if isinstance(br, Line) else _coeffs((), (br,))
-    v_o, v_d = np.atleast_1d(float(v_o)), np.atleast_1d(float(v_d))
-    T, _ = _trig_terms(P, Q, phi, np.atleast_1d(float(th_o)), np.atleast_1d(float(th_d)))
-    vx = _side_voltages(v_o, v_d)
-    return (K * vx * vx + T * (v_o * v_d)[:, None])[0]
+    v_o, v_d = float(v_o), float(v_d)
+    d = float(th_o) - float(th_d) - phi[0]
+    vx = np.array([v_o, v_o, v_d, v_d])
+    return K[0] * vx * vx + (P[0] * np.cos(d) + Q[0] * np.sin(d)) * (v_o * v_d)
 
 
 class CaseLayout:
@@ -174,6 +166,31 @@ class CaseLayout:
         self.p_min, self.p_max, self.q_min, self.q_max, self.alpha = np.array(
             [(g.p_min, g.p_max, g.q_min, g.q_max, g.alpha) for g in net.generators],
             dtype=float).reshape(-1, 5).T
+
+        # gather/scatter maps: per branch the columns of (v_o, v_o, v_d, v_d,
+        # th_o, th_d), the first four each flow side's squared voltage; per
+        # column from p0 on its balance row (P rows, then nb Q rows) and sign
+        side = self.ends[:, [0, 0, 1, 1]]
+        self._branch_cols = np.column_stack((self.v0 + side, self.th0 + self.ends))
+        self.bal_row = np.concatenate((self.gen_bus, nb + self.gen_bus,
+                                       (side + [0, nb, 0, nb]).ravel()))
+        self._bal_rows = np.concatenate((np.arange(2 * nb), self.bal_row))
+        self._bal_sign = np.repeat([1.0, -1.0], (2 * na, 4 * m))
+        # d(K v_x^2)/dv_o and /dv_d per side
+        self._dK = (2.0 * self.K * [1, 1, 0, 0], 2.0 * self.K * [0, 0, 1, 1])
+        # rating base per end: rate times the voltage at index _rate_v of v
+        # with 1.0 appended (index nb, for a transformer)
+        self._rate2 = np.repeat(rate[:, None], 2, axis=1)
+        self._rate_v = np.where(is_line[:, None], self.ends, nb)
+        r = rate[self.line_pos]
+        self._line_v = (self.v0 + self.ends[self.line_pos]).ravel()
+        self._line_r2 = np.repeat(-2.0 * r * r, 2)
+        # Jacobian values with the constant entries set: the generator
+        # outputs' balance entries, the last of the n_jac_head leading ones
+        # (flow rows, shunts, generator outputs), then the flows'
+        self.n_jac_head = 16 * m + 3 * nb + 2 * na
+        self._jac_const = np.zeros(self.n_jac_head + 8 * m + len(self._line_v))
+        self._jac_const[16 * m + 3 * nb:self.n_jac_head + 4 * m] = self._bal_sign
         self.compiled = {}
 
     def pack(self, state: FlowState):
@@ -208,48 +225,37 @@ class CaseLayout:
     # --- values on a flat layout vector x ---------------------------------
 
     def _branch_terms(self, x):
-        v = x[self.v0:self.v0 + self.nb]
-        th = x[self.th0:self.th0 + self.nb]
-        v_o, v_d = v[self.o], v[self.d]
-        T, Tp = _trig_terms(self.P, self.Q, self.phi, th[self.o], th[self.d])
-        return v_o, v_d, T, Tp
+        """(vx, c, s): per branch, the voltage at each flow side's
+        squared-voltage end (v_o, v_o, v_d, v_d), and cos d and sin d as
+        columns."""
+        g = x[self._branch_cols]
+        d = g[:, 4] - g[:, 5] - self.phi
+        return g[:, :4], np.cos(d)[:, None], np.sin(d)[:, None]
 
     def flow_values(self, x):
         """Flow expressions, shape (in-service branches, 4)."""
-        v_o, v_d, T, _ = self._branch_terms(x)
-        vx = _side_voltages(v_o, v_d)
-        return self.K * vx * vx + T * (v_o * v_d)[:, None]
+        vx, c, s = self._branch_terms(x)
+        return self.K * vx * vx + (self.P * c + self.Q * s) * (vx[:, 0] * vx[:, 2])[:, None]
 
     def balance(self, x):
-        """Per-bus (P, Q) mismatch before slacks, from the flow variables."""
+        """Per-bus (P, Q) mismatch before slacks, from the flow variables:
+        one `bincount` of the bus terms, then the signed generator-output and
+        flow columns, which adds in the order the columns come."""
         nb = self.nb
         v = x[self.v0:self.v0 + nb]
-        p = -self.p_load - self.g_fs * v * v
-        q = -self.q_load + (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v * v
-        np.add.at(p, self.gen_bus, x[self.p0:self.q0])
-        np.add.at(q, self.gen_bus, x[self.q0:self.fl0])
-        fl = self.flow_vars(x)
-        np.subtract.at(p, self.ends.ravel(), fl[:, 0::2].ravel())
-        np.subtract.at(q, self.ends.ravel(), fl[:, 1::2].ravel())
-        return p, q
+        pq = np.bincount(self._bal_rows, np.concatenate((
+            -self.p_load - self.g_fs * v * v,
+            -self.q_load + (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v * v,
+            self._bal_sign * x[self.p0:self.nvar])), 2 * nb)
+        return pq[:nb], pq[nb:]
 
     def ratings(self, x):
         """(lhs, rhs): squared flow magnitudes and rating bases, shape
         (in-service branches, 2) for (origin, destination)."""
         fl = self.flow_vars(x)
-        lhs = np.column_stack((fl[:, 0] * fl[:, 0] + fl[:, 1] * fl[:, 1],
-                               fl[:, 2] * fl[:, 2] + fl[:, 3] * fl[:, 3]))
-        v_ends = x[self.v0 + self.ends]
-        rhs = np.where(self.is_line[:, None], self.rate[:, None] * v_ends,
-                       self.rate[:, None])
-        return lhs, rhs
-
-    def expr_values(self, x):
-        """All expression rows: flows, P/Q balance, ``lhs - rhs**2``."""
-        p, q = self.balance(x)
-        lhs, rhs = self.ratings(x)
-        return np.concatenate((self.flow_values(x).ravel(), p, q,
-                               (lhs - rhs ** 2).ravel()))
+        f2 = fl * fl
+        v1 = np.append(x[self.v0:self.v0 + self.nb], 1.0)
+        return f2[:, 0::2] + f2[:, 1::2], self._rate2 * v1[self._rate_v]
 
     # --- first derivatives ----------------------------------------------
 
@@ -257,45 +263,47 @@ class CaseLayout:
         """(rows, cols) of the expression Jacobian, in `jac_values` order;
         no (row, col) pair repeats."""
         m, nb = self.m, self.nb
-        o, d = self.v0 + self.o, self.v0 + self.d
         rP, rQ, r0 = 4 * m, 4 * m + nb, 4 * m + 2 * nb
         bus = np.arange(nb)
         fc = np.arange(self.fl0, self.nvar)
-        ln = self.line_pos
         rows = [np.repeat(np.arange(4 * m), 4),
-                rP + bus, rQ + bus, rQ + bus,
-                rP + self.gen_bus, rQ + self.gen_bus,
-                (np.array([rP, rQ, rP, rQ]) + self.ends[:, [0, 0, 1, 1]]).ravel(),
+                rP + bus, rQ + bus, rQ + bus, rP + self.bal_row,
                 np.repeat(r0 + 2 * np.arange(m)[:, None] + [0, 1], 2, axis=1).ravel(),
-                (r0 + 2 * ln[:, None] + [0, 1]).ravel()]
-        cols = [np.column_stack((o, d, self.th0 + self.o, self.th0 + self.d))
-                .repeat(4, axis=0).ravel(),
+                (r0 + 2 * self.line_pos[:, None] + [0, 1]).ravel()]
+        cols = [self._branch_cols[:, [0, 2, 4, 5]].repeat(4, axis=0).ravel(),
                 self.v0 + bus, self.v0 + bus, self.bcs0 + bus,
-                np.arange(self.p0, self.q0), np.arange(self.q0, self.fl0), fc, fc,
-                (self.v0 + self.ends[ln]).ravel()]
+                np.arange(self.p0, self.nvar), fc, self._line_v]
         return np.concatenate(rows), np.concatenate(cols)
+
+    def jac_head(self, x):
+        """The first `n_jac_head` entries of `jac_values`: the flow rows, the
+        shunt entries and the generator outputs' entries."""
+        return self._fill_head(x, self._jac_const[:self.n_jac_head].copy())
 
     def jac_values(self, x):
         """Expression-Jacobian values on the `jac_pattern` entries."""
-        nb = self.nb
+        out = self._fill_head(x, self._jac_const.copy())
+        n = self.n_jac_head + 4 * self.m
+        out[n:n + 4 * self.m] = 2.0 * x[self.fl0:self.nvar]
+        out[n + 4 * self.m:] = self._line_r2 * x[self._line_v]
+        return out
+
+    def _fill_head(self, x, out):
+        m, nb = self.m, self.nb
+        vx, c, s = self._branch_terms(x)
+        v_o, v_d = vx[:, :1], vx[:, 2:3]
+        T = self.P * c + self.Q * s
+        blk = out[:16 * m].reshape(m, 4, 4)
+        blk[:, :, 0] = T * v_d + self._dK[0] * v_o
+        blk[:, :, 1] = T * v_o + self._dK[1] * v_d
+        blk[:, :, 2] = (self.Q * c - self.P * s) * (v_o * v_d)
+        np.negative(blk[:, :, 2], out=blk[:, :, 3])
         v = x[self.v0:self.v0 + nb]
-        v_o, v_d, T, Tp = self._branch_terms(x)
-        vv = (v_o * v_d)[:, None]
-        d_vo = T * v_d[:, None]
-        d_vo[:, :2] += 2.0 * self.K[:, :2] * v_o[:, None]
-        d_vd = T * v_o[:, None]
-        d_vd[:, 2:] += 2.0 * self.K[:, 2:] * v_d[:, None]
-        ng, m = len(self.gens), self.m
-        ln = self.line_pos
-        r = self.rate[ln, None]
-        return np.concatenate((
-            np.stack((d_vo, d_vd, Tp * vv, -Tp * vv), axis=2).ravel(),
-            -2.0 * self.g_fs * v,
-            2.0 * (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v,
-            v * v,
-            np.ones(2 * ng), np.full(4 * m, -1.0),
-            2.0 * self.flow_vars(x).ravel(),
-            (-2.0 * r * r * v[self.ends[ln]]).ravel()))
+        n = 16 * m
+        out[n:n + nb] = -2.0 * self.g_fs * v
+        out[n + nb:n + 2 * nb] = 2.0 * (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v
+        out[n + 2 * nb:n + 3 * nb] = v * v
+        return out
 
     # --- second derivatives ---------------------------------------------
 
@@ -308,13 +316,11 @@ class CaseLayout:
         Hessian, in `hess_values` order; pairs may repeat (they add up)."""
         nb = self.nb
         bus = np.arange(nb)
-        cv = np.column_stack((self.v0 + self.o, self.v0 + self.d,
-                              self.th0 + self.o, self.th0 + self.d))
+        cv = self._branch_cols[:, [0, 2, 4, 5]]
         a, b = cv[:, self._HESS_PAIRS[:, 0]], cv[:, self._HESS_PAIRS[:, 1]]
         fc = np.arange(self.fl0, self.nvar)
-        vl = (self.v0 + self.ends[self.line_pos]).ravel()
-        rows = [np.maximum(a, b).ravel(), self.v0 + bus, self.bcs0 + bus, fc, vl]
-        cols = [np.minimum(a, b).ravel(), self.v0 + bus, self.v0 + bus, fc, vl]
+        rows = [np.maximum(a, b).ravel(), self.v0 + bus, self.bcs0 + bus, fc, self._line_v]
+        cols = [np.minimum(a, b).ravel(), self.v0 + bus, self.v0 + bus, fc, self._line_v]
         return np.concatenate(rows), np.concatenate(cols)
 
     def hess_values(self, x, weights):
@@ -322,23 +328,26 @@ class CaseLayout:
         ``sum_r weights[r] * hess(expr_r)``."""
         m, nb = self.m, self.nb
         v = x[self.v0:self.v0 + nb]
-        v_o, v_d, T, Tp = self._branch_terms(x)
+        vx, c, s = self._branch_terms(x)
         w = weights[:4 * m].reshape(m, 4)
         wK = 2.0 * w * self.K
-        wT = (w * T).sum(axis=1)
-        wTp = (w * Tp).sum(axis=1)
-        vv = v_o * v_d
+        wT = (w * (self.P * c + self.Q * s)).sum(axis=1)
+        wTp = (w * (self.Q * c - self.P * s)).sum(axis=1)
         wP, wQ = weights[4 * m:4 * m + nb], weights[4 * m + nb:4 * m + 2 * nb]
         w_rat = weights[4 * m + 2 * nb:].reshape(m, 2)
-        r = self.rate[self.line_pos, None]
-        return np.concatenate((
-            np.column_stack((wK[:, 0] + wK[:, 1], wK[:, 2] + wK[:, 3], wT,
-                             wTp * v_d, -wTp * v_d, wTp * v_o, -wTp * v_o,
-                             -wT * vv, -wT * vv, wT * vv)).ravel(),
-            -2.0 * self.g_fs * wP + 2.0 * (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * wQ,
-            2.0 * v * wQ,
-            np.repeat(2.0 * w_rat, 2, axis=1).ravel(),
-            (-2.0 * r * r * w_rat[self.line_pos]).ravel()))
+        out = np.empty(14 * m + 2 * nb + len(self._line_v))
+        blk = out[:10 * m].reshape(m, 10)
+        blk[:, :2] = wK[:, 0::2] + wK[:, 1::2]
+        blk[:, 2] = wT
+        blk[:, 3:7] = wTp[:, None] * vx[:, ::-1] * [1.0, -1.0, 1.0, -1.0]
+        blk[:, 7:] = (wT * (vx[:, 0] * vx[:, 2]))[:, None] * [-1.0, -1.0, 1.0]
+        n = 10 * m
+        bcs = x[self.bcs0:self.bcs0 + nb]
+        out[n:n + nb] = -2.0 * self.g_fs * wP + 2.0 * (self.b_fs + bcs) * wQ
+        out[n + nb:n + 2 * nb] = 2.0 * v * wQ
+        out[n + 2 * nb:n + 2 * nb + 4 * m].reshape(m, 2, 2)[:] = 2.0 * w_rat[:, :, None]
+        out[n + 2 * nb + 4 * m:] = self._line_r2 * w_rat[self.line_pos].ravel()
+        return out
 
 
 def balance_residuals(net, state, outaged=None):

@@ -170,10 +170,13 @@ def project_response(state: ComplementarityState, net, k,
     recomputed so the result is feasible with minimal slacks.
     """
     lay = CaseLayout.of(net, k.outaged)
-    x = lay.pack(raw_point.state)
-    x[lay.v0:lay.th0] = np.clip(x[lay.v0:lay.th0], lay.v_min, lay.v_max)
-    x[lay.bcs0:lay.p0] = np.clip(x[lay.bcs0:lay.p0], lay.bcs_min, lay.bcs_max)
-    gens = lay.gens
+    raw, gens = raw_point.state, lay.gens
+    # the layout vector of the result: its outputs and flows are set below,
+    # so only the raw voltages, angles, shunts and reactive outputs are read
+    x = np.empty(lay.nvar)
+    x[lay.v0:lay.th0] = np.clip(raw.v, lay.v_min, lay.v_max)
+    x[lay.th0:lay.bcs0] = raw.theta
+    x[lay.bcs0:lay.p0] = np.clip(raw.bcs, lay.bcs_min, lay.bcs_max)
     seg_p = np.array([state.active.get(g.id, "") for _, g in lay.avail_gens])
     seg_q = np.array([state.reactive.get(g.id, MIDDLE) for _, g in lay.avail_gens])
     p_min, p_max = lay.p_min[gens], lay.p_max[gens]
@@ -183,6 +186,6 @@ def project_response(state: ComplementarityState, net, k,
     x[lay.p0:lay.q0] = np.where(seg_p == LOWER, p_min, np.where(
         seg_p == UPPER, p_max, np.where(seg_p == MIDDLE, mid_p, base_p)))
     x[lay.q0:lay.fl0] = np.where(seg_q == LOWER, q_min, np.where(
-        seg_q == UPPER, q_max, np.clip(x[lay.q0:lay.fl0], q_min, q_max)))
+        seg_q == UPPER, q_max, np.clip(raw.q_gen[gens], q_min, q_max)))
     x[lay.fl0:] = lay.flow_values(x).ravel()
     return _priced(lay, x, lay.unpack(x), state.delta)

@@ -150,7 +150,8 @@ class _SquareStructure:
     Jacobian: each acpf flow-row entry, negated, goes into the P or Q
     balance row of its flow's end bus; the balance-row entries on unknown
     columns stay as they are; then the constant entries.  Repeated
-    (row, col) pairs add up.
+    (row, col) pairs add up.  Every selected acpf entry (`sel`) is among the
+    layout's `n_jac_head` leading ones.
     """
 
     @classmethod
@@ -163,30 +164,26 @@ class _SquareStructure:
 
     def __init__(self, lay, ref, resp, p_mid, q_mid):
         nb, nfr = lay.nb, 4 * lay.m
-        self.p_cols = lay.p0 + lay.gen_col[resp]
-        self.q_cols = np.arange(lay.q0, lay.fl0)
-        self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), self.p_cols,
-                                    self.q_cols))
+        p_cols = lay.p0 + lay.gen_col[resp]
+        q_cols = np.arange(lay.q0, lay.fl0)
+        self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), p_cols, q_cols))
         col_pos = np.full(lay.nvar, -1, dtype=int)
         col_pos[self.cols] = np.arange(len(self.cols))
         delta_col = len(self.cols)
         self.n = delta_col + 1
-        self.v_at_gen = lay.v0 + lay.gen_bus
 
         jr, jc = lay.jac_pattern()
-        row_of = np.concatenate((
-            (np.array([0, nb, 0, nb]) + lay.ends[:, [0, 0, 1, 1]]).ravel(),
-            np.arange(2 * nb)))
+        row_of = np.concatenate((lay.bal_row[lay.fl0 - lay.p0:], np.arange(2 * nb)))
         self.sel = np.flatnonzero((jr < nfr + 2 * nb) & (col_pos[jc] >= 0))
         self.sign = np.where(jr[self.sel] < nfr, -1.0, 1.0)
         r_ref = 2 * nb
         r_p = r_ref + 1 + np.arange(len(resp))
         r_q = r_ref + 1 + len(resp) + np.arange(len(lay.gens))
-        pc, qc = col_pos[self.p_cols], col_pos[self.q_cols]
+        pc, qc = col_pos[p_cols], col_pos[q_cols]
         rows = [row_of[jr[self.sel]], [r_ref], r_p[p_mid], r_p, r_q]
         cols = [col_pos[jc[self.sel]], [col_pos[lay.th0 + ref]],
                 np.full(p_mid.sum(), delta_col),
-                pc, np.where(q_mid, col_pos[self.v_at_gen], qc)]
+                pc, np.where(q_mid, col_pos[lay.v0 + lay.gen_bus], qc)]
         self.const = np.concatenate((
             [1.0], lay.alpha[resp][p_mid], np.where(p_mid, -1.0, 1.0),
             np.where(q_mid, -1.0, 1.0)))
@@ -254,22 +251,21 @@ class _SquareSystem:
         return z
 
     def residual(self, z):
-        lay, st = self.lay, self.st
-        x = self.full_x(z)
-        p, q = lay.balance(x)
-        p_gen, q_gen = x[st.p_cols], x[st.q_cols]
+        # z holds v, theta, the responders' p and every q, in that order
+        nb, n_p = self.lay.nb, len(self.p_ids)
+        p_gen, q_gen = z[2 * nb:2 * nb + n_p], z[2 * nb + n_p:-1]
         return np.concatenate((
-            p, q, [x[lay.th0 + self.ref]],
+            *self.lay.balance(self.full_x(z)), z[nb + self.ref:nb + self.ref + 1],
             np.where(self.p_mid, self.base_p + self.alpha * z[-1] - p_gen,
                      p_gen - self.p_pin),
-            np.where(self.q_mid, self.base_v - x[st.v_at_gen], q_gen - self.q_pin)))
+            np.where(self.q_mid, self.base_v - z[self.lay.gen_bus], q_gen - self.q_pin)))
 
     def jacobian(self, z):
         """The Jacobian as `solve_square` takes it: the pattern and its raw
         values."""
-        # the selected entries do not depend on the flow columns
+        # every selected entry is a leading one, which reads no flow column
         st = self.st
-        jv = self.lay.jac_values(self.voltage_x(z))
+        jv = self.lay.jac_head(self.voltage_x(z))
         return st.pattern, np.concatenate((jv[st.sel] * st.sign, st.const))
 
     def raw_point(self, z):

@@ -380,9 +380,16 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     fin_l = np.isfinite(lb)
     fin_u = np.isfinite(ub)
 
+    def values(xv):
+        """(objective, eq, ineq) at xv."""
+        return (prob.objective(xv), prob.eq(xv) if me else np.zeros(0),
+                prob.ineq(xv) if mi else np.zeros(0))
+
     x = _interior_start(np.asarray(prob.x0, float), lb, ub)
-    cI = prob.ineq(x) if mi else np.zeros(0)
-    t = np.maximum(1e-2, -cI)
+    # the values at x, carried from where x was evaluated (the start, or the
+    # accepted trial point), or None if it was not (a trial point off bounds)
+    at_x = values(x)
+    t = np.maximum(1e-2, -at_x[2])
     t_lo = np.zeros(mi)  # the slacks' lower bounds, moved by `_move_out`
     y = np.zeros(me)
     mu, w = MU0, np.ones(mi)
@@ -429,19 +436,18 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                           + np.sum(np.log(tv - t_lo)))
 
     def measures(xv, tv):
-        """(theta, phi, cE, cI) at a trial point; theta and phi are inf and
+        """(theta, phi, `values`) at a trial point; theta and phi are inf and
         nothing is evaluated outside the bounds."""
         if np.any(xv[fin_l] <= lb[fin_l]) or np.any(xv[fin_u] >= ub[fin_u]) \
                 or np.any(tv <= t_lo):
-            return np.inf, np.inf, None, None
-        cEv = prob.eq(xv) if me else np.zeros(0)
-        cIv = prob.ineq(xv) if mi else np.zeros(0)
-        return theta_of(cEv, cIv, tv), barrier(xv, tv, prob.objective(xv)), cEv, cIv
+            return np.inf, np.inf, None
+        vals = values(xv)
+        return theta_of(vals[1], vals[2], tv), barrier(xv, tv, vals[0]), vals
 
     # the filter: (theta, phi) pairs that bar every trial point with a larger
     # theta and a larger phi; it starts empty at each barrier parameter
     filt = []
-    theta_start = theta_of(prob.eq(x) if me else np.zeros(0), cI, t)
+    theta_start = theta_of(at_x[1], at_x[2], t)
     theta_max = 1e4 * max(1.0, theta_start)
     theta_min = 1e-4 * min(1.0, theta_start)
 
@@ -452,10 +458,10 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         _move_out(lb, x - lb, mu, -1.0)
         _move_out(ub, ub - x, mu, 1.0)
         _move_out(t_lo, t - t_lo, mu, -1.0)
-        f = prob.objective(x)
+        if at_x is None:
+            at_x = values(x)
+        f, cE, cI = at_x
         g = prob.gradient(x)
-        cE = prob.eq(x) if me else np.zeros(0)
-        cI = prob.ineq(x) if mi else np.zeros(0)
         JE = prob.jac_eq(x).tocsr() if me else sparse.csr_matrix((0, n))
         JI = prob.jac_ineq(x).tocsr() if mi else sparse.csr_matrix((0, n))
         consider(x, cE, cI, f)
@@ -600,7 +606,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
         def soc_step(theta_n, cEn, cIn, tn):
             """Second-order correction of the rejected full step: the accepted
-            (kind, alpha, solution, dt) or None."""
+            (kind, alpha, solution, dt, values) or None."""
             c_soc_e = a_pri * cE + cEn
             c_soc_i = a_pri * (cI + t) + (cIn + tn)
             theta_old = theta_n
@@ -612,14 +618,14 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                 dt_s = -c_soc_i - JI @ dx_s
                 a_soc = ftb_primal(dx_s, dt_s)
                 xs, ts = x + a_soc * dx_s, t + a_soc * dt_s
-                theta_s, phi_s, cEs, cIs = measures(xs, ts)
+                theta_s, phi_s, vals = measures(xs, ts)
                 kind = accepts(theta_s, phi_s, a_pri)
                 if kind:
-                    return kind, a_soc, sol_s, dt_s
+                    return kind, a_soc, sol_s, dt_s, vals
                 if not theta_s <= KAPPA_SOC * theta_old:
                     return None
-                c_soc_e = a_soc * c_soc_e + cEs
-                c_soc_i = a_soc * c_soc_i + (cIs + ts)
+                c_soc_e = a_soc * c_soc_e + vals[1]
+                c_soc_i = a_soc * c_soc_i + (vals[2] + ts)
                 theta_old = theta_s
             return None
 
@@ -627,16 +633,18 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         kind = None
         for trial in range(MAX_TRIALS):
             tn = t + alpha * dt
-            theta_n, phi_n, cEn, cIn = measures(x + alpha * dx, tn)
+            theta_n, phi_n, vals = measures(x + alpha * dx, tn)
+            if trial == 0:
+                first_vals = vals
             kind = accepts(theta_n, phi_n, alpha)
             if kind:
                 break
             # a correction of a zero residual would repeat the same step
             if trial == 0 and theta_n >= theta0 and theta_n > 0.0 \
-                    and cEn is not None:
-                soc = soc_step(theta_n, cEn, cIn, tn)
+                    and vals is not None:
+                soc = soc_step(theta_n, vals[1], vals[2], tn)
                 if soc:
-                    kind, alpha, sol, dt = soc
+                    kind, alpha, sol, dt, vals = soc
                     dx, dy, dw, dzl, dzu = split(sol)
                     a_dual = ftb_dual(dw, dzl, dzu)
                     break
@@ -644,12 +652,13 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         if kind is None:
             # out of trials: take the fraction-to-boundary step and start
             # a new filter from it
-            alpha = a_pri
+            alpha, vals = a_pri, first_vals
             filt.clear()
         elif kind == "h":
             filt.append(((1.0 - GAMMA_THETA) * theta0, phi0 - GAMMA_PHI * theta0))
 
         x = x + alpha * dx
+        at_x = vals
         t = t + alpha * dt
         y = y + alpha * dy
         # fraction-to-boundary keeps duals positive; the floor only guards
@@ -660,20 +669,14 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         last_step = dict(delta_w=delta_w, delta_c=dc, factor_attempts=attempt,
                          alpha_primal=alpha, alpha_dual=a_dual)
 
-    cE = prob.eq(x) if me else np.zeros(0)
-    cI = prob.ineq(x) if mi else np.zeros(0)
-    f = prob.objective(x)
+    f, cE, cI = at_x if at_x is not None else values(x)
     consider(x, cE, cI, f)
-    if status != OPTIMAL and best is not None:
-        x_best = best[1]
-        if not np.array_equal(x_best, x):
-            x = x_best
-    # the returned x is clipped into the caller's true (unrelaxed) bounds, a
-    # move of at most the bound relaxation
-    x = np.clip(x, lb_true, ub_true)
-    cE = prob.eq(x) if me else np.zeros(0)
-    cI = prob.ineq(x) if mi else np.zeros(0)
-    f = prob.objective(x)
+    # the best iterate unless optimal, clipped into the caller's true
+    # (unrelaxed) bounds, a move of at most the bound relaxation
+    x_out = np.clip(x if status == OPTIMAL else best[1], lb_true, ub_true)
+    if not np.array_equal(x_out, x):
+        x = x_out
+        f, cE, cI = values(x)
 
     return NlpSolution(
         x=x, lambda_eq=y, lambda_ineq=w, z_lower=zl, z_upper=zu,

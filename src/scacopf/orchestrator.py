@@ -393,7 +393,8 @@ def run_code1(net: Network, cfg: RunConfig,
         plist = resort(plist, results)
         log.emit("resorted", order=[e.contingency_id for e in plist.entries])
 
-    # Step 5: fast evaluation sweep under its own budget
+    # Step 5: fast evaluation sweep under its own budget; it gives every
+    # entry a result, so each has a summary, segment state and point
     evaluate(eval_mod.fast_evaluate, plist.entries,
              min(cfg.init_fast_eval_budget, budget.remaining()),
              cutoff=cutoff)
@@ -410,19 +411,12 @@ def run_code1(net: Network, cfg: RunConfig,
         # Step 7: dominance-aware selection into the master
         chosen = select_top(plist, summaries, cfg.n_select,
                             in_master_summaries=master_summaries)
-        for c in chosen:
-            if c not in compl_states:
-                # never evaluated: include with the fallback's response state
-                res = eval_mod.fallback_result(
-                    net_p, net_p.contingency(c), base_point)
-                compl_states[c], master_points[c] = res.compl, res.point
         if not chosen:
             log.emit("done", reason="nothing-to-select")
             break
         plist.mark_in_master(chosen)
         included.extend(chosen)
-        master_summaries.extend(summaries[c] for c in chosen
-                                if c in summaries)
+        master_summaries.extend(summaries[c] for c in chosen)
         log.emit("selected", contingencies=chosen)
 
         # Step 8: solve the master with fixed segments
@@ -431,8 +425,7 @@ def run_code1(net: Network, cfg: RunConfig,
             net=net_p, included=tuple(included),
             compl={c: compl_states[c] for c in included},
             base_point=base_point,
-            ctg_points={c: master_points[c] for c in included
-                        if c in master_points},
+            ctg_points={c: master_points[c] for c in included},
             report=report,
         )
         mprob = build_master_problem(spec)
@@ -458,10 +451,8 @@ def run_code1(net: Network, cfg: RunConfig,
         write_tagged(base_point, objective, penalty)
 
         # then, after the master solve, re-evaluate entries further down the
-        # list against the new base, unevaluated entries first
-        pending = [e for e in plist.entries if not e.in_master]
-        pending.sort(key=lambda e: e.evaluated)  # unevaluated tier first
-        refresh = pending[:cfg.n_select]
+        # list against the new base (the sweep has evaluated every entry)
+        refresh = [e for e in plist.entries if not e.in_master][:cfg.n_select]
         if refresh and budget.remaining() > 0:
             evaluate(eval_mod.prescreen_then_evaluate, refresh,
                      min(cfg.full_eval_budget, budget.remaining()),

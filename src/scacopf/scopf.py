@@ -145,8 +145,9 @@ def _priced(lay: CaseLayout, x, state: FlowState, delta):
     the point feasible.  x's flow columns are trusted as given."""
     p, q = lay.balance(x)
     lhs, rhs = lay.ratings(x)
+    over = np.sqrt(lhs) - rhs
     sig_s = np.zeros(lay.nbr)
-    sig_s[lay.svc] = np.maximum(0.0, np.max(np.sqrt(lhs) - rhs, axis=1))
+    sig_s[lay.svc] = np.maximum(0.0, np.maximum(over[:, 0], over[:, 1]))
     return OperatingPoint(
         state=state,
         sig_p_plus=np.maximum(0.0, -p),

@@ -5,7 +5,8 @@ import pytest
 
 from scacopf import acpf
 from scacopf.acpf import CaseLayout, FlowState
-from scacopf.case_model import Line
+from scacopf.case_model import Line, preprocess
+from scacopf.cli import generate_case
 from conftest import make_line, make_xf, two_bus_net
 
 
@@ -128,12 +129,18 @@ def dense_balance_oracle(net, state, outaged=None):
 
 
 def test_balance_matches_dense_oracle(net5, rng):
-    state = random_state(net5, rng)
-    for outaged in (None, "G2", "L2", "T1"):
-        bal = acpf.balance_residuals(net5, state, outaged)
-        p_ref, q_ref = dense_balance_oracle(net5, state, outaged)
-        np.testing.assert_allclose(bal.p_resid, p_ref, atol=1e-14)
-        np.testing.assert_allclose(bal.q_resid, q_ref, atol=1e-14)
+    # the base case, a transformer, a line and a generator outage, on the
+    # five-bus case and on a generated one with several generators and
+    # branches per bus
+    net14 = preprocess(generate_case(14, 3))[0]
+    for net in (net5, net14):
+        state = random_state(net, rng)
+        for outaged in (None, net.transformers[0].id, net.lines[1].id,
+                        net.generators[1].id):
+            bal = acpf.balance_residuals(net, state, outaged)
+            p_ref, q_ref = dense_balance_oracle(net, state, outaged)
+            np.testing.assert_allclose(bal.p_resid, p_ref, atol=1e-14)
+            np.testing.assert_allclose(bal.q_resid, q_ref, atol=1e-14)
 
 
 def test_rating_three_four_five(net2):
@@ -216,6 +223,15 @@ def coo_dense(values, pattern, shape):
     return M
 
 
+def expr_values(layout, x):
+    """All expression rows of `layout` at x, in `jac_pattern` row order:
+    flows, P/Q balance, ``lhs - rhs**2``."""
+    p, q = layout.balance(x)
+    lhs, rhs = layout.ratings(x)
+    return np.concatenate((layout.flow_values(x).ravel(), p, q,
+                           (lhs - rhs ** 2).ravel()))
+
+
 def fd_jacobian(fun, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     f0 = np.atleast_1d(fun(x))
@@ -236,7 +252,7 @@ def test_jacobian_matches_finite_differences(net5, rng, outaged):
         x0 = layout.pack(state)
         J = coo_dense(layout.jac_values(x0), layout.jac_pattern(),
                       (layout.nrows, layout.nvar))
-        J_fd = fd_jacobian(layout.expr_values, x0)
+        J_fd = fd_jacobian(lambda x: expr_values(layout, x), x0)
         scale = np.maximum(np.abs(J_fd), 1.0)
         assert np.max(np.abs(J - J_fd) / scale) < 1e-5
 
@@ -251,20 +267,22 @@ def test_flow_rows_have_no_bcs_columns(net5, rng):
 
 
 def test_hessian_matches_finite_differences(net5, rng):
-    layout = CaseLayout(net5)
-    state = random_state(net5, rng)
-    x0 = layout.pack(state)
-    weights = rng.uniform(-1, 1, layout.nrows)
+    # the base case, then a line, a transformer and a generator outage
+    for outaged in (None, "L2", "T1", "G2"):
+        layout = CaseLayout(net5, outaged)
+        state = random_state(net5, rng)
+        x0 = layout.pack(state)
+        weights = rng.uniform(-1, 1, layout.nrows)
 
-    def weighted(x):
-        return float(weights @ layout.expr_values(x))
+        def weighted(x):
+            return float(weights @ expr_values(layout, x))
 
-    H = coo_dense(layout.hess_values(x0, weights), layout.hess_pattern(),
-                  (layout.nvar, layout.nvar))
-    H_full = H + H.T - np.diag(np.diag(H))
-    H_fd = fd_jacobian(lambda x: fd_jacobian(weighted, x, 1e-4).ravel(), x0, 1e-4)
-    scale = np.maximum(np.abs(H_fd), 1.0)
-    assert np.max(np.abs(H_full - H_fd) / scale) < 1e-4
+        H = coo_dense(layout.hess_values(x0, weights), layout.hess_pattern(),
+                      (layout.nvar, layout.nvar))
+        H_full = H + H.T - np.diag(np.diag(H))
+        H_fd = fd_jacobian(lambda x: fd_jacobian(weighted, x, 1e-4).ravel(), x0, 1e-4)
+        scale = np.maximum(np.abs(H_fd), 1.0)
+        assert np.max(np.abs(H_full - H_fd) / scale) < 1e-4, outaged
 
 
 def test_hessian_lower_triangle_symmetric(net5, rng):
@@ -276,3 +294,64 @@ def test_hessian_lower_triangle_symmetric(net5, rng):
                    (layout.nvar, layout.nvar))
     full = Hd + Hd.T - np.diag(np.diag(Hd))
     np.testing.assert_allclose(full, full.T)
+
+
+# --- compiled maps ----------------------------------------------------------
+
+OUTAGES = [None, "L2", "T1", "G2"]
+
+
+@pytest.mark.parametrize("outaged", OUTAGES)
+def test_flows_match_the_branch_oracle(net5, rng, outaged):
+    # the side-voltage and angle gather against one branch at a time
+    layout = CaseLayout(net5, outaged)
+    for _ in range(5):
+        state = random_state(net5, rng)
+        flows = layout.flow_values(layout.pack(state))
+        assert flows.shape == (len(layout.in_service), 4)
+        for j, (_, br) in enumerate(layout.in_service):
+            o, d = net5.bus_index(br.origin), net5.bus_index(br.destination)
+            want = acpf.branch_flows(br, state.v[o], state.v[d],
+                                     state.theta[o], state.theta[d])
+            np.testing.assert_allclose(flows[j], want, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("outaged", OUTAGES)
+def test_balance_scatter_map_is_the_incidence(net5, outaged):
+    # the balance is the bus terms plus a dense incidence matrix, built from
+    # the network records, times the columns from p0 on: +1 for a generator
+    # output and -1 for a flow, in its bus's P or Q row
+    layout = CaseLayout(net5, outaged)
+    nb, na = layout.nb, len(layout.gens)
+    C = np.zeros((2 * nb, layout.nvar - layout.p0))
+    for j, (_, g) in enumerate(layout.avail_gens):
+        bus = net5.bus_index(g.bus)
+        C[bus, j] = C[nb + bus, na + j] = 1.0
+    for j, (_, br) in enumerate(layout.in_service):
+        for side, end in ((0, br.origin), (2, br.destination)):
+            col, bus = 2 * na + 4 * j + side, net5.bus_index(end)
+            C[bus, col] = C[nb + bus, col + 1] = -1.0
+    x = np.zeros(layout.nvar)
+    x[layout.v0:layout.th0] = 1.0
+    x[layout.p0:] = np.arange(1, layout.nvar - layout.p0 + 1)
+    p, q = layout.balance(x)
+    p_bus = -layout.p_load - layout.g_fs
+    q_bus = -layout.q_load + layout.b_fs
+    np.testing.assert_allclose(np.concatenate((p - p_bus, q - q_bus)),
+                               C @ x[layout.p0:], rtol=1e-15, atol=1e-12)
+
+
+@pytest.mark.parametrize("outaged", OUTAGES)
+def test_jacobian_head_is_the_leading_entries(net5, rng, outaged):
+    layout = CaseLayout(net5, outaged)
+    x = layout.pack(random_state(net5, rng))
+    full = layout.jac_values(x)
+    assert len(full) == len(layout.jac_pattern()[0])
+    np.testing.assert_array_equal(layout.jac_head(x), full[:layout.n_jac_head])
+    # the head reads no flow column; the balance entries of the generator
+    # outputs (in the head) and of the flows (after it) are constants
+    rows, cols = layout.jac_pattern()
+    assert cols[:layout.n_jac_head].max() < layout.fl0
+    bal = (rows >= 4 * layout.m) & (rows < 4 * layout.m + 2 * layout.nb) \
+        & (cols >= layout.p0)
+    np.testing.assert_array_equal(full[bal], np.where(cols[bal] < layout.fl0, 1.0, -1.0))

@@ -253,6 +253,27 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
         assert np.max(np.abs(J - J_fd) / scale) < 1e-6, mix
 
 
+@pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
+def test_square_system_evaluates_the_kernel_entries_it_selects(ctg_id):
+    # the Jacobian's values are the full acpf kernel's selected entries,
+    # signed, then the constants, though only the leading ones are
+    # evaluated; the residual's balance rows are the kernel's balance
+    from conftest import five_bus_net
+    net = five_bus_net()
+    k = net.contingency(ctg_id)
+    base = scopf.default_start(net)
+    sys_ = ev._SquareSystem(net, k, base, compl.init_default(net, k))
+    lay, st = sys_.lay, sys_.st
+    assert st.sel.max() < lay.n_jac_head
+    z = sys_.start(base, 0.05) + np.random.default_rng(3).uniform(-0.05, 0.05, sys_.n)
+    _, vals = sys_.jacobian(z)
+    full = lay.jac_values(sys_.full_x(z))
+    np.testing.assert_array_equal(vals, np.concatenate((full[st.sel] * st.sign, st.const)))
+    r = sys_.residual(z)
+    np.testing.assert_array_equal(r[:2 * lay.nb], np.concatenate(lay.balance(sys_.full_x(z))))
+    assert r[2 * lay.nb] == z[lay.nb + sys_.ref]
+
+
 def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
     # one compiled model per outage serves every square-system round,
     # projection and penalty, and every later evaluation of that outage

@@ -262,23 +262,52 @@ def test_iterate_on_a_bound_is_released():
     assert all(r["alpha_primal"] > 0.0 for r in records[1:])
 
 
+def nan_off_x0_problem(x0):
+    """min (x - 3)^2 with objective and gradient nan everywhere but x0."""
+    def only_at_x0(value):
+        return lambda x: value(x) if np.array_equal(x, x0) else np.nan * value(x)
+
+    return dense_problem(1, only_at_x0(lambda x: (x[0] - 3.0) ** 2),
+                         only_at_x0(lambda x: 2.0 * (x - 3.0)),
+                         lambda x: [[2.0]], x0)
+
+
 def test_line_search_out_of_trials_returns_best():
     # objective and gradient are nan everywhere but x0: every trial point is
     # rejected, the fraction-to-boundary step is taken, and the next
     # iterate's nan step ends the solve at the best point, x0
     x0 = np.array([0.5])
-
-    def only_at_x0(value):
-        return lambda x: value(x) if np.array_equal(x, x0) else np.nan * value(x)
-
-    prob = dense_problem(1, only_at_x0(lambda x: (x[0] - 3.0) ** 2),
-                         only_at_x0(lambda x: 2.0 * (x - 3.0)),
-                         lambda x: [[2.0]], x0)
+    prob = nan_off_x0_problem(x0)
     records = []
     sol = solve_nlp(prob, log=records.append)
     assert sol.status != nlp.OPTIMAL
     assert records[1]["alpha_primal"] == 1.0
     np.testing.assert_array_equal(sol.x, x0)
+
+
+@pytest.mark.parametrize("problem", ["base", "ctg", "master", "maratos", "nan-off-x0"])
+def test_objective_and_constraints_run_once_per_point(net5, problem):
+    # the values at the accepted trial point (a backtracking trial, a
+    # second-order correction, or trial 0 when the trials run out) are the
+    # next iterate's; only the returned point is evaluated again, when it is
+    # not the last iterate (the best one, or the last one clipped)
+    if problem == "maratos":
+        prob = maratos_problem()
+    elif problem == "nan-off-x0":
+        prob = nan_off_x0_problem(np.array([0.5]))
+    else:
+        prob = scopf_problems(net5)[problem]
+    points = {"objective": [], "eq": [], "ineq": []}
+    for name, seen in points.items():
+        fun = getattr(prob, name)
+        setattr(prob, name, lambda x, fun=fun, seen=seen: seen.append(x.tobytes()) or fun(x))
+    records = []
+    sol = solve_nlp(prob, tol=1e-8, log=records.append)
+    assert len(points["objective"]) > len(records) > 1
+    for name, seen in points.items():
+        repeated = {x for x in seen if seen.count(x) > 1}
+        assert repeated <= {sol.x.tobytes()}, name
+        assert all(seen.count(x) <= 2 for x in repeated), name
 
 
 # --- square systems ----------------------------------------------------------

@@ -34,3 +34,6 @@ def test_benchmark_tracer_records_the_evaluation_engines(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = set(json.loads(proc.stdout.splitlines()[-1]))
     assert {"eval.fast", "eval.full", "eval.prescreen"} <= names
+    # the fast engine's square system, whose per-call times the screening
+    # workload reports
+    assert {"eval.square.residual", "eval.square.jacobian", "nlp.square"} <= names
