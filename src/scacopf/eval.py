@@ -5,9 +5,13 @@ Two engines estimate the post-contingency penalty of a base operating point:
 * ``fast_evaluate`` repeatedly solves a square system of nonlinear equations
   (slack-free bus balance with the flows as functions of the voltages,
   response rows for the current complementarity segments, and the angle
-  reference) with a sparse LU, projects the result into bounds, and prices
-  the residual slacks.  It is cheap and yields an upper bound on the optimal
-  penalty.
+  reference) with Newton steps, projects the result into bounds, and prices
+  the residual slacks.  Each step's LU is dense (LAPACK) for a system of at
+  most `nlp.DENSE_LU_MAX` = 128 rows (below about 50 buses), where
+  SuperLU's fixed cost per call outweighs the elimination, and sparse
+  (SuperLU) above it: the measured crossover, where screening takes as long
+  either way, lies between 119 and 159 rows.  It is cheap and yields an
+  upper bound on the optimal penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
   all-at-once complementarity segment updates.
 
@@ -23,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compl as compl_mod
+from . import nlp as nlp_mod
 from .acpf import CaseLayout
 from .case_model import Network
-from .nlp import _LuPattern, solve_nlp, solve_square
+from .nlp import _DenseLuPattern, _LuPattern, solve_nlp, solve_square
 from .scopf import (
     LOWER,
     MIDDLE,
@@ -142,8 +147,9 @@ class _Budget:
 
 class _SquareStructure:
     """What a `_SquareSystem` compiles from its case alone: the unknown
-    columns, the Jacobian pattern with the LU ordering it keeps, and the
-    Jacobian's signs and constant entries.  It depends on the layout, the
+    columns, the Jacobian pattern with its LU (dense up to
+    `nlp.DENSE_LU_MAX` rows, else SuperLU with the ordering it keeps), and
+    the Jacobian's signs and constant entries.  It depends on the layout, the
     responders and which of their segments are middle, and is kept in the
     layout's `compiled` cache under those (see `of`).
 
@@ -187,7 +193,10 @@ class _SquareStructure:
         self.const = np.concatenate((
             [1.0], lay.alpha[resp][p_mid], np.where(p_mid, -1.0, 1.0),
             np.where(q_mid, -1.0, 1.0)))
-        self.pattern = _LuPattern(np.concatenate(rows), np.concatenate(cols), self.n)
+        # the one place a square system picks its LU by size
+        lu_pattern = (_DenseLuPattern if self.n <= nlp_mod.DENSE_LU_MAX
+                      else _LuPattern)
+        self.pattern = lu_pattern(np.concatenate(rows), np.concatenate(cols), self.n)
 
 
 class _SquareSystem:
@@ -199,10 +208,12 @@ class _SquareSystem:
     MATPOWER's ``newtonpf``).  Shunt susceptances stay at the base values and
     non-responding generators keep their base active power.
     Rows: slack-free P/Q balance, the reference angle, one response row per
-    responder, one per available generator.  The Jacobian is sparse (CSC) on
-    a pattern of the case's `_SquareStructure`; the base point's data (the
-    fixed template, base outputs and voltages, and the pinned bounds) is the
-    system's own.
+    responder, one per available generator.  The Jacobian comes as raw
+    values on a pattern of the case's `_SquareStructure`, which factors it
+    with a dense LU up to `nlp.DENSE_LU_MAX` rows and with SuperLU above
+    (the crossover is measured at that constant); the
+    base point's data (the fixed template, base outputs and voltages, and
+    the pinned bounds) is the system's own.
     """
 
     def __init__(self, net, k, base, state):
@@ -269,7 +280,13 @@ class _SquareSystem:
         return st.pattern, np.concatenate((jv[st.sel] * st.sign, st.const))
 
     def raw_point(self, z):
-        st = self.lay.unpack(self.full_x(z))
+        """The point of the solution z for `compl.project_response`, which
+        reads its voltages, angles, shunts and reactive outputs and
+        recomputes the flows.  Its flows are NaN, not computed, so that any
+        other reader fails loudly."""
+        x = self.voltage_x(z)
+        x[self.lay.fl0:] = np.nan
+        st = self.lay.unpack(x)
         zero = np.zeros(self.lay.nb)
         return OperatingPoint(
             state=st, sig_p_plus=zero.copy(), sig_p_minus=zero.copy(),

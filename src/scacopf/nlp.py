@@ -1,6 +1,6 @@
 """Generic smooth NLP interface, a primal-dual interior-point solver, and a
 damped Newton solver for square nonlinear systems whose steps are solved
-with a sparse LU.
+with a dense LU when the system is small and a sparse LU otherwise.
 
 The interior-point method uses a monotone barrier schedule, a sparse LU
 factorization of the KKT matrix with iterative refinement, inertia
@@ -30,17 +30,26 @@ The KKT matrix and its Schur complement have one sparsity pattern for as
 long as the Hessian and Jacobian patterns stay the same, which for the
 problems of `scopf` is the whole solve.  `_Kkt` compiles both patterns
 once and fills each attempt's values with one `np.bincount`.  K, the
-Schur complement and the Jacobians of `solve_square` are each factored by
-an `_LuPattern`: its first LU finds a fill-reducing ordering and bakes it
-into the pattern, and every LU then factors the pre-permuted matrix in
-natural order.  Every LU goes through `_splu`, which calls SuperLU (Li
-2005, ACM TOMS 31(3)) with relax=1 and panel_size=1.  These matrices
-have a few nonzeros per column, and against SuperLU's default supernode
-relaxation and panel size the two settings take 20-40 % off each LU, on a
-2-core x86 host: 48 against 62 us for an 80-row screening Jacobian, 24-27
-against 29-35 ms for a 300-bus base KKT matrix and 5.3-6.4 against 7.8-8.6
-ms for its Schur complement.  `_Pattern` is the compiled sparsity pattern
-that every layer above fills its matrices with.
+Schur complement and the Jacobians of `solve_square` above `DENSE_LU_MAX`
+rows are each factored by an `_LuPattern`: its first LU finds a
+fill-reducing ordering and bakes it into the pattern, and every LU then
+factors the pre-permuted matrix in natural order.  Every sparse LU goes
+through `_splu`, which calls SuperLU (Li 2005, ACM TOMS 31(3)) with
+relax=1 and panel_size=1.  These matrices have a few nonzeros per column,
+and against SuperLU's default supernode relaxation and panel size the two
+settings take 20-40 % off each LU, on a 2-core x86 host: 48 against 62 us
+for an 80-row screening Jacobian, 24-27 against 29-35 ms for a 300-bus base
+KKT matrix and 5.3-6.4 against 7.8-8.6 ms for its Schur complement.
+
+A SuperLU call also pays a fixed cost of about 30 us whatever the matrix,
+so a square Jacobian of at most `DENSE_LU_MAX` = 128 rows (the fast
+evaluation's Newton systems below about 50 buses; `eval._SquareStructure`
+makes the choice) is factored by a `_DenseLuPattern` instead: one
+`np.bincount` into an n x n array and LAPACK getrf, solved with getrs.  The
+constant is the measured crossover: screening with dense LUs is faster up
+to 119 rows, even at 159 and slower at 239 (figures at `DENSE_LU_MAX`).
+`_Pattern` is the compiled sparsity pattern that every layer above fills
+its matrices with.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 OPTIMAL = "optimal"
@@ -176,6 +186,56 @@ class _LuPattern:
             self.pattern = self.pattern.permuted(rows, self.pos)
         A = self.pattern.matrix(vals)
         return A, _splu(A, "NATURAL", self.symmetric), self.pos
+
+
+# the most rows of a square Jacobian that `eval._SquareStructure` factors
+# with a dense LU (`_DenseLuPattern`); larger ones go to SuperLU
+# (`_LuPattern`).  The crossover, on a 2-core x86 host with BLAS at 1 thread,
+# from the median time of `fast_evaluate` on every contingency of `gen-case`
+# n --seed 3 with each factorizer (8 alternating sweeps a run): dense is 24 %
+# faster at 35-37 rows (n = 14), 22 % at 79 (n = 30), 11-16 % at 119
+# (n = 45), even at 159 (n = 60; four runs from 15 % faster to 4 % slower)
+# and 28-63 % slower at 239 (n = 90).  At 79 rows an LU and one solve take
+# 43-72 us dense against 61-107 us on SuperLU.
+DENSE_LU_MAX = 128
+
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
+
+class _DenseLuPattern:
+    """Dense counterpart of `_LuPattern` for small square systems, with the
+    same `lu`: the raw (row, col) entries are compiled once to flat indices
+    of the Fortran-ordered n x n array, which each LU fills with one
+    `np.bincount` and factors with LAPACK getrf.  Its partial pivoting needs
+    no ordering, so pos is the identity."""
+
+    def __init__(self, rows, cols, n):
+        self.flat = np.asarray(cols, dtype=np.int64) * n + rows
+        self.n = n
+        self.pos = np.arange(n)
+
+    def lu(self, vals):
+        """(A, lu, pos) as `_LuPattern.lu` gives them, A a dense array."""
+        n = self.n
+        A = np.bincount(self.flat, weights=vals, minlength=n * n).reshape(
+            (n, n), order="F")
+        return A, _dense_lu(A), self.pos
+
+
+class _DenseLu:
+    """A getrf factorization with the `solve` of a SuperLU object."""
+
+    def __init__(self, lu, piv):
+        self.lu, self.piv = lu, piv
+
+    def solve(self, rhs):
+        return _getrs(self.lu, self.piv, rhs)[0]
+
+
+def _dense_lu(A):
+    """A dense LU of the square array A, or None if A is exactly singular."""
+    lu, piv, info = _getrf(A)
+    return _DenseLu(lu, piv) if info == 0 else None
 
 
 def _splu(A, permc_spec, symmetric=False):
@@ -695,8 +755,9 @@ class SquareResult:
 
 def _lu(J):
     """(A, lu, pos) of a Jacobian as `solve_square`'s `jac` returns it: `lu`
-    factors the CSC matrix A, whose column pos[j] is column j of J, or is
-    None if J is exactly singular."""
+    factors the matrix A (CSC, or a dense array from a `_DenseLuPattern`),
+    whose column pos[j] is column j of J, or is None if J is exactly
+    singular."""
     if isinstance(J, tuple):
         return J[0].lu(J[1])
     A = J.tocsc() if sparse.issparse(J) else sparse.csc_matrix(J)
@@ -711,20 +772,28 @@ def _solution(lu, rhs, pos):
 
 def _levenberg(A, F, delta, pos):
     """Regularized least-squares step (J'J + delta I) d = -J'F, for J whose
-    column j is column pos[j] of A."""
-    _, lu, _ = _lu(A.T @ A + delta * sparse.identity(A.shape[1]))
+    column j is column pos[j] of A; factored densely if A is dense."""
+    if isinstance(A, np.ndarray):
+        M = A.T @ A
+        M.flat[::M.shape[0] + 1] += delta
+        lu = _dense_lu(M)
+    else:
+        _, lu, _ = _lu(A.T @ A + delta * sparse.identity(A.shape[1]))
     return None if lu is None else _solution(lu, -(A.T @ F), pos)
 
 
 def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     """Damped Newton for a square system fun(x) = 0 with Jacobian jac(x).
 
-    jac(x) returns the Jacobian as a matrix, dense or sparse, or as a pair
-    (pattern, vals) of an `_LuPattern` and its raw values, which is factored
-    in the column ordering the pattern keeps from its first LU.  Each step
-    is solved with a sparse LU.  Backtracks on the residual norm, with
-    Levenberg-regularized least-squares steps as a fallback for singular
-    Jacobians.  Returns the best iterate.
+    jac(x) returns the Jacobian as a matrix, dense or sparse, which each step
+    factors with SuperLU, or as a pair (pattern, vals) of a pattern and its
+    raw values, factored by the pattern: an `_LuPattern` with SuperLU, in the
+    column ordering it keeps from its first LU, or, for a system of at most
+    `DENSE_LU_MAX` rows, a `_DenseLuPattern` with LAPACK's dense LU, which
+    below that measured crossover costs less than SuperLU's fixed cost per
+    call (see the constant).  Backtracks on the residual norm,
+    with Levenberg-regularized least-squares steps, factored the same way, as
+    a fallback for singular Jacobians.  Returns the best iterate.
     """
     t_start = time.monotonic()
     x = np.asarray(x0, float).copy()

@@ -1,5 +1,7 @@
 """Tests for the fast/full contingency evaluation engines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -246,7 +248,8 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
         sys_ = ev._SquareSystem(net, k, base, state)
         z = sys_.start(base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
         lu_pattern, vals = sys_.jacobian(z)
-        J = lu_pattern.pattern.matrix(vals)
+        A, _, pos = lu_pattern.lu(vals)
+        J = A[:, pos]
         J_fd = fd_jacobian(sys_.residual, z)
         assert J.shape == (sys_.n, sys_.n)
         scale = np.maximum(np.abs(J_fd), 1.0)
@@ -302,7 +305,9 @@ def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
 
 @pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
 def test_square_system_raw_point_flows_are_defined(ctg_id):
-    # branch flows are functions of the voltages, never Newton unknowns
+    # branch flows are functions of the voltages, never Newton unknowns; the
+    # raw point leaves them NaN, and its projection, which recomputes them,
+    # is the projection of the same point with its flows defined
     from conftest import five_bus_net
     net = five_bus_net()
     k = net.contingency(ctg_id)
@@ -313,8 +318,17 @@ def test_square_system_raw_point_flows_are_defined(ctg_id):
     assert sys_.n == 2 * len(net.buses) + len(state.active) + len(state.reactive) + 1
     z = sys_.start(base, 0.05) + np.random.default_rng(5).uniform(-0.05, 0.05, sys_.n)
     raw = sys_.raw_point(z)
-    defined = scopf.flows_from_state(net, raw.state, k.outaged)
-    np.testing.assert_array_equal(raw.state.flows, defined.flows)
+    assert np.isnan(raw.state.flows[sys_.lay.svc]).all()
+    defined = raw.copy()
+    defined.state = scopf.flows_from_state(net, raw.state, k.outaged)
+    assert np.isfinite(defined.state.flows).all()
+    got = compl.project_response(state, net, k, base, raw)
+    want = compl.project_response(state, net, k, base, defined)
+    for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
+        assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes(), name
+    for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus", "sig_q_minus", "sig_s"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.delta == want.delta
 
 
 def generated_base(n_bus):
@@ -328,6 +342,39 @@ def generated_base(n_bus):
     sol = nlp.solve_nlp(prob, tol=1e-8)
     assert sol.status == nlp.OPTIMAL
     return net, prob.meta.extract_base(sol.x)
+
+
+def test_square_system_picks_its_lu_by_size(monkeypatch):
+    # a square system of n rows factors densely iff n <= nlp.DENSE_LU_MAX
+    from conftest import five_bus_net
+    net = five_bus_net()
+    k = net.contingencies[0]
+    base = scopf.default_start(net)
+    state = compl.init_default(net, k)
+    n = ev._SquareSystem(net, k, base, state).n
+    for limit, kind in ((n, nlp._DenseLuPattern), (n - 1, nlp._LuPattern)):
+        monkeypatch.setattr(nlp, "DENSE_LU_MAX", limit)
+        sys_ = ev._SquareSystem(five_bus_net(), k, base, state)
+        assert type(sys_.st.pattern) is kind
+
+
+def test_fast_evaluate_agrees_on_dense_and_sparse_lu(monkeypatch):
+    # every contingency of a 14-bus case, screened with the committed size
+    # limit (dense LUs) and with it at 0 (SuperLU everywhere): same
+    # statuses, penalties within rounding
+    net, base = generated_base(14)
+    results = {}
+    for limit, kind in ((nlp.DENSE_LU_MAX, nlp._DenseLuPattern), (0, nlp._LuPattern)):
+        monkeypatch.setattr(nlp, "DENSE_LU_MAX", limit)
+        fresh = dataclasses.replace(net)
+        results[kind] = [ev.fast_evaluate(fresh, k, base) for k in net.contingencies]
+        patterns = [st.pattern for lay in fresh._layouts.values()
+                    for key, st in lay.compiled.items() if key[0] == "square"]
+        assert patterns and all(type(p) is kind for p in patterns)
+    dense, sparse_ = results.values()
+    assert [r.status for r in dense] == [r.status for r in sparse_]
+    for d, s in zip(dense, sparse_):
+        assert abs(d.penalty - s.penalty) <= 1e-9 * (1 + abs(s.penalty)), d.contingency_id
 
 
 def test_full_evaluations_on_14_buses_are_optimal():

@@ -491,6 +491,33 @@ def test_singular_jacobian_regularization():
     assert np.max(np.abs(fun(res.x))) <= 1e-8
 
 
+def test_singular_dense_pattern_jacobian_regularization(monkeypatch):
+    # the dense twin of the test above: a (pattern, vals) Jacobian below the
+    # size limit factors densely, an exactly singular one has no LU, and the
+    # Levenberg fallback converges without any SuperLU call
+    def fun(x):
+        r = x[0] ** 2 + x[1] - 3.0
+        return np.array([r, r])
+
+    pattern = nlp._DenseLuPattern([0, 0, 1, 1], [0, 1, 0, 1], 2)
+    assert pattern.n <= nlp.DENSE_LU_MAX
+
+    def jac(x):
+        return pattern, np.array([2 * x[0], 1.0, 2 * x[0], 1.0])
+
+    A, lu, pos = pattern.lu(jac([1.0, 1.0])[1])
+    assert lu is None
+    np.testing.assert_array_equal(A, [[2.0, 1.0], [2.0, 1.0]])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense Jacobian went to SuperLU")
+
+    monkeypatch.setattr(nlp, "_splu", forbidden)
+    res = solve_square(fun, jac, [1.0, 1.0])
+    assert res.iterations >= 1
+    assert np.max(np.abs(fun(res.x))) <= 1e-8
+
+
 def saddle_inertia_ok(W, J, d):
     """Oracle: does [[W, J'], [J, -diag(d)]] have n positive and m negative
     eigenvalues?"""
@@ -664,8 +691,8 @@ def test_kkt_pattern_compiled_once(net5, monkeypatch):
 
 
 def test_every_superlu_call_is_tuned(net5, monkeypatch):
-    # base, contingency and master solves and a fast evaluation factor with
-    # unrelaxed supernodes and one-column panels
+    # base, contingency and master solves and a fast evaluation on SuperLU
+    # factor with unrelaxed supernodes and one-column panels
     from scacopf import eval as ev
     from scacopf.scopf import default_start
 
@@ -680,7 +707,12 @@ def test_every_superlu_call_is_tuned(net5, monkeypatch):
         solve_nlp(prob, tol=1e-8)
         assert calls, kind
     n_nlp = len(calls)
+    # net5's square systems are below the dense-LU limit; with the limit at 0
+    # the fast evaluation factors them with SuperLU
     ev.fast_evaluate(net5, net5.contingencies[0], default_start(net5))
+    assert len(calls) == n_nlp
+    monkeypatch.setattr(nlp, "DENSE_LU_MAX", 0)
+    ev.fast_evaluate(five_bus_net(), net5.contingencies[0], default_start(net5))
     assert len(calls) > n_nlp
     assert all((kw["relax"], kw["panel_size"]) == (1, 1) for kw in calls)
 
@@ -707,13 +739,16 @@ def random_pattern(symmetric, n=40, seed=7):
 
 @pytest.mark.parametrize("ordering, symmetric", [("COLAMD", False),
                                                  ("MMD_AT_PLUS_A", False),
-                                                 ("MMD_AT_PLUS_A", True)])
+                                                 ("MMD_AT_PLUS_A", True),
+                                                 ("DENSE", False)])
 def test_lu_pattern_solves_like_splu_of_the_matrix(ordering, symmetric):
     # the first LU bakes the ordering in; it and every later natural-order LU
-    # of the pre-permuted matrix solve like an LU of the matrix itself
+    # of the pre-permuted matrix solve like an LU of the matrix itself; the
+    # dense factorizer keeps the natural order
     rows, cols, vals = random_pattern(symmetric)
     n = 40
-    pattern = nlp._LuPattern(rows, cols, n, ordering, symmetric=symmetric)
+    pattern = (nlp._DenseLuPattern(rows, cols, n) if ordering == "DENSE" else
+               nlp._LuPattern(rows, cols, n, ordering, symmetric=symmetric))
     rng = np.random.default_rng(1)
     for v in vals:
         M = sparse.csc_matrix((v, (rows, cols)), shape=(n, n))
@@ -728,7 +763,7 @@ def test_lu_pattern_solves_like_splu_of_the_matrix(ordering, symmetric):
         ref = splu(M).solve(b)
         x = lu.solve(rhs)[pos]
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.any(pattern.pos != np.arange(n))
+    assert np.any(pattern.pos != np.arange(n)) == (ordering != "DENSE")
 
 
 # --- the start and the end of a solve ----------------------------------------
