@@ -73,8 +73,8 @@ class EvaluationResult:
     base_tag: str = ""
     elapsed: float = 0.0
     status: str = "ok"
-    # [status, iterations, kkt_error] of the NLP of each full-evaluation
-    # segment round
+    # [status, iterations, kkt_error, lus, p_tests, colamd_steps] of the
+    # NLP of each full-evaluation segment round (see `nlp.NlpSolution`)
     nlp: list = field(default_factory=list)
 
 
@@ -422,7 +422,8 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
                                          start=start_point)
         sol = solve_nlp(prob, tol=1e-8, **budget.solver_kwargs(300))
         budget.charge(sol.iterations)
-        rounds.append([sol.status, sol.iterations, sol.kkt_error])
+        rounds.append([sol.status, sol.iterations, sol.kkt_error, sol.lus,
+                       sol.p_tests, sol.colamd_steps])
         if sol.status == "numerical_failure" or not np.all(np.isfinite(sol.x)):
             break
 

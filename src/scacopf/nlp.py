@@ -2,19 +2,30 @@
 damped Newton solver for square nonlinear systems whose steps are solved
 with a dense LU when the system is small and a sparse LU otherwise.
 
-The interior-point method uses a monotone barrier schedule, a sparse LU
-factorization of the KKT matrix with iterative refinement, inertia
-correction via Levenberg regularization, a fraction-to-boundary rule, and
-the filter line search with second-order corrections of Waechter & Biegler
-(Math. Program. 106, 2006, Sec. 2.3-2.4), without its feasibility
-restoration phase: a step is accepted if it reduces the constraint
-violation or the barrier objective enough and is not barred by the filter of
-earlier iterates.  The inertia is tested without
-an indefinite factorization: condensing the (regularized, negative
-definite) dual block leaves the primal Schur complement, and the KKT matrix
-has the wanted inertia iff that complement is positive definite, which a
-no-pivot sparse LU decides.  Bounds are relaxed slightly on the inside;
-reported objectives are always the true (unrelaxed) ones.
+The interior-point method uses a monotone barrier schedule, one sparse LU
+per inertia-correction attempt in the common case, inertia correction via
+Levenberg regularization, a fraction-to-boundary rule, and the filter line
+search with second-order corrections of Waechter & Biegler (Math. Program.
+106, 2006, Sec. 2.3-2.4), without its feasibility restoration phase: a step
+is accepted if it reduces the constraint violation or the barrier objective
+enough and is not barred by the filter of earlier iterates.  Bounds are
+relaxed slightly on the inside; reported objectives are always the true
+(unrelaxed) ones.
+
+Each attempt factors the quasi-definite KKT matrix, K with its equality
+block regularized to -delta_c, once: a symmetric LU with diagonal pivots
+only, under MMD on A'+A.  That LU gives the inertia (right when no pivot
+left the diagonal and exactly m pivots are negative) and the step, which is
+refined against K with its unregularized dual block and, where plain
+refinement stalls, by restarted GMRES preconditioned with the same LU; the
+step is accepted at a residual of at most `STEP_GATE` = 1e-14 times
+max(1, |rhs|_inf).  Two fallbacks keep the earlier two-LU path: where that
+LU pivots off the diagonal or counts other than m negative pivots, an LU of
+the primal Schur complement P decides the inertia (the KKT matrix has the
+wanted inertia iff P is positive definite, which a no-pivot LU decides);
+where the step misses the gate, an LU of K itself with COLAMD and partial
+pivoting gives it.  `NlpSolution` counts the LUs, the P tests and the
+COLAMD steps of a solve.
 
 A solve starts cold by default, for an x0 far from the optimum such as a
 flat start: the barrier parameter at mu0 = 1 and every bound and
@@ -28,14 +39,14 @@ a warm one.
 
 The KKT matrix and its Schur complement have one sparsity pattern for as
 long as the Hessian and Jacobian patterns stay the same, which for the
-problems of `scopf` is the whole solve.  `_Kkt` compiles both patterns
-once and fills each attempt's values with one `np.bincount`.  K, the
-Schur complement and the Jacobians of `solve_square` above `DENSE_LU_MAX`
-rows are each factored by an `_LuPattern`: its first LU finds a
-fill-reducing ordering and bakes it into the pattern, and every LU then
-factors the pre-permuted matrix in natural order.  Every sparse LU goes
-through `_splu`, which calls SuperLU (Li 2005, ACM TOMS 31(3)) with
-relax=1 and panel_size=1.  These matrices have a few nonzeros per column,
+problems of `scopf` is the whole solve.  `_Kkt` compiles the quasi-definite
+pattern once, and each fallback's pattern on its first use, and fills each
+attempt's values with one `np.bincount`.  These three patterns and the
+Jacobians of `solve_square` above `DENSE_LU_MAX` rows are each factored by
+an `_LuPattern`: its first LU finds a fill-reducing ordering and bakes it
+into the pattern, and every LU then factors the pre-permuted matrix in
+natural order.  Every sparse LU goes through `_splu`, which calls SuperLU
+(Li 2005, ACM TOMS 31(3)) with relax=1 and panel_size=1.  These matrices have a few nonzeros per column,
 and against SuperLU's default supernode relaxation and panel size the two
 settings take 20-40 % off each LU, on a 2-core x86 host: 48 against 62 us
 for an 80-row screening Jacobian, 24-27 against 29-35 ms for a 300-bus base
@@ -56,7 +67,9 @@ from __future__ import annotations
 
 import copy
 import time
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -109,6 +122,12 @@ class NlpSolution:
     # the KKT error E0 and barrier parameter of the last iterate examined
     kkt_error: float = np.inf
     mu: float = 0.0
+    # KKT LUs made (SuperLU calls, orderings included), attempts whose
+    # inertia the Schur complement decided, and attempts whose step needed
+    # K's own LU (see `_Kkt`)
+    lus: int = 0
+    p_tests: int = 0
+    colamd_steps: int = 0
 
 
 class _Pattern:
@@ -260,41 +279,74 @@ def _row_stack(A, B):
 
 class _Kkt:
     """KKT matrix K = [[W, J'], [J, -diag(d)]] with W = Hs + diag(w_diag),
-    where Hs is the symmetric matrix whose lower triangle is Hl, and the
-    Schur complement P = W + J' diag(1/d) J of its inertia test, compiled for
-    one pattern of Hl (CSC) and J (CSR).
+    where Hs is the symmetric matrix whose lower triangle is Hl, compiled for
+    one pattern of Hl (CSC) and J (CSR), and the LUs of each
+    inertia-correction attempt on it (`factor`).
 
     Each matrix is filled from the values of Hl, w_diag, J and d with one
     `np.bincount`: the raw entries of W are Hl's, the mirror of its
-    off-diagonal ones and the diagonal; those of P add S[k,a] S[k,b] for
-    every pair (a, b) of entries in one row k of S = diag(1/sqrt(d)) J.
-    P and K are `_LuPattern`s: P is ordered by MMD on rows and columns and
-    factored without pivoting, K is ordered by COLAMD on columns and factored
-    with partial pivoting.
+    off-diagonal ones and the diagonal.  An attempt makes one LU in the
+    common case, of the quasi-definite matrix: K with its equality block
+    regularized to -delta_c.  Where W is positive definite, that matrix is
+    symmetric quasi-definite and has an LDL' factorization under any
+    symmetric ordering (Vanderbei 1995, SIAM J. Optim. 5(1)), so its
+    pattern `Q` is ordered by MMD on A'+A, baked into rows and columns, and
+    factored with diagonal pivots only.  That one LU decides the inertia,
+    which is right when no pivot left the diagonal and exactly m pivots are
+    negative, and gives the step (`_KktSolve`).  Two fallbacks keep the
+    two-LU path, each compiled on first use:
+
+    - when the LU pivots off the diagonal or counts other than m negative
+      pivots, the Schur complement P = W + J' diag(1/d) J decides the
+      inertia; its raw entries add S[k,a] S[k,b] for every pair (a, b) of
+      entries in one row k of S = diag(1/sqrt(d)) J, and `P` is ordered by
+      MMD on rows and columns and factored without pivoting;
+    - when the step misses `STEP_GATE`, an LU of K itself gives it; `K` is
+      ordered by COLAMD on columns and factored with partial pivoting.
+
+    `counts` tallies the LUs made, the P tests and the COLAMD steps.
     """
 
     def __init__(self, Hl, J):
         n, m = Hl.shape[0], J.shape[0]
+        self.n, self.m = n, m
         self.structure = tuple(np.array(a) for a in self._structure(Hl, J))
         h_col = np.repeat(np.arange(n), np.diff(Hl.indptr))
         self._mirror = np.flatnonzero(Hl.indices != h_col)
         diag = np.arange(n)
         w_rows = np.concatenate((Hl.indices, h_col[self._mirror], diag))
         w_cols = np.concatenate((h_col, Hl.indices[self._mirror], diag))
+        self._n_w = len(w_rows)
         self._j_row = np.repeat(np.arange(m), np.diff(J.indptr))
-        # entry pairs (a, b) within a row: entry a once per entry b of its row
-        per_row = np.diff(J.indptr)[self._j_row]
-        self._pa = np.repeat(np.arange(len(self._j_row)), per_row)
-        first_pair = np.repeat(np.cumsum(per_row) - per_row, per_row)
-        self._pb = (np.repeat(J.indptr[self._j_row], per_row)
-                    + np.arange(len(self._pa)) - first_pair)
-        self.P = _LuPattern(np.concatenate((w_rows, J.indices[self._pa])),
-                            np.concatenate((w_cols, J.indices[self._pb])),
-                            n, "MMD_AT_PLUS_A", symmetric=True)
         j_row, dual = n + self._j_row, n + np.arange(m)
-        self.K = _LuPattern(np.concatenate((w_rows, j_row, J.indices, dual)),
-                            np.concatenate((w_cols, J.indices, j_row, dual)),
-                            n + m, "COLAMD")
+        self._entries = (np.concatenate((w_rows, j_row, J.indices, dual)),
+                         np.concatenate((w_cols, J.indices, j_row, dual)))
+        self.Q = _LuPattern(*self._entries, n + m, "MMD_AT_PLUS_A", symmetric=True)
+        self.counts = Counter()
+
+    @cached_property
+    def _pairs(self):
+        """Entry pairs (a, b) within a row of J: entry a once per entry b of
+        its row."""
+        indptr = self.structure[2]
+        per_row = np.diff(indptr)[self._j_row]
+        pa = np.repeat(np.arange(len(self._j_row)), per_row)
+        first_pair = np.repeat(np.cumsum(per_row) - per_row, per_row)
+        return pa, (np.repeat(indptr[self._j_row], per_row)
+                    + np.arange(len(pa)) - first_pair)
+
+    @cached_property
+    def P(self):
+        pa, pb = self._pairs
+        j_cols = self.structure[3]
+        rows, cols = (e[:self._n_w] for e in self._entries)
+        return _LuPattern(np.concatenate((rows, j_cols[pa])),
+                          np.concatenate((cols, j_cols[pb])),
+                          self.n, "MMD_AT_PLUS_A", symmetric=True)
+
+    @cached_property
+    def K(self):
+        return _LuPattern(*self._entries, self.n + self.m, "COLAMD")
 
     @staticmethod
     def _structure(Hl, J):
@@ -305,18 +357,39 @@ class _Kkt:
         return all(np.array_equal(a, b)
                    for a, b in zip(self.structure, self._structure(Hl, J)))
 
+    def _lu(self, pattern, vals):
+        """`pattern.lu(vals)`, its SuperLU calls tallied."""
+        first = pattern.pos is None
+        out = pattern.lu(vals)
+        self.counts["lus"] += 1 + (first and pattern.pos is not None)
+        return out
+
     def _w_values(self, h, w_diag):
         return np.concatenate((h, h[self._mirror], w_diag))
 
     def schur(self, h, w_diag, j, d):
         """P's raw values, for values h of Hl and j of J."""
+        pa, pb = self._pairs
         scaled = j / np.sqrt(d[self._j_row])
-        return np.concatenate((self._w_values(h, w_diag),
-                               scaled[self._pa] * scaled[self._pb]))
+        return np.concatenate((self._w_values(h, w_diag), scaled[pa] * scaled[pb]))
 
     def values(self, h, w_diag, j, d):
         """K's raw values."""
         return np.concatenate((self._w_values(h, w_diag), j, j, -d))
+
+    def quasi_definite(self, h, w_diag, j, d):
+        """(lu, pos, ok): the LU of K with dual block -diag(d) (d > 0) as
+        `Q.lu` gives it, and whether it shows the inertia (n, m, 0).
+
+        With diagonal pivots only (perm_r == perm_c) the LU is an LDL' of
+        the symmetrically permuted K, whose D is U's diagonal, so by
+        Sylvester's law of inertia K has m negative eigenvalues iff D has m
+        negative entries (and none is 0, or the LU would have pivoted off
+        the diagonal).  False does not show a wrong inertia."""
+        _, lu, pos = self._lu(self.Q, self.values(h, w_diag, j, d))
+        ok = lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)) \
+            and np.count_nonzero(lu.U.diagonal() < 0.0) == self.m
+        return lu, pos, ok
 
     def inertia_ok(self, h, w_diag, j, d):
         """True iff K has inertia (n, m, 0), for d > 0.
@@ -327,18 +400,119 @@ class _Kkt:
         definite iff no off-diagonal pivot was needed and every pivot is
         positive.
         """
-        _, lu, _ = self.P.lu(self.schur(h, w_diag, j, d))
+        _, lu, _ = self._lu(self.P, self.schur(h, w_diag, j, d))
         return lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)
                                        and np.all(lu.U.diagonal() > 0.0))
 
-    def factor(self, h, w_diag, j, d):
-        """Solver of the KKT system: a function of the right-hand side, by a
-        refined LU of K; None if K is exactly singular."""
-        K, lu, pos = self.K.lu(self.values(h, w_diag, j, d))
-        return None if lu is None else lambda rhs: _refined_solve(K, lu, rhs)[pos]
+    def factor(self, h, w_diag, j, d, d_test):
+        """One attempt: the `_KktSolve` of K with dual block -diag(d), or
+        None if K with dual block -diag(d_test) has the wrong inertia.
+        d_test > 0 is d with the equality block regularized; the
+        quasi-definite LU is of that K, and P decides only where that LU
+        does not show the inertia."""
+        lu, pos, ok = self.quasi_definite(h, w_diag, j, d_test)
+        if not ok:
+            self.counts["p_tests"] += 1
+            if not self.inertia_ok(h, w_diag, j, d_test):
+                return None
+        return _KktSolve(self, self.values(h, w_diag, j, d), lu, pos)
 
 
-# iterative refinement steps after each KKT back-solve
+# a step from the quasi-definite LU is accepted when its residual against K
+# is at most STEP_GATE * max(1, |rhs|_inf)
+STEP_GATE = 1e-14
+# refinement steps against K before GMRES takes over (each must at least
+# halve the residual), and GMRES's Krylov vectors per cycle and cycles
+QD_REFINE_STEPS = 4
+GMRES_RESTART, GMRES_CYCLES = 20, 2
+
+
+class _KktSolve:
+    """Solver of K x = rhs for one attempt, a callable that returns x, or
+    None if K is exactly singular.  x comes from the quasi-definite LU where
+    `_gated_solve` meets the gate with it, else from an LU of K itself,
+    made at most once per attempt; `qd` says which solved the last rhs."""
+
+    def __init__(self, kkt, vals, lu, pos):
+        self.kkt, self.vals, self.lu, self.pos = kkt, vals, lu, pos
+        self.qd = False
+        self._A = self._k = None
+
+    def __call__(self, rhs):
+        self.qd = False
+        if self.lu is not None:
+            if self._A is None:
+                self._A = self.kkt.Q.pattern.matrix(self.vals)
+            b = np.empty_like(rhs)
+            b[self.pos] = rhs
+            x = _gated_solve(self._A, self.lu, b)
+            if x is not None:
+                self.qd = True
+                return x[self.pos]
+        if self._k is None:
+            self.kkt.counts["colamd_steps"] += 1
+            self._k = self.kkt._lu(self.kkt.K, self.vals)
+        K, lu, pos = self._k
+        return None if lu is None else _refined_solve(K, lu, rhs)[pos]
+
+
+def _gated_solve(A, lu, b):
+    """x with |b - A x|_inf <= STEP_GATE * max(1, |b|_inf), or None, from
+    an LU of a matrix near A: refined while each step at least halves the
+    residual, then by restarted GMRES preconditioned on the right with the
+    same LU (GMRES-based refinement, Carson & Higham 2017, SIAM J. Sci.
+    Comput. 39(6))."""
+    gate = STEP_GATE * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    x = lu.solve(b)
+    r = b - A @ x
+    norm = float(np.max(np.abs(r), initial=0.0))
+    for _ in range(QD_REFINE_STEPS):
+        if norm <= gate:
+            break
+        cand = x + lu.solve(r)
+        cand_r = b - A @ cand
+        cand_norm = float(np.max(np.abs(cand_r)))
+        if not cand_norm <= 0.5 * norm:
+            break
+        x, r, norm = cand, cand_r, cand_norm
+    if norm <= gate:
+        return x
+    return _gmres(A, lu, b, x, r, gate) if np.isfinite(norm) else None
+
+
+def _gmres(A, lu, b, x, r, gate):
+    """Restarted GMRES on A e = r, preconditioned on the right by lu, from
+    x with residual r = b - A x: the corrected x once its residual's max
+    norm is at most gate, or None after GMRES_CYCLES cycles."""
+    rows = GMRES_RESTART + 1
+    for _ in range(GMRES_CYCLES):
+        beta = float(np.linalg.norm(r))
+        V = np.empty((rows, len(b)))
+        Z = np.empty((GMRES_RESTART, len(b)))
+        H = np.zeros((rows, GMRES_RESTART))
+        e1 = np.zeros(rows)
+        e1[0] = beta
+        V[0] = r / beta
+        for k in range(GMRES_RESTART):
+            Z[k] = lu.solve(V[k])
+            v = A @ Z[k]
+            for i in range(k + 1):  # modified Gram-Schmidt
+                H[i, k] = V[i] @ v
+                v -= H[i, k] * V[i]
+            H[k + 1, k] = np.linalg.norm(v)
+            y = np.linalg.lstsq(H[:k + 2, :k + 1], e1[:k + 2], rcond=None)[0]
+            if np.linalg.norm(e1[:k + 2] - H[:k + 2, :k + 1] @ y) <= gate \
+                    or not H[k + 1, k] > 0.0:
+                break
+            V[k + 1] = v / H[k + 1, k]
+        x = x + y @ Z[:k + 1]
+        r = b - A @ x
+        if np.max(np.abs(r)) <= gate:
+            return x
+    return None
+
+
+# iterative refinement steps after each back-solve of K's own LU
 REFINE_STEPS = 2
 
 
@@ -430,6 +604,9 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     `objective`, `kkt_error` and `mu` at the current iterate, and
     `delta_w`, `delta_c`, `factor_attempts`, `alpha_primal` and
     `alpha_dual` of the step that led to it (all 0 at the first iterate).
+    `delta_c` is the dual regularization of the LU that gave the step: the
+    quasi-definite one's delta_c (or the larger dc of an exactly singular
+    K), or K's own LU's dc, which is 0 unless K is exactly singular.
     """
     t_start = time.monotonic()
     n = prob.n
@@ -468,6 +645,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
     best = None
     kkt = None
+    counts = Counter()
 
     def viol(xv, cEv, cIv):
         v = 0.0
@@ -568,6 +746,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         J = _row_stack(JE, JI)
         if kkt is None or not kkt.fits(Hl, J):
             kkt = _Kkt(Hl, J)
+            kkt.counts = counts  # one tally across recompiled patterns
         sigma_x = np.where(fin_l, zl / np.maximum(gap_l, 1e-16), 0.0) \
             + np.where(fin_u, zu / np.maximum(gap_u, 1e-16), 0.0)
 
@@ -586,18 +765,19 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         # inertia-corrected factorization; dual regularization only kicks in
         # on singularity (e.g. duplicated equality rows) so well-posed
         # problems are solved without the delta_c bias.  The inertia test
-        # puts delta_c on the equality block even while dc is 0, so that its
-        # Schur complement exists.
+        # and the quasi-definite LU put delta_c on the equality block even
+        # while dc is 0.
         delta_w = 0.0
         dc = 0.0
-        solve = None
+        sol = None
         for attempt in range(1, 41):
             w_diag = sigma_x + delta_w
             d_dual = np.concatenate([np.full(me, dc), gap_t / w + dc])
             d_test = np.concatenate([np.full(me, dc or delta_c), gap_t / w + dc])
-            if kkt.inertia_ok(Hl.data, w_diag, J.data, d_test):
-                solve = kkt.factor(Hl.data, w_diag, J.data, d_dual)
-                if solve is not None:
+            solve = kkt.factor(Hl.data, w_diag, J.data, d_dual, d_test)
+            if solve is not None:
+                sol = solve(rhs)
+                if sol is not None:
                     break
                 dc = delta_c if dc == 0.0 else dc * 100.0  # K exactly singular
             if delta_w == 0.0:
@@ -606,14 +786,12 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                 delta_w *= 10.0
             if delta_w > 1e12:
                 break
-        if solve is None:
+        if sol is None or not np.all(np.isfinite(sol)):
             status = NUMERICAL_FAILURE
             break
         delta_w_last = delta_w
-        sol = solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            status = NUMERICAL_FAILURE
-            break
+        # the dual regularization of the LU that gave the step
+        dc_step = (dc or delta_c) if solve.qd else dc
 
         def split(sol):
             """(dx, dy, dw, dzl, dzu) of a KKT solution."""
@@ -672,7 +850,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             theta_old = theta_n
             for _ in range(MAX_SOC):
                 sol_s = solve(np.concatenate([-gbar, -c_soc_e, -(c_soc_i - gap_t + mu / w)]))
-                if not np.all(np.isfinite(sol_s)):
+                if sol_s is None or not np.all(np.isfinite(sol_s)):
                     return None
                 dx_s = sol_s[:n]
                 dt_s = -c_soc_i - JI @ dx_s
@@ -726,7 +904,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         w = np.maximum(w + a_dual * dw, 1e-300) if mi else w
         zl = np.where(fin_l, np.maximum(zl + a_dual * dzl, 1e-300), 0.0)
         zu = np.where(fin_u, np.maximum(zu + a_dual * dzu, 1e-300), 0.0)
-        last_step = dict(delta_w=delta_w, delta_c=dc, factor_attempts=attempt,
+        last_step = dict(delta_w=delta_w, delta_c=dc_step, factor_attempts=attempt,
                          alpha_primal=alpha, alpha_dual=a_dual)
 
     f, cE, cI = at_x if at_x is not None else values(x)
@@ -742,6 +920,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         x=x, lambda_eq=y, lambda_ineq=w, z_lower=zl, z_upper=zu,
         objective=f, status=status, iterations=it,
         constraint_violation=viol(x, cE, cI), kkt_error=e0, mu=mu,
+        lus=counts["lus"], p_tests=counts["p_tests"],
+        colamd_steps=counts["colamd_steps"],
     )
 
 

@@ -261,7 +261,8 @@ def _wall_limit(budget):
 def _solve_fields(sol):
     """Run-log fields of a base or master NLP solve."""
     return dict(status=sol.status, iterations=sol.iterations,
-                kkt_error=sol.kkt_error, mu=sol.mu)
+                kkt_error=sol.kkt_error, mu=sol.mu, lus=sol.lus,
+                p_tests=sol.p_tests, colamd_steps=sol.colamd_steps)
 
 
 def _reprice_base(net, point):

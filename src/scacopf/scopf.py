@@ -593,11 +593,23 @@ class _Assembler:
         return prob
 
 
+def _lift(asm, col):
+    """Drop the bounds of a column that an equality row pins to a value
+    within them: a bound that an equality already enforces is a degenerate
+    (LICQ-violating) constraint wherever it is active."""
+    asm.lb[col], asm.ub[col] = -INF, INF
+
+
 def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
     """Complementarity rows linking one contingency block to the base values.
 
     base_ref is either ("block", base_block, base_off) (master) or
-    ("fixed", OperatingPoint) (standalone contingency problem).
+    ("fixed", OperatingPoint) (standalone contingency problem).  Every column
+    that a row pins to a bounded value has its bounds lifted (`_lift`): p
+    and q at a LOWER or UPPER segment's limit, a non-responder's p at its
+    base output, and v at a MIDDLE reactive segment's base voltage; base and
+    contingency share their voltage and output bounds, and the base value
+    keeps them.
     """
     st = asm.structure
     lay = block.layout
@@ -637,6 +649,7 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
             # fixed rule: contingency output equals the base value
             asm.add_eq([(p_col, 1.0)] + [(c, -v) for c, v in b_entries_p],
                        -b_const_p)
+            _lift(asm, p_col)
         else:
             seg = compl_state.active[g.id]
             rho = ([(p_col, -1.0), (dcol, g.alpha)] +
@@ -648,7 +661,7 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
             else:
                 pin = g.p_min if seg == LOWER else g.p_max
                 asm.add_eq([(p_col, 1.0)], -pin)
-                asm.lb[p_col], asm.ub[p_col] = -INF, INF
+                _lift(asm, p_col)
                 s_lb, s_ub = (-INF, 0.0) if seg == LOWER else (0.0, INF)
                 scol = asm.add_var(s_lb, s_ub, 0.0)
                 asm.add_eq(rho + [(scol, -1.0)], b_const_p)
@@ -661,12 +674,13 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
         rho_q = [(v_col, -1.0)] + [(c, v) for c, v in b_entries_v]
         if seg == MIDDLE:
             asm.add_eq(rho_q, b_const_v)
+            _lift(asm, v_col)
             st.couplings.append(_CouplingRecord(
                 k.id, g.id, "reactive", MIDDLE, q_col, g.q_min, g.q_max))
         else:
             pin = g.q_min if seg == LOWER else g.q_max
             asm.add_eq([(q_col, 1.0)], -pin)
-            asm.lb[q_col], asm.ub[q_col] = -INF, INF
+            _lift(asm, q_col)
             s_lb, s_ub = (-INF, 0.0) if seg == LOWER else (0.0, INF)
             scol = asm.add_var(s_lb, s_ub, 0.0)
             asm.add_eq(rho_q + [(scol, -1.0)], b_const_v)

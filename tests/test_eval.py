@@ -384,16 +384,16 @@ def test_full_evaluations_on_14_buses_are_optimal():
         res = ev.full_evaluate(net, k, base, time_limit=10, deterministic=True)
         assert res.method == "full"
         rounds += res.nlp
-    assert [status for status, _, _ in rounds] == [nlp.OPTIMAL] * len(rounds)
-    assert sum(iterations for _, iterations, _ in rounds) <= 400
-    assert all(kkt_error <= 1e-8 for _, _, kkt_error in rounds)
+    assert [status for status, *_ in rounds] == [nlp.OPTIMAL] * len(rounds)
+    assert sum(iterations for _, iterations, *_ in rounds) <= 400
+    assert all(kkt_error <= 1e-8 for _, _, kkt_error, *_ in rounds)
 
 
 def test_full_evaluation_on_60_buses_is_optimal():
     net, base = generated_base(60)
     res = ev.full_evaluate(net, net.contingency("KG4"), base, time_limit=10,
                            deterministic=True)
-    assert res.nlp and all(status == nlp.OPTIMAL for status, _, _ in res.nlp)
+    assert res.nlp and all(status == nlp.OPTIMAL for status, *_ in res.nlp)
     assert res.penalty < 1e-6
 
 

@@ -527,20 +527,24 @@ def saddle_inertia_ok(W, J, d):
     return int(np.sum(ev > 0)) == n and int(np.sum(ev < 0)) == m
 
 
-def kkt_inertia_ok(W, J, d):
+def kkt_inertia_ok(W, J, d, verdict="inertia_ok"):
     """`_Kkt.inertia_ok` on the saddle-point matrix of dense W, J and d,
-    built from W's lower triangle as `solve_nlp` builds it."""
+    built from W's lower triangle as `solve_nlp` builds it; or, with
+    verdict="quasi_definite", whether the quasi-definite LU shows its
+    inertia."""
     Hl = sparse.tril(sparse.csc_matrix(W), format="csc")
     J = sparse.csr_matrix(sparse.csc_matrix(J))
-    return nlp._Kkt(Hl, J).inertia_ok(Hl.data, np.zeros(W.shape[0]), J.data, d)
+    out = getattr(nlp._Kkt(Hl, J), verdict)(Hl.data, np.zeros(W.shape[0]), J.data, d)
+    return out[2] if verdict == "quasi_definite" else out
 
 
 def test_inertia_counting_matches_eigvals():
     # the positive-definiteness test of the condensed matrix must agree with
     # the eigenvalues of the saddle-point matrix, on both sides of the
-    # boundary where the condensed matrix becomes singular
+    # boundary where the condensed matrix becomes singular; the
+    # quasi-definite LU's verdict never accepts an inertia they reject
     rng = np.random.default_rng(11)
-    seen = set()
+    seen, qd_seen = set(), []
     for trial in range(60):
         n = int(rng.integers(2, 12))
         m = int(rng.integers(0, n + 3))
@@ -559,7 +563,11 @@ def test_inertia_counting_matches_eigvals():
             got = kkt_inertia_ok(Ws, J, d)
             assert got == expected, (trial, shift)
             seen.add(expected)
+            qd = kkt_inertia_ok(Ws, J, d, "quasi_definite")
+            assert expected or not qd, (trial, shift)
+            qd_seen.append(qd)
     assert seen == {True, False}
+    assert any(qd_seen)
 
 
 @pytest.mark.parametrize("W", [[[0.0, 1.0], [1.0, 0.0]],   # zero diagonal
@@ -611,10 +619,14 @@ def max_rel_diff(A, B):
 
 @pytest.mark.parametrize("kind", ["base", "ctg", "master"])
 def test_kkt_matches_reference_assembly(net5, kind):
-    # the compiled K and Schur complement P equal the sparse-algebra
-    # assembly, before and after the first factorizations bake their column
-    # orderings in, and the step of the pre-permuted natural-order LU equals
-    # the step of an LU of the reference K
+    # the compiled quasi-definite matrix, K and Schur complement P equal the
+    # sparse-algebra assembly, before and after the first factorizations
+    # bake their orderings in (the quasi-definite matrix and P on rows and
+    # columns, K on columns); the quasi-definite LU, refined against its
+    # matrix, solves like an LU of the reference quasi-definite matrix, and
+    # the step of an attempt equals the step of an LU of the reference K
+    # (on these random values, with condition numbers of 1e9-1e10, the
+    # quasi-definite step misses the residual gate and K's own LU gives it)
     prob = scopf_problems(net5)[kind]
     rng = np.random.default_rng(5)
     lo = np.where(np.isfinite(prob.lb), prob.lb, prob.x0 - 1.0)
@@ -634,6 +646,7 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 d_test = np.concatenate([np.full(me, dc or 1e-8), t / w + dc])
                 W = Hl + Hl.T - sparse.diags(Hl.diagonal()) + sparse.diags(w_diag)
                 K_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d)]], format="csc")
+                Q_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d_test)]], format="csc")
                 P_ref = (W + J.T @ sparse.diags(1.0 / d_test) @ J).tocsc()
 
                 p_pos = kkt.P.pos if kkt.P.pos is not None else np.arange(prob.n)
@@ -641,16 +654,59 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 assert max_rel_diff(P[p_pos][:, p_pos], P_ref) <= 1e-14
                 kkt.inertia_ok(Hl.data, w_diag, J.data, d_test)
 
+                q_pos = kkt.Q.pos if kkt.Q.pos is not None else np.arange(K_ref.shape[0])
+                Q = kkt.Q.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d_test))
+                assert max_rel_diff(Q[q_pos][:, q_pos], Q_ref) <= 1e-14
+
                 k_pos = kkt.K.pos if kkt.K.pos is not None else np.arange(K_ref.shape[0])
                 K = kkt.K.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d))
                 assert max_rel_diff(K[:, k_pos], K_ref) <= 1e-14
                 rhs = rng.normal(size=K_ref.shape[0])
-                step = kkt.factor(Hl.data, w_diag, J.data, d)(rhs)
+                lu, pos, _ = kkt.quasi_definite(Hl.data, w_diag, J.data, d_test)
+                Q = kkt.Q.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d_test))
+                b = np.empty_like(rhs)
+                b[pos] = rhs
+                ref = splu(Q_ref).solve(rhs)
+                step = nlp._refined_solve(Q, lu, b)[pos]
+                assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
+                step = kkt.factor(Hl.data, w_diag, J.data, d, d_test)(rhs)
                 ref = splu(K_ref).solve(rhs)
                 assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
-        # the orderings are baked in, and not the identity
-        for pos in (kkt.P.pos, kkt.K.pos):
-            assert pos is not None and np.any(pos != np.arange(len(pos)))
+        # the orderings of the patterns that were factored are baked in, and
+        # are not the identity
+        assert kkt.Q.pos is not None and kkt.P.pos is not None
+        for pattern in (kkt.Q, kkt.P, kkt.K):
+            if pattern.pos is not None:
+                assert np.any(pattern.pos != np.arange(len(pattern.pos)))
+
+
+def test_one_lu_per_attempt(net5, monkeypatch):
+    # base, contingency and master solves make one LU per inertia-correction
+    # attempt, of the quasi-definite matrix, plus the first LU of each
+    # pattern, which finds its ordering.  The Schur complement's test runs
+    # at most once a solve (at the last attempt of the base and master
+    # solves that LU pivots off the diagonal), and K's own LU never; the
+    # counts of the solution agree
+    calls = []
+
+    def spy(A, permc_spec, symmetric=False):
+        calls.append((permc_spec, symmetric))
+        return splu_tuned(A, permc_spec, symmetric)
+
+    splu_tuned = nlp._splu
+    monkeypatch.setattr(nlp, "_splu", spy)
+    for kind, prob in scopf_problems(net5).items():
+        calls.clear()
+        records = []
+        sol = solve_nlp(prob, tol=1e-8, log=records.append)
+        assert sol.status == nlp.OPTIMAL, kind
+        attempts = sum(r["factor_attempts"] for r in records)
+        assert attempts >= sol.iterations - 1 > 1, kind
+        assert sol.p_tests <= 1 and sol.colamd_steps == 0, kind
+        assert set(calls) <= {("MMD_AT_PLUS_A", True), ("NATURAL", True)}, kind
+        assert calls.count(("MMD_AT_PLUS_A", True)) == 1 + (sol.p_tests > 0), kind
+        assert calls.count(("NATURAL", True)) == attempts + sol.p_tests, kind
+        assert len(calls) == sol.lus, kind
 
 
 def test_kkt_pattern_compiled_once(net5, monkeypatch):

@@ -350,7 +350,8 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
 
     def spy(*a, **kw):
         sol = real(*a, **kw)
-        solved.append([sol.status, sol.iterations, sol.kkt_error])
+        solved.append([sol.status, sol.iterations, sol.kkt_error, sol.lus,
+                       sol.p_tests, sol.colamd_steps])
         return sol
 
     monkeypatch.setattr(orch, "solve_nlp", spy)
@@ -360,7 +361,8 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
     for rec in map(json.loads, open(res.log_path)):
         if rec["event"] in ("base-solve-retry", "base-solved", "master-solved",
                             "master-failed"):
-            logged.append([rec["status"], rec["iterations"], rec["kkt_error"]])
+            logged.append([rec[key] for key in ("status", "iterations", "kkt_error",
+                                                "lus", "p_tests", "colamd_steps")])
             assert rec["mu"] > 0.0
             sources.add(rec["event"])
         elif rec["event"] == "evaluated" and rec["nlp"]:

@@ -270,6 +270,44 @@ def test_contingency_solve_and_signals(net5):
     assert ("CG2", "G2", "reactive") not in signals  # outaged generator
 
 
+def test_pinned_columns_carry_no_bounds(net5):
+    # the base voltages at both generator buses sit at v_max, and CL3 leaves
+    # G2 out of the response: the coupling rows pin v_ctg at both generator
+    # buses (MIDDLE reactive segments) and G2's p_ctg to base values within
+    # their bounds, so those columns carry no bounds, in the standalone
+    # problem and in the master, where the base columns keep theirs (a
+    # bound and an equality pinning one column violate LICQ wherever the
+    # bound is active); the contingency NLP reaches optimal
+    from dataclasses import replace
+    from scacopf.case_model import Contingency
+
+    net = replace(net5, contingencies=net5.contingencies
+                  + (Contingency("CL3", "line-outage", "L3", ("G1",)),))
+    base_prob, base_sol = solve_base(net)
+    base = base_prob.meta.extract_base(base_sol.x)
+    gen_buses = [net.bus_index(g.bus) for g in net.generators]
+    base.state.v[gen_buses] = [net.buses[i].v_max for i in gen_buses]
+    k = net.contingency("CL3")
+    state = compl.init_default(net, k)
+    assert set(state.reactive.values()) == {scopf.MIDDLE}
+    prob = scopf.build_contingency_problem(net, k, base, state)
+    master = scopf.build_master_problem(scopf.MasterSpec(
+        net=net, included=("CL3",), compl={"CL3": state}, base_point=base))
+    for p in (prob, master):
+        block, off = p.meta.ctg_blocks["CL3"]
+        lay = block.layout
+        pinned = [off + lay.v0 + i for i in gen_buses] + [
+            off + lay.p0 + lay.gen_col[gi] for gi, g in lay.avail_gens
+            if g.id not in k.responding_gens]
+        assert len(pinned) == 3
+        assert np.all(p.lb[pinned] == -np.inf) and np.all(p.ub[pinned] == np.inf)
+    base_lay = master.meta.base_block.layout
+    base_v = master.meta.base_off + base_lay.v0 + np.array(gen_buses)
+    assert np.all(np.isfinite(master.lb[base_v]) & np.isfinite(master.ub[base_v]))
+    sol = solve_nlp(prob, tol=1e-8)
+    assert sol.status == nlp.OPTIMAL
+
+
 def _seed_ctg_point_loop(net, k, base_point, compl_state):
     """Per-generator reference for `scopf._seed_ctg_point`."""
     state = base_point.state.copy()
