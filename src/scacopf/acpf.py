@@ -224,17 +224,18 @@ class CaseLayout:
 
     # --- values on a flat layout vector x ---------------------------------
 
-    def _branch_terms(self, x):
+    def branch_terms(self, x):
         """(vx, c, s): per branch, the voltage at each flow side's
         squared-voltage end (v_o, v_o, v_d, v_d), and cos d and sin d as
-        columns."""
+        columns.  `flow_values` and `jac_head` take them as `terms`, so a
+        caller that needs both at one x gathers and evaluates them once."""
         g = x[self._branch_cols]
         d = g[:, 4] - g[:, 5] - self.phi
         return g[:, :4], np.cos(d)[:, None], np.sin(d)[:, None]
 
-    def flow_values(self, x):
+    def flow_values(self, x, terms=None):
         """Flow expressions, shape (in-service branches, 4)."""
-        vx, c, s = self._branch_terms(x)
+        vx, c, s = self.branch_terms(x) if terms is None else terms
         return self.K * vx * vx + (self.P * c + self.Q * s) * (vx[:, 0] * vx[:, 2])[:, None]
 
     def balance(self, x):
@@ -275,10 +276,10 @@ class CaseLayout:
                 np.arange(self.p0, self.nvar), fc, self._line_v]
         return np.concatenate(rows), np.concatenate(cols)
 
-    def jac_head(self, x):
+    def jac_head(self, x, terms=None):
         """The first `n_jac_head` entries of `jac_values`: the flow rows, the
         shunt entries and the generator outputs' entries."""
-        return self._fill_head(x, self._jac_const[:self.n_jac_head].copy())
+        return self._fill_head(x, self._jac_const[:self.n_jac_head].copy(), terms)
 
     def jac_values(self, x):
         """Expression-Jacobian values on the `jac_pattern` entries."""
@@ -288,9 +289,9 @@ class CaseLayout:
         out[n + 4 * self.m:] = self._line_r2 * x[self._line_v]
         return out
 
-    def _fill_head(self, x, out):
+    def _fill_head(self, x, out, terms=None):
         m, nb = self.m, self.nb
-        vx, c, s = self._branch_terms(x)
+        vx, c, s = self.branch_terms(x) if terms is None else terms
         v_o, v_d = vx[:, :1], vx[:, 2:3]
         T = self.P * c + self.Q * s
         blk = out[:16 * m].reshape(m, 4, 4)
@@ -328,7 +329,7 @@ class CaseLayout:
         ``sum_r weights[r] * hess(expr_r)``."""
         m, nb = self.m, self.nb
         v = x[self.v0:self.v0 + nb]
-        vx, c, s = self._branch_terms(x)
+        vx, c, s = self.branch_terms(x)
         w = weights[:4 * m].reshape(m, 4)
         wK = 2.0 * w * self.K
         wT = (w * (self.P * c + self.Q * s)).sum(axis=1)

@@ -3,15 +3,13 @@
 Two engines estimate the post-contingency penalty of a base operating point:
 
 * ``fast_evaluate`` repeatedly solves a square system of nonlinear equations
-  (slack-free bus balance with the flows as functions of the voltages,
-  response rows for the current complementarity segments, and the angle
-  reference) with Newton steps, projects the result into bounds, and prices
-  the residual slacks.  Each step's LU is dense (LAPACK) for a system of at
-  most `nlp.DENSE_LU_MAX` = 128 rows (below about 50 buses), where
+  (the reduced polar power flow of `_SquareSystem`, with the response rule)
+  with Newton steps, projects the result into bounds, and prices the
+  residual slacks.  Each step's LU is dense (LAPACK) for a system of at
+  most `nlp.DENSE_LU_MAX` = 200 rows (up to about 120 buses), where
   SuperLU's fixed cost per call outweighs the elimination, and sparse
-  (SuperLU) above it: the measured crossover, where screening takes as long
-  either way, lies between 119 and 159 rows.  It is cheap and yields an
-  upper bound on the optimal penalty.
+  (SuperLU) above it: the measured crossover lies between 201 and 252
+  rows.  It is cheap and yields an upper bound on the optimal penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
   all-at-once complementarity segment updates.
 
@@ -146,19 +144,20 @@ class _Budget:
 
 
 class _SquareStructure:
-    """What a `_SquareSystem` compiles from its case alone: the unknown
-    columns, the Jacobian pattern with its LU (dense up to
-    `nlp.DENSE_LU_MAX` rows, else SuperLU with the ordering it keeps), and
-    the Jacobian's signs and constant entries.  It depends on the layout, the
-    responders and which of their segments are middle, and is kept in the
-    layout's `compiled` cache under those (see `of`).
-
-    Jacobian: each acpf flow-row entry, negated, goes into the P or Q
-    balance row of its flow's end bus; the balance-row entries on unknown
-    columns stay as they are; then the constant entries.  Repeated
-    (row, col) pairs add up.  Every selected acpf entry (`sel`) is among the
-    layout's `n_jac_head` leading ones.
-    """
+    """What a `_SquareSystem` compiles from its case alone, kept in the
+    layout's `compiled` cache under the responders and their middle masks
+    (see `of`): the unknown columns and kept balance rows, the Jacobian
+    pattern with its LU (dense up to `nlp.DENSE_LU_MAX` rows, else SuperLU
+    with the ordering it keeps), its signs and constants, and the reactive
+    shares.  Jacobian: each acpf flow-row entry, negated, goes into the
+    balance row of its flow's end bus, balance-row entries stay as they are,
+    and those in a dropped row or on a parameter column are left out; then
+    alpha in the P row of each middle responder's bus, on delta's column.
+    Repeated (row, col) pairs add up.  Every selected acpf entry (`sel`) is
+    among the layout's `n_jac_head` leading ones.  The middle generators at
+    a PV bus supply its Q together, each its q_min plus a share of the rest
+    in proportion to its reactive range (equal shares if all are 0), as
+    MATPOWER's ``pfsoln`` does: q = q_floor + q_share * Q."""
 
     @classmethod
     def of(cls, lay, ref, resp, p_mid, q_mid):
@@ -170,50 +169,56 @@ class _SquareStructure:
 
     def __init__(self, lay, ref, resp, p_mid, q_mid):
         nb, nfr = lay.nb, 4 * lay.m
-        p_cols = lay.p0 + lay.gen_col[resp]
-        q_cols = np.arange(lay.q0, lay.fl0)
-        self.cols = np.concatenate((np.arange(lay.v0, lay.th0 + nb), p_cols, q_cols))
-        col_pos = np.full(lay.nvar, -1, dtype=int)
-        col_pos[self.cols] = np.arange(len(self.cols))
-        delta_col = len(self.cols)
-        self.n = delta_col + 1
-
+        pq_bus = np.setdiff1d(np.arange(nb), lay.gen_bus[q_mid])
+        self.cols = np.concatenate((lay.v0 + pq_bus,
+                                    lay.th0 + np.delete(np.arange(nb), ref)))
+        # balance rows kept, P then Q, as indices of `lay.balance`'s (P, Q)
+        self.rows = np.concatenate((np.arange(nb), nb + pq_bus))
+        self.n = len(self.rows)
+        col_pos = np.full(lay.nvar, -1)
+        col_pos[self.cols] = np.arange(self.n - 1)
+        # system row of each acpf row (-1 for the rating rows and dropped ones)
+        row_pos = np.full(2 * nb + 1, -1)
+        row_pos[self.rows] = np.arange(self.n)
         jr, jc = lay.jac_pattern()
-        row_of = np.concatenate((lay.bal_row[lay.fl0 - lay.p0:], np.arange(2 * nb)))
-        self.sel = np.flatnonzero((jr < nfr + 2 * nb) & (col_pos[jc] >= 0))
+        r = row_pos[np.concatenate((lay.bal_row[lay.fl0 - lay.p0:], np.arange(2 * nb),
+                                    np.full(lay.nrows - nfr - 2 * nb, 2 * nb)))[jr]]
+        self.sel = np.flatnonzero((r >= 0) & (col_pos[jc] >= 0))
         self.sign = np.where(jr[self.sel] < nfr, -1.0, 1.0)
-        r_ref = 2 * nb
-        r_p = r_ref + 1 + np.arange(len(resp))
-        r_q = r_ref + 1 + len(resp) + np.arange(len(lay.gens))
-        pc, qc = col_pos[p_cols], col_pos[q_cols]
-        rows = [row_of[jr[self.sel]], [r_ref], r_p[p_mid], r_p, r_q]
-        cols = [col_pos[jc[self.sel]], [col_pos[lay.th0 + ref]],
-                np.full(p_mid.sum(), delta_col),
-                pc, np.where(q_mid, col_pos[lay.v0 + lay.gen_bus], qc)]
-        self.const = np.concatenate((
-            [1.0], lay.alpha[resp][p_mid], np.where(p_mid, -1.0, 1.0),
-            np.where(q_mid, -1.0, 1.0)))
+        mid = resp[p_mid]
+        self.const = lay.alpha[mid]
         # the one place a square system picks its LU by size
         lu_pattern = (_DenseLuPattern if self.n <= nlp_mod.DENSE_LU_MAX
                       else _LuPattern)
-        self.pattern = lu_pattern(np.concatenate(rows), np.concatenate(cols), self.n)
+        self.pattern = lu_pattern(
+            np.concatenate((r[self.sel], lay.gen_bus[lay.gen_col[mid]])),
+            np.concatenate((col_pos[jc[self.sel]], np.full(len(mid), self.n - 1))),
+            self.n)
+        g = np.flatnonzero(q_mid)
+        bus, q_min = lay.gen_bus[g], lay.q_min[lay.gens[g]]
+        self.q_cols, self.q_rows = lay.q0 + g, nb + bus
+        span = lay.q_max[lay.gens[g]] - q_min
+        total = np.bincount(bus, span, nb)[bus]
+        self.q_share = np.divide(span, total, where=total > 0,
+                                 out=1.0 / np.bincount(bus, minlength=nb)[bus])
+        self.q_floor = q_min - self.q_share * np.bincount(bus, q_min, nb)[bus]
 
 
 class _SquareSystem:
-    """Square response system for one contingency and one segment assignment.
+    """Square response system for one contingency and one segment
+    assignment, in the reduced polar form of the Newton power flow (Tinney
+    & Hart 1967; MATPOWER's ``newtonpf``).
 
-    Unknowns: all bus voltages and angles, responder active powers, available
-    generator reactive powers, and the response scalar.  Branch flows are
-    functions of the voltages, not unknowns (the polar Newton power flow of
-    MATPOWER's ``newtonpf``).  Shunt susceptances stay at the base values and
-    non-responding generators keep their base active power.
-    Rows: slack-free P/Q balance, the reference angle, one response row per
-    responder, one per available generator.  The Jacobian comes as raw
-    values on a pattern of the case's `_SquareStructure`, which factors it
-    with a dense LU up to `nlp.DENSE_LU_MAX` rows and with SuperLU above
-    (the crossover is measured at that constant); the
-    base point's data (the fixed template, base outputs and voltages, and
-    the pinned bounds) is the system's own.
+    A PV bus is the bus of an available generator whose reactive segment is
+    middle.  Unknowns: v at the other buses, theta at all but the reference
+    bus, and the response scalar delta.  Rows: slack-free P balance at every
+    bus and Q balance at the non-PV buses, 2 nb - |PV| each way.  The rest
+    are parameters in the template that each evaluation starts from:
+    theta_ref = 0, base voltages at PV buses, base shunts, non-responders'
+    base output, lower/upper pins, and middle generators' q at 0.  An
+    evaluation writes p = p_base + alpha delta for middle responders and
+    computes the flows from the voltages.  `expand` recovers the middle
+    generators' q from their buses' Q mismatch (see `_SquareStructure`).
     """
 
     def __init__(self, net, k, base, state):
@@ -221,8 +226,8 @@ class _SquareSystem:
         self.lay = lay
         self.ref = net.bus_index(net.reference_bus)
 
-        # response rows: a middle segment follows the response rule (active)
-        # or holds the base voltage (reactive); lower/upper pin the output
+        # a middle segment follows the response rule (active) or holds the
+        # base voltage (reactive: a PV bus); lower/upper pin the output
         resp = np.array([gi for gi, g in enumerate(net.generators)
                          if g.id in state.active], dtype=int)
         self.p_ids = [net.generators[gi].id for gi in resp]
@@ -237,23 +242,17 @@ class _SquareSystem:
         self.p_box = lay.p_min[resp], lay.p_max[resp]
         self.q_box = lay.q_min[lay.gens], lay.q_max[lay.gens]
         self.p_pin = np.where(self.p_low, *self.p_box)
-        self.q_pin = np.where(self.q_low, *self.q_box)
         self.alpha = lay.alpha[resp]
-        # fixed layout template: base shunts, base non-responder output
-        self.template = lay.pack(base.state)
         self.base_p = base.state.p_gen[resp]
         self.base_v = base.state.v[lay.gen_bus]
-
-    def voltage_x(self, z):
-        """The layout vector of z, flows still the template's."""
-        x = self.template.copy()
-        x[self.st.cols] = z[:-1]
-        return x
-
-    def full_x(self, z):
-        x = self.voltage_x(z)
-        x[self.lay.fl0:] = self.lay.flow_values(x).ravel()
-        return x
+        self.p_cols = lay.p0 + lay.gen_col[resp]
+        x = self.template = lay.pack(base.state)
+        x[lay.th0 + self.ref] = 0.0
+        x[self.p_cols] = np.where(self.p_mid, self.base_p, self.p_pin)
+        x[lay.q0:lay.fl0] = np.where(self.q_mid, 0.0, np.where(self.q_low, *self.q_box))
+        self._mid = (self.p_cols[self.p_mid], self.base_p[self.p_mid],
+                     self.alpha[self.p_mid])
+        self._at = (None,)  # (z, x, terms, balance) of the last residual
 
     def start(self, point, delta):
         z = np.empty(self.n)
@@ -262,57 +261,71 @@ class _SquareSystem:
         return z
 
     def residual(self, z):
-        # z holds v, theta, the responders' p and every q, in that order
-        nb, n_p = self.lay.nb, len(self.p_ids)
-        p_gen, q_gen = z[2 * nb:2 * nb + n_p], z[2 * nb + n_p:-1]
-        return np.concatenate((
-            *self.lay.balance(self.full_x(z)), z[nb + self.ref:nb + self.ref + 1],
-            np.where(self.p_mid, self.base_p + self.alpha * z[-1] - p_gen,
-                     p_gen - self.p_pin),
-            np.where(self.q_mid, self.base_v - z[self.lay.gen_bus], q_gen - self.q_pin)))
+        # z holds v at non-PV buses, theta at non-reference buses, and delta
+        lay, (cols, base_p, alpha) = self.lay, self._mid
+        x = self.template.copy()
+        x[self.st.cols] = z[:-1]
+        x[cols] = base_p + alpha * z[-1]
+        terms = lay.branch_terms(x)
+        x[lay.fl0:] = lay.flow_values(x, terms).ravel()
+        bal = np.concatenate(lay.balance(x))
+        self._at = (z.copy(), x, terms, bal)
+        return bal[self.st.rows]
+
+    def _evaluated(self, z):
+        # the last residual's work, redone if it was at another point
+        if not np.array_equal(self._at[0], z):
+            self.residual(z)
+        return self._at
 
     def jacobian(self, z):
-        """The Jacobian as `solve_square` takes it: the pattern and its raw
-        values."""
-        # every selected entry is a leading one, which reads no flow column
+        """The Jacobian as `solve_square` takes it, the pattern and its raw
+        values, from the layout vector and branch terms of the residual at
+        z (`solve_square` asks for it only at its last residual's point)."""
         st = self.st
-        jv = self.lay.jac_head(self.voltage_x(z))
+        _, x, terms, _ = self._evaluated(z)
+        jv = self.lay.jac_head(x, terms)
         return st.pattern, np.concatenate((jv[st.sel] * st.sign, st.const))
 
-    def raw_point(self, z):
-        """The point of the solution z for `compl.project_response`, which
-        reads its voltages, angles, shunts and reactive outputs and
-        recomputes the flows.  Its flows are NaN, not computed, so that any
-        other reader fails loudly."""
-        x = self.voltage_x(z)
-        x[self.lay.fl0:] = np.nan
-        st = self.lay.unpack(x)
+    def expand(self, z):
+        """The full point of z: its layout vector, with the parameters, the
+        unknowns, the middle responders' p and the middle generators'
+        recovered q, but NaN flows; then delta."""
+        st = self.st
+        _, x, _, bal = self._evaluated(z)
+        w = np.append(x, z[-1])
+        w[self.lay.fl0:-1] = np.nan
+        w[st.q_cols] = st.q_floor - st.q_share * bal[st.q_rows]
+        return w
+
+    def raw_point(self, w):
+        """The point of w (see `expand`) for `compl.project_response`, which
+        recomputes the flows; they stay NaN so that any other reader fails."""
         zero = np.zeros(self.lay.nb)
         return OperatingPoint(
-            state=st, sig_p_plus=zero.copy(), sig_p_minus=zero.copy(),
-            sig_q_plus=zero.copy(), sig_q_minus=zero.copy(),
-            sig_s=np.zeros(self.lay.nbr), delta=float(z[-1]),
+            state=self.lay.unpack(w), sig_p_plus=zero.copy(),
+            sig_p_minus=zero.copy(), sig_q_plus=zero.copy(),
+            sig_q_minus=zero.copy(), sig_s=np.zeros(self.lay.nbr),
+            delta=float(w[-1]),
         )
 
-    def updated_segments(self, state, z):
-        """`state` after the pre-projection segment update at the solution z.
-
-        A violated bound on a middle-segment variable pins it (upper bound
-        violated -> upper segment, lower -> lower); a pinned segment whose
-        one-sided response residual has the wrong sign releases back to
-        middle so the loop can revisit it.
-        """
-        nb, n_p = self.lay.nb, len(self.p_ids)
-        rho_p = self.base_p + self.alpha * z[-1] - self.p_pin
-        rho_q = self.base_v - z[self.lay.gen_bus]
+    def updated_segments(self, state, w):
+        """`state` after the pre-projection segment update at the full point
+        w (see `expand`): a violated bound on a middle-segment variable pins
+        it (upper bound violated -> upper segment, lower -> lower); a pinned
+        segment whose one-sided response residual has the wrong sign
+        releases back to middle so the loop can revisit it."""
+        lay = self.lay
+        rho_p = self.base_p + self.alpha * w[-1] - self.p_pin
+        rho_q = self.base_v - w[lay.v0 + lay.gen_bus]
         new = state.copy()
         # a loop over plain floats: on arrays of about ten generators, each
         # numpy call would cost more than the scalar work it replaces
         for table, ids, mid, low, val, (lo, hi), rho in (
                 (new.active, self.p_ids, self.p_mid, self.p_low,
-                 z[2 * nb:2 * nb + n_p], self.p_box, rho_p),
+                 w[self.p_cols], self.p_box, rho_p),
                 (new.reactive, self.q_ids, self.q_mid, self.q_low,
-                 z[2 * nb + n_p:-1], self.q_box, rho_q)):
+                 w[lay.q0:lay.fl0], self.q_box, rho_q)):
             for g, m, lw, v, vlo, vhi, r in zip(
                     ids, mid.tolist(), low.tolist(), val.tolist(), lo.tolist(),
                     hi.tolist(), rho.tolist()):
@@ -366,21 +379,20 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         if not np.all(np.isfinite(res.x)):
             status = "fallback"
             break
-        raw = sys_.raw_point(res.x)
-        new_state = sys_.updated_segments(state, res.x)
+        full = sys_.expand(res.x)
+        raw = sys_.raw_point(full)
+        new_state = sys_.updated_segments(state, full)
         new_state.delta = raw.delta
         proj = compl_mod.project_response(new_state, net, k, base, raw)
         pen = point_penalty(net, proj, k.outaged)
         if pen < best_pen - 1e-15:
             best_pen = pen
             best = (proj, new_state)
-        if prev_pen is not None and pen >= prev_pen - 1e-12:
-            state = new_state
-            point = proj
+        state, point = new_state, proj
+        # no decrease beyond rounding, relative to the penalty's size
+        if prev_pen is not None and pen >= prev_pen - 1e-12 * max(1.0, prev_pen):
             break
         prev_pen = pen
-        state = new_state
-        point = proj
         if below_cutoff(pen):
             break
 

@@ -53,12 +53,12 @@ for an 80-row screening Jacobian, 24-27 against 29-35 ms for a 300-bus base
 KKT matrix and 5.3-6.4 against 7.8-8.6 ms for its Schur complement.
 
 A SuperLU call also pays a fixed cost of about 30 us whatever the matrix,
-so a square Jacobian of at most `DENSE_LU_MAX` = 128 rows (the fast
-evaluation's Newton systems below about 50 buses; `eval._SquareStructure`
+so a square Jacobian of at most `DENSE_LU_MAX` = 200 rows (the fast
+evaluation's Newton systems up to about 120 buses; `eval._SquareStructure`
 makes the choice) is factored by a `_DenseLuPattern` instead: one
 `np.bincount` into an n x n array and LAPACK getrf, solved with getrs.  The
-constant is the measured crossover: screening with dense LUs is faster up
-to 119 rows, even at 159 and slower at 239 (figures at `DENSE_LU_MAX`).
+constant is the measured crossover: screening with dense LUs is faster at
+150 rows, even at 201 and 252 and slower at 293 (see `DENSE_LU_MAX`).
 `_Pattern` is the compiled sparsity pattern that every layer above fills
 its matrices with.
 """
@@ -211,12 +211,12 @@ class _LuPattern:
 # with a dense LU (`_DenseLuPattern`); larger ones go to SuperLU
 # (`_LuPattern`).  The crossover, on a 2-core x86 host with BLAS at 1 thread,
 # from the median time of `fast_evaluate` on every contingency of `gen-case`
-# n --seed 3 with each factorizer (8 alternating sweeps a run): dense is 24 %
-# faster at 35-37 rows (n = 14), 22 % at 79 (n = 30), 11-16 % at 119
-# (n = 45), even at 159 (n = 60; four runs from 15 % faster to 4 % slower)
-# and 28-63 % slower at 239 (n = 90).  At 79 rows an LU and one solve take
-# 43-72 us dense against 61-107 us on SuperLU.
-DENSE_LU_MAX = 128
+# n --seed 3 with each factorizer (4-6 alternating sweeps a run): dense is
+# 14-18 % faster at 150 rows (n = 90), even at 201 (n = 120; 24 % faster to
+# 16 % slower) and 252 (n = 150; 10 % faster to 4 % slower), 32 % slower at
+# 293 (n = 175).  One fill, LU and solve: 33 against 77 us at 51 rows
+# (n = 30), even at 201 rows, 21-37 % slower at 251.
+DENSE_LU_MAX = 200
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -971,9 +971,10 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     column ordering it keeps from its first LU, or, for a system of at most
     `DENSE_LU_MAX` rows, a `_DenseLuPattern` with LAPACK's dense LU, which
     below that measured crossover costs less than SuperLU's fixed cost per
-    call (see the constant).  Backtracks on the residual norm,
-    with Levenberg-regularized least-squares steps, factored the same way, as
-    a fallback for singular Jacobians.  Returns the best iterate.
+    call (see the constant).  Backtracks on the residual norm, with
+    Levenberg-regularized least-squares steps, factored the same way, as a
+    fallback for singular Jacobians.  Returns the best iterate.  jac is
+    called only at the point of the last fun call, so it may reuse that call's work.
     """
     t_start = time.monotonic()
     x = np.asarray(x0, float).copy()

@@ -107,6 +107,25 @@ def test_fast_infinite_cutoff_runs_loop(solved5):
     assert with_inf.penalty == pytest.approx(with_zero.penalty, abs=1e-12)
 
 
+def test_fast_loop_stops_when_the_penalty_falls_by_rounding_only(solved5, monkeypatch):
+    # a round that lowers a penalty of 2e6 by 1e-9, far below its rounding
+    # error, ends the loop however small the step in absolute terms
+    net, base = solved5
+    penalties = iter([5e6, 2e6] + [2e6 - 1e-9 * i for i in range(1, 20)])
+    monkeypatch.setattr(ev, "point_penalty", lambda *args: next(penalties))
+    rounds = []
+    real_solve = ev.solve_square
+
+    def counting_solve(*args, **kwargs):
+        rounds.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "solve_square", counting_solve)
+    res = ev.fast_evaluate(net, net.contingency("CL2"), base)
+    assert len(rounds) == 2
+    assert res.penalty == 2e6 - 1e-9
+
+
 def test_fast_newton_failure_falls_back(solved5, monkeypatch):
     net, base = solved5
     k = net.contingency("CG2")
@@ -260,7 +279,8 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
 def test_square_system_evaluates_the_kernel_entries_it_selects(ctg_id):
     # the Jacobian's values are the full acpf kernel's selected entries,
     # signed, then the constants, though only the leading ones are
-    # evaluated; the residual's balance rows are the kernel's balance
+    # evaluated; the residual is the kernel's balance at the kept rows, and
+    # the reference angle is a parameter at 0
     from conftest import five_bus_net
     net = five_bus_net()
     k = net.contingency(ctg_id)
@@ -270,11 +290,13 @@ def test_square_system_evaluates_the_kernel_entries_it_selects(ctg_id):
     assert st.sel.max() < lay.n_jac_head
     z = sys_.start(base, 0.05) + np.random.default_rng(3).uniform(-0.05, 0.05, sys_.n)
     _, vals = sys_.jacobian(z)
-    full = lay.jac_values(sys_.full_x(z))
+    x = sys_.expand(z)[:lay.nvar]
+    x[lay.fl0:] = lay.flow_values(x).ravel()
+    full = lay.jac_values(x)
     np.testing.assert_array_equal(vals, np.concatenate((full[st.sel] * st.sign, st.const)))
     r = sys_.residual(z)
-    np.testing.assert_array_equal(r[:2 * lay.nb], np.concatenate(lay.balance(sys_.full_x(z))))
-    assert r[2 * lay.nb] == z[lay.nb + sys_.ref]
+    np.testing.assert_array_equal(r, np.concatenate(lay.balance(x))[st.rows])
+    assert x[lay.th0 + sys_.ref] == 0.0
 
 
 def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
@@ -314,10 +336,12 @@ def test_square_system_raw_point_flows_are_defined(ctg_id):
     base = scopf.default_start(net)
     state = compl.init_default(net, k)
     sys_ = ev._SquareSystem(net, k, base, state)
-    # unknowns: v and theta per bus, responder p, available q, and delta
-    assert sys_.n == 2 * len(net.buses) + len(state.active) + len(state.reactive) + 1
+    # unknowns: v at non-PV buses, theta at non-reference buses, and delta;
+    # every available generator is middle, so its bus is PV
+    pv = {g.bus for g in net.generators if g.id in state.reactive}
+    assert sys_.n == 2 * len(net.buses) - len(pv)
     z = sys_.start(base, 0.05) + np.random.default_rng(5).uniform(-0.05, 0.05, sys_.n)
-    raw = sys_.raw_point(z)
+    raw = sys_.raw_point(sys_.expand(z))
     assert np.isnan(raw.state.flows[sys_.lay.svc]).all()
     defined = raw.copy()
     defined.state = scopf.flows_from_state(net, raw.state, k.outaged)
@@ -329,6 +353,135 @@ def test_square_system_raw_point_flows_are_defined(ctg_id):
     for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus", "sig_q_minus", "sig_s"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.delta == want.delta
+
+
+def assert_solves_the_full_system(net, k, base, state, w):
+    """The full point w of a converged square solve (`_SquareSystem.expand`)
+    solves the unreduced system: P and Q balance at every bus, PV buses'
+    included with the recovered q, the reference angle at 0, middle
+    responders on the response rule, every pin held, and every PV bus at
+    its base voltage."""
+    lay = CaseLayout.of(net, k.outaged)
+    x = w[:lay.nvar].copy()
+    x[lay.fl0:] = lay.flow_values(x).ravel()
+    for mismatch in lay.balance(x):
+        assert np.max(np.abs(mismatch)) <= 1e-9
+    state_x = lay.unpack(x)
+    assert state_x.theta[net.bus_index(net.reference_bus)] == 0.0
+    delta = w[-1]
+    for gi, g in enumerate(net.generators):
+        if g.id == k.outaged:
+            continue
+        p, q, bus = state_x.p_gen[gi], state_x.q_gen[gi], net.bus_index(g.bus)
+        seg = state.active.get(g.id)
+        if seg == ev.MIDDLE:
+            assert p == base.state.p_gen[gi] + g.alpha * delta
+        elif seg is None:
+            assert p == base.state.p_gen[gi]
+        else:
+            assert p == (g.p_min if seg == ev.LOWER else g.p_max)
+        seg = state.reactive.get(g.id, ev.MIDDLE)
+        if seg == ev.MIDDLE:
+            assert state_x.v[bus] == base.state.v[bus]
+        else:
+            assert q == (g.q_min if seg == ev.LOWER else g.q_max)
+
+
+@pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
+def test_converged_square_solves_solve_the_full_system(ctg_id):
+    # every mix of segments, as in the finite-difference test, solved from
+    # the base point; those that converge are checked
+    from itertools import product
+    from conftest import five_bus_net
+    net = five_bus_net()
+    k = net.contingency(ctg_id)
+    base = scopf.default_start(net)
+    segs = (scopf.MIDDLE, scopf.LOWER, scopf.UPPER)
+    state = compl.init_default(net, k)
+    active, reactive = sorted(state.active), sorted(state.reactive)
+    solved = 0
+    for mix in product(segs, repeat=len(active) + len(reactive)):
+        state.active.update(zip(active, mix))
+        state.reactive.update(zip(reactive, mix[len(active):]))
+        sys_ = ev._SquareSystem(net, k, base, state)
+        res = nlp.solve_square(sys_.residual, sys_.jacobian,
+                               sys_.start(base, 0.0), tol=1e-10)
+        if res.status == nlp.SOLVED:
+            solved += 1
+            assert_solves_the_full_system(net, k, base, state, sys_.expand(res.x))
+    assert solved >= 3
+
+
+def net5_with_shared_bus():
+    """net5 with a second generator, G3, at G2's bus B3, and CL2 (line L2
+    out) with three responders."""
+    from conftest import five_bus_net, make_gen
+    net = five_bus_net()
+    return dataclasses.replace(
+        net, generators=net.generators + (make_gen("G3", "B3"),),
+        contingencies=(Contingency("CL2", "line-outage", "L2", ("G1", "G2", "G3")),))
+
+
+def test_generators_sharing_a_bus_share_its_reactive_injection(monkeypatch):
+    # two middle generators at one bus make one PV bus, not two rows that
+    # pin the same voltage: every Newton step is regular, no Levenberg step
+    # is taken, and the two (of equal reactive range) share the bus's q
+    net = net5_with_shared_bus()
+    prob = scopf.build_base_problem(net)
+    sol = nlp.solve_nlp(prob, tol=1e-8)
+    assert sol.status == nlp.OPTIMAL
+    base = prob.meta.extract_base(sol.x)
+    solves, steps = [], []
+    real_solve, real_levenberg = ev.solve_square, nlp._levenberg
+
+    def spy_solve(fun, jac, x0, **kw):
+        res = real_solve(fun, jac, x0, **kw)
+        solves.append((fun.__self__, res))
+        return res
+
+    def spy_levenberg(*args):
+        steps.append(1)
+        return real_levenberg(*args)
+
+    monkeypatch.setattr(ev, "solve_square", spy_solve)
+    monkeypatch.setattr(nlp, "_levenberg", spy_levenberg)
+    res = ev.fast_evaluate(net, net.contingency("CL2"), base)
+    assert res.status == "ok" and not steps
+    assert solves and all(r.status == nlp.SOLVED for _, r in solves)
+    for sys_, r in solves:
+        w = sys_.expand(r.x)
+        q = sys_.lay.unpack(w).q_gen
+        assert sys_.n == 2 * len(net.buses) - 2
+        assert q[1] == q[2]
+    g2, g3 = res.point.state.q_gen[1:]
+    assert g2 == g3
+
+
+def test_fast_evaluations_on_14_buses_solve_the_full_system(monkeypatch):
+    # every converged square solve of every contingency's fast evaluation
+    net, base = generated_base(14)
+    systems, solves = {}, []
+
+    class Recorded(ev._SquareSystem):
+        def __init__(self, net, k, base, state):
+            super().__init__(net, k, base, state)
+            systems[id(self)] = (k, base, state.copy())
+
+    real_solve = ev.solve_square
+
+    def spy_solve(fun, jac, x0, **kw):
+        res = real_solve(fun, jac, x0, **kw)
+        solves.append((fun.__self__, res))
+        return res
+
+    monkeypatch.setattr(ev, "_SquareSystem", Recorded)
+    monkeypatch.setattr(ev, "solve_square", spy_solve)
+    for k in net.contingencies:
+        ev.fast_evaluate(net, k, base)
+    converged = [(s, r) for s, r in solves if r.status == nlp.SOLVED]
+    assert len(converged) >= len(net.contingencies)
+    for sys_, r in converged:
+        assert_solves_the_full_system(net, *systems[id(sys_)], sys_.expand(r.x))
 
 
 def generated_base(n_bus):
@@ -539,9 +692,11 @@ def test_updated_segments_equals_loop_reference(net5, rng):
                 bus = net5.bus_index(g.bus)
                 point.state.v[bus] = base.state.v[bus] + rng.choice(
                     [-1e-3, -tol / 2, 0.0, tol / 2, 1e-3])
-            z = sys_.start(point, rng.choice([0.0, rng.uniform(-0.5, 0.5)]))
-            got = sys_.updated_segments(st, z)
-            raw = sys_.raw_point(z)
+            # the full point that `expand` would give, with these outputs
+            w = np.append(sys_.lay.pack(point.state),
+                          rng.choice([0.0, rng.uniform(-0.5, 0.5)]))
+            got = sys_.updated_segments(st, w)
+            raw = sys_.raw_point(w)
             want = _update_from_violations_loop(net5, k, st, base, raw, raw.delta)
             assert (got.active, got.reactive) == (want.active, want.reactive)
             assert (got.delta, got.shortfall) == (st.delta, st.shortfall)

@@ -356,6 +356,37 @@ def test_square_sparse_jacobian_never_densified(monkeypatch):
     assert np.max(np.abs(fun(res.x))) <= 1e-8
 
 
+def test_square_jacobian_is_taken_at_the_last_residual_point():
+    # Newton steps, backtracking (arctan from 3 overshoots) and the
+    # Levenberg fallback (a singular system): every jac call comes at the
+    # point of the last fun call
+    calls = []
+
+    def recorded(f, kind):
+        def call(x):
+            calls.append((kind, np.array(x, float)))
+            return f(x)
+        return call
+
+    def rank_one(x):
+        r = x[0] ** 2 + x[1] - 3.0
+        return np.array([r, r])
+
+    for fun, jac, x0 in (
+            (lambda x: np.arctan(x), lambda x: np.diag(1.0 / (1.0 + x * x)),
+             [3.0, -2.0]),
+            (rank_one, lambda x: np.array([[2 * x[0], 1.0], [2 * x[0], 1.0]]),
+             [1.0, 1.0])):
+        calls.clear()
+        solve_square(recorded(fun, "fun"), recorded(jac, "jac"), x0, tol=1e-12)
+        kinds = [kind for kind, _ in calls]
+        assert kinds.count("jac") >= 2 and kinds.count("fun") > kinds.count("jac")
+        for i, (kind, x) in enumerate(calls):
+            if kind == "jac":
+                last = next(y for k, y in reversed(calls[:i]) if k == "fun")
+                np.testing.assert_array_equal(x, last)
+
+
 def build_ybus(net):
     nb = len(net.buses)
     Y = np.zeros((nb, nb), complex)
