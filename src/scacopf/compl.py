@@ -4,7 +4,10 @@ Each responding generator carries an active-power segment and each available
 generator a reactive-power segment, each in {lower, middle, upper}.  The
 lower/upper segments pin the generator variable at its bound and relax the
 matching equation into a signed inequality; the middle segment enforces the
-matching equation exactly and keeps the variable bounds.
+matching equation exactly.  An active middle segment keeps p's bounds; a
+reactive one holds v at the base voltage of the generator's bus, and the NLP
+lifts that v's bounds, as it does those of every column an equation pins
+(see `scopf._add_coupling`).  `project_response` is `scopf`'s.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .acpf import CaseLayout
-from .scopf import DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint, _priced
+from .scopf import (DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint,
+                    project_response)
 
 __all__ = [
     "ComplementarityState",
@@ -158,34 +162,3 @@ def update_segments(state: ComplementarityState, signals):
             table[gen_id] = nxt
             changed = True
     return new, changed
-
-
-def project_response(state: ComplementarityState, net, k,
-                     base: OperatingPoint, raw_point: OperatingPoint):
-    """Clamp a raw square-system point into segment-consistent bounds.
-
-    Voltages and generator outputs are projected onto their boxes; pinned
-    segments land exactly on their bound; middle active-power segments follow
-    the response rule at the state's delta.  Flows and slacks are then
-    recomputed so the result is feasible with minimal slacks.
-    """
-    lay = CaseLayout.of(net, k.outaged)
-    raw, gens = raw_point.state, lay.gens
-    # the layout vector of the result: its outputs and flows are set below,
-    # so only the raw voltages, angles, shunts and reactive outputs are read
-    x = np.empty(lay.nvar)
-    x[lay.v0:lay.th0] = np.clip(raw.v, lay.v_min, lay.v_max)
-    x[lay.th0:lay.bcs0] = raw.theta
-    x[lay.bcs0:lay.p0] = np.clip(raw.bcs, lay.bcs_min, lay.bcs_max)
-    seg_p = np.array([state.active.get(g.id, "") for _, g in lay.avail_gens])
-    seg_q = np.array([state.reactive.get(g.id, MIDDLE) for _, g in lay.avail_gens])
-    p_min, p_max = lay.p_min[gens], lay.p_max[gens]
-    q_min, q_max = lay.q_min[gens], lay.q_max[gens]
-    base_p = base.state.p_gen[gens]
-    mid_p = np.clip(base_p + lay.alpha[gens] * state.delta, p_min, p_max)
-    x[lay.p0:lay.q0] = np.where(seg_p == LOWER, p_min, np.where(
-        seg_p == UPPER, p_max, np.where(seg_p == MIDDLE, mid_p, base_p)))
-    x[lay.q0:lay.fl0] = np.where(seg_q == LOWER, q_min, np.where(
-        seg_q == UPPER, q_max, np.clip(raw.q_gen[gens], q_min, q_max)))
-    x[lay.fl0:] = lay.flow_values(x).ravel()
-    return _priced(lay, x, lay.unpack(x), state.delta)

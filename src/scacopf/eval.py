@@ -2,16 +2,22 @@
 
 Two engines estimate the post-contingency penalty of a base operating point:
 
-* ``fast_evaluate`` repeatedly solves a square system of nonlinear equations
-  (the reduced polar power flow of `_SquareSystem`, with the response rule)
-  with Newton steps, projects the result into bounds, and prices the
-  residual slacks.  Each step's LU is dense (LAPACK) for a system of at
-  most `nlp.DENSE_LU_MAX` = 200 rows (up to about 120 buses), where
-  SuperLU's fixed cost per call outweighs the elimination, and sparse
-  (SuperLU) above it: the measured crossover lies between 201 and 252
-  rows.  It is cheap and yields an upper bound on the optimal penalty.
+* ``fast_evaluate`` starts from `fallback_result`, the base point projected
+  into the response rules (`compl.project_response`) and priced; each round
+  solves a square system of nonlinear equations (the reduced polar power
+  flow of `_SquareSystem`, with the response rule) with Newton steps,
+  updates the segments, and projects and prices the solution alike.  The
+  loop stops after a round priced at most the cutoff, or no more than 1e-12
+  of its size below the round before, or whose square solve failed (priced
+  and kept if best), or when the budget or its rounds run out.  Each step's
+  LU is dense (LAPACK) for a system of at most `nlp.DENSE_LU_MAX` = 200 rows
+  (up to about 120 buses), where SuperLU's fixed cost per call outweighs the
+  elimination, and sparse (SuperLU) above it: the measured crossover lies
+  between 201 and 252 rows.  It is cheap and yields an upper bound on the
+  optimal penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
-  all-at-once complementarity segment updates.
+  all-at-once complementarity segment updates; without a given start, its
+  first NLP starts from the same projected base point.
 
 ``prescreen_then_evaluate`` runs the fast engine first and escalates to the
 full engine only when the fast penalty exceeds a cutoff.
@@ -298,17 +304,6 @@ class _SquareSystem:
         w[st.q_cols] = st.q_floor - st.q_share * bal[st.q_rows]
         return w
 
-    def raw_point(self, w):
-        """The point of w (see `expand`) for `compl.project_response`, which
-        recomputes the flows; they stay NaN so that any other reader fails."""
-        zero = np.zeros(self.lay.nb)
-        return OperatingPoint(
-            state=self.lay.unpack(w), sig_p_plus=zero.copy(),
-            sig_p_minus=zero.copy(), sig_q_plus=zero.copy(),
-            sig_q_minus=zero.copy(), sig_s=np.zeros(self.lay.nbr),
-            delta=float(w[-1]),
-        )
-
     def updated_segments(self, state, w):
         """`state` after the pre-projection segment update at the full point
         w (see `expand`): a violated bound on a middle-segment variable pins
@@ -345,7 +340,8 @@ def fallback_result(net: Network, k, base: OperatingPoint, init_compl=None,
     the response rules of the starting segments, with slacks absorbing every
     residual, priced."""
     state = compl_mod.initial_state(net, k, base, init_compl)
-    point = compl_mod.project_response(state, net, k, base, base)
+    point = compl_mod.project_response(
+        state, net, k, base, CaseLayout.of(net, k.outaged).pack(base.state))
     return EvaluationResult(
         contingency_id=k.id, penalty=point_penalty(net, point, k.outaged),
         point=point, compl=state, method="fast", base_tag=base_tag,
@@ -380,14 +376,16 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
             status = "fallback"
             break
         full = sys_.expand(res.x)
-        raw = sys_.raw_point(full)
         new_state = sys_.updated_segments(state, full)
-        new_state.delta = raw.delta
-        proj = compl_mod.project_response(new_state, net, k, base, raw)
+        new_state.delta = float(full[-1])
+        proj = compl_mod.project_response(new_state, net, k, base, full)
         pen = point_penalty(net, proj, k.outaged)
         if pen < best_pen - 1e-15:
             best_pen = pen
             best = (proj, new_state)
+        # a failed solve's point is priced, but no start for another round
+        if res.status == nlp_mod.FAILED:
+            break
         state, point = new_state, proj
         # no decrease beyond rounding, relative to the penalty's size
         if prev_pen is not None and pen >= prev_pen - 1e-12 * max(1.0, prev_pen):

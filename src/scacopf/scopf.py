@@ -29,6 +29,7 @@ __all__ = [
     "penalty_cost",
     "point_penalty",
     "slacks_from_state",
+    "project_response",
     "build_base_problem",
     "build_contingency_problem",
     "build_master_problem",
@@ -36,6 +37,11 @@ __all__ = [
 ]
 
 INF = float("inf")
+
+LOWER, MIDDLE, UPPER = "lower", "middle", "upper"
+
+# widest response perturbation considered anywhere (shared with compl)
+DELTA_MAX = 1e3
 
 
 @dataclass
@@ -157,6 +163,34 @@ def _priced(lay: CaseLayout, x, state: FlowState, delta):
         sig_s=sig_s,
         delta=delta,
     )
+
+
+def project_response(state, net: Network, k, base: OperatingPoint, raw):
+    """The layout vector `raw` of k's `CaseLayout` projected into segment
+    state `state`'s response rules, priced: v, bcs and middle q clipped to
+    their boxes, pinned segments on their bound, middle responders' p on the
+    response rule at the state's delta, other p at base, flows recomputed.
+    Only raw's v, theta, bcs and q columns are read, so its flows may be NaN
+    and entries past `nvar` (as `eval._SquareSystem.expand`'s delta) stay
+    unread."""
+    lay = CaseLayout.of(net, k.outaged)
+    gens = lay.gens
+    x = np.empty(lay.nvar)
+    x[lay.v0:lay.th0] = np.clip(raw[lay.v0:lay.th0], lay.v_min, lay.v_max)
+    x[lay.th0:lay.bcs0] = raw[lay.th0:lay.bcs0]
+    x[lay.bcs0:lay.p0] = np.clip(raw[lay.bcs0:lay.p0], lay.bcs_min, lay.bcs_max)
+    seg_p = np.array([state.active.get(g.id, "") for _, g in lay.avail_gens])
+    seg_q = np.array([state.reactive.get(g.id, MIDDLE) for _, g in lay.avail_gens])
+    p_min, p_max = lay.p_min[gens], lay.p_max[gens]
+    q_min, q_max = lay.q_min[gens], lay.q_max[gens]
+    base_p = base.state.p_gen[gens]
+    mid_p = np.clip(base_p + lay.alpha[gens] * state.delta, p_min, p_max)
+    x[lay.p0:lay.q0] = np.where(seg_p == LOWER, p_min, np.where(
+        seg_p == UPPER, p_max, np.where(seg_p == MIDDLE, mid_p, base_p)))
+    x[lay.q0:lay.fl0] = np.where(seg_q == LOWER, q_min, np.where(
+        seg_q == UPPER, q_max, np.clip(raw[lay.q0:lay.fl0], q_min, q_max)))
+    x[lay.fl0:] = lay.flow_values(x).ravel()
+    return _priced(lay, x, lay.unpack(x), state.delta)
 
 
 def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
@@ -399,12 +433,6 @@ class _Block:
                                -2.0 * lam_rat, -2.0 * self._line_rate * line_lam))
 
 
-LOWER, MIDDLE, UPPER = "lower", "middle", "upper"
-
-# widest response perturbation considered anywhere (shared with compl)
-DELTA_MAX = 1e3
-
-
 @dataclass
 class _CouplingRecord:
     """Bookkeeping of one complementarity family member inside a built problem."""
@@ -614,11 +642,10 @@ def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
     st = asm.structure
     lay = block.layout
 
-    delta0 = compl_state.delta if compl_state is not None else 0.0
     # bounding the response scalar keeps the KKT system nonsingular when every
     # responder is saturated (shortfall case), where delta would otherwise be
     # a free ray through the one-sided coupling rows
-    dcol = asm.add_var(-DELTA_MAX, DELTA_MAX, delta0)
+    dcol = asm.add_var(-DELTA_MAX, DELTA_MAX, compl_state.delta)
     st.delta_cols[k.id] = dcol
 
     def base_term(kind, idx):
@@ -704,13 +731,15 @@ def build_base_problem(net: Network, report=None, start: OperatingPoint = None):
 def build_contingency_problem(net: Network, k, base_point: OperatingPoint,
                               compl_state, report=None,
                               start: OperatingPoint = None):
-    """Penalty-minimization NLP for one contingency with base values as data."""
+    """Penalty-minimization NLP for one contingency with base values as data,
+    started at `start` or else at `project_response` of the base point."""
     if isinstance(k, str):
         k = net.contingency(k)
     skip = report.skip_rating_ids(k.outaged) if report is not None else ()
     block = _Block(net, outaged=k.outaged, skip_rating=skip)
     if start is None:
-        start = _seed_ctg_point(net, k, base_point, compl_state)
+        start = project_response(compl_state, net, k, base_point,
+                                 block.layout.pack(base_point.state))
     asm = _Assembler([block])
     off = asm.add_block(block, block.inject(start))
     asm.structure.ctg_blocks[k.id] = (block, off)
@@ -719,26 +748,12 @@ def build_contingency_problem(net: Network, k, base_point: OperatingPoint,
     return asm.finish()
 
 
-def _seed_ctg_point(net, k, base_point, compl_state):
-    """Starting point for a contingency case: base state with the response
-    rule applied and flows/slacks recomputed."""
-    lay = CaseLayout.of(net, k.outaged)
-    delta = compl_state.delta if compl_state is not None else 0.0
-    responding = set(k.responding_gens)
-    resp = np.array([gi for gi, g in lay.avail_gens if g.id in responding], dtype=int)
-    x = lay.pack(base_point.state)
-    x[lay.p0 + lay.gen_col[resp]] = np.clip(
-        base_point.state.p_gen[resp] + lay.alpha[resp] * delta,
-        lay.p_min[resp], lay.p_max[resp])
-    x[lay.fl0:] = lay.flow_values(x).ravel()
-    return _priced(lay, x, lay.unpack(x), delta)
-
-
 def build_master_problem(spec: "MasterSpec"):
     """Problem over the base case plus the selected contingency subset.
 
     Contingency penalties are weighted by 1 / (full contingency count), so
-    omitted contingencies implicitly contribute zero.
+    omitted contingencies implicitly contribute zero.  A contingency without
+    a start in `spec.ctg_points` starts at `project_response` of the base.
     """
     net = spec.net
     n_total = len(net.contingencies)
@@ -754,7 +769,8 @@ def build_master_problem(spec: "MasterSpec"):
         block = _Block(net, outaged=k.outaged, skip_rating=skip, pen_weight=weight)
         start = spec.ctg_points.get(kid) if spec.ctg_points else None
         if start is None:
-            start = _seed_ctg_point(net, k, base_start, spec.compl[kid])
+            start = project_response(spec.compl[kid], net, k, base_start,
+                                     block.layout.pack(base_start.state))
         cases.append((k, block, start))
 
     asm = _Assembler([base_block] + [block for _, block, _ in cases])

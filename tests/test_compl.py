@@ -6,6 +6,7 @@ import pytest
 from conftest import make_bus, make_gen, make_line, two_bus_net, five_bus_net
 
 from scacopf import compl, nlp, scopf
+from scacopf.acpf import CaseLayout
 from scacopf.case_model import Contingency, Network, PenaltyConfig
 from scacopf.compl import (
     ComplementarityState,
@@ -262,6 +263,11 @@ def _segment_conditions_hold(net, k, st, base, point):
             assert g.q_min - 1e-12 <= qk <= g.q_max + 1e-12
 
 
+def _packed(net, k, point):
+    """The layout vector of k's case that `project_response` takes."""
+    return CaseLayout.of(net, k.outaged).pack(point.state)
+
+
 def test_project_response_clamps_and_zero_residual(net5, rng):
     k = net5.contingency("CG2")
     bp = scopf.build_base_problem(net5)
@@ -272,7 +278,7 @@ def test_project_response_clamps_and_zero_residual(net5, rng):
     raw = base.copy()
     raw.state.v += rng.uniform(-0.3, 0.3, size=raw.state.v.shape)
     raw.state.q_gen += rng.uniform(-1.5, 1.5, size=raw.state.q_gen.shape)
-    point = project_response(st, net5, k, base, raw)
+    point = project_response(st, net5, k, base, _packed(net5, k, raw))
 
     for i, bus in enumerate(net5.buses):
         assert bus.v_min <= point.state.v[i] <= bus.v_max
@@ -296,8 +302,8 @@ def test_project_response_identity_when_feasible(net5):
     bs = nlp.solve_nlp(bp, tol=1e-8)
     base = bp.meta.extract_base(bs.x)
     st = init_default(net5, k)
-    point = project_response(st, net5, k, base, base)
-    again = project_response(st, net5, k, base, point)
+    point = project_response(st, net5, k, base, _packed(net5, k, base))
+    again = project_response(st, net5, k, base, _packed(net5, k, point))
     np.testing.assert_allclose(again.state.v, point.state.v, atol=1e-15)
     np.testing.assert_allclose(again.state.p_gen, point.state.p_gen,
                                atol=1e-15)
@@ -346,7 +352,7 @@ def test_project_response_equals_loop_reference(net5, rng):
             for name in ("v", "bcs", "p_gen", "q_gen"):
                 arr = getattr(raw.state, name)
                 arr += rng.uniform(-1.0, 1.0, size=arr.shape)
-            got = project_response(st, net5, k, base, raw)
+            got = project_response(st, net5, k, base, _packed(net5, k, raw))
             want = _project_response_loop(st, net5, k, base, raw)
             for name in ("v", "bcs", "p_gen", "q_gen", "flows"):
                 np.testing.assert_array_equal(getattr(got.state, name),

@@ -141,9 +141,68 @@ def test_fast_newton_failure_falls_back(solved5, monkeypatch):
     assert np.isfinite(res.penalty)
     # the fallback equals the projected base point's priced slacks
     st = compl.init_generator_outage(net, k, base)
-    fb = compl.project_response(st, net, k, base, base)
+    fb = compl.project_response(st, net, k, base,
+                                CaseLayout.of(net, k.outaged).pack(base.state))
     assert res.penalty == pytest.approx(
         scopf.point_penalty(net, fb, k.outaged), abs=1e-12)
+
+
+def test_fast_loop_stops_after_a_failed_square_solve(solved5, monkeypatch):
+    # a failed solve at a finite point is priced and kept if best, but its
+    # point starts no further round
+    net, base = solved5
+    k = net.contingency("CL2")
+    calls = []
+    real_solve = ev.solve_square
+
+    def failing_solve(*args, **kwargs):
+        calls.append(1)
+        res = real_solve(*args, **kwargs)
+        return nlp.SquareResult(res.x, nlp.FAILED, res.iterations, res.residual)
+
+    monkeypatch.setattr(ev, "solve_square", failing_solve)
+    res = ev.fast_evaluate(net, k, base)
+    assert len(calls) == 1
+    assert res.status == "ok"
+    assert np.isfinite(res.penalty)
+    assert res.penalty <= ev.fallback_result(net, k, base).penalty
+
+
+def test_contingency_nlp_starts_from_the_projected_base(solved5, monkeypatch):
+    # a pinned segment puts its output on its bound in the NLP's start even
+    # where the response rule's clip does not bind there
+    net, base = solved5
+    k = net.contingency("CL2")
+    state = compl.init_default(net, k)
+    state.delta = 0.01
+    state.active["G1"] = ev.UPPER
+    state.reactive["G2"] = ev.LOWER
+    g1, g2 = net.generators
+    assert base.state.p_gen[0] + g1.alpha * state.delta < g1.p_max
+    assert base.state.q_gen[1] > g2.q_min
+    prob = scopf.build_contingency_problem(net, k, base, state)
+    block, off = prob.meta.ctg_blocks[k.id]
+    lay = block.layout
+    assert prob.x0[off + lay.p0 + lay.gen_col[0]] == g1.p_max
+    assert prob.x0[off + lay.q0 + lay.gen_col[1]] == g2.q_min
+
+    # without a start, a full evaluation's first NLP starts from the
+    # fallback point, bit for bit
+    built = []
+    real_build = ev.build_contingency_problem
+
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ev, "build_contingency_problem", recording_build)
+    for k in net.contingencies:
+        built.clear()
+        ev.full_evaluate(net, k, base)
+        block, off = built[0].meta.ctg_blocks[k.id]
+        fb = ev.fallback_result(net, k, base).point
+        assert built[0].x0[off:off + block.nvar].tobytes() == \
+            block.inject(fb).tobytes()
 
 
 def test_fallback_result_is_the_fast_engine_with_no_budget(solved5):
@@ -328,8 +387,8 @@ def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
 @pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
 def test_square_system_raw_point_flows_are_defined(ctg_id):
     # branch flows are functions of the voltages, never Newton unknowns; the
-    # raw point leaves them NaN, and its projection, which recomputes them,
-    # is the projection of the same point with its flows defined
+    # expanded point leaves them NaN, and its projection, which recomputes
+    # them, is the projection of the same point with its flows defined
     from conftest import five_bus_net
     net = five_bus_net()
     k = net.contingency(ctg_id)
@@ -341,11 +400,12 @@ def test_square_system_raw_point_flows_are_defined(ctg_id):
     pv = {g.bus for g in net.generators if g.id in state.reactive}
     assert sys_.n == 2 * len(net.buses) - len(pv)
     z = sys_.start(base, 0.05) + np.random.default_rng(5).uniform(-0.05, 0.05, sys_.n)
-    raw = sys_.raw_point(sys_.expand(z))
-    assert np.isnan(raw.state.flows[sys_.lay.svc]).all()
-    defined = raw.copy()
-    defined.state = scopf.flows_from_state(net, raw.state, k.outaged)
-    assert np.isfinite(defined.state.flows).all()
+    lay = sys_.lay
+    raw = sys_.expand(z)
+    assert np.isnan(raw[lay.fl0:-1]).all()
+    defined = raw[:-1].copy()
+    defined[lay.fl0:] = lay.flow_values(defined).ravel()
+    assert np.isfinite(defined).all()
     got = compl.project_response(state, net, k, base, raw)
     want = compl.project_response(state, net, k, base, defined)
     for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
@@ -629,7 +689,8 @@ def test_deterministic_budget_buys_whole_operations():
 
 
 def _update_from_violations_loop(net, k, state, base, raw, delta):
-    """Per-generator reference for `_SquareSystem.updated_segments`."""
+    """Per-generator reference for `_SquareSystem.updated_segments`, at the
+    flow state `raw` and response scalar `delta`."""
     tol = ev._BOUND_TOL
     new = state.copy()
     for gi, g in enumerate(net.generators):
@@ -637,7 +698,7 @@ def _update_from_violations_loop(net, k, state, base, raw, delta):
             continue
         if g.id in new.active:
             seg = new.active[g.id]
-            p = raw.state.p_gen[gi]
+            p = raw.p_gen[gi]
             if seg == ev.MIDDLE:
                 if p > g.p_max + tol:
                     new.active[g.id] = ev.UPPER
@@ -651,9 +712,9 @@ def _update_from_violations_loop(net, k, state, base, raw, delta):
                     new.active[g.id] = ev.MIDDLE
         if g.id in new.reactive:
             seg = new.reactive[g.id]
-            q = raw.state.q_gen[gi]
+            q = raw.q_gen[gi]
             bus = net.bus_index(g.bus)
-            rho_q = base.state.v[bus] - raw.state.v[bus]
+            rho_q = base.state.v[bus] - raw.v[bus]
             if seg == ev.MIDDLE:
                 if q > g.q_max + tol:
                     new.reactive[g.id] = ev.UPPER
@@ -696,8 +757,8 @@ def test_updated_segments_equals_loop_reference(net5, rng):
             w = np.append(sys_.lay.pack(point.state),
                           rng.choice([0.0, rng.uniform(-0.5, 0.5)]))
             got = sys_.updated_segments(st, w)
-            raw = sys_.raw_point(w)
-            want = _update_from_violations_loop(net5, k, st, base, raw, raw.delta)
+            raw = sys_.lay.unpack(w)
+            want = _update_from_violations_loop(net5, k, st, base, raw, w[-1])
             assert (got.active, got.reactive) == (want.active, want.reactive)
             assert (got.delta, got.shortfall) == (st.delta, st.shortfall)
             seen.add(got != st)

@@ -308,47 +308,6 @@ def test_pinned_columns_carry_no_bounds(net5):
     assert sol.status == nlp.OPTIMAL
 
 
-def _seed_ctg_point_loop(net, k, base_point, compl_state):
-    """Per-generator reference for `scopf._seed_ctg_point`."""
-    state = base_point.state.copy()
-    delta = compl_state.delta if compl_state is not None else 0.0
-    for gi, g in enumerate(net.generators):
-        if g.id == k.outaged:
-            state.p_gen[gi] = 0.0
-            state.q_gen[gi] = 0.0
-        elif g.id in set(k.responding_gens):
-            state.p_gen[gi] = min(max(state.p_gen[gi] + g.alpha * delta,
-                                      g.p_min), g.p_max)
-    state = scopf.flows_from_state(net, state, k.outaged)
-    return scopf.slacks_from_state(net, state, k.outaged, delta=delta)
-
-
-def test_seed_ctg_point_equals_loop_reference(net5, rng):
-    # the clip over layout arrays does the loop's min(max(.)) arithmetic,
-    # with and without a segment state
-    base = scopf.default_start(net5)
-    for k in net5.contingencies:
-        for trial in range(10):
-            raw = base.copy()
-            for name in ("v", "theta", "bcs", "p_gen", "q_gen"):
-                arr = getattr(raw.state, name)
-                arr += rng.uniform(-1.0, 1.0, size=arr.shape)
-            st = None
-            if trial:
-                st = compl.init_default(net5, k)
-                st.delta = rng.uniform(-2.0, 2.0)
-            got = scopf._seed_ctg_point(net5, k, raw, st)
-            want = _seed_ctg_point_loop(net5, k, raw, st)
-            for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
-                np.testing.assert_array_equal(getattr(got.state, name),
-                                              getattr(want.state, name))
-            for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus",
-                         "sig_q_minus", "sig_s"):
-                np.testing.assert_array_equal(getattr(got, name),
-                                              getattr(want, name))
-            assert got.delta == want.delta
-
-
 def _pwl_reference(breaks_and_slopes, last_slope):
     """Segment-list reference for `scopf._Curve`: (value function, supporting
     lines with consecutive repeats dropped)."""

@@ -37,3 +37,6 @@ def test_benchmark_tracer_records_the_evaluation_engines(tmp_path):
     # the fast engine's square system, whose per-call times the screening
     # workload reports
     assert {"eval.square.residual", "eval.square.jacobian", "nlp.square"} <= names
+    # the segment projection and update, looked up in `compl` wherever
+    # they are defined
+    assert {"compl.project_response", "compl.update_segments"} <= names
