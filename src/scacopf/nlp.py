@@ -1,6 +1,9 @@
 """Generic smooth NLP interface, a primal-dual interior-point solver, and a
 damped Newton solver for square nonlinear systems whose steps are solved
-with a dense LU when the system is small and a sparse LU otherwise.
+with a dense LU when the system is small and a sparse LU otherwise.  The
+square solver takes no Levenberg or other least-squares step: a solve whose
+Jacobian is singular or whose backtracking stalls ends `failed` at its best
+iterate.
 
 The interior-point method uses a monotone barrier schedule, one sparse LU
 per inertia-correction attempt in the common case, inertia correction via
@@ -238,7 +241,8 @@ class _DenseLuPattern:
         n = self.n
         A = np.bincount(self.flat, weights=vals, minlength=n * n).reshape(
             (n, n), order="F")
-        return A, _dense_lu(A), self.pos
+        lu, piv, info = _getrf(A)
+        return A, _DenseLu(lu, piv) if info == 0 else None, self.pos
 
 
 class _DenseLu:
@@ -249,12 +253,6 @@ class _DenseLu:
 
     def solve(self, rhs):
         return _getrs(self.lu, self.piv, rhs)[0]
-
-
-def _dense_lu(A):
-    """A dense LU of the square array A, or None if A is exactly singular."""
-    lu, piv, info = _getrf(A)
-    return _DenseLu(lu, piv) if info == 0 else None
 
 
 def _splu(A, permc_spec, symmetric=False):
@@ -357,7 +355,7 @@ class _Kkt:
         return all(np.array_equal(a, b)
                    for a, b in zip(self.structure, self._structure(Hl, J)))
 
-    def _lu(self, pattern, vals):
+    def _factor(self, pattern, vals):
         """`pattern.lu(vals)`, its SuperLU calls tallied."""
         first = pattern.pos is None
         out = pattern.lu(vals)
@@ -386,7 +384,7 @@ class _Kkt:
         Sylvester's law of inertia K has m negative eigenvalues iff D has m
         negative entries (and none is 0, or the LU would have pivoted off
         the diagonal).  False does not show a wrong inertia."""
-        _, lu, pos = self._lu(self.Q, self.values(h, w_diag, j, d))
+        _, lu, pos = self._factor(self.Q, self.values(h, w_diag, j, d))
         ok = lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)) \
             and np.count_nonzero(lu.U.diagonal() < 0.0) == self.m
         return lu, pos, ok
@@ -400,7 +398,7 @@ class _Kkt:
         definite iff no off-diagonal pivot was needed and every pivot is
         positive.
         """
-        _, lu, _ = self._lu(self.P, self.schur(h, w_diag, j, d))
+        _, lu, _ = self._factor(self.P, self.schur(h, w_diag, j, d))
         return lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)
                                        and np.all(lu.U.diagonal() > 0.0))
 
@@ -451,7 +449,7 @@ class _KktSolve:
                 return x[self.pos]
         if self._k is None:
             self.kkt.counts["colamd_steps"] += 1
-            self._k = self.kkt._lu(self.kkt.K, self.vals)
+            self._k = self.kkt._factor(self.kkt.K, self.vals)
         K, lu, pos = self._k
         return None if lu is None else _refined_solve(K, lu, rhs)[pos]
 
@@ -933,48 +931,19 @@ class SquareResult:
     residual: float = 0.0
 
 
-def _lu(J):
-    """(A, lu, pos) of a Jacobian as `solve_square`'s `jac` returns it: `lu`
-    factors the matrix A (CSC, or a dense array from a `_DenseLuPattern`),
-    whose column pos[j] is column j of J, or is None if J is exactly
-    singular."""
-    if isinstance(J, tuple):
-        return J[0].lu(J[1])
-    A = J.tocsc() if sparse.issparse(J) else sparse.csc_matrix(J)
-    return A, _splu(A, SQUARE_ORDERING), np.arange(A.shape[0])
-
-
-def _solution(lu, rhs, pos):
-    """The solution in the Jacobian's column order, or None if not finite."""
-    sol = lu.solve(rhs)[pos]
-    return sol if np.all(np.isfinite(sol)) else None
-
-
-def _levenberg(A, F, delta, pos):
-    """Regularized least-squares step (J'J + delta I) d = -J'F, for J whose
-    column j is column pos[j] of A; factored densely if A is dense."""
-    if isinstance(A, np.ndarray):
-        M = A.T @ A
-        M.flat[::M.shape[0] + 1] += delta
-        lu = _dense_lu(M)
-    else:
-        _, lu, _ = _lu(A.T @ A + delta * sparse.identity(A.shape[1]))
-    return None if lu is None else _solution(lu, -(A.T @ F), pos)
-
-
 def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     """Damped Newton for a square system fun(x) = 0 with Jacobian jac(x).
 
-    jac(x) returns the Jacobian as a matrix, dense or sparse, which each step
-    factors with SuperLU, or as a pair (pattern, vals) of a pattern and its
-    raw values, factored by the pattern: an `_LuPattern` with SuperLU, in the
-    column ordering it keeps from its first LU, or, for a system of at most
-    `DENSE_LU_MAX` rows, a `_DenseLuPattern` with LAPACK's dense LU, which
-    below that measured crossover costs less than SuperLU's fixed cost per
-    call (see the constant).  Backtracks on the residual norm, with
-    Levenberg-regularized least-squares steps, factored the same way, as a
-    fallback for singular Jacobians.  Returns the best iterate.  jac is
-    called only at the point of the last fun call, so it may reuse that call's work.
+    jac(x) returns a pair (pattern, vals): a `_DenseLuPattern` or
+    `_LuPattern` and the Jacobian's raw values, which each step factors with
+    `pattern.lu(vals)`; a `_DenseLuPattern` (at most `DENSE_LU_MAX` rows)
+    uses LAPACK's dense LU, an `_LuPattern` SuperLU in the column ordering
+    it keeps from its first LU.  jac is called only at the point of the last
+    fun call, so it may reuse that call's work.  Each step backtracks on the
+    residual norm.  The solve ends `failed` at its best iterate when the LU
+    is exactly singular or the step is not finite, when backtracking finds
+    no decrease, or when `time_limit` seconds have passed; there is no
+    least-squares fallback, as in MATPOWER's ``newtonpf``.
     """
     t_start = time.monotonic()
     x = np.asarray(x0, float).copy()
@@ -990,36 +959,22 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
         if time_limit is not None and time.monotonic() - t_start > time_limit:
             return SquareResult(best_x, FAILED, it - 1, best_norm)
 
-        A, lu, pos = _lu(jac(x))
-        d = None if lu is None else _solution(lu, -F, pos)
-        delta = 1e-8
-        for _ in range(20):
-            if d is not None:
-                break
-            d = _levenberg(A, F, delta, pos)
-            delta *= 10.0
-        if d is None:
+        pattern, vals = jac(x)
+        _, lu, pos = pattern.lu(vals)
+        d = None if lu is None else lu.solve(-F)[pos]
+        if d is None or not np.all(np.isfinite(d)):
             return SquareResult(best_x, FAILED, it, best_norm)
 
         f0 = float(np.sqrt(F @ F))
         alpha = 1.0
-        improved = False
         for _ in range(40):
             xn = x + alpha * d
             Fn = np.asarray(fun(xn), float)
             if np.all(np.isfinite(Fn)) and np.sqrt(Fn @ Fn) <= (1 - 1e-4 * alpha) * f0:
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
-            # no progress along the Newton direction: try a regularized step
-            d2 = _levenberg(A, F, max(1e-8, 1e-4 * f0), pos)
-            if d2 is None:
-                return SquareResult(best_x, FAILED, it, best_norm)
-            xn = x + d2
-            Fn = np.asarray(fun(xn), float)
-            if not (np.all(np.isfinite(Fn)) and np.sqrt(Fn @ Fn) < f0):
-                return SquareResult(best_x, FAILED, it, best_norm)
+        else:
+            return SquareResult(best_x, FAILED, it, best_norm)
         x, F = xn, Fn
 
     norm_inf = float(np.max(np.abs(F), initial=0.0))

@@ -484,29 +484,25 @@ def net5_with_shared_bus():
 
 def test_generators_sharing_a_bus_share_its_reactive_injection(monkeypatch):
     # two middle generators at one bus make one PV bus, not two rows that
-    # pin the same voltage: every Newton step is regular, no Levenberg step
-    # is taken, and the two (of equal reactive range) share the bus's q
+    # pin the same voltage: every Newton step is regular (a singular step
+    # would end its solve `failed`, and every solve is `solved`), and the
+    # two (of equal reactive range) share the bus's q
     net = net5_with_shared_bus()
     prob = scopf.build_base_problem(net)
     sol = nlp.solve_nlp(prob, tol=1e-8)
     assert sol.status == nlp.OPTIMAL
     base = prob.meta.extract_base(sol.x)
-    solves, steps = [], []
-    real_solve, real_levenberg = ev.solve_square, nlp._levenberg
+    solves = []
+    real_solve = ev.solve_square
 
     def spy_solve(fun, jac, x0, **kw):
         res = real_solve(fun, jac, x0, **kw)
         solves.append((fun.__self__, res))
         return res
 
-    def spy_levenberg(*args):
-        steps.append(1)
-        return real_levenberg(*args)
-
     monkeypatch.setattr(ev, "solve_square", spy_solve)
-    monkeypatch.setattr(nlp, "_levenberg", spy_levenberg)
     res = ev.fast_evaluate(net, net.contingency("CL2"), base)
-    assert res.status == "ok" and not steps
+    assert res.status == "ok"
     assert solves and all(r.status == nlp.SOLVED for _, r in solves)
     for sys_, r in solves:
         w = sys_.expand(r.x)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -312,9 +313,26 @@ def test_objective_and_constraints_run_once_per_point(net5, problem):
 
 # --- square systems ----------------------------------------------------------
 
+def lu_jacobian(jac, x0):
+    """`jac`, a Jacobian that returns a matrix, as `solve_square` takes it:
+    (pattern, vals) on the pattern of jac(x0), a full-grid `_DenseLuPattern`
+    for a dense array or an `_LuPattern` of the stored CSC entries for a
+    sparse matrix (whose later values keep those entries)."""
+    J0 = jac(np.asarray(x0, float))
+    n = J0.shape[0]
+    if sparse.issparse(J0):
+        J0 = J0.tocsc()
+        pattern = nlp._LuPattern(J0.indices,
+                                 np.repeat(np.arange(n), np.diff(J0.indptr)), n)
+        return lambda x: (pattern, jac(x).tocsc().data)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    pattern = nlp._DenseLuPattern(rows, cols, n)
+    return lambda x: (pattern, np.asarray(jac(x), float).ravel())
+
+
 def test_scalar_newton():
-    res = solve_square(lambda x: np.array([x[0] ** 2 - 4]),
-                       lambda x: np.array([[2 * x[0]]]), [3.0])
+    jac = lu_jacobian(lambda x: np.array([[2 * x[0]]]), [3.0])
+    res = solve_square(lambda x: np.array([x[0] ** 2 - 4]), jac, [3.0])
     assert res.status == nlp.SOLVED
     assert res.x[0] == pytest.approx(2.0, abs=1e-8)
 
@@ -323,15 +341,15 @@ def test_linear_system_one_step():
     rng = np.random.default_rng(0)
     A = rng.normal(size=(4, 4)) + 4 * np.eye(4)
     b = rng.normal(size=4)
-    res = solve_square(lambda x: A @ x - b, lambda x: A, np.zeros(4))
+    res = solve_square(lambda x: A @ x - b, lu_jacobian(lambda x: A, np.zeros(4)),
+                       np.zeros(4))
     assert res.status == nlp.SOLVED
     assert res.iterations == 1
     np.testing.assert_allclose(res.x, np.linalg.solve(A, b), atol=1e-10)
 
 
 def test_square_sparse_jacobian_never_densified(monkeypatch):
-    # a sparse Jacobian is factored as it is, in the Newton step and in
-    # the Levenberg fallback (the second system is singular); densifying
+    # a sparse Jacobian is factored on its `_LuPattern` as it is: densifying
     # any CSC or CSR matrix inside the solve fails the test
     rng = np.random.default_rng(3)
     A = (sparse.random(30, 30, density=0.1, random_state=4) + 4 * sparse.eye(30)).tocsc()
@@ -343,23 +361,15 @@ def test_square_sparse_jacobian_never_densified(monkeypatch):
     for cls in (sparse.csc_matrix, sparse.csr_matrix):
         monkeypatch.setattr(cls, "toarray", forbidden)
         monkeypatch.setattr(cls, "todense", forbidden)
-    res = solve_square(lambda x: A @ x - b, lambda x: A, np.zeros(30))
+    res = solve_square(lambda x: A @ x - b, lu_jacobian(lambda x: A, np.zeros(30)),
+                       np.zeros(30))
     assert res.status == nlp.SOLVED
     np.testing.assert_allclose(A @ res.x, b, atol=1e-8)
 
-    def fun(x):
-        r = x[0] ** 2 + x[1] - 3.0
-        return np.array([r, r])
-
-    res = solve_square(fun, lambda x: sparse.csc_matrix(
-        [[2 * x[0], 1.0], [2 * x[0], 1.0]]), [1.0, 1.0])
-    assert np.max(np.abs(fun(res.x))) <= 1e-8
-
 
 def test_square_jacobian_is_taken_at_the_last_residual_point():
-    # Newton steps, backtracking (arctan from 3 overshoots) and the
-    # Levenberg fallback (a singular system): every jac call comes at the
-    # point of the last fun call
+    # Newton steps and backtracking (arctan from 3 overshoots): every jac
+    # call comes at the point of the last fun call
     calls = []
 
     def recorded(f, kind):
@@ -368,23 +378,69 @@ def test_square_jacobian_is_taken_at_the_last_residual_point():
             return f(x)
         return call
 
-    def rank_one(x):
+    x0 = [3.0, -2.0]
+    jac = lu_jacobian(lambda x: np.diag(1.0 / (1.0 + x * x)), x0)
+    solve_square(recorded(np.arctan, "fun"), recorded(jac, "jac"), x0, tol=1e-12)
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("jac") >= 2 and kinds.count("fun") > kinds.count("jac")
+    for i, (kind, x) in enumerate(calls):
+        if kind == "jac":
+            last = next(y for k, y in reversed(calls[:i]) if k == "fun")
+            np.testing.assert_array_equal(x, last)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_singular_jacobian_ends_the_solve_failed(monkeypatch, dense):
+    # r = x0^2 + x1 - 3 written twice: the Jacobian is exactly singular, so
+    # the solve ends `failed` after its first LU, at x0, with no
+    # least-squares step; a dense pattern makes no SuperLU call
+    def fun(x):
         r = x[0] ** 2 + x[1] - 3.0
         return np.array([r, r])
 
-    for fun, jac, x0 in (
-            (lambda x: np.arctan(x), lambda x: np.diag(1.0 / (1.0 + x * x)),
-             [3.0, -2.0]),
-            (rank_one, lambda x: np.array([[2 * x[0], 1.0], [2 * x[0], 1.0]]),
-             [1.0, 1.0])):
-        calls.clear()
-        solve_square(recorded(fun, "fun"), recorded(jac, "jac"), x0, tol=1e-12)
-        kinds = [kind for kind, _ in calls]
-        assert kinds.count("jac") >= 2 and kinds.count("fun") > kinds.count("jac")
-        for i, (kind, x) in enumerate(calls):
-            if kind == "jac":
-                last = next(y for k, y in reversed(calls[:i]) if k == "fun")
-                np.testing.assert_array_equal(x, last)
+    rows, cols = [0, 0, 1, 1], [0, 1, 0, 1]
+    if dense:
+        pattern = nlp._DenseLuPattern(rows, cols, 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense Jacobian went to SuperLU")
+
+        monkeypatch.setattr(nlp, "_splu", forbidden)
+    else:
+        pattern = nlp._LuPattern(rows, cols, 2)
+
+    def jac(x):
+        return pattern, np.array([2 * x[0], 1.0, 2 * x[0], 1.0])
+
+    x0 = np.array([1.0, 1.0])
+    assert pattern.lu(jac(x0)[1])[1] is None
+    res = solve_square(fun, jac, x0)
+    assert res.status == nlp.FAILED
+    assert res.iterations == 1
+    np.testing.assert_array_equal(res.x, x0)
+    assert res.residual == np.max(np.abs(fun(x0)))
+
+
+def test_square_time_limit_returns_the_best_iterate(monkeypatch):
+    # a clock that moves one second per Jacobian: a 2.5 s limit is found
+    # exhausted before the fourth step, so the solve ends `failed` with the
+    # three steps done, exactly as a solve cut at max_iter=3
+    x0 = [3.0, -2.0]
+    jac = lu_jacobian(lambda x: np.diag(1.0 / (1.0 + x * x)), x0)
+    clock = [0.0]
+
+    def ticking(x):
+        clock[0] += 1.0
+        return jac(x)
+
+    monkeypatch.setattr(nlp, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    res = solve_square(np.arctan, ticking, x0, tol=1e-12, time_limit=2.5)
+    cut = solve_square(np.arctan, jac, x0, tol=1e-12, max_iter=3)
+    assert res.status == cut.status == nlp.FAILED
+    assert res.iterations == cut.iterations == 3
+    np.testing.assert_array_equal(res.x, cut.x)
+    assert res.residual == cut.residual == np.max(np.abs(np.arctan(cut.x)))
+    assert 1e-12 < res.residual < np.max(np.abs(np.arctan(x0)))
 
 
 def build_ybus(net):
@@ -483,7 +539,7 @@ def test_power_flow_matches_gauss_seidel():
 
     mismatch, jac, free = five_bus_powerflow_system(net, inj, slack=0)
     z0 = np.concatenate([np.ones(len(free)), np.zeros(len(free))])
-    res = solve_square(mismatch, jac, z0, tol=1e-10)
+    res = solve_square(mismatch, lu_jacobian(jac, z0), z0, tol=1e-10)
     assert res.status == nlp.SOLVED
     v_sol = res.x[:len(free)]
     th_sol = res.x[len(free):]
@@ -502,51 +558,12 @@ def test_row_scaling_invariance():
     mismatch, jac, free = five_bus_powerflow_system(net, inj, slack=0)
     z0 = np.concatenate([np.ones(len(free)), np.zeros(len(free))])
     scale = np.linspace(0.5, 7.0, 2 * len(free))
-    res1 = solve_square(mismatch, jac, z0, tol=1e-10)
+    res1 = solve_square(mismatch, lu_jacobian(jac, z0), z0, tol=1e-10)
     res2 = solve_square(lambda z: scale * mismatch(z),
-                        lambda z: scale[:, None] * jac(z), z0, tol=1e-10)
+                        lu_jacobian(lambda z: scale[:, None] * jac(z), z0), z0,
+                        tol=1e-10)
     assert res1.status == res2.status == nlp.SOLVED
     np.testing.assert_allclose(res1.x, res2.x, atol=1e-8)
-
-
-def test_singular_jacobian_regularization():
-    # duplicated consistent equations: plain solve fails, fallback succeeds
-    def fun(x):
-        r = x[0] ** 2 + x[1] - 3.0
-        return np.array([r, r])
-
-    def jac(x):
-        return np.array([[2 * x[0], 1.0], [2 * x[0], 1.0]])
-
-    res = solve_square(fun, jac, [1.0, 1.0])
-    assert np.max(np.abs(fun(res.x))) <= 1e-8
-
-
-def test_singular_dense_pattern_jacobian_regularization(monkeypatch):
-    # the dense twin of the test above: a (pattern, vals) Jacobian below the
-    # size limit factors densely, an exactly singular one has no LU, and the
-    # Levenberg fallback converges without any SuperLU call
-    def fun(x):
-        r = x[0] ** 2 + x[1] - 3.0
-        return np.array([r, r])
-
-    pattern = nlp._DenseLuPattern([0, 0, 1, 1], [0, 1, 0, 1], 2)
-    assert pattern.n <= nlp.DENSE_LU_MAX
-
-    def jac(x):
-        return pattern, np.array([2 * x[0], 1.0, 2 * x[0], 1.0])
-
-    A, lu, pos = pattern.lu(jac([1.0, 1.0])[1])
-    assert lu is None
-    np.testing.assert_array_equal(A, [[2.0, 1.0], [2.0, 1.0]])
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a dense Jacobian went to SuperLU")
-
-    monkeypatch.setattr(nlp, "_splu", forbidden)
-    res = solve_square(fun, jac, [1.0, 1.0])
-    assert res.iterations >= 1
-    assert np.max(np.abs(fun(res.x))) <= 1e-8
 
 
 def saddle_inertia_ok(W, J, d):
