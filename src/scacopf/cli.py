@@ -10,6 +10,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation/input error, 2 solve failure,
 3 time limit reached before any solution was written.
+
+Each subcommand imports only the modules it runs.  The module top holds the
+standard library, numpy and `case_model`, all that ``gen-case`` and argument
+parsing need; the solver stack (`orchestrator` and everything it imports,
+``scipy.sparse`` included) is imported inside the subcommands that solve, and
+the ``harness`` and ``train`` experiments live in `harness`.  Every CLI call
+is its own process, and with no bytecode cache (``PYTHONDONTWRITEBYTECODE``)
+each process compiles every module it imports, so a module imported at the
+top here would be compiled by every subcommand, whether it runs or not.
 """
 
 from __future__ import annotations
@@ -19,14 +28,12 @@ import csv
 import glob as globmod
 import json
 import logging
+import math
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import eval as eval_mod
-from . import orchestrator as orch
 from .case_model import (
     Bus,
     CaseError,
@@ -40,23 +47,6 @@ from .case_model import (
     validate,
     write_case,
 )
-from .nlp import solve_nlp
-from .ranking import (
-    extract_features,
-    load_model,
-    rank_baseline,
-    rank_initial,
-    save_model,
-    train_ridge,
-)
-from .scopf import (
-    MasterSpec,
-    build_master_problem,
-    generation_cost,
-    point_penalty,
-    total_score,
-)
-from .select import resort, select_top, summarize_point
 
 log = logging.getLogger("scacopf")
 
@@ -82,7 +72,28 @@ def _load_case_or_die(path):
     return load_case(path)
 
 
+def _load_model(path):
+    """The ranking model stored at ``path``, or None without a path."""
+    if not path:
+        return None
+    from .ranking import load_model
+    return load_model(path)
+
+
+def _write_output(path, write):
+    """Call ``write(path)``.  A path that cannot be written, such as a file
+    in a missing directory, prints one ``error:`` line and returns False."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _config_from_args(args):
+    from . import orchestrator as orch
+
     kw = {}
     if getattr(args, "time_limit", None) is not None:
         kw["code1_time_limit"] = args.time_limit
@@ -104,6 +115,8 @@ def _config_from_args(args):
 # --- code1 --------------------------------------------------------------------
 
 def cmd_code1(args):
+    from . import orchestrator as orch
+
     try:
         net = _load_case_or_die(args.case)
         cfg = _config_from_args(args)
@@ -111,7 +124,7 @@ def cmd_code1(args):
         if unknown:
             raise ValueError("--candidates names no contingency of the case: "
                              + ", ".join(sorted(unknown)))
-        model = load_model(args.model) if args.model else None
+        model = _load_model(args.model)
     except (CaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -134,11 +147,13 @@ def cmd_code1(args):
 # --- code2 --------------------------------------------------------------------
 
 def cmd_code2(args):
+    from . import orchestrator as orch
+
     try:
         net = _load_case_or_die(args.case)
         cfg = _config_from_args(args)
         base, tag, _ = orch.load_base_solution(args.base, net)
-        model = load_model(args.model) if args.model else None
+        model = _load_model(args.model)
     except (CaseError, OSError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -153,6 +168,9 @@ def cmd_code2(args):
 # --- score --------------------------------------------------------------------
 
 def cmd_score(args):
+    from . import orchestrator as orch
+    from .scopf import generation_cost, point_penalty, total_score
+
     try:
         net = _load_case_or_die(args.case)
         base, tag, base_data = orch.load_base_solution(args.base, net)
@@ -201,130 +219,18 @@ def cmd_score(args):
         "total": score,
     }
     text = json.dumps(report, indent=2)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
+
+    def write(path):
+        with open(path, "w") as fh:
             fh.write(text + "\n")
+
+    if args.output and not _write_output(args.output, write):
+        return EXIT_INPUT
+    print(text)
     return EXIT_OK
 
 
 # --- harness ------------------------------------------------------------------
-
-def _evaluate_all(net, base, time_limit):
-    return {k.id: eval_mod.full_evaluate(net, k, base, time_limit=time_limit,
-                                         deterministic=True)
-            for k in net.contingencies}
-
-
-def harness_ranking_compare(nets, model=None, time_limit=10.0):
-    """Rows: penalty share of the top-``n`` ranked contingencies, per
-    heuristic and per considered count ``n``."""
-    rows = []
-    heuristics = ["l_p", "l_s", "l_c"] + (["ridge"] if model else [])
-    acc = {}
-    for net in nets:
-        net, _, base, _, _ = orch.solve_base(net)
-        truth = {c: r.penalty
-                 for c, r in _evaluate_all(net, base, time_limit).items()}
-        total = sum(truth.values())
-        for h in heuristics:
-            if h == "ridge":
-                plist = rank_initial(net, base, model)
-            else:
-                plist = rank_baseline(net, base, h)
-            order = [e.contingency_id for e in plist.entries]
-            for n in range(1, len(order) + 1):
-                covered = sum(truth[c] for c in order[:n])
-                pct = 100.0 * covered / total if total > 0 else 100.0
-                acc.setdefault((n, h), []).append(pct)
-    for (n, h), vals in sorted(acc.items()):
-        rows.append((n, h, sum(vals) / len(vals)))
-    return rows
-
-
-def harness_compl_ablation(nets, time_limit=10.0):
-    """Per contingency: penalty without segment updates over penalty with."""
-    rows = []
-    for ci, net in enumerate(nets):
-        net, _, base, _, _ = orch.solve_base(net)
-        for k in net.contingencies:
-            with_upd = eval_mod.full_evaluate(net, k, base,
-                                              time_limit=time_limit,
-                                              deterministic=True)
-            without = eval_mod.full_evaluate(net, k, base,
-                                             time_limit=time_limit,
-                                             deterministic=True,
-                                             segment_updates=False)
-            denom = max(with_upd.penalty, 1e-12)
-            ratio = max(without.penalty, with_upd.penalty) / denom \
-                if with_upd.penalty > 1e-12 else (
-                    1.0 if without.penalty <= 1e-12 else float("inf"))
-            rows.append((ci, k.id, without.penalty, with_upd.penalty, ratio))
-    return rows
-
-
-def harness_fasteval_ablation(nets, time_limit=5.0):
-    """Per case: share of contingencies the fast engine screens out below
-    the cutoff, and the fast/full wall time."""
-    rows = []
-    for ci, net in enumerate(nets):
-        net, _, base, _, _ = orch.solve_base(net)
-        cutoff = eval_mod.default_cutoff(net)
-        n = len(net.contingencies)
-        screened = 0
-        t_fast = t_full = 0.0
-        for k in net.contingencies:
-            t0 = time.monotonic()
-            fast = eval_mod.fast_evaluate(net, k, base,
-                                          time_limit=time_limit,
-                                          cutoff=cutoff, deterministic=True)
-            t_fast += time.monotonic() - t0
-            if fast.penalty <= cutoff:
-                screened += 1
-            t0 = time.monotonic()
-            eval_mod.full_evaluate(net, k, base, time_limit=time_limit,
-                                   deterministic=True)
-            t_full += time.monotonic() - t0
-        pct = 100.0 * screened / n if n else 100.0
-        rows.append((ci, n, pct, round(t_fast, 4), round(t_full, 4)))
-    return rows
-
-
-def harness_selection_ablation(nets, n_select=3, time_limit=10.0):
-    """Scores of one master pass under dominance-aware versus penalty-only
-    contingency selection."""
-    rows = []
-    for ci, net in enumerate(nets):
-        net, report, base, _, _ = orch.solve_base(net)
-        results = _evaluate_all(net, base, time_limit)
-        summaries = {cid: summarize_point(r.point, cid, "base-1")
-                     for cid, r in results.items()}
-        plist = resort(rank_baseline(net, base, "l_c"), list(results.values()))
-
-        penalty_order = [e.contingency_id for e in plist.entries]
-        schemes = {
-            "dominance": select_top(plist, summaries, n_select),
-            "penalty-only": penalty_order[:n_select],
-        }
-        for name, chosen in schemes.items():
-            if not chosen:
-                rows.append((ci, name, total_score(
-                    net, base, {c: r.penalty for c, r in results.items()})))
-                continue
-            spec = MasterSpec(
-                net=net, included=tuple(chosen),
-                compl={c: results[c].compl for c in chosen},
-                base_point=base,
-                ctg_points={c: results[c].point for c in chosen},
-                report=report)
-            mprob = build_master_problem(spec)
-            sol = solve_nlp(mprob, tol=1e-6, warm_start=True)
-            new_base = mprob.meta.extract_base(sol.x)
-            pens = {c: r.penalty for c, r in
-                    _evaluate_all(net, new_base, time_limit).items()}
-            rows.append((ci, name, total_score(net, new_base, pens)))
-    return rows
-
 
 HARNESS_HEADERS = {
     "ranking-compare": ("n_considered", "heuristic", "top3_penalty_pct"),
@@ -342,29 +248,28 @@ def cmd_harness(args):
         return EXIT_INPUT
     try:
         nets = [_load_case_or_die(p) for p in args.cases]
-        model = load_model(args.model) if args.model else None
+        model = _load_model(args.model)
     except (CaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    from . import harness
+
     try:
-        if args.mode == "ranking-compare":
-            rows = harness_ranking_compare(nets, model)
-        elif args.mode == "compl-ablation":
-            rows = harness_compl_ablation(nets)
-        elif args.mode == "fasteval-ablation":
-            rows = harness_fasteval_ablation(nets)
-        else:
-            rows = harness_selection_ablation(nets, n_select=args.n_select)
+        rows = harness.table(args.mode, nets, model, n_select=args.n_select)
     except RuntimeError as exc:  # a base solve failed twice
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
 
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HARNESS_HEADERS[args.mode])
+            writer.writerows(rows)
+
     out = args.output or f"{args.mode}.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HARNESS_HEADERS[args.mode])
-        writer.writerows(rows)
+    if not _write_output(out, write):
+        return EXIT_INPUT
     print(out)
     return EXIT_OK
 
@@ -376,6 +281,8 @@ def generate_case(n_bus, seed, n_contingencies=None):
     ranges; deterministic for a fixed seed."""
     if n_bus < 2:
         raise ValueError("n_bus must be >= 2")
+    if n_contingencies is not None and n_contingencies < 0:
+        raise ValueError("n_contingencies must be >= 0")
     rng = np.random.default_rng(seed)
 
     buses = []
@@ -486,7 +393,8 @@ def cmd_gen_case(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    write_case(net, args.output)
+    if not _write_output(args.output, lambda path: write_case(net, path)):
+        return EXIT_INPUT
     print(args.output)
     return EXIT_OK
 
@@ -494,8 +402,9 @@ def cmd_gen_case(args):
 # --- train --------------------------------------------------------------------
 
 def cmd_train(args):
-    if args.eval_time_limit <= 0:
-        print("error: --eval-time-limit must be positive", file=sys.stderr)
+    if not (args.eval_time_limit > 0 and math.isfinite(args.eval_time_limit)):
+        print("error: --eval-time-limit must be positive and finite",
+              file=sys.stderr)
         return EXIT_INPUT
     paths = sorted(p for pat in args.cases for p in globmod.glob(pat))
     if not paths:
@@ -506,21 +415,17 @@ def cmd_train(args):
     except CaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    samples = []
-    for net in nets:
-        try:
-            net, _, base, _, _ = orch.solve_base(net)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SOLVE
-        for k in net.contingencies:
-            feats = extract_features(net, k, base)
-            label = eval_mod.full_evaluate(
-                net, k, base, time_limit=args.eval_time_limit,
-                deterministic=True).penalty
-            samples.append((feats, label))
-    model = train_ridge(samples, reg_lambda=args.reg_lambda)
-    save_model(model, args.output)
+
+    from . import harness
+    from .ranking import save_model
+
+    try:
+        model = harness.train(nets, args.eval_time_limit, args.reg_lambda)
+    except RuntimeError as exc:  # a base solve failed twice
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVE
+    if not _write_output(args.output, lambda path: save_model(model, path)):
+        return EXIT_INPUT
     print(args.output)
     return EXIT_OK
 

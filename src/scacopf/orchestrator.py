@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import tempfile
 import time
@@ -86,8 +87,9 @@ class RunConfig:
     def __post_init__(self):
         for name in ("code1_time_limit", "init_fast_eval_budget",
                      "full_eval_budget", "per_contingency_code2_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.n_select < 1:
             raise ValueError("n_select must be >= 1")
 

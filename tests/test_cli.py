@@ -2,16 +2,22 @@ import csv
 import itertools
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scacopf import cli
+from scacopf import eval as eval_mod
 from scacopf import orchestrator as orch
 from scacopf.case_model import dumps_case, load_case, validate, write_case
 from scacopf.cli import generate_case, main
 from scacopf.orchestrator import flat_start, solve_base, write_base_solution
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv):
@@ -62,6 +68,50 @@ def test_generate_case_rejects_tiny():
 def test_generate_case_contingency_cap():
     net = generate_case(12, seed=4, n_contingencies=2)
     assert len(net.contingencies) == 2
+
+
+def test_gen_case_negative_contingency_count_exits_1(tmp_path, capsys):
+    # a negative count used to slice off the last contingencies
+    out = str(tmp_path / "c.json")
+    rc = run_cli(["gen-case", "--n-bus", "6", "--seed", "9",
+                  "--n-contingencies", "-1", "--output", out])
+    assert rc == 1
+    assert "n_contingencies" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["gen-case", "score", "harness", "train"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command):
+    out = str(tmp_path / "missing" / "out")
+    if command == "gen-case":
+        argv = ["gen-case", "--n-bus", "5", "--seed", "11"]
+    elif command == "score":
+        case = small_case(tmp_path)
+        net = load_case(case)
+        base = str(tmp_path / "base.json")
+        write_base_solution(base, net, flat_start(net), 1, 0.0, 0.0)
+        solutions = str(tmp_path / "o")
+        assert run_cli(["code2", "--case", case, "--base", base,
+                        "--deterministic", "--factor", "0.1",
+                        "--output-dir", solutions]) == 0
+        argv = ["score", "--case", case, "--base", base,
+                "--solutions", solutions]
+    elif command == "harness":
+        argv = ["harness", "compl-ablation", small_case(tmp_path)]
+    else:
+        argv = ["train", small_case(tmp_path)]
+    capsys.readouterr()
+    assert run_cli(argv + ["--output", out]) == 1
+    captured = capsys.readouterr()
+    assert out in one_error_line(captured.err)
+    assert captured.out == ""
+    assert not os.path.exists(os.path.dirname(out))
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -128,6 +178,32 @@ def test_usage_errors_exit_1(tmp_path, capsys, flags):
         case if f == "CASE" else f for f in flags]
     assert exit_code(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("code1", "--time-limit"),
+    ("code2", "--factor"),
+    ("train", "--eval-time-limit"),
+])
+def test_non_finite_budget_exits_1(tmp_path, capsys, command, flag, value):
+    # under --deterministic a NaN or infinite budget raised on its conversion
+    # to an operation count; on the clock, NaN meant no limit at all
+    case = small_case(tmp_path)
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", case, "--output", out]
+    else:
+        argv = [command, "--case", case, "--deterministic",
+                "--output-dir", out]
+    if command == "code2":
+        net = load_case(case)
+        base = str(tmp_path / "base.json")
+        write_base_solution(base, net, flat_start(net), 1, 0.0, 0.0)
+        argv += ["--base", base]
+    assert run_cli(argv + [flag, value]) == 1
+    one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 def test_code1_code2_score_pipeline(tmp_path, capsys):
@@ -228,8 +304,7 @@ def test_code2_prescreen_spends_the_whole_share(tmp_path, capsys, monkeypatch):
         return engine
 
     for name in ("fast_evaluate", "full_evaluate"):
-        monkeypatch.setattr(cli.eval_mod, name,
-                            spy(name, getattr(cli.eval_mod, name)))
+        monkeypatch.setattr(eval_mod, name, spy(name, getattr(eval_mod, name)))
     rc = run_cli(["code2", "--case", case, "--base", base_path,
                   "--deterministic", "--factor", "0.1",
                   "--output-dir", str(tmp_path / "o")])
@@ -461,3 +536,35 @@ def test_train_no_matches(tmp_path, capsys):
     rc = run_cli(["train", str(tmp_path / "*.nothing"),
                   "--output", str(tmp_path / "m.json")])
     assert rc == 1
+
+
+# --- start-up -----------------------------------------------------------------
+
+# run in a child process: the test session has imported every module already
+GEN_CASE_AND_HELP = """
+import json, sys
+from scacopf.cli import main
+assert main(["gen-case", "--n-bus", "5", "--seed", "1",
+             "--output", sys.argv[1]]) == 0
+try:
+    main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scacopf", "scipy")))))
+"""
+
+
+def test_gen_case_and_help_load_no_solver_module(tmp_path):
+    # every CLI call is a process that compiles what it imports, so
+    # gen-case and --help must not import the solver stack
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", GEN_CASE_AND_HELP, str(tmp_path / "c.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert {m for m in loaded if m.startswith("scacopf")} == {
+        "scacopf", "scacopf.cli", "scacopf.case_model"}
+    assert "scipy.sparse" not in loaded
+    assert load_case(str(tmp_path / "c.json")) == generate_case(5, seed=1)
