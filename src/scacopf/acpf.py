@@ -119,6 +119,7 @@ class CaseLayout:
         self.avail_gens = [
             (gi, g) for gi, g in enumerate(net.generators) if g.id != outaged
         ]
+        self.gen_ids = [g.id for _, g in self.avail_gens]
         nb, na, m = len(net.buses), len(self.avail_gens), len(self.in_service)
         self.nb, self.m = nb, m
         self.ng, self.nbr = len(net.generators), len(net.branches)
@@ -239,16 +240,16 @@ class CaseLayout:
         return self.K * vx * vx + (self.P * c + self.Q * s) * (vx[:, 0] * vx[:, 2])[:, None]
 
     def balance(self, x):
-        """Per-bus (P, Q) mismatch before slacks, from the flow variables:
-        one `bincount` of the bus terms, then the signed generator-output and
-        flow columns, which adds in the order the columns come."""
+        """Per-bus mismatch before slacks, from the flow variables: P at
+        every bus, then Q, as one flat vector (``reshape(2, -1)`` splits
+        it).  One `bincount` of the bus terms, then the signed generator-
+        output and flow columns, which adds in the order the columns come."""
         nb = self.nb
         v = x[self.v0:self.v0 + nb]
-        pq = np.bincount(self._bal_rows, np.concatenate((
+        return np.bincount(self._bal_rows, np.concatenate((
             -self.p_load - self.g_fs * v * v,
             -self.q_load + (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v * v,
             self._bal_sign * x[self.p0:self.nvar])), 2 * nb)
-        return pq[:nb], pq[nb:]
 
     def ratings(self, x):
         """(lhs, rhs): squared flow magnitudes and rating bases, shape
@@ -354,4 +355,4 @@ class CaseLayout:
 def balance_residuals(net, state, outaged=None):
     """Per-bus active/reactive mismatch before slacks, excluding the outage."""
     lay = CaseLayout.of(net, outaged)
-    return BalanceResiduals(*lay.balance(lay.pack(state)))
+    return BalanceResiduals(*lay.balance(lay.pack(state)).reshape(2, -1))

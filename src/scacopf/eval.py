@@ -40,6 +40,7 @@ from .scopf import (
     MIDDLE,
     UPPER,
     OperatingPoint,
+    _SegmentPlan,
     build_contingency_problem,
     flows_from_state,
     penalty_cost,
@@ -233,31 +234,21 @@ class _SquareSystem:
         self.ref = net.bus_index(net.reference_bus)
 
         # a middle segment follows the response rule (active) or holds the
-        # base voltage (reactive: a PV bus); lower/upper pin the output
-        resp = np.array([gi for gi, g in enumerate(net.generators)
-                         if g.id in state.active], dtype=int)
-        self.p_ids = [net.generators[gi].id for gi in resp]
-        self.q_ids = [g.id for _, g in lay.avail_gens]
-        seg_p = np.array([state.active[g] for g in self.p_ids], dtype=object)
-        seg_q = np.array([state.reactive.get(g, MIDDLE) for g in self.q_ids],
-                         dtype=object)
-        self.p_mid, self.q_mid = seg_p == MIDDLE, seg_q == MIDDLE
-        self.p_low, self.q_low = seg_p == LOWER, seg_q == LOWER
-        self.st = _SquareStructure.of(lay, self.ref, resp, self.p_mid, self.q_mid)
-        self.n = self.st.n
-        self.p_box = lay.p_min[resp], lay.p_max[resp]
-        self.q_box = lay.q_min[lay.gens], lay.q_max[lay.gens]
-        self.p_pin = np.where(self.p_low, *self.p_box)
-        self.alpha = lay.alpha[resp]
-        self.base_p = base.state.p_gen[resp]
+        # base voltage (reactive: a PV bus); lower/upper pin the output.
+        # The segments' compiled arrays are the plan's; only base-point
+        # data is built here
+        plan = self.plan = _SegmentPlan.of(lay, state)
+        if plan.square is None:
+            plan.square = _SquareStructure.of(lay, self.ref, plan.resp,
+                                              plan.p_mid, plan.q_mid)
+        self.st, self.n = plan.square, plan.square.n
+        self.base_p = base.state.p_gen[plan.resp]
         self.base_v = base.state.v[lay.gen_bus]
-        self.p_cols = lay.p0 + lay.gen_col[resp]
         x = self.template = lay.pack(base.state)
         x[lay.th0 + self.ref] = 0.0
-        x[self.p_cols] = np.where(self.p_mid, self.base_p, self.p_pin)
-        x[lay.q0:lay.fl0] = np.where(self.q_mid, 0.0, np.where(self.q_low, *self.q_box))
-        self._mid = (self.p_cols[self.p_mid], self.base_p[self.p_mid],
-                     self.alpha[self.p_mid])
+        x[plan.pin_cols] = plan.pins
+        x[lay.q0:lay.fl0] = plan.q_pins
+        self._mid = (plan.mid_cols, base.state.p_gen[plan.mid_gens], plan.mid_alpha)
         self._at = (None,)  # (z, x, terms, balance) of the last residual
 
     def start(self, point, delta):
@@ -274,20 +265,22 @@ class _SquareSystem:
         x[cols] = base_p + alpha * z[-1]
         terms = lay.branch_terms(x)
         x[lay.fl0:] = lay.flow_values(x, terms).ravel()
-        bal = np.concatenate(lay.balance(x))
-        self._at = (z.copy(), x, terms, bal)
+        bal = lay.balance(x)
+        self._at = (z, x, terms, bal)
         return bal[self.st.rows]
 
     def _evaluated(self, z):
-        # the last residual's work, redone if it was at another point
-        if not np.array_equal(self._at[0], z):
+        # the last residual's work if it was given this very array (which
+        # its caller must not have changed since), else redone at z
+        if self._at[0] is not z:
             self.residual(z)
         return self._at
 
     def jacobian(self, z):
         """The Jacobian as `solve_square` takes it, the pattern and its raw
         values, from the layout vector and branch terms of the residual at
-        z (`solve_square` asks for it only at its last residual's point)."""
+        z (`solve_square` asks for it only at the array its last residual
+        call was given, so that call's work is reused)."""
         st = self.st
         _, x, terms, _ = self._evaluated(z)
         jv = self.lay.jac_head(x, terms)
@@ -310,17 +303,17 @@ class _SquareSystem:
         it (upper bound violated -> upper segment, lower -> lower); a pinned
         segment whose one-sided response residual has the wrong sign
         releases back to middle so the loop can revisit it."""
-        lay = self.lay
-        rho_p = self.base_p + self.alpha * w[-1] - self.p_pin
+        lay, plan = self.lay, self.plan
+        rho_p = self.base_p + plan.alpha * w[-1] - plan.p_pin
         rho_q = self.base_v - w[lay.v0 + lay.gen_bus]
         new = state.copy()
         # a loop over plain floats: on arrays of about ten generators, each
         # numpy call would cost more than the scalar work it replaces
         for table, ids, mid, low, val, (lo, hi), rho in (
-                (new.active, self.p_ids, self.p_mid, self.p_low,
-                 w[self.p_cols], self.p_box, rho_p),
-                (new.reactive, self.q_ids, self.q_mid, self.q_low,
-                 w[lay.q0:lay.fl0], self.q_box, rho_q)):
+                (new.active, plan.p_ids, plan.p_mid, plan.p_low,
+                 w[plan.p_cols], plan.p_box, rho_p),
+                (new.reactive, plan.q_ids, plan.q_mid, plan.q_low,
+                 w[lay.q0:lay.fl0], plan.q_box, rho_q)):
             for g, m, lw, v, vlo, vhi, r in zip(
                     ids, mid.tolist(), low.tolist(), val.tolist(), lo.tolist(),
                     hi.tolist(), rho.tolist()):

@@ -966,11 +966,14 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
             return SquareResult(best_x, FAILED, it, best_norm)
 
         f0 = float(np.sqrt(F @ F))
+        # a NaN or inf in Fn fails the norm test against a finite f0
+        f0_finite = np.isfinite(f0)
         alpha = 1.0
         for _ in range(40):
             xn = x + alpha * d
             Fn = np.asarray(fun(xn), float)
-            if np.all(np.isfinite(Fn)) and np.sqrt(Fn @ Fn) <= (1 - 1e-4 * alpha) * f0:
+            if (np.sqrt(Fn @ Fn) <= (1 - 1e-4 * alpha) * f0
+                    and (f0_finite or np.all(np.isfinite(Fn)))):
                 break
             alpha *= 0.5
         else:

@@ -92,6 +92,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.n_select < 1:
             raise ValueError("n_select must be >= 1")
+        if self.cutoff is not None and not self.cutoff >= 0:
+            raise ValueError("cutoff must be a number >= 0")
 
 
 @dataclass

@@ -149,7 +149,7 @@ def _priced(lay: CaseLayout, x, state: FlowState, delta):
     """Operating point of `state`, whose layout vector is x, with slacks that
     exactly absorb x's residuals: the unique minimal-slack assignment making
     the point feasible.  x's flow columns are trusted as given."""
-    p, q = lay.balance(x)
+    p, q = lay.balance(x).reshape(2, -1)
     lhs, rhs = lay.ratings(x)
     over = np.sqrt(lhs) - rhs
     sig_s = np.zeros(lay.nbr)
@@ -165,30 +165,69 @@ def _priced(lay: CaseLayout, x, state: FlowState, delta):
     )
 
 
+class _SegmentPlan:
+    """What one segment assignment compiles from a contingency's
+    `CaseLayout`, cached in its `compiled` under the active and reactive
+    segment of every available generator (see `of`); no base-point data.
+    A generator with an active segment responds; a missing reactive segment
+    is middle.  `project_response` reads the middle responders' columns,
+    generators, alpha and box, the pinned ones' columns and pins, and the
+    reactive pins with the middle q's columns and box; `eval._SquareSystem`
+    reads the rest and keeps its `_SquareStructure` in `square`."""
+
+    @classmethod
+    def of(cls, lay, state):
+        key = ("plan", tuple(map(state.active.get, lay.gen_ids)),
+               tuple(map(state.reactive.get, lay.gen_ids)))
+        plan = lay.compiled.get(key)
+        if plan is None:
+            plan = lay.compiled[key] = cls(lay, *key[1:])
+        return plan
+
+    def __init__(self, lay, seg_p, seg_q):
+        pos = np.flatnonzero([s is not None for s in seg_p])
+        seg_p = np.array(seg_p, dtype=object)[pos]
+        seg_q = np.array([MIDDLE if s is None else s for s in seg_q], dtype=object)
+        self.resp, self.p_cols = lay.gens[pos], lay.p0 + pos
+        self.p_ids, self.q_ids = [lay.gen_ids[i] for i in pos], lay.gen_ids
+        self.p_mid, self.q_mid = seg_p == MIDDLE, seg_q == MIDDLE
+        self.p_low, self.q_low = seg_p == LOWER, seg_q == LOWER
+        self.p_box = lay.p_min[self.resp], lay.p_max[self.resp]
+        self.q_box = lay.q_min[lay.gens], lay.q_max[lay.gens]
+        self.p_pin = np.where(self.p_low, *self.p_box)
+        self.alpha = lay.alpha[self.resp]
+        mid, pin = self.p_mid, ~self.p_mid
+        self.mid_cols, self.mid_gens = self.p_cols[mid], self.resp[mid]
+        self.mid_alpha, self.mid_box = self.alpha[mid], (self.p_box[0][mid], self.p_box[1][mid])
+        self.pin_cols, self.pins = self.p_cols[pin], self.p_pin[pin]
+        # q of the pinned generators, and 0 (a parameter) at the middle ones
+        self.q_pins = np.where(self.q_mid, 0.0, np.where(self.q_low, *self.q_box))
+        self.q_mid_cols = lay.q0 + np.flatnonzero(self.q_mid)
+        self.q_mid_box = self.q_box[0][self.q_mid], self.q_box[1][self.q_mid]
+        self.square = None
+
+
 def project_response(state, net: Network, k, base: OperatingPoint, raw):
     """The layout vector `raw` of k's `CaseLayout` projected into segment
-    state `state`'s response rules, priced: v, bcs and middle q clipped to
-    their boxes, pinned segments on their bound, middle responders' p on the
-    response rule at the state's delta, other p at base, flows recomputed.
-    Only raw's v, theta, bcs and q columns are read, so its flows may be NaN
-    and entries past `nvar` (as `eval._SquareSystem.expand`'s delta) stay
-    unread."""
+    state `state`'s response rules (its `_SegmentPlan`), priced: v, bcs and
+    middle q clipped to their boxes, pinned segments on their bound, middle
+    responders' p on the response rule at the state's delta, other p at
+    base, flows recomputed.  Only raw's v, theta, bcs and q columns are
+    read, so its flows may be NaN and entries past `nvar` (as
+    `eval._SquareSystem.expand`'s delta) stay unread."""
     lay = CaseLayout.of(net, k.outaged)
-    gens = lay.gens
+    plan = _SegmentPlan.of(lay, state)
+    p_gen = base.state.p_gen
     x = np.empty(lay.nvar)
     x[lay.v0:lay.th0] = np.clip(raw[lay.v0:lay.th0], lay.v_min, lay.v_max)
     x[lay.th0:lay.bcs0] = raw[lay.th0:lay.bcs0]
     x[lay.bcs0:lay.p0] = np.clip(raw[lay.bcs0:lay.p0], lay.bcs_min, lay.bcs_max)
-    seg_p = np.array([state.active.get(g.id, "") for _, g in lay.avail_gens])
-    seg_q = np.array([state.reactive.get(g.id, MIDDLE) for _, g in lay.avail_gens])
-    p_min, p_max = lay.p_min[gens], lay.p_max[gens]
-    q_min, q_max = lay.q_min[gens], lay.q_max[gens]
-    base_p = base.state.p_gen[gens]
-    mid_p = np.clip(base_p + lay.alpha[gens] * state.delta, p_min, p_max)
-    x[lay.p0:lay.q0] = np.where(seg_p == LOWER, p_min, np.where(
-        seg_p == UPPER, p_max, np.where(seg_p == MIDDLE, mid_p, base_p)))
-    x[lay.q0:lay.fl0] = np.where(seg_q == LOWER, q_min, np.where(
-        seg_q == UPPER, q_max, np.clip(raw[lay.q0:lay.fl0], q_min, q_max)))
+    x[lay.p0:lay.q0] = p_gen[lay.gens]
+    x[plan.pin_cols] = plan.pins
+    x[plan.mid_cols] = np.clip(p_gen[plan.mid_gens] + plan.mid_alpha * state.delta,
+                               *plan.mid_box)
+    x[lay.q0:lay.fl0] = plan.q_pins
+    x[plan.q_mid_cols] = np.clip(raw[plan.q_mid_cols], *plan.q_mid_box)
     x[lay.fl0:] = lay.flow_values(x).ravel()
     return _priced(lay, x, lay.unpack(x), state.delta)
 
@@ -388,7 +427,7 @@ class _Block:
 
     def eq_values(self, xb):
         lay = self.layout
-        p, q = lay.balance(xb)
+        p, q = lay.balance(xb).reshape(2, -1)
         nb, r = lay.nb, self.eq_bal0
         out = np.empty(self.n_eq)
         out[:r] = (lay.flow_vars(xb) - lay.flow_values(xb)).ravel()

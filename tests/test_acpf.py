@@ -226,9 +226,8 @@ def coo_dense(values, pattern, shape):
 def expr_values(layout, x):
     """All expression rows of `layout` at x, in `jac_pattern` row order:
     flows, P/Q balance, ``lhs - rhs**2``."""
-    p, q = layout.balance(x)
     lhs, rhs = layout.ratings(x)
-    return np.concatenate((layout.flow_values(x).ravel(), p, q,
+    return np.concatenate((layout.flow_values(x).ravel(), layout.balance(x),
                            (lhs - rhs ** 2).ravel()))
 
 
@@ -334,10 +333,9 @@ def test_balance_scatter_map_is_the_incidence(net5, outaged):
     x = np.zeros(layout.nvar)
     x[layout.v0:layout.th0] = 1.0
     x[layout.p0:] = np.arange(1, layout.nvar - layout.p0 + 1)
-    p, q = layout.balance(x)
-    p_bus = -layout.p_load - layout.g_fs
-    q_bus = -layout.q_load + layout.b_fs
-    np.testing.assert_allclose(np.concatenate((p - p_bus, q - q_bus)),
+    pq_bus = np.concatenate((-layout.p_load - layout.g_fs,
+                             -layout.q_load + layout.b_fs))
+    np.testing.assert_allclose(layout.balance(x) - pq_bus,
                                C @ x[layout.p0:], rtol=1e-15, atol=1e-12)
 
 

@@ -189,21 +189,41 @@ def test_usage_errors_exit_1(tmp_path, capsys, flags):
 def test_non_finite_budget_exits_1(tmp_path, capsys, command, flag, value):
     # under --deterministic a NaN or infinite budget raised on its conversion
     # to an operation count; on the clock, NaN meant no limit at all
-    case = small_case(tmp_path)
     out = str(tmp_path / "out")
     if command == "train":
-        argv = ["train", case, "--output", out]
+        argv = ["train", small_case(tmp_path), "--output", out]
     else:
-        argv = [command, "--case", case, "--deterministic",
-                "--output-dir", out]
+        argv = deterministic_run_argv(tmp_path, command, out)
+    assert run_cli(argv + [flag, value]) == 1
+    one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def deterministic_run_argv(tmp_path, command, out):
+    """`code1` or `code2` under --deterministic on a small case, writing to
+    `out` (code2 from a flat-start base solution)."""
+    case = small_case(tmp_path)
+    argv = [command, "--case", case, "--deterministic", "--output-dir", out]
     if command == "code2":
         net = load_case(case)
         base = str(tmp_path / "base.json")
         write_base_solution(base, net, flat_start(net), 1, 0.0, 0.0)
         argv += ["--base", base]
-    assert run_cli(argv + [flag, value]) == 1
+    return argv
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["code1", "code2"])
+def test_invalid_cutoff_exits_1(tmp_path, capsys, command, value):
+    # no fast penalty is ever at or below a NaN or negative cutoff, so such
+    # a run escalated every evaluation to the full engine; +inf stays valid
+    # and means never escalate
+    out = str(tmp_path / "out")
+    argv = deterministic_run_argv(tmp_path, command, out)
+    assert run_cli(argv + ["--cutoff", value]) == 1
     one_error_line(capsys.readouterr().err)
     assert not os.path.exists(out)
+    assert orch.RunConfig(cutoff=float("inf")).cutoff == float("inf")
 
 
 def test_code1_code2_score_pipeline(tmp_path, capsys):

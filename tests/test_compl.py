@@ -339,14 +339,23 @@ def _project_response_loop(state, net, k, base, raw_point):
 
 
 def test_project_response_equals_loop_reference(net5, rng):
-    # the array expressions do the loop's arithmetic: results are equal
+    # the array expressions do the loop's arithmetic: results are equal.
+    # Every kind of entry is drawn: each segment, and no entry at all (a
+    # non-responder, or a reactive segment that defaults to middle)
     base = scopf.default_start(net5)
-    segs = (LOWER, MIDDLE, UPPER)
+    segs = (LOWER, MIDDLE, UPPER, None)
+    drawn = {"active": set(), "reactive": set()}
     for k in net5.contingencies:
         for _ in range(10):
             st = init_default(net5, k)
-            for table in (st.active, st.reactive):
-                table.update({g: segs[rng.integers(3)] for g in table})
+            for family, table in (("active", st.active), ("reactive", st.reactive)):
+                for g in list(table):
+                    seg = segs[rng.integers(4)]
+                    drawn[family].add(seg)
+                    if seg is None:
+                        del table[g]
+                    else:
+                        table[g] = seg
             st.delta = rng.uniform(-0.5, 0.5)
             raw = base.copy()
             for name in ("v", "bcs", "p_gen", "q_gen"):
@@ -361,3 +370,4 @@ def test_project_response_equals_loop_reference(net5, rng):
                          "sig_q_minus", "sig_s"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               getattr(want, name))
+    assert drawn == {"active": set(segs), "reactive": set(segs)}

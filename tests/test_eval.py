@@ -354,7 +354,7 @@ def test_square_system_evaluates_the_kernel_entries_it_selects(ctg_id):
     full = lay.jac_values(x)
     np.testing.assert_array_equal(vals, np.concatenate((full[st.sel] * st.sign, st.const)))
     r = sys_.residual(z)
-    np.testing.assert_array_equal(r, np.concatenate(lay.balance(x))[st.rows])
+    np.testing.assert_array_equal(r, lay.balance(x)[st.rows])
     assert x[lay.th0 + sys_.ref] == 0.0
 
 
@@ -424,8 +424,7 @@ def assert_solves_the_full_system(net, k, base, state, w):
     lay = CaseLayout.of(net, k.outaged)
     x = w[:lay.nvar].copy()
     x[lay.fl0:] = lay.flow_values(x).ravel()
-    for mismatch in lay.balance(x):
-        assert np.max(np.abs(mismatch)) <= 1e-9
+    assert np.max(np.abs(lay.balance(x))) <= 1e-9
     state_x = lay.unpack(x)
     assert state_x.theta[net.bus_index(net.reference_bus)] == 0.0
     delta = w[-1]
@@ -635,20 +634,91 @@ def assert_same_result(a, b):
     assert a.point.delta == b.point.delta
 
 
+def segment_plans(net, outaged):
+    """The outage's compiled segment plans: each one's arrays as bytes,
+    under its cache key."""
+    return {key: {name: np.asarray(value).tobytes()
+                  for name, value in vars(plan).items() if name != "square"}
+            for key, plan in CaseLayout.of(net, outaged).compiled.items()
+            if key[0] == "plan"}
+
+
 @pytest.mark.parametrize("kind", ["generator-outage", "line-outage"])
 def test_cached_models_hold_no_base_point_data(case14, kind):
     # one contingency at two base points, in both orders: every result on a
-    # network whose layout and square systems are cached is bit-equal to the
-    # same evaluation on a fresh copy of the case
+    # network whose layout, segment plans and square systems are cached is
+    # bit-equal to the same evaluation on a fresh copy of the case, and
+    # every plan that the fresh copy compiles at a point equals the cached
+    # one, though that may have been compiled at the other point
     path, points = case14
     k = next(k for k in load_case(path).contingencies if k.kind == kind)
     for order in (points, points[::-1]):
         warm = load_case(path)
         for point in order:
             got = ev.fast_evaluate(warm, k, point, deterministic=True)
-            ref = ev.fast_evaluate(load_case(path), k, point, deterministic=True)
+            fresh = load_case(path)
+            ref = ev.fast_evaluate(fresh, k, point, deterministic=True)
             assert_same_result(got, ref)
+            plans, cached = segment_plans(fresh, k.outaged), segment_plans(warm, k.outaged)
+            assert plans and all(cached[key] == plan for key, plan in plans.items())
         assert warm._layouts[k.outaged].compiled
+
+
+def test_each_segment_plan_is_compiled_once(case14, monkeypatch):
+    # every contingency at two base points: each (outage, segment
+    # assignment) plan is compiled once, and the rounds and evaluations
+    # that meet its assignment again read it from the layout's cache
+    path, points = case14
+    net = load_case(path)
+    built, looked_up = [], []
+    init, of = scopf._SegmentPlan.__init__, scopf._SegmentPlan.of.__func__
+
+    def counting_init(self, lay, seg_p, seg_q):
+        built.append((lay.gen_ids, seg_p, seg_q))
+        init(self, lay, seg_p, seg_q)
+
+    def counting_of(cls, lay, state):
+        looked_up.append(lay)
+        return of(cls, lay, state)
+
+    monkeypatch.setattr(scopf._SegmentPlan, "__init__", counting_init)
+    monkeypatch.setattr(scopf._SegmentPlan, "of", classmethod(counting_of))
+    for point in points:
+        for k in net.contingencies:
+            ev.fast_evaluate(net, k, point, deterministic=True)
+    keys = [(id(lay), key) for lay in net._layouts.values()
+            for key in lay.compiled if key[0] == "plan"]
+    assert len(built) == len(keys) == len(set(keys)) > 0
+    assert len(looked_up) > 2 * len(built)
+
+
+@pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
+def test_square_jacobian_reuses_only_the_residuals_own_array(ctg_id):
+    # the Jacobian reuses the last residual's work only for the very array
+    # that residual was given: at an equal-valued copy, and at another
+    # point, it is the Jacobian of a fresh residual-then-Jacobian there
+    from conftest import five_bus_net
+    net = five_bus_net()
+    k = net.contingency(ctg_id)
+    base = scopf.default_start(net)
+    state = compl.init_default(net, k)
+    sys_ = ev._SquareSystem(net, k, base, state)
+    rng = np.random.default_rng(7)
+    z = sys_.start(base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
+    other = z + rng.uniform(-0.05, 0.05, sys_.n)
+
+    def fresh(at):
+        sys_ = ev._SquareSystem(net, k, base, state)
+        sys_.residual(at)
+        return sys_.jacobian(at)
+
+    for at in (z.copy(), other):
+        sys_.residual(z)
+        pattern, vals = sys_.jacobian(at)
+        want_pattern, want = fresh(at)
+        assert pattern is want_pattern
+        np.testing.assert_array_equal(vals, want)
+    assert not np.array_equal(fresh(z)[1], fresh(other)[1])
 
 
 def test_layout_memo_is_per_network_and_outage(net5):

@@ -443,6 +443,23 @@ def test_square_time_limit_returns_the_best_iterate(monkeypatch):
     assert 1e-12 < res.residual < np.max(np.abs(np.arctan(x0)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("x0", [4.0, 1e200], ids=["finite", "overflowing"])
+def test_square_backtracking_rejects_a_non_finite_residual(bad, x0):
+    # F(x) = x, but `bad` inside |x| < 1: the full Newton step from x0 lands
+    # at 0, its residual is rejected and the half step is taken.  From
+    # 1e200, |F|^2 overflows, so the start's norm is inf, and an inf trial
+    # residual would pass the norm test by itself
+    def fun(x):
+        return np.where(np.abs(x) < 1.0, bad, x)
+
+    pattern = nlp._DenseLuPattern([0], [0], 1)
+    with np.errstate(over="ignore"):
+        res = solve_square(fun, lambda x: (pattern, np.ones(1)), [x0], max_iter=1)
+    assert res.status == nlp.FAILED and res.iterations == 1
+    np.testing.assert_array_equal(res.x, [x0 / 2])
+
+
 def build_ybus(net):
     nb = len(net.buses)
     Y = np.zeros((nb, nb), complex)
