@@ -76,10 +76,9 @@ class EvaluationResult:
     compl: compl_mod.ComplementarityState
     method: str  # "fast" | "full"
     base_tag: str = ""
-    elapsed: float = 0.0
     status: str = "ok"
-    # [status, iterations, kkt_error, lus, p_tests, colamd_steps] of the
-    # NLP of each full-evaluation segment round (see `nlp.NlpSolution`)
+    # [status, iterations, kkt_error, lus, colamd_steps] of the NLP of each
+    # full-evaluation segment round (see `nlp.NlpSolution`)
     nlp: list = field(default_factory=list)
 
 
@@ -389,8 +388,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
 
     return EvaluationResult(
         contingency_id=k.id, penalty=best_pen, point=best[0], compl=best[1],
-        method="fast", base_tag=base_tag, elapsed=budget.elapsed(),
-        status=status,
+        method="fast", base_tag=base_tag, status=status,
     )
 
 
@@ -426,7 +424,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         sol = solve_nlp(prob, tol=1e-8, **budget.solver_kwargs(300))
         budget.charge(sol.iterations)
         rounds.append([sol.status, sol.iterations, sol.kkt_error, sol.lus,
-                       sol.p_tests, sol.colamd_steps])
+                       sol.colamd_steps])
         if sol.status == "numerical_failure" or not np.all(np.isfinite(sol.x)):
             break
 
@@ -464,15 +462,13 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         result = fast_evaluate(net, k, base, time_limit=budget.remaining(),
                                init_compl=state, base_tag=base_tag,
                                deterministic=deterministic)
-        result.elapsed = budget.elapsed()
         result.status = "degraded"
         result.nlp = rounds
         return result
 
     return EvaluationResult(
         contingency_id=k.id, penalty=best[0], point=best[1], compl=best[2],
-        method="full", base_tag=base_tag, elapsed=budget.elapsed(),
-        status="ok", nlp=rounds,
+        method="full", base_tag=base_tag, status="ok", nlp=rounds,
     )
 
 

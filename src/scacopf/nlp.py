@@ -17,17 +17,15 @@ relaxed slightly on the inside; reported objectives are always the true
 
 Each attempt factors the quasi-definite KKT matrix, K with its equality
 block regularized to -delta_c, once: a symmetric LU with diagonal pivots
-only, under MMD on A'+A.  That LU gives the inertia (right when no pivot
-left the diagonal and exactly m pivots are negative) and the step, which is
+only, under MMD on A'+A.  That LU is the attempt's one inertia test: the
+attempt goes on only where no pivot left the diagonal and exactly m pivots
+are negative, and any other outcome raises delta_w as a wrong inertia does
+(Waechter & Biegler 2006, Sec. 3.1).  The same LU gives the step, which is
 refined against K with its unregularized dual block and, where plain
 refinement stalls, by restarted GMRES preconditioned with the same LU; the
 step is accepted at a residual of at most `STEP_GATE` = 1e-14 times
-max(1, |rhs|_inf).  Two fallbacks keep the earlier two-LU path: where that
-LU pivots off the diagonal or counts other than m negative pivots, an LU of
-the primal Schur complement P decides the inertia (the KKT matrix has the
-wanted inertia iff P is positive definite, which a no-pivot LU decides);
-where the step misses the gate, an LU of K itself with COLAMD and partial
-pivoting gives it.  `NlpSolution` counts the LUs, the P tests and the
+max(1, |rhs|_inf).  Where the step misses the gate, an LU of K itself with
+COLAMD and partial pivoting gives it.  `NlpSolution` counts the LUs and the
 COLAMD steps of a solve.
 
 A solve starts cold by default, for an x0 far from the optimum such as a
@@ -40,20 +38,19 @@ or below `tol` and the barrier parameter has reached its floor tol/10, so a
 cold start that meets `tol` early still ends on the same barrier problem as
 a warm one.
 
-The KKT matrix and its Schur complement have one sparsity pattern for as
-long as the Hessian and Jacobian patterns stay the same, which for the
-problems of `scopf` is the whole solve.  `_Kkt` compiles the quasi-definite
-pattern once, and each fallback's pattern on its first use, and fills each
-attempt's values with one `np.bincount`.  These three patterns and the
-Jacobians of `solve_square` above `DENSE_LU_MAX` rows are each factored by
-an `_LuPattern`: its first LU finds a fill-reducing ordering and bakes it
-into the pattern, and every LU then factors the pre-permuted matrix in
-natural order.  Every sparse LU goes through `_splu`, which calls SuperLU
-(Li 2005, ACM TOMS 31(3)) with relax=1 and panel_size=1.  These matrices have a few nonzeros per column,
-and against SuperLU's default supernode relaxation and panel size the two
-settings take 20-40 % off each LU, on a 2-core x86 host: 48 against 62 us
-for an 80-row screening Jacobian, 24-27 against 29-35 ms for a 300-bus base
-KKT matrix and 5.3-6.4 against 7.8-8.6 ms for its Schur complement.
+The KKT matrix has one sparsity pattern for as long as the Hessian and
+Jacobian patterns stay the same, which for the problems of `scopf` is the
+whole solve.  `_Kkt` compiles the quasi-definite pattern once, and K's on
+its first use, and fills each attempt's values with one `np.bincount`.
+These two patterns and the Jacobians of `solve_square` above
+`DENSE_LU_MAX` rows are each factored by an `_LuPattern`: its first LU
+finds a fill-reducing ordering and bakes it into the pattern, and every LU
+then factors the pre-permuted matrix in natural order.  Every sparse LU goes through `_splu`, which calls SuperLU
+(Li 2005, ACM TOMS 31(3)) with relax=1 and panel_size=1.  These matrices
+have a few nonzeros per column, and against SuperLU's default supernode
+relaxation and panel size the two settings take 20-40 % off each LU, on a
+2-core x86 host: 48 against 62 us for an 80-row screening Jacobian and
+24-27 against 29-35 ms for a 300-bus base KKT matrix.
 
 A SuperLU call also pays a fixed cost of about 30 us whatever the matrix,
 so a square Jacobian of at most `DENSE_LU_MAX` = 200 rows (the fast
@@ -125,11 +122,9 @@ class NlpSolution:
     # the KKT error E0 and barrier parameter of the last iterate examined
     kkt_error: float = np.inf
     mu: float = 0.0
-    # KKT LUs made (SuperLU calls, orderings included), attempts whose
-    # inertia the Schur complement decided, and attempts whose step needed
-    # K's own LU (see `_Kkt`)
+    # KKT LUs made (SuperLU calls, orderings included) and attempts whose
+    # step needed K's own LU (see `_Kkt`)
     lus: int = 0
-    p_tests: int = 0
     colamd_steps: int = 0
 
 
@@ -283,26 +278,19 @@ class _Kkt:
 
     Each matrix is filled from the values of Hl, w_diag, J and d with one
     `np.bincount`: the raw entries of W are Hl's, the mirror of its
-    off-diagonal ones and the diagonal.  An attempt makes one LU in the
-    common case, of the quasi-definite matrix: K with its equality block
-    regularized to -delta_c.  Where W is positive definite, that matrix is
-    symmetric quasi-definite and has an LDL' factorization under any
-    symmetric ordering (Vanderbei 1995, SIAM J. Optim. 5(1)), so its
-    pattern `Q` is ordered by MMD on A'+A, baked into rows and columns, and
-    factored with diagonal pivots only.  That one LU decides the inertia,
-    which is right when no pivot left the diagonal and exactly m pivots are
-    negative, and gives the step (`_KktSolve`).  Two fallbacks keep the
-    two-LU path, each compiled on first use:
+    off-diagonal ones and the diagonal.  An attempt makes one LU, of the
+    quasi-definite matrix: K with its equality block regularized to
+    -delta_c.  Where W is positive definite, that matrix is symmetric
+    quasi-definite and has an LDL' factorization under any symmetric
+    ordering (Vanderbei 1995, SIAM J. Optim. 5(1)), so its pattern `Q` is
+    ordered by MMD on A'+A, baked into rows and columns, and factored with
+    diagonal pivots only.  That one LU decides the inertia, which is right
+    when no pivot left the diagonal and exactly m pivots are negative, and
+    gives the step (`_KktSolve`).  When the step misses `STEP_GATE`, an LU
+    of K itself gives it; `K`, compiled on first use, is ordered by COLAMD
+    on columns and factored with partial pivoting.
 
-    - when the LU pivots off the diagonal or counts other than m negative
-      pivots, the Schur complement P = W + J' diag(1/d) J decides the
-      inertia; its raw entries add S[k,a] S[k,b] for every pair (a, b) of
-      entries in one row k of S = diag(1/sqrt(d)) J, and `P` is ordered by
-      MMD on rows and columns and factored without pivoting;
-    - when the step misses `STEP_GATE`, an LU of K itself gives it; `K` is
-      ordered by COLAMD on columns and factored with partial pivoting.
-
-    `counts` tallies the LUs made, the P tests and the COLAMD steps.
+    `counts` tallies the LUs made and the COLAMD steps.
     """
 
     def __init__(self, Hl, J):
@@ -314,33 +302,12 @@ class _Kkt:
         diag = np.arange(n)
         w_rows = np.concatenate((Hl.indices, h_col[self._mirror], diag))
         w_cols = np.concatenate((h_col, Hl.indices[self._mirror], diag))
-        self._n_w = len(w_rows)
-        self._j_row = np.repeat(np.arange(m), np.diff(J.indptr))
-        j_row, dual = n + self._j_row, n + np.arange(m)
+        j_row = n + np.repeat(np.arange(m), np.diff(J.indptr))
+        dual = n + np.arange(m)
         self._entries = (np.concatenate((w_rows, j_row, J.indices, dual)),
                          np.concatenate((w_cols, J.indices, j_row, dual)))
         self.Q = _LuPattern(*self._entries, n + m, "MMD_AT_PLUS_A", symmetric=True)
         self.counts = Counter()
-
-    @cached_property
-    def _pairs(self):
-        """Entry pairs (a, b) within a row of J: entry a once per entry b of
-        its row."""
-        indptr = self.structure[2]
-        per_row = np.diff(indptr)[self._j_row]
-        pa = np.repeat(np.arange(len(self._j_row)), per_row)
-        first_pair = np.repeat(np.cumsum(per_row) - per_row, per_row)
-        return pa, (np.repeat(indptr[self._j_row], per_row)
-                    + np.arange(len(pa)) - first_pair)
-
-    @cached_property
-    def P(self):
-        pa, pb = self._pairs
-        j_cols = self.structure[3]
-        rows, cols = (e[:self._n_w] for e in self._entries)
-        return _LuPattern(np.concatenate((rows, j_cols[pa])),
-                          np.concatenate((cols, j_cols[pb])),
-                          self.n, "MMD_AT_PLUS_A", symmetric=True)
 
     @cached_property
     def K(self):
@@ -362,18 +329,9 @@ class _Kkt:
         self.counts["lus"] += 1 + (first and pattern.pos is not None)
         return out
 
-    def _w_values(self, h, w_diag):
-        return np.concatenate((h, h[self._mirror], w_diag))
-
-    def schur(self, h, w_diag, j, d):
-        """P's raw values, for values h of Hl and j of J."""
-        pa, pb = self._pairs
-        scaled = j / np.sqrt(d[self._j_row])
-        return np.concatenate((self._w_values(h, w_diag), scaled[pa] * scaled[pb]))
-
     def values(self, h, w_diag, j, d):
         """K's raw values."""
-        return np.concatenate((self._w_values(h, w_diag), j, j, -d))
+        return np.concatenate((h, h[self._mirror], w_diag, j, j, -d))
 
     def quasi_definite(self, h, w_diag, j, d):
         """(lu, pos, ok): the LU of K with dual block -diag(d) (d > 0) as
@@ -383,37 +341,20 @@ class _Kkt:
         the symmetrically permuted K, whose D is U's diagonal, so by
         Sylvester's law of inertia K has m negative eigenvalues iff D has m
         negative entries (and none is 0, or the LU would have pivoted off
-        the diagonal).  False does not show a wrong inertia."""
+        the diagonal).  False may also come from a K of the right inertia
+        that the LU could not factor with diagonal pivots."""
         _, lu, pos = self._factor(self.Q, self.values(h, w_diag, j, d))
         ok = lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)) \
             and np.count_nonzero(lu.U.diagonal() < 0.0) == self.m
         return lu, pos, ok
 
-    def inertia_ok(self, h, w_diag, j, d):
-        """True iff K has inertia (n, m, 0), for d > 0.
-
-        By Haynsworth's law the inertia is (0, m, 0) plus the inertia of P,
-        so the answer is whether P is positive definite.  That is decided by
-        an LU of P with symmetric ordering and no pivoting: P is positive
-        definite iff no off-diagonal pivot was needed and every pivot is
-        positive.
-        """
-        _, lu, _ = self._factor(self.P, self.schur(h, w_diag, j, d))
-        return lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)
-                                       and np.all(lu.U.diagonal() > 0.0))
-
     def factor(self, h, w_diag, j, d, d_test):
         """One attempt: the `_KktSolve` of K with dual block -diag(d), or
-        None if K with dual block -diag(d_test) has the wrong inertia.
-        d_test > 0 is d with the equality block regularized; the
-        quasi-definite LU is of that K, and P decides only where that LU
-        does not show the inertia."""
+        None if the quasi-definite LU, of K with dual block -diag(d_test),
+        does not show the inertia (n, m, 0).  d_test > 0 is d with the
+        equality block regularized."""
         lu, pos, ok = self.quasi_definite(h, w_diag, j, d_test)
-        if not ok:
-            self.counts["p_tests"] += 1
-            if not self.inertia_ok(h, w_diag, j, d_test):
-                return None
-        return _KktSolve(self, self.values(h, w_diag, j, d), lu, pos)
+        return _KktSolve(self, self.values(h, w_diag, j, d), lu, pos) if ok else None
 
 
 # a step from the quasi-definite LU is accepted when its residual against K
@@ -434,19 +375,16 @@ class _KktSolve:
     def __init__(self, kkt, vals, lu, pos):
         self.kkt, self.vals, self.lu, self.pos = kkt, vals, lu, pos
         self.qd = False
-        self._A = self._k = None
+        self._A = kkt.Q.pattern.matrix(vals)
+        self._k = None
 
     def __call__(self, rhs):
-        self.qd = False
-        if self.lu is not None:
-            if self._A is None:
-                self._A = self.kkt.Q.pattern.matrix(self.vals)
-            b = np.empty_like(rhs)
-            b[self.pos] = rhs
-            x = _gated_solve(self._A, self.lu, b)
-            if x is not None:
-                self.qd = True
-                return x[self.pos]
+        b = np.empty_like(rhs)
+        b[self.pos] = rhs
+        x = _gated_solve(self._A, self.lu, b)
+        self.qd = x is not None
+        if self.qd:
+            return x[self.pos]
         if self._k is None:
             self.kkt.counts["colamd_steps"] += 1
             self._k = self.kkt._factor(self.kkt.K, self.vals)
@@ -762,8 +700,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
         # inertia-corrected factorization; dual regularization only kicks in
         # on singularity (e.g. duplicated equality rows) so well-posed
-        # problems are solved without the delta_c bias.  The inertia test
-        # and the quasi-definite LU put delta_c on the equality block even
+        # problems are solved without the delta_c bias.  The quasi-definite
+        # LU, the inertia test, puts delta_c on the equality block even
         # while dc is 0.
         delta_w = 0.0
         dc = 0.0
@@ -918,8 +856,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         x=x, lambda_eq=y, lambda_ineq=w, z_lower=zl, z_upper=zu,
         objective=f, status=status, iterations=it,
         constraint_violation=viol(x, cE, cI), kkt_error=e0, mu=mu,
-        lus=counts["lus"], p_tests=counts["p_tests"],
-        colamd_steps=counts["colamd_steps"],
+        lus=counts["lus"], colamd_steps=counts["colamd_steps"],
     )
 
 

@@ -266,7 +266,7 @@ def _solve_fields(sol):
     """Run-log fields of a base or master NLP solve."""
     return dict(status=sol.status, iterations=sol.iterations,
                 kkt_error=sol.kkt_error, mu=sol.mu, lus=sol.lus,
-                p_tests=sol.p_tests, colamd_steps=sol.colamd_steps)
+                colamd_steps=sol.colamd_steps)
 
 
 def _reprice_base(net, point):

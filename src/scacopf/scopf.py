@@ -772,8 +772,6 @@ def build_contingency_problem(net: Network, k, base_point: OperatingPoint,
                               start: OperatingPoint = None):
     """Penalty-minimization NLP for one contingency with base values as data,
     started at `start` or else at `project_response` of the base point."""
-    if isinstance(k, str):
-        k = net.contingency(k)
     skip = report.skip_rating_ids(k.outaged) if report is not None else ()
     block = _Block(net, outaged=k.outaged, skip_rating=skip)
     if start is None:

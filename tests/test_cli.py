@@ -469,6 +469,22 @@ def test_harness_n_select_below_one_exits_1(tmp_path, capsys, n_select):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("error, code", [(TimeoutError, 3), (RuntimeError, 2)])
+def test_code1_solve_errors_exit_with_their_codes(tmp_path, capsys, monkeypatch,
+                                                  error, code):
+    # a run that times out before its first write exits 3, a failed solve 2,
+    # each with one error line
+    def failing(net, cfg, model=None):
+        raise error("injected")
+
+    monkeypatch.setattr(orch, "run_code1", failing)
+    assert run_cli(["code1", "--case", small_case(tmp_path),
+                    "--output-dir", str(tmp_path / "o")]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["error: injected"]
+
+
 @pytest.mark.parametrize("command", ["harness", "train"])
 def test_failed_base_solve_exits_2(tmp_path, capsys, monkeypatch, command):
     # harness and train take code1's base-solve path, retry included

@@ -592,22 +592,21 @@ def saddle_inertia_ok(W, J, d):
     return int(np.sum(ev > 0)) == n and int(np.sum(ev < 0)) == m
 
 
-def kkt_inertia_ok(W, J, d, verdict="inertia_ok"):
-    """`_Kkt.inertia_ok` on the saddle-point matrix of dense W, J and d,
-    built from W's lower triangle as `solve_nlp` builds it; or, with
-    verdict="quasi_definite", whether the quasi-definite LU shows its
-    inertia."""
+def kkt_inertia_ok(W, J, d):
+    """Whether the quasi-definite LU of `_Kkt` shows the inertia (n, m, 0)
+    of the saddle-point matrix of dense W, J and d, built from W's lower
+    triangle as `solve_nlp` builds it."""
     Hl = sparse.tril(sparse.csc_matrix(W), format="csc")
     J = sparse.csr_matrix(sparse.csc_matrix(J))
-    out = getattr(nlp._Kkt(Hl, J), verdict)(Hl.data, np.zeros(W.shape[0]), J.data, d)
-    return out[2] if verdict == "quasi_definite" else out
+    kkt = nlp._Kkt(Hl, J)
+    return kkt.quasi_definite(Hl.data, np.zeros(W.shape[0]), J.data, d)[2]
 
 
 def test_inertia_counting_matches_eigvals():
-    # the positive-definiteness test of the condensed matrix must agree with
-    # the eigenvalues of the saddle-point matrix, on both sides of the
-    # boundary where the condensed matrix becomes singular; the
-    # quasi-definite LU's verdict never accepts an inertia they reject
+    # the quasi-definite LU's verdict never accepts an inertia that the
+    # eigenvalues of the saddle-point matrix reject, on both sides of the
+    # boundary where the condensed matrix W + J' diag(1/d) J becomes
+    # singular, and it does accept the right inertia
     rng = np.random.default_rng(11)
     seen, qd_seen = set(), []
     for trial in range(60):
@@ -625,10 +624,8 @@ def test_inertia_counting_matches_eigvals():
         for shift in (-lam[0] - margin, -lam[0] + margin, 0.0):
             Ws = W + shift * np.eye(n)
             expected = saddle_inertia_ok(Ws, J, d)
-            got = kkt_inertia_ok(Ws, J, d)
-            assert got == expected, (trial, shift)
             seen.add(expected)
-            qd = kkt_inertia_ok(Ws, J, d, "quasi_definite")
+            qd = kkt_inertia_ok(Ws, J, d)
             assert expected or not qd, (trial, shift)
             qd_seen.append(qd)
     assert seen == {True, False}
@@ -684,11 +681,11 @@ def max_rel_diff(A, B):
 
 @pytest.mark.parametrize("kind", ["base", "ctg", "master"])
 def test_kkt_matches_reference_assembly(net5, kind):
-    # the compiled quasi-definite matrix, K and Schur complement P equal the
-    # sparse-algebra assembly, before and after the first factorizations
-    # bake their orderings in (the quasi-definite matrix and P on rows and
-    # columns, K on columns); the quasi-definite LU, refined against its
-    # matrix, solves like an LU of the reference quasi-definite matrix, and
+    # the compiled quasi-definite matrix and K equal the sparse-algebra
+    # assembly, before and after the first factorizations bake their
+    # orderings in (the quasi-definite matrix on rows and columns, K on
+    # columns); the quasi-definite LU, refined against its matrix, solves
+    # like an LU of the reference quasi-definite matrix, and
     # the step of an attempt equals the step of an LU of the reference K
     # (on these random values, with condition numbers of 1e9-1e10, the
     # quasi-definite step misses the residual gate and K's own LU gives it)
@@ -712,12 +709,6 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 W = Hl + Hl.T - sparse.diags(Hl.diagonal()) + sparse.diags(w_diag)
                 K_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d)]], format="csc")
                 Q_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d_test)]], format="csc")
-                P_ref = (W + J.T @ sparse.diags(1.0 / d_test) @ J).tocsc()
-
-                p_pos = kkt.P.pos if kkt.P.pos is not None else np.arange(prob.n)
-                P = kkt.P.pattern.matrix(kkt.schur(Hl.data, w_diag, J.data, d_test))
-                assert max_rel_diff(P[p_pos][:, p_pos], P_ref) <= 1e-14
-                kkt.inertia_ok(Hl.data, w_diag, J.data, d_test)
 
                 q_pos = kkt.Q.pos if kkt.Q.pos is not None else np.arange(K_ref.shape[0])
                 Q = kkt.Q.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d_test))
@@ -739,18 +730,46 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
         # the orderings of the patterns that were factored are baked in, and
         # are not the identity
-        assert kkt.Q.pos is not None and kkt.P.pos is not None
-        for pattern in (kkt.Q, kkt.P, kkt.K):
+        assert kkt.Q.pos is not None
+        for pattern in (kkt.Q, kkt.K):
             if pattern.pos is not None:
                 assert np.any(pattern.pos != np.arange(len(pattern.pos)))
 
 
+def test_nlp_time_limit_returns_the_best_iterate(net5, monkeypatch):
+    # a clock that moves one second per Hessian, one a step: a 2.5 s limit
+    # is found exhausted at the fourth iterate, so the solve ends
+    # `time_limit` with the three steps done and returns what a solve cut at
+    # max_iter=3 returns: the best iterate, clipped into the true bounds
+    prob = scopf_problems(net5)["base"]
+    cut = solve_nlp(prob, tol=1e-8, max_iter=3)
+    clock, iterates = [0.0], []
+    hess, gradient = prob.hess, prob.gradient
+
+    def ticking(*args):
+        clock[0] += 1.0
+        return hess(*args)
+
+    def recording(x):
+        iterates.append(x.copy())
+        return gradient(x)
+
+    prob.hess, prob.gradient = ticking, recording
+    monkeypatch.setattr(nlp, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    res = solve_nlp(prob, tol=1e-8, time_limit=2.5)
+    assert cut.status == nlp.MAX_ITER and res.status == nlp.TIME_LIMIT
+    assert clock[0] == 3.0 and res.iterations == cut.iterations + 1 == len(iterates) == 4
+    np.testing.assert_array_equal(res.x, cut.x)
+    assert np.all(prob.lb <= res.x) and np.all(res.x <= prob.ub)
+    assert any(np.array_equal(res.x, np.clip(x, prob.lb, prob.ub)) for x in iterates)
+    assert res.objective == cut.objective == prob.objective(res.x)
+    assert res.constraint_violation == cut.constraint_violation
+
+
 def test_one_lu_per_attempt(net5, monkeypatch):
     # base, contingency and master solves make one LU per inertia-correction
-    # attempt, of the quasi-definite matrix, plus the first LU of each
-    # pattern, which finds its ordering.  The Schur complement's test runs
-    # at most once a solve (at the last attempt of the base and master
-    # solves that LU pivots off the diagonal), and K's own LU never; the
+    # attempt, of the quasi-definite matrix, plus the first LU of its
+    # pattern, which finds its ordering; K's own LU never runs, and the
     # counts of the solution agree
     calls = []
 
@@ -767,10 +786,10 @@ def test_one_lu_per_attempt(net5, monkeypatch):
         assert sol.status == nlp.OPTIMAL, kind
         attempts = sum(r["factor_attempts"] for r in records)
         assert attempts >= sol.iterations - 1 > 1, kind
-        assert sol.p_tests <= 1 and sol.colamd_steps == 0, kind
+        assert sol.colamd_steps == 0, kind
         assert set(calls) <= {("MMD_AT_PLUS_A", True), ("NATURAL", True)}, kind
-        assert calls.count(("MMD_AT_PLUS_A", True)) == 1 + (sol.p_tests > 0), kind
-        assert calls.count(("NATURAL", True)) == attempts + sol.p_tests, kind
+        assert calls.count(("MMD_AT_PLUS_A", True)) == 1, kind
+        assert calls.count(("NATURAL", True)) == attempts, kind
         assert len(calls) == sol.lus, kind
 
 

@@ -112,6 +112,31 @@ def test_code1_master_improves_score(tmp_path, net5):
     assert res.penalty < 1.0
 
 
+def test_code1_keeps_its_first_base_when_the_master_fails(tmp_path, net5,
+                                                        monkeypatch):
+    # a master solve with a non-finite x ends the loop: the run returns the
+    # base solve's point as tag 1, its first and only write
+    real = orch.solve_nlp
+
+    def failing_master(prob, **kw):
+        sol = real(prob, **kw)
+        if kw.get("warm_start"):
+            sol.x = np.full_like(sol.x, np.nan)
+        return sol
+
+    monkeypatch.setattr(orch, "solve_nlp", failing_master)
+    res = run_code1(net5, quick_cfg(tmp_path, deterministic=True))
+    events = [json.loads(line) for line in open(res.log_path)]
+    assert events[-1]["event"] == "master-failed"
+    assert [e["tag"] for e in events if e["event"] == "written"] == [1]
+    solved = next(e for e in events if e["event"] == "base-solved")
+    assert res.base_tag == 1 and res.included
+    assert (res.objective, res.penalty) == (solved["objective"], solved["penalty"])
+    assert open(res.solution_path, "rb").read() == \
+        open(tmp_path / "base_solution_1.json", "rb").read()
+    assert not os.path.exists(tmp_path / "base_solution_2.json")
+
+
 def test_code1_no_contingencies(tmp_path, net2):
     net = net2
     net = type(net)(buses=net.buses, generators=net.generators,
@@ -351,7 +376,7 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
     def spy(*a, **kw):
         sol = real(*a, **kw)
         solved.append([sol.status, sol.iterations, sol.kkt_error, sol.lus,
-                       sol.p_tests, sol.colamd_steps])
+                       sol.colamd_steps])
         return sol
 
     monkeypatch.setattr(orch, "solve_nlp", spy)
@@ -362,7 +387,7 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
         if rec["event"] in ("base-solve-retry", "base-solved", "master-solved",
                             "master-failed"):
             logged.append([rec[key] for key in ("status", "iterations", "kkt_error",
-                                                "lus", "p_tests", "colamd_steps")])
+                                                "lus", "colamd_steps")])
             assert rec["mu"] > 0.0
             sources.add(rec["event"])
         elif rec["event"] == "evaluated" and rec["nlp"]:
