@@ -15,10 +15,12 @@ Each subcommand imports only the modules it runs.  The module top holds the
 standard library, numpy and `case_model`, all that ``gen-case`` and argument
 parsing need; the solver stack (`orchestrator` and everything it imports,
 ``scipy.sparse`` included) is imported inside the subcommands that solve, and
-the ``harness`` and ``train`` experiments live in `harness`.  Every CLI call
-is its own process, and with no bytecode cache (``PYTHONDONTWRITEBYTECODE``)
-each process compiles every module it imports, so a module imported at the
-top here would be compiled by every subcommand, whether it runs or not.
+the ``harness`` and ``train`` experiments live in `harness`.  ``score`` solves
+nothing: it imports the file codec, `solution_files`, and `scopf`'s pricing,
+which need numpy alone.  Every CLI call is its own process, and with no
+bytecode cache (``PYTHONDONTWRITEBYTECODE``) each process compiles every
+module it imports, so a module imported at the top here would be compiled by
+every subcommand, whether it runs or not.
 """
 
 from __future__ import annotations
@@ -168,12 +170,12 @@ def cmd_code2(args):
 # --- score --------------------------------------------------------------------
 
 def cmd_score(args):
-    from . import orchestrator as orch
     from .scopf import generation_cost, point_penalty, total_score
+    from .solution_files import load_base_solution, load_contingency_solution
 
     try:
         net = _load_case_or_die(args.case)
-        base, tag, base_data = orch.load_base_solution(args.base, net)
+        base, tag, base_data = load_base_solution(args.base, net)
     except (CaseError, OSError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -195,7 +197,7 @@ def cmd_score(args):
                   file=sys.stderr)
             return EXIT_INPUT
         try:
-            point, _, data = orch.load_contingency_solution(path, net)
+            point, _, data = load_contingency_solution(path, net)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -47,20 +47,40 @@ class ComplementarityState:
                                     self.delta, self.shortfall)
 
 
-def _families(net, k):
-    responding = set(k.responding_gens)
-    available = [g for g in net.generators if g.id != k.outaged]
-    return [g for g in available if g.id in responding], available
+class _Families:
+    """A contingency's responding and available generator ids, and what a
+    generator-outage response reads of the responders: their generator
+    indices, alpha and p box.  Compiled once per contingency into its
+    outage's `CaseLayout.compiled` (see `of`); no base-point data."""
+
+    @classmethod
+    def of(cls, net, k):
+        lay = CaseLayout.of(net, k.outaged)
+        key = ("families", k)
+        fam = lay.compiled.get(key)
+        if fam is None:
+            fam = lay.compiled[key] = cls(net, k, lay)
+        return fam
+
+    def __init__(self, net, k, lay):
+        responding = set(k.responding_gens)
+        self.available = [g.id for g in net.generators if g.id != k.outaged]
+        self.responding = [g for g in self.available if g in responding]
+        self.resp = np.array([net.gen_index(g) for g in self.responding],
+                             dtype=int)
+        self.alpha = lay.alpha[self.resp]
+        self.p_min, self.p_max = lay.p_min[self.resp], lay.p_max[self.resp]
+
+    def all_middle(self):
+        return ComplementarityState(
+            active=dict.fromkeys(self.responding, MIDDLE),
+            reactive=dict.fromkeys(self.available, MIDDLE))
 
 
 def init_default(net, k):
     """All-middle state with zero perturbation (line/transformer outages and
     every reactive family start here)."""
-    responding, available = _families(net, k)
-    return ComplementarityState(
-        active={g.id: MIDDLE for g in responding},
-        reactive={g.id: MIDDLE for g in available},
-    )
+    return _Families.of(net, k).all_middle()
 
 
 def init_generator_outage(net, k, base: OperatingPoint):
@@ -76,16 +96,14 @@ def init_generator_outage(net, k, base: OperatingPoint):
     binds.  If even DELTA_MAX cannot replace the target, the state is
     flagged as a shortfall.
     """
-    state = init_default(net, k)
+    fam = _Families.of(net, k)
+    state = fam.all_middle()
     target = LOSS_UPLIFT * base.state.p_gen[net.gen_index(k.outaged)]
-    responding, _ = _families(net, k)
-    if target <= 0.0 or not responding:
+    if target <= 0.0 or not fam.responding:
         return state
 
-    lay = CaseLayout.of(net, k.outaged)
-    resp = np.array([net.gen_index(g.id) for g in responding])
-    p, alpha = base.state.p_gen[resp], lay.alpha[resp]
-    p_min, p_max = lay.p_min[resp], lay.p_max[resp]
+    p, alpha = base.state.p_gen[fam.resp], fam.alpha
+    p_min, p_max = fam.p_min, fam.p_max
     with np.errstate(divide="ignore", invalid="ignore"):
         brk = np.concatenate(((p_min - p) / alpha, (p_max - p) / alpha))
     grid = np.unique(np.concatenate(
@@ -102,11 +120,11 @@ def init_generator_outage(net, k, base: OperatingPoint):
         state.delta = float(max(grid[j - 1], grid[j] - share * (grid[j] - grid[j - 1])))
 
     desired = p + alpha * state.delta
-    for g, above, below in zip(responding, desired > p_max, desired < p_min):
+    for g, above, below in zip(fam.responding, desired > p_max, desired < p_min):
         if above:
-            state.active[g.id] = UPPER
+            state.active[g] = UPPER
         elif below:
-            state.active[g.id] = LOWER
+            state.active[g] = LOWER
     return state
 
 

@@ -66,6 +66,7 @@ its matrices with.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -885,10 +886,10 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     t_start = time.monotonic()
     x = np.asarray(x0, float).copy()
     F = np.asarray(fun(x), float)
-    best_x, best_norm = x.copy(), float(np.max(np.abs(F), initial=0.0))
+    best_x, best_norm = x.copy(), float(np.abs(F).max(initial=0.0))
     it = 0
     for it in range(1, max_iter + 1):
-        norm_inf = float(np.max(np.abs(F), initial=0.0))
+        norm_inf = float(np.abs(F).max(initial=0.0))
         if norm_inf < best_norm:
             best_x, best_norm = x.copy(), norm_inf
         if norm_inf <= tol:
@@ -899,25 +900,25 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
         pattern, vals = jac(x)
         _, lu, pos = pattern.lu(vals)
         d = None if lu is None else lu.solve(-F)[pos]
-        if d is None or not np.all(np.isfinite(d)):
+        if d is None or not np.isfinite(d).all():
             return SquareResult(best_x, FAILED, it, best_norm)
 
-        f0 = float(np.sqrt(F @ F))
+        f0 = math.sqrt(F @ F)
         # a NaN or inf in Fn fails the norm test against a finite f0
-        f0_finite = np.isfinite(f0)
+        f0_finite = math.isfinite(f0)
         alpha = 1.0
         for _ in range(40):
             xn = x + alpha * d
             Fn = np.asarray(fun(xn), float)
-            if (np.sqrt(Fn @ Fn) <= (1 - 1e-4 * alpha) * f0
-                    and (f0_finite or np.all(np.isfinite(Fn)))):
+            if (math.sqrt(Fn @ Fn) <= (1 - 1e-4 * alpha) * f0
+                    and (f0_finite or np.isfinite(Fn).all())):
                 break
             alpha *= 0.5
         else:
             return SquareResult(best_x, FAILED, it, best_norm)
         x, F = xn, Fn
 
-    norm_inf = float(np.max(np.abs(F), initial=0.0))
+    norm_inf = float(np.abs(F).max(initial=0.0))
     if norm_inf < best_norm:
         best_x, best_norm = x.copy(), norm_inf
     status = SOLVED if best_norm <= tol else FAILED

@@ -19,6 +19,9 @@ solver iterations, each phase is charged its nominal seconds as whole
 operations, and no clock is consulted, so runs are reproducible
 byte-for-byte.  Both evaluate contingencies only through `_evaluate`, where
 an evaluation that raises is replaced by its priced fallback.
+
+The solution files are `solution_files`'s; its four public functions are
+imported here, where code1 and code2 write their files.
 """
 
 from __future__ import annotations
@@ -27,21 +30,16 @@ import json
 import logging
 import math
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import compl as compl_mod
 from . import eval as eval_mod
 from .case_model import Network, preprocess
 from .nlp import solve_nlp
 from .ranking import RidgeModel, rank_initial
 from .scopf import (
-    LOWER,
-    MIDDLE,
-    UPPER,
     MasterSpec,
     OperatingPoint,
     build_base_problem,
@@ -53,6 +51,12 @@ from .scopf import (
 )
 from .acpf import FlowState
 from .select import resort, select_top, summarize_point
+from .solution_files import (
+    load_base_solution,
+    load_contingency_solution,
+    write_base_solution,
+    write_contingency_solution,
+)
 
 __all__ = [
     "RunConfig",
@@ -131,100 +135,6 @@ def flat_start(net: Network) -> OperatingPoint:
         flows=np.zeros((len(net.branches), 4)),
     )
     return slacks_from_state(net, state)
-
-
-# --- solution files -----------------------------------------------------------
-
-def _atomic_write(path, text):
-    """Write-then-rename so readers never observe a torn file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-scacopf-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _point_payload(net, point):
-    return {
-        "bus": {b.id: {"v": float(point.state.v[i]),
-                       "theta": float(point.state.theta[i]),
-                       "bcs": float(point.state.bcs[i])}
-                for i, b in enumerate(net.buses)},
-        "gen": {g.id: {"p": float(point.state.p_gen[gi]),
-                       "q": float(point.state.q_gen[gi])}
-                for gi, g in enumerate(net.generators)},
-    }
-
-
-def _point_from_payload(net, data, outaged=None, delta=0.0):
-    nb = len(net.buses)
-    state = FlowState(
-        v=np.array([data["bus"][b.id]["v"] for b in net.buses]),
-        theta=np.array([data["bus"][b.id]["theta"] for b in net.buses]),
-        bcs=np.array([data["bus"][b.id]["bcs"] for b in net.buses]),
-        p_gen=np.array([data["gen"][g.id]["p"] for g in net.generators]),
-        q_gen=np.array([data["gen"][g.id]["q"] for g in net.generators]),
-        flows=np.zeros((len(net.branches), 4)),
-    )
-    state = flows_from_state(net, state, outaged)
-    return slacks_from_state(net, state, outaged, delta=delta)
-
-
-def write_base_solution(path, net, point, tag, objective, penalty):
-    payload = {"tag": int(tag), **_point_payload(net, point),
-               "objective": float(objective), "penalty": float(penalty)}
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
-
-
-def load_base_solution(path, net):
-    with open(path) as fh:
-        data = json.load(fh)
-    point = _point_from_payload(net, data)
-    return point, int(data["tag"]), data
-
-
-_SEG_LETTER = {LOWER: "L", MIDDLE: "M", UPPER: "U"}
-_SEG_FROM_LETTER = {v: k for k, v in _SEG_LETTER.items()}
-
-
-def write_contingency_solution(path, net, result):
-    st = result.compl
-    payload = {
-        "contingency": result.contingency_id,
-        "base_tag": result.base_tag,
-        "delta_k": float(st.delta),
-        "segments": {
-            "active": {g: _SEG_LETTER[s] for g, s in sorted(st.active.items())},
-            "reactive": {g: _SEG_LETTER[s]
-                         for g, s in sorted(st.reactive.items())},
-        },
-        **_point_payload(net, result.point),
-        "penalty": float(result.penalty),
-        "method": result.method,
-        "status": result.status,
-    }
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
-
-
-def load_contingency_solution(path, net):
-    with open(path) as fh:
-        data = json.load(fh)
-    k = net.contingency(data["contingency"])
-    point = _point_from_payload(net, data, outaged=k.outaged,
-                                delta=float(data["delta_k"]))
-    st = compl_mod.ComplementarityState(
-        active={g: _SEG_FROM_LETTER[s]
-                for g, s in data["segments"]["active"].items()},
-        reactive={g: _SEG_FROM_LETTER[s]
-                  for g, s in data["segments"]["reactive"].items()},
-        delta=float(data["delta_k"]),
-    )
-    return point, st, data
 
 
 class _RunLog:

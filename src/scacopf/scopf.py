@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .acpf import CaseLayout, FlowState
 from .case_model import Network, PenaltyConfig
-from .nlp import NlpProblem, _Pattern
 
 __all__ = [
     "OperatingPoint",
@@ -578,6 +576,12 @@ class _Assembler:
         return row
 
     def finish(self):
+        # the solver stack is imported here, where an NLP is built, so that
+        # pricing and projection load with numpy alone
+        from scipy import sparse
+
+        from .nlp import NlpProblem, _Pattern
+
         nvar = self.nvar
         lb = np.concatenate((self.lb, self.extra_lb))
         ub = np.concatenate((self.ub, self.extra_ub))

@@ -591,16 +591,68 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
+def child_modules(code, *argv):
+    """Run `code` in a fresh interpreter; its stdout's lines before the
+    last, and the modules its last line lists."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *out, loaded = proc.stdout.splitlines()
+    return "\n".join(out), set(json.loads(loaded))
+
+
 def test_gen_case_and_help_load_no_solver_module(tmp_path):
     # every CLI call is a process that compiles what it imports, so
     # gen-case and --help must not import the solver stack
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", GEN_CASE_AND_HELP, str(tmp_path / "c.json")],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    _, loaded = child_modules(GEN_CASE_AND_HELP, str(tmp_path / "c.json"))
     assert {m for m in loaded if m.startswith("scacopf")} == {
         "scacopf", "scacopf.cli", "scacopf.case_model"}
     assert "scipy.sparse" not in loaded
     assert load_case(str(tmp_path / "c.json")) == generate_case(5, seed=1)
+
+
+# run in a child process: prints the score report's stdout, then the modules
+SCORE = """
+import json, sys
+from scacopf.cli import main
+assert main(["score", "--case", sys.argv[1], "--base", sys.argv[2],
+             "--solutions", sys.argv[3]]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("scacopf", "scipy")))))
+"""
+SOLVER_MODULES = {"scacopf.orchestrator", "scacopf.eval", "scacopf.nlp",
+                  "scacopf.ranking", "scacopf.select", "scacopf.harness"}
+
+
+def test_score_loads_no_solver_module(tmp_path, capsys):
+    # score solves nothing, so its process loads the file codec and the
+    # pricing with numpy alone, and prices the files as an in-process run
+    case = str(tmp_path / "c.json")
+    write_case(generate_case(5, seed=11, n_contingencies=3), case)
+    out = str(tmp_path / "out")
+    base = os.path.join(out, "base_solution.json")
+    assert run_cli(["code1", "--case", case, "--deterministic",
+                    "--time-limit", "5", "--output-dir", out]) == 0
+    assert run_cli(["code2", "--case", case, "--base", base,
+                    "--deterministic", "--output-dir", out]) == 0
+    capsys.readouterr()
+    assert run_cli(["score", "--case", case, "--base", base,
+                    "--solutions", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    text, loaded = child_modules(SCORE, case, base, out)
+    assert json.loads(text) == report
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert not loaded & SOLVER_MODULES
+    assert {m for m in loaded if m.startswith("scacopf")} == {
+        "scacopf", "scacopf.cli", "scacopf.case_model", "scacopf.acpf",
+        "scacopf.compl", "scacopf.scopf", "scacopf.solution_files"}
+
+
+def test_scopf_import_loads_no_solver_module():
+    _, loaded = child_modules(
+        "import json, sys, scacopf.scopf\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+    assert not loaded & SOLVER_MODULES

@@ -19,6 +19,7 @@ from scacopf.orchestrator import (
 )
 from scacopf.ranking import rank_initial
 from scacopf.scopf import point_penalty, slacks_from_state, total_score
+from scacopf.solution_files import _atomic_write
 
 
 def quick_cfg(tmp_path, **kw):
@@ -78,8 +79,8 @@ def test_base_solution_round_trip(tmp_path, net5):
 
 def test_atomic_write_replaces(tmp_path):
     path = str(tmp_path / "f.json")
-    orch._atomic_write(path, "{\"a\": 1}\n")
-    orch._atomic_write(path, "{\"a\": 2}\n")
+    _atomic_write(path, "{\"a\": 1}\n")
+    _atomic_write(path, "{\"a\": 2}\n")
     assert json.load(open(path)) == {"a": 2}
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp")]
     assert leftovers == []
