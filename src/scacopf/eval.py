@@ -77,8 +77,8 @@ class EvaluationResult:
     method: str  # "fast" | "full"
     base_tag: str = ""
     status: str = "ok"
-    # [status, iterations, kkt_error, lus, colamd_steps] of the NLP of each
-    # full-evaluation segment round (see `nlp.NlpSolution`)
+    # [status, iterations, kkt_error, lus, colamd_steps, gmres_calls] of the
+    # NLP of each full-evaluation segment round (see `nlp.NlpSolution`)
     nlp: list = field(default_factory=list)
 
 
@@ -424,7 +424,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         sol = solve_nlp(prob, tol=1e-8, **budget.solver_kwargs(300))
         budget.charge(sol.iterations)
         rounds.append([sol.status, sol.iterations, sol.kkt_error, sol.lus,
-                       sol.colamd_steps])
+                       sol.colamd_steps, sol.gmres_calls])
         if sol.status == "numerical_failure" or not np.all(np.isfinite(sol.x)):
             break
 

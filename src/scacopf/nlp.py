@@ -25,8 +25,8 @@ refined against K with its unregularized dual block and, where plain
 refinement stalls, by restarted GMRES preconditioned with the same LU; the
 step is accepted at a residual of at most `STEP_GATE` = 1e-14 times
 max(1, |rhs|_inf).  Where the step misses the gate, an LU of K itself with
-COLAMD and partial pivoting gives it.  `NlpSolution` counts the LUs and the
-COLAMD steps of a solve.
+COLAMD and partial pivoting gives it.  `NlpSolution` counts the LUs, the
+GMRES calls and the COLAMD steps of a solve.
 
 A solve starts cold by default, for an x0 far from the optimum such as a
 flat start: the barrier parameter at mu0 = 1 and every bound and
@@ -38,19 +38,27 @@ or below `tol` and the barrier parameter has reached its floor tol/10, so a
 cold start that meets `tol` early still ends on the same barrier problem as
 a warm one.
 
-The KKT matrix has one sparsity pattern for as long as the Hessian and
-Jacobian patterns stay the same, which for the problems of `scopf` is the
-whole solve.  `_Kkt` compiles the quasi-definite pattern once, and K's on
-its first use, and fills each attempt's values with one `np.bincount`.
-These two patterns and the Jacobians of `solve_square` above
+An `NlpProblem` declares the sparsity of its Jacobians and its Hessian
+once, as raw (row, col) entries, and its callbacks return only the values
+on those entries, as Ipopt's TNLP interface asks for the structure once and
+for values after that (Waechter & Biegler 2006).  So the KKT matrix has one
+pattern per solve: `_Kkt` compiles the quasi-definite pattern from the raw
+entries once, and K's on its first use, and fills each attempt's values
+with one `np.bincount`.  J'y and J_I dx are `np.bincount`s on the raw
+entries too, so no scipy.sparse matrix is built per iteration.  Bound
+multipliers and gaps live on the index sets of the finite lower and upper
+bounds.
+
+The two KKT patterns and the Jacobians of `solve_square` above
 `DENSE_LU_MAX` rows are each factored by an `_LuPattern`: its first LU
 finds a fill-reducing ordering and bakes it into the pattern, and every LU
-then factors the pre-permuted matrix in natural order.  Every sparse LU goes through `_splu`, which calls SuperLU
-(Li 2005, ACM TOMS 31(3)) with relax=1 and panel_size=1.  These matrices
-have a few nonzeros per column, and against SuperLU's default supernode
-relaxation and panel size the two settings take 20-40 % off each LU, on a
-2-core x86 host: 48 against 62 us for an 80-row screening Jacobian and
-24-27 against 29-35 ms for a 300-bus base KKT matrix.
+then factors the pre-permuted matrix in natural order.  Every sparse LU
+goes through `_splu`, which calls SuperLU (Li 2005, ACM TOMS 31(3)) with
+relax=1 and panel_size=1.  These matrices have a few nonzeros per column,
+and against SuperLU's default supernode relaxation and panel size the two
+settings take 20-40 % off each LU, on a 2-core x86 host: 48 against 62 us
+for an 80-row screening Jacobian and 24-27 against 29-35 ms for a 300-bus
+base KKT matrix.
 
 A SuperLU call also pays a fixed cost of about 30 us whatever the matrix,
 so a square Jacobian of at most `DENSE_LU_MAX` = 200 rows (the fast
@@ -59,8 +67,6 @@ makes the choice) is factored by a `_DenseLuPattern` instead: one
 `np.bincount` into an n x n array and LAPACK getrf, solved with getrs.  The
 constant is the measured crossover: screening with dense LUs is faster at
 150 rows, even at 201 and 252 and slower at 293 (see `DENSE_LU_MAX`).
-`_Pattern` is the compiled sparsity pattern that every layer above fills
-its matrices with.
 """
 
 from __future__ import annotations
@@ -88,7 +94,12 @@ FAILED = "failed"
 
 @dataclass
 class NlpProblem:
-    """Smooth NLP: min f(x) s.t. eq(x)=0, ineq(x)<=0, lb<=x<=ub."""
+    """Smooth NLP: min f(x) s.t. eq(x)=0, ineq(x)<=0, lb<=x<=ub.
+
+    The sparsity is declared once: each `*_pattern` holds the (rows, cols)
+    of raw entries, in which a (row, col) pair may repeat (the values of a
+    repeated pair are summed), and the callbacks of the same name return
+    the raw values on those entries."""
 
     n: int
     x0: np.ndarray
@@ -98,11 +109,19 @@ class NlpProblem:
     gradient: Callable[[np.ndarray], np.ndarray]
     eq: Callable[[np.ndarray], np.ndarray]
     ineq: Callable[[np.ndarray], np.ndarray]
-    jac_eq: Callable[[np.ndarray], sparse.spmatrix]
-    jac_ineq: Callable[[np.ndarray], sparse.spmatrix]
-    # hess(x, sigma_f, lam_eq, lam_ineq): lower triangle of the Lagrangian
-    # Hessian sigma_f * hess(f) + sum lam_eq*hess(eq) + sum lam_ineq*hess(ineq)
-    hess: Callable[..., sparse.spmatrix]
+    # jac_eq(x), jac_ineq(x): values on jac_eq_pattern, jac_ineq_pattern
+    jac_eq: Callable[[np.ndarray], np.ndarray]
+    jac_ineq: Callable[[np.ndarray], np.ndarray]
+    # hess(x, sigma_f, lam_eq, lam_ineq): values on hess_pattern of the
+    # Lagrangian Hessian sigma_f * hess(f) + sum lam_eq*hess(eq) + sum
+    # lam_ineq*hess(ineq)
+    hess: Callable[..., np.ndarray]
+    jac_eq_pattern: tuple
+    jac_ineq_pattern: tuple
+    # the Hessian's lower triangle: an off-diagonal entry (i, j) stands for
+    # both (i, j) and (j, i), so one given above the diagonal counts as its
+    # mirror
+    hess_pattern: tuple
     n_eq: int = 0
     n_ineq: int = 0
     # opaque builder-owned handle (e.g. variable-layout metadata); unused here
@@ -123,36 +142,34 @@ class NlpSolution:
     # the KKT error E0 and barrier parameter of the last iterate examined
     kkt_error: float = np.inf
     mu: float = 0.0
-    # KKT LUs made (SuperLU calls, orderings included) and attempts whose
-    # step needed K's own LU (see `_Kkt`)
+    # KKT LUs made (SuperLU calls, orderings included), GMRES calls, and
+    # attempts whose step needed K's own LU (see `_Kkt`)
     lus: int = 0
+    gmres_calls: int = 0
     colamd_steps: int = 0
 
 
 class _Pattern:
-    """Fixed sparsity pattern: raw (row, col) entries, repeats allowed,
-    compiled once to canonical CSR (or CSC) index arrays; `matrix` sums the
-    raw values onto them, and `permuted` moves the raw entries.
+    """Fixed sparsity pattern of a CSC matrix: raw (row, col) entries,
+    repeats allowed, compiled once to canonical CSC index arrays; `matrix`
+    sums the raw values onto them, and `permuted` moves the raw entries.
 
     The index arrays are validated once, by the matrix built at compile
     time; every `matrix` is a shallow copy of it with data of its own, so it
     shares them read-only."""
 
-    def __init__(self, rows, cols, shape, csc=False):
-        major, minor = (cols, rows) if csc else (rows, cols)
-        n_major, n_minor = shape[::-1] if csc else shape
-        keys = np.asarray(major, dtype=np.int64) * n_minor
-        keys += minor
+    def __init__(self, rows, cols, shape):
+        n_rows, n_cols = shape
+        keys = np.asarray(cols, dtype=np.int64) * n_rows
+        keys += rows
         uniq, self.slot = np.unique(keys, return_inverse=True)
-        self.indices = (uniq % n_minor).astype(np.int32)
-        self.indptr = np.searchsorted(uniq // n_minor,
-                                      np.arange(n_major + 1)).astype(np.int32)
+        self.indices = (uniq % n_rows).astype(np.int32)
+        self.indptr = np.searchsorted(uniq // n_rows,
+                                      np.arange(n_cols + 1)).astype(np.int32)
         self.shape = shape
-        self.csc = csc
         self.indices.flags.writeable = self.indptr.flags.writeable = False
-        fmt = sparse.csc_matrix if csc else sparse.csr_matrix
-        self._empty = fmt((np.zeros(len(self.indices)), self.indices, self.indptr),
-                          shape=shape)
+        self._empty = sparse.csc_matrix(
+            (np.zeros(len(self.indices)), self.indices, self.indptr), shape=shape)
 
     def matrix(self, vals):
         out = copy.copy(self._empty)
@@ -162,11 +179,9 @@ class _Pattern:
     def permuted(self, row_pos, col_pos):
         """The pattern with raw row i moved to row_pos[i] and raw column j to
         col_pos[j]; raw values keep their order."""
-        major = np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32),
-                          np.diff(self.indptr))[self.slot]
-        minor = self.indices[self.slot]
-        rows, cols = (minor, major) if self.csc else (major, minor)
-        return _Pattern(row_pos[rows], col_pos[cols], self.shape, self.csc)
+        cols = np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32),
+                         np.diff(self.indptr))[self.slot]
+        return _Pattern(row_pos[self.indices[self.slot]], col_pos[cols], self.shape)
 
 
 # ordering of square-system LUs: on A' + A, for a power-flow Jacobian is
@@ -185,7 +200,7 @@ class _LuPattern:
     ordered for."""
 
     def __init__(self, rows, cols, n, ordering=SQUARE_ORDERING, symmetric=False):
-        self.pattern = _Pattern(rows, cols, (n, n), csc=True)
+        self.pattern = _Pattern(rows, cols, (n, n))
         self.ordering, self.symmetric = ordering, symmetric
         self.pos = None
 
@@ -263,25 +278,18 @@ def _splu(A, permc_spec, symmetric=False):
         return None
 
 
-def _row_stack(A, B):
-    """[A; B] for CSR matrices A and B, from their index arrays."""
-    return sparse.csr_matrix(
-        (np.concatenate((A.data, B.data)), np.concatenate((A.indices, B.indices)),
-         np.concatenate((A.indptr, B.indptr[1:] + A.nnz))),
-        shape=(A.shape[0] + B.shape[0], A.shape[1]))
-
-
 class _Kkt:
     """KKT matrix K = [[W, J'], [J, -diag(d)]] with W = Hs + diag(w_diag),
-    where Hs is the symmetric matrix whose lower triangle is Hl, compiled for
-    one pattern of Hl (CSC) and J (CSR), and the LUs of each
+    where Hs is the symmetric n x n matrix whose lower triangle the raw
+    entries `hess_pattern` give, and J the m x n matrix of the raw entries
+    `jac_pattern`, compiled once for those entries, and the LUs of each
     inertia-correction attempt on it (`factor`).
 
-    Each matrix is filled from the values of Hl, w_diag, J and d with one
-    `np.bincount`: the raw entries of W are Hl's, the mirror of its
-    off-diagonal ones and the diagonal.  An attempt makes one LU, of the
-    quasi-definite matrix: K with its equality block regularized to
-    -delta_c.  Where W is positive definite, that matrix is symmetric
+    Each matrix is filled from the raw values of the Hessian, w_diag, J and
+    d with one `np.bincount`: the raw entries of W are the Hessian's, the
+    mirror of its off-diagonal ones and the diagonal.  An attempt makes one
+    LU, of the quasi-definite matrix: K with its equality block regularized
+    to -delta_c.  Where W is positive definite, that matrix is symmetric
     quasi-definite and has an LDL' factorization under any symmetric
     ordering (Vanderbei 1995, SIAM J. Optim. 5(1)), so its pattern `Q` is
     ordered by MMD on A'+A, baked into rows and columns, and factored with
@@ -291,37 +299,27 @@ class _Kkt:
     of K itself gives it; `K`, compiled on first use, is ordered by COLAMD
     on columns and factored with partial pivoting.
 
-    `counts` tallies the LUs made and the COLAMD steps.
+    `counts` tallies the LUs made, the GMRES calls and the COLAMD steps.
     """
 
-    def __init__(self, Hl, J):
-        n, m = Hl.shape[0], J.shape[0]
+    def __init__(self, n, hess_pattern, jac_pattern, m):
         self.n, self.m = n, m
-        self.structure = tuple(np.array(a) for a in self._structure(Hl, J))
-        h_col = np.repeat(np.arange(n), np.diff(Hl.indptr))
-        self._mirror = np.flatnonzero(Hl.indices != h_col)
+        h_rows, h_cols = (np.asarray(a, dtype=np.int64) for a in hess_pattern)
+        j_rows, j_cols = (np.asarray(a, dtype=np.int64) for a in jac_pattern)
+        self._mirror = np.flatnonzero(h_rows != h_cols)
         diag = np.arange(n)
-        w_rows = np.concatenate((Hl.indices, h_col[self._mirror], diag))
-        w_cols = np.concatenate((h_col, Hl.indices[self._mirror], diag))
-        j_row = n + np.repeat(np.arange(m), np.diff(J.indptr))
+        w_rows = np.concatenate((h_rows, h_cols[self._mirror], diag))
+        w_cols = np.concatenate((h_cols, h_rows[self._mirror], diag))
+        j_rows = n + j_rows
         dual = n + np.arange(m)
-        self._entries = (np.concatenate((w_rows, j_row, J.indices, dual)),
-                         np.concatenate((w_cols, J.indices, j_row, dual)))
+        self._entries = (np.concatenate((w_rows, j_rows, j_cols, dual)),
+                         np.concatenate((w_cols, j_cols, j_rows, dual)))
         self.Q = _LuPattern(*self._entries, n + m, "MMD_AT_PLUS_A", symmetric=True)
         self.counts = Counter()
 
     @cached_property
     def K(self):
         return _LuPattern(*self._entries, self.n + self.m, "COLAMD")
-
-    @staticmethod
-    def _structure(Hl, J):
-        return Hl.indptr, Hl.indices, J.indptr, J.indices
-
-    def fits(self, Hl, J):
-        """True iff Hl and J have the pattern this was compiled for."""
-        return all(np.array_equal(a, b)
-                   for a, b in zip(self.structure, self._structure(Hl, J)))
 
     def _factor(self, pattern, vals):
         """`pattern.lu(vals)`, its SuperLU calls tallied."""
@@ -382,7 +380,7 @@ class _KktSolve:
     def __call__(self, rhs):
         b = np.empty_like(rhs)
         b[self.pos] = rhs
-        x = _gated_solve(self._A, self.lu, b)
+        x = _gated_solve(self._A, self.lu, b, self.kkt.counts)
         self.qd = x is not None
         if self.qd:
             return x[self.pos]
@@ -393,12 +391,12 @@ class _KktSolve:
         return None if lu is None else _refined_solve(K, lu, rhs)[pos]
 
 
-def _gated_solve(A, lu, b):
+def _gated_solve(A, lu, b, counts):
     """x with |b - A x|_inf <= STEP_GATE * max(1, |b|_inf), or None, from
     an LU of a matrix near A: refined while each step at least halves the
     residual, then by restarted GMRES preconditioned on the right with the
     same LU (GMRES-based refinement, Carson & Higham 2017, SIAM J. Sci.
-    Comput. 39(6))."""
+    Comput. 39(6)), a call that `counts` tallies."""
     gate = STEP_GATE * max(1.0, float(np.max(np.abs(b), initial=0.0)))
     x = lu.solve(b)
     r = b - A @ x
@@ -414,7 +412,10 @@ def _gated_solve(A, lu, b):
         x, r, norm = cand, cand_r, cand_norm
     if norm <= gate:
         return x
-    return _gmres(A, lu, b, x, r, gate) if np.isfinite(norm) else None
+    if not np.isfinite(norm):
+        return None
+    counts["gmres_calls"] += 1
+    return _gmres(A, lu, b, x, r, gate)
 
 
 def _gmres(A, lu, b, x, r, gate):
@@ -551,15 +552,24 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     lb_true = np.asarray(prob.lb, float)
     ub_true = np.asarray(prob.ub, float)
     lb, ub = _relax_bounds(lb_true, ub_true, rel=min(1e-8, max(tol, 1e-14)))
-    fin_l = np.isfinite(lb)
-    fin_u = np.isfinite(ub)
+    x = _interior_start(np.asarray(prob.x0, float), lb, ub)
+    # the finite bounds as index sets, on which bound multipliers and gaps
+    # live; lb and ub keep only those entries from here on
+    il, iu = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
+    lb, ub = lb[il], ub[iu]
+
+    # J = [J_E; J_I] as raw entries, J_E's first
+    je_rows, je_cols = (np.asarray(a, dtype=np.int64) for a in prob.jac_eq_pattern)
+    ji_rows, ji_cols = (np.asarray(a, dtype=np.int64) for a in prob.jac_ineq_pattern)
+    j_rows = np.concatenate((je_rows, me + ji_rows))
+    j_cols = np.concatenate((je_cols, ji_cols))
+    kkt = _Kkt(n, prob.hess_pattern, (j_rows, j_cols), me + mi)
 
     def values(xv):
         """(objective, eq, ineq) at xv."""
         return (prob.objective(xv), prob.eq(xv) if me else np.zeros(0),
                 prob.ineq(xv) if mi else np.zeros(0))
 
-    x = _interior_start(np.asarray(prob.x0, float), lb, ub)
     # the values at x, carried from where x was evaluated (the start, or the
     # accepted trial point), or None if it was not (a trial point off bounds)
     at_x = values(x)
@@ -567,12 +577,12 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     t_lo = np.zeros(mi)  # the slacks' lower bounds, moved by `_move_out`
     y = np.zeros(me)
     mu, w = MU0, np.ones(mi)
-    zl, zu = fin_l.astype(float), fin_u.astype(float)
+    zl, zu = np.ones(len(il)), np.ones(len(iu))
     if warm_start:
         mu = MU0_WARM
         w = np.maximum(mu / np.maximum(t, 1e-8), 1e-8)
-        zl[fin_l] = mu / (x[fin_l] - lb[fin_l])
-        zu[fin_u] = mu / (ub[fin_u] - x[fin_u])
+        zl = mu / (x[il] - lb)
+        zu = mu / (ub - x[iu])
 
     tau_ftb = 0.995
     delta_c = 1e-8
@@ -581,8 +591,6 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                      alpha_primal=0.0, alpha_dual=0.0)
 
     best = None
-    kkt = None
-    counts = Counter()
 
     def viol(xv, cEv, cIv):
         v = 0.0
@@ -590,9 +598,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             v = max(v, float(np.max(np.abs(cEv))))
         if mi:
             v = max(v, float(np.max(np.maximum(cIv, 0.0))))
-        v = max(v, float(np.max(np.maximum(lb - xv, 0.0), initial=0.0)))
-        v = max(v, float(np.max(np.maximum(xv - ub, 0.0), initial=0.0)))
-        return v
+        v = max(v, float(np.max(lb - xv[il], initial=0.0)))
+        return max(v, float(np.max(xv[iu] - ub, initial=0.0)))
 
     def consider(xv, cEv, cIv, fv):
         nonlocal best
@@ -606,15 +613,13 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
 
     def barrier(xv, tv, fv):
         """Barrier objective phi at (xv, tv), whose objective value is fv."""
-        return fv - mu * (np.sum(np.log(xv[fin_l] - lb[fin_l]))
-                          + np.sum(np.log(ub[fin_u] - xv[fin_u]))
+        return fv - mu * (np.sum(np.log(xv[il] - lb)) + np.sum(np.log(ub - xv[iu]))
                           + np.sum(np.log(tv - t_lo)))
 
     def measures(xv, tv):
         """(theta, phi, `values`) at a trial point; theta and phi are inf and
         nothing is evaluated outside the bounds."""
-        if np.any(xv[fin_l] <= lb[fin_l]) or np.any(xv[fin_u] >= ub[fin_u]) \
-                or np.any(tv <= t_lo):
+        if np.any(xv[il] <= lb) or np.any(xv[iu] >= ub) or np.any(tv <= t_lo):
             return np.inf, np.inf, None
         vals = values(xv)
         return theta_of(vals[1], vals[2], tv), barrier(xv, tv, vals[0]), vals
@@ -630,39 +635,40 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     it = 0
     e0 = np.inf
     for it in range(1, max_iter + 1):
-        _move_out(lb, x - lb, mu, -1.0)
-        _move_out(ub, ub - x, mu, 1.0)
+        _move_out(lb, x[il] - lb, mu, -1.0)
+        _move_out(ub, ub - x[iu], mu, 1.0)
         _move_out(t_lo, t - t_lo, mu, -1.0)
         if at_x is None:
             at_x = values(x)
         f, cE, cI = at_x
         g = prob.gradient(x)
-        JE = prob.jac_eq(x).tocsr() if me else sparse.csr_matrix((0, n))
-        JI = prob.jac_ineq(x).tocsr() if mi else sparse.csr_matrix((0, n))
+        jv = np.concatenate((prob.jac_eq(x) if me else np.zeros(0),
+                             prob.jac_ineq(x) if mi else np.zeros(0)))
+        ji = jv[len(je_rows):]
         consider(x, cE, cI, f)
 
-        gap_l = np.where(fin_l, x - lb, np.inf)
-        gap_u = np.where(fin_u, ub - x, np.inf)
-        gap_t = t - t_lo
+        def ji_times(v):
+            """J_I v."""
+            return np.bincount(ji_rows, weights=ji * v[ji_cols], minlength=mi)
 
-        grad_lag = g + JE.T @ y + JI.T @ w
-        r_d = grad_lag - zl + zu
-        comp_t = gap_t * w if mi else np.zeros(0)
-        comp_l = np.zeros(n)
-        comp_l[fin_l] = gap_l[fin_l] * zl[fin_l]
-        comp_u = np.zeros(n)
-        comp_u[fin_u] = gap_u[fin_u] * zu[fin_u]
+        gap_l, gap_u, gap_t = x[il] - lb, ub - x[iu], t - t_lo
+        gl, gu = np.maximum(gap_l, 1e-16), np.maximum(gap_u, 1e-16)
+
+        # g + J'[y; w]
+        grad_lag = g + np.bincount(j_cols, weights=jv * np.concatenate((y, w))[j_rows],
+                                   minlength=n)
+        r_d = grad_lag.copy()
+        r_d[il] -= zl
+        r_d[iu] += zu
+        # the KKT error is the larger of its feasibility part and its
+        # complementarity part, which depends on the barrier parameter
+        feas = max(float(np.max(np.abs(r_d), initial=0.0)),
+                   float(np.max(np.abs(cE), initial=0.0)),
+                   float(np.max(np.abs(cI + t), initial=0.0)))
+        comp = np.concatenate((gap_t * w, gap_l * zl, gap_u * zu))
 
         def resid(mu_val):
-            r = float(np.max(np.abs(r_d), initial=0.0))
-            if me:
-                r = max(r, float(np.max(np.abs(cE))))
-            if mi:
-                r = max(r, float(np.max(np.abs(cI + t))))
-                r = max(r, float(np.max(np.abs(comp_t - mu_val))))
-            r = max(r, float(np.max(np.abs(comp_l[fin_l] - mu_val), initial=0.0)))
-            r = max(r, float(np.max(np.abs(comp_u[fin_u] - mu_val), initial=0.0)))
-            return r
+            return max(feas, float(np.max(np.abs(comp - mu_val), initial=0.0)))
 
         e0 = resid(0.0)
         if log is not None:
@@ -679,18 +685,16 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             mu = max(tol / 10.0, mu / 5.0)
             filt.clear()
 
-        Hl = prob.hess(x, 1.0, y, w).tocsc()
-        J = _row_stack(JE, JI)
-        if kkt is None or not kkt.fits(Hl, J):
-            kkt = _Kkt(Hl, J)
-            kkt.counts = counts  # one tally across recompiled patterns
-        sigma_x = np.where(fin_l, zl / np.maximum(gap_l, 1e-16), 0.0) \
-            + np.where(fin_u, zu / np.maximum(gap_u, 1e-16), 0.0)
+        h = prob.hess(x, 1.0, y, w)
+        sigma_x = np.zeros(n)
+        sigma_x[il] = zl / gl
+        sigma_x[iu] += zu / gu
 
         # gradient of the barrier terms in x; with the Lagrangian's gradient
         # it is the KKT right-hand side, with the objective's the filter's
-        bar_grad = np.where(fin_u, mu / np.maximum(gap_u, 1e-16), 0.0) \
-            - np.where(fin_l, mu / np.maximum(gap_l, 1e-16), 0.0)
+        bar_grad = np.zeros(n)
+        bar_grad[iu] = mu / gu
+        bar_grad[il] -= mu / gl
         gbar = grad_lag + bar_grad
 
         rhs = np.concatenate([
@@ -711,7 +715,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             w_diag = sigma_x + delta_w
             d_dual = np.concatenate([np.full(me, dc), gap_t / w + dc])
             d_test = np.concatenate([np.full(me, dc or delta_c), gap_t / w + dc])
-            solve = kkt.factor(Hl.data, w_diag, J.data, d_dual, d_test)
+            solve = kkt.factor(h, w_diag, jv, d_dual, d_test)
             if solve is not None:
                 sol = solve(rhs)
                 if sol is not None:
@@ -733,24 +737,22 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         def split(sol):
             """(dx, dy, dw, dzl, dzu) of a KKT solution."""
             dx = sol[:n]
-            dzl = np.where(fin_l, mu / np.maximum(gap_l, 1e-16) - zl
-                           - zl / np.maximum(gap_l, 1e-16) * dx, 0.0)
-            dzu = np.where(fin_u, mu / np.maximum(gap_u, 1e-16) - zu
-                           + zu / np.maximum(gap_u, 1e-16) * dx, 0.0)
+            dzl = mu / gl - zl - zl / gl * dx[il]
+            dzu = mu / gu - zu + zu / gu * dx[iu]
             return dx, sol[n:n + me], sol[n + me:], dzl, dzu
 
+        # fraction-to-boundary steps: each is one `_ftb_alpha` over the
+        # stacked slack, lower and upper gaps, or over the stacked duals
+        gaps, duals = np.concatenate((gap_t, gap_l, gap_u)), np.concatenate((w, zl, zu))
+
         def ftb_primal(dx, dt):
-            a = _ftb_alpha(gap_t, dt, tau_ftb)
-            a = min(a, _ftb_alpha(gap_l[fin_l], dx[fin_l], tau_ftb))
-            return min(a, _ftb_alpha(gap_u[fin_u], -dx[fin_u], tau_ftb))
+            return _ftb_alpha(gaps, np.concatenate((dt, dx[il], -dx[iu])), tau_ftb)
 
         def ftb_dual(dw, dzl, dzu):
-            a = _ftb_alpha(w, dw, tau_ftb)
-            a = min(a, _ftb_alpha(zl[fin_l], dzl[fin_l], tau_ftb))
-            return min(a, _ftb_alpha(zu[fin_u], dzu[fin_u], tau_ftb))
+            return _ftb_alpha(duals, np.concatenate((dw, dzl, dzu)), tau_ftb)
 
         dx, dy, dw, dzl, dzu = split(sol)
-        dt = -(cI + t) - JI @ dx
+        dt = -(cI + t) - ji_times(dx)
         a_pri = ftb_primal(dx, dt)
         a_dual = ftb_dual(dw, dzl, dzu)
 
@@ -790,7 +792,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                 if sol_s is None or not np.all(np.isfinite(sol_s)):
                     return None
                 dx_s = sol_s[:n]
-                dt_s = -c_soc_i - JI @ dx_s
+                dt_s = -c_soc_i - ji_times(dx_s)
                 a_soc = ftb_primal(dx_s, dt_s)
                 xs, ts = x + a_soc * dx_s, t + a_soc * dt_s
                 theta_s, phi_s, vals = measures(xs, ts)
@@ -839,8 +841,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         # fraction-to-boundary keeps duals positive; the floor only guards
         # against underflow to exactly zero
         w = np.maximum(w + a_dual * dw, 1e-300) if mi else w
-        zl = np.where(fin_l, np.maximum(zl + a_dual * dzl, 1e-300), 0.0)
-        zu = np.where(fin_u, np.maximum(zu + a_dual * dzu, 1e-300), 0.0)
+        zl = np.maximum(zl + a_dual * dzl, 1e-300)
+        zu = np.maximum(zu + a_dual * dzu, 1e-300)
         last_step = dict(delta_w=delta_w, delta_c=dc_step, factor_attempts=attempt,
                          alpha_primal=alpha, alpha_dual=a_dual)
 
@@ -853,11 +855,14 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         x = x_out
         f, cE, cI = values(x)
 
+    z_lower, z_upper = np.zeros(n), np.zeros(n)
+    z_lower[il], z_upper[iu] = zl, zu
     return NlpSolution(
-        x=x, lambda_eq=y, lambda_ineq=w, z_lower=zl, z_upper=zu,
+        x=x, lambda_eq=y, lambda_ineq=w, z_lower=z_lower, z_upper=z_upper,
         objective=f, status=status, iterations=it,
         constraint_violation=viol(x, cE, cI), kkt_error=e0, mu=mu,
-        lus=counts["lus"], colamd_steps=counts["colamd_steps"],
+        lus=kkt.counts["lus"], gmres_calls=kkt.counts["gmres_calls"],
+        colamd_steps=kkt.counts["colamd_steps"],
     )
 
 

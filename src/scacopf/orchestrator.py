@@ -176,7 +176,7 @@ def _solve_fields(sol):
     """Run-log fields of a base or master NLP solve."""
     return dict(status=sol.status, iterations=sol.iterations,
                 kkt_error=sol.kkt_error, mu=sol.mu, lus=sol.lus,
-                colamd_steps=sol.colamd_steps)
+                colamd_steps=sol.colamd_steps, gmres_calls=sol.gmres_calls)
 
 
 def _reprice_base(net, point):

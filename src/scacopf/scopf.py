@@ -576,11 +576,9 @@ class _Assembler:
         return row
 
     def finish(self):
-        # the solver stack is imported here, where an NLP is built, so that
-        # pricing and projection load with numpy alone
-        from scipy import sparse
-
-        from .nlp import NlpProblem, _Pattern
+        # the solver is imported here, where an NLP is built, so that pricing
+        # and projection load with numpy alone
+        from .nlp import NlpProblem
 
         nvar = self.nvar
         lb = np.concatenate((self.lb, self.extra_lb))
@@ -590,14 +588,14 @@ class _Assembler:
         blocks = self.blocks
         n_eq, n_ineq = self.n_eq, self.n_ineq
 
-        # extra affine equality rows: out[x_rows] = x_const + A @ x
+        # extra affine equality rows: out[x_rows] = x_const + A @ x, A's
+        # entries (e_i, e_c, e_v)
         x_rows = np.array([row for row, _, _ in self.extra_eq], dtype=int)
         x_const = np.array([const for _, _, const in self.extra_eq], dtype=float)
         ents = [(i, c, v) for i, (_, row_ents, _) in enumerate(self.extra_eq)
                 for c, v in row_ents]
         e_i, e_c, e_v = (np.array([e[k] for e in ents], dtype=t)
                          for k, t in enumerate((int, int, float)))
-        A = sparse.csr_matrix((e_v, (e_i, e_c)), shape=(len(x_rows), nvar))
 
         # fixed Jacobian and Hessian patterns over all blocks: the entries
         # each block fills per call, then the constant ones with their values
@@ -605,7 +603,7 @@ class _Assembler:
             return (entries[0] + row_off, entries[1] + col_off) + tuple(entries[2:])
 
         def stack(parts):
-            return [np.concatenate(p) for p in zip(*parts)]
+            return tuple(np.concatenate(p) for p in zip(*parts))
 
         eq_r, eq_c = stack([moved(b.jac_eq_var, e, c) for b, c, e, _ in blocks])
         iq_r, iq_c = stack([moved(b.jac_ineq_var, i, c) for b, c, _, i in blocks])
@@ -613,18 +611,13 @@ class _Assembler:
                                        + [(x_rows[e_i], e_c, e_v)])
         iq_fr, iq_fc, iq_fixed = stack([moved(b.jac_ineq_const, i, c)
                                         for b, c, _, i in blocks])
-        jac_eq_pattern = _Pattern(np.concatenate((eq_r, eq_fr)),
-                                  np.concatenate((eq_c, eq_fc)), (n_eq, nvar))
-        jac_ineq_pattern = _Pattern(np.concatenate((iq_r, iq_fr)),
-                                    np.concatenate((iq_c, iq_fc)), (n_ineq, nvar))
-        hess_pattern = _Pattern(*stack([moved(b.hess_var, c, c) for b, c, _, _ in blocks]),
-                                (nvar, nvar), csc=True)
 
         def eq(x):
             out = np.empty(n_eq)
             for block, off, eq_off, _ in blocks:
                 out[eq_off:eq_off + block.n_eq] = block.eq_values(x[off:off + block.nvar])
-            out[x_rows] = x_const + A @ x
+            out[x_rows] = x_const + np.bincount(e_i, weights=e_v * x[e_c],
+                                                minlength=len(x_rows))
             return out
 
         def ineq(x):
@@ -633,7 +626,7 @@ class _Assembler:
                 out[iq_off:iq_off + block.n_ineq] = block.ineq_values(x[off:off + block.nvar])
             return out
 
-        # one evaluation of both Jacobians per distinct x
+        # one evaluation of both Jacobians' values per distinct x
         memo = {}
 
         def jacobians(x):
@@ -641,27 +634,28 @@ class _Assembler:
                 parts = [block.jac_values(x[off:off + block.nvar])
                          for block, off, _, _ in blocks]
                 memo["x"] = np.array(x, dtype=float)
-                memo["J"] = (
-                    jac_eq_pattern.matrix(np.concatenate([e for e, _ in parts] + [eq_fixed])),
-                    jac_ineq_pattern.matrix(np.concatenate([i for _, i in parts] + [iq_fixed])))
+                memo["J"] = (np.concatenate([e for e, _ in parts] + [eq_fixed]),
+                             np.concatenate([i for _, i in parts] + [iq_fixed]))
             return memo["J"]
 
         def hess(x, sigma_f, lam_eq, lam_ineq):
-            return hess_pattern.matrix(np.concatenate([
+            return np.concatenate([
                 block.hess_values(x[off:off + block.nvar],
                                   lam_eq[eq_off:eq_off + block.n_eq],
                                   lam_ineq[iq_off:iq_off + block.n_ineq])
-                for block, off, eq_off, iq_off in blocks]))
+                for block, off, eq_off, iq_off in blocks])
 
-        prob = NlpProblem(
+        return NlpProblem(
             n=nvar, x0=x0v, lb=lb, ub=ub,
             objective=lambda x: float(obj @ x),
             gradient=lambda x: obj.copy(),
             eq=eq, ineq=ineq, jac_eq=lambda x: jacobians(x)[0],
             jac_ineq=lambda x: jacobians(x)[1], hess=hess,
+            jac_eq_pattern=stack([(eq_r, eq_c), (eq_fr, eq_fc)]),
+            jac_ineq_pattern=stack([(iq_r, iq_c), (iq_fr, iq_fc)]),
+            hess_pattern=stack([moved(b.hess_var, c, c) for b, c, _, _ in blocks]),
             n_eq=n_eq, n_ineq=n_ineq, meta=self.structure,
         )
-        return prob
 
 
 def _lift(asm, col):

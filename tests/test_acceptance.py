@@ -102,8 +102,8 @@ def test_criterion_1_derivatives():
 
 def dense_qp_problem(Q, c, A, b):
     from scacopf.nlp import NlpProblem
-    from scipy import sparse
     n, m = Q.shape[0], A.shape[0]
+    lower = np.tril_indices(n)
     return NlpProblem(
         n=n, x0=np.zeros(n),
         lb=np.full(n, -np.inf), ub=np.full(n, np.inf),
@@ -111,9 +111,11 @@ def dense_qp_problem(Q, c, A, b):
         gradient=lambda x: Q @ x + c,
         eq=lambda x: A @ x - b,
         ineq=lambda x: np.zeros(0),
-        jac_eq=lambda x: sparse.csr_matrix(A),
-        jac_ineq=lambda x: sparse.csr_matrix((0, n)),
-        hess=lambda x, sf, le, li: sparse.coo_matrix(np.tril(sf * Q)),
+        jac_eq=lambda x: A.ravel(),
+        jac_ineq=lambda x: np.zeros(0),
+        hess=lambda x, sf, le, li: sf * Q[lower],
+        jac_eq_pattern=np.divmod(np.arange(m * n), n),
+        jac_ineq_pattern=(np.zeros(0, int),) * 2, hess_pattern=lower,
         n_eq=m, n_ineq=0,
     )
 
@@ -143,8 +145,8 @@ def kkt_newton_oracle(prob, x0):
     zu = np.ones(nu)
 
     def res(x, y, w, t, zl, zu, mu):
-        Je = prob.jac_eq(x).tocsr()
-        Ji = prob.jac_ineq(x).tocsr()
+        Je = coo_dense(prob.jac_eq(x), prob.jac_eq_pattern, (m_eq, n))
+        Ji = coo_dense(prob.jac_ineq(x), prob.jac_ineq_pattern, (m_in, n))
         F1 = prob.gradient(x) + Je.T @ y + Ji.T @ w
         F1[il] -= zl
         F1[iu] += zu
@@ -159,7 +161,7 @@ def kkt_newton_oracle(prob, x0):
             F, Je, Ji = res(x, y, w, t, zl, zu, mu)
             if np.max(np.abs(F)) <= max(1e-9, mu):
                 break
-            H = prob.hess(x, 1.0, y, w).toarray()
+            H = coo_dense(prob.hess(x, 1.0, y, w), prob.hess_pattern, (n, n))
             H = H + H.T - np.diag(np.diag(H))
             oy, ow = n, n + m_eq
             ot, ozl = ow + m_in, ow + 2 * m_in
@@ -167,12 +169,12 @@ def kkt_newton_oracle(prob, x0):
             N = ozu + nu
             J = np.zeros((N, N))
             J[0:n, 0:n] = H + lam * np.eye(n)
-            J[0:n, oy:ow] = Je.toarray().T
-            J[0:n, ow:ot] = Ji.toarray().T
+            J[0:n, oy:ow] = Je.T
+            J[0:n, ow:ot] = Ji.T
             J[il, ozl + np.arange(nl)] = -1.0
             J[iu, ozu + np.arange(nu)] = 1.0
-            J[oy:ow, 0:n] = Je.toarray()
-            J[ow:ot, 0:n] = Ji.toarray()
+            J[oy:ow, 0:n] = Je
+            J[ow:ot, 0:n] = Ji
             J[ow:ot, ot:ozl] = np.eye(m_in)
             J[ot:ozl, ot:ozl] = np.diag(w)
             J[ot:ozl, ow:ot] = np.diag(t)

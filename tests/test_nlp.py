@@ -11,9 +11,15 @@ from scacopf.nlp import NlpProblem, solve_nlp, solve_square
 from conftest import five_bus_net
 
 
+def dense_entries(m, n):
+    """(rows, cols) of every entry of an m x n matrix, row by row."""
+    return np.divmod(np.arange(m * n), n)
+
+
 def dense_problem(n, f, g, H, x0, lb=None, ub=None, A_eq=None, b_eq=None,
                   c_ineq=None, J_ineq=None, H_constr=None):
-    """Wrap dense callables/matrices as an NlpProblem."""
+    """Wrap dense callables/matrices as an NlpProblem with dense patterns:
+    every entry of the Jacobians and of the Hessian's lower triangle."""
     lb = np.full(n, -np.inf) if lb is None else np.asarray(lb, float)
     ub = np.full(n, np.inf) if ub is None else np.asarray(ub, float)
     if A_eq is None:
@@ -24,11 +30,13 @@ def dense_problem(n, f, g, H, x0, lb=None, ub=None, A_eq=None, b_eq=None,
     me = A_eq.shape[0]
     mi = 0 if c_ineq is None else len(c_ineq(np.asarray(x0, float)))
 
+    lower = np.tril_indices(n)
+
     def hess(x, sf, le, li):
         M = sf * np.asarray(H(x), float)
         if H_constr is not None:
             M = M + H_constr(x, le, li)
-        return sparse.coo_matrix(np.tril(M))
+        return M[lower]
 
     return NlpProblem(
         n=n, x0=np.asarray(x0, float), lb=lb, ub=ub,
@@ -36,10 +44,11 @@ def dense_problem(n, f, g, H, x0, lb=None, ub=None, A_eq=None, b_eq=None,
         gradient=lambda x: np.asarray(g(x), float),
         eq=lambda x: A_eq @ x - b_eq,
         ineq=(lambda x: np.asarray(c_ineq(x), float)) if mi else (lambda x: np.zeros(0)),
-        jac_eq=lambda x: sparse.coo_matrix(A_eq),
-        jac_ineq=(lambda x: sparse.coo_matrix(np.asarray(J_ineq(x), float)))
-        if mi else (lambda x: sparse.coo_matrix((0, n))),
-        hess=hess,
+        jac_eq=lambda x: A_eq.ravel(),
+        jac_ineq=(lambda x: np.asarray(J_ineq(x), float).ravel())
+        if mi else (lambda x: np.zeros(0)),
+        hess=hess, jac_eq_pattern=dense_entries(me, n),
+        jac_ineq_pattern=dense_entries(mi, n), hess_pattern=lower,
         n_eq=me, n_ineq=mi,
     )
 
@@ -192,7 +201,7 @@ def maratos_problem():
     full step from near the circle raises the constraint violation at second
     order (the Maratos effect)."""
     def hess(x, sf, le, li):
-        return sparse.coo_matrix((4.0 * sf + 2.0 * le[0]) * np.eye(2))
+        return np.full(2, 4.0 * sf + 2.0 * le[0])
 
     return NlpProblem(
         n=2, x0=np.array([math.cos(0.2), math.sin(0.2)]),
@@ -201,9 +210,9 @@ def maratos_problem():
         gradient=lambda x: 4.0 * x - np.array([1.0, 0.0]),
         eq=lambda x: np.array([x @ x - 1.0]),
         ineq=lambda x: np.zeros(0),
-        jac_eq=lambda x: sparse.coo_matrix(2.0 * x[None, :]),
-        jac_ineq=lambda x: sparse.coo_matrix((0, 2)),
-        hess=hess, n_eq=1, n_ineq=0)
+        jac_eq=lambda x: 2.0 * x, jac_ineq=lambda x: np.zeros(0),
+        hess=hess, jac_eq_pattern=([0, 0], [0, 1]), jac_ineq_pattern=([], []),
+        hess_pattern=([0, 1], [0, 1]), n_eq=1, n_ineq=0)
 
 
 def test_maratos_full_steps():
@@ -222,7 +231,7 @@ def test_filter_restarts_at_each_barrier_parameter():
     # raise the barrier objective of every point whenever mu falls, so a
     # filter kept from an earlier mu would bar the steps along the circle
     def hess(x, sf, le, li):
-        return sparse.coo_matrix(np.diag([2.0 * le[0], 2.0 * le[0], 0.0]))
+        return np.array([2.0 * le[0], 2.0 * le[0], 0.0])
 
     c = np.array([0.004, 0.004, 0.0])
     prob = NlpProblem(
@@ -231,9 +240,9 @@ def test_filter_restarts_at_each_barrier_parameter():
         objective=lambda x: float(c @ x), gradient=lambda x: c.copy(),
         eq=lambda x: np.array([x[:2] @ x[:2] - 1.0]),
         ineq=lambda x: np.zeros(0),
-        jac_eq=lambda x: sparse.coo_matrix([[2.0 * x[0], 2.0 * x[1], 0.0]]),
-        jac_ineq=lambda x: sparse.coo_matrix((0, 3)),
-        hess=hess, n_eq=1, n_ineq=0)
+        jac_eq=lambda x: 2.0 * x[:2], jac_ineq=lambda x: np.zeros(0),
+        hess=hess, jac_eq_pattern=([0, 0], [0, 1]), jac_ineq_pattern=([], []),
+        hess_pattern=([0, 1, 2], [0, 1, 2]), n_eq=1, n_ineq=0)
     sol = solve_nlp(prob, tol=1e-8, max_iter=100)
     assert sol.status == nlp.OPTIMAL
     np.testing.assert_allclose(sol.x[:2], [-0.5, math.sqrt(0.75)], atol=1e-6)
@@ -252,10 +261,10 @@ def test_iterate_on_a_bound_is_released():
         n=2, x0=np.array([-1.2, -0.6]), lb=np.full(2, -0.5), ub=np.full(2, np.inf),
         objective=lambda x: float(c @ x), gradient=lambda x: c.copy(),
         eq=lambda x: np.array([x @ x - 1.0]), ineq=lambda x: np.zeros(0),
-        jac_eq=lambda x: sparse.coo_matrix(2.0 * x[None, :]),
-        jac_ineq=lambda x: sparse.coo_matrix((0, 2)),
-        hess=lambda x, sf, le, li: sparse.coo_matrix(2.0 * le[0] * np.eye(2)),
-        n_eq=1, n_ineq=0)
+        jac_eq=lambda x: 2.0 * x, jac_ineq=lambda x: np.zeros(0),
+        hess=lambda x, sf, le, li: np.full(2, 2.0 * le[0]),
+        jac_eq_pattern=([0, 0], [0, 1]), jac_ineq_pattern=([], []),
+        hess_pattern=([0, 1], [0, 1]), n_eq=1, n_ineq=0)
     records = []
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):
         solve_nlp(prob, tol=1e-8, log=records.append)
@@ -594,12 +603,11 @@ def saddle_inertia_ok(W, J, d):
 
 def kkt_inertia_ok(W, J, d):
     """Whether the quasi-definite LU of `_Kkt` shows the inertia (n, m, 0)
-    of the saddle-point matrix of dense W, J and d, built from W's lower
-    triangle as `solve_nlp` builds it."""
-    Hl = sparse.tril(sparse.csc_matrix(W), format="csc")
-    J = sparse.csr_matrix(sparse.csc_matrix(J))
-    kkt = nlp._Kkt(Hl, J)
-    return kkt.quasi_definite(Hl.data, np.zeros(W.shape[0]), J.data, d)[2]
+    of the saddle-point matrix of dense W, J and d, built from the raw
+    entries of W's lower triangle and of J as `solve_nlp` builds it."""
+    (n, m), lower = (W.shape[0], J.shape[0]), np.tril_indices(W.shape[0])
+    kkt = nlp._Kkt(n, lower, dense_entries(m, n), m)
+    return kkt.quasi_definite(W[lower], np.zeros(n), J.ravel(), d)[2]
 
 
 def test_inertia_counting_matches_eigvals():
@@ -693,13 +701,17 @@ def test_kkt_matches_reference_assembly(net5, kind):
     rng = np.random.default_rng(5)
     lo = np.where(np.isfinite(prob.lb), prob.lb, prob.x0 - 1.0)
     hi = np.where(np.isfinite(prob.ub), prob.ub, prob.x0 + 1.0)
-    me = prob.n_eq
+    n, me, m = prob.n, prob.n_eq, prob.n_eq + prob.n_ineq
+    j_pattern = (np.concatenate((prob.jac_eq_pattern[0], me + prob.jac_ineq_pattern[0])),
+                 np.concatenate((prob.jac_eq_pattern[1], prob.jac_ineq_pattern[1])))
     for x in (prob.x0, lo + rng.uniform(0.05, 0.95, prob.n) * (hi - lo)):
         y = rng.normal(size=me)
         w = rng.uniform(0.1, 2.0, prob.n_ineq)
-        Hl = prob.hess(x, 1.0, y, w).tocsc()
-        J = nlp._row_stack(prob.jac_eq(x).tocsr(), prob.jac_ineq(x).tocsr())
-        kkt = nlp._Kkt(Hl, J)
+        h = prob.hess(x, 1.0, y, w)
+        j = np.concatenate((prob.jac_eq(x), prob.jac_ineq(x)))
+        Hl = sparse.csc_matrix((h, prob.hess_pattern), shape=(n, n))
+        J = sparse.csc_matrix((j, j_pattern), shape=(m, n))
+        kkt = nlp._Kkt(n, prob.hess_pattern, j_pattern, m)
         for _ in range(2):
             for dc in (0.0, 1e-8):
                 w_diag = rng.uniform(0.0, 10.0, prob.n) + 1e-4
@@ -711,21 +723,21 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 Q_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d_test)]], format="csc")
 
                 q_pos = kkt.Q.pos if kkt.Q.pos is not None else np.arange(K_ref.shape[0])
-                Q = kkt.Q.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d_test))
+                Q = kkt.Q.pattern.matrix(kkt.values(h, w_diag, j, d_test))
                 assert max_rel_diff(Q[q_pos][:, q_pos], Q_ref) <= 1e-14
 
                 k_pos = kkt.K.pos if kkt.K.pos is not None else np.arange(K_ref.shape[0])
-                K = kkt.K.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d))
+                K = kkt.K.pattern.matrix(kkt.values(h, w_diag, j, d))
                 assert max_rel_diff(K[:, k_pos], K_ref) <= 1e-14
                 rhs = rng.normal(size=K_ref.shape[0])
-                lu, pos, _ = kkt.quasi_definite(Hl.data, w_diag, J.data, d_test)
-                Q = kkt.Q.pattern.matrix(kkt.values(Hl.data, w_diag, J.data, d_test))
+                lu, pos, _ = kkt.quasi_definite(h, w_diag, j, d_test)
+                Q = kkt.Q.pattern.matrix(kkt.values(h, w_diag, j, d_test))
                 b = np.empty_like(rhs)
                 b[pos] = rhs
                 ref = splu(Q_ref).solve(rhs)
                 step = nlp._refined_solve(Q, lu, b)[pos]
                 assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
-                step = kkt.factor(Hl.data, w_diag, J.data, d, d_test)(rhs)
+                step = kkt.factor(h, w_diag, j, d, d_test)(rhs)
                 ref = splu(K_ref).solve(rhs)
                 assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
         # the orderings of the patterns that were factored are baked in, and
@@ -797,9 +809,9 @@ def test_kkt_pattern_compiled_once(net5, monkeypatch):
     compiled = []
     init = nlp._Kkt.__init__
 
-    def spy(self, Hl, J):
-        compiled.append(Hl.nnz)
-        init(self, Hl, J)
+    def spy(self, *args):
+        compiled.append(args)
+        init(self, *args)
 
     monkeypatch.setattr(nlp._Kkt, "__init__", spy)
     for kind, prob in scopf_problems(net5).items():
@@ -808,9 +820,48 @@ def test_kkt_pattern_compiled_once(net5, monkeypatch):
         assert sol.iterations > 1, kind
         assert len(compiled) == 1, kind
 
+
+def test_kkt_from_raw_entries_equals_the_dense_saddle_matrix():
+    # K = [[W, J'], [J, -D]] from raw entries with a repeated (row, col)
+    # pair in each of the Hessian and J, an explicit zero in each (which
+    # keeps its slot in the pattern), and a Hessian entry above the
+    # diagonal, which stands for its mirror as well; the values are exact
+    # in binary, so every sum is exact
+    n, m = 4, 2
+    h_rows, h_cols = [0, 2, 0, 1, 3, 3, 2], [0, 1, 0, 2, 0, 3, 2]
+    h = np.array([1.5, 0.25, 2.0, -0.5, 0.0, 3.0, 1.0])
+    j_rows, j_cols = [0, 0, 0, 1, 1], [0, 2, 0, 1, 3]
+    j = np.array([1.0, -2.0, 0.5, 4.0, 0.0])
+    w_diag = np.array([0.5, 1.0, 1.5, 2.0])
+    d = np.array([0.125, 0.75])
+    W = np.diag(w_diag)
+    for r, c, v in zip(h_rows, h_cols, h):
+        W[r, c] += v
+        if r != c:
+            W[c, r] += v
+    J = np.zeros((m, n))
+    np.add.at(J, (j_rows, j_cols), j)
+    K_dense = np.block([[W, J.T], [J, -np.diag(d)]])
+    assert W[1, 2] == W[2, 1] == -0.25 and W[0, 0] == 4.0 and J[0, 0] == 1.5
+
+    kkt = nlp._Kkt(n, (h_rows, h_cols), (j_rows, j_cols), m)
+    vals = kkt.values(h, w_diag, j, d)
+    # the explicit zeros of W[3, 0], W[0, 3] and of J[1, 3] and J'[3, 1]
+    # are stored: the nonzero slots of the dense K and these 4
+    assert kkt.Q.pattern.matrix(vals).nnz == np.count_nonzero(K_dense) + 4
+    for pattern in (kkt.Q, kkt.K):
+        for _ in range(2):  # before and after the first LU bakes its ordering in
+            A, lu, pos = pattern.lu(vals)
+            assert lu is not None
+            A = A.toarray()
+            back = A[np.ix_(pos, pos)] if pattern is kkt.Q else A[:, pos]
+            np.testing.assert_array_equal(back, K_dense)
+
+
+def test_zero_hessian_value_on_a_fixed_pattern_ends_optimal(monkeypatch):
     # f = (x0 - 1)^2 + (x1 + 1)^2 + x0 max(x1, 0)^2 / 2: the mixed Hessian
-    # entry max(x1, 0) is exactly 0 once x1 < 0, where a COO matrix from a
-    # dense array drops it, so the pattern changes between iterates
+    # entry max(x1, 0) is exactly 0 once x1 < 0, a value on the problem's
+    # fixed pattern like any other, so the KKT pattern is compiled once
     def f(x):
         return (x[0] - 1) ** 2 + (x[1] + 1) ** 2 + x[0] * max(x[1], 0.0) ** 2 / 2
 
@@ -823,11 +874,32 @@ def test_kkt_pattern_compiled_once(net5, monkeypatch):
         return np.array([[2.0, s], [s, 2.0 + (x[0] if x[1] > 0 else 0.0)]])
 
     prob = dense_problem(2, f, g, H, [0.5, 1.0], lb=[-2.0, -2.0], ub=[2.0, 2.0])
-    compiled.clear()
+    mixed, hess = [], prob.hess
+    prob.hess = lambda *args: mixed.append(hess(*args)[1]) or hess(*args)
+    compiled = []
+    init = nlp._Kkt.__init__
+    monkeypatch.setattr(nlp._Kkt, "__init__",
+                        lambda self, *args: compiled.append(args) or init(self, *args))
     sol = solve_nlp(prob)
     assert sol.status == nlp.OPTIMAL
     np.testing.assert_allclose(sol.x, [1.0, -1.0], atol=1e-6)
-    assert compiled[:2] == [3, 2]
+    assert mixed[0] > 0.0 and 0.0 in mixed
+    assert len(compiled) == 1
+
+
+def test_gmres_calls_are_counted(net5, monkeypatch):
+    # with no plain refinement step before it, GMRES refines every
+    # quasi-definite step that misses the gate, and the solution counts
+    # each call
+    calls = []
+    gmres = nlp._gmres
+    monkeypatch.setattr(nlp, "_gmres", lambda *args: calls.append(1) or gmres(*args))
+    prob = scopf_problems(net5)["base"]
+    assert solve_nlp(prob, tol=1e-8).gmres_calls == len(calls) == 0
+    monkeypatch.setattr(nlp, "QD_REFINE_STEPS", 0)
+    sol = solve_nlp(prob, tol=1e-8)
+    assert sol.status == nlp.OPTIMAL
+    assert sol.gmres_calls == len(calls) > 0
 
 
 def test_every_superlu_call_is_tuned(net5, monkeypatch):

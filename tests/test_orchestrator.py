@@ -377,7 +377,7 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
     def spy(*a, **kw):
         sol = real(*a, **kw)
         solved.append([sol.status, sol.iterations, sol.kkt_error, sol.lus,
-                       sol.colamd_steps])
+                       sol.colamd_steps, sol.gmres_calls])
         return sol
 
     monkeypatch.setattr(orch, "solve_nlp", spy)
@@ -388,7 +388,7 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
         if rec["event"] in ("base-solve-retry", "base-solved", "master-solved",
                             "master-failed"):
             logged.append([rec[key] for key in ("status", "iterations", "kkt_error",
-                                                "lus", "colamd_steps")])
+                                                "lus", "colamd_steps", "gmres_calls")])
             assert rec["mu"] > 0.0
             sources.add(rec["event"])
         elif rec["event"] == "evaluated" and rec["nlp"]:

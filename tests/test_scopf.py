@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from scacopf import compl, nlp, scopf
 from scacopf.case_model import PenaltyConfig, preprocess
@@ -120,20 +121,29 @@ def _random_x(prob, rng, scale=0.1):
     return x
 
 
+def _matrix(vals, pattern, shape):
+    """The matrix of raw values on a (rows, cols) pattern, repeats summed."""
+    return sparse.coo_matrix((vals, pattern), shape=shape).toarray()
+
+
 def _check_derivatives(prob, rng):
     x = _random_x(prob, rng)
-    for fun, jac in ((prob.eq, prob.jac_eq), (prob.ineq, prob.jac_ineq)):
-        J = jac(x).toarray()
+    jacs = ((prob.eq, prob.jac_eq, prob.jac_eq_pattern, prob.n_eq),
+            (prob.ineq, prob.jac_ineq, prob.jac_ineq_pattern, prob.n_ineq))
+    for fun, jac, pattern, rows in jacs:
+        J = _matrix(jac(x), pattern, (rows, prob.n))
         Jfd = fd_jac(fun, x)
         np.testing.assert_allclose(J, Jfd, atol=2e-5)
     lam_eq = rng.normal(size=prob.n_eq)
     lam_ineq = rng.normal(size=prob.n_ineq)
 
     def grad_lag(z):
-        return (prob.gradient(z) + prob.jac_eq(z).T @ lam_eq
-                + prob.jac_ineq(z).T @ lam_ineq)
+        return (prob.gradient(z)
+                + _matrix(prob.jac_eq(z), prob.jac_eq_pattern, (prob.n_eq, prob.n)).T @ lam_eq
+                + _matrix(prob.jac_ineq(z), prob.jac_ineq_pattern,
+                          (prob.n_ineq, prob.n)).T @ lam_ineq)
 
-    Hl = prob.hess(x, 1.0, lam_eq, lam_ineq).toarray()
+    Hl = _matrix(prob.hess(x, 1.0, lam_eq, lam_ineq), prob.hess_pattern, (prob.n, prob.n))
     H = np.tril(Hl) + np.tril(Hl, -1).T
     Hfd = fd_jac(grad_lag, x, h=1e-5)
     np.testing.assert_allclose(H, (Hfd + Hfd.T) / 2, atol=2e-4)
@@ -190,9 +200,9 @@ def test_one_jacobian_evaluation_per_point(net5, rng):
         prob.jac_eq(x2.copy())
         prob.jac_ineq(x2.copy())
         assert len(calls) == 2 * n_blocks
-        # going back to the first point gives its matrices again
-        np.testing.assert_array_equal(prob.jac_eq(x).toarray(), JE.toarray())
-        np.testing.assert_array_equal(prob.jac_ineq(x).toarray(), JI.toarray())
+        # going back to the first point gives its values again
+        np.testing.assert_array_equal(prob.jac_eq(x), JE)
+        np.testing.assert_array_equal(prob.jac_ineq(x), JI)
         assert len(calls) == 3 * n_blocks
         # the memo keeps its own copy: changing x in place is a new point
         x[0] += 1e-3

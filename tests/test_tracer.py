@@ -22,7 +22,7 @@ from scacopf import orchestrator as orch
 from scacopf.cli import generate_case
 orch.run_code1(generate_case(14, 3), orch.RunConfig(
     code1_time_limit=100.0, deterministic=True, output_dir=sys.argv[1]))
-print(json.dumps(sorted({span[0] for span in tracer.spans})))
+print(json.dumps(tracer.spans))
 """
 
 
@@ -32,7 +32,8 @@ def test_benchmark_tracer_records_the_evaluation_engines(tmp_path):
     proc = subprocess.run([sys.executable, "-c", TRACED_CODE1, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    names = set(json.loads(proc.stdout.splitlines()[-1]))
+    spans = json.loads(proc.stdout.splitlines()[-1])
+    names = {span[0] for span in spans}
     assert {"eval.fast", "eval.full", "eval.prescreen"} <= names
     # the fast engine's square system, whose per-call times the screening
     # workload reports
@@ -40,3 +41,12 @@ def test_benchmark_tracer_records_the_evaluation_engines(tmp_path):
     # the segment projection and update, looked up in `compl` wherever
     # they are defined
     assert {"compl.project_response", "compl.update_segments"} <= names
+    # the interior-point solves and the `NlpProblem` callbacks, wrapped by
+    # name: each base iteration evaluates the equality and the inequality
+    # Jacobian once
+    assert {"nlp.base", "nlp.ctg", "nlp.master", "scopf.base.jac",
+            "scopf.ctg.hess"} <= names
+    jac_calls = sum(span[0] == "scopf.base.jac" for span in spans)
+    base_iterations = sum(span[4]["iterations"] for span in spans
+                          if span[0] == "nlp.base")
+    assert jac_calls == 2 * base_iterations
