@@ -408,12 +408,19 @@ def cmd_train(args):
         print("error: --eval-time-limit must be positive and finite",
               file=sys.stderr)
         return EXIT_INPUT
-    paths = sorted(p for pat in args.cases for p in globmod.glob(pat))
-    if not paths:
-        print("error: no case files matched", file=sys.stderr)
+    if not (args.reg_lambda >= 0 and math.isfinite(args.reg_lambda)):
+        print("error: --reg-lambda must be finite and >= 0", file=sys.stderr)
         return EXIT_INPUT
+    files = {}  # real path -> the first path that names it
+    for pat in args.cases:
+        matches = globmod.glob(pat)
+        if not matches:
+            print(f"error: no case file matches {pat}", file=sys.stderr)
+            return EXIT_INPUT
+        for path in matches:
+            files.setdefault(os.path.realpath(path), path)
     try:
-        nets = [load_case(p) for p in paths]
+        nets = [load_case(p) for p in sorted(files.values())]
     except CaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -426,6 +433,9 @@ def cmd_train(args):
     except RuntimeError as exc:  # a base solve failed twice
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVE
+    except ValueError as exc:  # too few samples, or a degenerate fit
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if not _write_output(args.output, lambda path: save_model(model, path)):
         return EXIT_INPUT
     print(args.output)

@@ -75,7 +75,7 @@ class EvaluationResult:
     point: OperatingPoint
     compl: compl_mod.ComplementarityState
     method: str  # "fast" | "full"
-    base_tag: str = ""
+    base_tag: str = ""  # the evaluated base point's tag; set by the caller
     status: str = "ok"
     # [status, iterations, kkt_error, lus, colamd_steps, gmres_calls] of the
     # NLP of each full-evaluation segment round (see `nlp.NlpSolution`)
@@ -326,8 +326,7 @@ class _SquareSystem:
         return new
 
 
-def fallback_result(net: Network, k, base: OperatingPoint, init_compl=None,
-                    base_tag=""):
+def fallback_result(net: Network, k, base: OperatingPoint, init_compl=None):
     """The guaranteed product of an evaluation: the base state projected into
     the response rules of the starting segments, with slacks absorbing every
     residual, priced."""
@@ -336,13 +335,11 @@ def fallback_result(net: Network, k, base: OperatingPoint, init_compl=None,
         state, net, k, base, CaseLayout.of(net, k.outaged).pack(base.state))
     return EvaluationResult(
         contingency_id=k.id, penalty=point_penalty(net, point, k.outaged),
-        point=point, compl=state, method="fast", base_tag=base_tag,
-        status="fallback")
+        point=point, compl=state, method="fast", status="fallback")
 
 
 def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
-                  cutoff=0.0, init_compl=None, base_tag="",
-                  deterministic=False):
+                  cutoff=0.0, init_compl=None, deterministic=False):
     """Upper-bound penalty estimate via the square-system response loop,
     starting from (and never worse than) `fallback_result`."""
     budget = _Budget(time_limit, deterministic)
@@ -388,13 +385,13 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
 
     return EvaluationResult(
         contingency_id=k.id, penalty=best_pen, point=best[0], compl=best[1],
-        method="fast", base_tag=base_tag, status=status,
+        method="fast", status=status,
     )
 
 
 def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
-                  init_compl=None, base_tag="", deterministic=False,
-                  segment_updates=True, start=None):
+                  init_compl=None, deterministic=False, segment_updates=True,
+                  start=None):
     """Penalty minimization with all-at-once complementarity updates.
 
     ``start`` warm-starts the first NLP (typically the fast engine's point,
@@ -460,21 +457,19 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     if best is None:
         # degrade to the fast engine rather than report nothing
         result = fast_evaluate(net, k, base, time_limit=budget.remaining(),
-                               init_compl=state, base_tag=base_tag,
-                               deterministic=deterministic)
+                               init_compl=state, deterministic=deterministic)
         result.status = "degraded"
         result.nlp = rounds
         return result
 
     return EvaluationResult(
         contingency_id=k.id, penalty=best[0], point=best[1], compl=best[2],
-        method="full", base_tag=base_tag, status="ok", nlp=rounds,
+        method="full", status="ok", nlp=rounds,
     )
 
 
 def prescreen_then_evaluate(net: Network, k, base: OperatingPoint,
-                            time_limit=None, cutoff=None, base_tag="",
-                            deterministic=False):
+                            time_limit=None, cutoff=None, deterministic=False):
     """Fast evaluation first; escalate to full when the penalty exceeds the
     cutoff, seeding the full engine with the fast result's segments.
 
@@ -488,10 +483,10 @@ def prescreen_then_evaluate(net: Network, k, base: OperatingPoint,
         fast_limit = (ops - ops // 2) / _Budget.OPS_PER_SECOND
         full_limit = (ops // 2) / _Budget.OPS_PER_SECOND
     fast = fast_evaluate(net, k, base, time_limit=fast_limit, cutoff=cutoff,
-                         base_tag=base_tag, deterministic=deterministic)
+                         deterministic=deterministic)
     if fast.penalty <= cutoff:
         return fast
     full = full_evaluate(net, k, base, time_limit=full_limit,
                          init_compl=fast.compl, start=fast.point,
-                         base_tag=base_tag, deterministic=deterministic)
+                         deterministic=deterministic)
     return full

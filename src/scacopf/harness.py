@@ -38,11 +38,8 @@ def harness_ranking_compare(nets, model=None, time_limit=10.0):
                  for c, r in _evaluate_all(net, base, time_limit).items()}
         total = sum(truth.values())
         for h in heuristics:
-            if h == "ridge":
-                plist = rank_initial(net, base, model)
-            else:
-                plist = rank_baseline(net, base, h)
-            order = [e.contingency_id for e in plist.entries]
+            order = (rank_initial(net, base, model) if h == "ridge"
+                     else rank_baseline(net, base, h))
             for n in range(1, len(order) + 1):
                 covered = sum(truth[c] for c in order[:n])
                 pct = 100.0 * covered / total if total > 0 else 100.0
@@ -109,12 +106,11 @@ def harness_selection_ablation(nets, n_select=3, time_limit=10.0):
         results = _evaluate_all(net, base, time_limit)
         summaries = {cid: summarize_point(r.point, cid, "base-1")
                      for cid, r in results.items()}
-        plist = resort(rank_baseline(net, base, "l_c"), list(results.values()))
-
-        penalty_order = [e.contingency_id for e in plist.entries]
+        order = resort(rank_baseline(net, base, "l_c"),
+                       {c: r.penalty for c, r in results.items()})
         schemes = {
-            "dominance": select_top(plist, summaries, n_select),
-            "penalty-only": penalty_order[:n_select],
+            "dominance": select_top(order, summaries, n_select),
+            "penalty-only": order[:n_select],
         }
         for name, chosen in schemes.items():
             if not chosen:

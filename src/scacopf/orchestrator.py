@@ -4,7 +4,7 @@ Code 1 produces base-case solutions under a hard time limit: preprocess the
 case and solve its base case from a flat start (`solve_base`, the one path to a
 base point, which ``harness`` and ``train`` take too), rank contingencies,
 evaluate them (fast sweep, then full evaluations from the top of the priority
-list), select an undominated subset into a master problem, re-solve, and
+order), select an undominated subset into a master problem, re-solve, and
 repeat while time remains.  The product is always the most recently *written*
 base solution file.
 
@@ -31,7 +31,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -229,20 +229,21 @@ def solve_base(net: Network, budget=None, log=None, seed=0):
 
 def _evaluate(engine, net, ids, base, seconds, budget, base_tag, **kw):
     """Evaluate the contingencies `ids` at `base` one after another with
-    `engine`, each with an equal share of `seconds`, and charge `seconds` to
-    the run's budget.  An evaluation that raises is replaced by the priced
-    `eval.fallback_result`, so every id gets a result."""
+    `engine`, each with an equal share of `seconds`, tag each result with
+    `base_tag`, and charge `seconds` to the run's budget.  An evaluation that
+    raises is replaced by the priced `eval.fallback_result`, so every id gets
+    a result."""
     results = []
     for cid in ids:
         k = net.contingency(cid)
         try:
             res = engine(net, k, base, time_limit=seconds / len(ids),
-                         base_tag=base_tag,
                          deterministic=budget.deterministic, **kw)
         except Exception:
             _log.exception("contingency %s: evaluation failed, using the "
                            "fallback point", cid)
-            res = eval_mod.fallback_result(net, k, base, base_tag=base_tag)
+            res = eval_mod.fallback_result(net, k, base)
+        res.base_tag = base_tag
         results.append(res)
     budget.spend(seconds)
     return results
@@ -275,8 +276,6 @@ def run_code1(net: Network, cfg: RunConfig,
 
     write_tagged(base_point, objective, penalty)
     included = []
-    compl_states = {}
-    master_points = {}
     master_summaries = []
 
     if not net_p.contingencies:
@@ -284,52 +283,52 @@ def run_code1(net: Network, cfg: RunConfig,
         return Code1Result(base_point, tag, objective, penalty, included,
                            final_path, log.path)
 
-    # Step 4: initial ranking (loading-ratio heuristic when no model given)
-    plist = rank_initial(net_p, base_point, model,
+    # Step 4: initial ranking (loading-ratio heuristic when no model given);
+    # `order` holds the ids not yet in the master
+    order = rank_initial(net_p, base_point, model,
                          candidate_boost=cfg.candidate_boost)
-    log.emit("ranked", order=[e.contingency_id for e in plist.entries])
+    log.emit("ranked", order=order)
 
-    summaries = {}
+    # each id's latest evaluation; for an id in the master, the master's
+    # point and segment state
+    latest = {}
 
-    def evaluate(engine, entries, seconds, **kw):
-        """Evaluate `entries` at the current base point, record the results
-        and re-sort the priority list."""
-        nonlocal plist
-        results = _evaluate(engine, net_p,
-                            [e.contingency_id for e in entries], base_point,
-                            seconds, budget, f"base-{tag}", **kw)
-        for res in results:
-            cid = res.contingency_id
-            summaries[cid] = summarize_point(res.point, cid, res.base_tag)
-            compl_states[cid] = res.compl
-            master_points[cid] = res.point
-            log.emit("evaluated", contingency=cid, penalty=res.penalty,
-                     method=res.method, status=res.status, nlp=res.nlp)
-        plist = resort(plist, results)
-        log.emit("resorted", order=[e.contingency_id for e in plist.entries])
+    def evaluate(engine, ids, seconds, **kw):
+        """Evaluate `ids` at the current base point, record the results and
+        re-sort the priority order."""
+        nonlocal order
+        for res in _evaluate(engine, net_p, ids, base_point, seconds, budget,
+                             f"base-{tag}", **kw):
+            latest[res.contingency_id] = res
+            log.emit("evaluated", contingency=res.contingency_id,
+                     penalty=res.penalty, method=res.method,
+                     status=res.status, nlp=res.nlp)
+        order = resort(order, {c: latest[c].penalty for c in order})
+        log.emit("resorted", order=order)
 
-    # Step 5: fast evaluation sweep under its own budget; it gives every
-    # entry a result, so each has a summary, segment state and point
-    evaluate(eval_mod.fast_evaluate, plist.entries,
+    # Step 5: fast evaluation sweep under its own budget; it gives every id
+    # a result
+    evaluate(eval_mod.fast_evaluate, order,
              min(cfg.init_fast_eval_budget, budget.remaining()),
              cutoff=cutoff)
 
     iteration = 0
     while True:
         iteration += 1
-        # Step 6: full evaluations from the top of the list
+        # Step 6: full evaluations from the top of the order
         batch = min(cfg.full_eval_budget, budget.remaining())
-        top = [e for e in plist.entries if not e.in_master][:cfg.n_select]
-        if top and batch > 0:
-            evaluate(eval_mod.full_evaluate, top, batch)
+        if order and batch > 0:
+            evaluate(eval_mod.full_evaluate, order[:cfg.n_select], batch)
 
         # Step 7: dominance-aware selection into the master
-        chosen = select_top(plist, summaries, cfg.n_select,
+        summaries = {c: summarize_point(latest[c].point, c, latest[c].base_tag)
+                     for c in order}
+        chosen = select_top(order, summaries, cfg.n_select,
                             in_master_summaries=master_summaries)
         if not chosen:
             log.emit("done", reason="nothing-to-select")
             break
-        plist.mark_in_master(chosen)
+        order = [c for c in order if c not in chosen]
         included.extend(chosen)
         master_summaries.extend(summaries[c] for c in chosen)
         log.emit("selected", contingencies=chosen)
@@ -338,9 +337,9 @@ def run_code1(net: Network, cfg: RunConfig,
         master_t0 = time.monotonic()
         spec = MasterSpec(
             net=net_p, included=tuple(included),
-            compl={c: compl_states[c] for c in included},
+            compl={c: latest[c].compl for c in included},
             base_point=base_point,
-            ctg_points={c: master_points[c] for c in included},
+            ctg_points={c: latest[c].point for c in included},
             report=report,
         )
         mprob = build_master_problem(spec)
@@ -354,9 +353,10 @@ def run_code1(net: Network, cfg: RunConfig,
             break
         base_point = mprob.meta.extract_base(msol.x)
         for c in included:
-            master_points[c] = mprob.meta.extract_ctg(msol.x, c)
-            compl_states[c] = compl_states[c].copy()
-            compl_states[c].delta = master_points[c].delta
+            point = mprob.meta.extract_ctg(msol.x, c)
+            compl = latest[c].compl.copy()
+            compl.delta = point.delta
+            latest[c] = replace(latest[c], point=point, compl=compl)
         objective, penalty = _reprice_base(net_p, base_point)
         log.emit("master-solved", objective=objective, penalty=penalty,
                  **_solve_fields(msol))
@@ -365,16 +365,15 @@ def run_code1(net: Network, cfg: RunConfig,
         tag += 1
         write_tagged(base_point, objective, penalty)
 
-        # then, after the master solve, re-evaluate entries further down the
-        # list against the new base (the sweep has evaluated every entry)
-        refresh = [e for e in plist.entries if not e.in_master][:cfg.n_select]
-        if refresh and budget.remaining() > 0:
-            evaluate(eval_mod.prescreen_then_evaluate, refresh,
+        # then, after the master solve, re-evaluate the top of the order
+        # against the new base
+        if order and budget.remaining() > 0:
+            evaluate(eval_mod.prescreen_then_evaluate, order[:cfg.n_select],
                      min(cfg.full_eval_budget, budget.remaining()),
                      cutoff=cutoff)
 
         # Step 10: loop while a master solve plausibly fits in what remains
-        if not any(not e.in_master for e in plist.entries):
+        if not order:
             log.emit("done", reason="list-exhausted")
             break
         needed = 2.0 * master_duration if not cfg.deterministic else 2.0
@@ -405,8 +404,8 @@ def run_code2(net: Network, cfg: RunConfig, base: OperatingPoint,
     budget = eval_mod._Budget(cfg.per_contingency_code2_factor * n,
                               cfg.deterministic)
 
-    plist = rank_initial(net, base, model, candidate_boost=cfg.candidate_boost)
-    order = [e.contingency_id for e in reversed(plist.entries)]
+    order = rank_initial(net, base, model,
+                         candidate_boost=cfg.candidate_boost)[::-1]
 
     cutoff = cfg.cutoff if cfg.cutoff is not None \
         else eval_mod.default_cutoff(net)

@@ -1,4 +1,4 @@
-"""Contingency ranking: features, ridge-regression predictor, priority lists.
+"""Contingency ranking: features, ridge-regression predictor, priority orders.
 
 Each contingency maps to ten features (type one-hots, lost active/apparent
 power, capacity-relative loss, voltage rating, bus degrees, parallel-branch
@@ -19,7 +19,6 @@ import numpy as np
 
 from .acpf import CaseLayout
 from .case_model import Network
-from .select import PriorityEntry, PriorityList
 
 __all__ = [
     "FeatureVector",
@@ -145,8 +144,8 @@ def train_ridge(samples, reg_lambda=1.0) -> RidgeModel:
     """Closed-form ridge fit of the penalties on the feature vectors."""
     if len(samples) < 2:
         raise ValueError("need at least 2 samples")
-    if reg_lambda < 0:
-        raise ValueError("reg_lambda must be nonnegative")
+    if not (reg_lambda >= 0 and math.isfinite(reg_lambda)):
+        raise ValueError("reg_lambda must be finite and nonnegative")
     X = np.array([fv.as_array() for fv, _ in samples])
     y = np.array([float(pen) for _, pen in samples])
     weights, intercept = _ridge_closed_form(X, y, reg_lambda)
@@ -154,35 +153,28 @@ def train_ridge(samples, reg_lambda=1.0) -> RidgeModel:
                       reg_lambda=reg_lambda)
 
 
-def _build_list(scored, boosted=frozenset()):
-    """Priority list: boosted ids first, each group by descending score then
-    ascending id."""
-    entries = sorted(
-        scored,
-        key=lambda it: (it[0] not in boosted, -it[1], it[0]),
-    )
-    return PriorityList(entries=[
-        PriorityEntry(contingency_id=cid, priority=score)
-        for cid, score in entries
-    ])
+def _order(scores, boosted=frozenset()):
+    """Priority order of the ids of ``scores`` (id -> score): boosted ids
+    first, each group by descending score then ascending id."""
+    return sorted(scores,
+                  key=lambda cid: (cid not in boosted, -scores[cid], cid))
 
 
 def rank_initial(net: Network, base, model: RidgeModel = None,
-                 candidate_boost=frozenset()) -> PriorityList:
-    """Initial priority list: by the model's predicted penalty, or by the
-    loading ratio ``l_c`` without a model; `candidate_boost` ids first."""
+                 candidate_boost=frozenset()) -> list:
+    """Initial priority order of the contingency ids: by the model's
+    predicted penalty, or by the loading ratio ``l_c`` without a model;
+    `candidate_boost` ids first."""
     score = model.predict if model is not None else attrgetter("l_c")
-    scored = [(k.id, score(extract_features(net, k, base)))
-              for k in net.contingencies]
-    return _build_list(scored, frozenset(candidate_boost))
+    return _order({k.id: score(extract_features(net, k, base))
+                   for k in net.contingencies}, frozenset(candidate_boost))
 
 
-def rank_baseline(net: Network, base, heuristic) -> PriorityList:
+def rank_baseline(net: Network, base, heuristic) -> list:
     if heuristic not in ("l_p", "l_s", "l_c"):
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    scored = [(k.id, getattr(extract_features(net, k, base), heuristic))
-              for k in net.contingencies]
-    return _build_list(scored)
+    return _order({k.id: getattr(extract_features(net, k, base), heuristic)
+                   for k in net.contingencies})
 
 
 def save_model(model: RidgeModel, path):
@@ -202,5 +194,10 @@ def load_model(path) -> RidgeModel:
     if weights.shape != (len(FEATURE_NAMES),):
         raise ValueError("model weight vector must have "
                          f"{len(FEATURE_NAMES)} entries")
-    return RidgeModel(weights=weights, intercept=float(data["intercept"]),
-                      reg_lambda=float(data["reg_lambda"]))
+    model = RidgeModel(weights=weights, intercept=float(data["intercept"]),
+                       reg_lambda=float(data["reg_lambda"]))
+    if not (np.all(np.isfinite(weights)) and math.isfinite(model.intercept)
+            and math.isfinite(model.reg_lambda)):
+        raise ValueError(f"{path}: model weights, intercept and reg_lambda "
+                         "must be finite")
+    return model

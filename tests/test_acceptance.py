@@ -37,7 +37,7 @@ from scacopf.scopf import (
     build_master_problem,
     total_score,
 )
-from scacopf.select import PriorityEntry, PriorityList, select_top
+from scacopf.select import select_top
 from test_acpf import coo_dense, expr_values, fd_jacobian, random_state
 
 
@@ -351,25 +351,17 @@ def test_criterion_4_complementarity_benefit():
 
 # --- criterion 5: dominance-aware selection -----------------------------------
 
-def brute_force_select(plist, summaries, n, master=()):
+def brute_force_select(order, summaries, n, master=()):
     chosen, pool = [], list(master)
-    for e in plist.entries:
-        if len(chosen) >= n or e.in_master:
+    for cid in order:
+        if len(chosen) >= n:
             continue
-        s = summaries.get(e.contingency_id)
-        if s is None:
-            continue
+        s = summaries[cid]
         if any(o.base_tag == s.base_tag and o.argmax == s.argmax
                and o.max_violation > s.max_violation for o in pool):
             continue
-        chosen.append(e.contingency_id)
+        chosen.append(cid)
         pool.append(s)
-    for e in plist.entries:
-        if len(chosen) >= n:
-            break
-        if not e.in_master and e.contingency_id not in chosen \
-                and e.contingency_id not in summaries:
-            chosen.append(e.contingency_id)
     return chosen
 
 
@@ -379,25 +371,17 @@ def test_criterion_5_selection_matches_brute_force():
     mismatches = 0
     for _ in range(200):
         m = int(rng.integers(1, 21))
-        entries = [
-            PriorityEntry(
-                contingency_id=f"K{i}",
-                priority=float(rng.uniform(0, 100)),
-                penalty=float(rng.uniform(0, 50))
-                if rng.random() < 0.7 else -1.0)
-            for i in range(m)
-        ]
-        plist = PriorityList(entries)
+        order = [f"K{i}" for i in rng.permutation(m)]
         dim = int(rng.integers(2, 6))
         summaries = {
-            e.contingency_id: ViolationSummary(
-                contingency_id=e.contingency_id,
+            c: ViolationSummary(
+                contingency_id=c,
                 slacks=rng.choice([0.0, 0.1, 0.3, 0.5], size=dim))
-            for e in plist.entries if e.evaluated
+            for c in order
         }
         n = int(rng.integers(1, 5))
-        if select_top(plist, summaries, n) != \
-                brute_force_select(plist, summaries, n):
+        if select_top(order, summaries, n) != \
+                brute_force_select(order, summaries, n):
             mismatches += 1
     report(5, mismatches == 0,
            f"select_top vs brute force: {mismatches}/200 mismatches")
@@ -464,7 +448,7 @@ def test_criterion_6_ranking():
     separation = truth["KH"] / max(others, 1e-12)
     firsts = {}
     for h in ("l_p", "l_s", "l_c"):
-        firsts[h] = rank_baseline(net, base, h).entries[0].contingency_id
+        firsts[h] = rank_baseline(net, base, h)[0]
     # ridge trained on load scenarios of the same constructed network family
     rng = np.random.default_rng(42)
     samples = []
@@ -475,8 +459,7 @@ def test_criterion_6_ranking():
         samples.extend((extract_features(snet, k, sbase), lab[k.id])
                        for k in snet.contingencies)
     model_c = train_ridge(samples, reg_lambda=1.0)
-    firsts["ridge"] = rank_initial(net, base, model_c).entries[0] \
-        .contingency_id
+    firsts["ridge"] = rank_initial(net, base, model_c)[0]
     all_first = all(v == "KH" for v in firsts.values())
 
     # part 2: ridge coverage >= every single-feature baseline on held-out
@@ -497,12 +480,10 @@ def test_criterion_6_ranking():
         sbase = solved_base(snet)
         truth_s = true_penalties(snet, sbase)
         for h in ("l_p", "l_s", "l_c"):
-            order = [e.contingency_id
-                     for e in rank_baseline(snet, sbase, h).entries]
-            covs[h].append(top3_coverage(order, truth_s))
-        order = [e.contingency_id
-                 for e in rank_initial(snet, sbase, model).entries]
-        covs["ridge"].append(top3_coverage(order, truth_s))
+            covs[h].append(top3_coverage(rank_baseline(snet, sbase, h),
+                                         truth_s))
+        covs["ridge"].append(top3_coverage(rank_initial(snet, sbase, model),
+                                           truth_s))
     means = {h: float(np.mean(v)) for h, v in covs.items()}
     ridge_wins = all(means["ridge"] >= means[h] - 1e-9
                      for h in ("l_p", "l_s", "l_c"))

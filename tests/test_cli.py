@@ -532,8 +532,8 @@ def test_train_round_trip(tmp_path, capsys):
     from scacopf.ranking import load_model, rank_initial
     model = load_model(model_path)
     net, _, base, _, _ = solve_base(load_case(case))
-    plist = rank_initial(net, base, model)
-    assert len(plist.entries) == len(net.contingencies)
+    assert sorted(rank_initial(net, base, model)) == \
+        sorted(k.id for k in net.contingencies)
 
 
 def test_train_model_ignores_the_clock(tmp_path, monkeypatch, capsys):
@@ -572,6 +572,92 @@ def test_train_no_matches(tmp_path, capsys):
     rc = run_cli(["train", str(tmp_path / "*.nothing"),
                   "--output", str(tmp_path / "m.json")])
     assert rc == 1
+
+
+def test_train_every_case_argument_must_match(tmp_path, capsys):
+    # an argument that matched no file was dropped, and the model fit on
+    # the other cases alone
+    missing = str(tmp_path / "missing.json")
+    out = str(tmp_path / "m.json")
+    assert run_cli(["train", small_case(tmp_path), missing,
+                    "--output", out]) == 1
+    assert missing in one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def test_train_labels_a_file_matched_twice_once(tmp_path, monkeypatch,
+                                                capsys):
+    from scacopf import harness
+    from scacopf.ranking import FEATURE_NAMES, RidgeModel
+    for name in ("a", "b"):
+        write_case(generate_case(5, seed=11, n_contingencies=2),
+                   str(tmp_path / f"{name}.json"))
+    fitted = []
+
+    def fake_train(nets, eval_time_limit, reg_lambda):
+        fitted.append(len(nets))
+        return RidgeModel(np.zeros(len(FEATURE_NAMES)), 0.0, reg_lambda)
+
+    monkeypatch.setattr(harness, "train", fake_train)
+    assert run_cli(["train", str(tmp_path / "a.json"),
+                    str(tmp_path / "[ab].json"),
+                    "--output", str(tmp_path / "m.json")]) == 0
+    assert fitted == [2]
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_train_invalid_reg_lambda_exits_1_before_loading(tmp_path, monkeypatch,
+                                                         capsys, value):
+    # -1 failed with a traceback after every labelling evaluation; NaN and
+    # inf wrote a model of NaN weights
+    def no_load(path):
+        raise AssertionError("a case was loaded")
+
+    monkeypatch.setattr(cli, "load_case", no_load)
+    out = str(tmp_path / "m.json")
+    assert run_cli(["train", small_case(tmp_path), "--output", out,
+                    "--reg-lambda", value]) == 1
+    assert "--reg-lambda" in one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def test_train_degenerate_fit_exits_1(tmp_path, capsys):
+    # two samples cannot fit the varying features without a penalty
+    out = str(tmp_path / "m.json")
+    assert run_cli(["train", small_case(tmp_path), "--output", out,
+                    "--reg-lambda", "0", "--eval-time-limit", "1"]) == 1
+    assert "degenerate" in one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["code1", "code2"])
+@pytest.mark.parametrize("key", ["weights", "intercept", "reg_lambda"])
+def test_non_finite_model_file_exits_1(tmp_path, capsys, command, key):
+    # a model of NaN weights, as `train --reg-lambda nan` wrote, was
+    # accepted and ranked on NaN predictions
+    model = {"weights": [0.0] * 10, "intercept": 0.0, "reg_lambda": 1.0}
+    model[key] = [0.0] * 9 + [float("nan")] if key == "weights" \
+        else float("inf")
+    path = str(tmp_path / "model.json")
+    with open(path, "w") as fh:
+        json.dump(model, fh)
+    out = str(tmp_path / "out")
+    assert run_cli(deterministic_run_argv(tmp_path, command, out)
+                   + ["--model", path]) == 1
+    assert path in one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+def test_readme_names_every_flag():
+    readme = (ROOT / "README.md").read_text()
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "command")
+    missing = [f"{name} {opt}"
+               for name, sub in subparsers.choices.items()
+               for action in sub._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt not in readme]
+    assert not missing
 
 
 # --- start-up -----------------------------------------------------------------

@@ -210,9 +210,9 @@ def test_fallback_result_is_the_fast_engine_with_no_budget(solved5):
     # candidate, the fallback
     net, base = solved5
     for k in net.contingencies:
-        fb = ev.fallback_result(net, k, base, base_tag="base-1")
+        fb = ev.fallback_result(net, k, base)
         fast = ev.fast_evaluate(net, k, base, time_limit=0, deterministic=True)
-        assert (fb.method, fb.status, fb.base_tag) == ("fast", "fallback", "base-1")
+        assert (fb.method, fb.status) == ("fast", "fallback")
         assert fb.penalty == fast.penalty
         assert fb.compl == fast.compl
         np.testing.assert_array_equal(fb.point.slack_vector(),
@@ -298,10 +298,9 @@ def test_deterministic_budget_reproducible(solved5):
 
 def test_evaluation_result_fields(solved5):
     net, base = solved5
-    res = ev.fast_evaluate(net, net.contingency("CL2"), base,
-                           base_tag="base-1")
+    res = ev.fast_evaluate(net, net.contingency("CL2"), base)
     assert res.contingency_id == "CL2"
-    assert res.base_tag == "base-1"
+    assert res.base_tag == ""  # the caller tags the result
 
 
 @pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])

@@ -184,12 +184,13 @@ def test_code2_fallback_on_failure(tmp_path, net5, monkeypatch):
     assert len(res.files) == len(net5.contingencies)
     for r in res.results.values():
         assert r.status == "fallback"
+        assert r.base_tag == "base-1"  # tagged by the caller, fallback too
         assert np.isfinite(r.penalty)
 
 
 def test_code2_reverse_order(tmp_path, net5):
     base = flat_start(net5)
-    order = [e.contingency_id for e in rank_initial(net5, base).entries]
+    order = rank_initial(net5, base)
     calls = []
     import scacopf.eval as ev
     real = ev.prescreen_then_evaluate
@@ -396,3 +397,30 @@ def test_run_log_records_every_nlp(tmp_path, monkeypatch):
             sources.add(rec["event"])
     assert sources >= {"base-solved", "evaluated", "master-solved"}
     assert logged == solved
+
+
+def test_code1_priority_order_leaves_out_the_master(tmp_path):
+    # three master passes: the run log's orders are the ids not yet in the
+    # master, and every id is selected at most once
+    from scacopf.cli import generate_case
+    net = generate_case(14, 3)
+    res = run_code1(net, RunConfig(code1_time_limit=200.0, n_select=2,
+                                   deterministic=True,
+                                   output_dir=str(tmp_path)))
+    events = [json.loads(line) for line in open(res.log_path)]
+    selections = [e["contingencies"] for e in events
+                  if e["event"] == "selected"]
+    assert len(selections) >= 3
+    included = [c for chosen in selections for c in chosen]
+    assert included == res.included
+    assert len(included) == len(set(included))
+    selected, orders = [], []
+    for e in events:
+        if e["event"] == "selected":
+            selected += e["contingencies"]
+        elif e["event"] in ("ranked", "resorted"):
+            assert not set(e["order"]) & set(selected)
+            orders.append((e["order"], list(selected)))
+    last_order, included_then = orders[-1]
+    assert sorted(last_order + included_then) == \
+        sorted(k.id for k in net.contingencies)

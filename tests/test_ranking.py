@@ -281,6 +281,14 @@ def test_ridge_too_few_samples():
         train_ridge([(fv(l_p=1.0), 1.0)])
 
 
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_ridge_rejects_invalid_reg_lambda(lam):
+    # NaN and inf fitted a model of NaN weights
+    samples = [(fv(l_p=1.0), 1.0), (fv(l_p=2.0), 2.0)]
+    with pytest.raises(ValueError, match="reg_lambda"):
+        train_ridge(samples, reg_lambda=lam)
+
+
 # --- rankings -----------------------------------------------------------------
 
 def constant_prediction_model(per_feature):
@@ -293,9 +301,9 @@ def constant_prediction_model(per_feature):
 def test_rank_initial_descending(rnet):
     net, base = rnet
     model = constant_prediction_model({"t_g": 1.0, "l_p": 1.0})
-    plist = rank_initial(net, base, model)
-    preds = {e.contingency_id: e.priority for e in plist.entries}
-    order = [e.contingency_id for e in plist.entries]
+    order = rank_initial(net, base, model)
+    preds = {k.id: model.predict(extract_features(net, k, base))
+             for k in net.contingencies}
     assert order == sorted(order, key=lambda c: (-preds[c], c))
     assert set(order) == {k.id for k in net.contingencies}
 
@@ -303,21 +311,17 @@ def test_rank_initial_descending(rnet):
 def test_rank_initial_candidate_boost(rnet):
     net, base = rnet
     model = constant_prediction_model({"t_g": 1.0, "l_p": 1.0})
-    plist = rank_initial(net, base, model, candidate_boost={"KT1"})
-    assert plist.entries[0].contingency_id == "KT1"
-    rest = [e.contingency_id for e in plist.entries[1:]]
-    no_boost = [e.contingency_id
-                for e in rank_initial(net, base, model).entries
-                if e.contingency_id != "KT1"]
-    assert rest == no_boost
+    order = rank_initial(net, base, model, candidate_boost={"KT1"})
+    assert order[0] == "KT1"
+    no_boost = [c for c in rank_initial(net, base, model) if c != "KT1"]
+    assert order[1:] == no_boost
 
 
 def test_rank_initial_ties_ascending_id(rnet):
     net, base = rnet
     model = RidgeModel(weights=np.zeros(len(FEATURE_NAMES)), intercept=7.0,
                        reg_lambda=1.0)
-    plist = rank_initial(net, base, model)
-    ids = [e.contingency_id for e in plist.entries]
+    ids = rank_initial(net, base, model)
     assert ids == sorted(ids)
 
 
@@ -327,26 +331,22 @@ def test_rank_initial_affine_invariance(rnet):
     scaled = RidgeModel(weights=model.weights * 5.0,
                         intercept=model.intercept * 5.0 + 100.0,
                         reg_lambda=1.0)
-    a = [e.contingency_id for e in rank_initial(net, base, model).entries]
-    b = [e.contingency_id for e in rank_initial(net, base, scaled).entries]
-    assert a == b
+    assert rank_initial(net, base, model) == rank_initial(net, base, scaled)
 
 
 def test_rank_baseline_l_p(rnet):
     net, base = rnet
     # generator outputs 0.6 vs 0.5: KG1 ranks above KG2
-    plist = rank_baseline(net, base, "l_p")
-    ids = [e.contingency_id for e in plist.entries]
+    ids = rank_baseline(net, base, "l_p")
     assert ids.index("KG1") < ids.index("KG2")
 
 
 def test_rank_baseline_l_s_matches_feature_sort(rnet):
     net, base = rnet
-    plist = rank_baseline(net, base, "l_s")
     scored = {k.id: extract_features(net, k, base).l_s
               for k in net.contingencies}
     expect = sorted(scored, key=lambda c: (-scored[c], c))
-    assert [e.contingency_id for e in plist.entries] == expect
+    assert rank_baseline(net, base, "l_s") == expect
 
 
 def test_rank_baseline_l_c_differs_from_l_s(rnet):
@@ -359,9 +359,7 @@ def test_rank_baseline_l_c_differs_from_l_s(rnet):
     bi_t1 = next(i for i, b in enumerate(net.branches) if b.id == "T1")
     base2.state.flows[bi_l1] = (1.0, 0.0, -1.0, 0.0)   # big flow, big cap
     base2.state.flows[bi_t1] = (0.9, 0.0, -0.9, 0.0)   # slightly smaller
-    ls = [e.contingency_id for e in rank_baseline(net, base2, "l_s").entries]
-    lc = [e.contingency_id for e in rank_baseline(net, base2, "l_c").entries]
-    assert ls != lc
+    assert rank_baseline(net, base2, "l_s") != rank_baseline(net, base2, "l_c")
 
 
 def test_rank_baseline_unknown_heuristic(rnet):
@@ -379,3 +377,17 @@ def test_model_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.weights, model.weights)
     assert loaded.intercept == model.intercept
     assert loaded.reg_lambda == model.reg_lambda
+
+
+@pytest.mark.parametrize("key", ["weights", "intercept", "reg_lambda"])
+def test_load_model_rejects_non_finite_values(tmp_path, key):
+    model = RidgeModel(weights=np.arange(10, dtype=float), intercept=3.5,
+                       reg_lambda=0.25)
+    if key == "weights":
+        model.weights[3] = math.nan
+    else:
+        setattr(model, key, math.inf)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with pytest.raises(ValueError, match="finite"):
+        load_model(path)

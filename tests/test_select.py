@@ -1,11 +1,9 @@
-"""Tests for priority-list selection and dominance rules."""
+"""Tests for priority-order selection and dominance rules."""
 
 import numpy as np
 import pytest
 
 from scacopf.select import (
-    PriorityEntry,
-    PriorityList,
     ViolationSummary,
     max_violation_dominated,
     resort,
@@ -16,10 +14,6 @@ from scacopf.select import (
 
 def vs(cid, slacks, tag="b1"):
     return ViolationSummary(cid, np.asarray(slacks, dtype=float), tag)
-
-
-def entry(cid, prio, pen=-1.0):
-    return PriorityEntry(cid, prio, penalty=pen)
 
 
 # --- max-violation dominance --------------------------------------------------
@@ -61,149 +55,87 @@ def test_cdc_irreflexive_asymmetric(rng):
 # --- select_top --------------------------------------------------------------
 
 def test_select_top_no_dominance():
-    plist = PriorityList([entry(c, 10 - i, pen=10 - i)
-                          for i, c in enumerate("ABCDE")])
     summaries = {c: vs(c, np.eye(5)[i] * (5 - i))
                  for i, c in enumerate("ABCDE")}
-    assert select_top(plist, summaries, 3) == ["A", "B", "C"]
+    assert select_top(list("ABCDE"), summaries, 3) == ["A", "B", "C"]
 
 
 def test_select_top_skips_dominated():
-    plist = PriorityList([entry(c, 10 - i, pen=10 - i)
-                          for i, c in enumerate("ABCD")])
     summaries = {
         "A": vs("A", [0.5, 0, 0]),
         "B": vs("B", [0.3, 0, 0]),  # same argmax as A, smaller -> dominated
         "C": vs("C", [0, 0.2, 0]),
         "D": vs("D", [0, 0, 0.1]),
     }
-    assert select_top(plist, summaries, 3) == ["A", "C", "D"]
-
-
-def test_select_top_fills_with_unevaluated():
-    plist = PriorityList([
-        entry("A", 5, pen=9), entry("B", 4, pen=8),
-        entry("C", 3), entry("D", 2),
-    ])
-    master = [vs("M", [0.9, 0, 0])]
-    summaries = {"A": vs("A", [0.5, 0, 0]), "B": vs("B", [0.2, 0, 0])}
-    # A and B both dominated by the in-master summary -> fill from C, D
-    assert select_top(plist, summaries, 3,
-                      in_master_summaries=master) == ["C", "D"]
+    assert select_top(list("ABCD"), summaries, 3) == ["A", "C", "D"]
 
 
 def test_select_top_dominance_requires_same_base_tag():
-    plist = PriorityList([entry("A", 5, pen=9), entry("B", 4, pen=8)])
     summaries = {"A": vs("A", [0.5, 0], "b1"), "B": vs("B", [0.3, 0], "b2")}
     # same argmax, but different base tags -> no dominance applies
-    assert select_top(plist, summaries, 2) == ["A", "B"]
+    assert select_top(["A", "B"], summaries, 2) == ["A", "B"]
 
 
-def brute_force_select(plist, summaries, n, master=()):
+def brute_force_select(order, summaries, n, master=()):
     chosen, pool = [], list(master)
-    for e in plist.entries:
-        if len(chosen) >= n or e.in_master:
+    for cid in order:
+        if len(chosen) >= n:
             continue
-        s = summaries.get(e.contingency_id)
-        if s is None:
-            continue
+        s = summaries[cid]
         if any(o.base_tag == s.base_tag and o.argmax == s.argmax
                and o.max_violation > s.max_violation for o in pool):
             continue
-        chosen.append(e.contingency_id)
+        chosen.append(cid)
         pool.append(s)
-    for e in plist.entries:
-        if len(chosen) >= n:
-            break
-        if not e.in_master and e.contingency_id not in chosen \
-                and e.contingency_id not in summaries:
-            chosen.append(e.contingency_id)
     return chosen
 
 
 def test_select_top_matches_brute_force(rng):
     for trial in range(200):
         m = int(rng.integers(1, 21))
-        ids = [f"K{i}" for i in range(m)]
-        plist = PriorityList([
-            entry(c, float(rng.uniform(0, 100)),
-                  pen=float(rng.uniform(0, 50)) if rng.random() < 0.7 else -1)
-            for c in ids
-        ])
+        order = [f"K{i}" for i in rng.permutation(m)]
         dim = int(rng.integers(2, 6))
-        summaries = {
-            e.contingency_id: vs(e.contingency_id,
-                                 rng.choice([0.0, 0.1, 0.3, 0.5], size=dim))
-            for e in plist.entries if e.evaluated
-        }
+        summaries = {c: vs(c, rng.choice([0.0, 0.1, 0.3, 0.5], size=dim))
+                     for c in order}
+        master = [vs("M", rng.choice([0.0, 0.1, 0.3, 0.5], size=dim))
+                  for _ in range(int(rng.integers(0, 3)))]
         n = int(rng.integers(1, 5))
-        assert select_top(plist, summaries, n) == \
-            brute_force_select(plist, summaries, n)
+        assert select_top(order, summaries, n, master) == \
+            brute_force_select(order, summaries, n, master)
 
 
-def test_select_top_excludes_in_master_and_is_duplicate_free(rng):
-    plist = PriorityList([entry(c, 5 - i, pen=5 - i)
-                          for i, c in enumerate("ABCD")])
-    plist.mark_in_master(["B"])
+def test_select_top_excludes_in_master_and_is_duplicate_free():
+    # B is in the master: out of the order, its summary among the master's
     summaries = {c: vs(c, np.eye(4)[i]) for i, c in enumerate("ABCD")}
-    got = select_top(plist, summaries, 4)
+    got = select_top(["A", "C", "D"], summaries, 4,
+                     in_master_summaries=[summaries["B"]])
     assert "B" not in got
     assert len(got) == len(set(got)) == 3
 
 
 # --- resort ------------------------------------------------------------------
 
-class FakeResult:
-    def __init__(self, cid, pen):
-        self.contingency_id = cid
-        self.penalty = pen
-
-
-def test_resort_orders_by_penalty_with_pending_suffix():
-    plist = PriorityList([entry("A", 3), entry("B", 2), entry("C", 1)])
-    new = resort(plist, [FakeResult("A", 10), FakeResult("B", 50)])
-    assert [e.contingency_id for e in new.entries] == ["B", "A", "C"]
-
-
-def test_resort_all_unevaluated_unchanged():
-    plist = PriorityList([entry("A", 3), entry("B", 2), entry("C", 1)])
-    new = resort(plist, [])
-    assert [e.contingency_id for e in new.entries] == ["A", "B", "C"]
-
-
-def test_resort_drops_in_master():
-    plist = PriorityList([entry("A", 3, pen=5), entry("B", 2, pen=9)])
-    plist.mark_in_master(["A"])
-    new = resort(plist, [])
-    assert [e.contingency_id for e in new.entries] == ["B"]
+def test_resort_orders_by_descending_penalty():
+    assert resort(["A", "B", "C"], {"A": 10, "B": 50, "C": 20}) == \
+        ["B", "C", "A"]
 
 
 def test_resort_equal_penalty_ascending_id():
-    plist = PriorityList([entry("Z", 3), entry("A", 2)])
-    new = resort(plist, [FakeResult("Z", 7), FakeResult("A", 7)])
-    assert [e.contingency_id for e in new.entries] == ["A", "Z"]
+    assert resort(["Z", "A"], {"Z": 7, "A": 7}) == ["A", "Z"]
 
 
 def test_resort_noise_level_penalties_order_by_id():
     # penalties at or below the noise floor tie at 0 and order by id; a
     # penalty above it still sorts first
-    plist = PriorityList([entry(c, 1) for c in ("KL7", "KG4", "KG3", "KG9")])
-    new = resort(plist, [FakeResult("KL7", 3e-11), FakeResult("KG4", 1e-11),
-                         FakeResult("KG3", 1e-9), FakeResult("KG9", 2e-9)])
-    assert [e.contingency_id for e in new.entries] == ["KG9", "KG3", "KG4", "KL7"]
-    # the reported penalties are kept as they are
-    assert new.entry("KL7").penalty == 3e-11
+    penalties = {"KL7": 3e-11, "KG4": 1e-11, "KG3": 1e-9, "KG9": 2e-9}
+    assert resort(["KL7", "KG4", "KG3", "KG9"], penalties) == \
+        ["KG9", "KG3", "KG4", "KL7"]
 
 
 def test_resort_unknown_id_raises():
-    plist = PriorityList([entry("A", 3)])
+    # every id of the order needs a penalty
     with pytest.raises(KeyError):
-        resort(plist, [FakeResult("NOPE", 1)])
-
-
-def test_priority_list_rejects_duplicates():
-    with pytest.raises(ValueError):
-        PriorityList([entry("A", 1), entry("A", 2)])
+        resort(["A", "B"], {"A": 1})
 
 
 def test_summarize_point_uses_canonical_slack_order(net5):

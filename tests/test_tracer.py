@@ -41,6 +41,8 @@ def test_benchmark_tracer_records_the_evaluation_engines(tmp_path):
     # the segment projection and update, looked up in `compl` wherever
     # they are defined
     assert {"compl.project_response", "compl.update_segments"} <= names
+    # the ranking and the selection path, wrapped by name
+    assert {"ranking.rank", "select.resort", "select.select_top"} <= names
     # the interior-point solves and the `NlpProblem` callbacks, wrapped by
     # name: each base iteration evaluates the equality and the inequality
     # Jacobian once
