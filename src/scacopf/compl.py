@@ -40,11 +40,10 @@ class ComplementarityState:
     active: dict = field(default_factory=dict)    # responding gen id -> segment
     reactive: dict = field(default_factory=dict)  # available gen id -> segment
     delta: float = 0.0
-    shortfall: bool = False
 
     def copy(self):
         return ComplementarityState(dict(self.active), dict(self.reactive),
-                                    self.delta, self.shortfall)
+                                    self.delta)
 
 
 class _Families:
@@ -93,8 +92,8 @@ def init_generator_outage(net, k, base: OperatingPoint):
     delta is found exactly: between the two breakpoints that bracket the
     target, by linear interpolation, and on a breakpoint that meets the
     target exactly.  Segments are read off from where each responder's clamp
-    binds.  If even DELTA_MAX cannot replace the target, the state is
-    flagged as a shortfall.
+    binds.  If even DELTA_MAX cannot replace the target, delta is DELTA_MAX
+    and every responder whose clamp binds there is UPPER.
     """
     fam = _Families.of(net, k)
     state = fam.all_middle()
@@ -112,7 +111,6 @@ def init_generator_outage(net, k, base: OperatingPoint):
     j = int(np.searchsorted(got, target))  # the first breakpoint reaching it
     if j == len(grid):
         state.delta = DELTA_MAX
-        state.shortfall = True
     elif j == 0:
         state.delta = 0.0
     else:

@@ -10,10 +10,10 @@ Two engines estimate the post-contingency penalty of a base operating point:
   loop stops after a round priced at most the cutoff, or no more than 1e-12
   of its size below the round before, or whose square solve failed (priced
   and kept if best), or when the budget or its rounds run out.  Each step's
-  LU is dense (LAPACK) for a system of at most `nlp.DENSE_LU_MAX` = 200 rows
-  (up to about 120 buses), where SuperLU's fixed cost per call outweighs the
+  LU is dense (LAPACK) for a system of at most `nlp.DENSE_LU_MAX` = 150 rows
+  (up to about 90 buses), where SuperLU's fixed cost per call outweighs the
   elimination, and sparse (SuperLU) above it: the measured crossover lies
-  between 201 and 252 rows.  It is cheap and yields an upper bound on the
+  between 151 and 168 rows.  It is cheap and yields an upper bound on the
   optimal penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
   all-at-once complementarity segment updates; without a given start, its
@@ -82,9 +82,9 @@ class EvaluationResult:
     nlp: list = field(default_factory=list)
 
 
-def default_cutoff(net: Network, violation=VIOLATION_CUTOFF):
-    """Penalty a single slack of the given per-unit size would cost."""
-    return penalty_cost(net.penalty_config, violation)
+def default_cutoff(net: Network):
+    """Penalty a single slack of `VIOLATION_CUTOFF` per unit would cost."""
+    return penalty_cost(net.penalty_config, VIOLATION_CUTOFF)
 
 
 class _Budget:

@@ -19,14 +19,19 @@ from .ranking import extract_features, rank_baseline, rank_initial, train_ridge
 from .scopf import MasterSpec, build_master_problem, total_score
 from .select import resort, select_top, summarize_point
 
+# budget of each evaluation in seconds, counted as deterministic operations
+# (`eval._Budget`): in every table but fasteval-ablation, and in that one
+EVAL_TIME_LIMIT, FASTEVAL_TIME_LIMIT = 10.0, 5.0
 
-def _evaluate_all(net, base, time_limit):
-    return {k.id: eval_mod.full_evaluate(net, k, base, time_limit=time_limit,
+
+def _evaluate_all(net, base):
+    return {k.id: eval_mod.full_evaluate(net, k, base,
+                                         time_limit=EVAL_TIME_LIMIT,
                                          deterministic=True)
             for k in net.contingencies}
 
 
-def harness_ranking_compare(nets, model=None, time_limit=10.0):
+def harness_ranking_compare(nets, model=None):
     """Rows: penalty share of the top-``n`` ranked contingencies, per
     heuristic and per considered count ``n``."""
     rows = []
@@ -35,7 +40,7 @@ def harness_ranking_compare(nets, model=None, time_limit=10.0):
     for net in nets:
         net, _, base, _, _ = orch.solve_base(net)
         truth = {c: r.penalty
-                 for c, r in _evaluate_all(net, base, time_limit).items()}
+                 for c, r in _evaluate_all(net, base).items()}
         total = sum(truth.values())
         for h in heuristics:
             order = (rank_initial(net, base, model) if h == "ridge"
@@ -49,17 +54,17 @@ def harness_ranking_compare(nets, model=None, time_limit=10.0):
     return rows
 
 
-def harness_compl_ablation(nets, time_limit=10.0):
+def harness_compl_ablation(nets):
     """Per contingency: penalty without segment updates over penalty with."""
     rows = []
     for ci, net in enumerate(nets):
         net, _, base, _, _ = orch.solve_base(net)
         for k in net.contingencies:
             with_upd = eval_mod.full_evaluate(net, k, base,
-                                              time_limit=time_limit,
+                                              time_limit=EVAL_TIME_LIMIT,
                                               deterministic=True)
             without = eval_mod.full_evaluate(net, k, base,
-                                             time_limit=time_limit,
+                                             time_limit=EVAL_TIME_LIMIT,
                                              deterministic=True,
                                              segment_updates=False)
             denom = max(with_upd.penalty, 1e-12)
@@ -70,7 +75,7 @@ def harness_compl_ablation(nets, time_limit=10.0):
     return rows
 
 
-def harness_fasteval_ablation(nets, time_limit=5.0):
+def harness_fasteval_ablation(nets):
     """Per case: share of contingencies the fast engine screens out below
     the cutoff, and the fast/full wall time."""
     rows = []
@@ -83,13 +88,14 @@ def harness_fasteval_ablation(nets, time_limit=5.0):
         for k in net.contingencies:
             t0 = time.monotonic()
             fast = eval_mod.fast_evaluate(net, k, base,
-                                          time_limit=time_limit,
+                                          time_limit=FASTEVAL_TIME_LIMIT,
                                           cutoff=cutoff, deterministic=True)
             t_fast += time.monotonic() - t0
             if fast.penalty <= cutoff:
                 screened += 1
             t0 = time.monotonic()
-            eval_mod.full_evaluate(net, k, base, time_limit=time_limit,
+            eval_mod.full_evaluate(net, k, base,
+                                   time_limit=FASTEVAL_TIME_LIMIT,
                                    deterministic=True)
             t_full += time.monotonic() - t0
         pct = 100.0 * screened / n if n else 100.0
@@ -97,13 +103,13 @@ def harness_fasteval_ablation(nets, time_limit=5.0):
     return rows
 
 
-def harness_selection_ablation(nets, n_select=3, time_limit=10.0):
+def harness_selection_ablation(nets, n_select=3):
     """Scores of one master pass under dominance-aware versus penalty-only
     contingency selection."""
     rows = []
     for ci, net in enumerate(nets):
         net, report, base, _, _ = orch.solve_base(net)
-        results = _evaluate_all(net, base, time_limit)
+        results = _evaluate_all(net, base)
         summaries = {cid: summarize_point(r.point, cid, "base-1")
                      for cid, r in results.items()}
         order = resort(rank_baseline(net, base, "l_c"),
@@ -127,7 +133,7 @@ def harness_selection_ablation(nets, n_select=3, time_limit=10.0):
             sol = solve_nlp(mprob, tol=1e-6, warm_start=True)
             new_base = mprob.meta.extract_base(sol.x)
             pens = {c: r.penalty for c, r in
-                    _evaluate_all(net, new_base, time_limit).items()}
+                    _evaluate_all(net, new_base).items()}
             rows.append((ci, name, total_score(net, new_base, pens)))
     return rows
 

@@ -17,16 +17,16 @@ relaxed slightly on the inside; reported objectives are always the true
 
 Each attempt factors the quasi-definite KKT matrix, K with its equality
 block regularized to -delta_c, once: a symmetric LU with diagonal pivots
-only, under MMD on A'+A.  That LU is the attempt's one inertia test: the
-attempt goes on only where no pivot left the diagonal and exactly m pivots
-are negative, and any other outcome raises delta_w as a wrong inertia does
-(Waechter & Biegler 2006, Sec. 3.1).  The same LU gives the step, which is
-refined against K with its unregularized dual block and, where plain
-refinement stalls, by restarted GMRES preconditioned with the same LU; the
-step is accepted at a residual of at most `STEP_GATE` = 1e-14 times
-max(1, |rhs|_inf).  Where the step misses the gate, an LU of K itself with
-COLAMD and partial pivoting gives it.  `NlpSolution` counts the LUs, the
-GMRES calls and the COLAMD steps of a solve.
+only.  That LU is the attempt's one inertia test: the attempt goes on only
+where no pivot left the diagonal and exactly m pivots are negative, and any
+other outcome raises delta_w as a wrong inertia does (Waechter & Biegler
+2006, Sec. 3.1).  The same LU gives the step, which is refined against K
+with its unregularized dual block and, where plain refinement stalls, by
+restarted GMRES preconditioned with the same LU; the step is accepted at a
+residual of at most `STEP_GATE` = 1e-14 times max(1, |rhs|_inf).  Where the
+step misses the gate, an LU of K itself with partial pivoting gives it,
+refined by the same rule (`_refine`) with no gate.  `NlpSolution` counts
+the LUs, the GMRES calls and the COLAMD steps of a solve.
 
 A solve starts cold by default, for an x0 far from the optimum such as a
 flat start: the barrier parameter at mu0 = 1 and every bound and
@@ -50,23 +50,26 @@ multipliers and gaps live on the index sets of the finite lower and upper
 bounds.
 
 The two KKT patterns and the Jacobians of `solve_square` above
-`DENSE_LU_MAX` rows are each factored by an `_LuPattern`: its first LU
-finds a fill-reducing ordering and bakes it into the pattern, and every LU
-then factors the pre-permuted matrix in natural order.  Every sparse LU
-goes through `_splu`, which calls SuperLU (Li 2005, ACM TOMS 31(3)) with
-relax=1 and panel_size=1.  These matrices have a few nonzeros per column,
-and against SuperLU's default supernode relaxation and panel size the two
-settings take 20-40 % off each LU, on a 2-core x86 host: 48 against 62 us
-for an 80-row screening Jacobian and 24-27 against 29-35 ms for a 300-bus
-base KKT matrix.
+`DENSE_LU_MAX` rows are each factored by an `_LuPattern`: its first LU finds
+a fill-reducing ordering and bakes it into the pattern, and every LU then
+factors the pre-permuted matrix in natural order.  The kind of LU picks the
+ordering, and no caller does: the symmetric quasi-definite LU is ordered by
+MMD on A'+A, and every other sparse LU (K's, and the square Jacobians') by
+COLAMD.  Every sparse LU goes through `_splu`, which calls SuperLU (Li 2005,
+ACM TOMS 31(3)) with relax=1 and panel_size=1.  These matrices have a few
+nonzeros per column, and against SuperLU's default supernode relaxation and
+panel size the two settings take 20-40 % off each LU, on a 2-core x86 host:
+48 against 62 us for an 80-row screening Jacobian and 24-27 against 29-35 ms
+for a 300-bus base KKT matrix.
 
 A SuperLU call also pays a fixed cost of about 30 us whatever the matrix,
-so a square Jacobian of at most `DENSE_LU_MAX` = 200 rows (the fast
-evaluation's Newton systems up to about 120 buses; `eval._SquareStructure`
+so a square Jacobian of at most `DENSE_LU_MAX` = 150 rows (the fast
+evaluation's Newton systems up to about 90 buses; `eval._SquareStructure`
 makes the choice) is factored by a `_DenseLuPattern` instead: one
 `np.bincount` into an n x n array and LAPACK getrf, solved with getrs.  The
-constant is the measured crossover: screening with dense LUs is faster at
-150 rows, even at 201 and 252 and slower at 293 (see `DENSE_LU_MAX`).
+constant is the measured crossover against COLAMD-ordered SuperLU:
+screening with dense LUs is faster up to 101 rows, even at 126 and 151, and
+slower from 168 rows on (see `DENSE_LU_MAX`).
 """
 
 from __future__ import annotations
@@ -149,88 +152,79 @@ class NlpSolution:
     colamd_steps: int = 0
 
 
-class _Pattern:
-    """Fixed sparsity pattern of a CSC matrix: raw (row, col) entries,
-    repeats allowed, compiled once to canonical CSC index arrays; `matrix`
-    sums the raw values onto them, and `permuted` moves the raw entries.
+class _LuPattern:
+    """Fixed sparsity pattern of a square CSC matrix that is factored by a
+    sparse LU again and again: raw (row, col) entries, repeats allowed,
+    compiled once to canonical CSC index arrays, onto which `matrix` sums the
+    raw values.
+
+    The kind of LU picks its fill-reducing ordering (a SuperLU
+    `permc_spec`): a `symmetric` (quasi-definite) matrix is ordered by MMD
+    on A'+A, baked into its rows and columns, for a no-pivot LU in
+    SymmetricMode (an LDL' in disguise); any other by COLAMD, baked into its
+    columns, for an LU with partial pivoting.  The first LU finds the
+    ordering and compiles the pattern again with it baked in; every LU, the
+    first one included, then factors the pre-permuted matrix in natural
+    order.  So an LU depends on the pattern and the values alone, not on the
+    values it was first ordered for.
 
     The index arrays are validated once, by the matrix built at compile
     time; every `matrix` is a shallow copy of it with data of its own, so it
     shares them read-only."""
 
-    def __init__(self, rows, cols, shape):
-        n_rows, n_cols = shape
-        keys = np.asarray(cols, dtype=np.int64) * n_rows
+    def __init__(self, rows, cols, n, symmetric=False):
+        self.n, self.symmetric = n, symmetric
+        self.pos = None
+        self._compile(rows, cols)
+
+    def _compile(self, rows, cols):
+        n = self.n
+        keys = np.asarray(cols, dtype=np.int64) * n
         keys += rows
         uniq, self.slot = np.unique(keys, return_inverse=True)
-        self.indices = (uniq % n_rows).astype(np.int32)
-        self.indptr = np.searchsorted(uniq // n_rows,
-                                      np.arange(n_cols + 1)).astype(np.int32)
-        self.shape = shape
+        self.indices = (uniq % n).astype(np.int32)
+        self.indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
         self._empty = sparse.csc_matrix(
-            (np.zeros(len(self.indices)), self.indices, self.indptr), shape=shape)
+            (np.zeros(len(self.indices)), self.indices, self.indptr), shape=(n, n))
 
     def matrix(self, vals):
         out = copy.copy(self._empty)
         out.data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
         return out
 
-    def permuted(self, row_pos, col_pos):
-        """The pattern with raw row i moved to row_pos[i] and raw column j to
-        col_pos[j]; raw values keep their order."""
-        cols = np.repeat(np.arange(len(self.indptr) - 1, dtype=np.int32),
-                         np.diff(self.indptr))[self.slot]
-        return _Pattern(row_pos[self.indices[self.slot]], col_pos[cols], self.shape)
-
-
-# ordering of square-system LUs: on A' + A, for a power-flow Jacobian is
-# nearly structurally symmetric
-SQUARE_ORDERING = "MMD_AT_PLUS_A"
-
-
-class _LuPattern:
-    """`_Pattern` of a square CSC matrix that is factored by a sparse LU
-    again and again.  The first LU finds a fill-reducing ordering (a SuperLU
-    `permc_spec`) and bakes it into the pattern: into the columns, or with
-    `symmetric` into the rows and columns, for a no-pivot LU in
-    SymmetricMode (an LDL' in disguise).  Every LU, the first one included,
-    then factors the pre-permuted matrix in natural order.  So an LU depends
-    on the pattern and the values alone, not on the values it was first
-    ordered for."""
-
-    def __init__(self, rows, cols, n, ordering=SQUARE_ORDERING, symmetric=False):
-        self.pattern = _Pattern(rows, cols, (n, n))
-        self.ordering, self.symmetric = ordering, symmetric
-        self.pos = None
-
     def lu(self, vals):
         """(A, lu, pos) for raw values vals: `lu` factors the matrix A, whose
         column pos[j] (and, if symmetric, row pos[i]) is column j (row i) of
         the matrix, or is None if the matrix is exactly singular."""
         if self.pos is None:
-            A = self.pattern.matrix(vals)
-            first = _splu(A, self.ordering, self.symmetric)
+            A = self.matrix(vals)
+            ordering = "MMD_AT_PLUS_A" if self.symmetric else "COLAMD"
+            first = _splu(A, ordering, self.symmetric)
             if first is None:
-                return A, None, np.arange(A.shape[0])
+                return A, None, np.arange(self.n)
             # a copy: `perm_c` is a view that would keep the LU alive
             self.pos = first.perm_c.copy()
-            rows = self.pos if self.symmetric else np.arange(A.shape[0])
-            self.pattern = self.pattern.permuted(rows, self.pos)
-        A = self.pattern.matrix(vals)
+            # the raw entries, moved: raw values keep their order
+            rows = self.indices[self.slot]
+            cols = np.repeat(np.arange(self.n, dtype=np.int32),
+                             np.diff(self.indptr))[self.slot]
+            self._compile(self.pos[rows] if self.symmetric else rows, self.pos[cols])
+        A = self.matrix(vals)
         return A, _splu(A, "NATURAL", self.symmetric), self.pos
 
 
 # the most rows of a square Jacobian that `eval._SquareStructure` factors
 # with a dense LU (`_DenseLuPattern`); larger ones go to SuperLU
-# (`_LuPattern`).  The crossover, on a 2-core x86 host with BLAS at 1 thread,
-# from the median time of `fast_evaluate` on every contingency of `gen-case`
-# n --seed 3 with each factorizer (4-6 alternating sweeps a run): dense is
-# 14-18 % faster at 150 rows (n = 90), even at 201 (n = 120; 24 % faster to
-# 16 % slower) and 252 (n = 150; 10 % faster to 4 % slower), 32 % slower at
-# 293 (n = 175).  One fill, LU and solve: 33 against 77 us at 51 rows
-# (n = 30), even at 201 rows, 21-37 % slower at 251.
-DENSE_LU_MAX = 200
+# (`_LuPattern`, ordered by COLAMD).  The crossover, on a 2-core x86 host with
+# BLAS at 1 thread, from the median time of `fast_evaluate` on every
+# contingency of `gen-case` n --seed 3 with each factorizer (5-6 alternating
+# sweeps a run): dense is 25 % faster at 76 rows (n = 45), 19 % at 101
+# (n = 60), even at 126 and 151 (n = 75 and 90; 1-4 % faster), 5 % slower at
+# 168 (n = 100), 13 % at 185 (n = 110), 22 % at 201 (n = 120) and 57 % at 251
+# (n = 150).  One fill, LU and solve: 14 against 33 us at 51 rows (n = 30),
+# even at 101, 110 against 67 us at 151.
+DENSE_LU_MAX = 150
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
@@ -285,19 +279,20 @@ class _Kkt:
     `jac_pattern`, compiled once for those entries, and the LUs of each
     inertia-correction attempt on it (`factor`).
 
-    Each matrix is filled from the raw values of the Hessian, w_diag, J and
-    d with one `np.bincount`: the raw entries of W are the Hessian's, the
+    Each matrix is filled from the raw values of the Hessian, w_diag, J and d
+    with one `np.bincount`: the raw entries of W are the Hessian's, the
     mirror of its off-diagonal ones and the diagonal.  An attempt makes one
     LU, of the quasi-definite matrix: K with its equality block regularized
     to -delta_c.  Where W is positive definite, that matrix is symmetric
     quasi-definite and has an LDL' factorization under any symmetric
     ordering (Vanderbei 1995, SIAM J. Optim. 5(1)), so its pattern `Q` is
-    ordered by MMD on A'+A, baked into rows and columns, and factored with
-    diagonal pivots only.  That one LU decides the inertia, which is right
-    when no pivot left the diagonal and exactly m pivots are negative, and
-    gives the step (`_KktSolve`).  When the step misses `STEP_GATE`, an LU
-    of K itself gives it; `K`, compiled on first use, is ordered by COLAMD
-    on columns and factored with partial pivoting.
+    a symmetric `_LuPattern`: ordered by MMD on A'+A, baked into rows and
+    columns, and factored with diagonal pivots only.  That one LU decides
+    the inertia, which is right when no pivot left the diagonal and exactly
+    m pivots are negative, and gives the step (`_KktSolve`).  When the step
+    misses `STEP_GATE`, an LU of K itself gives it; `K`, compiled on first
+    use, is a plain `_LuPattern`: ordered by COLAMD on columns and factored
+    with partial pivoting.
 
     `counts` tallies the LUs made, the GMRES calls and the COLAMD steps.
     """
@@ -314,12 +309,12 @@ class _Kkt:
         dual = n + np.arange(m)
         self._entries = (np.concatenate((w_rows, j_rows, j_cols, dual)),
                          np.concatenate((w_cols, j_cols, j_rows, dual)))
-        self.Q = _LuPattern(*self._entries, n + m, "MMD_AT_PLUS_A", symmetric=True)
+        self.Q = _LuPattern(*self._entries, n + m, symmetric=True)
         self.counts = Counter()
 
     @cached_property
     def K(self):
-        return _LuPattern(*self._entries, self.n + self.m, "COLAMD")
+        return _LuPattern(*self._entries, self.n + self.m)
 
     def _factor(self, pattern, vals):
         """`pattern.lu(vals)`, its SuperLU calls tallied."""
@@ -359,8 +354,8 @@ class _Kkt:
 # a step from the quasi-definite LU is accepted when its residual against K
 # is at most STEP_GATE * max(1, |rhs|_inf)
 STEP_GATE = 1e-14
-# refinement steps against K before GMRES takes over (each must at least
-# halve the residual), and GMRES's Krylov vectors per cycle and cycles
+# the most steps of `_refine` (each must at least halve the residual), and
+# GMRES's Krylov vectors per cycle and cycles
 QD_REFINE_STEPS = 4
 GMRES_RESTART, GMRES_CYCLES = 20, 2
 
@@ -374,7 +369,7 @@ class _KktSolve:
     def __init__(self, kkt, vals, lu, pos):
         self.kkt, self.vals, self.lu, self.pos = kkt, vals, lu, pos
         self.qd = False
-        self._A = kkt.Q.pattern.matrix(vals)
+        self._A = kkt.Q.matrix(vals)
         self._k = None
 
     def __call__(self, rhs):
@@ -388,16 +383,13 @@ class _KktSolve:
             self.kkt.counts["colamd_steps"] += 1
             self._k = self.kkt._factor(self.kkt.K, self.vals)
         K, lu, pos = self._k
-        return None if lu is None else _refined_solve(K, lu, rhs)[pos]
+        return None if lu is None else _refine(K, lu, rhs)[0][pos]
 
 
-def _gated_solve(A, lu, b, counts):
-    """x with |b - A x|_inf <= STEP_GATE * max(1, |b|_inf), or None, from
-    an LU of a matrix near A: refined while each step at least halves the
-    residual, then by restarted GMRES preconditioned on the right with the
-    same LU (GMRES-based refinement, Carson & Higham 2017, SIAM J. Sci.
-    Comput. 39(6)), a call that `counts` tallies."""
-    gate = STEP_GATE * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+def _refine(A, lu, b, gate=0.0):
+    """(x, r, |r|_inf) for A x = b, r = b - A x, from an LU of a matrix near
+    A: refined until the residual is at most gate, or a step does not at
+    least halve it, or after QD_REFINE_STEPS steps."""
     x = lu.solve(b)
     r = b - A @ x
     norm = float(np.max(np.abs(r), initial=0.0))
@@ -406,10 +398,21 @@ def _gated_solve(A, lu, b, counts):
             break
         cand = x + lu.solve(r)
         cand_r = b - A @ cand
-        cand_norm = float(np.max(np.abs(cand_r)))
+        cand_norm = float(np.max(np.abs(cand_r), initial=0.0))
         if not cand_norm <= 0.5 * norm:
             break
         x, r, norm = cand, cand_r, cand_norm
+    return x, r, norm
+
+
+def _gated_solve(A, lu, b, counts):
+    """x with |b - A x|_inf <= STEP_GATE * max(1, |b|_inf), or None, from
+    an LU of a matrix near A: `_refine`d to that gate, then by restarted
+    GMRES preconditioned on the right with the same LU (GMRES-based
+    refinement, Carson & Higham 2017, SIAM J. Sci. Comput. 39(6)), a call
+    that `counts` tallies."""
+    gate = STEP_GATE * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    x, r, norm = _refine(A, lu, b, gate)
     if norm <= gate:
         return x
     if not np.isfinite(norm):
@@ -448,25 +451,6 @@ def _gmres(A, lu, b, x, r, gate):
         if np.max(np.abs(r)) <= gate:
             return x
     return None
-
-
-# iterative refinement steps after each back-solve of K's own LU
-REFINE_STEPS = 2
-
-
-def _refined_solve(K, lu, rhs):
-    """Solve K sol = rhs with an LU of K and up to REFINE_STEPS refinement
-    steps."""
-    sol = lu.solve(rhs)
-    res = rhs - K @ sol
-    for _ in range(REFINE_STEPS):
-        cand = sol + lu.solve(res)
-        cand_res = rhs - K @ cand
-        if not np.max(np.abs(cand_res), initial=0.0) \
-                < np.max(np.abs(res), initial=0.0):
-            break
-        sol, res = cand, cand_res
-    return sol
 
 
 def _relax_bounds(lb, ub, rel=1e-8):
@@ -880,10 +864,10 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     jac(x) returns a pair (pattern, vals): a `_DenseLuPattern` or
     `_LuPattern` and the Jacobian's raw values, which each step factors with
     `pattern.lu(vals)`; a `_DenseLuPattern` (at most `DENSE_LU_MAX` rows)
-    uses LAPACK's dense LU, an `_LuPattern` SuperLU in the column ordering
-    it keeps from its first LU.  jac is called only at the point of the last
-    fun call, so it may reuse that call's work.  Each step backtracks on the
-    residual norm.  The solve ends `failed` at its best iterate when the LU
+    uses LAPACK's dense LU, an `_LuPattern` SuperLU in the COLAMD column
+    ordering it keeps from its first LU.  jac is called only at the point of
+    the last fun call, so it may reuse that call's work.  Each step
+    backtracks on the residual norm.  The solve ends `failed` at its best iterate when the LU
     is exactly singular or the step is not finite, when backtracking finds
     no decrease, or when `time_limit` seconds have passed; there is no
     least-squares fallback, as in MATPOWER's ``newtonpf``.

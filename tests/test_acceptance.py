@@ -601,7 +601,7 @@ def test_criterion_9_determinism(tmp_path):
         out2 = str(d / "c2")
         rc = cli_main(["code2", "--case", case_path,
                        "--base", os.path.join(out1, "base_solution.json"),
-                       "--deterministic", "--seed", "7",
+                       "--deterministic",
                        "--output-dir", out2])
         assert rc == 0
         files = {}

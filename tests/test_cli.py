@@ -212,6 +212,30 @@ def deterministic_run_argv(tmp_path, command, out):
     return argv
 
 
+def test_deterministic_code2_prints_the_same_stdout(tmp_path, capsys):
+    # a deterministic run prints no wall-clock reading, so two identical
+    # runs print the same line; a run on the clock also prints its seconds
+    outs = []
+    for run in ("a", "b", "clock"):
+        argv = deterministic_run_argv(tmp_path, "code2", str(tmp_path / run))
+        if run == "clock":
+            argv.remove("--deterministic")
+        assert run_cli(argv + ["--factor", "0.5"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == {"files": 2}
+    assert set(json.loads(outs[2])) == {"files", "elapsed"}
+
+
+def test_seed_is_a_code1_flag(tmp_path, capsys):
+    # the seed reaches only code1's base-solve retry, so code2 has none
+    out = str(tmp_path / "out")
+    assert exit_code(deterministic_run_argv(tmp_path, "code2", out)
+                     + ["--seed", "1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 @pytest.mark.parametrize("command", ["code1", "code2"])
 def test_invalid_cutoff_exits_1(tmp_path, capsys, command, value):

@@ -53,7 +53,6 @@ def test_bisection_simple_middle():
     st = init_generator_outage(net, net.contingency("K"), base)
     assert st.active["G1"] == MIDDLE
     assert st.delta == pytest.approx(0.505, abs=1e-8)
-    assert not st.shortfall
 
 
 def test_bisection_zero_target():
@@ -62,15 +61,14 @@ def test_bisection_zero_target():
     st = init_generator_outage(net, net.contingency("K"), base)
     assert st.delta == 0.0
     assert st.active["G1"] == MIDDLE
-    assert not st.shortfall
 
 
 def test_bisection_shortfall_flags_upper():
-    # headroom 0.3 < uplifted target 0.505: responder saturates at its cap
+    # headroom 0.3 < uplifted target 0.505: no delta replaces the target,
+    # so delta is its cap and the responder saturates at its own
     net = response_net(responder_kw=dict(p_max=1.3))
     base = base_with_p(net, [1.0, 0.5])
     st = init_generator_outage(net, net.contingency("K"), base)
-    assert st.shortfall
     assert st.delta == compl.DELTA_MAX
     assert st.active["G1"] == UPPER
 
@@ -93,7 +91,6 @@ def test_delta_is_the_exact_root():
                                base_with_p(net, [1.0, 0.5, 0.0]))
     assert st.delta == pytest.approx(compl.LOSS_UPLIFT * 0.5 - 0.1, rel=1e-14)
     assert (st.active["G1"], st.active["G3"]) == (UPPER, MIDDLE)
-    assert not st.shortfall
 
 
 def test_delta_on_a_clamp_breakpoint():
@@ -105,7 +102,6 @@ def test_delta_on_a_clamp_breakpoint():
                                base_with_p(net, [0.0, 0.5, 0.0]))
     assert st.delta == half
     assert (st.active["G1"], st.active["G3"]) == (MIDDLE, MIDDLE)
-    assert not st.shortfall
 
 
 def test_init_default_all_middle(net5):

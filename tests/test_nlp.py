@@ -723,19 +723,19 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 Q_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d_test)]], format="csc")
 
                 q_pos = kkt.Q.pos if kkt.Q.pos is not None else np.arange(K_ref.shape[0])
-                Q = kkt.Q.pattern.matrix(kkt.values(h, w_diag, j, d_test))
+                Q = kkt.Q.matrix(kkt.values(h, w_diag, j, d_test))
                 assert max_rel_diff(Q[q_pos][:, q_pos], Q_ref) <= 1e-14
 
                 k_pos = kkt.K.pos if kkt.K.pos is not None else np.arange(K_ref.shape[0])
-                K = kkt.K.pattern.matrix(kkt.values(h, w_diag, j, d))
+                K = kkt.K.matrix(kkt.values(h, w_diag, j, d))
                 assert max_rel_diff(K[:, k_pos], K_ref) <= 1e-14
                 rhs = rng.normal(size=K_ref.shape[0])
                 lu, pos, _ = kkt.quasi_definite(h, w_diag, j, d_test)
-                Q = kkt.Q.pattern.matrix(kkt.values(h, w_diag, j, d_test))
+                Q = kkt.Q.matrix(kkt.values(h, w_diag, j, d_test))
                 b = np.empty_like(rhs)
                 b[pos] = rhs
                 ref = splu(Q_ref).solve(rhs)
-                step = nlp._refined_solve(Q, lu, b)[pos]
+                step = nlp._refine(Q, lu, b)[0][pos]
                 assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
                 step = kkt.factor(h, w_diag, j, d, d_test)(rhs)
                 ref = splu(K_ref).solve(rhs)
@@ -848,7 +848,7 @@ def test_kkt_from_raw_entries_equals_the_dense_saddle_matrix():
     vals = kkt.values(h, w_diag, j, d)
     # the explicit zeros of W[3, 0], W[0, 3] and of J[1, 3] and J'[3, 1]
     # are stored: the nonzero slots of the dense K and these 4
-    assert kkt.Q.pattern.matrix(vals).nnz == np.count_nonzero(K_dense) + 4
+    assert kkt.Q.matrix(vals).nnz == np.count_nonzero(K_dense) + 4
     for pattern in (kkt.Q, kkt.K):
         for _ in range(2):  # before and after the first LU bakes its ordering in
             A, lu, pos = pattern.lu(vals)
@@ -929,6 +929,66 @@ def test_every_superlu_call_is_tuned(net5, monkeypatch):
     assert all((kw["relax"], kw["panel_size"]) == (1, 1) for kw in calls)
 
 
+def test_square_jacobian_above_the_dense_limit_is_ordered_by_colamd(monkeypatch):
+    # a square Jacobian is not structurally symmetric, so a sparse LU of one
+    # finds its ordering with COLAMD, and every later LU runs in natural order
+    from scacopf import eval as ev
+    from scacopf.scopf import default_start
+
+    specs = []
+    real = nlp._splu
+
+    def spy(A, permc_spec, symmetric=False):
+        specs.append((permc_spec, symmetric))
+        return real(A, permc_spec, symmetric)
+
+    monkeypatch.setattr(nlp, "_splu", spy)
+    monkeypatch.setattr(nlp, "DENSE_LU_MAX", 0)
+    net = five_bus_net()
+    for k in net.contingencies:
+        ev.fast_evaluate(net, k, default_start(net))
+    firsts = [spec for spec in specs if spec[0] != "NATURAL"]
+    assert firsts and set(firsts) == {("COLAMD", False)}
+    assert len(specs) > len(firsts)
+
+
+class CountingLu:
+    """An LU of M, with its back-solves counted."""
+
+    def __init__(self, M):
+        self.M, self.solves = M, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return np.linalg.solve(self.M, b)
+
+
+def test_refine_stops_at_its_gate_and_at_a_step_that_does_not_halve():
+    # with an LU of M = A / (1 - rate), the first solve leaves the residual
+    # rate * b and each refinement step multiplies it by rate
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+    b = rng.normal(size=6)
+    size = np.max(np.abs(b))
+
+    def refine(rate, gate=0.0):
+        """(back-solves, residual norm) of `_refine`."""
+        lu = CountingLu(A / (1.0 - rate))
+        x, r, norm = nlp._refine(A, lu, b, gate)
+        np.testing.assert_array_equal(r, b - A @ x)
+        assert norm == np.max(np.abs(r))
+        return lu.solves, norm
+
+    assert refine(0.1, gate=np.inf) == (1, pytest.approx(0.1 * size))
+    # the gate is met after two steps
+    assert refine(0.1, gate=1.5e-3 * size) == (3, pytest.approx(1e-3 * size))
+    # with no gate, every step halves the residual until the steps run out
+    n_steps = nlp.QD_REFINE_STEPS
+    assert refine(0.4) == (1 + n_steps, pytest.approx(0.4 ** (1 + n_steps) * size))
+    # a step that leaves 0.6 of the residual is not taken
+    assert refine(0.6) == (2, pytest.approx(0.6 * size))
+
+
 def random_pattern(symmetric, n=40, seed=7):
     """(rows, cols, value sets) of a raw n x n pattern with repeated entries:
     a random sparse C plus a diagonal, or C + C' plus a dominant positive
@@ -949,18 +1009,16 @@ def random_pattern(symmetric, n=40, seed=7):
     return np.concatenate((r, diag)), np.concatenate((c, diag)), vals
 
 
-@pytest.mark.parametrize("ordering, symmetric", [("COLAMD", False),
-                                                 ("MMD_AT_PLUS_A", False),
-                                                 ("MMD_AT_PLUS_A", True),
-                                                 ("DENSE", False)])
-def test_lu_pattern_solves_like_splu_of_the_matrix(ordering, symmetric):
-    # the first LU bakes the ordering in; it and every later natural-order LU
-    # of the pre-permuted matrix solve like an LU of the matrix itself; the
-    # dense factorizer keeps the natural order
+@pytest.mark.parametrize("kind", ["sparse", "symmetric", "dense"])
+def test_lu_pattern_solves_like_splu_of_the_matrix(kind):
+    # the first LU bakes the ordering that its kind picks in; it and every
+    # later natural-order LU of the pre-permuted matrix solve like an LU of
+    # the matrix itself; the dense factorizer keeps the natural order
+    symmetric = kind == "symmetric"
     rows, cols, vals = random_pattern(symmetric)
     n = 40
-    pattern = (nlp._DenseLuPattern(rows, cols, n) if ordering == "DENSE" else
-               nlp._LuPattern(rows, cols, n, ordering, symmetric=symmetric))
+    pattern = (nlp._DenseLuPattern(rows, cols, n) if kind == "dense" else
+               nlp._LuPattern(rows, cols, n, symmetric=symmetric))
     rng = np.random.default_rng(1)
     for v in vals:
         M = sparse.csc_matrix((v, (rows, cols)), shape=(n, n))
@@ -975,7 +1033,7 @@ def test_lu_pattern_solves_like_splu_of_the_matrix(ordering, symmetric):
         ref = splu(M).solve(b)
         x = lu.solve(rhs)[pos]
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.any(pattern.pos != np.arange(n)) == (ordering != "DENSE")
+    assert np.any(pattern.pos != np.arange(n)) == (kind != "dense")
 
 
 # --- the start and the end of a solve ----------------------------------------
