@@ -127,6 +127,7 @@ def cmd_code1(args):
             raise ValueError("--candidates names no contingency of the case: "
                              + ", ".join(sorted(unknown)))
         model = _load_model(args.model)
+        os.makedirs(cfg.output_dir, exist_ok=True)
     except (CaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -156,6 +157,7 @@ def cmd_code2(args):
         cfg = _config_from_args(args)
         base, tag, _ = orch.load_base_solution(args.base, net)
         model = _load_model(args.model)
+        os.makedirs(cfg.output_dir, exist_ok=True)
     except (CaseError, OSError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,9 +45,14 @@ for values after that (Waechter & Biegler 2006).  So the KKT matrix has one
 pattern per solve: `_Kkt` compiles the quasi-definite pattern from the raw
 entries once, and K's on its first use, and fills each attempt's values
 with one `np.bincount`.  J'y and J_I dx are `np.bincount`s on the raw
-entries too, so no scipy.sparse matrix is built per iteration.  Bound
-multipliers and gaps live on the index sets of the finite lower and upper
-bounds.
+entries too, so no scipy.sparse matrix is built per iteration.
+
+The interior point keeps one bound set: the inequality slacks' lower bounds
+(0), then x's finite lower bounds, then its finite upper ones.  A bound's
+sign is +1 if it is a lower bound and -1 if upper, its gap is sign * (value
+- bound), and one vector z holds the multipliers, the slacks' first.  So
+each per-bound step (the Sec. 3.5 bound move, complementarity, the barrier,
+the fraction-to-boundary rule) is written once for the whole set.
 
 The two KKT patterns and the Jacobians of `solve_square` above
 `DENSE_LU_MAX` rows are each factored by an `_LuPattern`: its first LU finds
@@ -499,12 +504,13 @@ EPS_MACH = np.finfo(float).eps
 
 
 def _move_out(bound, gap, mu, sign):
-    """Move `bound` by sign * eps^(3/4) * max(1, |bound|) wherever `gap`, the
-    iterate's distance to it, is below eps * mu: a gap that rounds to
-    nothing would keep the iterate on its bound for good (Waechter & Biegler
-    2006, Sec. 3.5).  sign is -1 for lower bounds, +1 for upper ones."""
+    """Move each bound away from the iterate by eps^(3/4) * max(1, |bound|)
+    wherever `gap`, the iterate's distance to it, is below eps * mu: a gap
+    that rounds to nothing would keep the iterate on its bound for good
+    (Waechter & Biegler 2006, Sec. 3.5).  sign is +1 for a lower bound, -1
+    for an upper one."""
     stuck = gap < EPS_MACH * mu
-    bound[stuck] += sign * EPS_MACH ** 0.75 * np.maximum(1.0, np.abs(bound[stuck]))
+    bound[stuck] -= sign[stuck] * EPS_MACH ** 0.75 * np.maximum(1.0, np.abs(bound[stuck]))
 
 
 def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
@@ -519,7 +525,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     inequality-slack multiplier is 1 (Waechter & Biegler 2006, Sec. 3.6).
     `warm_start=True` is meant for an x0 that is already a solved point:
     it starts at mu0 = 0.1 with each of those multipliers at mu0 over its
-    gap, on the central path of that x0.  Equality multipliers start at 0
+    gap (at least 1e-8), on the central path of that x0.  Equality multipliers start at 0
     either way.
 
     `log`, if given, is called once per iteration with a dict: `iteration`,
@@ -537,10 +543,18 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     ub_true = np.asarray(prob.ub, float)
     lb, ub = _relax_bounds(lb_true, ub_true, rel=min(1e-8, max(tol, 1e-14)))
     x = _interior_start(np.asarray(prob.x0, float), lb, ub)
-    # the finite bounds as index sets, on which bound multipliers and gaps
-    # live; lb and ub keep only those entries from here on
+    # the bound set of the module docstring: x's lower bounds are on the
+    # entries il of x and at the positions lo of the set, its upper ones on iu, up
     il, iu = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
-    lb, ub = lb[il], ub[iu]
+    ix = np.concatenate((il, iu))
+    lo, up = slice(mi, mi + len(il)), slice(mi + len(il), None)
+    sign = np.concatenate((np.ones(mi + len(il)), -np.ones(len(iu))))
+    bound = np.concatenate((np.zeros(mi), lb[il], ub[iu]))
+    sign_x = sign[mi:]
+
+    def gaps(tv, xv):
+        """Every bound's gap, sign * (value - bound), at slacks tv and xv."""
+        return sign * (np.concatenate((tv, xv[ix])) - bound)
 
     # J = [J_E; J_I] as raw entries, J_E's first
     je_rows, je_cols = (np.asarray(a, dtype=np.int64) for a in prob.jac_eq_pattern)
@@ -558,15 +572,11 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     # accepted trial point), or None if it was not (a trial point off bounds)
     at_x = values(x)
     t = np.maximum(1e-2, -at_x[2])
-    t_lo = np.zeros(mi)  # the slacks' lower bounds, moved by `_move_out`
     y = np.zeros(me)
-    mu, w = MU0, np.ones(mi)
-    zl, zu = np.ones(len(il)), np.ones(len(iu))
+    mu, z = MU0, np.ones(len(bound))
     if warm_start:
         mu = MU0_WARM
-        w = np.maximum(mu / np.maximum(t, 1e-8), 1e-8)
-        zl = mu / (x[il] - lb)
-        zu = mu / (ub - x[iu])
+        z = np.maximum(mu / gaps(t, x), 1e-8)
 
     tau_ftb = 0.995
     delta_c = 1e-8
@@ -582,8 +592,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             v = max(v, float(np.max(np.abs(cEv))))
         if mi:
             v = max(v, float(np.max(np.maximum(cIv, 0.0))))
-        v = max(v, float(np.max(lb - xv[il], initial=0.0)))
-        return max(v, float(np.max(xv[iu] - ub, initial=0.0)))
+        return max(v, float(np.max(-gaps(t, xv)[mi:], initial=0.0)))
 
     def consider(xv, cEv, cIv, fv):
         nonlocal best
@@ -595,18 +604,18 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         """l1 norm of the constraint residual (the filter's theta)."""
         return float(np.sum(np.abs(cEv)) + np.sum(np.abs(cIv + tv)))
 
-    def barrier(xv, tv, fv):
-        """Barrier objective phi at (xv, tv), whose objective value is fv."""
-        return fv - mu * (np.sum(np.log(xv[il] - lb)) + np.sum(np.log(ub - xv[iu]))
-                          + np.sum(np.log(tv - t_lo)))
+    def barrier(gap, fv):
+        """Barrier objective phi at a point of gaps gap and objective fv."""
+        return fv - mu * np.sum(np.log(gap))
 
     def measures(xv, tv):
         """(theta, phi, `values`) at a trial point; theta and phi are inf and
         nothing is evaluated outside the bounds."""
-        if np.any(xv[il] <= lb) or np.any(xv[iu] >= ub) or np.any(tv <= t_lo):
+        gap = gaps(tv, xv)
+        if np.any(gap <= 0.0):
             return np.inf, np.inf, None
         vals = values(xv)
-        return theta_of(vals[1], vals[2], tv), barrier(xv, tv, vals[0]), vals
+        return theta_of(vals[1], vals[2], tv), barrier(gap, vals[0]), vals
 
     # the filter: (theta, phi) pairs that bar every trial point with a larger
     # theta and a larger phi; it starts empty at each barrier parameter
@@ -619,9 +628,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     it = 0
     e0 = np.inf
     for it in range(1, max_iter + 1):
-        _move_out(lb, x[il] - lb, mu, -1.0)
-        _move_out(ub, ub - x[iu], mu, 1.0)
-        _move_out(t_lo, t - t_lo, mu, -1.0)
+        _move_out(bound, gaps(t, x), mu, sign)
         if at_x is None:
             at_x = values(x)
         f, cE, cI = at_x
@@ -635,21 +642,21 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             """J_I v."""
             return np.bincount(ji_rows, weights=ji * v[ji_cols], minlength=mi)
 
-        gap_l, gap_u, gap_t = x[il] - lb, ub - x[iu], t - t_lo
-        gl, gu = np.maximum(gap_l, 1e-16), np.maximum(gap_u, 1e-16)
+        gap, w = gaps(t, x), z[:mi]
+        gap_t, gx = gap[:mi], np.maximum(gap[mi:], 1e-16)
 
         # g + J'[y; w]
         grad_lag = g + np.bincount(j_cols, weights=jv * np.concatenate((y, w))[j_rows],
                                    minlength=n)
         r_d = grad_lag.copy()
-        r_d[il] -= zl
-        r_d[iu] += zu
+        r_d[il] -= z[lo]
+        r_d[iu] += z[up]
         # the KKT error is the larger of its feasibility part and its
         # complementarity part, which depends on the barrier parameter
         feas = max(float(np.max(np.abs(r_d), initial=0.0)),
                    float(np.max(np.abs(cE), initial=0.0)),
                    float(np.max(np.abs(cI + t), initial=0.0)))
-        comp = np.concatenate((gap_t * w, gap_l * zl, gap_u * zu))
+        comp = gap * z
 
         def resid(mu_val):
             return max(feas, float(np.max(np.abs(comp - mu_val), initial=0.0)))
@@ -670,22 +677,14 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
             filt.clear()
 
         h = prob.hess(x, 1.0, y, w)
-        sigma_x = np.zeros(n)
-        sigma_x[il] = zl / gl
-        sigma_x[iu] += zu / gu
+        sigma_x = np.bincount(ix, weights=z[mi:] / gx, minlength=n)
 
         # gradient of the barrier terms in x; with the Lagrangian's gradient
         # it is the KKT right-hand side, with the objective's the filter's
-        bar_grad = np.zeros(n)
-        bar_grad[iu] = mu / gu
-        bar_grad[il] -= mu / gl
+        bar_grad = np.bincount(ix, weights=-sign_x * mu / gx, minlength=n)
         gbar = grad_lag + bar_grad
 
-        rhs = np.concatenate([
-            -gbar,
-            -cE,
-            -(cI + t_lo + mu / w) if mi else np.zeros(0),
-        ])
+        rhs = np.concatenate([-gbar, -cE, -(cI + bound[:mi] + mu / w)])
 
         # inertia-corrected factorization; dual regularization only kicks in
         # on singularity (e.g. duplicated equality rows) so well-posed
@@ -719,31 +718,30 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         dc_step = (dc or delta_c) if solve.qd else dc
 
         def split(sol):
-            """(dx, dy, dw, dzl, dzu) of a KKT solution."""
+            """(dx, dy, dz) of a KKT solution: x's bound multipliers step
+            along dx as the barrier's complementarity asks."""
             dx = sol[:n]
-            dzl = mu / gl - zl - zl / gl * dx[il]
-            dzu = mu / gu - zu + zu / gu * dx[iu]
-            return dx, sol[n:n + me], sol[n + me:], dzl, dzu
+            zx = z[mi:]
+            dz_x = mu / gx - zx - zx / gx * (sign_x * dx[ix])
+            return dx, sol[n:n + me], np.concatenate((sol[n + me:], dz_x))
 
-        # fraction-to-boundary steps: each is one `_ftb_alpha` over the
-        # stacked slack, lower and upper gaps, or over the stacked duals
-        gaps, duals = np.concatenate((gap_t, gap_l, gap_u)), np.concatenate((w, zl, zu))
-
+        # fraction-to-boundary steps: one `_ftb_alpha` over the gaps, one
+        # over the multipliers
         def ftb_primal(dx, dt):
-            return _ftb_alpha(gaps, np.concatenate((dt, dx[il], -dx[iu])), tau_ftb)
+            return _ftb_alpha(gap, sign * np.concatenate((dt, dx[ix])), tau_ftb)
 
-        def ftb_dual(dw, dzl, dzu):
-            return _ftb_alpha(duals, np.concatenate((dw, dzl, dzu)), tau_ftb)
+        def ftb_dual(dz):
+            return _ftb_alpha(z, dz, tau_ftb)
 
-        dx, dy, dw, dzl, dzu = split(sol)
+        dx, dy, dz = split(sol)
         dt = -(cI + t) - ji_times(dx)
         a_pri = ftb_primal(dx, dt)
-        a_dual = ftb_dual(dw, dzl, dzu)
+        a_dual = ftb_dual(dz)
 
         # filter line search (Waechter & Biegler 2006, Sec. 2.3-2.4); dphi is
         # the barrier objective's directional derivative along (dx, dt)
         theta0 = theta_of(cE, cI, t)
-        phi0 = barrier(x, t, f)
+        phi0 = barrier(gap, f)
         dphi = float((g + bar_grad) @ dx) - float(np.sum(mu / gap_t * dt))
 
         def accepts(theta_n, phi_n, alpha_test):
@@ -806,8 +804,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
                 soc = soc_step(theta_n, vals[1], vals[2], tn)
                 if soc:
                     kind, alpha, sol, dt, vals = soc
-                    dx, dy, dw, dzl, dzu = split(sol)
-                    a_dual = ftb_dual(dw, dzl, dzu)
+                    dx, dy, dz = split(sol)
+                    a_dual = ftb_dual(dz)
                     break
             alpha *= 0.5
         if kind is None:
@@ -824,9 +822,7 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         y = y + alpha * dy
         # fraction-to-boundary keeps duals positive; the floor only guards
         # against underflow to exactly zero
-        w = np.maximum(w + a_dual * dw, 1e-300) if mi else w
-        zl = np.maximum(zl + a_dual * dzl, 1e-300)
-        zu = np.maximum(zu + a_dual * dzu, 1e-300)
+        z = np.maximum(z + a_dual * dz, 1e-300)
         last_step = dict(delta_w=delta_w, delta_c=dc_step, factor_attempts=attempt,
                          alpha_primal=alpha, alpha_dual=a_dual)
 
@@ -840,9 +836,9 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         f, cE, cI = values(x)
 
     z_lower, z_upper = np.zeros(n), np.zeros(n)
-    z_lower[il], z_upper[iu] = zl, zu
+    z_lower[il], z_upper[iu] = z[lo], z[up]
     return NlpSolution(
-        x=x, lambda_eq=y, lambda_ineq=w, z_lower=z_lower, z_upper=z_upper,
+        x=x, lambda_eq=y, lambda_ineq=z[:mi], z_lower=z_lower, z_upper=z_upper,
         objective=f, status=status, iterations=it,
         constraint_violation=viol(x, cE, cI), kkt_error=e0, mu=mu,
         lus=kkt.counts["lus"], gmres_calls=kkt.counts["gmres_calls"],

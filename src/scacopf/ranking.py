@@ -188,14 +188,23 @@ def save_model(model: RidgeModel, path):
 
 
 def load_model(path) -> RidgeModel:
+    """The model that `save_model` wrote to path; ValueError, naming the
+    file, for a document that is not one."""
     with open(path) as fh:
         data = json.load(fh)
-    weights = np.asarray(data["weights"], dtype=float)
+    if not (isinstance(data, dict)
+            and all(key in data for key in ("weights", "intercept", "reg_lambda"))):
+        raise ValueError(f"{path}: a model file is a JSON object with "
+                         "weights, intercept and reg_lambda")
+    try:
+        weights = np.asarray(data["weights"], dtype=float)
+        model = RidgeModel(weights=weights, intercept=float(data["intercept"]),
+                           reg_lambda=float(data["reg_lambda"]))
+    except (TypeError, ValueError) as exc:  # a field that is not a number
+        raise ValueError(f"{path}: {exc}") from None
     if weights.shape != (len(FEATURE_NAMES),):
-        raise ValueError("model weight vector must have "
+        raise ValueError(f"{path}: model weight vector must have "
                          f"{len(FEATURE_NAMES)} entries")
-    model = RidgeModel(weights=weights, intercept=float(data["intercept"]),
-                       reg_lambda=float(data["reg_lambda"]))
     if not (np.all(np.isfinite(weights)) and math.isfinite(model.intercept)
             and math.isfinite(model.reg_lambda)):
         raise ValueError(f"{path}: model weights, intercept and reg_lambda "

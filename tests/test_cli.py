@@ -654,22 +654,55 @@ def test_train_degenerate_fit_exits_1(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("command", ["code1", "code2"])
-@pytest.mark.parametrize("key", ["weights", "intercept", "reg_lambda"])
-def test_non_finite_model_file_exits_1(tmp_path, capsys, command, key):
+MODEL = {"weights": [0.0] * 10, "intercept": 0.0, "reg_lambda": 1.0}
+BAD_MODELS = {
     # a model of NaN weights, as `train --reg-lambda nan` wrote, was
     # accepted and ranked on NaN predictions
-    model = {"weights": [0.0] * 10, "intercept": 0.0, "reg_lambda": 1.0}
-    model[key] = [0.0] * 9 + [float("nan")] if key == "weights" \
-        else float("inf")
+    "weights": {**MODEL, "weights": [0.0] * 9 + [float("nan")]},
+    "intercept": {**MODEL, "intercept": float("inf")},
+    "reg_lambda": {**MODEL, "reg_lambda": float("inf")},
+    # documents that are not a model failed with KeyError or TypeError
+    "empty-object": {},
+    "no-intercept": {"weights": [0.0] * 10, "reg_lambda": 1.0},
+    "array": [],
+    "listed-intercept": {**MODEL, "intercept": [0.0]},
+    "text-weight": {**MODEL, "weights": [0.0] * 9 + ["x"]},
+}
+
+
+@pytest.mark.parametrize("command", ["code1", "code2", "harness"])
+@pytest.mark.parametrize("document", list(BAD_MODELS))
+def test_non_finite_model_file_exits_1(tmp_path, capsys, command, document):
     path = str(tmp_path / "model.json")
     with open(path, "w") as fh:
-        json.dump(model, fh)
+        json.dump(BAD_MODELS[document], fh)
     out = str(tmp_path / "out")
-    assert run_cli(deterministic_run_argv(tmp_path, command, out)
-                   + ["--model", path]) == 1
+    if command == "harness":
+        argv = ["harness", "compl-ablation", small_case(tmp_path),
+                "--output", out]
+    else:
+        argv = deterministic_run_argv(tmp_path, command, out)
+    assert run_cli(argv + ["--model", path]) == 1
     assert path in one_error_line(capsys.readouterr().err)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["code1", "code2"])
+def test_output_dir_that_cannot_be_made_exits_1(tmp_path, monkeypatch, capsys,
+                                                command):
+    # a directory under a regular file failed with a NotADirectoryError
+    # traceback from os.makedirs once the run had started
+    def no_run(*args, **kw):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(orch, f"run_{command}", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    assert run_cli(deterministic_run_argv(tmp_path, command, out)) == 1
+    captured = capsys.readouterr()
+    assert out in one_error_line(captured.err)
+    assert captured.out == ""
 
 
 def test_readme_names_every_flag():

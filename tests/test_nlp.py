@@ -63,14 +63,31 @@ def test_interior_optimum_bound_inactive():
     assert sol.z_lower[0] == pytest.approx(0.0, abs=1e-5)
 
 
-def test_active_bound_multiplier():
-    prob = dense_problem(
-        1, lambda x: x[0] ** 2, lambda x: [2 * x[0]],
-        lambda x: [[2.0]], [1.5], lb=[1.0])
-    sol = solve_nlp(prob)
+def squared_on_bound(side):
+    """min x^2 on x >= 1 (side "lower") or on its mirror x <= -1 ("upper"):
+    the bound is active with multiplier 2."""
+    s = 1.0 if side == "lower" else -1.0
+    bounds = {"lb" if side == "lower" else "ub": [s]}
+    return dense_problem(1, lambda x: x[0] ** 2, lambda x: [2 * x[0]],
+                         lambda x: [[2.0]], [1.5 * s], **bounds)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_active_bound_multiplier(side):
+    sol = solve_nlp(squared_on_bound(side))
     assert sol.status == nlp.OPTIMAL
-    assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
-    assert sol.z_lower[0] == pytest.approx(2.0, abs=1e-4)
+    assert sol.x[0] == pytest.approx(1.0 if side == "lower" else -1.0, abs=1e-6)
+    assert getattr(sol, f"z_{side}")[0] == pytest.approx(2.0, abs=1e-4)
+
+
+def test_upper_bound_solve_mirrors_the_lower_one():
+    # every per-bound step is exact under the sign flip, so the mirrored
+    # solve takes the same iterations to the negated x and the same
+    # multiplier; a wrong sign in an upper bound's step only slows it down
+    lower, upper = (solve_nlp(squared_on_bound(side)) for side in ("lower", "upper"))
+    assert upper.iterations == lower.iterations
+    assert upper.x[0] == -lower.x[0]
+    assert upper.z_upper[0] == lower.z_lower[0]
 
 
 def test_inequality_constraint():
@@ -248,17 +265,23 @@ def test_filter_restarts_at_each_barrier_parameter():
     np.testing.assert_allclose(sol.x[:2], [-0.5, math.sqrt(0.75)], atol=1e-6)
 
 
-def test_iterate_on_a_bound_is_released():
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_iterate_on_a_bound_is_released(side):
     # min -0.08 x + 0.06 y s.t. x^2 + y^2 = 1, x, y >= -0.5, from
     # (-1.2, -0.6): every step pushes the iterate into the corner
     # (-0.5, -0.5) until its gaps to the bounds round to nothing.  Moving
     # such a bound out by eps^(3/4) (Waechter & Biegler 2006, Sec. 3.5)
     # keeps the barrier finite and every step nonzero.  The corner is a
     # local minimizer of the constraint violation within the bounds, so
-    # without a restoration phase the solve still ends there.
-    c = np.array([-0.08, 0.06])
+    # without a restoration phase the solve still ends there.  The upper
+    # side is the mirror image: x, y <= 0.5, objective negated, from
+    # (1.2, 0.6).
+    s = 1.0 if side == "lower" else -1.0
+    c = s * np.array([-0.08, 0.06])
+    bound, free = np.full(2, -0.5 * s), np.full(2, np.inf * s)
+    lb, ub = (bound, free) if side == "lower" else (free, bound)
     prob = NlpProblem(
-        n=2, x0=np.array([-1.2, -0.6]), lb=np.full(2, -0.5), ub=np.full(2, np.inf),
+        n=2, x0=s * np.array([-1.2, -0.6]), lb=lb, ub=ub,
         objective=lambda x: float(c @ x), gradient=lambda x: c.copy(),
         eq=lambda x: np.array([x @ x - 1.0]), ineq=lambda x: np.zeros(0),
         jac_eq=lambda x: 2.0 * x, jac_ineq=lambda x: np.zeros(0),
