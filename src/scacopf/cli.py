@@ -158,8 +158,7 @@ def cmd_code2(args):
         base, tag, _ = orch.load_base_solution(args.base, net)
         model = _load_model(args.model)
         os.makedirs(cfg.output_dir, exist_ok=True)
-    except (CaseError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (CaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     res = orch.run_code2(net, cfg, base, base_tag=tag, model=model)
@@ -180,8 +179,7 @@ def cmd_score(args):
     try:
         net = _load_case_or_die(args.case)
         base, tag, base_data = load_base_solution(args.base, net)
-    except (CaseError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (CaseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -202,8 +200,8 @@ def cmd_score(args):
             return EXIT_INPUT
         try:
             point, _, data = load_contingency_solution(path, net)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:  # a ValueError names the file
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
         if data["contingency"] != k.id:
             print(f"error: {path}: holds contingency {data['contingency']}, "

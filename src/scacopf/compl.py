@@ -6,8 +6,11 @@ lower/upper segments pin the generator variable at its bound and relax the
 matching equation into a signed inequality; the middle segment enforces the
 matching equation exactly.  An active middle segment keeps p's bounds; a
 reactive one holds v at the base voltage of the generator's bus, and the NLP
-lifts that v's bounds, as it does those of every column an equation pins
-(see `scopf._add_coupling`).  `project_response` is `scopf`'s.
+lifts that v's bounds, as it does those of every column an equation pins.
+The NLP's coupling rows, `project_response` and the fast engine's square
+system all read one compiled `scopf._SegmentPlan`; `update_segments` reads
+the evidence that `scopf.CaseStructure.segment_evidence` takes off an NLP
+solution.  `project_response` is `scopf`'s.
 """
 
 from __future__ import annotations
@@ -137,44 +140,30 @@ def initial_state(net, k, base: OperatingPoint, given=None):
     return init_default(net, k)
 
 
-def _is_active(evidence):
-    gap, lam = evidence
-    return lam > 0.0 and gap / lam < ACTIVITY_RATIO
-
-
-def update_segments(state: ComplementarityState, signals):
+def update_segments(state: ComplementarityState, evidence):
     """All-at-once segment update from activity evidence.
 
-    `signals` maps keys ending in (gen_id, family) to dicts holding the
-    segment the evidence was gathered for plus (gap, multiplier) tuples; a
-    transition fires only when the evidence segment matches the current one,
-    which makes the update idempotent on fixed solution data.  Transitions
-    move one step: lower/upper -> middle, middle -> lower/upper.
+    `evidence` holds, for the active and then the reactive family, (member
+    ids, middle mask, (gap, multiplier) arrays at the lower bounds, and at
+    the upper ones), as `scopf.CaseStructure.segment_evidence` returns it.
+    A side's evidence is active when its multiplier is positive and
+    gap/multiplier is below ACTIVITY_RATIO.  A middle member moves to the
+    side whose evidence is active; when both are, to the one of smaller
+    ratio, lower on a tie.  A pinned member returns to middle when either
+    side's is (a slack's infinite side has multiplier 0).  The new segment
+    depends on the evidence alone, so applying it twice equals applying it
+    once, and a move is one step.
     """
     new = state.copy()
-    changed = False
-    for key, info in signals.items():
-        gen_id, family = key[-2], key[-1]
-        table = new.active if family == "active" else new.reactive
-        if gen_id not in table or table[gen_id] != info["segment"]:
-            continue
-        cur = table[gen_id]
-        nxt = cur
-        if cur in (LOWER, UPPER):
-            if _is_active(info["to_middle"]):
-                nxt = MIDDLE
-        else:
-            lo_fires = _is_active(info["to_lower"])
-            up_fires = _is_active(info["to_upper"])
-            if lo_fires and up_fires:
-                gl, ll = info["to_lower"]
-                gu, lu = info["to_upper"]
-                nxt = LOWER if gl / ll <= gu / lu else UPPER
-            elif lo_fires:
-                nxt = LOWER
-            elif up_fires:
-                nxt = UPPER
-        if nxt != cur:
-            table[gen_id] = nxt
-            changed = True
-    return new, changed
+    for table, (ids, middle, (gap_lo, lam_lo), (gap_up, lam_up)) in zip(
+            (new.active, new.reactive), evidence):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r_lo, r_up = gap_lo / lam_lo, gap_up / lam_up
+        lo = (lam_lo > 0.0) & (r_lo < ACTIVITY_RATIO)
+        up = (lam_up > 0.0) & (r_up < ACTIVITY_RATIO)
+        for g, m, fl, fu, down in zip(ids, middle.tolist(), lo.tolist(),
+                                      up.tolist(), (r_lo <= r_up).tolist()):
+            if fl or fu:
+                table[g] = (MIDDLE if not m else
+                            LOWER if fl and (down or not fu) else UPPER)
+    return new, new.active != state.active or new.reactive != state.reactive

@@ -440,8 +440,8 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
 
         if not segment_updates:
             break
-        signals = prob.meta.segment_signals(sol)
-        new_state, changed = compl_mod.update_segments(state_now, signals)
+        evidence = prob.meta.segment_evidence(sol, k.id)
+        new_state, changed = compl_mod.update_segments(state_now, evidence)
         if prev_pen is not None:
             improvement = prev_pen - pen
             if improvement < 0:

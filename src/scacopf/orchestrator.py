@@ -98,6 +98,8 @@ class RunConfig:
             raise ValueError("n_select must be >= 1")
         if self.cutoff is not None and not self.cutoff >= 0:
             raise ValueError("cutoff must be a number >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -471,26 +471,17 @@ class _Block:
 
 
 @dataclass
-class _CouplingRecord:
-    """Bookkeeping of one complementarity family member inside a built problem."""
-    ctg_id: str
-    gen_id: str
-    family: str  # "active" | "reactive"
-    segment: str
-    chi_col: int
-    chi_lb: float
-    chi_ub: float
-    s_col: int = -1  # rho slack column for lower/upper segments
-
-
-@dataclass
 class CaseStructure:
-    """Layout metadata of a built problem: block offsets, coupling records."""
+    """Layout metadata of a built problem: block offsets, and per contingency
+    its delta column and, for its active and then its reactive segment
+    family, the members' ids and middle mask and their evidence columns with
+    those columns' bounds (see `segment_evidence`)."""
     base_block: _Block = None
     base_off: int = 0
     ctg_blocks: dict = field(default_factory=dict)  # id -> (_Block, off)
     delta_cols: dict = field(default_factory=dict)  # id -> column
-    couplings: list = field(default_factory=list)
+    # id -> per family (ids, middle mask, evidence columns, lb, ub)
+    families: dict = field(default_factory=dict)
 
     def extract_base(self, x):
         return self.base_block.point_of(x[self.base_off:self.base_off + self.base_block.nvar])
@@ -501,31 +492,14 @@ class CaseStructure:
         point.delta = float(x[self.delta_cols[ctg_id]])
         return point
 
-    def segment_signals(self, solution):
-        """Per (ctg, gen, family): evidence tuples for segment transitions.
-
-        Returns dict key -> {"segment", "to_middle" | ("to_lower","to_upper")}
-        where each evidence is (gap, multiplier) for the activity test.
-        """
-        out = {}
-        for rec in self.couplings:
-            key = (rec.ctg_id, rec.gen_id, rec.family)
-            if rec.segment == MIDDLE:
-                chi = solution.x[rec.chi_col]
-                out[key] = {
-                    "segment": MIDDLE,
-                    "to_lower": (chi - rec.chi_lb, solution.z_lower[rec.chi_col]),
-                    "to_upper": (rec.chi_ub - chi, solution.z_upper[rec.chi_col]),
-                }
-            elif rec.segment == LOWER:
-                s = solution.x[rec.s_col]
-                out[key] = {"segment": LOWER,
-                            "to_middle": (-s, solution.z_upper[rec.s_col])}
-            else:
-                s = solution.x[rec.s_col]
-                out[key] = {"segment": UPPER,
-                            "to_middle": (s, solution.z_lower[rec.s_col])}
-        return out
+    def segment_evidence(self, solution, ctg_id):
+        """For contingency ctg_id's active and then reactive family: (member
+        ids, middle mask, (gap, multiplier) at the evidence columns' lower
+        bounds, and at their upper ones).  A middle member's evidence column
+        is its p or q, a pinned member's its rho slack."""
+        x, z_lo, z_up = solution.x, solution.z_lower, solution.z_upper
+        return [(ids, mid, (x[cols] - lb, z_lo[cols]), (ub - x[cols], z_up[cols]))
+                for ids, mid, cols, lb, ub in self.families[ctg_id]]
 
 
 class _Assembler:
@@ -658,99 +632,88 @@ class _Assembler:
         )
 
 
-def _lift(asm, col):
-    """Drop the bounds of a column that an equality row pins to a value
-    within them: a bound that an equality already enforces is a degenerate
-    (LICQ-violating) constraint wherever it is active."""
-    asm.lb[col], asm.ub[col] = -INF, INF
+def _add_coupling(asm, net, k, off, state, base):
+    """Complementarity rows linking contingency k's block, at column offset
+    off, to the base values, read off the `_SegmentPlan` of `state`.
 
+    `base` is an `OperatingPoint` whose values are data (standalone
+    contingency problem) or the base block's column offset (master).  Per
+    available generator, in generator order: a non-responder's p equals its
+    base output, and a responder's rho = p_base + alpha delta - p is 0 in its
+    middle segment; the reactive rho_q = v_base - v at its bus is 0 in the
+    middle segment.  A pinned segment pins p or q at its bound and moves rho
+    into a slack of the segment's sign.  The rows come in that order, and
+    the slack columns after the delta column.
 
-def _add_coupling(asm, net, k, block, off, compl_state, base_ref):
-    """Complementarity rows linking one contingency block to the base values.
-
-    base_ref is either ("block", base_block, base_off) (master) or
-    ("fixed", OperatingPoint) (standalone contingency problem).  Every column
-    that a row pins to a bounded value has its bounds lifted (`_lift`): p
-    and q at a LOWER or UPPER segment's limit, a non-responder's p at its
-    base output, and v at a MIDDLE reactive segment's base voltage; base and
-    contingency share their voltage and output bounds, and the base value
-    keeps them.
+    Every column that a row pins to a value within its bounds has them
+    dropped: p and q at a pinned segment's bound, a non-responder's p at its
+    base output, and v at a middle reactive segment's base voltage.  A bound
+    that an equality already enforces is a degenerate (LICQ-violating)
+    constraint wherever it is active.  Base and contingency share their
+    voltage and output bounds, and the base value keeps them; a middle
+    responder's p, which its row does not pin, keeps its bounds.
     """
-    st = asm.structure
-    lay = block.layout
-
+    lay = CaseLayout.of(net, k.outaged)
+    plan = _SegmentPlan.of(lay, state)
     # bounding the response scalar keeps the KKT system nonsingular when every
     # responder is saturated (shortfall case), where delta would otherwise be
     # a free ray through the one-sided coupling rows
-    dcol = asm.add_var(-DELTA_MAX, DELTA_MAX, compl_state.delta)
-    st.delta_cols[k.id] = dcol
+    dcol = asm.add_var(-DELTA_MAX, DELTA_MAX, state.delta)
+    asm.structure.delta_cols[k.id] = dcol
+    # per available generator, the base p and v as ((col, coef) entries,
+    # constant)
+    if isinstance(base, OperatingPoint):
+        base_p = [([], p) for p in base.state.p_gen[lay.gens]]
+        base_v = [([], v) for v in base.state.v[lay.gen_bus]]
+    else:
+        b_lay = CaseLayout.of(net)
+        base_p = [([(base + b_lay.p0 + gi, 1.0)], 0.0) for gi in lay.gens]
+        base_v = [([(base + b_lay.v0 + bus, 1.0)], 0.0) for bus in lay.gen_bus]
 
-    def base_term(kind, idx):
-        """((col, coef) entries, constant) for a base-side value."""
-        if base_ref[0] == "fixed":
-            point = base_ref[1]
-            if kind == "p":
-                return [], point.state.p_gen[idx]
-            return [], point.state.v[idx]
-        base_block, base_off = base_ref[1], base_ref[2]
-        base_lay = base_block.layout
-        if kind == "p":
-            col = base_off + base_lay.p0 + base_lay.gen_col[idx]
+    def free(col):
+        asm.lb[col], asm.ub[col] = -INF, INF
+
+    def pin(col, value, low, rho, const):
+        """Rows of a pinned member; its evidence column, the rho slack."""
+        asm.add_eq([(col, 1.0)], -value)
+        free(col)
+        s_col = asm.add_var(*((-INF, 0.0) if low else (0.0, INF)), 0.0)
+        asm.add_eq(rho + [(s_col, -1.0)], const)
+        return s_col
+
+    resp = dict(zip((plan.p_cols - lay.p0).tolist(), range(len(plan.resp))))
+    evidence = ([], [])  # evidence column of each active and reactive member
+    for i, bus in enumerate(lay.gen_bus):
+        p_col, q_col, v_col = off + lay.p0 + i, off + lay.q0 + i, off + lay.v0 + bus
+        (p_ents, p_const), (v_ents, v_const) = base_p[i], base_v[i]
+        j = resp.get(i)
+        if j is None:
+            asm.add_eq([(p_col, 1.0)] + [(c, -v) for c, v in p_ents], -p_const)
+            free(p_col)
         else:
-            col = base_off + base_lay.v0 + idx
-        return [(col, 1.0)], 0.0
-
-    responding = set(k.responding_gens)
-    for gi, g in lay.avail_gens:
-        p_col = off + lay.p0 + lay.gen_col[gi]
-        q_col = off + lay.q0 + lay.gen_col[gi]
-        bus_i = net.bus_index(g.bus)
-        v_col = off + lay.v0 + bus_i
-        b_entries_p, b_const_p = base_term("p", gi)
-        b_entries_v, b_const_v = base_term("v", bus_i)
-
-        if g.id not in responding:
-            # fixed rule: contingency output equals the base value
-            asm.add_eq([(p_col, 1.0)] + [(c, -v) for c, v in b_entries_p],
-                       -b_const_p)
-            _lift(asm, p_col)
-        else:
-            seg = compl_state.active[g.id]
-            rho = ([(p_col, -1.0), (dcol, g.alpha)] +
-                   [(c, v) for c, v in b_entries_p])
-            if seg == MIDDLE:
-                asm.add_eq(rho, b_const_p)
-                st.couplings.append(_CouplingRecord(
-                    k.id, g.id, "active", MIDDLE, p_col, g.p_min, g.p_max))
+            rho = [(p_col, -1.0), (dcol, plan.alpha[j])] + p_ents
+            if plan.p_mid[j]:
+                asm.add_eq(rho, p_const)
+                evidence[0].append(p_col)
             else:
-                pin = g.p_min if seg == LOWER else g.p_max
-                asm.add_eq([(p_col, 1.0)], -pin)
-                _lift(asm, p_col)
-                s_lb, s_ub = (-INF, 0.0) if seg == LOWER else (0.0, INF)
-                scol = asm.add_var(s_lb, s_ub, 0.0)
-                asm.add_eq(rho + [(scol, -1.0)], b_const_p)
-                st.couplings.append(_CouplingRecord(
-                    k.id, g.id, "active", seg, p_col, g.p_min, g.p_max,
-                    s_col=scol))
-
-        seg = compl_state.reactive[g.id]
-        # rho_q = v_base - v_ctg at the generator bus
-        rho_q = [(v_col, -1.0)] + [(c, v) for c, v in b_entries_v]
-        if seg == MIDDLE:
-            asm.add_eq(rho_q, b_const_v)
-            _lift(asm, v_col)
-            st.couplings.append(_CouplingRecord(
-                k.id, g.id, "reactive", MIDDLE, q_col, g.q_min, g.q_max))
+                evidence[0].append(pin(p_col, plan.p_pin[j], plan.p_low[j], rho, p_const))
+        rho = [(v_col, -1.0)] + v_ents
+        if plan.q_mid[i]:
+            asm.add_eq(rho, v_const)
+            free(v_col)
+            evidence[1].append(q_col)
         else:
-            pin = g.q_min if seg == LOWER else g.q_max
-            asm.add_eq([(q_col, 1.0)], -pin)
-            _lift(asm, q_col)
-            s_lb, s_ub = (-INF, 0.0) if seg == LOWER else (0.0, INF)
-            scol = asm.add_var(s_lb, s_ub, 0.0)
-            asm.add_eq(rho_q + [(scol, -1.0)], b_const_v)
-            st.couplings.append(_CouplingRecord(
-                k.id, g.id, "reactive", seg, q_col, g.q_min, g.q_max,
-                s_col=scol))
+            evidence[1].append(pin(q_col, plan.q_pins[i], plan.q_low[i], rho, v_const))
+
+    def family(ids, mid, low, box, cols):
+        """(ids, middle mask, evidence columns, their lb and ub)."""
+        return (ids, mid, np.array(cols, dtype=int),
+                np.where(mid, box[0], np.where(low, -INF, 0.0)),
+                np.where(mid, box[1], np.where(low, 0.0, INF)))
+
+    asm.structure.families[k.id] = (
+        family(plan.p_ids, plan.p_mid, plan.p_low, plan.p_box, evidence[0]),
+        family(plan.q_ids, plan.q_mid, plan.q_low, plan.q_box, evidence[1]))
 
 
 def build_base_problem(net: Network, report=None, start: OperatingPoint = None):
@@ -778,8 +741,7 @@ def build_contingency_problem(net: Network, k, base_point: OperatingPoint,
     asm = _Assembler([block])
     off = asm.add_block(block, block.inject(start))
     asm.structure.ctg_blocks[k.id] = (block, off)
-    _add_coupling(asm, net, k, block, off, compl_state,
-                  ("fixed", base_point))
+    _add_coupling(asm, net, k, off, compl_state, base_point)
     return asm.finish()
 
 
@@ -815,8 +777,7 @@ def build_master_problem(spec: "MasterSpec"):
     for k, block, start in cases:
         off = asm.add_block(block, block.inject(start))
         asm.structure.ctg_blocks[k.id] = (block, off)
-        _add_coupling(asm, net, k, block, off, spec.compl[k.id],
-                      ("block", base_block, base_off))
+        _add_coupling(asm, net, k, off, spec.compl[k.id], base_off)
     return asm.finish()
 
 

@@ -6,7 +6,9 @@ contingency solution holds the same point, the contingency id, its base tag,
 the response perturbation, the segment states and the penalty, method and
 status of its evaluation.  Flows and slacks are never stored: a loader
 recomputes them from the voltages under the file's outage.  Files are
-written atomically.
+written atomically.  A loader raises ValueError, naming the file, for one
+that is not JSON, not a JSON object, or lacks a field it reads or holds it
+with the wrong type.
 
 This module needs numpy and the pricing in `scopf` only, so ``score``, which
 reads and prices solution files, loads no solver module.
@@ -30,6 +32,9 @@ __all__ = [
     "write_contingency_solution",
     "load_contingency_solution",
 ]
+
+
+_NUMBER = (int, float)
 
 
 def _atomic_write(path, text):
@@ -58,15 +63,43 @@ def _point_payload(net, point):
     }
 
 
-def _point_from_payload(net, data, outaged=None, delta=0.0):
-    state = FlowState(
-        v=np.array([data["bus"][b.id]["v"] for b in net.buses]),
-        theta=np.array([data["bus"][b.id]["theta"] for b in net.buses]),
-        bcs=np.array([data["bus"][b.id]["bcs"] for b in net.buses]),
-        p_gen=np.array([data["gen"][g.id]["p"] for g in net.generators]),
-        q_gen=np.array([data["gen"][g.id]["q"] for g in net.generators]),
-        flows=np.zeros((len(net.branches), 4)),
-    )
+def _load(path, fields, parse):
+    """(data, parse(data)) of the JSON object data in file path.  ValueError,
+    naming the file, for a document that is not a JSON object, lacks one of
+    `fields` (name -> type) or holds it with another type, has a "penalty"
+    that is not a number, or has an entry that `parse` cannot read (a
+    KeyError, TypeError, ValueError or AttributeError of its)."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a solution file is a JSON object")
+    for name, kind in {**fields, "penalty": _NUMBER}.items():
+        value = data.get(name, 0.0 if name == "penalty" else None)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{path}: field {name!r} is missing or of the "
+                             "wrong type")
+    try:
+        return data, parse(data)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{path}: missing or malformed entry: {exc}") from None
+
+
+def _state_of_payload(net, data):
+    """The flow state of a file's bus and gen entries, with zero flows."""
+    def rows(table, ids, keys):
+        values = np.array([[table[i][key] for key in keys] for i in ids], dtype=float)
+        return values.reshape(len(ids), len(keys)).T.copy()
+
+    v, theta, bcs = rows(data["bus"], [b.id for b in net.buses], ("v", "theta", "bcs"))
+    p_gen, q_gen = rows(data["gen"], [g.id for g in net.generators], ("p", "q"))
+    return FlowState(v=v, theta=theta, bcs=bcs, p_gen=p_gen, q_gen=q_gen,
+                     flows=np.zeros((len(net.branches), 4)))
+
+
+def _priced_point(net, state, outaged=None, delta=0.0):
     state = flows_from_state(net, state, outaged)
     return slacks_from_state(net, state, outaged, delta=delta)
 
@@ -78,10 +111,9 @@ def write_base_solution(path, net, point, tag, objective, penalty):
 
 
 def load_base_solution(path, net):
-    with open(path) as fh:
-        data = json.load(fh)
-    point = _point_from_payload(net, data)
-    return point, int(data["tag"]), data
+    data, state = _load(path, {"tag": int, "bus": dict, "gen": dict},
+                        lambda data: _state_of_payload(net, data))
+    return _priced_point(net, state), data["tag"], data
 
 
 _SEG_LETTER = {LOWER: "L", MIDDLE: "M", UPPER: "U"}
@@ -108,16 +140,15 @@ def write_contingency_solution(path, net, result):
 
 
 def load_contingency_solution(path, net):
-    with open(path) as fh:
-        data = json.load(fh)
-    k = net.contingency(data["contingency"])
-    point = _point_from_payload(net, data, outaged=k.outaged,
-                                delta=float(data["delta_k"]))
-    st = ComplementarityState(
-        active={g: _SEG_FROM_LETTER[s]
-                for g, s in data["segments"]["active"].items()},
-        reactive={g: _SEG_FROM_LETTER[s]
-                  for g, s in data["segments"]["reactive"].items()},
-        delta=float(data["delta_k"]),
-    )
-    return point, st, data
+    def parse(data):
+        segments = data["segments"]
+        st = ComplementarityState(
+            active={g: _SEG_FROM_LETTER[s] for g, s in segments["active"].items()},
+            reactive={g: _SEG_FROM_LETTER[s] for g, s in segments["reactive"].items()},
+            delta=float(data["delta_k"]))
+        return net.contingency(data["contingency"]), _state_of_payload(net, data), st
+
+    data, (k, state, st) = _load(
+        path, {"contingency": str, "delta_k": _NUMBER, "segments": dict,
+               "bus": dict, "gen": dict}, parse)
+    return _priced_point(net, state, k.outaged, st.delta), st, data

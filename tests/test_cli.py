@@ -1,7 +1,9 @@
 import csv
+import glob
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -236,6 +238,16 @@ def test_seed_is_a_code1_flag(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_negative_seed_exits_1(tmp_path, capsys):
+    # np.random.default_rng rejects a negative seed, but only the retried
+    # base solve draws one, so such a run went on and exited 0
+    out = str(tmp_path / "out")
+    argv = deterministic_run_argv(tmp_path, "code1", out)
+    assert run_cli(argv + ["--seed", "-1"]) == 1
+    assert "seed" in one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 @pytest.mark.parametrize("command", ["code1", "code2"])
 def test_invalid_cutoff_exits_1(tmp_path, capsys, command, value):
@@ -391,6 +403,81 @@ def test_score_corrupt_contingency_file(tmp_path, capsys):
                   "--solutions", out])
     assert rc == 1
     assert f"error: {bad}: " in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_solution_set(tmp_path_factory):
+    """(case, flat-start base solution, directory of code2's contingency
+    solutions) of `small_case`."""
+    tmp = tmp_path_factory.mktemp("solutions")
+    case = small_case(tmp)
+    net = load_case(case)
+    base = str(tmp / "base.json")
+    write_base_solution(base, net, flat_start(net), 1, 0.0, 0.0)
+    out = str(tmp / "o")
+    assert run_cli(["code2", "--case", case, "--base", base, "--deterministic",
+                    "--factor", "0.1", "--output-dir", out]) == 0
+    return case, base, out
+
+
+# name -> a solution document changed into one that is not a solution; each
+# ended in a TypeError traceback, or (a text penalty) passed code2
+MALFORMED = {
+    "array": lambda doc: [],
+    "bus-list": lambda doc: {**doc, "bus": []},
+    "gen-number": lambda doc: {**doc, "gen": 5},
+    "penalty-text": lambda doc: {**doc, "penalty": "x"},
+}
+MALFORMED_BASE = {
+    **MALFORMED,
+    # int() took a text tag and raised on a list one; a text voltage failed
+    # in the pricing, whose message named no file
+    "tag-text": lambda doc: {**doc, "tag": "1"},
+    "tag-list": lambda doc: {**doc, "tag": [1]},
+    "v-text": lambda doc: {**doc, "bus": {**doc["bus"], "B1": {
+        **doc["bus"]["B1"], "v": "x"}}},
+}
+MALFORMED_CONTINGENCY = {
+    **MALFORMED,
+    "segments-list": lambda doc: {**doc, "segments": []},
+}
+
+
+def write_changed(src, dst, change):
+    with open(src) as fh:
+        doc = json.load(fh)
+    with open(dst, "w") as fh:
+        json.dump(change(doc), fh)
+
+
+@pytest.mark.parametrize("command", ["score", "code2"])
+@pytest.mark.parametrize("change", list(MALFORMED_BASE))
+def test_malformed_base_solution_exits_1(small_solution_set, tmp_path, capsys,
+                                         command, change):
+    case, base, solutions = small_solution_set
+    bad = str(tmp_path / "base.json")
+    write_changed(base, bad, MALFORMED_BASE[change])
+    out = str(tmp_path / "out")
+    argv = [command, "--case", case, "--base", bad]
+    argv += (["--solutions", solutions] if command == "score" else
+             ["--deterministic", "--output-dir", out])
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    assert bad in one_error_line(capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("change", list(MALFORMED_CONTINGENCY))
+def test_score_malformed_contingency_solution_exits_1(small_solution_set, tmp_path,
+                                                      capsys, change):
+    case, base, solutions = small_solution_set
+    out = str(tmp_path / "o")
+    shutil.copytree(solutions, out)
+    bad = sorted(glob.glob(os.path.join(out, "contingency_*.json")))[-1]
+    write_changed(bad, bad, MALFORMED_CONTINGENCY[change])
+    capsys.readouterr()
+    assert run_cli(["score", "--case", case, "--base", base, "--solutions", out]) == 1
+    assert bad in one_error_line(capsys.readouterr().err)
 
 
 def test_score_contingency_file_under_another_name(tmp_path, capsys):

@@ -126,75 +126,81 @@ def test_generator_outage_reactive_family_all_middle(net5):
     assert "G2" not in st.reactive and "G2" not in st.active
 
 
-def sig(segment, **evidence):
-    return {"segment": segment, **evidence}
+# a pinned member's rho slack is unbounded on one side, whose multiplier is 0
+FREE = (np.inf, 0.0)
+NO_MEMBERS = ([], np.zeros(0, dtype=bool), (np.zeros(0), np.zeros(0)),
+              (np.zeros(0), np.zeros(0)))
+
+# behaviour -> rows (family, segment, (gap, multiplier) at the lower bound,
+# at the upper bound, segment after the update) of G1, the one member of
+# `family`; G1 is middle in the other family, which has no evidence
+UPDATE_TABLE = {
+    "lower_to_middle_fires": [("active", LOWER, FREE, (1e-7, 1.0), MIDDLE),
+                              ("active", UPPER, (1e-7, 1.0), FREE, MIDDLE)],
+    "zero_multiplier": [("active", LOWER, FREE, (1e-7, 0.0), LOWER),
+                        ("active", MIDDLE, (1e-9, 0.0), (1e-9, 0.0), MIDDLE)],
+    "large_ratio": [("active", LOWER, FREE, (1.0, 2.0), LOWER)],
+    "middle_to_upper": [("active", MIDDLE, (1.0, 0.0), (1e-8, 3.0), UPPER)],
+    "tie": [("active", MIDDLE, (1e-8, 1.0), (1e-9, 1.0), UPPER),
+            ("active", MIDDLE, (1e-8, 1.0), (1e-8, 1.0), LOWER)],
+    "reactive_family": [("reactive", LOWER, FREE, (1e-8, 1.0), MIDDLE),
+                        ("reactive", MIDDLE, (1e-8, 5.0), (1.0, 0.0), LOWER)],
+}
 
 
-def one_key_state(segment):
-    return ComplementarityState(active={"G1": segment}, reactive={})
+def member_evidence(family, segment, lower, upper):
+    """`segment_evidence` of G1 in `segment` of `family`, no other member."""
+    sides = [tuple(np.array([v]) for v in side) for side in (lower, upper)]
+    one = (["G1"], np.array([segment == MIDDLE]), *sides)
+    return [one, NO_MEMBERS] if family == "active" else [NO_MEMBERS, one]
+
+
+def check_update_rows(behaviour):
+    for family, segment, lower, upper, expected in UPDATE_TABLE[behaviour]:
+        other = "reactive" if family == "active" else "active"
+        st = ComplementarityState(**{family: {"G1": segment}, other: {"G1": MIDDLE}})
+        new, changed = update_segments(
+            st, member_evidence(family, segment, lower, upper))
+        assert getattr(new, family) == {"G1": expected}, (behaviour, segment)
+        assert getattr(new, other) == {"G1": MIDDLE}
+        assert changed == (expected != segment)
+        assert getattr(st, family) == {"G1": segment}  # the input is kept
 
 
 def test_update_lower_to_middle_fires():
-    st = one_key_state(LOWER)
-    signals = {("K", "G1", "active"): sig(LOWER, to_middle=(1e-7, 1.0))}
-    new, changed = update_segments(st, signals)
-    assert changed and new.active["G1"] == MIDDLE
+    check_update_rows("lower_to_middle_fires")
 
 
 def test_update_zero_multiplier_unchanged():
-    st = one_key_state(LOWER)
-    signals = {("K", "G1", "active"): sig(LOWER, to_middle=(1e-7, 0.0))}
-    new, changed = update_segments(st, signals)
-    assert not changed and new.active["G1"] == LOWER
+    check_update_rows("zero_multiplier")
 
 
 def test_update_large_ratio_unchanged():
-    st = one_key_state(LOWER)
-    signals = {("K", "G1", "active"): sig(LOWER, to_middle=(1.0, 2.0))}
-    new, changed = update_segments(st, signals)
-    assert not changed and new.active["G1"] == LOWER
+    check_update_rows("large_ratio")
 
 
 def test_update_middle_to_upper():
-    st = one_key_state(MIDDLE)
-    signals = {("K", "G1", "active"): sig(
-        MIDDLE, to_lower=(1.0, 0.0), to_upper=(1e-8, 3.0))}
-    new, changed = update_segments(st, signals)
-    assert changed and new.active["G1"] == UPPER
+    check_update_rows("middle_to_upper")
 
 
 def test_update_tie_prefers_smaller_ratio_then_lower():
-    st = one_key_state(MIDDLE)
-    signals = {("K", "G1", "active"): sig(
-        MIDDLE, to_lower=(1e-8, 1.0), to_upper=(1e-9, 1.0))}
-    new, _ = update_segments(st, signals)
-    assert new.active["G1"] == UPPER
-    signals = {("K", "G1", "active"): sig(
-        MIDDLE, to_lower=(1e-8, 1.0), to_upper=(1e-8, 1.0))}
-    new, _ = update_segments(st, signals)
-    assert new.active["G1"] == LOWER
-
-
-def test_update_is_idempotent_and_one_step():
-    # evidence gathered for the middle segment cannot re-fire once the
-    # segment moved, so applying the same signals twice equals applying once
-    st = one_key_state(MIDDLE)
-    signals = {("K", "G1", "active"): sig(
-        MIDDLE, to_lower=(1e-8, 5.0), to_upper=(1.0, 0.0))}
-    once, changed1 = update_segments(st, signals)
-    assert changed1 and once.active["G1"] == LOWER
-    twice, changed2 = update_segments(once, signals)
-    assert not changed2
-    assert twice.active == once.active and twice.reactive == once.reactive
+    check_update_rows("tie")
 
 
 def test_update_reactive_family_keyed_separately():
-    st = ComplementarityState(active={"G1": MIDDLE}, reactive={"G1": LOWER})
-    signals = {("K", "G1", "reactive"): sig(LOWER, to_middle=(1e-8, 1.0))}
-    new, changed = update_segments(st, signals)
-    assert changed
-    assert new.reactive["G1"] == MIDDLE
-    assert new.active["G1"] == MIDDLE
+    check_update_rows("reactive_family")
+
+
+def test_update_is_idempotent_and_one_step():
+    # the evidence carries the segments it was gathered for, so the new
+    # segment depends on it alone: a second application changes nothing
+    evidence = member_evidence("active", MIDDLE, (1e-8, 5.0), (1.0, 0.0))
+    st = ComplementarityState(active={"G1": MIDDLE}, reactive={})
+    once, changed1 = update_segments(st, evidence)
+    assert changed1 and once.active["G1"] == LOWER
+    twice, changed2 = update_segments(once, evidence)
+    assert not changed2
+    assert twice.active == once.active and twice.reactive == once.reactive
 
 
 def test_bisection_monotone_in_lost_power(rng):

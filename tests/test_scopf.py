@@ -82,13 +82,18 @@ def test_contingency_problem_middle_rows(net5):
     state = compl.init_default(net5, k)
     base = scopf.default_start(net5)
     prob = scopf.build_contingency_problem(net5, k, base, state)
-    block, _ = prob.meta.ctg_blocks["CL2"]
+    block, off = prob.meta.ctg_blocks["CL2"]
     # coupling adds one row per responding gen (rho = 0) and one per
     # available gen (voltage match); both generators respond here
     assert prob.n_eq == block.n_eq + 2 + 2
-    recs = [r for r in prob.meta.couplings if r.family == "active"]
-    assert {r.gen_id for r in recs} == {"G1", "G2"}
-    assert all(r.segment == "middle" for r in recs)
+    (ids, middle, cols, lb, ub), _ = prob.meta.families["CL2"]
+    assert ids == ["G1", "G2"] and middle.all()
+    # a middle member's evidence column is its p, which keeps its bounds
+    lay = block.layout
+    np.testing.assert_array_equal(cols, off + lay.p0 + np.arange(2))
+    np.testing.assert_array_equal(prob.lb[cols], lb)
+    np.testing.assert_array_equal(prob.ub[cols], ub)
+    np.testing.assert_array_equal(lb, lay.p_min)
 
 
 def test_point_roundtrip(net5, rng):
@@ -274,10 +279,68 @@ def test_contingency_solve_and_signals(net5):
     point = prob.meta.extract_ctg(sol.x, "CG2")
     assert sol.objective == pytest.approx(scopf.point_penalty(net5, point, "G2"),
                                           abs=1e-7)
-    signals = prob.meta.segment_signals(sol)
-    assert ("CG2", "G1", "active") in signals
-    assert ("CG2", "G1", "reactive") in signals
-    assert ("CG2", "G2", "reactive") not in signals  # outaged generator
+    evidence = prob.meta.segment_evidence(sol, "CG2")
+    (a_ids, _, a_lo, a_up), (q_ids, _, q_lo, q_up) = evidence
+    assert a_ids == ["G1"] and q_ids == ["G1"]  # G2 is outaged
+    for gap, lam in (a_lo, a_up, q_lo, q_up):
+        assert gap.shape == lam.shape == (1,) and lam[0] >= 0.0
+    new, _ = compl.update_segments(state, evidence)
+    assert set(new.active) == {"G1"} and set(new.reactive) == {"G1"}
+
+
+def test_pinned_members_in_both_families(net5):
+    # CL2 pins one member of each family at its lower and one at its upper
+    # bound; CT1 pins one and keeps one in the middle per family.  In the
+    # standalone problems and in the master: a pinned p or q has no bounds,
+    # its evidence column is its rho slack (at most 0 for LOWER, at least 0
+    # for UPPER), in the member's rho row; a middle member's evidence column
+    # is its p or q, and a middle p keeps its bounds.  The problems are only
+    # built: CL2's active pins ask for delta <= -p1 and delta >= 1.2 - p2 of
+    # the base outputs, which the base dispatch (p1 > p2) does not meet
+    from scacopf.compl import ComplementarityState
+    LOWER, MIDDLE, UPPER = scopf.LOWER, scopf.MIDDLE, scopf.UPPER
+    base_prob, base_sol = solve_base(net5)
+    base = base_prob.meta.extract_base(base_sol.x)
+    states = {
+        "CL2": ComplementarityState(active={"G1": LOWER, "G2": UPPER},
+                                    reactive={"G1": UPPER, "G2": LOWER}),
+        "CT1": ComplementarityState(active={"G1": MIDDLE, "G2": UPPER},
+                                    reactive={"G1": LOWER, "G2": MIDDLE}),
+    }
+    probs = [(scopf.build_contingency_problem(net5, net5.contingency(c), base, st), [c])
+             for c, st in states.items()]
+    probs.append((scopf.build_master_problem(scopf.MasterSpec(
+        net=net5, included=tuple(states), compl=states, base_point=base)), list(states)))
+    slack_bounds = {LOWER: (-np.inf, 0.0), UPPER: (0.0, np.inf)}
+    for prob, kids in probs:
+        jr, jc = prob.jac_eq_pattern
+        blocks_end = max(off + b.nvar for b, off in prob.meta.ctg_blocks.values())
+        for kid in kids:
+            block, off = prob.meta.ctg_blocks[kid]
+            lay = block.layout
+            dcol = prob.meta.delta_cols[kid]
+            fams = zip(prob.meta.families[kid], (states[kid].active, states[kid].reactive),
+                       (lay.p0, lay.q0), (lay.p_min, lay.q_min), (lay.p_max, lay.q_max))
+            for (ids, middle, cols, lb, ub), segs, col0, lo, hi in fams:
+                assert ids == ["G1", "G2"]
+                np.testing.assert_array_equal(middle, [segs[g] == MIDDLE for g in ids])
+                np.testing.assert_array_equal(prob.lb[cols], lb)
+                np.testing.assert_array_equal(prob.ub[cols], ub)
+                for g, col in zip(ids, cols):
+                    gi = net5.gen_index(g)
+                    own = off + col0 + lay.gen_col[gi]
+                    if segs[g] == MIDDLE:
+                        assert col == own
+                        assert (prob.lb[own], prob.ub[own]) == (lo[gi], hi[gi])
+                        continue
+                    assert (prob.lb[own], prob.ub[own]) == (-np.inf, np.inf)
+                    assert col >= blocks_end and col != dcol
+                    assert (prob.lb[col], prob.ub[col]) == slack_bounds[segs[g]]
+                    # the slack's one row is rho's: p and delta, or v at the bus
+                    (row,) = jr[jc == col]
+                    partners = ({own, dcol} if col0 == lay.p0 else
+                                {off + lay.v0 + net5.bus_index(net5.generators[gi].bus)})
+                    assert partners <= set(jc[jr == row].tolist())
 
 
 def test_pinned_columns_carry_no_bounds(net5):
