@@ -170,13 +170,12 @@ class CaseLayout:
 
         # gather/scatter maps: per branch the columns of (v_o, v_o, v_d, v_d,
         # th_o, th_d), the first four each flow side's squared voltage; per
-        # column from p0 on its balance row (P rows, then nb Q rows) and sign
+        # column from p0 on its balance row (P rows, then nb Q rows)
         side = self.ends[:, [0, 0, 1, 1]]
         self._branch_cols = np.column_stack((self.v0 + side, self.th0 + self.ends))
         self.bal_row = np.concatenate((self.gen_bus, nb + self.gen_bus,
                                        (side + [0, nb, 0, nb]).ravel()))
         self._bal_rows = np.concatenate((np.arange(2 * nb), self.bal_row))
-        self._bal_sign = np.repeat([1.0, -1.0], (2 * na, 4 * m))
         # d(K v_x^2)/dv_o and /dv_d per side
         self._dK = (2.0 * self.K * [1, 1, 0, 0], 2.0 * self.K * [0, 0, 1, 1])
         # rating base per end: rate times the voltage at index _rate_v of v
@@ -191,7 +190,8 @@ class CaseLayout:
         # (flow rows, shunts, generator outputs), then the flows'
         self.n_jac_head = 16 * m + 3 * nb + 2 * na
         self._jac_const = np.zeros(self.n_jac_head + 8 * m + len(self._line_v))
-        self._jac_const[16 * m + 3 * nb:self.n_jac_head + 4 * m] = self._bal_sign
+        self._jac_const[16 * m + 3 * nb:self.n_jac_head + 4 * m] = np.repeat(
+            [1.0, -1.0], (2 * na, 4 * m))
         self.compiled = {}
 
     def pack(self, state: FlowState):
@@ -239,17 +239,18 @@ class CaseLayout:
         vx, c, s = self.branch_terms(x) if terms is None else terms
         return self.K * vx * vx + (self.P * c + self.Q * s) * (vx[:, 0] * vx[:, 2])[:, None]
 
-    def balance(self, x):
-        """Per-bus mismatch before slacks, from the flow variables: P at
-        every bus, then Q, as one flat vector (``reshape(2, -1)`` splits
-        it).  One `bincount` of the bus terms, then the signed generator-
-        output and flow columns, which adds in the order the columns come."""
+    def balance(self, x, flows=None):
+        """Per-bus mismatch before slacks, from the flow variables or the given
+        `flows` (in-service branches, 4): P at every bus, then Q, as one flat
+        vector (``reshape(2, -1)`` splits it).  One `bincount` of the bus
+        terms, then the generator outputs and negated flows, in column order."""
         nb = self.nb
         v = x[self.v0:self.v0 + nb]
         return np.bincount(self._bal_rows, np.concatenate((
             -self.p_load - self.g_fs * v * v,
             -self.q_load + (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v * v,
-            self._bal_sign * x[self.p0:self.nvar])), 2 * nb)
+            x[self.p0:self.fl0],
+            -(x[self.fl0:self.nvar] if flows is None else flows.ravel()))), 2 * nb)
 
     def ratings(self, x):
         """(lhs, rhs): squared flow magnitudes and rating bases, shape

@@ -2,19 +2,21 @@
 
 Two engines estimate the post-contingency penalty of a base operating point:
 
-* ``fast_evaluate`` starts from `fallback_result`, the base point projected
-  into the response rules (`compl.project_response`) and priced; each round
-  solves a square system of nonlinear equations (the reduced polar power
-  flow of `_SquareSystem`, with the response rule) with Newton steps,
-  updates the segments, and projects and prices the solution alike.  The
-  loop stops after a round priced at most the cutoff, or no more than 1e-12
-  of its size below the round before, or whose square solve failed (priced
-  and kept if best), or when the budget or its rounds run out.  Each step's
-  LU is dense (LAPACK) for a system of at most `nlp.DENSE_LU_MAX` = 150 rows
-  (up to about 90 buses), where SuperLU's fixed cost per call outweighs the
-  elimination, and sparse (SuperLU) above it: the measured crossover lies
-  between 151 and 168 rows.  It is cheap and yields an upper bound on the
-  optimal penalty.
+* ``fast_evaluate`` packs the base point once and starts from
+  `fallback_result`, that packed base projected into the response rules
+  and priced.  Each round starts from the last projection's layout vector,
+  solves a square system (the reduced polar power flow of `_SquareSystem`,
+  with the response rule) with Newton steps, updates the segments, and
+  projects and prices the solution alike, all on layout vectors and slack
+  arrays; the result's point is built once, from the best.  The loop stops
+  after a round priced at most the cutoff, or no more than 1e-12 of its
+  size below the round before, or whose update kept its segments, or whose
+  square solve failed (priced and kept if best), or when the budget or its
+  rounds run out.  Each step's LU is dense (LAPACK) for a system of at most
+  `nlp.DENSE_LU_MAX` = 150 rows (up to about 90 buses), where SuperLU's
+  fixed cost per call outweighs the elimination, and sparse (SuperLU) above
+  it: the measured crossover lies between 151 and 168 rows.  It is cheap
+  and yields an upper bound on the optimal penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
   all-at-once complementarity segment updates; without a given start, its
   first NLP starts from the same projected base point.
@@ -40,7 +42,10 @@ from .scopf import (
     MIDDLE,
     UPPER,
     OperatingPoint,
+    _point,
+    _projection,
     _SegmentPlan,
+    _slack_penalty,
     build_contingency_problem,
     flows_from_state,
     penalty_cost,
@@ -219,17 +224,17 @@ class _SquareSystem:
     middle.  Unknowns: v at the other buses, theta at all but the reference
     bus, and the response scalar delta.  Rows: slack-free P balance at every
     bus and Q balance at the non-PV buses, 2 nb - |PV| each way.  The rest
-    are parameters in the template that each evaluation starts from:
-    theta_ref = 0, base voltages at PV buses, base shunts, non-responders'
-    base output, lower/upper pins, and middle generators' q at 0.  An
-    evaluation writes p = p_base + alpha delta for middle responders and
-    computes the flows from the voltages.  `expand` recovers the middle
+    are parameters in the template that each evaluation starts from, a copy
+    of `base_x` (the base point packed in k's layout, which is never
+    changed): theta_ref = 0, base voltages at PV buses, base shunts,
+    non-responders' base output, lower/upper pins, and middle generators' q
+    at 0.  An evaluation writes p = p_base + alpha delta for middle
+    responders and computes the flows from the voltages.  `expand` recovers the middle
     generators' q from their buses' Q mismatch (see `_SquareStructure`).
     """
 
-    def __init__(self, net, k, base, state):
-        lay = CaseLayout.of(net, k.outaged)
-        self.lay = lay
+    def __init__(self, net, k, base_x, state):
+        lay = self.lay = CaseLayout.of(net, k.outaged)
         self.ref = net.bus_index(net.reference_bus)
 
         # a middle segment follows the response rule (active) or holds the
@@ -241,30 +246,25 @@ class _SquareSystem:
             plan.square = _SquareStructure.of(lay, self.ref, plan.resp,
                                               plan.p_mid, plan.q_mid)
         self.st, self.n = plan.square, plan.square.n
-        self.base_p = base.state.p_gen[plan.resp]
-        self.base_v = base.state.v[lay.gen_bus]
-        x = self.template = lay.pack(base.state)
+        self.base_p = base_x[plan.p_cols]
+        self.base_v = base_x[lay.v0 + lay.gen_bus]
+        x = self.template = base_x.copy()
         x[lay.th0 + self.ref] = 0.0
         x[plan.pin_cols] = plan.pins
         x[lay.q0:lay.fl0] = plan.q_pins
-        self._mid = (plan.mid_cols, base.state.p_gen[plan.mid_gens], plan.mid_alpha)
+        self._mid = (plan.mid_cols, base_x[plan.mid_cols], plan.mid_alpha)
         self._at = (None,)  # (z, x, terms, balance) of the last residual
-
-    def start(self, point, delta):
-        z = np.empty(self.n)
-        z[:-1] = self.lay.pack(point.state)[self.st.cols]
-        z[-1] = delta
-        return z
+        self._vals = np.append(np.empty(len(self.st.sel)), self.st.const)
 
     def residual(self, z):
-        # z holds v at non-PV buses, theta at non-reference buses, and delta
+        # z holds v at non-PV buses, theta at non-reference buses, and delta;
+        # the flows go straight into the balance, and x's stay unread
         lay, (cols, base_p, alpha) = self.lay, self._mid
         x = self.template.copy()
         x[self.st.cols] = z[:-1]
         x[cols] = base_p + alpha * z[-1]
         terms = lay.branch_terms(x)
-        x[lay.fl0:] = lay.flow_values(x, terms).ravel()
-        bal = lay.balance(x)
+        bal = lay.balance(x, lay.flow_values(x, terms))
         self._at = (z, x, terms, bal)
         return bal[self.st.rows]
 
@@ -279,11 +279,12 @@ class _SquareSystem:
         """The Jacobian as `solve_square` takes it, the pattern and its raw
         values, from the layout vector and branch terms of the residual at
         z (`solve_square` asks for it only at the array its last residual
-        call was given, so that call's work is reused)."""
-        st = self.st
+        call was given, so that call's work is reused).  The values are an
+        array of the system's own, which the next call overwrites."""
+        st, vals = self.st, self._vals
         _, x, terms, _ = self._evaluated(z)
-        jv = self.lay.jac_head(x, terms)
-        return st.pattern, np.concatenate((jv[st.sel] * st.sign, st.const))
+        np.multiply(self.lay.jac_head(x, terms)[st.sel], st.sign, out=vals[:len(st.sel)])
+        return st.pattern, vals
 
     def expand(self, z):
         """The full point of z: its layout vector, with the parameters, the
@@ -329,13 +330,11 @@ class _SquareSystem:
 def fallback_result(net: Network, k, base: OperatingPoint, init_compl=None):
     """The guaranteed product of an evaluation: the base state projected into
     the response rules of the starting segments, with slacks absorbing every
-    residual, priced."""
-    state = compl_mod.initial_state(net, k, base, init_compl)
-    point = compl_mod.project_response(
-        state, net, k, base, CaseLayout.of(net, k.outaged).pack(base.state))
-    return EvaluationResult(
-        contingency_id=k.id, penalty=point_penalty(net, point, k.outaged),
-        point=point, compl=state, method="fast", status="fallback")
+    residual, priced; the fast engine with no budget."""
+    res = fast_evaluate(net, k, base, time_limit=0, init_compl=init_compl,
+                        deterministic=True)
+    res.status = "fallback"
+    return res
 
 
 def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
@@ -343,9 +342,11 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     """Upper-bound penalty estimate via the square-system response loop,
     starting from (and never worse than) `fallback_result`."""
     budget = _Budget(time_limit, deterministic)
-    fallback = fallback_result(net, k, base, init_compl)
-    state, point, best_pen = fallback.compl, fallback.point, fallback.penalty
-    best = (point, state)
+    lay = CaseLayout.of(net, k.outaged)
+    base_x, p_base = lay.pack(base.state), base.state.p_gen
+    state = compl_mod.initial_state(net, k, base, init_compl)
+    x, slacks = _projection(lay, state, p_base, base_x)
+    best_pen, best = _slack_penalty(net, slacks), (x, slacks, state)
     status = "ok"
 
     # an infinite cutoff disables the cutoff exit entirely
@@ -356,9 +357,9 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     for round_no in range(FAST_MAX_ROUNDS):
         if budget.exhausted() or below_cutoff(best_pen):
             break
-        sys_ = _SquareSystem(net, k, base, state)
-        z0 = sys_.start(point, state.delta)
-        res = solve_square(sys_.residual, sys_.jacobian, z0, tol=1e-10,
+        sys_ = _SquareSystem(net, k, base_x, state)
+        res = solve_square(sys_.residual, sys_.jacobian,
+                           np.append(x[sys_.st.cols], state.delta), tol=1e-10,
                            **budget.solver_kwargs(60))
         budget.charge(res.iterations)
         if not np.all(np.isfinite(res.x)):
@@ -367,15 +368,16 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         full = sys_.expand(res.x)
         new_state = sys_.updated_segments(state, full)
         new_state.delta = float(full[-1])
-        proj = compl_mod.project_response(new_state, net, k, base, full)
-        pen = point_penalty(net, proj, k.outaged)
+        x, slacks = _projection(lay, new_state, p_base, full)
+        pen = _slack_penalty(net, slacks)
         if pen < best_pen - 1e-15:
-            best_pen = pen
-            best = (proj, new_state)
-        # a failed solve's point is priced, but no start for another round
-        if res.status == nlp_mod.FAILED:
+            best_pen, best = pen, (x, slacks, new_state)
+        # a failed solve's point is priced but starts no other round, nor
+        # does one whose update kept its segments (the next would re-solve them)
+        kept = (new_state.active, new_state.reactive) == (state.active, state.reactive)
+        if res.status == nlp_mod.FAILED or kept:
             break
-        state, point = new_state, proj
+        state = new_state
         # no decrease beyond rounding, relative to the penalty's size
         if prev_pen is not None and pen >= prev_pen - 1e-12 * max(1.0, prev_pen):
             break
@@ -383,8 +385,10 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         if below_cutoff(pen):
             break
 
+    x, slacks, state = best
     return EvaluationResult(
-        contingency_id=k.id, penalty=best_pen, point=best[0], compl=best[1],
+        contingency_id=k.id, penalty=best_pen,
+        point=_point(lay, slacks, lay.unpack(x), state.delta), compl=state,
         method="fast", status=status,
     )
 

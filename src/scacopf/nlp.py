@@ -863,20 +863,23 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     uses LAPACK's dense LU, an `_LuPattern` SuperLU in the COLAMD column
     ordering it keeps from its first LU.  jac is called only at the point of
     the last fun call, so it may reuse that call's work.  Each step
-    backtracks on the residual norm.  The solve ends `failed` at its best iterate when the LU
-    is exactly singular or the step is not finite, when backtracking finds
-    no decrease, or when `time_limit` seconds have passed; there is no
-    least-squares fallback, as in MATPOWER's ``newtonpf``.
+    backtracks on the residual's 2-norm and the best iterate has the least
+    inf-norm, each norm taken once per iterate; no iterate is copied, as
+    none is changed in place.  The solve ends `failed` at its best iterate
+    when the LU is exactly singular or the step is not finite, when
+    backtracking finds no decrease, or when `time_limit` seconds have
+    passed; there is no least-squares fallback, as in MATPOWER's
+    ``newtonpf``.
     """
     t_start = time.monotonic()
-    x = np.asarray(x0, float).copy()
+    x = np.array(x0, float)
     F = np.asarray(fun(x), float)
-    best_x, best_norm = x.copy(), float(np.abs(F).max(initial=0.0))
+    norm_inf, f0 = float(np.abs(F).max(initial=0.0)), math.sqrt(F @ F)
+    best_x, best_norm = x, norm_inf
     it = 0
     for it in range(1, max_iter + 1):
-        norm_inf = float(np.abs(F).max(initial=0.0))
         if norm_inf < best_norm:
-            best_x, best_norm = x.copy(), norm_inf
+            best_x, best_norm = x, norm_inf
         if norm_inf <= tol:
             return SquareResult(x, SOLVED, it - 1, norm_inf)
         if time_limit is not None and time.monotonic() - t_start > time_limit:
@@ -888,23 +891,22 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
         if d is None or not np.isfinite(d).all():
             return SquareResult(best_x, FAILED, it, best_norm)
 
-        f0 = math.sqrt(F @ F)
         # a NaN or inf in Fn fails the norm test against a finite f0
         f0_finite = math.isfinite(f0)
         alpha = 1.0
         for _ in range(40):
             xn = x + alpha * d
             Fn = np.asarray(fun(xn), float)
-            if (math.sqrt(Fn @ Fn) <= (1 - 1e-4 * alpha) * f0
-                    and (f0_finite or np.isfinite(Fn).all())):
+            fn = math.sqrt(Fn @ Fn)
+            if fn <= (1 - 1e-4 * alpha) * f0 and (f0_finite or np.isfinite(Fn).all()):
                 break
             alpha *= 0.5
         else:
             return SquareResult(best_x, FAILED, it, best_norm)
-        x, F = xn, Fn
+        x, F, f0 = xn, Fn, fn
+        norm_inf = float(np.abs(F).max(initial=0.0))
 
-    norm_inf = float(np.abs(F).max(initial=0.0))
     if norm_inf < best_norm:
-        best_x, best_norm = x.copy(), norm_inf
+        best_x, best_norm = x, norm_inf
     status = SOLVED if best_norm <= tol else FAILED
     return SquareResult(best_x, status, it, best_norm)

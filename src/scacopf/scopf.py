@@ -137,30 +137,31 @@ def penalty_cost(cfg: PenaltyConfig, slack_total):
 
 def point_penalty(net: Network, point: OperatingPoint, outaged=None):
     """Explicit penalty of an operating point: sum over all its slacks."""
-    svc = CaseLayout.of(net, outaged).svc
-    slacks = np.concatenate((point.sig_p_plus, point.sig_p_minus, point.sig_q_plus,
-                             point.sig_q_minus, point.sig_s[svc]))
+    return _slack_penalty(net, np.concatenate((
+        point.sig_p_plus, point.sig_p_minus, point.sig_q_plus, point.sig_q_minus,
+        point.sig_s[CaseLayout.of(net, outaged).svc])))
+
+
+def _slack_penalty(net: Network, slacks):
+    """Penalty of slacks in `point_penalty`'s (and `_slacks`') order."""
     return float(np.sum(_curves(net)[0].of_slacks(slacks)))
 
 
-def _priced(lay: CaseLayout, x, state: FlowState, delta):
-    """Operating point of `state`, whose layout vector is x, with slacks that
-    exactly absorb x's residuals: the unique minimal-slack assignment making
-    the point feasible.  x's flow columns are trusted as given."""
+def _slacks(lay: CaseLayout, x):
+    """The slacks that exactly absorb layout vector x's residuals, the unique
+    minimal-slack assignment: sig_p_plus, sig_p_minus, sig_q_plus and sig_q_minus
+    per bus, then sig_s per in-service branch.  x's flows are trusted as given."""
     p, q = lay.balance(x).reshape(2, -1)
     lhs, rhs = lay.ratings(x)
     over = np.sqrt(lhs) - rhs
+    return np.maximum(0.0, np.concatenate((-p, p, -q, q, np.maximum(over[:, 0], over[:, 1]))))
+
+
+def _point(lay: CaseLayout, slacks, state: FlowState, delta):
+    """The operating point of `state` with `_slacks`' array `slacks`."""
     sig_s = np.zeros(lay.nbr)
-    sig_s[lay.svc] = np.maximum(0.0, np.maximum(over[:, 0], over[:, 1]))
-    return OperatingPoint(
-        state=state,
-        sig_p_plus=np.maximum(0.0, -p),
-        sig_p_minus=np.maximum(0.0, p),
-        sig_q_plus=np.maximum(0.0, -q),
-        sig_q_minus=np.maximum(0.0, q),
-        sig_s=sig_s,
-        delta=delta,
-    )
+    sig_s[lay.svc] = slacks[4 * lay.nb:]
+    return OperatingPoint(state, *slacks[:4 * lay.nb].reshape(4, -1).copy(), sig_s, delta)
 
 
 class _SegmentPlan:
@@ -168,7 +169,7 @@ class _SegmentPlan:
     `CaseLayout`, cached in its `compiled` under the active and reactive
     segment of every available generator (see `of`); no base-point data.
     A generator with an active segment responds; a missing reactive segment
-    is middle.  `project_response` reads the middle responders' columns,
+    is middle.  `_projection` reads the middle responders' columns,
     generators, alpha and box, the pinned ones' columns and pins, and the
     reactive pins with the middle q's columns and box; `eval._SquareSystem`
     reads the rest and keeps its `_SquareStructure` in `square`."""
@@ -205,29 +206,41 @@ class _SegmentPlan:
         self.square = None
 
 
-def project_response(state, net: Network, k, base: OperatingPoint, raw):
-    """The layout vector `raw` of k's `CaseLayout` projected into segment
-    state `state`'s response rules (its `_SegmentPlan`), priced: v, bcs and
-    middle q clipped to their boxes, pinned segments on their bound, middle
-    responders' p on the response rule at the state's delta, other p at
-    base, flows recomputed.  Only raw's v, theta, bcs and q columns are
-    read, so its flows may be NaN and entries past `nvar` (as
+def _clip(a, lo, hi):
+    # np.clip's arithmetic, without the cost of its wrapper
+    return np.minimum(np.maximum(a, lo), hi)
+
+
+def _projection(lay: CaseLayout, state, p_base, raw):
+    """(x, slacks): the layout vector `raw` of `lay`'s case projected into
+    segment state `state`'s response rules (its `_SegmentPlan`) at base
+    outputs `p_base`, and its `_slacks`.  v, bcs and middle q are clipped
+    to their boxes, pinned segments sit on their bound, middle responders'
+    p on the response rule at the state's delta, other p at base, and the
+    flows are recomputed.  Only raw's v, theta, bcs and q columns are read,
+    so its flows may be NaN and entries past `nvar` (as
     `eval._SquareSystem.expand`'s delta) stay unread."""
-    lay = CaseLayout.of(net, k.outaged)
     plan = _SegmentPlan.of(lay, state)
-    p_gen = base.state.p_gen
     x = np.empty(lay.nvar)
-    x[lay.v0:lay.th0] = np.clip(raw[lay.v0:lay.th0], lay.v_min, lay.v_max)
+    x[lay.v0:lay.th0] = _clip(raw[lay.v0:lay.th0], lay.v_min, lay.v_max)
     x[lay.th0:lay.bcs0] = raw[lay.th0:lay.bcs0]
-    x[lay.bcs0:lay.p0] = np.clip(raw[lay.bcs0:lay.p0], lay.bcs_min, lay.bcs_max)
-    x[lay.p0:lay.q0] = p_gen[lay.gens]
+    x[lay.bcs0:lay.p0] = _clip(raw[lay.bcs0:lay.p0], lay.bcs_min, lay.bcs_max)
+    x[lay.p0:lay.q0] = p_base[lay.gens]
     x[plan.pin_cols] = plan.pins
-    x[plan.mid_cols] = np.clip(p_gen[plan.mid_gens] + plan.mid_alpha * state.delta,
-                               *plan.mid_box)
+    x[plan.mid_cols] = _clip(p_base[plan.mid_gens] + plan.mid_alpha * state.delta,
+                             *plan.mid_box)
     x[lay.q0:lay.fl0] = plan.q_pins
-    x[plan.q_mid_cols] = np.clip(raw[plan.q_mid_cols], *plan.q_mid_box)
+    x[plan.q_mid_cols] = _clip(raw[plan.q_mid_cols], *plan.q_mid_box)
     x[lay.fl0:] = lay.flow_values(x).ravel()
-    return _priced(lay, x, lay.unpack(x), state.delta)
+    return x, _slacks(lay, x)
+
+
+def project_response(state, net: Network, k, base: OperatingPoint, raw):
+    """The operating point of `_projection` of the layout vector `raw` of k's
+    `CaseLayout` into segment state `state` at base point `base`."""
+    lay = CaseLayout.of(net, k.outaged)
+    x, slacks = _projection(lay, state, base.state.p_gen, raw)
+    return _point(lay, slacks, lay.unpack(x), state.delta)
 
 
 def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
@@ -238,7 +251,7 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
     ``outaged is None`` and the contingency set otherwise.
     """
     lay = CaseLayout.of(net, outaged)
-    return _priced(lay, lay.pack(state), state.copy(), delta)
+    return _point(lay, _slacks(lay, lay.pack(state)), state.copy(), delta)
 
 
 def flows_from_state(net: Network, state: FlowState, outaged=None):

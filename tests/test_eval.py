@@ -107,12 +107,29 @@ def test_fast_infinite_cutoff_runs_loop(solved5):
     assert with_inf.penalty == pytest.approx(with_zero.penalty, abs=1e-12)
 
 
+def keep_moving(monkeypatch):
+    """Make every segment update return segments that differ from the
+    round's own, so that no round stops the fast loop for keeping them: the
+    update's result gets a count of the updates under a key that is no
+    generator id, which the segment plans ignore, so each round still
+    solves the system that the update picked."""
+    real_update = ev._SquareSystem.updated_segments
+
+    def moving_update(self, state, w):
+        new = real_update(self, state, w)
+        new.active["moved"] = state.active.get("moved", 0) + 1
+        return new
+
+    monkeypatch.setattr(ev._SquareSystem, "updated_segments", moving_update)
+
+
 def test_fast_loop_stops_when_the_penalty_falls_by_rounding_only(solved5, monkeypatch):
     # a round that lowers a penalty of 2e6 by 1e-9, far below its rounding
     # error, ends the loop however small the step in absolute terms
     net, base = solved5
     penalties = iter([5e6, 2e6] + [2e6 - 1e-9 * i for i in range(1, 20)])
-    monkeypatch.setattr(ev, "point_penalty", lambda *args: next(penalties))
+    monkeypatch.setattr(ev, "_slack_penalty", lambda *args: next(penalties))
+    keep_moving(monkeypatch)
     rounds = []
     real_solve = ev.solve_square
 
@@ -124,6 +141,69 @@ def test_fast_loop_stops_when_the_penalty_falls_by_rounding_only(solved5, monkey
     res = ev.fast_evaluate(net, net.contingency("CL2"), base)
     assert len(rounds) == 2
     assert res.penalty == 2e6 - 1e-9
+
+
+@pytest.fixture(scope="module")
+def base30():
+    return generated_base(30)
+
+
+def test_fast_loop_stops_when_a_round_keeps_its_segments(base30, monkeypatch):
+    # a round whose segment update keeps the segments it solved ends the
+    # loop, as the next round would solve that system again: at cutoff 0
+    # on 30 buses, KG1-KG9 make one square solve where a loop without the
+    # rule makes two, KG10 two where it makes three, and every result is
+    # the same to the bit
+    net, base = base30
+    real_solve = ev.solve_square
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls[-1] += 1
+        return real_solve(*args, **kwargs)
+
+    def screen():
+        out = {}
+        for k in net.contingencies:
+            calls.append(0)
+            res = ev.fast_evaluate(net, k, base, cutoff=0.0)
+            out[k.id] = (calls[-1], res)
+        return out
+
+    monkeypatch.setattr(ev, "solve_square", counting_solve)
+    stopped = screen()
+    calls.clear()
+    keep_moving(monkeypatch)
+    unstopped = screen()
+    for kid in [f"KG{i}" for i in range(1, 10)]:
+        assert (stopped[kid][0], unstopped[kid][0]) == (1, 2), kid
+    assert (stopped["KG10"][0], unstopped["KG10"][0]) == (2, 3)
+    for kid, (n, res) in stopped.items():
+        assert n == unstopped[kid][0] - 1, kid
+        other = unstopped[kid][1]
+        assert res.penalty == other.penalty, kid
+        assert res.status == other.status == "ok"
+        for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
+            assert getattr(res.point.state, name).tobytes() == \
+                getattr(other.point.state, name).tobytes(), (kid, name)
+        assert res.point.slack_vector().tobytes() == other.point.slack_vector().tobytes()
+        assert res.point.delta == other.point.delta
+
+
+@pytest.mark.parametrize("n_bus", [14, 30])
+def test_fast_results_are_priced_exactly(n_bus, base30):
+    # every fast result's penalty is its point's, and its point's slacks are
+    # those that its state's recomputed flows need, bit for bit
+    net, base = base30 if n_bus == 30 else generated_base(n_bus)
+    for cutoff in (0.0, ev.default_cutoff(net), np.inf):
+        for k in net.contingencies:
+            res = ev.fast_evaluate(net, k, base, cutoff=cutoff)
+            assert scopf.point_penalty(net, res.point, k.outaged) == res.penalty
+            want = scopf.slacks_from_state(
+                net, scopf.flows_from_state(net, res.point.state, k.outaged), k.outaged)
+            for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus", "sig_q_minus", "sig_s"):
+                assert getattr(res.point, name).tobytes() == getattr(want, name).tobytes(), \
+                    (k.id, cutoff, name)
 
 
 def test_fast_newton_failure_falls_back(solved5, monkeypatch):
@@ -321,8 +401,8 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
     for mix in product(segs, repeat=len(active) + len(reactive)):
         state.active.update(zip(active, mix))
         state.reactive.update(zip(reactive, mix[len(active):]))
-        sys_ = ev._SquareSystem(net, k, base, state)
-        z = sys_.start(base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
+        sys_ = square_system(net, k, base, state)
+        z = start(sys_, base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
         lu_pattern, vals = sys_.jacobian(z)
         A, _, pos = lu_pattern.lu(vals)
         J = A[:, pos]
@@ -342,10 +422,10 @@ def test_square_system_evaluates_the_kernel_entries_it_selects(ctg_id):
     net = five_bus_net()
     k = net.contingency(ctg_id)
     base = scopf.default_start(net)
-    sys_ = ev._SquareSystem(net, k, base, compl.init_default(net, k))
+    sys_ = square_system(net, k, base, compl.init_default(net, k))
     lay, st = sys_.lay, sys_.st
     assert st.sel.max() < lay.n_jac_head
-    z = sys_.start(base, 0.05) + np.random.default_rng(3).uniform(-0.05, 0.05, sys_.n)
+    z = start(sys_, base, 0.05) + np.random.default_rng(3).uniform(-0.05, 0.05, sys_.n)
     _, vals = sys_.jacobian(z)
     x = sys_.expand(z)[:lay.nvar]
     x[lay.fl0:] = lay.flow_values(x).ravel()
@@ -392,12 +472,12 @@ def test_square_system_raw_point_flows_are_defined(ctg_id):
     k = net.contingency(ctg_id)
     base = scopf.default_start(net)
     state = compl.init_default(net, k)
-    sys_ = ev._SquareSystem(net, k, base, state)
+    sys_ = square_system(net, k, base, state)
     # unknowns: v at non-PV buses, theta at non-reference buses, and delta;
     # every available generator is middle, so its bus is PV
     pv = {g.bus for g in net.generators if g.id in state.reactive}
     assert sys_.n == 2 * len(net.buses) - len(pv)
-    z = sys_.start(base, 0.05) + np.random.default_rng(5).uniform(-0.05, 0.05, sys_.n)
+    z = start(sys_, base, 0.05) + np.random.default_rng(5).uniform(-0.05, 0.05, sys_.n)
     lay = sys_.lay
     raw = sys_.expand(z)
     assert np.isnan(raw[lay.fl0:-1]).all()
@@ -460,9 +540,9 @@ def test_converged_square_solves_solve_the_full_system(ctg_id):
     for mix in product(segs, repeat=len(active) + len(reactive)):
         state.active.update(zip(active, mix))
         state.reactive.update(zip(reactive, mix[len(active):]))
-        sys_ = ev._SquareSystem(net, k, base, state)
+        sys_ = square_system(net, k, base, state)
         res = nlp.solve_square(sys_.residual, sys_.jacobian,
-                               sys_.start(base, 0.0), tol=1e-10)
+                               start(sys_, base, 0.0), tol=1e-10)
         if res.status == nlp.SOLVED:
             solved += 1
             assert_solves_the_full_system(net, k, base, state, sys_.expand(res.x))
@@ -514,11 +594,14 @@ def test_fast_evaluations_on_14_buses_solve_the_full_system(monkeypatch):
     # every converged square solve of every contingency's fast evaluation
     net, base = generated_base(14)
     systems, solves = {}, []
+    packed = {k.outaged: CaseLayout.of(net, k.outaged).pack(base.state).tobytes()
+              for k in net.contingencies}
 
     class Recorded(ev._SquareSystem):
-        def __init__(self, net, k, base, state):
-            super().__init__(net, k, base, state)
-            systems[id(self)] = (k, base, state.copy())
+        def __init__(self, net, k, base_x, state):
+            super().__init__(net, k, base_x, state)
+            assert base_x.tobytes() == packed[k.outaged]
+            systems[id(self)] = (k, state.copy())
 
     real_solve = ev.solve_square
 
@@ -534,7 +617,19 @@ def test_fast_evaluations_on_14_buses_solve_the_full_system(monkeypatch):
     converged = [(s, r) for s, r in solves if r.status == nlp.SOLVED]
     assert len(converged) >= len(net.contingencies)
     for sys_, r in converged:
-        assert_solves_the_full_system(net, *systems[id(sys_)], sys_.expand(r.x))
+        k, state = systems[id(sys_)]
+        assert_solves_the_full_system(net, k, base, state, sys_.expand(r.x))
+
+
+def square_system(net, k, base, state):
+    """k's square system at base point `base` and segment state `state`."""
+    return ev._SquareSystem(net, k, CaseLayout.of(net, k.outaged).pack(base.state), state)
+
+
+def start(sys_, base, delta):
+    """sys_'s unknowns at base point `base`, and delta: a round's start,
+    taken from a layout vector as the fast loop takes it."""
+    return np.append(sys_.lay.pack(base.state)[sys_.st.cols], delta)
 
 
 def generated_base(n_bus):
@@ -557,10 +652,10 @@ def test_square_system_picks_its_lu_by_size(monkeypatch):
     k = net.contingencies[0]
     base = scopf.default_start(net)
     state = compl.init_default(net, k)
-    n = ev._SquareSystem(net, k, base, state).n
+    n = square_system(net, k, base, state).n
     for limit, kind in ((n, nlp._DenseLuPattern), (n - 1, nlp._LuPattern)):
         monkeypatch.setattr(nlp, "DENSE_LU_MAX", limit)
-        sys_ = ev._SquareSystem(five_bus_net(), k, base, state)
+        sys_ = square_system(five_bus_net(), k, base, state)
         assert type(sys_.st.pattern) is kind
 
 
@@ -700,13 +795,13 @@ def test_square_jacobian_reuses_only_the_residuals_own_array(ctg_id):
     k = net.contingency(ctg_id)
     base = scopf.default_start(net)
     state = compl.init_default(net, k)
-    sys_ = ev._SquareSystem(net, k, base, state)
+    sys_ = square_system(net, k, base, state)
     rng = np.random.default_rng(7)
-    z = sys_.start(base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
+    z = start(sys_, base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
     other = z + rng.uniform(-0.05, 0.05, sys_.n)
 
     def fresh(at):
-        sys_ = ev._SquareSystem(net, k, base, state)
+        sys_ = square_system(net, k, base, state)
         sys_.residual(at)
         return sys_.jacobian(at)
 
@@ -806,7 +901,7 @@ def test_updated_segments_equals_loop_reference(net5, rng):
             st.delta = rng.uniform(-0.5, 0.5)
             base = scopf.default_start(net5)
             base.state.p_gen[:] = rng.choice([-tol, tol, 0.5], size=2)
-            sys_ = ev._SquareSystem(net5, k, base, st)
+            sys_ = square_system(net5, k, base, st)
             point = base.copy()
             for gi, g in enumerate(net5.generators):
                 for name, lo, hi in (("p_gen", g.p_min, g.p_max),
