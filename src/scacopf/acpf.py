@@ -226,18 +226,20 @@ class CaseLayout:
     # --- values on a flat layout vector x ---------------------------------
 
     def branch_terms(self, x):
-        """(vx, c, s): per branch, the voltage at each flow side's
-        squared-voltage end (v_o, v_o, v_d, v_d), and cos d and sin d as
-        columns.  `flow_values` and `jac_head` take them as `terms`, so a
-        caller that needs both at one x gathers and evaluates them once."""
+        """(vx, c, s, T): per branch, the voltage at each flow side's
+        squared-voltage end (v_o, v_o, v_d, v_d), cos d and sin d as
+        columns, and T = P cos d + Q sin d per side.  `flow_values` and
+        `jac_head` take them as `terms`, so a caller that needs both at one
+        x gathers and evaluates them once."""
         g = x[self._branch_cols]
         d = g[:, 4] - g[:, 5] - self.phi
-        return g[:, :4], np.cos(d)[:, None], np.sin(d)[:, None]
+        c, s = np.cos(d)[:, None], np.sin(d)[:, None]
+        return g[:, :4], c, s, self.P * c + self.Q * s
 
     def flow_values(self, x, terms=None):
         """Flow expressions, shape (in-service branches, 4)."""
-        vx, c, s = self.branch_terms(x) if terms is None else terms
-        return self.K * vx * vx + (self.P * c + self.Q * s) * (vx[:, 0] * vx[:, 2])[:, None]
+        vx, _, _, T = self.branch_terms(x) if terms is None else terms
+        return self.K * vx * vx + T * (vx[:, 0] * vx[:, 2])[:, None]
 
     def balance(self, x, flows=None):
         """Per-bus mismatch before slacks, from the flow variables or the given
@@ -293,9 +295,8 @@ class CaseLayout:
 
     def _fill_head(self, x, out, terms=None):
         m, nb = self.m, self.nb
-        vx, c, s = self.branch_terms(x) if terms is None else terms
+        vx, c, s, T = self.branch_terms(x) if terms is None else terms
         v_o, v_d = vx[:, :1], vx[:, 2:3]
-        T = self.P * c + self.Q * s
         blk = out[:16 * m].reshape(m, 4, 4)
         blk[:, :, 0] = T * v_d + self._dK[0] * v_o
         blk[:, :, 1] = T * v_o + self._dK[1] * v_d
@@ -331,10 +332,10 @@ class CaseLayout:
         ``sum_r weights[r] * hess(expr_r)``."""
         m, nb = self.m, self.nb
         v = x[self.v0:self.v0 + nb]
-        vx, c, s = self.branch_terms(x)
+        vx, c, s, T = self.branch_terms(x)
         w = weights[:4 * m].reshape(m, 4)
         wK = 2.0 * w * self.K
-        wT = (w * (self.P * c + self.Q * s)).sum(axis=1)
+        wT = (w * T).sum(axis=1)
         wTp = (w * (self.Q * c - self.P * s)).sum(axis=1)
         wP, wQ = weights[4 * m:4 * m + nb], weights[4 * m + nb:4 * m + 2 * nb]
         w_rat = weights[4 * m + 2 * nb:].reshape(m, 2)

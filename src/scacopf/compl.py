@@ -7,10 +7,12 @@ matching equation into a signed inequality; the middle segment enforces the
 matching equation exactly.  An active middle segment keeps p's bounds; a
 reactive one holds v at the base voltage of the generator's bus, and the NLP
 lifts that v's bounds, as it does those of every column an equation pins.
-The NLP's coupling rows, `project_response` and the fast engine's square
-system all read one compiled `scopf._SegmentPlan`; `update_segments` reads
-the evidence that `scopf.CaseStructure.segment_evidence` takes off an NLP
-solution.  `project_response` is `scopf`'s.
+The NLP's coupling rows, `project_response`, the fast engine's square
+system and the generator-outage response all read one compiled
+`scopf._SegmentPlan`; all a contingency compiles here is its responders'
+ids (see `init_default`).  `update_segments` reads the evidence that
+`scopf.CaseStructure.segment_evidence` takes off an NLP solution.
+`project_response` is `scopf`'s.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .acpf import CaseLayout
 from .scopf import (DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint,
-                    project_response)
+                    _SegmentPlan, project_response)
 
 __all__ = [
     "ComplementarityState",
@@ -49,40 +51,18 @@ class ComplementarityState:
                                     self.delta)
 
 
-class _Families:
-    """A contingency's responding and available generator ids, and what a
-    generator-outage response reads of the responders: their generator
-    indices, alpha and p box.  Compiled once per contingency into its
-    outage's `CaseLayout.compiled` (see `of`); no base-point data."""
-
-    @classmethod
-    def of(cls, net, k):
-        lay = CaseLayout.of(net, k.outaged)
-        key = ("families", k)
-        fam = lay.compiled.get(key)
-        if fam is None:
-            fam = lay.compiled[key] = cls(net, k, lay)
-        return fam
-
-    def __init__(self, net, k, lay):
-        responding = set(k.responding_gens)
-        self.available = [g.id for g in net.generators if g.id != k.outaged]
-        self.responding = [g for g in self.available if g in responding]
-        self.resp = np.array([net.gen_index(g) for g in self.responding],
-                             dtype=int)
-        self.alpha = lay.alpha[self.resp]
-        self.p_min, self.p_max = lay.p_min[self.resp], lay.p_max[self.resp]
-
-    def all_middle(self):
-        return ComplementarityState(
-            active=dict.fromkeys(self.responding, MIDDLE),
-            reactive=dict.fromkeys(self.available, MIDDLE))
-
-
 def init_default(net, k):
     """All-middle state with zero perturbation (line/transformer outages and
-    every reactive family start here)."""
-    return _Families.of(net, k).all_middle()
+    every reactive family start here): every available generator, and k's
+    responders in generator order, whose ids are compiled once into its
+    outage's `CaseLayout.compiled`."""
+    lay = CaseLayout.of(net, k.outaged)
+    responding = lay.compiled.get(("responding", k))
+    if responding is None:
+        ids = set(k.responding_gens)
+        responding = lay.compiled["responding", k] = [g for g in lay.gen_ids if g in ids]
+    return ComplementarityState(active=dict.fromkeys(responding, MIDDLE),
+                                reactive=dict.fromkeys(lay.gen_ids, MIDDLE))
 
 
 def init_generator_outage(net, k, base: OperatingPoint):
@@ -98,14 +78,14 @@ def init_generator_outage(net, k, base: OperatingPoint):
     binds.  If even DELTA_MAX cannot replace the target, delta is DELTA_MAX
     and every responder whose clamp binds there is UPPER.
     """
-    fam = _Families.of(net, k)
-    state = fam.all_middle()
+    state = init_default(net, k)
     target = LOSS_UPLIFT * base.state.p_gen[net.gen_index(k.outaged)]
-    if target <= 0.0 or not fam.responding:
+    if target <= 0.0 or not state.active:
         return state
 
-    p, alpha = base.state.p_gen[fam.resp], fam.alpha
-    p_min, p_max = fam.p_min, fam.p_max
+    plan = _SegmentPlan.of(CaseLayout.of(net, k.outaged), state)
+    p, alpha = base.state.p_gen[plan.resp], plan.alpha
+    p_min, p_max = plan.p_box
     with np.errstate(divide="ignore", invalid="ignore"):
         brk = np.concatenate(((p_min - p) / alpha, (p_max - p) / alpha))
     grid = np.unique(np.concatenate(
@@ -121,7 +101,7 @@ def init_generator_outage(net, k, base: OperatingPoint):
         state.delta = float(max(grid[j - 1], grid[j] - share * (grid[j] - grid[j - 1])))
 
     desired = p + alpha * state.delta
-    for g, above, below in zip(fam.responding, desired > p_max, desired < p_min):
+    for g, above, below in zip(plan.p_ids, desired > p_max, desired < p_min):
         if above:
             state.active[g] = UPPER
         elif below:

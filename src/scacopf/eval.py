@@ -47,10 +47,8 @@ from .scopf import (
     _SegmentPlan,
     _slack_penalty,
     build_contingency_problem,
-    flows_from_state,
     penalty_cost,
-    point_penalty,
-    slacks_from_state,
+    reprice,
 )
 
 __all__ = [
@@ -239,13 +237,12 @@ class _SquareSystem:
 
         # a middle segment follows the response rule (active) or holds the
         # base voltage (reactive: a PV bus); lower/upper pin the output.
-        # The segments' compiled arrays are the plan's; only base-point
-        # data is built here
+        # The segments' compiled arrays are the plan's and the structure's;
+        # only base-point data is built here
         plan = self.plan = _SegmentPlan.of(lay, state)
-        if plan.square is None:
-            plan.square = _SquareStructure.of(lay, self.ref, plan.resp,
-                                              plan.p_mid, plan.q_mid)
-        self.st, self.n = plan.square, plan.square.n
+        self.st = _SquareStructure.of(lay, self.ref, plan.resp, plan.p_mid,
+                                      plan.q_mid)
+        self.n = self.st.n
         self.base_p = base_x[plan.p_cols]
         self.base_v = base_x[lay.v0 + lay.gen_bus]
         x = self.template = base_x.copy()
@@ -327,12 +324,11 @@ class _SquareSystem:
         return new
 
 
-def fallback_result(net: Network, k, base: OperatingPoint, init_compl=None):
+def fallback_result(net: Network, k, base: OperatingPoint):
     """The guaranteed product of an evaluation: the base state projected into
     the response rules of the starting segments, with slacks absorbing every
     residual, priced; the fast engine with no budget."""
-    res = fast_evaluate(net, k, base, time_limit=0, init_compl=init_compl,
-                        deterministic=True)
+    res = fast_evaluate(net, k, base, time_limit=0, deterministic=True)
     res.status = "fallback"
     return res
 
@@ -413,10 +409,8 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     if start is not None:
         # the warm-start point is itself a feasible candidate; registering it
         # makes the returned penalty never worse than the seed's
-        seeded = slacks_from_state(
-            net, flows_from_state(net, start.state, k.outaged), k.outaged,
-            delta=start.delta)
-        best = (point_penalty(net, seeded, k.outaged), seeded, state.copy())
+        seeded, pen = reprice(net, start.state, k.outaged, start.delta)
+        best = (pen, seeded, state.copy())
     for round_no in range(FULL_MAX_ROUNDS):
         if budget.exhausted():
             break
@@ -432,10 +426,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         point = prob.meta.extract_ctg(sol.x, k.id)
         # explicit penalty: price the minimal slacks of the solved state, never
         # the solver-reported objective
-        repriced = slacks_from_state(
-            net, flows_from_state(net, point.state, k.outaged), k.outaged,
-            delta=point.delta)
-        pen = point_penalty(net, repriced, k.outaged)
+        repriced, pen = reprice(net, point.state, k.outaged, point.delta)
 
         state_now = state.copy()
         state_now.delta = repriced.delta
@@ -446,12 +437,9 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
             break
         evidence = prob.meta.segment_evidence(sol, k.id)
         new_state, changed = compl_mod.update_segments(state_now, evidence)
-        if prev_pen is not None:
-            improvement = prev_pen - pen
-            if improvement < 0:
-                break  # restore previous best (already tracked)
-            if improvement < max(1e-6, 1e-6 * abs(pen)):
-                break
+        # a rise, or a fall below the tolerance (the best is already kept)
+        if prev_pen is not None and prev_pen - pen < max(1e-6, 1e-6 * abs(pen)):
+            break
         if not changed:
             break
         prev_pen = pen

@@ -44,9 +44,8 @@ from .scopf import (
     OperatingPoint,
     build_base_problem,
     build_master_problem,
-    flows_from_state,
     generation_cost,
-    point_penalty,
+    reprice,
     slacks_from_state,
 )
 from .acpf import FlowState
@@ -74,12 +73,15 @@ __all__ = [
 
 _log = logging.getLogger("scacopf")
 
+# seconds of code1's budget for its fast sweep, and for each full-evaluation
+# batch and each refresh
+INIT_FAST_EVAL_BUDGET = 60.0
+FULL_EVAL_BUDGET = 30.0
+
 
 @dataclass
 class RunConfig:
     code1_time_limit: float = 600.0
-    init_fast_eval_budget: float = 60.0
-    full_eval_budget: float = 30.0
     per_contingency_code2_factor: float = 2.0
     n_select: int = 3
     cutoff: float = None  # None -> penalty of a 2e-2 per-unit violation
@@ -89,8 +91,7 @@ class RunConfig:
     candidate_boost: tuple = ()
 
     def __post_init__(self):
-        for name in ("code1_time_limit", "init_fast_eval_budget",
-                     "full_eval_budget", "per_contingency_code2_factor"):
+        for name in ("code1_time_limit", "per_contingency_code2_factor"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite")
@@ -184,10 +185,8 @@ def _solve_fields(sol):
 def _reprice_base(net, point):
     """Explicit base objective and penalty, with flows and slacks recomputed
     from the stored state so readers recover identical numbers."""
-    repriced = slacks_from_state(net, flows_from_state(net, point.state))
-    cost = generation_cost(net, point.state.p_gen)
-    pen = point_penalty(net, repriced)
-    return cost + pen, pen
+    _, pen = reprice(net, point.state)
+    return generation_cost(net, point.state.p_gen) + pen, pen
 
 
 def solve_base(net: Network, budget=None, log=None, seed=0):
@@ -311,14 +310,14 @@ def run_code1(net: Network, cfg: RunConfig,
     # Step 5: fast evaluation sweep under its own budget; it gives every id
     # a result
     evaluate(eval_mod.fast_evaluate, order,
-             min(cfg.init_fast_eval_budget, budget.remaining()),
+             min(INIT_FAST_EVAL_BUDGET, budget.remaining()),
              cutoff=cutoff)
 
     iteration = 0
     while True:
         iteration += 1
         # Step 6: full evaluations from the top of the order
-        batch = min(cfg.full_eval_budget, budget.remaining())
+        batch = min(FULL_EVAL_BUDGET, budget.remaining())
         if order and batch > 0:
             evaluate(eval_mod.full_evaluate, order[:cfg.n_select], batch)
 
@@ -371,7 +370,7 @@ def run_code1(net: Network, cfg: RunConfig,
         # against the new base
         if order and budget.remaining() > 0:
             evaluate(eval_mod.prescreen_then_evaluate, order[:cfg.n_select],
-                     min(cfg.full_eval_budget, budget.remaining()),
+                     min(FULL_EVAL_BUDGET, budget.remaining()),
                      cutoff=cutoff)
 
         # Step 10: loop while a master solve plausibly fits in what remains

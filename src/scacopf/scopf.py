@@ -27,6 +27,7 @@ __all__ = [
     "penalty_cost",
     "point_penalty",
     "slacks_from_state",
+    "reprice",
     "project_response",
     "build_base_problem",
     "build_contingency_problem",
@@ -171,8 +172,9 @@ class _SegmentPlan:
     A generator with an active segment responds; a missing reactive segment
     is middle.  `_projection` reads the middle responders' columns,
     generators, alpha and box, the pinned ones' columns and pins, and the
-    reactive pins with the middle q's columns and box; `eval._SquareSystem`
-    reads the rest and keeps its `_SquareStructure` in `square`."""
+    reactive pins with the middle q's columns and box;
+    `compl.init_generator_outage` reads the responders' ids, generators,
+    alpha and box; `eval._SquareSystem` reads the rest."""
 
     @classmethod
     def of(cls, lay, state):
@@ -203,7 +205,6 @@ class _SegmentPlan:
         self.q_pins = np.where(self.q_mid, 0.0, np.where(self.q_low, *self.q_box))
         self.q_mid_cols = lay.q0 + np.flatnonzero(self.q_mid)
         self.q_mid_box = self.q_box[0][self.q_mid], self.q_box[1][self.q_mid]
-        self.square = None
 
 
 def _clip(a, lo, hi):
@@ -256,11 +257,22 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
 
 def flows_from_state(net: Network, state: FlowState, outaged=None):
     """Recompute branch flows from the voltages."""
+    return reprice(net, state, outaged)[0].state
+
+
+def reprice(net: Network, state: FlowState, outaged=None, delta=0.0):
+    """(point, penalty): `state` with its flows recomputed from the voltages
+    and the minimal slacks that absorb its residuals (`slacks_from_state`),
+    and their penalty (`point_penalty`), from one packed vector and one
+    slack array.  The point keeps every other entry of `state`."""
     lay = CaseLayout.of(net, outaged)
+    x = lay.pack(state)
+    x[lay.fl0:] = lay.flow_values(x).ravel()
+    slacks = _slacks(lay, x)
     out = state.copy()
     out.flows[:] = 0.0
-    out.flows[lay.svc] = lay.flow_values(lay.pack(state))
-    return out
+    out.flows[lay.svc] = lay.flow_vars(x)
+    return _point(lay, slacks, out, delta), _slack_penalty(net, slacks)
 
 
 def default_start(net: Network):
@@ -276,7 +288,7 @@ def default_start(net: Network):
         q_gen=np.array([(g.q_min + g.q_max) / 2 for g in net.generators]),
         flows=np.zeros((len(net.branches), 4)),
     )
-    return slacks_from_state(net, flows_from_state(net, state))
+    return reprice(net, state)[0]
 
 
 # --- problem assembly --------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 
 from .acpf import FlowState
 from .compl import ComplementarityState
-from .scopf import LOWER, MIDDLE, UPPER, flows_from_state, slacks_from_state
+from .scopf import LOWER, MIDDLE, UPPER, reprice
 
 __all__ = [
     "write_base_solution",
@@ -99,11 +99,6 @@ def _state_of_payload(net, data):
                      flows=np.zeros((len(net.branches), 4)))
 
 
-def _priced_point(net, state, outaged=None, delta=0.0):
-    state = flows_from_state(net, state, outaged)
-    return slacks_from_state(net, state, outaged, delta=delta)
-
-
 def write_base_solution(path, net, point, tag, objective, penalty):
     payload = {"tag": int(tag), **_point_payload(net, point),
                "objective": float(objective), "penalty": float(penalty)}
@@ -113,7 +108,7 @@ def write_base_solution(path, net, point, tag, objective, penalty):
 def load_base_solution(path, net):
     data, state = _load(path, {"tag": int, "bus": dict, "gen": dict},
                         lambda data: _state_of_payload(net, data))
-    return _priced_point(net, state), data["tag"], data
+    return reprice(net, state)[0], data["tag"], data
 
 
 _SEG_LETTER = {LOWER: "L", MIDDLE: "M", UPPER: "U"}
@@ -151,4 +146,4 @@ def load_contingency_solution(path, net):
     data, (k, state, st) = _load(
         path, {"contingency": str, "delta_k": _NUMBER, "segments": dict,
                "bus": dict, "gen": dict}, parse)
-    return _priced_point(net, state, k.outaged, st.delta), st, data
+    return reprice(net, state, k.outaged, st.delta)[0], st, data

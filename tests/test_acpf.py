@@ -346,6 +346,10 @@ def test_jacobian_head_is_the_leading_entries(net5, rng, outaged):
     full = layout.jac_values(x)
     assert len(full) == len(layout.jac_pattern()[0])
     np.testing.assert_array_equal(layout.jac_head(x), full[:layout.n_jac_head])
+    # the branch terms of x, T among them, give the same bits passed in
+    terms = layout.branch_terms(x)
+    np.testing.assert_array_equal(layout.flow_values(x), layout.flow_values(x, terms))
+    np.testing.assert_array_equal(layout.jac_head(x), layout.jac_head(x, terms))
     # the head reads no flow column; the balance entries of the generator
     # outputs (in the head) and of the flows (after it) are constants
     rows, cols = layout.jac_pattern()

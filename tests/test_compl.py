@@ -114,6 +114,40 @@ def test_init_default_all_middle(net5):
         assert set(st.reactive) == {"G1", "G2"}
 
 
+def test_generator_outage_responders_in_network_order():
+    # responders listed as (G3, G1), and G4 available but not responding:
+    # G1 (alpha 1, cap 1.1) and G3 (alpha 2) replace 3 delta until G1 caps
+    # at delta = 0.1, then 0.1 + 2 delta, so the uplifted 0.505 lost gives
+    # delta = (0.505 - 0.1) / 2 with G1 upper
+    net = response_net(responder_kw=dict(p_max=1.1))
+    net = Network(
+        buses=net.buses,
+        generators=net.generators + (make_gen("G3", "B2", alpha=2.0),
+                                     make_gen("G4", "B1")),
+        lines=net.lines, transformers=(),
+        contingencies=(Contingency("K", "generator-outage", "G2", ("G3", "G1")),),
+        penalty_config=PenaltyConfig(), reference_bus="B1")
+    st = init_generator_outage(net, net.contingency("K"),
+                               base_with_p(net, [1.0, 0.5, 0.0, 0.7]))
+    assert list(st.active.items()) == [("G1", UPPER), ("G3", MIDDLE)]
+    assert list(st.reactive) == ["G1", "G3", "G4"]
+    assert st.delta == pytest.approx((compl.LOSS_UPLIFT * 0.5 - 0.1) / 2, rel=1e-14)
+
+
+def test_init_default_returns_a_fresh_state(net5):
+    # the responder ids are compiled once; no returned state shares them
+    k = net5.contingency("CG2")
+    first = init_default(net5, k)
+    want = (dict(first.active), dict(first.reactive))
+    first.active[next(iter(first.active))] = UPPER
+    first.active["extra"] = LOWER
+    first.reactive[next(iter(first.reactive))] = LOWER
+    first.delta = 0.5
+    again = init_default(net5, k)
+    assert (again.active, again.reactive, again.delta) == (*want, 0.0)
+    assert all(s == MIDDLE for s in {**want[0], **want[1]}.values())
+
+
 def test_generator_outage_reactive_family_all_middle(net5):
     # the bisection only sets active-family segments; the reactive family
     # starts middle regardless

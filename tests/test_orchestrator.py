@@ -22,19 +22,23 @@ from scacopf.scopf import point_penalty, slacks_from_state, total_score
 from scacopf.solution_files import _atomic_write
 
 
-def quick_cfg(tmp_path, **kw):
-    defaults = dict(code1_time_limit=30.0, init_fast_eval_budget=5.0,
-                    full_eval_budget=5.0, n_select=2,
-                    output_dir=str(tmp_path))
-    defaults.update(kw)
-    return RunConfig(**defaults)
+@pytest.fixture
+def quick_cfg(monkeypatch):
+    """A `RunConfig` factory for short runs, with 5 s fast-sweep and
+    full-evaluation budgets."""
+    monkeypatch.setattr(orch, "INIT_FAST_EVAL_BUDGET", 5.0)
+    monkeypatch.setattr(orch, "FULL_EVAL_BUDGET", 5.0)
+
+    def make(output_dir, **kw):
+        return RunConfig(**{"code1_time_limit": 30.0, "n_select": 2,
+                            "output_dir": str(output_dir), **kw})
+    return make
 
 
 def test_run_config_defaults():
     cfg = RunConfig()
     assert cfg.code1_time_limit == 600.0
-    assert cfg.init_fast_eval_budget == 60.0
-    assert cfg.full_eval_budget == 30.0
+    assert (orch.INIT_FAST_EVAL_BUDGET, orch.FULL_EVAL_BUDGET) == (60.0, 30.0)
     assert cfg.per_contingency_code2_factor == 2.0
     assert cfg.n_select == 3
 
@@ -86,7 +90,7 @@ def test_atomic_write_replaces(tmp_path):
     assert leftovers == []
 
 
-def test_code1_produces_solution_and_log(tmp_path, net5):
+def test_code1_produces_solution_and_log(tmp_path, net5, quick_cfg):
     res = run_code1(net5, quick_cfg(tmp_path))
     assert os.path.exists(res.solution_path)
     _, tag, data = load_base_solution(res.solution_path, net5)
@@ -105,7 +109,7 @@ def test_code1_produces_solution_and_log(tmp_path, net5):
         assert "selected" in events
 
 
-def test_code1_master_improves_score(tmp_path, net5):
+def test_code1_master_improves_score(tmp_path, net5, quick_cfg):
     res = run_code1(net5, quick_cfg(tmp_path))
     assert res.base_tag >= 2  # at least one master iteration ran
     assert set(res.included) <= {k.id for k in net5.contingencies}
@@ -114,7 +118,7 @@ def test_code1_master_improves_score(tmp_path, net5):
 
 
 def test_code1_keeps_its_first_base_when_the_master_fails(tmp_path, net5,
-                                                        monkeypatch):
+                                                        monkeypatch, quick_cfg):
     # a master solve with a non-finite x ends the loop: the run returns the
     # base solve's point as tag 1, its first and only write
     real = orch.solve_nlp
@@ -138,7 +142,7 @@ def test_code1_keeps_its_first_base_when_the_master_fails(tmp_path, net5,
     assert not os.path.exists(tmp_path / "base_solution_2.json")
 
 
-def test_code1_no_contingencies(tmp_path, net2):
+def test_code1_no_contingencies(tmp_path, net2, quick_cfg):
     net = net2
     net = type(net)(buses=net.buses, generators=net.generators,
                     lines=net.lines, transformers=net.transformers,
@@ -150,7 +154,7 @@ def test_code1_no_contingencies(tmp_path, net2):
     assert os.path.exists(res.solution_path)
 
 
-def test_code2_writes_one_file_per_contingency(tmp_path, net5):
+def test_code2_writes_one_file_per_contingency(tmp_path, net5, quick_cfg):
     base = flat_start(net5)
     cfg = quick_cfg(tmp_path, per_contingency_code2_factor=1.0)
     res = run_code2(net5, cfg, base, base_tag=1)
@@ -164,7 +168,7 @@ def test_code2_writes_one_file_per_contingency(tmp_path, net5):
         assert set(data["segments"]["reactive"].values()) <= {"L", "M", "U"}
 
 
-def test_code2_total_score_computable(tmp_path, net5):
+def test_code2_total_score_computable(tmp_path, net5, quick_cfg):
     res1 = run_code1(net5, quick_cfg(tmp_path / "c1"))
     base, tag, _ = load_base_solution(res1.solution_path, net5)
     cfg = quick_cfg(tmp_path / "c2")
@@ -174,7 +178,7 @@ def test_code2_total_score_computable(tmp_path, net5):
     assert np.isfinite(score)
 
 
-def test_code2_fallback_on_failure(tmp_path, net5, monkeypatch):
+def test_code2_fallback_on_failure(tmp_path, net5, monkeypatch, quick_cfg):
     def boom(*a, **kw):
         raise RuntimeError("injected failure")
     monkeypatch.setattr(orch.eval_mod, "prescreen_then_evaluate", boom)
@@ -188,7 +192,7 @@ def test_code2_fallback_on_failure(tmp_path, net5, monkeypatch):
         assert np.isfinite(r.penalty)
 
 
-def test_code2_reverse_order(tmp_path, net5):
+def test_code2_reverse_order(tmp_path, net5, quick_cfg):
     base = flat_start(net5)
     order = rank_initial(net5, base)
     calls = []
@@ -226,7 +230,7 @@ def test_code2_budgets_within_factor(tmp_path, net5, monkeypatch):
     assert sum(seen) <= 0.5 * len(net5.contingencies) + 1e-12
 
 
-def test_deterministic_evaluation_schedule(tmp_path, net5, monkeypatch):
+def test_deterministic_evaluation_schedule(tmp_path, net5, monkeypatch, quick_cfg):
     # every engine call of a deterministic code1 and code2 run, with the time
     # limit the budget gave it: the sweep's, full batch's and refresh's
     # shares in code1, then one share per contingency in code2
@@ -254,7 +258,7 @@ def test_deterministic_evaluation_schedule(tmp_path, net5, monkeypatch):
     ]
 
 
-def test_deterministic_runs_byte_identical(tmp_path, net5):
+def test_deterministic_runs_byte_identical(tmp_path, net5, quick_cfg):
     def one(d):
         cfg = quick_cfg(d, deterministic=True, seed=7)
         res = run_code1(net5, cfg)
@@ -298,7 +302,7 @@ def test_deterministic_run_ignores_the_clock(tmp_path, monkeypatch):
     assert "c2/contingency_KG1.json" in timed
 
 
-def test_deterministic_code1_charges_every_phase(tmp_path, net5):
+def test_deterministic_code1_charges_every_phase(tmp_path, net5, quick_cfg):
     # 17 s: sweep 5, full batch 5, master 1, refresh 5; then less than the
     # 2 s a master needs is left, with two contingencies to go
     cfg = quick_cfg(tmp_path, deterministic=True, code1_time_limit=17.0,
@@ -370,7 +374,7 @@ def test_run_log_deterministic_stamps(tmp_path):
     assert lines[1]["extra"] == 3
 
 
-def test_run_log_records_every_nlp(tmp_path, monkeypatch):
+def test_run_log_records_every_nlp(tmp_path, monkeypatch, quick_cfg):
     from scacopf.cli import generate_case
     solved = []
     real = orch.solve_nlp

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from scacopf import compl, nlp, scopf
+from scacopf.acpf import CaseLayout
 from scacopf.case_model import PenaltyConfig, preprocess
 from scacopf.nlp import solve_nlp
 from conftest import five_bus_net, make_gen, two_bus_net
@@ -49,6 +50,33 @@ def test_total_score_examples(net5):
     assert score == pytest.approx(cost + pen0 + 20.0)
     with pytest.raises(KeyError):
         scopf.total_score(net5, base, {"CG2": 1.0})
+
+
+@pytest.mark.parametrize("outaged, delta", [(None, 0.0), ("G2", 0.3), ("L2", -0.2)],
+                         ids=["base", "generator-outage", "line-outage"])
+def test_reprice_equals_the_composition_it_replaces(net5, outaged, delta):
+    # flows recomputed from the voltages, then the minimal slacks and their
+    # penalty, bit for bit; the state keeps its own entries, the outaged
+    # generator's output among them
+    state = scopf.default_start(net5).state
+    rng = np.random.default_rng(4)
+    state.v += rng.uniform(-0.05, 0.05, len(state.v))
+    state.theta += rng.uniform(-0.1, 0.1, len(state.theta))
+    state.p_gen += 0.3
+    state.flows[:] = rng.normal(size=state.flows.shape)
+    lay = CaseLayout.of(net5, outaged)
+    flowed = state.copy()
+    flowed.flows[:] = 0.0
+    flowed.flows[lay.svc] = lay.flow_values(lay.pack(state))
+    want = scopf.slacks_from_state(net5, flowed, outaged, delta=delta)
+    point, pen = scopf.reprice(net5, state, outaged, delta)
+    assert pen == scopf.point_penalty(net5, want, outaged) > 0.0
+    assert point.delta == want.delta == delta
+    for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
+        np.testing.assert_array_equal(getattr(point.state, name),
+                                      getattr(want.state, name))
+    for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus", "sig_q_minus", "sig_s"):
+        np.testing.assert_array_equal(getattr(point, name), getattr(want, name))
 
 
 def test_total_score_no_contingencies(net2):
