@@ -144,6 +144,9 @@ class CaseLayout:
               getattr(br, attr[not line])) for (bi, br), line in zip(self.in_service, is_line)],
             dtype=float).reshape(-1, 4).T
         self.svc, self.o, self.d = svc.astype(int), o.astype(int), d.astype(int)
+        # where an operating point's slacks (4 per bus, then one per branch
+        # in network order) hold the bus slacks and in-service rating slacks
+        self.slack_pos = np.concatenate((np.arange(4 * nb), 4 * nb + self.svc))
         # rating base: rate * v at the end for a line, rate for a transformer
         self.rate = rate
         self.is_line = is_line

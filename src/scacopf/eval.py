@@ -73,6 +73,8 @@ _BOUND_TOL = 1e-9
 
 @dataclass
 class EvaluationResult:
+    """One contingency's evaluation: its penalty, operating point and
+    segment state; the response perturbation δ is `compl.delta`."""
     contingency_id: str
     penalty: float
     point: OperatingPoint
@@ -384,7 +386,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     x, slacks, state = best
     return EvaluationResult(
         contingency_id=k.id, penalty=best_pen,
-        point=_point(lay, slacks, lay.unpack(x), state.delta), compl=state,
+        point=_point(lay, slacks, lay.unpack(x)), compl=state,
         method="fast", status=status,
     )
 
@@ -409,7 +411,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     if start is not None:
         # the warm-start point is itself a feasible candidate; registering it
         # makes the returned penalty never worse than the seed's
-        seeded, pen = reprice(net, start.state, k.outaged, start.delta)
+        seeded, pen = reprice(net, start.state, k.outaged)
         best = (pen, seeded, state.copy())
     for round_no in range(FULL_MAX_ROUNDS):
         if budget.exhausted():
@@ -423,13 +425,13 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         if sol.status == "numerical_failure" or not np.all(np.isfinite(sol.x)):
             break
 
-        point = prob.meta.extract_ctg(sol.x, k.id)
+        point, delta = prob.meta.extract_ctg(sol.x, k.id)
         # explicit penalty: price the minimal slacks of the solved state, never
         # the solver-reported objective
-        repriced, pen = reprice(net, point.state, k.outaged, point.delta)
+        repriced, pen = reprice(net, point.state, k.outaged)
 
         state_now = state.copy()
-        state_now.delta = repriced.delta
+        state_now.delta = delta
         if best is None or pen < best[0] - 1e-15:
             best = (pen, repriced, state_now)
 

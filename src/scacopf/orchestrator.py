@@ -141,15 +141,15 @@ def flat_start(net: Network) -> OperatingPoint:
 
 
 class _RunLog:
-    """JSON-lines event log; deterministic mode stamps events with a counter
-    instead of the wall clock."""
+    """JSON-lines event log, each event appended to the file as it is
+    emitted (with no path, dropped); deterministic mode stamps events with a
+    counter instead of the wall clock."""
 
     def __init__(self, path, deterministic=False):
         self.path = path
         self.deterministic = deterministic
         self.t0 = time.monotonic()
         self.counter = 0
-        self.events = []
         if path:
             with open(path, "w"):
                 pass
@@ -159,7 +159,6 @@ class _RunLog:
         stamp = (self.counter if self.deterministic
                  else round(time.monotonic() - self.t0, 6))
         record = {"event": event, "t": stamp, **fields}
-        self.events.append(record)
         if self.path:
             with open(self.path, "a") as fh:
                 fh.write(json.dumps(record) + "\n")
@@ -354,9 +353,9 @@ def run_code1(net: Network, cfg: RunConfig,
             break
         base_point = mprob.meta.extract_base(msol.x)
         for c in included:
-            point = mprob.meta.extract_ctg(msol.x, c)
+            point, delta = mprob.meta.extract_ctg(msol.x, c)
             compl = latest[c].compl.copy()
-            compl.delta = point.delta
+            compl.delta = delta
             latest[c] = replace(latest[c], point=point, compl=compl)
         objective, penalty = _reprice_base(net_p, base_point)
         log.emit("master-solved", objective=objective, penalty=penalty,

@@ -45,38 +45,26 @@ DELTA_MAX = 1e3
 
 @dataclass
 class OperatingPoint:
-    """A flow state plus the slack bundles of one case (base or contingency).
+    """A flow state plus the slacks of one case (base or contingency).
 
-    Slack arrays are indexed in network order; entries for an outaged branch
-    are zero.  `delta` is the response perturbation of a contingency point.
+    `slacks` has length 4 nb + nbr: the P+, P-, Q+ and Q- balance slacks per
+    bus, then one rating slack per branch in network order, 0 for an outaged
+    branch and for one whose rating row a block skips (`CaseLayout.slack_pos`
+    places `_slacks`' entries).  A contingency point's response perturbation
+    is its segment state's `delta`.
     """
 
     state: FlowState
-    sig_p_plus: np.ndarray
-    sig_p_minus: np.ndarray
-    sig_q_plus: np.ndarray
-    sig_q_minus: np.ndarray
-    sig_s: np.ndarray
-    delta: float = 0.0
+    slacks: np.ndarray
 
     def copy(self):
-        return OperatingPoint(
-            state=self.state.copy(),
-            sig_p_plus=self.sig_p_plus.copy(),
-            sig_p_minus=self.sig_p_minus.copy(),
-            sig_q_plus=self.sig_q_plus.copy(),
-            sig_q_minus=self.sig_q_minus.copy(),
-            sig_s=self.sig_s.copy(),
-            delta=self.delta,
-        )
+        return OperatingPoint(self.state.copy(), self.slacks.copy())
 
     def slack_vector(self):
         """All slacks in canonical order: bus P, bus Q, line, transformer."""
-        return np.concatenate([
-            self.sig_p_plus + self.sig_p_minus,
-            self.sig_q_plus + self.sig_q_minus,
-            self.sig_s,
-        ])
+        nb4 = 4 * len(self.state.v)
+        p_plus, p_minus, q_plus, q_minus = self.slacks[:nb4].reshape(4, -1)
+        return np.concatenate((p_plus + p_minus, q_plus + q_minus, self.slacks[nb4:]))
 
 
 # --- piecewise-linear functions ----------------------------------------------
@@ -137,10 +125,9 @@ def penalty_cost(cfg: PenaltyConfig, slack_total):
 
 
 def point_penalty(net: Network, point: OperatingPoint, outaged=None):
-    """Explicit penalty of an operating point: sum over all its slacks."""
-    return _slack_penalty(net, np.concatenate((
-        point.sig_p_plus, point.sig_p_minus, point.sig_q_plus, point.sig_q_minus,
-        point.sig_s[CaseLayout.of(net, outaged).svc])))
+    """Explicit penalty of an operating point: sum over its slacks, gathered
+    into `_slacks`' order (the outaged branch's 0 left out)."""
+    return _slack_penalty(net, point.slacks[CaseLayout.of(net, outaged).slack_pos])
 
 
 def _slack_penalty(net: Network, slacks):
@@ -150,19 +137,21 @@ def _slack_penalty(net: Network, slacks):
 
 def _slacks(lay: CaseLayout, x):
     """The slacks that exactly absorb layout vector x's residuals, the unique
-    minimal-slack assignment: sig_p_plus, sig_p_minus, sig_q_plus and sig_q_minus
-    per bus, then sig_s per in-service branch.  x's flows are trusted as given."""
+    minimal-slack assignment: the P+, P-, Q+ and Q- balance slacks per bus,
+    then the rating slack per in-service branch, at `lay.slack_pos`
+    of an `OperatingPoint`'s slacks.  x's flows are trusted as given."""
     p, q = lay.balance(x).reshape(2, -1)
     lhs, rhs = lay.ratings(x)
     over = np.sqrt(lhs) - rhs
     return np.maximum(0.0, np.concatenate((-p, p, -q, q, np.maximum(over[:, 0], over[:, 1]))))
 
 
-def _point(lay: CaseLayout, slacks, state: FlowState, delta):
-    """The operating point of `state` with `_slacks`' array `slacks`."""
-    sig_s = np.zeros(lay.nbr)
-    sig_s[lay.svc] = slacks[4 * lay.nb:]
-    return OperatingPoint(state, *slacks[:4 * lay.nb].reshape(4, -1).copy(), sig_s, delta)
+def _point(lay: CaseLayout, slacks, state: FlowState):
+    """The operating point of `state` with `_slacks`' array `slacks`,
+    scattered to `lay.slack_pos`."""
+    full = np.zeros(4 * lay.nb + lay.nbr)
+    full[lay.slack_pos] = slacks
+    return OperatingPoint(state, full)
 
 
 class _SegmentPlan:
@@ -241,10 +230,10 @@ def project_response(state, net: Network, k, base: OperatingPoint, raw):
     `CaseLayout` into segment state `state` at base point `base`."""
     lay = CaseLayout.of(net, k.outaged)
     x, slacks = _projection(lay, state, base.state.p_gen, raw)
-    return _point(lay, slacks, lay.unpack(x), state.delta)
+    return _point(lay, slacks, lay.unpack(x))
 
 
-def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
+def slacks_from_state(net: Network, state: FlowState, outaged=None):
     """Operating point whose slacks exactly absorb the state's residuals.
 
     This is the unique minimal-slack assignment making the point feasible;
@@ -252,7 +241,7 @@ def slacks_from_state(net: Network, state: FlowState, outaged=None, delta=0.0):
     ``outaged is None`` and the contingency set otherwise.
     """
     lay = CaseLayout.of(net, outaged)
-    return _point(lay, _slacks(lay, lay.pack(state)), state.copy(), delta)
+    return _point(lay, _slacks(lay, lay.pack(state)), state.copy())
 
 
 def flows_from_state(net: Network, state: FlowState, outaged=None):
@@ -260,11 +249,12 @@ def flows_from_state(net: Network, state: FlowState, outaged=None):
     return reprice(net, state, outaged)[0].state
 
 
-def reprice(net: Network, state: FlowState, outaged=None, delta=0.0):
+def reprice(net: Network, state: FlowState, outaged=None):
     """(point, penalty): `state` with its flows recomputed from the voltages
     and the minimal slacks that absorb its residuals (`slacks_from_state`),
     and their penalty (`point_penalty`), from one packed vector and one
-    slack array.  The point keeps every other entry of `state`."""
+    `_slacks` array, priced before `_point` scatters it.  The point keeps
+    every other entry of `state`."""
     lay = CaseLayout.of(net, outaged)
     x = lay.pack(state)
     x[lay.fl0:] = lay.flow_values(x).ravel()
@@ -272,7 +262,7 @@ def reprice(net: Network, state: FlowState, outaged=None, delta=0.0):
     out = state.copy()
     out.flows[:] = 0.0
     out.flows[lay.svc] = lay.flow_vars(x)
-    return _point(lay, slacks, out, delta), _slack_penalty(net, slacks)
+    return _point(lay, slacks, out), _slack_penalty(net, slacks)
 
 
 def default_start(net: Network):
@@ -330,6 +320,8 @@ class _Block:
         self.sQp0, self.sQm0 = o + 2 * nb, o + 3 * nb
         self.sS0 = o + 4 * nb
         self.n_slacks = 4 * nb + nr
+        # positions of the slack columns in an `OperatingPoint`'s slacks
+        self._slack_pos = np.concatenate((np.arange(4 * nb), 4 * nb + lay.svc[self.rated_j]))
         self.pen0 = self.sS0 + nr
         pen, costs = _curves(net)
         self.cost_gens = np.array([gi for gi in lay.gens if costs[gi] is not None]
@@ -422,27 +414,14 @@ class _Block:
         return c
 
     def point_of(self, xb):
-        nb = self.layout.nb
-        sig_s = np.zeros(self.layout.nbr)
-        sig_s[self.layout.svc[self.rated_j]] = xb[self.sS0:self.pen0]
-        return OperatingPoint(
-            state=self.layout.unpack(xb),
-            sig_p_plus=xb[self.sPp0:self.sPp0 + nb].copy(),
-            sig_p_minus=xb[self.sPm0:self.sPm0 + nb].copy(),
-            sig_q_plus=xb[self.sQp0:self.sQp0 + nb].copy(),
-            sig_q_minus=xb[self.sQm0:self.sQm0 + nb].copy(),
-            sig_s=sig_s,
-        )
+        slacks = np.zeros(4 * self.layout.nb + self.layout.nbr)
+        slacks[self._slack_pos] = xb[self.sPp0:self.pen0]
+        return OperatingPoint(self.layout.unpack(xb), slacks)
 
     def inject(self, point: OperatingPoint):
         xb = np.zeros(self.nvar)
         xb[:self.sPp0] = self.layout.pack(point.state)
-        nb = self.layout.nb
-        xb[self.sPp0:self.sPp0 + nb] = point.sig_p_plus
-        xb[self.sPm0:self.sPm0 + nb] = point.sig_p_minus
-        xb[self.sQp0:self.sQp0 + nb] = point.sig_q_plus
-        xb[self.sQm0:self.sQm0 + nb] = point.sig_q_minus
-        xb[self.sS0:self.pen0] = point.sig_s[self.layout.svc[self.rated_j]]
+        xb[self.sPp0:self.pen0] = point.slacks[self._slack_pos]
         xb[self.pen0:self.cost0] = self._pen.of_slacks(xb[self.sPp0:self.pen0])
         for j, (gi, curve) in enumerate(zip(self.cost_gens, self._costs)):
             xb[self.cost0 + j] = curve.value(point.state.p_gen[gi])
@@ -512,10 +491,10 @@ class CaseStructure:
         return self.base_block.point_of(x[self.base_off:self.base_off + self.base_block.nvar])
 
     def extract_ctg(self, x, ctg_id):
+        """(point, delta): contingency ctg_id's operating point in solution
+        x and its response perturbation, the value of its delta column."""
         block, off = self.ctg_blocks[ctg_id]
-        point = block.point_of(x[off:off + block.nvar])
-        point.delta = float(x[self.delta_cols[ctg_id]])
-        return point
+        return block.point_of(x[off:off + block.nvar]), float(x[self.delta_cols[ctg_id]])
 
     def segment_evidence(self, solution, ctg_id):
         """For contingency ctg_id's active and then reactive family: (member

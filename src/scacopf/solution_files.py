@@ -146,4 +146,4 @@ def load_contingency_solution(path, net):
     data, (k, state, st) = _load(
         path, {"contingency": str, "delta_k": _NUMBER, "segments": dict,
                "bus": dict, "gen": dict}, parse)
-    return reprice(net, state, k.outaged, st.delta)[0], st, data
+    return reprice(net, state, k.outaged)[0], st, data

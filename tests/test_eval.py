@@ -71,10 +71,9 @@ def test_full_not_worse_than_initial_segment_nlp(solved5):
             st = compl.init_default(net, k)
         prob = scopf.build_contingency_problem(net, k, base, st)
         sol = nlp.solve_nlp(prob, tol=1e-8)
-        point = prob.meta.extract_ctg(sol.x, k.id)
+        point, _ = prob.meta.extract_ctg(sol.x, k.id)
         repriced = scopf.slacks_from_state(
-            net, scopf.flows_from_state(net, point.state, k.outaged),
-            k.outaged, delta=point.delta)
+            net, scopf.flows_from_state(net, point.state, k.outaged), k.outaged)
         init_pen = scopf.point_penalty(net, repriced, k.outaged)
         full = ev.full_evaluate(net, k, base)
         assert full.penalty <= init_pen + 1e-9
@@ -90,12 +89,10 @@ def test_penalty_is_explicit_and_slack_consistent(solved5):
                 scopf.point_penalty(net, res.point, k.outaged), abs=1e-12)
             # slacks absorb balance residuals exactly
             bal = balance_residuals(net, res.point.state, k.outaged)
-            np.testing.assert_allclose(
-                bal.p_resid + res.point.sig_p_plus - res.point.sig_p_minus,
-                0.0, atol=1e-8)
-            np.testing.assert_allclose(
-                bal.q_resid + res.point.sig_q_plus - res.point.sig_q_minus,
-                0.0, atol=1e-8)
+            p_plus, p_minus, q_plus, q_minus = \
+                res.point.slacks[:4 * len(net.buses)].reshape(4, -1)
+            np.testing.assert_allclose(bal.p_resid + p_plus - p_minus, 0.0, atol=1e-8)
+            np.testing.assert_allclose(bal.q_resid + q_plus - q_minus, 0.0, atol=1e-8)
             assert res.penalty >= 0.0
 
 
@@ -186,8 +183,8 @@ def test_fast_loop_stops_when_a_round_keeps_its_segments(base30, monkeypatch):
         for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
             assert getattr(res.point.state, name).tobytes() == \
                 getattr(other.point.state, name).tobytes(), (kid, name)
-        assert res.point.slack_vector().tobytes() == other.point.slack_vector().tobytes()
-        assert res.point.delta == other.point.delta
+        assert res.point.slacks.tobytes() == other.point.slacks.tobytes()
+        assert res.compl.delta == other.compl.delta
 
 
 @pytest.mark.parametrize("n_bus", [14, 30])
@@ -201,9 +198,7 @@ def test_fast_results_are_priced_exactly(n_bus, base30):
             assert scopf.point_penalty(net, res.point, k.outaged) == res.penalty
             want = scopf.slacks_from_state(
                 net, scopf.flows_from_state(net, res.point.state, k.outaged), k.outaged)
-            for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus", "sig_q_minus", "sig_s"):
-                assert getattr(res.point, name).tobytes() == getattr(want, name).tobytes(), \
-                    (k.id, cutoff, name)
+            assert res.point.slacks.tobytes() == want.slacks.tobytes(), (k.id, cutoff)
 
 
 def test_fast_newton_failure_falls_back(solved5, monkeypatch):
@@ -488,9 +483,7 @@ def test_square_system_raw_point_flows_are_defined(ctg_id):
     want = compl.project_response(state, net, k, base, defined)
     for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
         assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes(), name
-    for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus", "sig_q_minus", "sig_s"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.delta == want.delta
+    assert got.slacks.tobytes() == want.slacks.tobytes()
 
 
 def assert_solves_the_full_system(net, k, base, state, w):
@@ -690,6 +683,47 @@ def test_full_evaluations_on_14_buses_are_optimal():
     assert all(kkt_error <= 1e-8 for _, _, kkt_error, *_ in rounds)
 
 
+def full_rounds(net, k, base, monkeypatch, **kw):
+    """`full_evaluate` of k, and per NLP round its repriced penalty, delta
+    column and point."""
+    real_solve, rounds = ev.solve_nlp, []
+
+    def solve(prob, **solve_kw):
+        sol = real_solve(prob, **solve_kw)
+        point, delta = prob.meta.extract_ctg(sol.x, k.id)
+        rounds.append((scopf.reprice(net, point.state, k.outaged)[1], delta, point))
+        return sol
+
+    monkeypatch.setattr(ev, "solve_nlp", solve)
+    return ev.full_evaluate(net, k, base, deterministic=True, **kw), rounds
+
+
+def test_full_delta_is_the_best_rounds_delta_column(base30, monkeypatch):
+    # the result's delta is the delta column of the round that gave its
+    # point: on 30 buses KL13's second round beats its first
+    net, base = base30
+    res, rounds = full_rounds(net, net.contingency("KL13"), base, monkeypatch)
+    assert len(rounds) == 2 and rounds[1][0] < rounds[0][0]
+    pen, delta, point = rounds[1]
+    assert rounds[0][1] != delta
+    assert (res.penalty, res.compl.delta) == (pen, delta)
+    assert res.point.state.v.tobytes() == point.state.v.tobytes()
+
+
+def test_seeded_full_evaluation_without_improvement_returns_the_seed(monkeypatch):
+    # reseeded with its own result, KG1 on 14 buses solves one round that
+    # prices above the seed: the seed's point, segments and delta come back
+    net, base = generated_base(14)
+    k = net.contingency("KG1")
+    seed = ev.full_evaluate(net, k, base, deterministic=True)
+    res, rounds = full_rounds(net, k, base, monkeypatch,
+                              init_compl=seed.compl, start=seed.point)
+    assert rounds and all(pen > seed.penalty for pen, _, _ in rounds)
+    assert rounds[0][1] != seed.compl.delta
+    assert (res.penalty, res.compl) == (seed.penalty, seed.compl)
+    assert res.point.slacks.tobytes() == seed.point.slacks.tobytes()
+
+
 def test_full_evaluation_on_60_buses_is_optimal():
     net, base = generated_base(60)
     res = ev.full_evaluate(net, net.contingency("KG4"), base, time_limit=10,
@@ -723,8 +757,7 @@ def assert_same_result(a, b):
     for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
         np.testing.assert_array_equal(getattr(a.point.state, name),
                                       getattr(b.point.state, name))
-    np.testing.assert_array_equal(a.point.slack_vector(), b.point.slack_vector())
-    assert a.point.delta == b.point.delta
+    np.testing.assert_array_equal(a.point.slacks, b.point.slacks)
 
 
 def segment_plans(net, outaged):

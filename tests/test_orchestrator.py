@@ -77,8 +77,7 @@ def test_base_solution_round_trip(tmp_path, net5):
     # slacks (and flows) are recomputed from the stored state, not stored
     from scacopf.scopf import flows_from_state
     ref = slacks_from_state(net5, flows_from_state(net5, point.state))
-    np.testing.assert_allclose(loaded.sig_p_plus, ref.sig_p_plus, atol=1e-12)
-    np.testing.assert_allclose(loaded.sig_s, ref.sig_s, atol=1e-12)
+    np.testing.assert_allclose(loaded.slacks, ref.slacks, atol=1e-12)
 
 
 def test_atomic_write_replaces(tmp_path):
@@ -335,13 +334,15 @@ def _failing_base_solves(monkeypatch, fail, **forced):
     return starts
 
 
-def test_solve_base_retries_from_a_perturbed_start(net5, monkeypatch):
+def test_solve_base_retries_from_a_perturbed_start(net5, monkeypatch, tmp_path):
     starts = _failing_base_solves(monkeypatch, 1, status="numerical_failure")
-    log = orch._RunLog(None)
-    net, _, point, objective, penalty = orch.solve_base(net5, log=log, seed=3)
-    assert [e["event"] for e in log.events] == [
+    path = tmp_path / "log.jsonl"
+    net, _, point, objective, penalty = orch.solve_base(
+        net5, log=orch._RunLog(str(path)), seed=3)
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [e["event"] for e in events] == [
         "preprocessed", "base-solve-retry", "base-solved"]
-    assert log.events[1]["status"] == "numerical_failure"
+    assert events[1]["status"] == "numerical_failure"
     flat, perturbed = starts
     np.testing.assert_array_equal(flat, flat_start(net).state.v)
     assert not np.array_equal(perturbed, flat)

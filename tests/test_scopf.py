@@ -1,12 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from scacopf import compl, nlp, scopf
 from scacopf.acpf import CaseLayout
-from scacopf.case_model import PenaltyConfig, preprocess
+from scacopf.case_model import Contingency, PenaltyConfig, preprocess
 from scacopf.nlp import solve_nlp
-from conftest import five_bus_net, make_gen, two_bus_net
+from conftest import five_bus_net, make_bus, make_gen, make_line, two_bus_net
 
 
 def test_generation_cost_single_segment():
@@ -52,9 +54,9 @@ def test_total_score_examples(net5):
         scopf.total_score(net5, base, {"CG2": 1.0})
 
 
-@pytest.mark.parametrize("outaged, delta", [(None, 0.0), ("G2", 0.3), ("L2", -0.2)],
+@pytest.mark.parametrize("outaged", [None, "G2", "L2"],
                          ids=["base", "generator-outage", "line-outage"])
-def test_reprice_equals_the_composition_it_replaces(net5, outaged, delta):
+def test_reprice_equals_the_composition_it_replaces(net5, outaged):
     # flows recomputed from the voltages, then the minimal slacks and their
     # penalty, bit for bit; the state keeps its own entries, the outaged
     # generator's output among them
@@ -68,15 +70,13 @@ def test_reprice_equals_the_composition_it_replaces(net5, outaged, delta):
     flowed = state.copy()
     flowed.flows[:] = 0.0
     flowed.flows[lay.svc] = lay.flow_values(lay.pack(state))
-    want = scopf.slacks_from_state(net5, flowed, outaged, delta=delta)
-    point, pen = scopf.reprice(net5, state, outaged, delta)
+    want = scopf.slacks_from_state(net5, flowed, outaged)
+    point, pen = scopf.reprice(net5, state, outaged)
     assert pen == scopf.point_penalty(net5, want, outaged) > 0.0
-    assert point.delta == want.delta == delta
     for name in ("v", "theta", "bcs", "p_gen", "q_gen", "flows"):
         np.testing.assert_array_equal(getattr(point.state, name),
                                       getattr(want.state, name))
-    for name in ("sig_p_plus", "sig_p_minus", "sig_q_plus", "sig_q_minus", "sig_s"):
-        np.testing.assert_array_equal(getattr(point, name), getattr(want, name))
+    np.testing.assert_array_equal(point.slacks, want.slacks)
 
 
 def test_total_score_no_contingencies(net2):
@@ -132,7 +132,37 @@ def test_point_roundtrip(net5, rng):
     back = block.point_of(x)
     np.testing.assert_allclose(back.state.v, point.state.v)
     np.testing.assert_allclose(back.state.p_gen, point.state.p_gen)
-    np.testing.assert_allclose(back.sig_s, point.sig_s)
+    np.testing.assert_allclose(back.slacks, point.slacks)
+
+
+def test_point_roundtrip_with_an_outage_and_a_skipped_rating(rng):
+    # LA and LB are parallel, so with L3 out the block skips LB's rating
+    # row: a block point reads 0 for both, and round trips byte for byte.
+    # L3 sits between them, so each rating slack's position is shifted;
+    # every in-service line is over its tiny rating
+    line = functools.partial(make_line, r_max_ctg=0.01)
+    net, report = preprocess(two_bus_net(
+        buses=(make_bus("B1"), make_bus("B2", p_load=0.8, q_load=0.2),
+               make_bus("B3", p_load=0.3)),
+        lines=(line("LA", "B1", "B2"), line("L3", "B2", "B3"),
+               line("LB", "B1", "B2"), line("L4", "B1", "B3")),
+        contingencies=(Contingency("KL3", "line-outage", "L3", ("G1",)),)))
+    assert report.skip_rating_ids("L3") == {"LB"}
+    block = scopf._Block(net, outaged="L3", skip_rating={"LB"})
+    state = scopf.default_start(net).state
+    state.v += rng.uniform(-0.05, 0.05, 3)
+    nb4 = 4 * 3
+    slacks = rng.uniform(0.1, 1.0, nb4 + 4)
+    back = block.point_of(block.inject(scopf.OperatingPoint(state, slacks)))
+    want = slacks.copy()
+    want[nb4 + 1:nb4 + 3] = 0.0  # L3, then LB
+    assert back.slacks.tobytes() == want.tobytes()
+    assert block.point_of(block.inject(back)).slacks.tobytes() == want.tobytes()
+    # pricing gathers the same entries that reprice priced, bit for bit;
+    # the rating slacks sit in network order
+    repriced, pen = scopf.reprice(net, state, "L3")
+    assert np.flatnonzero(repriced.slacks[nb4:]).tolist() == [0, 2, 3]
+    assert scopf.point_penalty(net, repriced, "L3") == pen > 0.0
 
 
 # --- derivative checks on built problems -------------------------------------
@@ -304,7 +334,7 @@ def test_contingency_solve_and_signals(net5):
     prob = scopf.build_contingency_problem(net5, k, base, state)
     sol = solve_nlp(prob, tol=1e-8, max_iter=400)
     assert sol.status == nlp.OPTIMAL
-    point = prob.meta.extract_ctg(sol.x, "CG2")
+    point, _ = prob.meta.extract_ctg(sol.x, "CG2")
     assert sol.objective == pytest.approx(scopf.point_penalty(net5, point, "G2"),
                                           abs=1e-7)
     evidence = prob.meta.segment_evidence(sol, "CG2")

@@ -141,12 +141,8 @@ def test_resort_unknown_id_raises():
 def test_summarize_point_uses_canonical_slack_order(net5):
     from scacopf import scopf
     point = scopf.default_start(net5)
-    point.sig_p_plus[:] = 0.0
-    point.sig_p_minus[:] = 0.0
-    point.sig_q_plus[:] = 0.0
-    point.sig_q_minus[:] = 0.0
-    point.sig_s[:] = 0.0
-    point.sig_q_plus[2] = 0.7  # bus Q block follows the bus P block
+    point.slacks[:] = 0.0
+    point.slacks[2 * len(net5.buses) + 2] = 0.7  # Q+ at bus 2: bus Q follows bus P
     s = summarize_point(point, "K", "b1")
     nb = len(net5.buses)
     assert s.argmax == nb + 2
