@@ -23,7 +23,7 @@ import numpy as np
 
 from .acpf import CaseLayout
 from .scopf import (DELTA_MAX, LOWER, MIDDLE, UPPER, OperatingPoint,
-                    _SegmentPlan, project_response)
+                    _clip, _SegmentPlan, project_response)
 
 __all__ = [
     "ComplementarityState",
@@ -86,12 +86,21 @@ def init_generator_outage(net, k, base: OperatingPoint):
     plan = _SegmentPlan.of(CaseLayout.of(net, k.outaged), state)
     p, alpha = base.state.p_gen[plan.resp], plan.alpha
     p_min, p_max = plan.p_box
-    with np.errstate(divide="ignore", invalid="ignore"):
-        brk = np.concatenate(((p_min - p) / alpha, (p_max - p) / alpha))
-    grid = np.unique(np.concatenate(
-        ([0.0, DELTA_MAX], brk[(brk > 0.0) & (brk < DELTA_MAX)])))
-    got = (np.clip(p + alpha * grid[:, None], p_min, p_max) - p).sum(axis=1)
-    j = int(np.searchsorted(got, target))  # the first breakpoint reaching it
+    # 0, DELTA_MAX and the breakpoints between them, in plain floats: a few
+    # responders' worth, where np.unique's per-call cost is most of the time
+    # (alpha >= 0, and a responder of alpha 0 has no breakpoint)
+    grid = [0.0, DELTA_MAX]
+    for a, lo, hi in zip(alpha.tolist(), (p_min - p).tolist(), (p_max - p).tolist()):
+        if a != 0.0:
+            lo /= a
+            hi /= a
+            if 0.0 < lo < DELTA_MAX:
+                grid.append(lo)
+            if 0.0 < hi < DELTA_MAX:
+                grid.append(hi)
+    grid = np.array(sorted(set(grid)))
+    got = (_clip(p + alpha * grid[:, None], p_min, p_max) - p).sum(axis=1)
+    j = int(got.searchsorted(target))  # the first breakpoint reaching it
     if j == len(grid):
         state.delta = DELTA_MAX
     elif j == 0:

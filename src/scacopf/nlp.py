@@ -45,7 +45,7 @@ for values after that (Waechter & Biegler 2006).  So the KKT matrix has one
 pattern per solve: `_Kkt` compiles the quasi-definite pattern from the raw
 entries once, and K's on its first use, and fills each attempt's values
 with one `np.bincount`.  J'y and J_I dx are `np.bincount`s on the raw
-entries too, so no scipy.sparse matrix is built per iteration.
+entries too, so no scipy.sparse matrix is built per iteration or attempt.
 
 The interior point keeps one bound set: the inequality slacks' lower bounds
 (0), then x's finite lower bounds, then its finite upper ones.  A bound's
@@ -67,8 +67,21 @@ panel size the two settings take 20-40 % off each LU, on a 2-core x86 host:
 48 against 62 us for an 80-row screening Jacobian and 24-27 against 29-35 ms
 for a 300-bus base KKT matrix.
 
-A SuperLU call also pays a fixed cost of about 30 us whatever the matrix,
-so a square Jacobian of at most `DENSE_LU_MAX` = 150 rows (the fast
+Every sparse LU and product works on the pattern's compiled CSC arrays
+(`indices`, `indptr`, and the values' `np.bincount`), held by a
+`_CscMatrix`, and no scipy matrix is built: `_splu` makes one call of
+SuperLU's `gstrf` per LU, with the options `scipy.sparse.linalg.splu`
+builds for the same arguments (SymmetricMode for every NATURAL call), and
+takes its factors back as raw arrays, so the inertia test reads U's diagonal
+in O(n) (`_u_diagonal`), without the scipy copies of both factors that
+`U.diagonal()` would build; refinement and GMRES products call scipy's own
+CSC kernel.  Both are private scipy entry points, verified on scipy 1.17.1:
+`scipy.sparse.linalg._dsolve._superlu.gstrf` and
+`scipy.sparse._sparsetools.csc_matvec`.
+
+A SuperLU call pays a fixed cost of about 12 us whatever the matrix (a
+5 x 5 diagonal one on the 2-core host; about 15 us through `splu`), so a
+square Jacobian of at most `DENSE_LU_MAX` = 150 rows (the fast
 evaluation's Newton systems up to about 90 buses; `eval._SquareStructure`
 makes the choice) is factored by a `_DenseLuPattern` instead: one
 `np.bincount` into an n x n array and LAPACK getrf, solved with getrs.  The
@@ -79,7 +92,6 @@ slower from 168 rows on (see `DENSE_LU_MAX`).
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from collections import Counter
@@ -88,9 +100,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
+from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
+from scipy.sparse.linalg._dsolve._superlu import gstrf as _gstrf
 
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
@@ -161,7 +173,7 @@ class _LuPattern:
     """Fixed sparsity pattern of a square CSC matrix that is factored by a
     sparse LU again and again: raw (row, col) entries, repeats allowed,
     compiled once to canonical CSC index arrays, onto which `matrix` sums the
-    raw values.
+    raw values with one `np.bincount`.
 
     The kind of LU picks its fill-reducing ordering (a SuperLU
     `permc_spec`): a `symmetric` (quasi-definite) matrix is ordered by MMD
@@ -173,9 +185,9 @@ class _LuPattern:
     order.  So an LU depends on the pattern and the values alone, not on the
     values it was first ordered for.
 
-    The index arrays are validated once, by the matrix built at compile
-    time; every `matrix` is a shallow copy of it with data of its own, so it
-    shares them read-only."""
+    The index arrays are canonical by construction (sorted rows, no
+    repeats), so no matrix built on them is checked again: `matrix` is a
+    `_CscMatrix` that shares them read-only."""
 
     def __init__(self, rows, cols, n, symmetric=False):
         self.n, self.symmetric = n, symmetric
@@ -190,13 +202,10 @@ class _LuPattern:
         self.indices = (uniq % n).astype(np.int32)
         self.indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int32)
         self.indices.flags.writeable = self.indptr.flags.writeable = False
-        self._empty = sparse.csc_matrix(
-            (np.zeros(len(self.indices)), self.indices, self.indptr), shape=(n, n))
 
     def matrix(self, vals):
-        out = copy.copy(self._empty)
-        out.data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
-        return out
+        data = np.bincount(self.slot, weights=vals, minlength=len(self.indices))
+        return _CscMatrix(data, self.indices, self.indptr)
 
     def lu(self, vals):
         """(A, lu, pos) for raw values vals: `lu` factors the matrix A, whose
@@ -217,6 +226,23 @@ class _LuPattern:
             self._compile(self.pos[rows] if self.symmetric else rows, self.pos[cols])
         A = self.matrix(vals)
         return A, _splu(A, "NATURAL", self.symmetric), self.pos
+
+
+class _CscMatrix:
+    """A square matrix as the CSC arrays (data, indices, indptr) that
+    SuperLU factors, with its product A @ x by scipy's own CSC kernel, the
+    one that a scipy matrix's `@` calls."""
+
+    __slots__ = ("data", "indices", "indptr")
+
+    def __init__(self, data, indices, indptr):
+        self.data, self.indices, self.indptr = data, indices, indptr
+
+    def __matmul__(self, x):
+        n = len(self.indptr) - 1
+        out = np.zeros(n)
+        _csc_matvec(n, n, self.indptr, self.indices, self.data, x, out)
+        return out
 
 
 # the most rows of a square Jacobian that `eval._SquareStructure` factors
@@ -266,15 +292,38 @@ class _DenseLu:
 
 
 def _splu(A, permc_spec, symmetric=False):
-    """A sparse LU of the CSC matrix A, or None if A is exactly singular;
-    `symmetric` takes diagonal pivots only.  Supernodes are not relaxed and
-    panels are one column wide (see the module docstring)."""
-    opts = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True}) \
-        if symmetric else {}
+    """A SuperLU factorization of the `_CscMatrix` A, or None if A is exactly
+    singular; `symmetric` takes diagonal pivots only.  Supernodes are not
+    relaxed and panels are one column wide (see the module docstring).  The
+    options are the ones `scipy.sparse.linalg.splu` builds for these
+    arguments, SymmetricMode included for a NATURAL ordering, less its
+    `DiagPivotThresh=None`, which keeps SuperLU's default; the factors' `L`
+    and `U` are the raw (data, indices, indptr) arrays."""
+    options = dict(ColPerm=permc_spec, PanelSize=1, Relax=1)
+    if symmetric:
+        options["DiagPivotThresh"] = 0.0
+    if symmetric or permc_spec == "NATURAL":
+        options["SymmetricMode"] = True
     try:
-        return splu(A, permc_spec=permc_spec, relax=1, panel_size=1, **opts)
+        return _gstrf(len(A.indptr) - 1, len(A.data), A.data, A.indices, A.indptr,
+                      csc_construct_func=_csc_arrays, ilu=False, options=options)
     except RuntimeError:
         return None
+
+
+def _csc_arrays(arrays, shape):
+    """SuperLU's `csc_construct_func`: a factor as its raw arrays."""
+    return arrays
+
+
+def _u_diagonal(lu):
+    """The diagonal of a SuperLU factorization's U, each column's last stored
+    entry; raises if any column does not end on its diagonal."""
+    data, indices, indptr = lu.U
+    last = indptr[1:] - 1
+    if not np.array_equal(indices[last], np.arange(len(last))):
+        raise RuntimeError("a column of SuperLU's U does not end on its diagonal")
+    return data[last]
 
 
 class _Kkt:
@@ -344,7 +393,7 @@ class _Kkt:
         that the LU could not factor with diagonal pivots."""
         _, lu, pos = self._factor(self.Q, self.values(h, w_diag, j, d))
         ok = lu is not None and bool(np.array_equal(lu.perm_r, lu.perm_c)) \
-            and np.count_nonzero(lu.U.diagonal() < 0.0) == self.m
+            and np.count_nonzero(_u_diagonal(lu) < 0.0) == self.m
         return lu, pos, ok
 
     def factor(self, h, w_diag, j, d, d_test):

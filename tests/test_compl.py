@@ -402,3 +402,72 @@ def test_project_response_equals_loop_reference(net5, rng):
                                               getattr(want.state, name))
             np.testing.assert_array_equal(got.slacks, want.slacks)
     assert drawn == {"active": set(segs), "reactive": set(segs)}
+
+
+def reference_generator_outage(net, k, base):
+    """`init_generator_outage` as it was written with np.errstate, np.unique
+    and np.clip over arrays, the reference its trimmed form must match bit
+    for bit."""
+    state = init_default(net, k)
+    target = compl.LOSS_UPLIFT * base.state.p_gen[net.gen_index(k.outaged)]
+    if target <= 0.0 or not state.active:
+        return state
+    plan = scopf._SegmentPlan.of(CaseLayout.of(net, k.outaged), state)
+    p, alpha = base.state.p_gen[plan.resp], plan.alpha
+    p_min, p_max = plan.p_box
+    with np.errstate(divide="ignore", invalid="ignore"):
+        brk = np.concatenate(((p_min - p) / alpha, (p_max - p) / alpha))
+    grid = np.unique(np.concatenate(
+        ([0.0, compl.DELTA_MAX], brk[(brk > 0.0) & (brk < compl.DELTA_MAX)])))
+    got = (np.clip(p + alpha * grid[:, None], p_min, p_max) - p).sum(axis=1)
+    j = int(np.searchsorted(got, target))
+    if j == len(grid):
+        state.delta = compl.DELTA_MAX
+    elif j == 0:
+        state.delta = 0.0
+    else:
+        share = (got[j] - target) / (got[j] - got[j - 1])
+        state.delta = float(max(grid[j - 1], grid[j] - share * (grid[j] - grid[j - 1])))
+    desired = p + alpha * state.delta
+    for g, above, below in zip(plan.p_ids, desired > p_max, desired < p_min):
+        if above:
+            state.active[g] = UPPER
+        elif below:
+            state.active[g] = LOWER
+    return state
+
+
+def test_generator_outage_response_equals_the_array_reference():
+    # delta and the segments equal the reference's, bit for bit, on every
+    # generator outage of gen-case 14 and 30 and of a 14-bus variant with
+    # unequal alphas, some 0: from the default start, random dispatches,
+    # every generator at a bound, one breakpoint shared by all, and every
+    # other generator below its box (which a small delta leaves LOWER)
+    from dataclasses import replace
+    from scacopf.cli import generate_case
+
+    net14 = generate_case(14, 3)
+    alphas = [0.0 if i % 3 == 0 else 0.5 + 0.25 * i for i in range(len(net14.generators))]
+    nets = [net14, generate_case(30, 3),
+            replace(net14, generators=tuple(replace(g, alpha=a) for g, a
+                                            in zip(net14.generators, alphas)))]
+    rng = np.random.default_rng(9)
+    seen = set()
+    for net in nets:
+        lay = CaseLayout.of(net)
+        starts = [lay.p_min + u * (lay.p_max - lay.p_min)
+                  for u in rng.uniform(size=(4, len(lay.p_min)))]
+        below = np.where(np.arange(len(lay.p_min)) % 2, lay.p_max, lay.p_min - 0.2)
+        starts += [lay.p_max, lay.p_min, np.maximum(lay.p_max - 0.05, lay.p_min), below]
+        points = [scopf.default_start(net)] + [base_with_p(net, p) for p in starts]
+        outages = [k for k in net.contingencies if k.kind == "generator-outage"]
+        assert outages
+        for base in points:
+            for k in outages:
+                got = init_generator_outage(net, k, base)
+                ref = reference_generator_outage(net, k, base)
+                assert repr(got.delta) == repr(ref.delta)
+                assert (got.active, got.reactive) == (ref.active, ref.reactive)
+                seen.add(got.delta if got.delta in (0.0, compl.DELTA_MAX) else "between")
+                seen.update(got.active.values())
+    assert seen == {0.0, compl.DELTA_MAX, "between", LOWER, MIDDLE, UPPER}

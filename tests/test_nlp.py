@@ -705,6 +705,12 @@ def scopf_problems(net):
             "master": scopf.build_master_problem(spec)}
 
 
+def scipy_csc(A):
+    """The scipy matrix of the CSC arrays of an `_LuPattern` matrix."""
+    n = len(A.indptr) - 1
+    return sparse.csc_matrix((A.data, A.indices, A.indptr), shape=(n, n))
+
+
 def max_rel_diff(A, B):
     diff = (sparse.csc_matrix(A) - B).tocoo()
     return np.max(np.abs(diff.data), initial=0.0) / np.max(np.abs(B.data))
@@ -746,11 +752,11 @@ def test_kkt_matches_reference_assembly(net5, kind):
                 Q_ref = sparse.bmat([[W, J.T], [J, -sparse.diags(d_test)]], format="csc")
 
                 q_pos = kkt.Q.pos if kkt.Q.pos is not None else np.arange(K_ref.shape[0])
-                Q = kkt.Q.matrix(kkt.values(h, w_diag, j, d_test))
+                Q = scipy_csc(kkt.Q.matrix(kkt.values(h, w_diag, j, d_test)))
                 assert max_rel_diff(Q[q_pos][:, q_pos], Q_ref) <= 1e-14
 
                 k_pos = kkt.K.pos if kkt.K.pos is not None else np.arange(K_ref.shape[0])
-                K = kkt.K.matrix(kkt.values(h, w_diag, j, d))
+                K = scipy_csc(kkt.K.matrix(kkt.values(h, w_diag, j, d)))
                 assert max_rel_diff(K[:, k_pos], K_ref) <= 1e-14
                 rhs = rng.normal(size=K_ref.shape[0])
                 lu, pos, _ = kkt.quasi_definite(h, w_diag, j, d_test)
@@ -871,12 +877,12 @@ def test_kkt_from_raw_entries_equals_the_dense_saddle_matrix():
     vals = kkt.values(h, w_diag, j, d)
     # the explicit zeros of W[3, 0], W[0, 3] and of J[1, 3] and J'[3, 1]
     # are stored: the nonzero slots of the dense K and these 4
-    assert kkt.Q.matrix(vals).nnz == np.count_nonzero(K_dense) + 4
+    assert scipy_csc(kkt.Q.matrix(vals)).nnz == np.count_nonzero(K_dense) + 4
     for pattern in (kkt.Q, kkt.K):
         for _ in range(2):  # before and after the first LU bakes its ordering in
             A, lu, pos = pattern.lu(vals)
             assert lu is not None
-            A = A.toarray()
+            A = scipy_csc(A).toarray()
             back = A[np.ix_(pos, pos)] if pattern is kkt.Q else A[:, pos]
             np.testing.assert_array_equal(back, K_dense)
 
@@ -932,12 +938,13 @@ def test_every_superlu_call_is_tuned(net5, monkeypatch):
     from scacopf.scopf import default_start
 
     calls = []
+    gstrf = nlp._gstrf
 
-    def spy(A, **kw):
-        calls.append(kw)
-        return splu(A, **kw)
+    def spy(*args, **kw):
+        calls.append(kw["options"])
+        return gstrf(*args, **kw)
 
-    monkeypatch.setattr(nlp, "splu", spy)
+    monkeypatch.setattr(nlp, "_gstrf", spy)
     for kind, prob in scopf_problems(net5).items():
         solve_nlp(prob, tol=1e-8)
         assert calls, kind
@@ -949,7 +956,7 @@ def test_every_superlu_call_is_tuned(net5, monkeypatch):
     monkeypatch.setattr(nlp, "DENSE_LU_MAX", 0)
     ev.fast_evaluate(five_bus_net(), net5.contingencies[0], default_start(net5))
     assert len(calls) > n_nlp
-    assert all((kw["relax"], kw["panel_size"]) == (1, 1) for kw in calls)
+    assert all((o["Relax"], o["PanelSize"]) == (1, 1) for o in calls)
 
 
 def test_square_jacobian_above_the_dense_limit_is_ordered_by_colamd(monkeypatch):
@@ -1046,6 +1053,7 @@ def test_lu_pattern_solves_like_splu_of_the_matrix(kind):
     for v in vals:
         M = sparse.csc_matrix((v, (rows, cols)), shape=(n, n))
         A, lu, pos = pattern.lu(v)
+        A = A if kind == "dense" else scipy_csc(A)
         assert max_rel_diff(A[pos][:, pos] if symmetric else A[:, pos], M) <= 1e-15
         b = rng.normal(size=n)
         rhs = b
@@ -1133,3 +1141,73 @@ def test_start_multipliers():
     np.testing.assert_allclose(warm.z_lower, 0.1 / (x - lb))
     np.testing.assert_allclose(warm.z_upper, 0.1 / (ub - x))
     assert np.array_equal(warm.lambda_eq, np.zeros(1))
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["sparse", "symmetric"])
+def test_pattern_product_equals_the_scipy_product_bit_for_bit(symmetric):
+    # a pattern's matrix, whose raw values repeat (row, col) pairs, sums
+    # them and multiplies like a scipy matrix of the same raw entries, bit
+    # for bit, before and after the first LU bakes its ordering in
+    rows, cols, vals = random_pattern(symmetric)
+    n = 40
+    assert len(set(zip(rows.tolist(), cols.tolist()))) < len(rows)
+    pattern = nlp._LuPattern(rows, cols, n, symmetric=symmetric)
+    rng = np.random.default_rng(4)
+    r, c = rows, cols
+    for v in vals:
+        x = rng.normal(size=n)
+        ref = sparse.csc_matrix((v, (r, c)), shape=(n, n)) @ x
+        assert np.array_equal(pattern.matrix(v) @ x, ref)
+        _, _, pos = pattern.lu(v)
+        r, c = (pos[rows] if symmetric else rows), pos[cols]
+
+
+def test_quasi_definite_inertia_and_solves_equal_public_splu():
+    # on random quasi-definite matrices, the raw SuperLU call's pivots, U
+    # diagonal and verdict equal those of public `splu` on the same matrix
+    # with the options `_splu` passes, and its solves equal public `splu`'s
+    # bit for bit: W positive definite (the right inertia), W negative
+    # definite (the wrong one, on diagonal pivots) and a zero first pivot,
+    # which the LU must take off the diagonal
+    n, m = 12, 4
+    rng = np.random.default_rng(3)
+    lower = np.tril_indices(n)
+    kkt = nlp._Kkt(n, lower, dense_entries(m, n), m)
+    seen = []
+    for case in ("right", "wrong", "off-diagonal") * 3:
+        B = rng.normal(size=(n, n))
+        W = B @ B.T + n * np.eye(n)
+        if case == "wrong":
+            W = -W
+        J, d = rng.normal(size=(m, n)), rng.uniform(1e-3, 1.0, m)
+        if case == "off-diagonal":
+            first = int(np.argmin(kkt.Q.pos))  # the column the LU takes first
+            if first < n:
+                W[first, first] = 0.0
+            else:
+                d[first - n] = 0.0
+        lu, pos, ok = kkt.quasi_definite(W[lower], np.zeros(n), J.ravel(), d)
+        ref = splu(scipy_csc(kkt.Q.matrix(kkt.values(W[lower], np.zeros(n),
+                                                     J.ravel(), d))),
+                   permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1,
+                   panel_size=1, options={"SymmetricMode": True})
+        diagonal = np.array_equal(ref.perm_r, ref.perm_c)
+        assert np.array_equal(lu.perm_r, ref.perm_r)
+        assert np.array_equal(lu.perm_c, ref.perm_c)
+        assert np.array_equal(nlp._u_diagonal(lu), ref.U.diagonal())
+        negative = np.count_nonzero(ref.U.diagonal() < 0.0)
+        assert ok == (diagonal and negative == m)
+        assert (ok, diagonal) == {"right": (True, True), "wrong": (False, True),
+                                  "off-diagonal": (False, False)}[case]
+        b = rng.normal(size=n + m)
+        assert np.array_equal(lu.solve(b), ref.solve(b))
+        seen.append(negative)
+    assert len(set(seen)) > 2
+
+
+def test_u_diagonal_raises_where_a_column_does_not_end_on_it():
+    # column 1 stores its diagonal first, so its last entry is row 0
+    U = (np.array([2.0, 3.0, 1.0]), np.array([0, 1, 0], dtype=np.int32),
+         np.array([0, 1, 3], dtype=np.int32))
+    with pytest.raises(RuntimeError):
+        nlp._u_diagonal(SimpleNamespace(U=U))

@@ -16,13 +16,18 @@ artefact to OUT/digests.txt and to stdout:
   points that ``perfbench/child.py base`` writes (``--points 12
   --points-seed 3``), times every contingency, times the cutoffs
   ``default_cutoff``, 0 and infinity.  Each result adds its state arrays,
-  ``point.slack_vector()``, penalty, status, segments and ``compl.delta``.
+  ``point.slack_vector()``, penalty, status, segments and ``compl.delta``;
+* the interior point where SuperLU forms supernodes: a flat-start base
+  solve of ``gen-case --n-bus 300 --seed 3`` (preprocessed, tol 1e-8; its
+  ``x``, status, iterations, LUs and GMRES calls), and ``full_evaluate`` of
+  the 30-bus contingencies KG10, KL14 and KT21 at the solved 30-bus base
+  (the screening digest's fields plus every round's NLP record).
 
 Run it once per tree into two directories; the trees' outputs are the same
 when ``diff`` of the two ``digests.txt`` is empty.  The tool reads only
 names that have kept their meaning across versions of the package, so one
 copy of it checks an older tree as well as a newer one.  It takes about
-four seconds on a 2-core machine.
+five seconds on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -79,6 +84,36 @@ def screening_digest(out):
     return h.hexdigest(), f"fast_evaluate[{count}]"
 
 
+def nlp_digests(out):
+    """sha256 of the 300-bus flat-start base solve, and of the full
+    evaluations of three 30-bus contingencies at the solved 30-bus base."""
+    from scacopf.case_model import load_case, preprocess
+    from scacopf.eval import full_evaluate
+    from scacopf.nlp import solve_nlp
+    from scacopf.orchestrator import flat_start, solve_base
+    from scacopf.scopf import build_base_problem
+
+    net, report = preprocess(load_case(os.path.join(out, "c300.json")))
+    sol = solve_nlp(build_base_problem(net, report, start=flat_start(net)), tol=1e-8)
+    h = hashlib.sha256(repr((sol.status, sol.iterations, sol.lus,
+                             sol.gmres_calls)).encode())
+    h.update(sol.x.tobytes())
+    lines = [f"{h.hexdigest()}  base_solve[300]"]
+
+    net, _, base = solve_base(load_case(os.path.join(out, "c30.json")))[:3]
+    h = hashlib.sha256()
+    for cid in ("KG10", "KL14", "KT21"):
+        res = full_evaluate(net, net.contingency(cid), base, deterministic=True)
+        st, c = res.point.state, res.compl
+        h.update(repr((cid, res.penalty, res.status, res.nlp, sorted(c.active.items()),
+                       sorted(c.reactive.items()), c.delta)).encode())
+        for a in (st.v, st.theta, st.bcs, st.p_gen, st.q_gen, st.flows,
+                  res.point.slack_vector()):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    lines.append(f"{h.hexdigest()}  full_evaluate[30: KG10 KL14 KT21]")
+    return lines
+
+
 def main(argv):
     if len(argv) != 1:
         print("usage: PYTHONPATH=$TREE/src python3 tools/same_outputs.py OUT",
@@ -86,7 +121,7 @@ def main(argv):
         return 2
     out = os.path.abspath(argv[0])
     os.makedirs(out)
-    for n_bus, seed in ((8, 5), (14, 3), (30, 3)):
+    for n_bus, seed in ((8, 5), (14, 3), (30, 3), (300, 3)):
         scacopf("gen-case", "--n-bus", str(n_bus), "--seed", str(seed),
                 "--output", f"c{n_bus}.json", cwd=out)
     scacopf("code1", "--case", "c14.json", "--deterministic", "--time-limit", "100",
@@ -102,9 +137,10 @@ def main(argv):
     files = sorted(glob.glob("p14/**/*", root_dir=out, recursive=True))
     files = [f for f in files if os.path.isfile(os.path.join(out, f))]
     lines = [f"{file_digest(os.path.join(out, f))}  {f}"
-             for f in ["c8.json", "c14.json", "c30.json", *files,
+             for f in ["c8.json", "c14.json", "c30.json", "c300.json", *files,
                        "score.json", "compl.csv", "sel.csv"]]
     lines.append("%s  %s" % screening_digest(out))
+    lines += nlp_digests(out)
     text = "\n".join(lines) + "\n"
     with open(os.path.join(out, "digests.txt"), "w") as fh:
         fh.write(text)
