@@ -13,7 +13,13 @@ generator-output and flow column, and the constant Jacobian entries.  Every
 value and first or second derivative is then a few whole-array numpy
 operations on those maps (one gather per flow evaluation, one `bincount`
 per balance), on a sparsity pattern that is fixed per case (the vectorized
-``dSbus/dV`` of MATPOWER, Zimmerman et al. 2011).
+``dSbus/dV`` of MATPOWER, Zimmerman et al. 2011).  The flows and their
+first derivatives are computed side-major, as (4, m) rows over the m
+in-service branches, with every operand gathered or stacked to one shape:
+at these sizes a numpy operation that broadcasts costs two to three times
+one on operands of equal shape, more than its arithmetic.  Each value is
+the same float as in the branch-major form x[b, side], computed by the
+same operations.
 """
 
 from __future__ import annotations
@@ -167,6 +173,10 @@ class CaseLayout:
         self.v_min, self.v_max, self.bcs_min, self.bcs_max = np.array(
             [(bus.v_min, bus.v_max, bus.bcs_min, bus.bcs_max) for bus in net.buses],
             dtype=float).reshape(-1, 4).T
+        # (lower, upper) of the v, theta and bcs columns; theta is free
+        free = np.full(nb, np.inf)
+        self.bus_box = (np.concatenate((self.v_min, -free, self.bcs_min)),
+                        np.concatenate((self.v_max, free, self.bcs_max)))
         self.p_min, self.p_max, self.q_min, self.q_max, self.alpha = np.array(
             [(g.p_min, g.p_max, g.q_min, g.q_max, g.alpha) for g in net.generators],
             dtype=float).reshape(-1, 5).T
@@ -179,12 +189,29 @@ class CaseLayout:
         self.bal_row = np.concatenate((self.gen_bus, nb + self.gen_bus,
                                        (side + [0, nb, 0, nb]).ravel()))
         self._bal_rows = np.concatenate((np.arange(2 * nb), self.bal_row))
-        # d(K v_x^2)/dv_o and /dv_d per side
-        self._dK = (2.0 * self.K * [1, 1, 0, 0], 2.0 * self.K * [0, 0, 1, 1])
-        # rating base per end: rate times the voltage at index _rate_v of v
-        # with 1.0 appended (index nb, for a transformer)
-        self._rate2 = np.repeat(rate[:, None], 2, axis=1)
-        self._rate_v = np.where(is_line[:, None], self.ends, nb)
+        # the values work side-major, on whole (4, m) rows over the
+        # branches, so that each numpy operation takes operands of one shape
+        # (see `branch_terms`): the gathered columns, where cos d and sin d
+        # go in a (2, 4, m) block, K, (P, Q) and (Q, P), and d(K v_x^2)/dv_o
+        # and /dv_d per side
+        vo, vd = self.v0 + self.ends.T
+        self._side_cols = np.concatenate((
+            np.stack((vo, vo, vd, vd, vo, vo, vo, vo, vd, vd, vd, vd)), self.th0 + self.ends.T))
+        self._cs_rep = np.arange(2 * m).reshape(2, 1, m).repeat(4, axis=1)
+        self._KT, PT, QT = (np.ascontiguousarray(a.T) for a in (self.K, self.P, self.Q))
+        self._PQ, self._QP = np.stack((PT, QT)), np.stack((QT, PT))
+        self._dK = np.stack((2.0 * self._KT * [[1], [1], [0], [0]],
+                             2.0 * self._KT * [[0], [0], [1], [1]]))
+        # the P and Q rows' bus terms: v's columns, load, and shunt before
+        # adding bcs, each (2, nb)
+        self._v2 = np.tile(self.v0 + np.arange(nb), (2, 1))
+        self._neg_load = np.stack((-self.p_load, -self.q_load))
+        self._shunt0 = np.stack((-self.g_fs, self.b_fs))
+        # rating base per end, (2, m): rate times the voltage at index
+        # _rate_v of v with 1.0 appended (index nb, for a transformer)
+        self._rate2 = np.repeat(rate[None, :], 2, axis=0)
+        self._rate_v = np.where(is_line, self.ends.T, nb)
+        self._one = np.ones(1)
         r = rate[self.line_pos]
         self._line_v = (self.v0 + self.ends[self.line_pos]).ravel()
         self._line_r2 = np.repeat(-2.0 * r * r, 2)
@@ -229,41 +256,71 @@ class CaseLayout:
     # --- values on a flat layout vector x ---------------------------------
 
     def branch_terms(self, x):
-        """(vx, c, s, T): per branch, the voltage at each flow side's
-        squared-voltage end (v_o, v_o, v_d, v_d), cos d and sin d as
-        columns, and T = P cos d + Q sin d per side.  `flow_values` and
-        `jac_head` take them as `terms`, so a caller that needs both at one
-        x gathers and evaluates them once."""
-        g = x[self._branch_cols]
-        d = g[:, 4] - g[:, 5] - self.phi
-        c, s = np.cos(d)[:, None], np.sin(d)[:, None]
-        return g[:, :4], c, s, self.P * c + self.Q * s
+        """(g, cs, vv, T): the per-branch work that `flow_values` and
+        `branch_jac` (through `jac_head`) share as `terms`, so a caller that
+        needs both at one x gathers and evaluates it once.  Side-major, a
+        row per flow side over the m in-service branches: g (14, m) holds
+        the voltage at each side's squared-voltage end (v_o, v_o, v_d, v_d),
+        v_o and v_d on every side (rows 4-7 and 8-11), and th_o and th_d;
+        cs (2, 4, m) cos d and sin d on every side; vv (4, m) v_o v_d; and
+        T (4, m) = P cos d + Q sin d."""
+        m = self.m
+        g = x[self._side_cols]
+        d = g[12] - g[13]
+        d -= self.phi
+        cs = np.empty(2 * m)
+        np.cos(d, out=cs[:m])
+        np.sin(d, out=cs[m:])
+        cs = cs[self._cs_rep]
+        pq = self._PQ * cs
+        return g, cs, g[4:8] * g[8:12], np.add(pq[0], pq[1])
 
     def flow_values(self, x, terms=None):
-        """Flow expressions, shape (in-service branches, 4)."""
-        vx, _, _, T = self.branch_terms(x) if terms is None else terms
-        return self.K * vx * vx + T * (vx[:, 0] * vx[:, 2])[:, None]
+        """Flow expressions, shape (in-service branches, 4): the transpose
+        of a new side-major array."""
+        g, _, vv, T = self.branch_terms(x) if terms is None else terms
+        vx = g[:4]
+        f = self._KT * vx
+        f *= vx
+        f += T * vv
+        return f.T
+
+    def shunts(self, x):
+        """(2, nb): the P and Q balance's shunt coefficient per bus, -g_fs and
+        b_fs + bcs, so that the shunt terms are ``shunts(x) * v * v``; a new
+        array."""
+        y = self._shunt0.copy()
+        y[1] += x[self.bcs0:self.p0]
+        return y
 
     def balance(self, x, flows=None):
         """Per-bus mismatch before slacks, from the flow variables or the given
         `flows` (in-service branches, 4): P at every bus, then Q, as one flat
         vector (``reshape(2, -1)`` splits it).  One `bincount` of the bus
-        terms, then the generator outputs and negated flows, in column order."""
-        nb = self.nb
-        v = x[self.v0:self.v0 + nb]
-        return np.bincount(self._bal_rows, np.concatenate((
-            -self.p_load - self.g_fs * v * v,
-            -self.q_load + (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v * v,
-            x[self.p0:self.fl0],
-            -(x[self.fl0:self.nvar] if flows is None else flows.ravel()))), 2 * nb)
+        terms, then the generator outputs and negated flows, in column order.
+        The bus terms are ``-load + shunts(x) * v * v`` for P and Q at once,
+        the same floats as ``-p_load - g_fs * v * v`` (negation is exact)."""
+        nb, n_bus_gen = self.nb, self.fl0 - self.p0 + 2 * self.nb
+        w = np.empty(len(self._bal_rows))
+        v2 = x[self._v2]
+        bus = w[:2 * nb].reshape(2, nb)
+        np.multiply(self.shunts(x), v2, out=bus)
+        bus *= v2
+        bus += self._neg_load
+        w[2 * nb:n_bus_gen] = x[self.p0:self.fl0]
+        fl = w[n_bus_gen:]
+        fl.reshape(-1, 4)[:] = self.flow_vars(x) if flows is None else flows
+        np.negative(fl, out=fl)
+        return np.bincount(self._bal_rows, w, 2 * nb)
 
     def ratings(self, x):
         """(lhs, rhs): squared flow magnitudes and rating bases, shape
-        (in-service branches, 2) for (origin, destination)."""
+        (in-service branches, 2) for (origin, destination), each the
+        transpose of a new (2, m) array."""
         fl = self.flow_vars(x)
-        f2 = fl * fl
-        v1 = np.append(x[self.v0:self.v0 + self.nb], 1.0)
-        return f2[:, 0::2] + f2[:, 1::2], self._rate2 * v1[self._rate_v]
+        f2 = (fl * fl).T
+        v1 = np.concatenate((x[self.v0:self.th0], self._one))
+        return (f2[0::2] + f2[1::2]).T, (self._rate2 * v1[self._rate_v]).T
 
     # --- first derivatives ----------------------------------------------
 
@@ -296,19 +353,26 @@ class CaseLayout:
         out[n + 4 * self.m:] = self._line_r2 * x[self._line_v]
         return out
 
+    def branch_jac(self, blk, terms):
+        """Fill blk, any (4, 4, m) view, with the flow rows' derivatives from
+        `branch_terms`: blk[k, j, b] is the derivative of in-service branch
+        b's flow side j in (v_o, v_d, th_o, th_d)[k]."""
+        g, cs, vv, T = terms
+        np.multiply(T, g[8:12], out=blk[0])
+        np.multiply(T, g[4:8], out=blk[1])
+        blk[:2] += self._dK * g[4:12].reshape(2, 4, -1)
+        qp = self._QP * cs
+        np.subtract(qp[0], qp[1], out=blk[2])
+        blk[2] *= vv
+        np.negative(blk[2], out=blk[3])
+
     def _fill_head(self, x, out, terms=None):
         m, nb = self.m, self.nb
-        vx, c, s, T = self.branch_terms(x) if terms is None else terms
-        v_o, v_d = vx[:, :1], vx[:, 2:3]
-        blk = out[:16 * m].reshape(m, 4, 4)
-        blk[:, :, 0] = T * v_d + self._dK[0] * v_o
-        blk[:, :, 1] = T * v_o + self._dK[1] * v_d
-        blk[:, :, 2] = (self.Q * c - self.P * s) * (v_o * v_d)
-        np.negative(blk[:, :, 2], out=blk[:, :, 3])
-        v = x[self.v0:self.v0 + nb]
+        self.branch_jac(out[:16 * m].reshape(m, 4, 4).transpose(2, 1, 0),
+                        self.branch_terms(x) if terms is None else terms)
+        v = x[self.v0:self.th0]
         n = 16 * m
-        out[n:n + nb] = -2.0 * self.g_fs * v
-        out[n + nb:n + 2 * nb] = 2.0 * (self.b_fs + x[self.bcs0:self.bcs0 + nb]) * v
+        np.multiply(2.0 * self.shunts(x), v, out=out[n:n + 2 * nb].reshape(2, nb))
         out[n + 2 * nb:n + 3 * nb] = v * v
         return out
 
@@ -335,7 +399,9 @@ class CaseLayout:
         ``sum_r weights[r] * hess(expr_r)``."""
         m, nb = self.m, self.nb
         v = x[self.v0:self.v0 + nb]
-        vx, c, s, T = self.branch_terms(x)
+        g, cs, _, T = self.branch_terms(x)
+        # branch-major, T as a new C-ordered array, as the sums below take it
+        vx, c, s, T = g[:4].T, cs[0, 0, :, None], cs[1, 0, :, None], T.T.copy()
         w = weights[:4 * m].reshape(m, 4)
         wK = 2.0 * w * self.K
         wT = (w * T).sum(axis=1)

@@ -15,8 +15,15 @@ Two engines estimate the post-contingency penalty of a base operating point:
   rounds run out.  Each step's LU is dense (LAPACK) for a system of at most
   `nlp.DENSE_LU_MAX` = 150 rows (up to about 90 buses), where SuperLU's
   fixed cost per call outweighs the elimination, and sparse (SuperLU) above
-  it: the measured crossover lies between 151 and 168 rows.  It is cheap
-  and yields an upper bound on the optimal penalty.
+  it: the crossover was measured between 151 and 168 rows (see
+  `nlp.DENSE_LU_MAX` for how it has moved since).  Each round looks up its
+  segment state's `_SegmentPlan` once, for its square system and its
+  projection.  A Newton step's Jacobian is one fill of
+  `CaseLayout.branch_jac`'s (4, 4, m) block, gathered at positions that
+  `_SquareStructure` compiles, and the shunt entries, whose slopes are
+  fixed per system; the values are the same floats, summed in the same
+  order, as the selected entries of `CaseLayout.jac_head`.  It is cheap and
+  yields an upper bound on the optimal penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
   all-at-once complementarity segment updates; without a given start, its
   first NLP starts from the same projected base point.
@@ -159,13 +166,17 @@ class _SquareStructure:
     layout's `compiled` cache under the responders and their middle masks
     (see `of`): the unknown columns and kept balance rows, the Jacobian
     pattern with its LU (dense up to `nlp.DENSE_LU_MAX` rows, else SuperLU
-    with the ordering it keeps), its signs and constants, and the reactive
-    shares.  Jacobian: each acpf flow-row entry, negated, goes into the
-    balance row of its flow's end bus, balance-row entries stay as they are,
-    and those in a dropped row or on a parameter column are left out; then
-    alpha in the P row of each middle responder's bus, on delta's column.
-    Repeated (row, col) pairs add up.  Every selected acpf entry (`sel`) is
-    among the layout's `n_jac_head` leading ones.  The middle generators at
+    with the ordering it keeps), where its values come from, and the
+    reactive shares.  Jacobian: each acpf flow-row entry, negated, goes into
+    the balance row of its flow's end bus, balance-row entries stay as they
+    are, and those in a dropped row or on a parameter column are left out;
+    then alpha in the P row of each middle responder's bus, on delta's
+    column.  Repeated (row, col) pairs add up, in acpf's entry order.  The
+    selected entries are flow-row entries, compiled as positions `blk_pos`
+    in `CaseLayout.branch_jac`'s (4, 4, m) block, then the P and Q rows'
+    shunt entries on v columns, as positions `shunt_pos` in the flattened
+    (2, nb) `CaseLayout.shunts` (the other balance-row entries lie on bcs,
+    p or q columns, which are parameters).  The middle generators at
     a PV bus supply its Q together, each its q_min plus a share of the rest
     in proportion to its reactive range (equal shares if all are 0), as
     MATPOWER's ``pfsoln`` does: q = q_floor + q_share * Q."""
@@ -179,7 +190,7 @@ class _SquareStructure:
         return st
 
     def __init__(self, lay, ref, resp, p_mid, q_mid):
-        nb, nfr = lay.nb, 4 * lay.m
+        nb, m = lay.nb, lay.m
         pq_bus = np.setdiff1d(np.arange(nb), lay.gen_bus[q_mid])
         self.cols = np.concatenate((lay.v0 + pq_bus,
                                     lay.th0 + np.delete(np.arange(nb), ref)))
@@ -193,17 +204,21 @@ class _SquareStructure:
         row_pos[self.rows] = np.arange(self.n)
         jr, jc = lay.jac_pattern()
         r = row_pos[np.concatenate((lay.bal_row[lay.fl0 - lay.p0:], np.arange(2 * nb),
-                                    np.full(lay.nrows - nfr - 2 * nb, 2 * nb)))[jr]]
-        self.sel = np.flatnonzero((r >= 0) & (col_pos[jc] >= 0))
-        self.sign = np.where(jr[self.sel] < nfr, -1.0, 1.0)
+                                    np.full(lay.nrows - 4 * m - 2 * nb, 2 * nb)))[jr]]
+        sel = np.flatnonzero((r >= 0) & (col_pos[jc] >= 0))
+        n_blk = np.searchsorted(sel, 16 * m)
+        b, side, wrt = np.unravel_index(sel[:n_blk], (m, 4, 4))
+        self.blk_pos = np.ravel_multi_index((wrt, side, b), (4, 4, m))
+        self.shunt_pos = sel[n_blk:] - 16 * m
+        self.shunt_v = lay.v0 + self.shunt_pos % nb
         mid = resp[p_mid]
         self.const = lay.alpha[mid]
         # the one place a square system picks its LU by size
         lu_pattern = (_DenseLuPattern if self.n <= nlp_mod.DENSE_LU_MAX
                       else _LuPattern)
         self.pattern = lu_pattern(
-            np.concatenate((r[self.sel], lay.gen_bus[lay.gen_col[mid]])),
-            np.concatenate((col_pos[jc[self.sel]], np.full(len(mid), self.n - 1))),
+            np.concatenate((r[sel], lay.gen_bus[lay.gen_col[mid]])),
+            np.concatenate((col_pos[jc[sel]], np.full(len(mid), self.n - 1))),
             self.n)
         g = np.flatnonzero(q_mid)
         bus, q_min = lay.gen_bus[g], lay.q_min[lay.gens[g]]
@@ -231,9 +246,10 @@ class _SquareSystem:
     at 0.  An evaluation writes p = p_base + alpha delta for middle
     responders and computes the flows from the voltages.  `expand` recovers the middle
     generators' q from their buses' Q mismatch (see `_SquareStructure`).
+    The segment assignment comes as its `_SegmentPlan` `plan`.
     """
 
-    def __init__(self, net, k, base_x, state):
+    def __init__(self, net, k, base_x, plan):
         lay = self.lay = CaseLayout.of(net, k.outaged)
         self.ref = net.bus_index(net.reference_bus)
 
@@ -241,10 +257,10 @@ class _SquareSystem:
         # base voltage (reactive: a PV bus); lower/upper pin the output.
         # The segments' compiled arrays are the plan's and the structure's;
         # only base-point data is built here
-        plan = self.plan = _SegmentPlan.of(lay, state)
-        self.st = _SquareStructure.of(lay, self.ref, plan.resp, plan.p_mid,
-                                      plan.q_mid)
-        self.n = self.st.n
+        self.plan = plan
+        st = self.st = _SquareStructure.of(lay, self.ref, plan.resp, plan.p_mid,
+                                           plan.q_mid)
+        self.n = st.n
         self.base_p = base_x[plan.p_cols]
         self.base_v = base_x[lay.v0 + lay.gen_bus]
         x = self.template = base_x.copy()
@@ -253,7 +269,19 @@ class _SquareSystem:
         x[lay.q0:lay.fl0] = plan.q_pins
         self._mid = (plan.mid_cols, base_x[plan.mid_cols], plan.mid_alpha)
         self._at = (None,)  # (z, x, terms, balance) of the last residual
-        self._vals = np.append(np.empty(len(self.st.sel)), self.st.const)
+        # the shunt entries' slopes in v, 2 shunts(x): bcs is a parameter
+        self._dshunt = (2.0 * lay.shunts(x)).ravel()[st.shunt_pos]
+        self._blk = np.empty((4, 4, lay.m))
+        n_blk, n_sel = len(st.blk_pos), len(st.blk_pos) + len(st.shunt_pos)
+        self._vals = np.concatenate((np.empty(n_sel), st.const))
+        self._vals_blk, self._vals_shunt = self._vals[:n_blk], self._vals[n_blk:n_sel]
+
+    def start(self, x, delta):
+        """The unknowns at layout vector x and response delta."""
+        z = np.empty(self.n)
+        x.take(self.st.cols, out=z[:-1])
+        z[-1] = delta
+        return z
 
     def residual(self, z):
         # z holds v at non-PV buses, theta at non-reference buses, and delta;
@@ -279,20 +307,26 @@ class _SquareSystem:
         values, from the layout vector and branch terms of the residual at
         z (`solve_square` asks for it only at the array its last residual
         call was given, so that call's work is reused).  The values are an
-        array of the system's own, which the next call overwrites."""
-        st, vals = self.st, self._vals
+        array of the system's own, which the next call overwrites: the
+        selected entries of the branch block, negated, the shunt entries,
+        then the constants."""
+        st, blk = self.st, self._blk
         _, x, terms, _ = self._evaluated(z)
-        np.multiply(self.lay.jac_head(x, terms)[st.sel], st.sign, out=vals[:len(st.sel)])
-        return st.pattern, vals
+        self.lay.branch_jac(blk, terms)
+        np.negative(blk.take(st.blk_pos), out=self._vals_blk)
+        np.multiply(self._dshunt, x[st.shunt_v], out=self._vals_shunt)
+        return st.pattern, self._vals
 
     def expand(self, z):
         """The full point of z: its layout vector, with the parameters, the
         unknowns, the middle responders' p and the middle generators'
         recovered q, but NaN flows; then delta."""
-        st = self.st
+        st, fl0 = self.st, self.lay.fl0
         _, x, _, bal = self._evaluated(z)
-        w = np.append(x, z[-1])
-        w[self.lay.fl0:-1] = np.nan
+        w = np.empty(len(x) + 1)
+        w[:fl0] = x[:fl0]
+        w[fl0:-1] = np.nan
+        w[-1] = z[-1]
         w[st.q_cols] = st.q_floor - st.q_share * bal[st.q_rows]
         return w
 
@@ -343,7 +377,9 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     lay = CaseLayout.of(net, k.outaged)
     base_x, p_base = lay.pack(base.state), base.state.p_gen
     state = compl_mod.initial_state(net, k, base, init_compl)
-    x, slacks = _projection(lay, state, p_base, base_x)
+    # the plan of `state`, for its projection and its round's square system
+    plan = _SegmentPlan.of(lay, state)
+    x, slacks = _projection(lay, plan, state.delta, p_base, base_x)
     best_pen, best = _slack_penalty(net, slacks), (x, slacks, state)
     status = "ok"
 
@@ -355,18 +391,18 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
     for round_no in range(FAST_MAX_ROUNDS):
         if budget.exhausted() or below_cutoff(best_pen):
             break
-        sys_ = _SquareSystem(net, k, base_x, state)
-        res = solve_square(sys_.residual, sys_.jacobian,
-                           np.append(x[sys_.st.cols], state.delta), tol=1e-10,
-                           **budget.solver_kwargs(60))
+        sys_ = _SquareSystem(net, k, base_x, plan)
+        res = solve_square(sys_.residual, sys_.jacobian, sys_.start(x, state.delta),
+                           tol=1e-10, **budget.solver_kwargs(60))
         budget.charge(res.iterations)
-        if not np.all(np.isfinite(res.x)):
+        if not np.isfinite(res.x).all():
             status = "fallback"
             break
         full = sys_.expand(res.x)
         new_state = sys_.updated_segments(state, full)
         new_state.delta = float(full[-1])
-        x, slacks = _projection(lay, new_state, p_base, full)
+        plan = _SegmentPlan.of(lay, new_state)
+        x, slacks = _projection(lay, plan, new_state.delta, p_base, full)
         pen = _slack_penalty(net, slacks)
         if pen < best_pen - 1e-15:
             best_pen, best = pen, (x, slacks, new_state)

@@ -84,10 +84,13 @@ A SuperLU call pays a fixed cost of about 12 us whatever the matrix (a
 square Jacobian of at most `DENSE_LU_MAX` = 150 rows (the fast
 evaluation's Newton systems up to about 90 buses; `eval._SquareStructure`
 makes the choice) is factored by a `_DenseLuPattern` instead: one
-`np.bincount` into an n x n array and LAPACK getrf, solved with getrs.  The
-constant is the measured crossover against COLAMD-ordered SuperLU:
-screening with dense LUs is faster up to 101 rows, even at 126 and 151, and
-slower from 168 rows on (see `DENSE_LU_MAX`).
+`np.bincount` into a fresh n x n array, which LAPACK getrf factors in
+place, solved with getrs, with no permutation to undo.  The constant is the
+crossover measured against COLAMD-ordered SuperLU when it was set:
+screening with dense LUs was faster up to 101 rows, even at 126 and 151,
+and slower from 168 rows on; since the rest of a Newton step got cheaper,
+dense is still faster up to 101 rows and 7 % slower at 151 (see
+`DENSE_LU_MAX`, which is kept).
 """
 
 from __future__ import annotations
@@ -208,9 +211,12 @@ class _LuPattern:
         return _CscMatrix(data, self.indices, self.indptr)
 
     def lu(self, vals):
-        """(A, lu, pos) for raw values vals: `lu` factors the matrix A, whose
-        column pos[j] (and, if symmetric, row pos[i]) is column j (row i) of
-        the matrix, or is None if the matrix is exactly singular."""
+        """(A, lu, pos) for raw values vals: A is `matrix(vals)`, which the
+        refinement of a step multiplies by; `lu` factors A, whose column
+        pos[j] (and, if symmetric, row pos[i]) is column j (row i) of the
+        matrix, or is None if the matrix is exactly singular.  (A
+        `_DenseLuPattern` gives no A and no pos: its LU overwrites the matrix
+        and keeps the natural order.)"""
         if self.pos is None:
             A = self.matrix(vals)
             ordering = "MMD_AT_PLUS_A" if self.symmetric else "COLAMD"
@@ -254,31 +260,42 @@ class _CscMatrix:
 # (n = 60), even at 126 and 151 (n = 75 and 90; 1-4 % faster), 5 % slower at
 # 168 (n = 100), 13 % at 185 (n = 110), 22 % at 201 (n = 120) and 57 % at 251
 # (n = 150).  One fill, LU and solve: 14 against 33 us at 51 rows (n = 30),
-# even at 101, 110 against 67 us at 151.
+# even at 101, 110 against 67 us at 151.  Re-measured the same way (6
+# sweeps each) once a step's Jacobian, residual and glue got cheaper and the
+# dense LU factored in place: dense is 22 % faster at 51 rows, 15 % at 76
+# (n = 45), 12 % at 101 and 7 % slower at 151 (n = 90); one fill, LU and
+# solve takes 10 against 20 us at 50 rows, 33 against 31-34 us at 100 and 76
+# against 45-55 us at 150.  The constant is kept: tuning it is its own
+# change.
 DENSE_LU_MAX = 150
 
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 class _DenseLuPattern:
-    """Dense counterpart of `_LuPattern` for small square systems, with the
-    same `lu`: the raw (row, col) entries are compiled once to flat indices
-    of the Fortran-ordered n x n array, which each LU fills with one
-    `np.bincount` and factors with LAPACK getrf.  Its partial pivoting needs
-    no ordering, so pos is the identity."""
+    """Dense counterpart of `_LuPattern` for small square systems: the raw
+    (row, col) entries are compiled once to flat indices of the
+    Fortran-ordered n x n array, which `matrix` fills with one
+    `np.bincount`, and `lu` factors that fresh array in place with LAPACK
+    getrf.  Its partial pivoting needs no ordering."""
 
     def __init__(self, rows, cols, n):
         self.flat = np.asarray(cols, dtype=np.int64) * n + rows
         self.n = n
-        self.pos = np.arange(n)
+
+    def matrix(self, vals):
+        """The dense matrix of raw values vals, a new Fortran-ordered array."""
+        n = self.n
+        return np.bincount(self.flat, weights=vals, minlength=n * n).reshape(
+            (n, n), order="F")
 
     def lu(self, vals):
-        """(A, lu, pos) as `_LuPattern.lu` gives them, A a dense array."""
-        n = self.n
-        A = np.bincount(self.flat, weights=vals, minlength=n * n).reshape(
-            (n, n), order="F")
-        lu, piv, info = _getrf(A)
-        return A, _DenseLu(lu, piv) if info == 0 else None, self.pos
+        """(None, lu, None): `_LuPattern.lu`'s triple without the matrix,
+        which getrf overwrites with the factors (`matrix(vals)` builds it
+        again), and with no permutation, as the rows and columns keep their
+        order; lu is None if the matrix is exactly singular."""
+        lu, piv, info = _getrf(self.matrix(vals), overwrite_a=1)
+        return None, _DenseLu(lu, piv) if info == 0 else None, None
 
 
 class _DenseLu:
@@ -446,13 +463,13 @@ def _refine(A, lu, b, gate=0.0):
     least halve it, or after QD_REFINE_STEPS steps."""
     x = lu.solve(b)
     r = b - A @ x
-    norm = float(np.max(np.abs(r), initial=0.0))
+    norm = float(np.abs(r).max(initial=0.0))
     for _ in range(QD_REFINE_STEPS):
         if norm <= gate:
             break
         cand = x + lu.solve(r)
         cand_r = b - A @ cand
-        cand_norm = float(np.max(np.abs(cand_r), initial=0.0))
+        cand_norm = float(np.abs(cand_r).max(initial=0.0))
         if not cand_norm <= 0.5 * norm:
             break
         x, r, norm = cand, cand_r, cand_norm
@@ -465,7 +482,7 @@ def _gated_solve(A, lu, b, counts):
     GMRES preconditioned on the right with the same LU (GMRES-based
     refinement, Carson & Higham 2017, SIAM J. Sci. Comput. 39(6)), a call
     that `counts` tallies."""
-    gate = STEP_GATE * max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    gate = STEP_GATE * max(1.0, float(np.abs(b).max(initial=0.0)))
     x, r, norm = _refine(A, lu, b, gate)
     if norm <= gate:
         return x
@@ -502,7 +519,7 @@ def _gmres(A, lu, b, x, r, gate):
             V[k + 1] = v / H[k + 1, k]
         x = x + y @ Z[:k + 1]
         r = b - A @ x
-        if np.max(np.abs(r)) <= gate:
+        if np.abs(r).max() <= gate:
             return x
     return None
 
@@ -638,10 +655,10 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     def viol(xv, cEv, cIv):
         v = 0.0
         if me:
-            v = max(v, float(np.max(np.abs(cEv))))
+            v = max(v, float(np.abs(cEv).max()))
         if mi:
-            v = max(v, float(np.max(np.maximum(cIv, 0.0))))
-        return max(v, float(np.max(-gaps(t, xv)[mi:], initial=0.0)))
+            v = max(v, float(np.maximum(cIv, 0.0).max()))
+        return max(v, float((-gaps(t, xv)[mi:]).max(initial=0.0)))
 
     def consider(xv, cEv, cIv, fv):
         nonlocal best
@@ -702,13 +719,13 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
         r_d[iu] += z[up]
         # the KKT error is the larger of its feasibility part and its
         # complementarity part, which depends on the barrier parameter
-        feas = max(float(np.max(np.abs(r_d), initial=0.0)),
-                   float(np.max(np.abs(cE), initial=0.0)),
-                   float(np.max(np.abs(cI + t), initial=0.0)))
+        feas = max(float(np.abs(r_d).max(initial=0.0)),
+                   float(np.abs(cE).max(initial=0.0)),
+                   float(np.abs(cI + t).max(initial=0.0)))
         comp = gap * z
 
         def resid(mu_val):
-            return max(feas, float(np.max(np.abs(comp - mu_val), initial=0.0)))
+            return max(feas, float(np.abs(comp - mu_val).max(initial=0.0)))
 
         e0 = resid(0.0)
         if log is not None:
@@ -936,8 +953,9 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
 
         pattern, vals = jac(x)
         _, lu, pos = pattern.lu(vals)
-        d = None if lu is None else lu.solve(-F)[pos]
-        if d is None or not np.isfinite(d).all():
+        if lu is not None:
+            d = lu.solve(-F) if pos is None else lu.solve(-F)[pos]
+        if lu is None or not np.isfinite(d).all():
             return SquareResult(best_x, FAILED, it, best_norm)
 
         # a NaN or inf in Fn fails the norm test against a finite f0

@@ -89,7 +89,8 @@ class _Curve:
 
     def value(self, x):
         """Curve value at x (a scalar or an array)."""
-        i = np.maximum(np.searchsorted(self.starts, x, side="right") - 1, 0)
+        # the last start at or below x, the first below 0 (starts[0] is 0)
+        i = np.searchsorted(self.starts[1:], x, side="right")
         return self.vals[i] + self.slopes[i] * (x - self.starts[i])
 
     def of_slacks(self, slacks):
@@ -132,7 +133,7 @@ def point_penalty(net: Network, point: OperatingPoint, outaged=None):
 
 def _slack_penalty(net: Network, slacks):
     """Penalty of slacks in `point_penalty`'s (and `_slacks`') order."""
-    return float(np.sum(_curves(net)[0].of_slacks(slacks)))
+    return float(_curves(net)[0].of_slacks(slacks).sum())
 
 
 def _slacks(lay: CaseLayout, x):
@@ -201,27 +202,24 @@ def _clip(a, lo, hi):
     return np.minimum(np.maximum(a, lo), hi)
 
 
-def _projection(lay: CaseLayout, state, p_base, raw):
+def _projection(lay: CaseLayout, plan, delta, p_base, raw):
     """(x, slacks): the layout vector `raw` of `lay`'s case projected into
-    segment state `state`'s response rules (its `_SegmentPlan`) at base
+    the response rules of a segment state's `_SegmentPlan` `plan` at base
     outputs `p_base`, and its `_slacks`.  v, bcs and middle q are clipped
     to their boxes, pinned segments sit on their bound, middle responders'
-    p on the response rule at the state's delta, other p at base, and the
+    p on the response rule at response `delta`, other p at base, and the
     flows are recomputed.  Only raw's v, theta, bcs and q columns are read,
     so its flows may be NaN and entries past `nvar` (as
     `eval._SquareSystem.expand`'s delta) stay unread."""
-    plan = _SegmentPlan.of(lay, state)
     x = np.empty(lay.nvar)
-    x[lay.v0:lay.th0] = _clip(raw[lay.v0:lay.th0], lay.v_min, lay.v_max)
-    x[lay.th0:lay.bcs0] = raw[lay.th0:lay.bcs0]
-    x[lay.bcs0:lay.p0] = _clip(raw[lay.bcs0:lay.p0], lay.bcs_min, lay.bcs_max)
+    x[lay.v0:lay.p0] = _clip(raw[lay.v0:lay.p0], *lay.bus_box)
     x[lay.p0:lay.q0] = p_base[lay.gens]
     x[plan.pin_cols] = plan.pins
-    x[plan.mid_cols] = _clip(p_base[plan.mid_gens] + plan.mid_alpha * state.delta,
+    x[plan.mid_cols] = _clip(p_base[plan.mid_gens] + plan.mid_alpha * delta,
                              *plan.mid_box)
     x[lay.q0:lay.fl0] = plan.q_pins
     x[plan.q_mid_cols] = _clip(raw[plan.q_mid_cols], *plan.q_mid_box)
-    x[lay.fl0:] = lay.flow_values(x).ravel()
+    lay.flow_vars(x)[:] = lay.flow_values(x)
     return x, _slacks(lay, x)
 
 
@@ -229,7 +227,8 @@ def project_response(state, net: Network, k, base: OperatingPoint, raw):
     """The operating point of `_projection` of the layout vector `raw` of k's
     `CaseLayout` into segment state `state` at base point `base`."""
     lay = CaseLayout.of(net, k.outaged)
-    x, slacks = _projection(lay, state, base.state.p_gen, raw)
+    x, slacks = _projection(lay, _SegmentPlan.of(lay, state), state.delta,
+                            base.state.p_gen, raw)
     return _point(lay, slacks, lay.unpack(x))
 
 
@@ -257,7 +256,7 @@ def reprice(net: Network, state: FlowState, outaged=None):
     every other entry of `state`."""
     lay = CaseLayout.of(net, outaged)
     x = lay.pack(state)
-    x[lay.fl0:] = lay.flow_values(x).ravel()
+    lay.flow_vars(x)[:] = lay.flow_values(x)
     slacks = _slacks(lay, x)
     out = state.copy()
     out.flows[:] = 0.0
@@ -399,8 +398,7 @@ class _Block:
         lay = self.layout
         lb = np.full(self.nvar, -INF)
         ub = np.full(self.nvar, INF)
-        lb[lay.v0:lay.th0], ub[lay.v0:lay.th0] = lay.v_min, lay.v_max
-        lb[lay.bcs0:lay.p0], ub[lay.bcs0:lay.p0] = lay.bcs_min, lay.bcs_max
+        lb[lay.v0:lay.p0], ub[lay.v0:lay.p0] = lay.bus_box
         lb[lay.p0:lay.q0], ub[lay.p0:lay.q0] = lay.p_min[lay.gens], lay.p_max[lay.gens]
         lb[lay.q0:lay.fl0], ub[lay.q0:lay.fl0] = lay.q_min[lay.gens], lay.q_max[lay.gens]
         # balance/rating slacks and penalty auxiliaries are nonnegative

@@ -399,36 +399,127 @@ def test_square_system_jacobian_matches_finite_differences(ctg_id):
         sys_ = square_system(net, k, base, state)
         z = start(sys_, base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
         lu_pattern, vals = sys_.jacobian(z)
-        A, _, pos = lu_pattern.lu(vals)
-        J = A[:, pos]
+        # a dense pattern, whose matrix keeps the natural order
+        J = lu_pattern.matrix(vals)
         J_fd = fd_jacobian(sys_.residual, z)
         assert J.shape == (sys_.n, sys_.n)
         scale = np.maximum(np.abs(J_fd), 1.0)
         assert np.max(np.abs(J - J_fd) / scale) < 1e-6, mix
 
 
+def reference_square(net, k, base, state, z):
+    """(rows, cols, F, J): k's square system at base point `base`, segment
+    state `state` and unknowns z, assembled the plain way from the acpf
+    kernel at the layout vector x of the base point with the reference
+    angle at 0, the pins, the middle responders on the response rule,
+    middle q at 0, and the unknowns: v at the non-PV buses and theta at the
+    others than the reference (`cols`, in bus order).  F is x's balance at
+    the kept rows (P at every bus, then Q at the non-PV buses); J is the Jacobian's raw (row, col,
+    value) entries: each expression-Jacobian entry on an unknown column in a
+    kept row, in `jac_head` order, a flow row's negated into its end bus's
+    balance row, then alpha on delta's column in each middle responder's P
+    row."""
+    lay = CaseLayout.of(net, k.outaged)
+    nb, m, ref = lay.nb, lay.m, net.bus_index(net.reference_bus)
+    x = lay.pack(base.state)
+    x[lay.th0 + ref] = 0.0
+    pv, mid_bus, mid_alpha = set(), [], []
+    for gi, g in enumerate(net.generators):
+        if g.id == k.outaged:
+            continue
+        col, seg = lay.gen_col[gi], state.active.get(g.id)
+        if seg == ev.MIDDLE:
+            x[lay.p0 + col] = base.state.p_gen[gi] + g.alpha * z[-1]
+            mid_bus.append(net.bus_index(g.bus))
+            mid_alpha.append(g.alpha)
+        elif seg is not None:
+            x[lay.p0 + col] = g.p_min if seg == ev.LOWER else g.p_max
+        seg = state.reactive.get(g.id, ev.MIDDLE)
+        x[lay.q0 + col] = (0.0 if seg == ev.MIDDLE else
+                           g.q_min if seg == ev.LOWER else g.q_max)
+        if seg == ev.MIDDLE:
+            pv.add(net.bus_index(g.bus))
+    pq = [i for i in range(nb) if i not in pv]
+    cols = np.array([lay.v0 + i for i in pq] + [lay.th0 + i for i in range(nb) if i != ref])
+    rows = np.array(list(range(nb)) + [nb + i for i in pq])
+    x[cols] = z[:-1]
+    F = lay.balance(x, lay.flow_values(x))[rows]
+
+    col_pos = np.full(lay.nvar, -1)
+    col_pos[cols] = np.arange(len(cols))
+    row_pos = np.full(2 * nb + 1, -1)
+    row_pos[rows] = np.arange(len(rows))
+    jr, jc = lay.jac_pattern()
+    r = row_pos[np.concatenate((lay.bal_row[lay.fl0 - lay.p0:], np.arange(2 * nb),
+                                np.full(lay.nrows - 4 * m - 2 * nb, 2 * nb)))[jr]]
+    sel = np.flatnonzero((r >= 0) & (col_pos[jc] >= 0))
+    sign = np.where(jr[sel] < 4 * m, -1.0, 1.0)
+    J = (np.concatenate((r[sel], np.array(mid_bus, dtype=int))),
+         np.concatenate((col_pos[jc[sel]], np.full(len(mid_bus), len(cols)))),
+         np.concatenate((lay.jac_head(x, lay.branch_terms(x))[sel] * sign, mid_alpha)))
+    return rows, cols, F, J
+
+
+def dense_of(pattern, vals):
+    """The matrix of raw values vals on an LU pattern, as a dense array in
+    the pattern's own column order."""
+    from scipy import sparse
+    A = pattern.matrix(vals)
+    if isinstance(pattern, nlp._DenseLuPattern):
+        return A
+    return sparse.csc_matrix((A.data, A.indices, A.indptr), shape=(pattern.n,) * 2).toarray()
+
+
 @pytest.mark.parametrize("ctg_id", ["CL2", "CT1", "CG2"])
-def test_square_system_evaluates_the_kernel_entries_it_selects(ctg_id):
-    # the Jacobian's values are the full acpf kernel's selected entries,
-    # signed, then the constants, though only the leading ones are
-    # evaluated; the residual is the kernel's balance at the kept rows, and
-    # the reference angle is a parameter at 0
+def test_square_system_evaluates_the_kernel_entries_it_selects(ctg_id, monkeypatch):
+    # for every mix of segments (pins on either bound, PV buses or none),
+    # with dense and sparse LU patterns: the Jacobian's values, the matrix
+    # they sum to (repeated entries in the same order) and the residual are
+    # the plain assembly's, bit for bit; a sparse pattern's matrix keeps
+    # them once its first LU has moved its columns.  The base point's
+    # angles (the reference's too), shunts and outputs are off their
+    # defaults, so that each parameter the system sets is seen
     from conftest import five_bus_net
-    net = five_bus_net()
-    k = net.contingency(ctg_id)
-    base = scopf.default_start(net)
-    sys_ = square_system(net, k, base, compl.init_default(net, k))
-    lay, st = sys_.lay, sys_.st
-    assert st.sel.max() < lay.n_jac_head
-    z = start(sys_, base, 0.05) + np.random.default_rng(3).uniform(-0.05, 0.05, sys_.n)
-    _, vals = sys_.jacobian(z)
-    x = sys_.expand(z)[:lay.nvar]
-    x[lay.fl0:] = lay.flow_values(x).ravel()
-    full = lay.jac_values(x)
-    np.testing.assert_array_equal(vals, np.concatenate((full[st.sel] * st.sign, st.const)))
-    r = sys_.residual(z)
-    np.testing.assert_array_equal(r, lay.balance(x)[st.rows])
-    assert x[lay.th0 + sys_.ref] == 0.0
+    for limit, kind in ((nlp.DENSE_LU_MAX, nlp._DenseLuPattern), (0, nlp._LuPattern)):
+        monkeypatch.setattr(nlp, "DENSE_LU_MAX", limit)
+        net = five_bus_net()
+        k = net.contingency(ctg_id)
+        base = scopf.default_start(net)
+        rng = np.random.default_rng(5)
+        for a in (base.state.theta, base.state.bcs, base.state.p_gen, base.state.q_gen):
+            a += rng.uniform(-0.1, 0.1, len(a))
+        assert_square_system_is_its_reference(net, k, base, kind)
+
+
+def assert_square_system_is_its_reference(net, k, base, kind):
+    """k's square systems at every mix of segments, on `kind` of LU
+    pattern, against `reference_square` at a random point each."""
+    from itertools import product
+    rng = np.random.default_rng(3)
+    segs = (scopf.MIDDLE, scopf.LOWER, scopf.UPPER)
+    state = compl.init_default(net, k)
+    active, reactive = sorted(state.active), sorted(state.reactive)
+    with_pv = set()  # the segments of mixes with a PV bus
+    for mix in product(segs, repeat=len(active) + len(reactive)):
+        state.active.update(zip(active, mix))
+        state.reactive.update(zip(reactive, mix[len(active):]))
+        sys_ = square_system(net, k, base, state)
+        z = start(sys_, base, 0.05) + rng.uniform(-0.05, 0.05, sys_.n)
+        rows, cols, F, (jr, jc, jv) = reference_square(net, k, base, state, z)
+        assert sys_.n == len(rows) == len(cols) + 1
+        assert sys_.residual(z).tobytes() == F.tobytes()
+        pattern, vals = sys_.jacobian(z)
+        assert type(pattern) is kind
+        assert vals.tobytes() == jv.tobytes()
+        M = np.zeros((sys_.n, sys_.n))
+        np.add.at(M, (jr, jc), jv)
+        pos = pattern.lu(vals)[2]
+        if pos is None:
+            pos = np.arange(sys_.n)
+        assert dense_of(pattern, vals)[:, pos].tobytes() == M.tobytes()
+        if len(rows) < 2 * sys_.lay.nb:
+            with_pv.update(mix)
+    assert with_pv == set(segs)
 
 
 def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):
@@ -586,15 +677,22 @@ def test_generators_sharing_a_bus_share_its_reactive_injection(monkeypatch):
 def test_fast_evaluations_on_14_buses_solve_the_full_system(monkeypatch):
     # every converged square solve of every contingency's fast evaluation
     net, base = generated_base(14)
-    systems, solves = {}, []
+    systems, states, solves = {}, {}, []
     packed = {k.outaged: CaseLayout.of(net, k.outaged).pack(base.state).tobytes()
               for k in net.contingencies}
 
     class Recorded(ev._SquareSystem):
-        def __init__(self, net, k, base_x, state):
-            super().__init__(net, k, base_x, state)
+        # the round's segment state comes with its segment update; the
+        # system was built on that state's plan
+        def __init__(self, net, k, base_x, plan):
+            super().__init__(net, k, base_x, plan)
             assert base_x.tobytes() == packed[k.outaged]
-            systems[id(self)] = (k, state.copy())
+            systems[id(self)] = k
+
+        def updated_segments(self, state, w):
+            assert self.plan is scopf._SegmentPlan.of(self.lay, state)
+            states[id(self)] = state.copy()
+            return super().updated_segments(state, w)
 
     real_solve = ev.solve_square
 
@@ -610,13 +708,14 @@ def test_fast_evaluations_on_14_buses_solve_the_full_system(monkeypatch):
     converged = [(s, r) for s, r in solves if r.status == nlp.SOLVED]
     assert len(converged) >= len(net.contingencies)
     for sys_, r in converged:
-        k, state = systems[id(sys_)]
+        k, state = systems[id(sys_)], states[id(sys_)]
         assert_solves_the_full_system(net, k, base, state, sys_.expand(r.x))
 
 
 def square_system(net, k, base, state):
     """k's square system at base point `base` and segment state `state`."""
-    return ev._SquareSystem(net, k, CaseLayout.of(net, k.outaged).pack(base.state), state)
+    lay = CaseLayout.of(net, k.outaged)
+    return ev._SquareSystem(net, k, lay.pack(base.state), scopf._SegmentPlan.of(lay, state))
 
 
 def start(sys_, base, delta):

@@ -1043,7 +1043,8 @@ def random_pattern(symmetric, n=40, seed=7):
 def test_lu_pattern_solves_like_splu_of_the_matrix(kind):
     # the first LU bakes the ordering that its kind picks in; it and every
     # later natural-order LU of the pre-permuted matrix solve like an LU of
-    # the matrix itself; the dense factorizer keeps the natural order
+    # the matrix itself; the dense factorizer keeps the natural order and
+    # overwrites the matrix, which it gives again from `matrix`
     symmetric = kind == "symmetric"
     rows, cols, vals = random_pattern(symmetric)
     n = 40
@@ -1053,7 +1054,11 @@ def test_lu_pattern_solves_like_splu_of_the_matrix(kind):
     for v in vals:
         M = sparse.csc_matrix((v, (rows, cols)), shape=(n, n))
         A, lu, pos = pattern.lu(v)
-        A = A if kind == "dense" else scipy_csc(A)
+        if kind == "dense":
+            assert A is None and pos is None
+            A, pos = pattern.matrix(v), np.arange(n)
+        else:
+            A = scipy_csc(A)
         assert max_rel_diff(A[pos][:, pos] if symmetric else A[:, pos], M) <= 1e-15
         b = rng.normal(size=n)
         rhs = b
@@ -1064,7 +1069,7 @@ def test_lu_pattern_solves_like_splu_of_the_matrix(kind):
         ref = splu(M).solve(b)
         x = lu.solve(rhs)[pos]
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.any(pattern.pos != np.arange(n)) == (kind != "dense")
+    assert kind == "dense" or np.any(pattern.pos != np.arange(n))
 
 
 # --- the start and the end of a solve ----------------------------------------

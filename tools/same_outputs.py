@@ -19,15 +19,20 @@ artefact to OUT/digests.txt and to stdout:
   ``point.slack_vector()``, penalty, status, segments and ``compl.delta``;
 * the interior point where SuperLU forms supernodes: a flat-start base
   solve of ``gen-case --n-bus 300 --seed 3`` (preprocessed, tol 1e-8; its
-  ``x``, status, iterations, LUs and GMRES calls), and ``full_evaluate`` of
-  the 30-bus contingencies KG10, KL14 and KT21 at the solved 30-bus base
-  (the screening digest's fields plus every round's NLP record).
+  ``x``, status, iterations, LUs and GMRES calls);
+* the square solves that SuperLU factors (more rows than a dense LU
+  takes): ``fast_evaluate`` of the first 10 contingencies at that solved
+  300-bus base, at the cutoffs ``default_cutoff`` and infinity, with the
+  screening digest's fields;
+* ``full_evaluate`` of the 30-bus contingencies KG10, KL14 and KT21 at
+  the solved 30-bus base (the screening digest's fields plus every round's
+  NLP record).
 
 Run it once per tree into two directories; the trees' outputs are the same
 when ``diff`` of the two ``digests.txt`` is empty.  The tool reads only
 names that have kept their meaning across versions of the package, so one
 copy of it checks an older tree as well as a newer one.  It takes about
-five seconds on a 2-core machine.
+six seconds on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -54,6 +59,17 @@ def file_digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def result_digest(h, res):
+    """Add one evaluation result's penalty, status, segments, delta, state
+    arrays and slack vector to the sha256 h."""
+    st, c = res.point.state, res.compl
+    h.update(repr((res.penalty, res.status, sorted(c.active.items()),
+                   sorted(c.reactive.items()), c.delta)).encode())
+    for a in (st.v, st.theta, st.bcs, st.p_gen, st.q_gen, st.flows,
+              res.point.slack_vector()):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+
+
 def screening_digest(out):
     """sha256 over the fast evaluations of every contingency of the 30-bus
     case at each screening point, at three cutoffs."""
@@ -73,43 +89,43 @@ def screening_digest(out):
     for point in points:
         for k in net.contingencies:
             for cutoff in (default_cutoff(net), 0.0, math.inf):
-                res = fast_evaluate(net, k, point, cutoff=cutoff, deterministic=True)
-                st, c = res.point.state, res.compl
-                h.update(repr((res.penalty, res.status, sorted(c.active.items()),
-                               sorted(c.reactive.items()), c.delta)).encode())
-                for a in (st.v, st.theta, st.bcs, st.p_gen, st.q_gen, st.flows,
-                          res.point.slack_vector()):
-                    h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+                result_digest(h, fast_evaluate(net, k, point, cutoff=cutoff,
+                                               deterministic=True))
                 count += 1
     return h.hexdigest(), f"fast_evaluate[{count}]"
 
 
 def nlp_digests(out):
-    """sha256 of the 300-bus flat-start base solve, and of the full
+    """sha256 of the 300-bus flat-start base solve, of the fast evaluations
+    of its first 10 contingencies at the solved 300-bus base, and of the full
     evaluations of three 30-bus contingencies at the solved 30-bus base."""
     from scacopf.case_model import load_case, preprocess
-    from scacopf.eval import full_evaluate
+    from scacopf.eval import default_cutoff, fast_evaluate, full_evaluate
     from scacopf.nlp import solve_nlp
     from scacopf.orchestrator import flat_start, solve_base
     from scacopf.scopf import build_base_problem
 
     net, report = preprocess(load_case(os.path.join(out, "c300.json")))
-    sol = solve_nlp(build_base_problem(net, report, start=flat_start(net)), tol=1e-8)
+    prob = build_base_problem(net, report, start=flat_start(net))
+    sol = solve_nlp(prob, tol=1e-8)
     h = hashlib.sha256(repr((sol.status, sol.iterations, sol.lus,
                              sol.gmres_calls)).encode())
     h.update(sol.x.tobytes())
     lines = [f"{h.hexdigest()}  base_solve[300]"]
 
+    base, h = prob.meta.extract_base(sol.x), hashlib.sha256()
+    for k in net.contingencies[:10]:
+        for cutoff in (default_cutoff(net), math.inf):
+            result_digest(h, fast_evaluate(net, k, base, cutoff=cutoff,
+                                           deterministic=True))
+    lines.append(f"{h.hexdigest()}  fast_evaluate[300: 10 x 2]")
+
     net, _, base = solve_base(load_case(os.path.join(out, "c30.json")))[:3]
     h = hashlib.sha256()
     for cid in ("KG10", "KL14", "KT21"):
         res = full_evaluate(net, net.contingency(cid), base, deterministic=True)
-        st, c = res.point.state, res.compl
-        h.update(repr((cid, res.penalty, res.status, res.nlp, sorted(c.active.items()),
-                       sorted(c.reactive.items()), c.delta)).encode())
-        for a in (st.v, st.theta, st.bcs, st.p_gen, st.q_gen, st.flows,
-                  res.point.slack_vector()):
-            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        h.update(repr((cid, res.nlp)).encode())
+        result_digest(h, res)
     lines.append(f"{h.hexdigest()}  full_evaluate[30: KG10 KL14 KT21]")
     return lines
 
