@@ -293,34 +293,46 @@ class CaseLayout:
         y[1] += x[self.bcs0:self.p0]
         return y
 
-    def balance(self, x, flows=None):
-        """Per-bus mismatch before slacks, from the flow variables or the given
-        `flows` (in-service branches, 4): P at every bus, then Q, as one flat
-        vector (``reshape(2, -1)`` splits it).  One `bincount` of the bus
-        terms, then the generator outputs and negated flows, in column order.
-        The bus terms are ``-load + shunts(x) * v * v`` for P and Q at once,
-        the same floats as ``-p_load - g_fs * v * v`` (negation is exact)."""
-        nb, n_bus_gen = self.nb, self.fl0 - self.p0 + 2 * self.nb
+    def balance_weights(self, x):
+        """A new weight array for `balance` whose generator entries hold x's
+        outputs: entry 2 nb + j is x[p0 + j], for p then q."""
         w = np.empty(len(self._bal_rows))
+        w[2 * self.nb:2 * self.nb + self.fl0 - self.p0] = x[self.p0:self.fl0]
+        return w
+
+    def balance(self, x, flows=None, shunts=None, w=None):
+        """Per-bus mismatch before slacks, from the flow variables or the given
+        `flows` (in-service branches, 4; a `flow_values` result, the
+        transpose of a side-major array): P at every bus, then Q, as one
+        flat vector (``reshape(2, -1)`` splits it).  One `bincount` of the
+        bus terms, then the generator outputs and negated flows, in column
+        order.  The bus terms are ``-load + shunts(x) * v * v`` for P and Q
+        at once, the same floats as ``-p_load - g_fs * v * v`` (negation is
+        exact).  A caller whose bcs and generator outputs stay fixed over
+        many calls passes `shunts(x)` as `shunts` and its own
+        `balance_weights` array as `w`, whose generator entries it keeps
+        current; only w's bus and flow entries are written then."""
+        nb, n_bus_gen = self.nb, self.fl0 - self.p0 + 2 * self.nb
+        if w is None:
+            w = self.balance_weights(x)
         v2 = x[self._v2]
         bus = w[:2 * nb].reshape(2, nb)
-        np.multiply(self.shunts(x), v2, out=bus)
+        np.multiply(self.shunts(x) if shunts is None else shunts, v2, out=bus)
         bus *= v2
         bus += self._neg_load
-        w[2 * nb:n_bus_gen] = x[self.p0:self.fl0]
-        fl = w[n_bus_gen:]
-        fl.reshape(-1, 4)[:] = self.flow_vars(x) if flows is None else flows
-        np.negative(fl, out=fl)
+        np.negative(self.flow_vars(x) if flows is None else flows,
+                    out=w[n_bus_gen:].reshape(-1, 4))
         return np.bincount(self._bal_rows, w, 2 * nb)
 
-    def ratings(self, x):
-        """(lhs, rhs): squared flow magnitudes and rating bases, shape
-        (in-service branches, 2) for (origin, destination), each the
-        transpose of a new (2, m) array."""
-        fl = self.flow_vars(x)
-        f2 = (fl * fl).T
+    def ratings(self, x, flows=None):
+        """(lhs, rhs): squared flow magnitudes and rating bases, side-major
+        (2, in-service branches) arrays for (origin, destination), both new;
+        the flows are x's flow variables or `flows`, as `balance` takes
+        them."""
+        fl = (self.flow_vars(x) if flows is None else flows).T
+        f2 = fl * fl
         v1 = np.concatenate((x[self.v0:self.th0], self._one))
-        return (f2[0::2] + f2[1::2]).T, (self._rate2 * v1[self._rate_v]).T
+        return f2[0::2] + f2[1::2], self._rate2 * v1[self._rate_v]
 
     # --- first derivatives ----------------------------------------------
 

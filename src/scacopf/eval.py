@@ -13,17 +13,22 @@ Two engines estimate the post-contingency penalty of a base operating point:
   size below the round before, or whose update kept its segments, or whose
   square solve failed (priced and kept if best), or when the budget or its
   rounds run out.  Each step's LU is dense (LAPACK) for a system of at most
-  `nlp.DENSE_LU_MAX` = 150 rows (up to about 90 buses), where SuperLU's
-  fixed cost per call outweighs the elimination, and sparse (SuperLU) above
-  it: the crossover was measured between 151 and 168 rows (see
-  `nlp.DENSE_LU_MAX` for how it has moved since).  Each round looks up its
-  segment state's `_SegmentPlan` once, for its square system and its
-  projection.  A Newton step's Jacobian is one fill of
+  `nlp.DENSE_LU_MAX` = 120 rows (up to about 70 buses), where SuperLU's
+  fixed cost per call outweighs the elimination, and sparse (SuperLU)
+  above it, where the crossover was measured (see `nlp.DENSE_LU_MAX`).
+  Each round looks up its segment state's `_SegmentPlan` once, for its
+  square system and its projection.  A Newton step's Jacobian is one fill of
   `CaseLayout.branch_jac`'s (4, 4, m) block, gathered at positions that
   `_SquareStructure` compiles, and the shunt entries, whose slopes are
   fixed per system; the values are the same floats, summed in the same
-  order, as the selected entries of `CaseLayout.jac_head`.  It is cheap and
-  yields an upper bound on the optimal penalty.
+  order, as the selected entries of `CaseLayout.jac_head`.  Its residual
+  is `CaseLayout.balance` on a weight array of the system's own: bcs and
+  every output but the middle responders' p are parameters, so the shunt
+  coefficients and those outputs' weights are set once per system, and
+  each residual writes only the v terms, the middle p and the negated
+  flows.  Each step is one `pattern.solve`, a single LAPACK gesv call for
+  a dense LU.  It is cheap and yields an upper bound on the optimal
+  penalty.
 * ``full_evaluate`` solves the penalty-minimization NLP in a loop with
   all-at-once complementarity segment updates; without a given start, its
   first NLP starts from the same projected base point.
@@ -213,6 +218,8 @@ class _SquareStructure:
         self.shunt_v = lay.v0 + self.shunt_pos % nb
         mid = resp[p_mid]
         self.const = lay.alpha[mid]
+        # the middle responders' p entries in `CaseLayout.balance_weights`
+        self.w_mid = 2 * nb + lay.gen_col[mid]
         # the one place a square system picks its LU by size
         lu_pattern = (_DenseLuPattern if self.n <= nlp_mod.DENSE_LU_MAX
                       else _LuPattern)
@@ -269,8 +276,13 @@ class _SquareSystem:
         x[lay.q0:lay.fl0] = plan.q_pins
         self._mid = (plan.mid_cols, base_x[plan.mid_cols], plan.mid_alpha)
         self._at = (None,)  # (z, x, terms, balance) of the last residual
-        # the shunt entries' slopes in v, 2 shunts(x): bcs is a parameter
-        self._dshunt = (2.0 * lay.shunts(x)).ravel()[st.shunt_pos]
+        # bcs and the outputs but the middle responders' p are parameters:
+        # the balance's shunt coefficients and its weights' generator
+        # entries are set here, the middle p entries by each residual
+        self._shunts = lay.shunts(x)
+        self._w = lay.balance_weights(x)
+        # the shunt entries' slopes in v, 2 shunts(x)
+        self._dshunt = (2.0 * self._shunts).ravel()[st.shunt_pos]
         self._blk = np.empty((4, 4, lay.m))
         n_blk, n_sel = len(st.blk_pos), len(st.blk_pos) + len(st.shunt_pos)
         self._vals = np.concatenate((np.empty(n_sel), st.const))
@@ -289,9 +301,9 @@ class _SquareSystem:
         lay, (cols, base_p, alpha) = self.lay, self._mid
         x = self.template.copy()
         x[self.st.cols] = z[:-1]
-        x[cols] = base_p + alpha * z[-1]
+        x[cols] = self._w[self.st.w_mid] = base_p + alpha * z[-1]
         terms = lay.branch_terms(x)
-        bal = lay.balance(x, lay.flow_values(x, terms))
+        bal = lay.balance(x, lay.flow_values(x, terms), self._shunts, self._w)
         self._at = (z, x, terms, bal)
         return bal[self.st.rows]
 

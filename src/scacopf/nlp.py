@@ -81,16 +81,15 @@ CSC kernel.  Both are private scipy entry points, verified on scipy 1.17.1:
 
 A SuperLU call pays a fixed cost of about 12 us whatever the matrix (a
 5 x 5 diagonal one on the 2-core host; about 15 us through `splu`), so a
-square Jacobian of at most `DENSE_LU_MAX` = 150 rows (the fast
-evaluation's Newton systems up to about 90 buses; `eval._SquareStructure`
+square Jacobian of at most `DENSE_LU_MAX` = 120 rows (the fast
+evaluation's Newton systems up to about 70 buses; `eval._SquareStructure`
 makes the choice) is factored by a `_DenseLuPattern` instead: one
-`np.bincount` into a fresh n x n array, which LAPACK getrf factors in
-place, solved with getrs, with no permutation to undo.  The constant is the
-crossover measured against COLAMD-ordered SuperLU when it was set:
-screening with dense LUs was faster up to 101 rows, even at 126 and 151,
-and slower from 168 rows on; since the rest of a Newton step got cheaper,
-dense is still faster up to 101 rows and 7 % slower at 151 (see
-`DENSE_LU_MAX`, which is kept).
+`np.bincount` into a fresh n x n array, which one LAPACK gesv call factors
+in place (getrf) and solves with (getrs), with no permutation to undo.
+Both kinds of pattern give a Newton step through one method, `solve`.  The
+constant is the crossover measured against COLAMD-ordered SuperLU with
+that one call: screening with dense LUs is faster up to 120 rows and
+slower from 126 on (see `DENSE_LU_MAX`).
 """
 
 from __future__ import annotations
@@ -214,9 +213,7 @@ class _LuPattern:
         """(A, lu, pos) for raw values vals: A is `matrix(vals)`, which the
         refinement of a step multiplies by; `lu` factors A, whose column
         pos[j] (and, if symmetric, row pos[i]) is column j (row i) of the
-        matrix, or is None if the matrix is exactly singular.  (A
-        `_DenseLuPattern` gives no A and no pos: its LU overwrites the matrix
-        and keeps the natural order.)"""
+        matrix, or is None if the matrix is exactly singular."""
         if self.pos is None:
             A = self.matrix(vals)
             ordering = "MMD_AT_PLUS_A" if self.symmetric else "COLAMD"
@@ -232,6 +229,13 @@ class _LuPattern:
             self._compile(self.pos[rows] if self.symmetric else rows, self.pos[cols])
         A = self.matrix(vals)
         return A, _splu(A, "NATURAL", self.symmetric), self.pos
+
+    def solve(self, vals, rhs):
+        """The solution x of A x = rhs for the matrix A of raw values vals,
+        gathered back to the pattern's own order through `pos`, or None if A
+        is exactly singular."""
+        _, lu, pos = self.lu(vals)
+        return None if lu is None else lu.solve(rhs)[pos]
 
 
 class _CscMatrix:
@@ -255,29 +259,26 @@ class _CscMatrix:
 # with a dense LU (`_DenseLuPattern`); larger ones go to SuperLU
 # (`_LuPattern`, ordered by COLAMD).  The crossover, on a 2-core x86 host with
 # BLAS at 1 thread, from the median time of `fast_evaluate` on every
-# contingency of `gen-case` n --seed 3 with each factorizer (5-6 alternating
-# sweeps a run): dense is 25 % faster at 76 rows (n = 45), 19 % at 101
-# (n = 60), even at 126 and 151 (n = 75 and 90; 1-4 % faster), 5 % slower at
-# 168 (n = 100), 13 % at 185 (n = 110), 22 % at 201 (n = 120) and 57 % at 251
-# (n = 150).  One fill, LU and solve: 14 against 33 us at 51 rows (n = 30),
-# even at 101, 110 against 67 us at 151.  Re-measured the same way (6
-# sweeps each) once a step's Jacobian, residual and glue got cheaper and the
-# dense LU factored in place: dense is 22 % faster at 51 rows, 15 % at 76
-# (n = 45), 12 % at 101 and 7 % slower at 151 (n = 90); one fill, LU and
-# solve takes 10 against 20 us at 50 rows, 33 against 31-34 us at 100 and 76
-# against 45-55 us at 150.  The constant is kept: tuning it is its own
-# change.
-DENSE_LU_MAX = 150
+# contingency of `gen-case` n --seed 3 at its solved base with each
+# factorizer (6-10 alternating sweeps a run), with each dense step one gesv
+# call: dense is 12-13 % faster at 101 rows (n = 60, two runs), 3-4 %
+# faster at 117-120 (n = 70, two runs), 3 % faster to 9 % slower at 126
+# (n = 75, four runs, median 3.5 % slower) and 10-24 % slower at 151
+# (n = 90, two runs).  It was 150 when dense was faster at 151 rows; the
+# rest of a Newton step has got cheaper since, so the LU is a larger share
+# of it and the crossover has moved down.
+DENSE_LU_MAX = 120
 
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+_gesv, = get_lapack_funcs(("gesv",), dtype=np.float64)
 
 
 class _DenseLuPattern:
     """Dense counterpart of `_LuPattern` for small square systems: the raw
     (row, col) entries are compiled once to flat indices of the
     Fortran-ordered n x n array, which `matrix` fills with one
-    `np.bincount`, and `lu` factors that fresh array in place with LAPACK
-    getrf.  Its partial pivoting needs no ordering."""
+    `np.bincount`, and `solve` hands that fresh array and the right-hand
+    side to one LAPACK gesv call, which factors the array in place (getrf)
+    and solves (getrs).  Its partial pivoting needs no ordering."""
 
     def __init__(self, rows, cols, n):
         self.flat = np.asarray(cols, dtype=np.int64) * n + rows
@@ -289,23 +290,13 @@ class _DenseLuPattern:
         return np.bincount(self.flat, weights=vals, minlength=n * n).reshape(
             (n, n), order="F")
 
-    def lu(self, vals):
-        """(None, lu, None): `_LuPattern.lu`'s triple without the matrix,
-        which getrf overwrites with the factors (`matrix(vals)` builds it
-        again), and with no permutation, as the rows and columns keep their
-        order; lu is None if the matrix is exactly singular."""
-        lu, piv, info = _getrf(self.matrix(vals), overwrite_a=1)
-        return None, _DenseLu(lu, piv) if info == 0 else None, None
-
-
-class _DenseLu:
-    """A getrf factorization with the `solve` of a SuperLU object."""
-
-    def __init__(self, lu, piv):
-        self.lu, self.piv = lu, piv
-
-    def solve(self, rhs):
-        return _getrs(self.lu, self.piv, rhs)[0]
+    def solve(self, vals, rhs):
+        """`_LuPattern.solve`: x in the rows' own order, or None if the
+        matrix is exactly singular.  rhs must be a fresh float array: gesv
+        overwrites it with x, which it returns."""
+        # overwrite_a=1, overwrite_b=1, passed by position
+        x, info = _gesv(self.matrix(vals), rhs, 1, 1)[2:]
+        return x if info == 0 else None
 
 
 def _splu(A, permc_spec, symmetric=False):
@@ -912,6 +903,13 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     )
 
 
+# the reductions that ndarray.max and ndarray.all make, called without the
+# Python wrappers those methods go through: `solve_square` takes both at
+# every iterate of vectors of about 50 entries, where the wrapper costs as
+# much as the reduction
+_max, _all = np.maximum.reduce, np.logical_and.reduce
+
+
 @dataclass
 class SquareResult:
     x: np.ndarray
@@ -924,11 +922,13 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     """Damped Newton for a square system fun(x) = 0 with Jacobian jac(x).
 
     jac(x) returns a pair (pattern, vals): a `_DenseLuPattern` or
-    `_LuPattern` and the Jacobian's raw values, which each step factors with
-    `pattern.lu(vals)`; a `_DenseLuPattern` (at most `DENSE_LU_MAX` rows)
-    uses LAPACK's dense LU, an `_LuPattern` SuperLU in the COLAMD column
-    ordering it keeps from its first LU.  jac is called only at the point of
-    the last fun call, so it may reuse that call's work.  Each step
+    `_LuPattern` and the Jacobian's raw values, and each step is one
+    `pattern.solve(vals, -F)`: a `_DenseLuPattern` (at most `DENSE_LU_MAX`
+    rows) makes one LAPACK gesv call, an `_LuPattern` one SuperLU LU in the
+    COLAMD column ordering it keeps from its first LU.  jac is called only
+    at the point of the last fun call, so it may reuse that call's work.
+    The step is made in the array -F, which the pattern may overwrite, so
+    neither F nor any array that fun returned is changed.  Each step
     backtracks on the residual's 2-norm and the best iterate has the least
     inf-norm, each norm taken once per iterate; no iterate is copied, as
     none is changed in place.  The solve ends `failed` at its best iterate
@@ -940,7 +940,7 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     t_start = time.monotonic()
     x = np.array(x0, float)
     F = np.asarray(fun(x), float)
-    norm_inf, f0 = float(np.abs(F).max(initial=0.0)), math.sqrt(F @ F)
+    norm_inf, f0 = float(_max(np.abs(F), initial=0.0)), math.sqrt(F.dot(F))
     best_x, best_norm = x, norm_inf
     it = 0
     for it in range(1, max_iter + 1):
@@ -952,26 +952,25 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
             return SquareResult(best_x, FAILED, it - 1, best_norm)
 
         pattern, vals = jac(x)
-        _, lu, pos = pattern.lu(vals)
-        if lu is not None:
-            d = lu.solve(-F) if pos is None else lu.solve(-F)[pos]
-        if lu is None or not np.isfinite(d).all():
+        d = pattern.solve(vals, -F)
+        if d is None or not _all(np.isfinite(d)):
             return SquareResult(best_x, FAILED, it, best_norm)
 
         # a NaN or inf in Fn fails the norm test against a finite f0
         f0_finite = math.isfinite(f0)
         alpha = 1.0
         for _ in range(40):
-            xn = x + alpha * d
+            # the full step is x + d, as 1.0 * d is d
+            xn = x + d if alpha == 1.0 else x + alpha * d
             Fn = np.asarray(fun(xn), float)
-            fn = math.sqrt(Fn @ Fn)
-            if fn <= (1 - 1e-4 * alpha) * f0 and (f0_finite or np.isfinite(Fn).all()):
+            fn = math.sqrt(Fn.dot(Fn))
+            if fn <= (1 - 1e-4 * alpha) * f0 and (f0_finite or _all(np.isfinite(Fn))):
                 break
             alpha *= 0.5
         else:
             return SquareResult(best_x, FAILED, it, best_norm)
         x, F, f0 = xn, Fn, fn
-        norm_inf = float(np.abs(F).max(initial=0.0))
+        norm_inf = float(_max(np.abs(F), initial=0.0))
 
     if norm_inf < best_norm:
         best_x, best_norm = x, norm_inf

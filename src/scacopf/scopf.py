@@ -81,6 +81,7 @@ class _Curve:
             vals.append(vals[-1] + slope * (brk - starts[-1]))
             starts.append(brk)
         self.starts, self.vals = np.array(starts), np.array(vals)
+        self._ends = self.starts[1:]
         self.slopes = np.array(list(slopes[:len(breaks)]) + [slopes[-1]], dtype=float)
         icpts = self.vals - self.slopes * self.starts
         new = np.ones(len(icpts), dtype=bool)
@@ -90,12 +91,26 @@ class _Curve:
     def value(self, x):
         """Curve value at x (a scalar or an array)."""
         # the last start at or below x, the first below 0 (starts[0] is 0)
-        i = np.searchsorted(self.starts[1:], x, side="right")
+        i = self._ends.searchsorted(x, side="right")
         return self.vals[i] + self.slopes[i] * (x - self.starts[i])
 
     def of_slacks(self, slacks):
         """Value at each nonnegative slack; 0 at and below 0."""
         return np.where(slacks <= 0.0, 0.0, self.value(slacks))
+
+    def total(self, slacks):
+        """``float(of_slacks(slacks).sum())`` in fewer numpy calls, the same
+        float for any array: np.maximum(s, 0.0) takes each entry at or below
+        0, -0.0 included, to a zero that the first segment prices at
+        0.0 + slopes[0] * (+-0.0), which is of_slacks' +0.0 for a finite
+        slope; NaN stays NaN, and the sum adds the same entries in the same
+        order."""
+        s = np.maximum(slacks, 0.0)
+        i = self._ends.searchsorted(s, side="right")
+        s -= self.starts.take(i)
+        s *= self.slopes.take(i)
+        s += self.vals.take(i)
+        return float(s.sum())
 
 
 def _curves(net: Network):
@@ -133,18 +148,30 @@ def point_penalty(net: Network, point: OperatingPoint, outaged=None):
 
 def _slack_penalty(net: Network, slacks):
     """Penalty of slacks in `point_penalty`'s (and `_slacks`') order."""
-    return float(_curves(net)[0].of_slacks(slacks).sum())
+    return _curves(net)[0].total(slacks)
 
 
-def _slacks(lay: CaseLayout, x):
+# the signs of `_slacks`' balance entries: -P, +P, -Q, +Q
+_BALANCE_SIGNS = np.array([[-1.0], [1.0]])
+
+
+def _slacks(lay: CaseLayout, x, flows=None):
     """The slacks that exactly absorb layout vector x's residuals, the unique
     minimal-slack assignment: the P+, P-, Q+ and Q- balance slacks per bus,
     then the rating slack per in-service branch, at `lay.slack_pos`
-    of an `OperatingPoint`'s slacks.  x's flows are trusted as given."""
-    p, q = lay.balance(x).reshape(2, -1)
-    lhs, rhs = lay.ratings(x)
-    over = np.sqrt(lhs) - rhs
-    return np.maximum(0.0, np.concatenate((-p, p, -q, q, np.maximum(over[:, 0], over[:, 1]))))
+    of an `OperatingPoint`'s slacks.  x's flows, or `flows` if given (as
+    `CaseLayout.balance` takes them, equal to x's), are trusted as given.
+    One new array, filled in place: the signed mismatches, the larger
+    end's rating excess, then ``np.maximum(0.0, s)``."""
+    nb = lay.nb
+    s = np.empty(4 * nb + lay.m)
+    np.multiply(lay.balance(x, flows).reshape(2, 1, nb), _BALANCE_SIGNS,
+                out=s[:4 * nb].reshape(2, 2, nb))
+    lhs, rhs = lay.ratings(x, flows)
+    over = np.sqrt(lhs)
+    over -= rhs
+    np.maximum(over[0], over[1], out=s[4 * nb:])
+    return np.maximum(0.0, s, out=s)
 
 
 def _point(lay: CaseLayout, slacks, state: FlowState):
@@ -208,7 +235,8 @@ def _projection(lay: CaseLayout, plan, delta, p_base, raw):
     outputs `p_base`, and its `_slacks`.  v, bcs and middle q are clipped
     to their boxes, pinned segments sit on their bound, middle responders'
     p on the response rule at response `delta`, other p at base, and the
-    flows are recomputed.  Only raw's v, theta, bcs and q columns are read,
+    flows are recomputed and handed to `_slacks` as they are, so pricing
+    needs no transposes.  Only raw's v, theta, bcs and q columns are read,
     so its flows may be NaN and entries past `nvar` (as
     `eval._SquareSystem.expand`'s delta) stay unread."""
     x = np.empty(lay.nvar)
@@ -219,8 +247,9 @@ def _projection(lay: CaseLayout, plan, delta, p_base, raw):
                              *plan.mid_box)
     x[lay.q0:lay.fl0] = plan.q_pins
     x[plan.q_mid_cols] = _clip(raw[plan.q_mid_cols], *plan.q_mid_box)
-    lay.flow_vars(x)[:] = lay.flow_values(x)
-    return x, _slacks(lay, x)
+    flows = lay.flow_values(x)
+    lay.flow_vars(x)[:] = flows
+    return x, _slacks(lay, x, flows)
 
 
 def project_response(state, net: Network, k, base: OperatingPoint, raw):
@@ -256,8 +285,9 @@ def reprice(net: Network, state: FlowState, outaged=None):
     every other entry of `state`."""
     lay = CaseLayout.of(net, outaged)
     x = lay.pack(state)
-    lay.flow_vars(x)[:] = lay.flow_values(x)
-    slacks = _slacks(lay, x)
+    flows = lay.flow_values(x)
+    lay.flow_vars(x)[:] = flows
+    slacks = _slacks(lay, x, flows)
     out = state.copy()
     out.flows[:] = 0.0
     out.flows[lay.svc] = lay.flow_vars(x)
@@ -437,7 +467,7 @@ class _Block:
         return out
 
     def ineq_values(self, xb):
-        lhs, rhs = self.layout.ratings(xb)
+        lhs, rhs = (a.T for a in self.layout.ratings(xb))
         s = xb[self.sS0:self.pen0, None]
         slacks = xb[self.sPp0:self.pen0, None]
         aux = xb[self.pen0:self.cost0, None]
@@ -451,7 +481,7 @@ class _Block:
         lay = self.layout
         jv = lay.jac_values(xb)
         s = xb[self.sS0:self.pen0]
-        _, rhs = lay.ratings(xb)
+        rhs = lay.ratings(xb)[1].T
         return jv[self._jeq] * self._jeq_sign, np.concatenate((
             jv[self._jiq], (-2.0 * (rhs[self.rated_j] + s[:, None])).ravel(),
             -2.0 * self._line_rate * np.repeat(s[self.rated_lines], 2)))

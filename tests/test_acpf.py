@@ -152,7 +152,7 @@ def test_rating_three_four_five(net2):
     lhs, rhs = layout.ratings(layout.pack(state))
     assert lhs[0, 0] == pytest.approx(25.0)
     assert rhs[0, 0] == pytest.approx(5.0)
-    assert lhs[0, 1] == pytest.approx(0.0)
+    assert lhs[1, 0] == pytest.approx(0.0)
 
 
 def test_squared_form_equivalent_to_norm_form(net5, rng):
@@ -162,8 +162,8 @@ def test_squared_form_equivalent_to_norm_form(net5, rng):
         sigma = rng.uniform(0, 0.5)
         lhs, rhs = layout.ratings(layout.pack(state))
         for bi in range(len(net5.branches)):
-            squared_ok = lhs[bi, 0] <= (rhs[bi, 0] + sigma) ** 2
-            norm_ok = math.sqrt(lhs[bi, 0]) <= rhs[bi, 0] + sigma
+            squared_ok = lhs[0, bi] <= (rhs[0, bi] + sigma) ** 2
+            norm_ok = math.sqrt(lhs[0, bi]) <= rhs[0, bi] + sigma
             assert squared_ok == norm_ok
 
 
@@ -228,7 +228,7 @@ def expr_values(layout, x):
     flows, P/Q balance, ``lhs - rhs**2``."""
     lhs, rhs = layout.ratings(x)
     return np.concatenate((layout.flow_values(x).ravel(), layout.balance(x),
-                           (lhs - rhs ** 2).ravel()))
+                           (lhs - rhs ** 2).T.ravel()))
 
 
 def fd_jacobian(fun, x, h=1e-6):

@@ -500,6 +500,7 @@ def assert_square_system_is_its_reference(net, k, base, kind):
     state = compl.init_default(net, k)
     active, reactive = sorted(state.active), sorted(state.reactive)
     with_pv = set()  # the segments of mixes with a PV bus
+    steps = []  # whether each mix's Jacobian gave a step
     for mix in product(segs, repeat=len(active) + len(reactive)):
         state.active.update(zip(active, mix))
         state.reactive.update(zip(reactive, mix[len(active):]))
@@ -513,13 +514,18 @@ def assert_square_system_is_its_reference(net, k, base, kind):
         assert vals.tobytes() == jv.tobytes()
         M = np.zeros((sys_.n, sys_.n))
         np.add.at(M, (jr, jc), jv)
-        pos = pattern.lu(vals)[2]
-        if pos is None:
-            pos = np.arange(sys_.n)
+        # a sparse pattern's first LU moves its columns; a dense one keeps them
+        pos = pattern.lu(vals)[2] if kind is nlp._LuPattern else np.arange(sys_.n)
         assert dense_of(pattern, vals)[:, pos].tobytes() == M.tobytes()
+        # the step solves the matrix, unless it is exactly singular
+        d = pattern.solve(vals, -F)
+        steps.append(d is not None)
+        if d is not None:
+            np.testing.assert_allclose(M @ d, -F, rtol=0.0, atol=1e-9)
         if len(rows) < 2 * sys_.lay.nb:
             with_pv.update(mix)
     assert with_pv == set(segs)
+    assert any(steps)
 
 
 def test_fast_evaluate_builds_one_case_layout(solved5, monkeypatch):

@@ -445,7 +445,7 @@ def test_singular_jacobian_ends_the_solve_failed(monkeypatch, dense):
         return pattern, np.array([2 * x[0], 1.0, 2 * x[0], 1.0])
 
     x0 = np.array([1.0, 1.0])
-    assert pattern.lu(jac(x0)[1])[1] is None
+    assert pattern.solve(jac(x0)[1], -fun(x0)) is None
     res = solve_square(fun, jac, x0)
     assert res.status == nlp.FAILED
     assert res.iterations == 1
@@ -1043,8 +1043,9 @@ def random_pattern(symmetric, n=40, seed=7):
 def test_lu_pattern_solves_like_splu_of_the_matrix(kind):
     # the first LU bakes the ordering that its kind picks in; it and every
     # later natural-order LU of the pre-permuted matrix solve like an LU of
-    # the matrix itself; the dense factorizer keeps the natural order and
-    # overwrites the matrix, which it gives again from `matrix`
+    # the matrix itself, and a square step (`solve`) is that LU's solve
+    # gathered back, bit for bit; the dense factorizer keeps the natural
+    # order and solves in one call, leaving the matrix to `matrix`
     symmetric = kind == "symmetric"
     rows, cols, vals = random_pattern(symmetric)
     n = 40
@@ -1053,23 +1054,50 @@ def test_lu_pattern_solves_like_splu_of_the_matrix(kind):
     rng = np.random.default_rng(1)
     for v in vals:
         M = sparse.csc_matrix((v, (rows, cols)), shape=(n, n))
-        A, lu, pos = pattern.lu(v)
-        if kind == "dense":
-            assert A is None and pos is None
-            A, pos = pattern.matrix(v), np.arange(n)
-        else:
-            A = scipy_csc(A)
-        assert max_rel_diff(A[pos][:, pos] if symmetric else A[:, pos], M) <= 1e-15
         b = rng.normal(size=n)
-        rhs = b
-        if symmetric:
-            rhs = np.empty(n)
-            rhs[pos] = b
-            assert np.array_equal(lu.perm_r, lu.perm_c)
+        if kind == "dense":
+            A, pos = pattern.matrix(v), np.arange(n)
+            x = pattern.solve(v, b.copy())
+        else:
+            A, lu, pos = pattern.lu(v)
+            A = scipy_csc(A)
+            rhs = b
+            if symmetric:
+                rhs = np.empty(n)
+                rhs[pos] = b
+                assert np.array_equal(lu.perm_r, lu.perm_c)
+            x = lu.solve(rhs)[pos]
+            if not symmetric:
+                assert pattern.solve(v, b).tobytes() == x.tobytes()
+        assert max_rel_diff(A[pos][:, pos] if symmetric else A[:, pos], M) <= 1e-15
         ref = splu(M).solve(b)
-        x = lu.solve(rhs)[pos]
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert kind == "dense" or np.any(pattern.pos != np.arange(n))
+
+
+def test_square_step_is_getrf_then_getrs_or_none_if_singular():
+    # a dense step is one gesv call: bit for bit getrf then getrs of the
+    # same matrix, made in the rhs it is given; on an exactly singular
+    # matrix (a row that is twice another, cancelled exactly) both kinds of
+    # pattern give None
+    from scipy.linalg import lapack
+    rows, cols, vals = random_pattern(False)
+    n = 40
+    pattern = nlp._DenseLuPattern(rows, cols, n)
+    rng = np.random.default_rng(2)
+    for v in vals:
+        b = rng.normal(size=n)
+        lu, piv, info = lapack.dgetrf(pattern.matrix(v))
+        assert info == 0
+        ref = lapack.dgetrs(lu, piv, b)[0]
+        rhs = b.copy()
+        x = pattern.solve(v, rhs)
+        assert x.tobytes() == ref.tobytes()
+        assert np.shares_memory(x, rhs)
+    rows, cols = np.divmod(np.arange(9), 3)
+    singular = np.array([1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 1.0, 1.0, 1.0])
+    for kind in (nlp._DenseLuPattern, nlp._LuPattern):
+        assert kind(rows, cols, 3).solve(singular, np.ones(3)) is None
 
 
 # --- the start and the end of a solve ----------------------------------------

@@ -79,6 +79,93 @@ def test_reprice_equals_the_composition_it_replaces(net5, outaged):
     np.testing.assert_array_equal(point.slacks, want.slacks)
 
 
+def test_slack_penalty_equals_the_curve_sum_bit_for_bit(net5):
+    # `_slack_penalty` prices each slack through np.maximum(s, 0.0) where
+    # `_Curve.of_slacks` takes np.where(s <= 0.0, 0.0, ...): the same
+    # float for 0, -0.0, negative entries, the breaks and entries past
+    # them, and NaN, summed in the same order (arrays on both sides of
+    # numpy's 8-entry pairwise blocks); the slacks are not changed
+    curve = scopf._curves(net5)[0]
+    assert list(curve.starts[1:]) == [0.02, 0.1]
+    rng = np.random.default_rng(6)
+    edges = np.array([0.0, -0.0, -1e-3, -5.0, 0.02, 0.1, np.nextafter(0.02, 0.0),
+                      np.nextafter(0.1, 1.0), 0.05, 0.3, 7.0, 1e-17])
+    arrays = [edges, np.array([-0.0]), np.array([-0.0, -0.0, -2.0]), np.zeros(0),
+              np.append(edges, np.nan), np.array([np.nan, -0.0])]
+    for n in (5, 8, 9, 159, 700):
+        s = np.where(rng.random(n) < 0.5, rng.choice(edges, n), rng.uniform(-0.1, 0.4, n))
+        s[rng.random(n) < 0.2] = 0.0
+        arrays.append(s)
+    for s in arrays:
+        before = s.tobytes()
+        got = scopf._slack_penalty(net5, s)
+        want = float(curve.of_slacks(s).sum())
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), s
+        assert s.tobytes() == before
+
+
+def _slacks_composition(lay, x):
+    """`scopf._slacks` as it was composed before it filled one array: the
+    balance split into P and Q, the ratings' branch-major transposes, and
+    one concatenation clamped at 0; the rating base written out (rate times
+    the end's voltage for a line, rate for a transformer)."""
+    p, q = lay.balance(x).reshape(2, -1)
+    fl = lay.flow_vars(x)
+    f2 = (fl * fl).T
+    lhs = (f2[0::2] + f2[1::2]).T
+    v = x[lay.v0:lay.th0]
+    rhs = np.column_stack([np.where(lay.is_line, lay.rate * v[lay.ends[:, e]], lay.rate)
+                           for e in (0, 1)])
+    over = np.sqrt(lhs) - rhs
+    return np.maximum(0.0, np.concatenate((-p, p, -q, q,
+                                           np.maximum(over[:, 0], over[:, 1]))))
+
+
+@pytest.mark.parametrize("outaged", [None, "G2", "L2"],
+                         ids=["base", "generator-outage", "line-outage"])
+def test_slacks_equal_the_composition_they_replace(net5, outaged):
+    # byte for byte, signed zeros included, from x's flow variables and from
+    # the flows handed over as `_projection` hands them; the points cover
+    # bus mismatches of both signs, exact zeros, and ratings violated at
+    # either end (the transformer T1 among the branches), so a swapped sign
+    # pair, swapped ends or the other end's rating base would show
+    lay = CaseLayout.of(net5, outaged)
+    assert not lay.is_line.all()
+    rng = np.random.default_rng(7)
+    seen = set()
+    for trial in range(40):
+        state = scopf.default_start(net5).state
+        state.v += rng.uniform(-0.08, 0.08, len(state.v))
+        state.theta += rng.uniform(-0.3, 0.3, len(state.theta))
+        x = lay.pack(state)
+        flows = lay.flow_values(x) * rng.uniform(0.5, 4.0)
+        lay.flow_vars(x)[:] = flows
+        if trial % 4 == 0:  # flat, v = 1 and no output: exact zeros
+            x[lay.v0:lay.th0] = 1.0
+            x[lay.th0:lay.fl0] = 0.0
+            flows = lay.flow_values(x)
+            lay.flow_vars(x)[:] = flows
+        want = _slacks_composition(lay, x)
+        assert scopf._slacks(lay, x).tobytes() == want.tobytes()
+        assert scopf._slacks(lay, x, flows).tobytes() == want.tobytes()
+        # what the points cover: np.maximum(0.0, s) keeps s's -0.0
+        seen.update({"-0.0"} if np.signbit(want[want == 0.0]).any() else set())
+        p = lay.balance(x)[:lay.nb]
+        seen.update({"p<0"} if (p < 0).any() else set())
+        seen.update({"p>0"} if (p > 0).any() else set())
+        fl = lay.flow_vars(x)
+        mag = np.sqrt(fl[:, 0::2] ** 2 + fl[:, 1::2] ** 2)
+        v = x[lay.v0:lay.th0]
+        base = np.where(lay.is_line[:, None], lay.rate[:, None] * v[lay.ends], lay.rate[:, None])
+        excess = mag - base
+        seen.update(f"end {e} of a {'line' if line else 'transformer'}"
+                    for e in (0, 1) for line, here, there in zip(
+                        lay.is_line, excess[:, e], excess[:, 1 - e]) if here > max(there, 0.0))
+    assert {"p<0", "p>0", "-0.0", "end 0 of a line", "end 1 of a line"} <= seen
+    assert outaged is not None or {"end 0 of a transformer", "end 1 of a transformer"} <= seen
+
+
 def test_total_score_no_contingencies(net2):
     base = scopf.default_start(net2)
     assert scopf.total_score(net2, base, {}) == pytest.approx(

@@ -16,7 +16,8 @@ artefact to OUT/digests.txt and to stdout:
   points that ``perfbench/child.py base`` writes (``--points 12
   --points-seed 3``), times every contingency, times the cutoffs
   ``default_cutoff``, 0 and infinity.  Each result adds its state arrays,
-  ``point.slack_vector()``, penalty, status, segments and ``compl.delta``;
+  ``point.slack_vector()``, the raw ``point.slacks``, penalty, status,
+  segments and ``compl.delta``;
 * the interior point where SuperLU forms supernodes: a flat-start base
   solve of ``gen-case --n-bus 300 --seed 3`` (preprocessed, tol 1e-8; its
   ``x``, status, iterations, LUs and GMRES calls);
@@ -61,12 +62,14 @@ def file_digest(path):
 
 def result_digest(h, res):
     """Add one evaluation result's penalty, status, segments, delta, state
-    arrays and slack vector to the sha256 h."""
+    arrays, slack vector and raw slacks to the sha256 h.  The slack vector
+    sums each bus's P+ and P- (and Q+ and Q-), so only the raw slacks show
+    a swapped pair or a zero of the other sign."""
     st, c = res.point.state, res.compl
     h.update(repr((res.penalty, res.status, sorted(c.active.items()),
                    sorted(c.reactive.items()), c.delta)).encode())
     for a in (st.v, st.theta, st.bcs, st.p_gen, st.q_gen, st.flows,
-              res.point.slack_vector()):
+              res.point.slack_vector(), res.point.slacks):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
 
 
