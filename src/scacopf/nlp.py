@@ -294,8 +294,7 @@ class _DenseLuPattern:
         """`_LuPattern.solve`: x in the rows' own order, or None if the
         matrix is exactly singular.  rhs must be a fresh float array: gesv
         overwrites it with x, which it returns."""
-        # overwrite_a=1, overwrite_b=1, passed by position
-        x, info = _gesv(self.matrix(vals), rhs, 1, 1)[2:]
+        x, info = _gesv(self.matrix(vals), rhs, overwrite_a=1, overwrite_b=1)[2:]
         return x if info == 0 else None
 
 
@@ -903,13 +902,6 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     )
 
 
-# the reductions that ndarray.max and ndarray.all make, called without the
-# Python wrappers those methods go through: `solve_square` takes both at
-# every iterate of vectors of about 50 entries, where the wrapper costs as
-# much as the reduction
-_max, _all = np.maximum.reduce, np.logical_and.reduce
-
-
 @dataclass
 class SquareResult:
     x: np.ndarray
@@ -940,7 +932,7 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
     t_start = time.monotonic()
     x = np.array(x0, float)
     F = np.asarray(fun(x), float)
-    norm_inf, f0 = float(_max(np.abs(F), initial=0.0)), math.sqrt(F.dot(F))
+    norm_inf, f0 = float(np.abs(F).max(initial=0.0)), math.sqrt(F @ F)
     best_x, best_norm = x, norm_inf
     it = 0
     for it in range(1, max_iter + 1):
@@ -953,24 +945,23 @@ def solve_square(fun, jac, x0, tol=1e-8, max_iter=100, time_limit=None):
 
         pattern, vals = jac(x)
         d = pattern.solve(vals, -F)
-        if d is None or not _all(np.isfinite(d)):
+        if d is None or not np.isfinite(d).all():
             return SquareResult(best_x, FAILED, it, best_norm)
 
         # a NaN or inf in Fn fails the norm test against a finite f0
         f0_finite = math.isfinite(f0)
         alpha = 1.0
         for _ in range(40):
-            # the full step is x + d, as 1.0 * d is d
-            xn = x + d if alpha == 1.0 else x + alpha * d
+            xn = x + alpha * d
             Fn = np.asarray(fun(xn), float)
-            fn = math.sqrt(Fn.dot(Fn))
-            if fn <= (1 - 1e-4 * alpha) * f0 and (f0_finite or _all(np.isfinite(Fn))):
+            fn = math.sqrt(Fn @ Fn)
+            if fn <= (1 - 1e-4 * alpha) * f0 and (f0_finite or np.isfinite(Fn).all()):
                 break
             alpha *= 0.5
         else:
             return SquareResult(best_x, FAILED, it, best_norm)
         x, F, f0 = xn, Fn, fn
-        norm_inf = float(_max(np.abs(F), initial=0.0))
+        norm_inf = float(np.abs(F).max(initial=0.0))
 
     if norm_inf < best_norm:
         best_x, best_norm = x, norm_inf
