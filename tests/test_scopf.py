@@ -109,7 +109,8 @@ def _slacks_composition(lay, x):
     """`scopf._slacks` as it was composed before it filled one array: the
     balance split into P and Q, the ratings' branch-major transposes, and
     one concatenation clamped at 0; the rating base written out (rate times
-    the end's voltage for a line, rate for a transformer)."""
+    the end's voltage for a line, rate for a transformer).  Also the P
+    mismatches and each end's rating excess (branches, 2)."""
     p, q = lay.balance(x).reshape(2, -1)
     fl = lay.flow_vars(x)
     f2 = (fl * fl).T
@@ -118,8 +119,9 @@ def _slacks_composition(lay, x):
     rhs = np.column_stack([np.where(lay.is_line, lay.rate * v[lay.ends[:, e]], lay.rate)
                            for e in (0, 1)])
     over = np.sqrt(lhs) - rhs
-    return np.maximum(0.0, np.concatenate((-p, p, -q, q,
-                                           np.maximum(over[:, 0], over[:, 1]))))
+    slacks = np.maximum(0.0, np.concatenate((-p, p, -q, q,
+                                             np.maximum(over[:, 0], over[:, 1]))))
+    return slacks, p, over
 
 
 @pytest.mark.parametrize("outaged", [None, "G2", "L2"],
@@ -146,22 +148,16 @@ def test_slacks_equal_the_composition_they_replace(net5, outaged):
             x[lay.th0:lay.fl0] = 0.0
             flows = lay.flow_values(x)
             lay.flow_vars(x)[:] = flows
-        want = _slacks_composition(lay, x)
+        want, p, over = _slacks_composition(lay, x)
         assert scopf._slacks(lay, x).tobytes() == want.tobytes()
         assert scopf._slacks(lay, x, flows).tobytes() == want.tobytes()
         # what the points cover: np.maximum(0.0, s) keeps s's -0.0
-        seen.update({"-0.0"} if np.signbit(want[want == 0.0]).any() else set())
-        p = lay.balance(x)[:lay.nb]
-        seen.update({"p<0"} if (p < 0).any() else set())
-        seen.update({"p>0"} if (p > 0).any() else set())
-        fl = lay.flow_vars(x)
-        mag = np.sqrt(fl[:, 0::2] ** 2 + fl[:, 1::2] ** 2)
-        v = x[lay.v0:lay.th0]
-        base = np.where(lay.is_line[:, None], lay.rate[:, None] * v[lay.ends], lay.rate[:, None])
-        excess = mag - base
-        seen.update(f"end {e} of a {'line' if line else 'transformer'}"
-                    for e in (0, 1) for line, here, there in zip(
-                        lay.is_line, excess[:, e], excess[:, 1 - e]) if here > max(there, 0.0))
+        seen |= {name for name, hit in (
+            ("p<0", (p < 0).any()), ("p>0", (p > 0).any()),
+            ("-0.0", np.signbit(want[want == 0.0]).any())) if hit}
+        seen |= {f"end {e} of a {'line' if line else 'transformer'}"
+                 for line, row in zip(lay.is_line, over) for e in (0, 1)
+                 if row[e] > max(row[1 - e], 0.0)}
     assert {"p<0", "p>0", "-0.0", "end 0 of a line", "end 1 of a line"} <= seen
     assert outaged is not None or {"end 0 of a transformer", "end 1 of a transformer"} <= seen
 
