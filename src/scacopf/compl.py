@@ -110,7 +110,8 @@ def init_generator_outage(net, k, base: OperatingPoint):
         state.delta = float(max(grid[j - 1], grid[j] - share * (grid[j] - grid[j - 1])))
 
     desired = p + alpha * state.delta
-    for g, above, below in zip(plan.p_ids, desired > p_max, desired < p_min):
+    for g, above, below in zip(plan.p_ids, (desired > p_max).tolist(),
+                               (desired < p_min).tolist()):
         if above:
             state.active[g] = UPPER
         elif below:

@@ -39,6 +39,7 @@ full engine only when the fast penalty exceeds a cutoff.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -216,6 +217,8 @@ class _SquareStructure:
         self.blk_pos = np.ravel_multi_index((wrt, side, b), (4, 4, m))
         self.shunt_pos = sel[n_blk:] - 16 * m
         self.shunt_v = lay.v0 + self.shunt_pos % nb
+        # the v column of every available generator's bus
+        self.gen_v = lay.v0 + lay.gen_bus
         mid = resp[p_mid]
         self.const = lay.alpha[mid]
         # the middle responders' p entries in `CaseLayout.balance_weights`
@@ -269,7 +272,7 @@ class _SquareSystem:
                                            plan.q_mid)
         self.n = st.n
         self.base_p = base_x[plan.p_cols]
-        self.base_v = base_x[lay.v0 + lay.gen_bus]
+        self.base_v = base_x[st.gen_v]
         x = self.template = base_x.copy()
         x[lay.th0 + self.ref] = 0.0
         x[plan.pin_cols] = plan.pins
@@ -350,18 +353,14 @@ class _SquareSystem:
         releases back to middle so the loop can revisit it."""
         lay, plan = self.lay, self.plan
         rho_p = self.base_p + plan.alpha * w[-1] - plan.p_pin
-        rho_q = self.base_v - w[lay.v0 + lay.gen_bus]
+        rho_q = self.base_v - w[self.st.gen_v]
         new = state.copy()
         # a loop over plain floats: on arrays of about ten generators, each
         # numpy call would cost more than the scalar work it replaces
-        for table, ids, mid, low, val, (lo, hi), rho in (
-                (new.active, plan.p_ids, plan.p_mid, plan.p_low,
-                 w[plan.p_cols], plan.p_box, rho_p),
-                (new.reactive, plan.q_ids, plan.q_mid, plan.q_low,
-                 w[lay.q0:lay.fl0], plan.q_box, rho_q)):
-            for g, m, lw, v, vlo, vhi, r in zip(
-                    ids, mid.tolist(), low.tolist(), val.tolist(), lo.tolist(),
-                    hi.tolist(), rho.tolist()):
+        for table, rules, val, rho in (
+                (new.active, plan.p_rules, w[plan.p_cols], rho_p),
+                (new.reactive, plan.q_rules, w[lay.q0:lay.fl0], rho_q)):
+            for (g, m, lw, vlo, vhi), v, r in zip(rules, val.tolist(), rho.tolist()):
                 if m:
                     if v > vhi + _BOUND_TOL:
                         table[g] = UPPER
@@ -397,7 +396,7 @@ def fast_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
 
     # an infinite cutoff disables the cutoff exit entirely
     def below_cutoff(pen):
-        return np.isfinite(cutoff) and pen <= cutoff
+        return math.isfinite(cutoff) and pen <= cutoff
 
     prev_pen = None
     for round_no in range(FAST_MAX_ROUNDS):

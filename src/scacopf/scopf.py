@@ -222,6 +222,12 @@ class _SegmentPlan:
         self.q_pins = np.where(self.q_mid, 0.0, np.where(self.q_low, *self.q_box))
         self.q_mid_cols = lay.q0 + np.flatnonzero(self.q_mid)
         self.q_mid_box = self.q_box[0][self.q_mid], self.q_box[1][self.q_mid]
+        # each family's (id, middle, lower, low, high) per member in plain
+        # Python values, which the square system's segment update loops over
+        self.p_rules, self.q_rules = (
+            list(zip(ids, mid.tolist(), low.tolist(), lo.tolist(), hi.tolist()))
+            for ids, mid, low, (lo, hi) in ((self.p_ids, self.p_mid, self.p_low, self.p_box),
+                                            (self.q_ids, self.q_mid, self.q_low, self.q_box)))
 
 
 def _clip(a, lo, hi):
