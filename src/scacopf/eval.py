@@ -469,7 +469,7 @@ def full_evaluate(net: Network, k, base: OperatingPoint, time_limit=None,
         budget.charge(sol.iterations)
         rounds.append([sol.status, sol.iterations, sol.kkt_error, sol.lus,
                        sol.colamd_steps, sol.gmres_calls])
-        if sol.status == "numerical_failure" or not np.all(np.isfinite(sol.x)):
+        if sol.status == nlp_mod.NUMERICAL_FAILURE or not np.all(np.isfinite(sol.x)):
             break
 
         point, delta = prob.meta.extract_ctg(sol.x, k.id)

@@ -15,6 +15,18 @@ enough and is not barred by the filter of earlier iterates.  Bounds are
 relaxed slightly on the inside; reported objectives are always the true
 (unrelaxed) ones.
 
+The solve is one iteration object, `_Iterate`, which holds the iterate and
+the state it carries between iterations (the barrier parameter, the
+filter, the bound set, the best point and the last step's delta_w).
+`solve_nlp` is the loop over its methods, split as Ipopt splits its
+algorithm into search direction, line search and barrier update:
+`evaluate` (the Sec. 3.5 bound move, the values and derivatives at x, the
+KKT error), `update_mu`, `newton_step` (the inertia-corrected attempts),
+`line_search` and `solution`.  The line search and its second-order
+correction share one step rule, `direction` (a KKT solution's dx, dy, dz
+and dt with both fraction-to-boundary step sizes), and one trial rule,
+`trial` (a trial point's measures and the filter's verdict on them).
+
 Each attempt factors the quasi-definite KKT matrix, K with its equality
 block regularized to -delta_c, once: a symmetric LU with diagonal pivots
 only.  That LU is the attempt's one inertia test: the attempt goes on only
@@ -515,37 +527,31 @@ def _gmres(A, lu, b, x, r, gate):
 
 
 def _relax_bounds(lb, ub, rel=1e-8):
-    lb_r = lb.copy()
-    ub_r = ub.copy()
-    finite_l = np.isfinite(lb)
-    finite_u = np.isfinite(ub)
-    lb_r[finite_l] -= np.maximum(rel, rel * np.abs(lb[finite_l]))
-    ub_r[finite_u] += np.maximum(rel, rel * np.abs(ub[finite_u]))
-    return lb_r, ub_r
+    """lb and ub, each bound moved out by max(rel, rel * |bound|); an
+    infinite bound stays infinite."""
+    return lb - np.maximum(rel, rel * np.abs(lb)), ub + np.maximum(rel, rel * np.abs(ub))
 
 
 def _interior_start(x0, lb, ub):
-    x = x0.astype(float).copy()
-    both = np.isfinite(lb) & np.isfinite(ub)
-    pad = np.zeros_like(x)
-    pad[both] = np.minimum(1e-2, 0.25 * (ub[both] - lb[both]))
-    only_l = np.isfinite(lb) & ~np.isfinite(ub)
-    only_u = ~np.isfinite(lb) & np.isfinite(ub)
-    with np.errstate(invalid="ignore"):
-        lo = np.where(np.isfinite(lb), lb + np.where(both, pad, 0.0), -np.inf)
-        hi = np.where(np.isfinite(ub), ub - np.where(both, pad, 0.0), np.inf)
-    x = np.clip(x, lo, hi)
-    x[only_l] = np.maximum(x[only_l], lb[only_l] + 1e-2)
-    x[only_u] = np.minimum(x[only_u], ub[only_u] - 1e-2)
-    return x
+    """x0 clipped to at least min(1e-2, (ub - lb) / 4) inside each finite
+    bound."""
+    pad = np.minimum(1e-2, 0.25 * (ub - lb))
+    return np.clip(x0, lb + pad, ub - pad)
 
 
-def _ftb_alpha(val, dval, tau):
-    """Largest alpha in (0, 1] with val + alpha*dval >= (1 - tau) * val."""
+def _ftb_alpha(val, dval):
+    """Largest alpha in (0, 1] with val + alpha*dval >= 0.005 * val: the
+    fraction-to-boundary rule with tau = 0.995."""
     mask = dval < 0
     if not np.any(mask):
         return 1.0
-    return float(min(1.0, np.min(-tau * val[mask] / dval[mask])))
+    return float(min(1.0, np.min(-0.995 * val[mask] / dval[mask])))
+
+
+def _theta(vals, t):
+    """The filter's theta at a point of `_Iterate.values` vals and slacks t:
+    the l1 norm of its constraint residual."""
+    return float(np.sum(np.abs(vals[1])) + np.sum(np.abs(vals[2] + t)))
 
 
 # filter line search parameters (Waechter & Biegler 2006, Sec. 2.3-2.4)
@@ -569,6 +575,281 @@ def _move_out(bound, gap, mu, sign):
     bound[stuck] -= sign[stuck] * EPS_MACH ** 0.75 * np.maximum(1.0, np.abs(bound[stuck]))
 
 
+class _Iterate:
+    """The interior point of one `solve_nlp` call (module docstring): x, the
+    inequality slacks t, the multipliers y and z, mu, the filter, the bound
+    set, the best point and `last_step`, the log record of the step that led
+    to x.  `evaluate` keeps the derivatives and KKT error at x, which the
+    other methods read; `line_search` moves the iterate and keeps `at_x`,
+    the values at the new x."""
+
+    def __init__(self, prob, tol, warm_start):
+        self.prob, self.tol = prob, tol
+        n, me, mi = self.n, self.me, self.mi = prob.n, prob.n_eq, prob.n_ineq
+        self.lb_true, self.ub_true = np.asarray(prob.lb, float), np.asarray(prob.ub, float)
+        lb, ub = _relax_bounds(self.lb_true, self.ub_true, rel=min(1e-8, max(tol, 1e-14)))
+        self.x = _interior_start(np.asarray(prob.x0, float), lb, ub)
+        # the bound set of the module docstring: x's lower bounds are on the
+        # entries il of x and at the positions lo of the set, its upper ones
+        # on iu, up
+        il = self.il = np.flatnonzero(np.isfinite(lb))
+        iu = self.iu = np.flatnonzero(np.isfinite(ub))
+        self.ix = np.concatenate((il, iu))
+        self.lo, self.up = slice(mi, mi + len(il)), slice(mi + len(il), None)
+        self.sign = np.concatenate((np.ones(mi + len(il)), -np.ones(len(iu))))
+        self.sign_x = self.sign[mi:]
+        self.bound = np.concatenate((np.zeros(mi), lb[il], ub[iu]))
+        # J = [J_E; J_I] as raw entries, J_E's first
+        je_rows, je_cols = (np.asarray(a, dtype=np.int64) for a in prob.jac_eq_pattern)
+        self.ji_rows, self.ji_cols = (np.asarray(a, dtype=np.int64)
+                                      for a in prob.jac_ineq_pattern)
+        self.j_rows = np.concatenate((je_rows, me + self.ji_rows))
+        self.j_cols = np.concatenate((je_cols, self.ji_cols))
+        self.kkt = _Kkt(n, prob.hess_pattern, (self.j_rows, self.j_cols), me + mi)
+        self.at_x = self.values(self.x)
+        self.t = np.maximum(1e-2, -self.at_x[2])
+        self.y, self.mu, self.z = np.zeros(me), MU0, np.ones(len(self.bound))
+        if warm_start:
+            self.mu = MU0_WARM
+            self.z = np.maximum(self.mu / self.gaps(self.t, self.x), 1e-8)
+        self.last_step = dict(delta_w=0.0, delta_c=0.0, factor_attempts=0,
+                              alpha_primal=0.0, alpha_dual=0.0)
+        # the filter: (theta, phi) pairs that bar every trial point with a
+        # larger theta and a larger phi; it starts empty at each barrier
+        # parameter
+        self.filt, self.best, self.e0 = [], None, np.inf
+        theta = _theta(self.at_x, self.t)
+        self.theta_max, self.theta_min = 1e4 * max(1.0, theta), 1e-4 * min(1.0, theta)
+
+    def gaps(self, t, x):
+        """Every bound's gap, sign * (value - bound), at slacks t and x."""
+        return self.sign * (np.concatenate((t, x[self.ix])) - self.bound)
+
+    def values(self, x):
+        """(objective, eq, ineq) at x."""
+        prob = self.prob
+        return (prob.objective(x), prob.eq(x) if self.me else np.zeros(0),
+                prob.ineq(x) if self.mi else np.zeros(0))
+
+    def viol(self, x, vals):
+        """The constraint violation at x of `values` vals: the largest
+        residual of an equality, an inequality or a bound of x."""
+        v = 0.0
+        for part in (np.abs(vals[1]), np.maximum(vals[2], 0.0), -self.gaps(self.t, x)[self.mi:]):
+            if len(part):
+                v = max(v, float(part.max()))
+        return v
+
+    def consider(self, x, vals):
+        """Keep x as the best point if its (violation, objective) is the
+        least so far."""
+        score = (self.viol(x, vals), vals[0])
+        if self.best is None or score < self.best[0]:
+            self.best = score, x
+
+    def resid(self, mu):
+        """The KKT error at x for the barrier parameter mu."""
+        return max(self.feas, float(np.abs(self.comp - mu).max(initial=0.0)))
+
+    def evaluate(self):
+        """Move the bounds that x is stuck on (`_move_out`), keep x if it is
+        the best point so far, and take the derivatives at x and its KKT
+        error e0."""
+        prob, x, z, mi = self.prob, self.x, self.z, self.mi
+        _move_out(self.bound, self.gaps(self.t, x), self.mu, self.sign)
+        f, cE, cI = self.at_x
+        self.g = prob.gradient(x)
+        jac_eq = prob.jac_eq(x) if self.me else np.zeros(0)
+        self.jv = np.concatenate((jac_eq, prob.jac_ineq(x) if mi else np.zeros(0)))
+        self.ji = self.jv[len(jac_eq):]
+        self.consider(x, self.at_x)
+        gap = self.gap = self.gaps(self.t, x)
+        self.w, self.gap_t, self.gx = z[:mi], gap[:mi], np.maximum(gap[mi:], 1e-16)
+        # g + J'[y; w]
+        self.grad_lag = self.g + np.bincount(
+            self.j_cols, weights=self.jv * np.concatenate((self.y, self.w))[self.j_rows],
+            minlength=self.n)
+        r_d = self.grad_lag.copy()
+        r_d[self.il] -= z[self.lo]
+        r_d[self.iu] += z[self.up]
+        # the KKT error is the larger of its feasibility part and its
+        # complementarity part, which depends on the barrier parameter
+        self.feas = max(float(np.abs(r_d).max(initial=0.0)),
+                        float(np.abs(cE).max(initial=0.0)),
+                        float(np.abs(cI + self.t).max(initial=0.0)))
+        self.comp = gap * z
+        self.e0 = self.resid(0.0)
+
+    def update_mu(self):
+        """Divide mu by 5, down to its floor tol/10, while the KKT error at
+        mu is at most 10 mu; each new mu starts an empty filter."""
+        while self.resid(self.mu) <= 10.0 * self.mu and self.mu > self.tol / 10.0:
+            self.mu = max(self.tol / 10.0, self.mu / 5.0)
+            self.filt.clear()
+
+    def newton_step(self):
+        """(solve, sol): the Newton step sol of the barrier problem at x and
+        `solve`, the `_KktSolve` of the attempt that gave it, or None if no
+        attempt gives a finite step.
+
+        The attempts shift W by delta_w: 0, then 1e-4, or a third of the
+        last step's delta_w (at least 1e-6), then ten times more each time,
+        up to 1e12.  The dual regularization dc only kicks in when K is
+        exactly singular (e.g. duplicated equality rows), so well-posed
+        problems are solved without its bias; the quasi-definite LU, the
+        inertia test, puts delta_c on the equality block even while dc is
+        0."""
+        n, me, mi, mu, w, gx = self.n, self.me, self.mi, self.mu, self.w, self.gx
+        h = self.prob.hess(self.x, 1.0, self.y, w)
+        sigma_x = np.bincount(self.ix, weights=self.z[mi:] / gx, minlength=n)
+        # gradient of the barrier terms in x; with the Lagrangian's gradient
+        # it is the KKT right-hand side, with the objective's the filter's
+        self.bar_grad = np.bincount(self.ix, weights=-self.sign_x * mu / gx, minlength=n)
+        self.gbar = self.grad_lag + self.bar_grad
+        rhs = np.concatenate([-self.gbar, -self.at_x[1],
+                              -(self.at_x[2] + self.bound[:mi] + mu / w)])
+        last, delta_c = self.last_step["delta_w"], 1e-8
+        delta_w = dc = 0.0
+        attempt = 0
+        while delta_w <= 1e12:
+            attempt += 1
+            d_ineq = self.gap_t / w + dc
+            solve = self.kkt.factor(h, sigma_x + delta_w, self.jv,
+                                    np.concatenate([np.full(me, dc), d_ineq]),
+                                    np.concatenate([np.full(me, dc or delta_c), d_ineq]))
+            sol = None if solve is None else solve(rhs)
+            if sol is not None:
+                break
+            if solve is not None:  # K exactly singular
+                dc = delta_c if dc == 0.0 else dc * 100.0
+            if delta_w:
+                delta_w *= 10.0
+            else:
+                delta_w = max(1e-6, last / 3.0) if last else 1e-4
+        if sol is None or not np.all(np.isfinite(sol)):
+            return None
+        # delta_c is the dual regularization of the LU that gave the step
+        self.last_step = dict(delta_w=delta_w, delta_c=(dc or delta_c) if solve.qd else dc,
+                              factor_attempts=attempt)
+        return solve, sol
+
+    def direction(self, sol, c_i):
+        """(dx, dy, dz, dt, alpha_primal, alpha_dual) of a KKT solution sol
+        whose inequality rows have the residual c_i: x's bound multipliers
+        step along dx as the barrier's complementarity asks, the slacks so
+        that J_I dx + dt = -c_i, and the step sizes are the fraction-to-
+        boundary rule's, one over the gaps and one over the multipliers."""
+        n, me, gx, zx = self.n, self.me, self.gx, self.z[self.mi:]
+        dx = sol[:n]
+        dz_x = self.mu / gx - zx - zx / gx * (self.sign_x * dx[self.ix])
+        dz = np.concatenate((sol[n + me:], dz_x))
+        dt = -c_i - np.bincount(self.ji_rows, weights=self.ji * dx[self.ji_cols],
+                                minlength=self.mi)
+        return (dx, sol[n:n + me], dz, dt,
+                _ftb_alpha(self.gap, self.sign * np.concatenate((dt, dx[self.ix]))),
+                _ftb_alpha(self.z, dz))
+
+    def trial(self, x, t, alpha):
+        """(kind, theta, `values`) of the trial point (x, t): kind is 'f'
+        for an Armijo step, 'h' for a filter step and None for a rejected
+        point, with alpha the step size of the switching condition and the
+        Armijo test.  Outside the bounds theta is inf and nothing is
+        evaluated."""
+        gap = self.gaps(t, x)
+        if np.any(gap <= 0.0):
+            return None, np.inf, None
+        vals = self.values(x)
+        theta, phi = _theta(vals, t), vals[0] - self.mu * np.sum(np.log(gap))
+        theta0, phi0, dphi = self.theta0, self.phi0, self.dphi
+        kind = None
+        if theta <= self.theta_max and np.isfinite(phi) and \
+                not any(theta >= th and phi >= ph for th, ph in self.filt):
+            # the epsilon slack keeps the tests passable when the predicted
+            # decrease is below rounding noise in the barrier objective
+            noise = 1e-12 * (1.0 + abs(phi0))
+            if theta0 <= self.theta_min and dphi < 0.0 and \
+                    alpha * (-dphi) ** S_PHI > DELTA * theta0 ** S_THETA:
+                kind = "f" if phi <= phi0 + ETA * alpha * dphi + noise else None
+            elif theta <= (1.0 - GAMMA_THETA) * theta0 or \
+                    phi <= phi0 - GAMMA_PHI * theta0 + noise:
+                kind = "h"
+        return kind, theta, vals
+
+    def line_search(self, solve, sol):
+        """The filter line search (Waechter & Biegler 2006, Sec. 2.3-2.4)
+        along the Newton step sol: backtracking from the fraction-to-
+        boundary step, and second-order corrections, solved with `solve`,
+        of a rejected full step.  Moves the iterate to the accepted point,
+        or, when the trials run out, to the full step with a new filter."""
+        (f, cE, cI), x, t, mu = self.at_x, self.x, self.t, self.mu
+        dx, dy, dz, dt, a_pri, a_dual = self.direction(sol, cI + t)
+        self.theta0, self.phi0 = _theta(self.at_x, t), f - mu * np.sum(np.log(self.gap))
+        # the barrier objective's directional derivative along (dx, dt)
+        self.dphi = float((self.g + self.bar_grad) @ dx) - float(np.sum(mu / self.gap_t * dt))
+        alpha = a_pri
+        for trial in range(MAX_TRIALS):
+            point = x + alpha * dx, t + alpha * dt
+            kind, theta, vals = self.trial(*point, alpha)
+            if trial == 0:
+                first = point, vals
+            if kind:
+                break
+            # a correction of a zero residual would repeat the same step
+            if trial == 0 and theta >= self.theta0 and theta > 0.0 and vals is not None:
+                c_e, c_i = a_pri * cE + vals[1], a_pri * (cI + t) + (vals[2] + point[1])
+                for _ in range(MAX_SOC):
+                    sol = solve(np.concatenate([-self.gbar, -c_e,
+                                                -(c_i - self.gap_t + mu / self.w)]))
+                    if sol is None or not np.all(np.isfinite(sol)):
+                        break
+                    soc = dx_s, _, _, dt_s, a_soc, _ = self.direction(sol, c_i)
+                    soc_point = x + a_soc * dx_s, t + a_soc * dt_s
+                    kind, theta_s, soc_vals = self.trial(*soc_point, a_pri)
+                    if kind or not theta_s <= KAPPA_SOC * theta:
+                        break
+                    c_e = a_soc * c_e + soc_vals[1]
+                    c_i = a_soc * c_i + (soc_vals[2] + soc_point[1])
+                    theta = theta_s
+                if kind:
+                    point, vals, (_, dy, dz, _, alpha, a_dual) = soc_point, soc_vals, soc
+                    break
+            alpha *= 0.5
+        if kind is None:
+            # out of trials: take the fraction-to-boundary step and start a
+            # new filter from it
+            (point, vals), alpha = first, a_pri
+            self.filt.clear()
+        elif kind == "h":
+            self.filt.append(((1.0 - GAMMA_THETA) * self.theta0,
+                              self.phi0 - GAMMA_PHI * self.theta0))
+        self.x, self.t = point
+        self.at_x = self.values(self.x) if vals is None else vals
+        self.y = self.y + alpha * dy
+        # fraction-to-boundary keeps duals positive; the floor only guards
+        # against underflow to exactly zero
+        self.z = np.maximum(self.z + a_dual * dz, 1e-300)
+        self.last_step.update(alpha_primal=alpha, alpha_dual=a_dual)
+
+    def solution(self, status, iterations):
+        """The NlpSolution at x if optimal, else at the best point, clipped
+        into the caller's true (unrelaxed) bounds, a move of at most the
+        bound relaxation."""
+        x, vals = self.x, self.at_x
+        self.consider(x, vals)
+        x_out = np.clip(x if status == OPTIMAL else self.best[1], self.lb_true, self.ub_true)
+        if not np.array_equal(x_out, x):
+            x, vals = x_out, self.values(x_out)
+        z_lower, z_upper = np.zeros(self.n), np.zeros(self.n)
+        z_lower[self.il], z_upper[self.iu] = self.z[self.lo], self.z[self.up]
+        counts = self.kkt.counts
+        return NlpSolution(
+            x=x, lambda_eq=self.y, lambda_ineq=self.z[:self.mi], z_lower=z_lower,
+            z_upper=z_upper, objective=vals[0], status=status, iterations=iterations,
+            constraint_violation=self.viol(x, vals), kkt_error=self.e0, mu=self.mu,
+            lus=counts["lus"], gmres_calls=counts["gmres_calls"],
+            colamd_steps=counts["colamd_steps"])
+
+
 def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
               log=None, warm_start=False):
     """Solve an NlpProblem with a primal-dual interior-point method.
@@ -581,8 +862,8 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     inequality-slack multiplier is 1 (Waechter & Biegler 2006, Sec. 3.6).
     `warm_start=True` is meant for an x0 that is already a solved point:
     it starts at mu0 = 0.1 with each of those multipliers at mu0 over its
-    gap (at least 1e-8), on the central path of that x0.  Equality multipliers start at 0
-    either way.
+    gap (at least 1e-8), on the central path of that x0.  Equality
+    multipliers start at 0 either way.
 
     `log`, if given, is called once per iteration with a dict: `iteration`,
     `objective`, `kkt_error` and `mu` at the current iterate, and
@@ -593,313 +874,26 @@ def solve_nlp(prob: NlpProblem, tol=1e-6, max_iter=300, time_limit=None,
     K), or K's own LU's dc, which is 0 unless K is exactly singular.
     """
     t_start = time.monotonic()
-    n = prob.n
-    me, mi = prob.n_eq, prob.n_ineq
-    lb_true = np.asarray(prob.lb, float)
-    ub_true = np.asarray(prob.ub, float)
-    lb, ub = _relax_bounds(lb_true, ub_true, rel=min(1e-8, max(tol, 1e-14)))
-    x = _interior_start(np.asarray(prob.x0, float), lb, ub)
-    # the bound set of the module docstring: x's lower bounds are on the
-    # entries il of x and at the positions lo of the set, its upper ones on iu, up
-    il, iu = np.flatnonzero(np.isfinite(lb)), np.flatnonzero(np.isfinite(ub))
-    ix = np.concatenate((il, iu))
-    lo, up = slice(mi, mi + len(il)), slice(mi + len(il), None)
-    sign = np.concatenate((np.ones(mi + len(il)), -np.ones(len(iu))))
-    bound = np.concatenate((np.zeros(mi), lb[il], ub[iu]))
-    sign_x = sign[mi:]
-
-    def gaps(tv, xv):
-        """Every bound's gap, sign * (value - bound), at slacks tv and xv."""
-        return sign * (np.concatenate((tv, xv[ix])) - bound)
-
-    # J = [J_E; J_I] as raw entries, J_E's first
-    je_rows, je_cols = (np.asarray(a, dtype=np.int64) for a in prob.jac_eq_pattern)
-    ji_rows, ji_cols = (np.asarray(a, dtype=np.int64) for a in prob.jac_ineq_pattern)
-    j_rows = np.concatenate((je_rows, me + ji_rows))
-    j_cols = np.concatenate((je_cols, ji_cols))
-    kkt = _Kkt(n, prob.hess_pattern, (j_rows, j_cols), me + mi)
-
-    def values(xv):
-        """(objective, eq, ineq) at xv."""
-        return (prob.objective(xv), prob.eq(xv) if me else np.zeros(0),
-                prob.ineq(xv) if mi else np.zeros(0))
-
-    # the values at x, carried from where x was evaluated (the start, or the
-    # accepted trial point), or None if it was not (a trial point off bounds)
-    at_x = values(x)
-    t = np.maximum(1e-2, -at_x[2])
-    y = np.zeros(me)
-    mu, z = MU0, np.ones(len(bound))
-    if warm_start:
-        mu = MU0_WARM
-        z = np.maximum(mu / gaps(t, x), 1e-8)
-
-    tau_ftb = 0.995
-    delta_c = 1e-8
-    delta_w_last = 0.0
-    last_step = dict(delta_w=0.0, delta_c=0.0, factor_attempts=0,
-                     alpha_primal=0.0, alpha_dual=0.0)
-
-    best = None
-
-    def viol(xv, cEv, cIv):
-        v = 0.0
-        if me:
-            v = max(v, float(np.abs(cEv).max()))
-        if mi:
-            v = max(v, float(np.maximum(cIv, 0.0).max()))
-        return max(v, float((-gaps(t, xv)[mi:]).max(initial=0.0)))
-
-    def consider(xv, cEv, cIv, fv):
-        nonlocal best
-        score = (viol(xv, cEv, cIv), fv)
-        if best is None or score < best[0]:
-            best = (score, xv.copy())
-
-    def theta_of(cEv, cIv, tv):
-        """l1 norm of the constraint residual (the filter's theta)."""
-        return float(np.sum(np.abs(cEv)) + np.sum(np.abs(cIv + tv)))
-
-    def barrier(gap, fv):
-        """Barrier objective phi at a point of gaps gap and objective fv."""
-        return fv - mu * np.sum(np.log(gap))
-
-    def measures(xv, tv):
-        """(theta, phi, `values`) at a trial point; theta and phi are inf and
-        nothing is evaluated outside the bounds."""
-        gap = gaps(tv, xv)
-        if np.any(gap <= 0.0):
-            return np.inf, np.inf, None
-        vals = values(xv)
-        return theta_of(vals[1], vals[2], tv), barrier(gap, vals[0]), vals
-
-    # the filter: (theta, phi) pairs that bar every trial point with a larger
-    # theta and a larger phi; it starts empty at each barrier parameter
-    filt = []
-    theta_start = theta_of(at_x[1], at_x[2], t)
-    theta_max = 1e4 * max(1.0, theta_start)
-    theta_min = 1e-4 * min(1.0, theta_start)
-
-    status = MAX_ITER
-    it = 0
-    e0 = np.inf
+    iterate = _Iterate(prob, tol, warm_start)
+    status, it = MAX_ITER, 0
     for it in range(1, max_iter + 1):
-        _move_out(bound, gaps(t, x), mu, sign)
-        if at_x is None:
-            at_x = values(x)
-        f, cE, cI = at_x
-        g = prob.gradient(x)
-        jv = np.concatenate((prob.jac_eq(x) if me else np.zeros(0),
-                             prob.jac_ineq(x) if mi else np.zeros(0)))
-        ji = jv[len(je_rows):]
-        consider(x, cE, cI, f)
-
-        def ji_times(v):
-            """J_I v."""
-            return np.bincount(ji_rows, weights=ji * v[ji_cols], minlength=mi)
-
-        gap, w = gaps(t, x), z[:mi]
-        gap_t, gx = gap[:mi], np.maximum(gap[mi:], 1e-16)
-
-        # g + J'[y; w]
-        grad_lag = g + np.bincount(j_cols, weights=jv * np.concatenate((y, w))[j_rows],
-                                   minlength=n)
-        r_d = grad_lag.copy()
-        r_d[il] -= z[lo]
-        r_d[iu] += z[up]
-        # the KKT error is the larger of its feasibility part and its
-        # complementarity part, which depends on the barrier parameter
-        feas = max(float(np.abs(r_d).max(initial=0.0)),
-                   float(np.abs(cE).max(initial=0.0)),
-                   float(np.abs(cI + t).max(initial=0.0)))
-        comp = gap * z
-
-        def resid(mu_val):
-            return max(feas, float(np.abs(comp - mu_val).max(initial=0.0)))
-
-        e0 = resid(0.0)
+        iterate.evaluate()
         if log is not None:
-            log(dict(iteration=it, objective=f, kkt_error=e0, mu=mu,
-                     **last_step))
-        if e0 <= tol and mu <= tol / 10.0:
+            log(dict(iteration=it, objective=iterate.at_x[0], kkt_error=iterate.e0,
+                     mu=iterate.mu, **iterate.last_step))
+        if iterate.e0 <= tol and iterate.mu <= tol / 10.0:
             status = OPTIMAL
             break
         if time_limit is not None and time.monotonic() - t_start > time_limit:
             status = TIME_LIMIT
             break
-
-        while resid(mu) <= 10.0 * mu and mu > tol / 10.0:
-            mu = max(tol / 10.0, mu / 5.0)
-            filt.clear()
-
-        h = prob.hess(x, 1.0, y, w)
-        sigma_x = np.bincount(ix, weights=z[mi:] / gx, minlength=n)
-
-        # gradient of the barrier terms in x; with the Lagrangian's gradient
-        # it is the KKT right-hand side, with the objective's the filter's
-        bar_grad = np.bincount(ix, weights=-sign_x * mu / gx, minlength=n)
-        gbar = grad_lag + bar_grad
-
-        rhs = np.concatenate([-gbar, -cE, -(cI + bound[:mi] + mu / w)])
-
-        # inertia-corrected factorization; dual regularization only kicks in
-        # on singularity (e.g. duplicated equality rows) so well-posed
-        # problems are solved without the delta_c bias.  The quasi-definite
-        # LU, the inertia test, puts delta_c on the equality block even
-        # while dc is 0.
-        delta_w = 0.0
-        dc = 0.0
-        sol = None
-        for attempt in range(1, 41):
-            w_diag = sigma_x + delta_w
-            d_dual = np.concatenate([np.full(me, dc), gap_t / w + dc])
-            d_test = np.concatenate([np.full(me, dc or delta_c), gap_t / w + dc])
-            solve = kkt.factor(h, w_diag, jv, d_dual, d_test)
-            if solve is not None:
-                sol = solve(rhs)
-                if sol is not None:
-                    break
-                dc = delta_c if dc == 0.0 else dc * 100.0  # K exactly singular
-            if delta_w == 0.0:
-                delta_w = 1e-4 if delta_w_last == 0.0 else max(1e-6, delta_w_last / 3.0)
-            else:
-                delta_w *= 10.0
-            if delta_w > 1e12:
-                break
-        if sol is None or not np.all(np.isfinite(sol)):
+        iterate.update_mu()
+        step = iterate.newton_step()
+        if step is None:
             status = NUMERICAL_FAILURE
             break
-        delta_w_last = delta_w
-        # the dual regularization of the LU that gave the step
-        dc_step = (dc or delta_c) if solve.qd else dc
-
-        def split(sol):
-            """(dx, dy, dz) of a KKT solution: x's bound multipliers step
-            along dx as the barrier's complementarity asks."""
-            dx = sol[:n]
-            zx = z[mi:]
-            dz_x = mu / gx - zx - zx / gx * (sign_x * dx[ix])
-            return dx, sol[n:n + me], np.concatenate((sol[n + me:], dz_x))
-
-        # fraction-to-boundary steps: one `_ftb_alpha` over the gaps, one
-        # over the multipliers
-        def ftb_primal(dx, dt):
-            return _ftb_alpha(gap, sign * np.concatenate((dt, dx[ix])), tau_ftb)
-
-        def ftb_dual(dz):
-            return _ftb_alpha(z, dz, tau_ftb)
-
-        dx, dy, dz = split(sol)
-        dt = -(cI + t) - ji_times(dx)
-        a_pri = ftb_primal(dx, dt)
-        a_dual = ftb_dual(dz)
-
-        # filter line search (Waechter & Biegler 2006, Sec. 2.3-2.4); dphi is
-        # the barrier objective's directional derivative along (dx, dt)
-        theta0 = theta_of(cE, cI, t)
-        phi0 = barrier(gap, f)
-        dphi = float((g + bar_grad) @ dx) - float(np.sum(mu / gap_t * dt))
-
-        def accepts(theta_n, phi_n, alpha_test):
-            """'f' (Armijo step), 'h' (filter step) or None for a trial point
-            with measures (theta_n, phi_n); alpha_test is the step size of
-            the switching condition and the Armijo test."""
-            if not (theta_n <= theta_max and np.isfinite(phi_n)):
-                return None
-            if any(theta_n >= th and phi_n >= ph for th, ph in filt):
-                return None
-            # the epsilon slack keeps the tests passable when the predicted
-            # decrease is below rounding noise in the barrier objective
-            noise = 1e-12 * (1.0 + abs(phi0))
-            if theta0 <= theta_min and dphi < 0.0 and \
-                    alpha_test * (-dphi) ** S_PHI > DELTA * theta0 ** S_THETA:
-                return "f" if phi_n <= phi0 + ETA * alpha_test * dphi + noise else None
-            if theta_n <= (1.0 - GAMMA_THETA) * theta0 or \
-                    phi_n <= phi0 - GAMMA_PHI * theta0 + noise:
-                return "h"
-            return None
-
-        def soc_step(theta_n, cEn, cIn, tn):
-            """Second-order correction of the rejected full step: the accepted
-            (kind, alpha, solution, dt, values) or None."""
-            c_soc_e = a_pri * cE + cEn
-            c_soc_i = a_pri * (cI + t) + (cIn + tn)
-            theta_old = theta_n
-            for _ in range(MAX_SOC):
-                sol_s = solve(np.concatenate([-gbar, -c_soc_e, -(c_soc_i - gap_t + mu / w)]))
-                if sol_s is None or not np.all(np.isfinite(sol_s)):
-                    return None
-                dx_s = sol_s[:n]
-                dt_s = -c_soc_i - ji_times(dx_s)
-                a_soc = ftb_primal(dx_s, dt_s)
-                xs, ts = x + a_soc * dx_s, t + a_soc * dt_s
-                theta_s, phi_s, vals = measures(xs, ts)
-                kind = accepts(theta_s, phi_s, a_pri)
-                if kind:
-                    return kind, a_soc, sol_s, dt_s, vals
-                if not theta_s <= KAPPA_SOC * theta_old:
-                    return None
-                c_soc_e = a_soc * c_soc_e + vals[1]
-                c_soc_i = a_soc * c_soc_i + (vals[2] + ts)
-                theta_old = theta_s
-            return None
-
-        alpha = a_pri
-        kind = None
-        for trial in range(MAX_TRIALS):
-            tn = t + alpha * dt
-            theta_n, phi_n, vals = measures(x + alpha * dx, tn)
-            if trial == 0:
-                first_vals = vals
-            kind = accepts(theta_n, phi_n, alpha)
-            if kind:
-                break
-            # a correction of a zero residual would repeat the same step
-            if trial == 0 and theta_n >= theta0 and theta_n > 0.0 \
-                    and vals is not None:
-                soc = soc_step(theta_n, vals[1], vals[2], tn)
-                if soc:
-                    kind, alpha, sol, dt, vals = soc
-                    dx, dy, dz = split(sol)
-                    a_dual = ftb_dual(dz)
-                    break
-            alpha *= 0.5
-        if kind is None:
-            # out of trials: take the fraction-to-boundary step and start
-            # a new filter from it
-            alpha, vals = a_pri, first_vals
-            filt.clear()
-        elif kind == "h":
-            filt.append(((1.0 - GAMMA_THETA) * theta0, phi0 - GAMMA_PHI * theta0))
-
-        x = x + alpha * dx
-        at_x = vals
-        t = t + alpha * dt
-        y = y + alpha * dy
-        # fraction-to-boundary keeps duals positive; the floor only guards
-        # against underflow to exactly zero
-        z = np.maximum(z + a_dual * dz, 1e-300)
-        last_step = dict(delta_w=delta_w, delta_c=dc_step, factor_attempts=attempt,
-                         alpha_primal=alpha, alpha_dual=a_dual)
-
-    f, cE, cI = at_x if at_x is not None else values(x)
-    consider(x, cE, cI, f)
-    # the best iterate unless optimal, clipped into the caller's true
-    # (unrelaxed) bounds, a move of at most the bound relaxation
-    x_out = np.clip(x if status == OPTIMAL else best[1], lb_true, ub_true)
-    if not np.array_equal(x_out, x):
-        x = x_out
-        f, cE, cI = values(x)
-
-    z_lower, z_upper = np.zeros(n), np.zeros(n)
-    z_lower[il], z_upper[iu] = z[lo], z[up]
-    return NlpSolution(
-        x=x, lambda_eq=y, lambda_ineq=z[:mi], z_lower=z_lower, z_upper=z_upper,
-        objective=f, status=status, iterations=it,
-        constraint_violation=viol(x, cE, cI), kkt_error=e0, mu=mu,
-        lus=kkt.counts["lus"], gmres_calls=kkt.counts["gmres_calls"],
-        colamd_steps=kkt.counts["colamd_steps"],
-    )
+        iterate.line_search(*step)
+    return iterate.solution(status, it)
 
 
 @dataclass

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import eval as eval_mod
 from .case_model import Network, preprocess
-from .nlp import solve_nlp
+from .nlp import MAX_ITER, OPTIMAL, TIME_LIMIT, solve_nlp
 from .ranking import RidgeModel, rank_initial
 from .scopf import (
     MasterSpec,
@@ -211,11 +211,11 @@ def solve_base(net: Network, budget=None, log=None, seed=0):
                 [b.v_min for b in net.buses], [b.v_max for b in net.buses])
         prob = build_base_problem(net, report, start=start)
         sol = solve_nlp(prob, tol=1e-8, **_wall_limit(budget))
-        if sol.status in ("optimal", "max_iter", "time_limit") and np.all(
+        if sol.status in (OPTIMAL, MAX_ITER, TIME_LIMIT) and np.all(
                 np.isfinite(sol.x)) and sol.constraint_violation < 1e-6:
             break
     else:
-        if sol.status == "time_limit":
+        if sol.status == TIME_LIMIT:
             raise TimeoutError("time limit reached before a base solution "
                                "could be written")
         raise RuntimeError(

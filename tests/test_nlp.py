@@ -313,9 +313,28 @@ def test_line_search_out_of_trials_returns_best():
     prob = nan_off_x0_problem(x0)
     records = []
     sol = solve_nlp(prob, log=records.append)
-    assert sol.status != nlp.OPTIMAL
+    assert (sol.status, sol.iterations) == (nlp.NUMERICAL_FAILURE, 2)
     assert records[1]["alpha_primal"] == 1.0
     np.testing.assert_array_equal(sol.x, x0)
+
+
+def test_every_inertia_correction_rejected_ends_numerical_failure(monkeypatch):
+    # a nan Hessian fails the inertia test at every delta_w: 0, then 1e-4
+    # up to 1e12, one LU each; past 1e12 the solve ends at its first
+    # iterate, x0, which is inside the true bounds
+    x0 = np.array([0.5])
+    prob = dense_problem(1, lambda x: (x[0] - 2.0) ** 2, lambda x: [2.0 * (x[0] - 2.0)],
+                         lambda x: [[np.nan]], x0, lb=[0.0], ub=[1.0])
+    w_diags = []
+    factor = nlp._Kkt.factor
+    monkeypatch.setattr(nlp._Kkt, "factor", lambda self, h, w_diag, *args: (
+        w_diags.append(w_diag[0]) or factor(self, h, w_diag, *args)))
+    sol = solve_nlp(prob)
+    assert (sol.status, sol.iterations, sol.lus) == (nlp.NUMERICAL_FAILURE, 1, 18)
+    np.testing.assert_allclose(np.subtract(w_diags, w_diags[0]),
+                               [0.0] + [10.0 ** k for k in range(-4, 13)], rtol=1e-9)
+    np.testing.assert_array_equal(sol.x, x0)
+    assert np.all((prob.lb <= sol.x) & (sol.x <= prob.ub))
 
 
 @pytest.mark.parametrize("problem", ["base", "ctg", "master", "maratos", "nan-off-x0"])

@@ -21,6 +21,11 @@ artefact to OUT/digests.txt and to stdout:
 * the interior point where SuperLU forms supernodes: a flat-start base
   solve of ``gen-case --n-bus 300 --seed 3`` (preprocessed, tol 1e-8; its
   ``x``, status, iterations, LUs and GMRES calls);
+* the per-iteration ``log=`` records of that solve, and of a
+  ``warm_start=True`` re-solve from its solution (each record's field
+  names and values: iteration, objective, KKT error, barrier parameter,
+  delta_w, delta_c, factorization attempts and both step sizes), so the
+  path of a solve is pinned as well as its end point;
 * the square solves that SuperLU factors (more rows than a dense LU
   takes): ``fast_evaluate`` of the first 10 contingencies at that solved
   300-bus base, at the cutoffs ``default_cutoff`` and infinity, with the
@@ -33,11 +38,12 @@ Run it once per tree into two directories; the trees' outputs are the same
 when ``diff`` of the two ``digests.txt`` is empty.  The tool reads only
 names that have kept their meaning across versions of the package, so one
 copy of it checks an older tree as well as a newer one.  It takes about
-six seconds on a 2-core machine.
+ten seconds on a 2-core machine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import hashlib
 import math
@@ -98,10 +104,22 @@ def screening_digest(out):
     return h.hexdigest(), f"fast_evaluate[{count}]"
 
 
+def log_digest(records):
+    """sha256 of a solve's `log=` records: each record's field names, in
+    order, and its values as floats."""
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(list(record)).encode())
+        h.update(np.array(list(record.values()), dtype=float).tobytes())
+    return h.hexdigest()
+
+
 def nlp_digests(out):
-    """sha256 of the 300-bus flat-start base solve, of the fast evaluations
-    of its first 10 contingencies at the solved 300-bus base, and of the full
-    evaluations of three 30-bus contingencies at the solved 30-bus base."""
+    """sha256 of the 300-bus flat-start base solve, of its per-iteration
+    records and those of a warm re-solve from its solution, of the fast
+    evaluations of its first 10 contingencies at the solved 300-bus base,
+    and of the full evaluations of three 30-bus contingencies at the solved
+    30-bus base."""
     from scacopf.case_model import load_case, preprocess
     from scacopf.eval import default_cutoff, fast_evaluate, full_evaluate
     from scacopf.nlp import solve_nlp
@@ -110,11 +128,17 @@ def nlp_digests(out):
 
     net, report = preprocess(load_case(os.path.join(out, "c300.json")))
     prob = build_base_problem(net, report, start=flat_start(net))
-    sol = solve_nlp(prob, tol=1e-8)
+    records, warm_records = [], []
+    sol = solve_nlp(prob, tol=1e-8, log=records.append)
     h = hashlib.sha256(repr((sol.status, sol.iterations, sol.lus,
                              sol.gmres_calls)).encode())
     h.update(sol.x.tobytes())
-    lines = [f"{h.hexdigest()}  base_solve[300]"]
+    lines = [f"{h.hexdigest()}  base_solve[300]",
+             f"{log_digest(records)}  base_solve[300] log[{len(records)}]"]
+    solve_nlp(dataclasses.replace(prob, x0=sol.x), tol=1e-8, warm_start=True,
+              log=warm_records.append)
+    lines.append(f"{log_digest(warm_records)}  base_solve[300] warm log"
+                 f"[{len(warm_records)}]")
 
     base, h = prob.meta.extract_base(sol.x), hashlib.sha256()
     for k in net.contingencies[:10]:
